@@ -16,7 +16,7 @@ from .errors import (BracketError, ConditionError, DegenerateEigenfunctionError,
 from .grid import (DEFAULT_CELLS, MIN_CELLS, FourierRep, GridFunction,
                    SequenceData, cumulative_integral, differentiate,
                    inner_product, integral, l2_norm, resample, seq_norm,
-                   sup_norm, symmetry_defect, symmetry_project)
+                   sup_norm, symmetry_defect, symmetry_project, trig_basis)
 from .transform import (ConditionU, DecayTerm, EstimateReport, EstimateRow,
                         Impedance, ImpedanceProfile, MonotoneBound, Potential,
                         build_rho, calibrate_bounds, compute_c0, estimate_suite,
@@ -54,7 +54,7 @@ __all__ = [
     "MIN_CELLS", "DEFAULT_CELLS", "GridFunction", "FourierRep", "SequenceData",
     "differentiate", "cumulative_integral", "integral", "inner_product",
     "l2_norm", "sup_norm", "seq_norm", "symmetry_project", "symmetry_defect",
-    "resample",
+    "resample", "trig_basis",
     # transform
     "DecayTerm", "ConditionU", "MonotoneBound", "Impedance", "Potential",
     "ImpedanceProfile", "EstimateRow", "EstimateReport", "build_rho",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -29,13 +28,14 @@ import numpy as np
 from .errors import (BracketError, ConditionError, DegenerateEigenfunctionError,
                      FitError, IntegrationError, InversionError,
                      PoleCollisionError, RangeError, TargetError)
-from .grid import GridFunction, l2_norm, resample
+from .grid import GridFunction, l2_norm, resample, trig_basis
 from .inverse import (FitTarget, InversionConfig, fit_impedance_detailed,
                       fit_potential_detailed, invert_transform_detailed)
 from .ode import INF, ImpedanceProblem, SchrodingerProblem, shoot_forward
 from .serialize import (atomic_write_text, condition_from_dict, dump_json,
-                        json_text, load_json, read_grid_csv, spectral_from_dict,
-                        spectral_to_dict, target_from_dict, write_grid_csv)
+                        inversion_report_to_dict, load_json, read_grid_csv,
+                        spectral_from_dict, spectral_to_dict, target_from_dict,
+                        write_grid_csv)
 from .spectral import (SolverOptions, characterize, equivalence_report,
                        hadamard_wronskian, identity_ab, identity_b,
                        normalizing_constants, regime_of, solve_spectrum,
@@ -64,7 +64,6 @@ class RunConfig:
     N: int
     tol: float
     seed: int
-    jobs: int
 
     def __post_init__(self):
         n = self.grid
@@ -75,22 +74,13 @@ class RunConfig:
             raise ValueError(f"N must lie in [1, 64], got {self.N}")
         if self.tol <= 0.0:
             raise ValueError("tolerance must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("LIOUVILLE_SPEC_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _run_config(args) -> RunConfig:
     return RunConfig(command=args.command, out=getattr(args, "out", None),
-                     grid=args.grid, N=getattr(args, "N", 10), tol=args.tol,
-                     seed=getattr(args, "seed", 0), jobs=args.jobs)
+                     grid=args.grid, N=getattr(args, "N", 10),
+                     tol=getattr(args, "tol", 1e-9),
+                     seed=getattr(args, "seed", 0))
 
 
 def _parse_series(text: str) -> np.ndarray:
@@ -106,10 +96,7 @@ def _grid_values(spec: str, n: int, trig: str) -> GridFunction:
         return GridFunction(np.zeros(n + 1))
     if spec.startswith("fourier:"):
         coeffs = _parse_series(spec[len("fourier:"):])
-        x = np.linspace(0.0, 1.0, n + 1)
-        k = np.arange(1, coeffs.size + 1)[:, None]
-        wave = np.sin if trig == "sine" else np.cos
-        return GridFunction(coeffs @ (math.sqrt(2.0) * wave(math.pi * k * x)))
+        return GridFunction(coeffs @ trig_basis(trig, coeffs.size, n))
     f = read_grid_csv(spec)
     if f.n != n:
         f = resample(f, n)
@@ -121,7 +108,7 @@ def _load_q(spec: str, n: int) -> Impedance:
 
 
 def _load_p(spec: str, n: int) -> Potential:
-    return Potential(_grid_values(spec, n, "cos"))
+    return Potential(_grid_values(spec, n, "cosine"))
 
 
 def _load_u(spec: str) -> ConditionU:
@@ -205,7 +192,7 @@ def cmd_transform(args, cfg: RunConfig) -> int:
 def cmd_invert(args, cfg: RunConfig) -> int:
     ucfg = _load_u(args.u or "zero")
     p = _load_p(args.p, cfg.grid)
-    icfg = InversionConfig(basis_size=args.basis, tol=cfg.tol, jobs=cfg.jobs)
+    icfg = InversionConfig(basis_size=args.basis, tol=cfg.tol)
     try:
         report = invert_transform_detailed(p, ucfg, icfg)
     except InversionError as exc:
@@ -217,11 +204,7 @@ def cmd_invert(args, cfg: RunConfig) -> int:
         return EXIT_INVERSION
     write_grid_csv(cfg.out, report.q.f)
     if args.report:
-        dump_json({"converged": True, "used_homotopy": report.used_homotopy,
-                   "iterations": report.iterations,
-                   "full_residual": float(report.full_residual),
-                   "residuals": [float(r) for r in report.residuals]},
-                  args.report)
+        dump_json(inversion_report_to_dict(report), args.report)
     if args.emit_plot:
         write_grid_csv(args.emit_plot, report.q.f)
     print(f"wrote {cfg.out} (iterations={report.iterations}, "
@@ -238,7 +221,7 @@ def _fit_target(args) -> FitTarget:
 
 def cmd_fit(args, cfg: RunConfig) -> int:
     icfg = InversionConfig(basis_size=args.basis, tol=cfg.tol,
-                           fit_grid=cfg.grid, jobs=cfg.jobs)
+                           fit_grid=cfg.grid)
     try:
         target = _fit_target(args)
         if args.impedance:
@@ -428,21 +411,24 @@ def cmd_export(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, *, out_required=True, with_N=True):
+def _add_common(sub, *flags, out_required=True):
+    """Register --grid plus each named flag; a command gets only what it reads."""
     sub.add_argument("--grid", type=int, default=2048,
                      help="grid cells, power of two in [256, 16384]")
-    if with_N:
+    if "N" in flags:
         sub.add_argument("--N", type=int, default=10,
                          help="number of eigenvalues (1..64)")
-    sub.add_argument("--tol", type=float, default=1e-9,
-                     help="iteration tolerance")
-    sub.add_argument("--jobs", type=int, default=_default_jobs(),
-                     help="worker threads (default $LIOUVILLE_SPEC_JOBS or 1)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized checks")
-    sub.add_argument("--out", required=out_required, help="output path")
-    sub.add_argument("--emit-plot", default=None,
-                     help="also write plot-ready CSV here")
+    if "tol" in flags:
+        sub.add_argument("--tol", type=float, default=1e-9,
+                         help="iteration tolerance")
+    if "seed" in flags:
+        sub.add_argument("--seed", type=int, default=0,
+                         help="seed for randomized checks")
+    if "out" in flags:
+        sub.add_argument("--out", required=out_required, help="output path")
+    if "emit-plot" in flags:
+        sub.add_argument("--emit-plot", default=None,
+                         help="also write plot-ready CSV here")
 
 
 def _add_boundary(sub):
@@ -467,14 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u", default="zero",
                     help="perturbation: zero | exp:E,beta | poly:[...] | file.json")
     _add_boundary(sp)
-    _add_common(sp)
+    _add_common(sp, "N", "tol", "out", "emit-plot")
     sp.set_defaults(func=cmd_spectrum)
 
     tr = subs.add_parser("transform", help="apply the forward map")
     tr.add_argument("--q", required=True)
     tr.add_argument("--u", default="zero")
-    _add_common(tr, with_N=False)
-    tr.set_defaults(func=cmd_transform, N=10)
+    _add_common(tr, "out", "emit-plot")
+    tr.set_defaults(func=cmd_transform)
 
     inv = subs.add_parser("invert", help="invert the forward map")
     inv.add_argument("--p", required=True)
@@ -483,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Galerkin dimension of the inversion")
     inv.add_argument("--report", default=None,
                      help="write iteration report JSON here")
-    _add_common(inv, with_N=False)
-    inv.set_defaults(func=cmd_invert, N=10)
+    _add_common(inv, "tol", "out", "emit-plot")
+    inv.set_defaults(func=cmd_invert)
 
     ver = subs.add_parser("verify", help="run the verification battery")
     ver.add_argument("--q", default="zero")
@@ -492,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--data", default=None,
                      help="also characterize this spectral JSON file")
     _add_boundary(ver)
-    _add_common(ver, out_required=False)
+    _add_common(ver, "N", "seed", "out", out_required=False)
     ver.set_defaults(func=cmd_verify)
 
     fit = subs.add_parser("fit", help="fit to spectral targets")
@@ -505,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--u", default="zero")
     fit.add_argument("--basis", type=int, default=16)
     fit.add_argument("--report", default=None)
-    _add_common(fit, with_N=False)
-    fit.set_defaults(func=cmd_fit, N=10)
+    _add_common(fit, "tol", "out", "emit-plot")
+    fit.set_defaults(func=cmd_fit)
 
     ex = subs.add_parser("export", help="re-emit results as plot CSV")
     ex.add_argument("--data", default=None, help="spectral-data JSON")
@@ -516,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--lam", type=float, default=None,
                     help="spectral parameter for trace export")
     ex.add_argument("--prefix", required=True, help="output path prefix")
-    _add_common(ex, out_required=False, with_N=False)
-    ex.set_defaults(func=cmd_export, N=10)
+    _add_common(ex)
+    ex.set_defaults(func=cmd_export)
 
     return parser
 

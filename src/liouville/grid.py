@@ -30,6 +30,7 @@ __all__ = [
     "symmetry_project",
     "symmetry_defect",
     "resample",
+    "trig_basis",
 ]
 
 MIN_CELLS = 16
@@ -163,28 +164,29 @@ class FourierRep:
         object.__setattr__(self, "coefficients", c)
 
     def evaluate(self, n: int = DEFAULT_CELLS) -> GridFunction:
-        x = np.linspace(0.0, 1.0, n + 1)
         c = self.coefficients
-        out = np.zeros_like(x)
-        if self.basis == "sine":
-            for k, ck in enumerate(c, start=1):
-                if ck:
-                    out += ck * np.sin(math.pi * k * x)
-        elif self.basis == "cosine":
-            for k, ck in enumerate(c, start=1):
-                if ck:
-                    out += ck * np.cos(math.pi * k * x)
+        if self.basis == "full":
+            # Full-period modes are the even rows k = 2m of trig_basis.
+            cos, sin = c[1::2], c[2::2]
+            out = (c[0] if c.size else 0.0) \
+                + cos @ trig_basis("cosine", 2 * cos.size, n)[1::2] \
+                + sin @ trig_basis("sine", 2 * sin.size, n)[1::2]
         else:
-            if c.size:
-                out += c[0]
-            root2 = math.sqrt(2.0)
-            for m in range(1, (c.size + 1) // 2 + 1):
-                i_cos, i_sin = 2 * m - 1, 2 * m
-                if i_cos < c.size and c[i_cos]:
-                    out += c[i_cos] * root2 * np.cos(2 * math.pi * m * x)
-                if i_sin < c.size and c[i_sin]:
-                    out += c[i_sin] * root2 * np.sin(2 * math.pi * m * x)
+            out = c @ trig_basis(self.basis, c.size, n) / math.sqrt(2.0)
         return GridFunction(out)
+
+
+def trig_basis(kind: str, K: int, n: int) -> np.ndarray:
+    """Rows sqrt(2) sin(pi k x) or sqrt(2) cos(pi k x), k = 1..K, on n cells.
+
+    ``kind`` is 'sine' or 'cosine'; the rows are orthonormal in L2(0, 1).
+    """
+    if kind not in ("sine", "cosine"):
+        raise ValueError(f"unknown trigonometric kind {kind!r}")
+    wave = np.sin if kind == "sine" else np.cos
+    x = np.linspace(0.0, 1.0, n + 1)
+    k = np.arange(1, K + 1)[:, None]
+    return math.sqrt(2.0) * wave(math.pi * k * x[None, :])
 
 
 def differentiate(f: GridFunction) -> GridFunction:

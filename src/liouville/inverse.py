@@ -16,15 +16,14 @@ impedance slope end to end.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import (BracketError, DegenerateEigenfunctionError, FitError,
                      IntegrationError, InversionError, RangeError, TargetError)
-from .grid import GridFunction, _simpson_weights, l2_norm
+from .grid import GridFunction, _simpson_weights, l2_norm, trig_basis
 from .ode import INF, SchrodingerProblem
 from .spectral import SolverOptions, solve_spectrum, unperturbed_eigenvalues
 from .transform import ConditionU, Impedance, Potential, forward_transform, frechet_apply
@@ -54,8 +53,7 @@ class InversionConfig:
     residual tolerance in L2; damping halves the step up to ``max_halvings``
     times before declaring stagnation, after which the continuation fallback
     re-solves through ``homotopy_stages`` scaled copies of the target.
-    Spectral fits integrate on a ``fit_grid``-cell mesh; ``jobs`` caps the
-    worker threads used for Jacobian columns.
+    Spectral fits integrate on a ``fit_grid``-cell mesh.
     """
 
     basis_size: int = 16
@@ -64,7 +62,6 @@ class InversionConfig:
     max_halvings: int = 20
     homotopy_stages: int = 4
     fit_grid: int = 1024
-    jobs: int = 1
 
     def __post_init__(self):
         if self.basis_size < 1:
@@ -85,18 +82,6 @@ class InversionReport:
     iterations: int
 
 
-def _sine_matrix(K: int, n: int) -> np.ndarray:
-    x = np.linspace(0.0, 1.0, n + 1)
-    k = np.arange(1, K + 1)[:, None]
-    return math.sqrt(2.0) * np.sin(math.pi * k * x[None, :])
-
-
-def _cos_matrix(K: int, n: int) -> np.ndarray:
-    x = np.linspace(0.0, 1.0, n + 1)
-    k = np.arange(1, K + 1)[:, None]
-    return math.sqrt(2.0) * np.cos(math.pi * k * x[None, :])
-
-
 class _GalerkinMap:
     """Projected forward map and Jacobian on a fixed grid."""
 
@@ -106,9 +91,9 @@ class _GalerkinMap:
         self.n = p.n
         self.target = p.f.values
         K = icfg.basis_size
-        self.sines = _sine_matrix(K, self.n)
-        cosines = _cos_matrix(K, self.n)
-        self.project = cosines * _simpson_weights(self.n)[None, :]
+        self.sines = trig_basis("sine", K, self.n)
+        self.project = trig_basis("cosine", K, self.n) \
+            * _simpson_weights(self.n)[None, :]
 
     def impedance(self, alpha: np.ndarray) -> Impedance:
         values = alpha @ self.sines
@@ -123,21 +108,9 @@ class _GalerkinMap:
         return q, image, r
 
     def jacobian(self, q: Impedance) -> np.ndarray:
-        def column(j):
-            direction = GridFunction(self.sines[j])
-            return self.project @ frechet_apply(q, self.cfg, direction).values
-
-        K = self.icfg.basis_size
-        cols = _parallel_map(column, range(K), self.icfg.jobs)
+        cols = [self.project @ frechet_apply(q, self.cfg, GridFunction(s)).values
+                for s in self.sines]
         return np.stack(cols, axis=1)
-
-
-def _parallel_map(fun, items, jobs):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fun(i) for i in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fun, items))
 
 
 def _newton_leg(gmap: _GalerkinMap, alpha: np.ndarray, scale: float,
@@ -305,24 +278,17 @@ class ImpedanceFitReport:
     inversion: InversionReport
 
 
-def _fit_basis(regime: str, N: int, n: int) -> np.ndarray:
-    x = np.linspace(0.0, 1.0, n + 1)
-    m = np.arange(1, N + 1)[:, None]
-    cos = math.sqrt(2.0) * np.cos(2.0 * math.pi * m * x[None, :])
-    if regime == "symmetric-dirichlet":
-        return cos
-    sin = math.sqrt(2.0) * np.sin(2.0 * math.pi * m * x[None, :])
-    return np.concatenate([cos, sin], axis=0)
-
-
 class _FitMap:
     """Residuals of computed spectral data against a fixed target."""
 
     def __init__(self, target: FitTarget, icfg: InversionConfig):
         self.target = target
-        self.icfg = icfg
         self.n = icfg.fit_grid
-        self.basis = _fit_basis(target.regime, target.N, self.n)
+        # Full-period modes: the even rows k = 2m of the half-period basis.
+        kinds = ("cosine",) if target.regime == "symmetric-dirichlet" \
+            else ("cosine", "sine")
+        self.basis = np.concatenate(
+            [trig_basis(kind, 2 * target.N, self.n)[1::2] for kind in kinds])
         self.opts = SolverOptions()
         self.boundary = (INF, INF) if target.regime == "symmetric-dirichlet" \
             else (target.a, target.b)
@@ -343,12 +309,11 @@ class _FitMap:
 
     def jacobian(self, theta: np.ndarray, r0: np.ndarray,
                  delta: float = 1e-6) -> np.ndarray:
-        def column(j):
+        cols = []
+        for j in range(theta.size):
             shifted = theta.copy()
             shifted[j] += delta
-            return (self.residual(shifted) - r0) / delta
-
-        cols = _parallel_map(column, range(theta.size), self.icfg.jobs)
+            cols.append((self.residual(shifted) - r0) / delta)
         return np.stack(cols, axis=1)
 
 
@@ -413,7 +378,7 @@ def fit_potential(target: FitTarget,
 
 def _cos_pi_tail_mass(p: Potential, K: int) -> float:
     """L2 mass of p outside the first K half-period cosine modes."""
-    C = _cos_matrix(K, p.n)
+    C = trig_basis("cosine", K, p.n)
     coeffs = (C * _simpson_weights(p.n)[None, :]) @ p.f.values
     total = l2_norm(p.f) ** 2
     return math.sqrt(max(total - float(coeffs @ coeffs), 0.0))
@@ -433,12 +398,7 @@ def fit_impedance_detailed(target: FitTarget, cfg: ConditionU | None = None,
     try:
         tail = _cos_pi_tail_mass(fit.potential, icfg.basis_size)
         inv_icfg = icfg if 3.0 * tail <= icfg.tol else \
-            InversionConfig(basis_size=icfg.basis_size,
-                            max_iter=icfg.max_iter,
-                            tol=3.0 * tail,
-                            max_halvings=icfg.max_halvings,
-                            homotopy_stages=icfg.homotopy_stages,
-                            fit_grid=icfg.fit_grid, jobs=icfg.jobs)
+            replace(icfg, tol=3.0 * tail)
         inversion = invert_transform_detailed(fit.potential, cfg, inv_icfg)
     except InversionError as exc:
         raise InversionError(

@@ -11,9 +11,7 @@ product rule, which is exactly the variational equation of the discrete map.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +38,6 @@ _RENORM_EVERY = 512
 _RENORM_LIMIT = 1e250
 _OVERFLOW_LIMIT = 1e280
 _LOG_VALUE_LIMIT = 700.0
-
-_trace_cache: dict = {}
-_trace_lock = threading.Lock()
 
 
 def is_dirichlet(b: float) -> bool:
@@ -94,14 +89,6 @@ class SchrodingerProblem:
     def coefficient_mean(self) -> float:
         return integral(self.p.f)
 
-    def _key(self):
-        key = self._cache.get("key")
-        if key is None:
-            key = ("s", self.n, hashlib.blake2b(self.p.f.values.tobytes(),
-                                                digest_size=16).hexdigest())
-            self._cache["key"] = key
-        return key
-
     def _coefficients(self) -> _Coefficients:
         co = self._cache.get("coeffs")
         if co is None:
@@ -141,15 +128,6 @@ class ImpedanceProblem:
 
     def coefficient_mean(self) -> float:
         return self.c0
-
-    def _key(self):
-        key = self._cache.get("key")
-        if key is None:
-            digest = hashlib.blake2b(self.q.f.values.tobytes(),
-                                     digest_size=16).hexdigest()
-            key = ("i", self.n, digest, self.cfg._key())
-            self._cache["key"] = key
-        return key
 
     def _coefficients(self) -> _Coefficients:
         co = self._cache.get("coeffs")
@@ -425,29 +403,11 @@ def _trace_result(prob, lam: float, res, reverse: bool) -> StateTrace:
     return StateTrace(lam=float(lam), y=GridFunction(yv), dy=GridFunction(wv))
 
 
-def _cached(key, build):
-    with _trace_lock:
-        hit = _trace_cache.get(key)
-    if hit is not None:
-        return hit
-    value = build()
-    with _trace_lock:
-        if len(_trace_cache) >= 128:
-            _trace_cache.clear()
-        _trace_cache[key] = value
-    return value
-
-
 def shoot_forward(prob, lam: float, y0: float = 0.0, dy0: float = 1.0) -> StateTrace:
     """Integrate from x = 0 with the given initial data, keeping the trace."""
-
-    def build():
-        co = prob._coefficients()
-        res = _sweep(co, np.asarray([float(lam)]), float(y0), float(dy0),
-                     trace=True, renorm=False)
-        return _trace_result(prob, lam, res, reverse=False)
-
-    return _cached((prob._key(), float(lam), "f", float(y0), float(dy0)), build)
+    res = _sweep(prob._coefficients(), np.asarray([float(lam)]), float(y0),
+                 float(dy0), trace=True, renorm=False)
+    return _trace_result(prob, lam, res, reverse=False)
 
 
 def shoot_backward(prob, lam: float, b: float = INF) -> StateTrace:
@@ -455,15 +415,10 @@ def shoot_backward(prob, lam: float, b: float = INF) -> StateTrace:
 
     Convention: finite b uses (y, y')(1) = (1, -b); Dirichlet uses (0, -1).
     """
-
-    def build():
-        co = prob._coefficients()
-        if is_dirichlet(b):
-            g0, g1 = 0.0, 1.0   # g(s) = y(1-s): g' = -y'
-        else:
-            g0, g1 = 1.0, float(b)
-        res = _sweep(co, np.asarray([float(lam)]), g0, g1, trace=True,
-                     renorm=False, reverse=True)
-        return _trace_result(prob, lam, res, reverse=True)
-
-    return _cached((prob._key(), float(lam), "b", float(b)), build)
+    if is_dirichlet(b):
+        g0, g1 = 0.0, 1.0   # g(s) = y(1-s): g' = -y'
+    else:
+        g0, g1 = 1.0, float(b)
+    res = _sweep(prob._coefficients(), np.asarray([float(lam)]), g0, g1,
+                 trace=True, renorm=False, reverse=True)
+    return _trace_result(prob, lam, res, reverse=True)

@@ -15,7 +15,6 @@ p to q.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,9 +55,6 @@ MEAN_TOL = 1e-10
 LOG_RANGE_LIMIT = 700.0
 _RANGE_SAMPLES = 1024
 
-_condition_cache: dict = {}
-_condition_lock = threading.Lock()
-
 
 @dataclass(frozen=True, eq=False)
 class DecayTerm:
@@ -98,9 +94,6 @@ class DecayTerm:
         if len(self.coeffs) < 2:
             return np.zeros_like(t)
         return npoly.polyval(t, npoly.polyder(self.coeffs))
-
-    def _key(self):
-        return (self.kind, self.E, self.beta, self.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,25 +163,16 @@ class ConditionU:
             return np.zeros_like(s)
         return npoly.polyval(s, npoly.polyder(self.u1))
 
-    def _key(self):
-        return (self.u1, self.u2._key())
-
     def validate(self, radius: float) -> None:
-        """Check u2' <= 0 on [-radius, radius] by dense sampling."""
-        key = (self.u2._key(), round(float(radius), 12))
-        with _condition_lock:
-            cached = _condition_cache.get(key)
-        if cached is not None:
-            if cached:
-                return
-            raise ConditionError("decay term increases inside the operating range")
+        """Check u2' <= 0 on [-radius, radius] by dense sampling.
+
+        Zero and exponential terms never increase (``DecayTerm`` rejects
+        negative E and beta), so only polynomial terms are sampled.
+        """
+        if self.u2.kind != "poly":
+            return
         grid = np.linspace(-radius, radius, _RANGE_SAMPLES)
-        ok = bool(np.all(self.u2.derivative(grid) <= 1e-12))
-        with _condition_lock:
-            if len(_condition_cache) > 4096:
-                _condition_cache.clear()
-            _condition_cache[key] = ok
-        if not ok:
+        if not np.all(self.u2.derivative(grid) <= 1e-12):
             raise ConditionError(
                 f"decay term increases on [-{radius:.3g}, {radius:.3g}]"
             )

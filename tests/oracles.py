@@ -41,15 +41,35 @@ def fd_mixed(pv, m: int, count: int, b: float) -> np.ndarray:
                             select_range=(0, count - 1))[0]
 
 
+def fd_generic(pv, m: int, count: int, a: float, b: float) -> np.ndarray:
+    """Robin ends y'(0) = a y(0) and y'(1) + b y(1) = 0.
+
+    Ghost nodes at both ends; both boundary rows are symmetrized by the
+    half-weight trick, which scales the first and the last off-diagonal
+    entries by sqrt(2).
+    """
+    h = 1.0 / m
+    x = np.linspace(0.0, 1.0, m + 1)
+    main = 2.0 / h**2 + pv(x)
+    main[0] += 2.0 * a / h
+    main[-1] += 2.0 * b / h
+    off = -np.ones(m) / h**2
+    off[[0, -1]] *= math.sqrt(2.0)
+    return eigh_tridiagonal(main, off, select="i",
+                            select_range=(0, count - 1))[0]
+
+
 def oracle_eigenvalues(pv, count: int, b: float = INF,
-                       m: int = 4000) -> np.ndarray:
+                       m: int = 4000, a: float = INF) -> np.ndarray:
     """Richardson-sharpened finite-difference eigenvalues."""
-    if b == INF:
-        coarse = fd_dirichlet(pv, m, count)
-        fine = fd_dirichlet(pv, 2 * m, count)
-    else:
-        coarse = fd_mixed(pv, m, count, b)
-        fine = fd_mixed(pv, 2 * m, count, b)
+    def ladder(mesh):
+        if a != INF:
+            return fd_generic(pv, mesh, count, a, b)
+        if b != INF:
+            return fd_mixed(pv, mesh, count, b)
+        return fd_dirichlet(pv, mesh, count)
+
+    coarse, fine = ladder(m), ladder(2 * m)
     return (4.0 * fine - coarse) / 3.0
 
 

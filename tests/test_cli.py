@@ -325,6 +325,27 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_SOLVER
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--emit-plot", "x.csv"],
+        ["export", "--prefix", "p", "--emit-plot", "x.csv"],
+        ["export", "--prefix", "p", "--out", "x.csv"],
+        ["export", "--prefix", "p", "--tol", "1e-6"],
+        ["transform", "--q", "zero", "--tol", "1e-6", "--out", "p.csv"],
+        ["transform", "--q", "zero", "--seed", "1", "--out", "p.csv"],
+        ["spectrum", "--q", "zero", "--jobs", "2", "--out", "x.json"],
+    ])
+    def test_unread_flags_rejected(self, argv, tmp_path, monkeypatch, capsys,
+                                   dirichlet_run):
+        # Each command runs cleanly without the trailing flag; with it the
+        # parser refuses, before any file is read or written.
+        data, _ = dirichlet_run
+        if argv[0] == "export":
+            argv = argv[:1] + ["--data", str(data)] + argv[1:]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "spectrum" in capsys.readouterr().out

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouville import (FourierRep, GridFunction, GridMismatchError,
-                       SequenceData, cumulative_integral, differentiate,
-                       inner_product, integral, l2_norm, resample, seq_norm,
-                       sup_norm, symmetry_defect, symmetry_project)
+from liouville import (FitTarget, FourierRep, GridFunction,
+                       GridMismatchError, InversionConfig, SequenceData,
+                       cumulative_integral, differentiate, inner_product,
+                       integral, l2_norm, resample, seq_norm, sup_norm,
+                       symmetry_defect, symmetry_project, trig_basis)
+from liouville.grid import _simpson_weights
+from liouville.inverse import _FitMap
 
 
 def gf(fn, n=512):
@@ -178,6 +181,61 @@ class TestFourierRep:
     def test_unknown_basis(self):
         with pytest.raises(ValueError):
             FourierRep("hexagonal", [1.0])
+
+    @pytest.mark.parametrize("basis", ["sine", "cosine", "full"])
+    def test_matches_mode_sum(self, basis):
+        # Unit coefficients against the mode-by-mode sum of the definition.
+        n, c = 1024, np.ones(7)
+        x = np.linspace(0.0, 1.0, n + 1)
+        want = np.zeros(n + 1)
+        if basis == "full":
+            want += c[0]
+            for m in range(1, 4):
+                want += math.sqrt(2.0) * (c[2 * m - 1] * np.cos(2 * math.pi * m * x)
+                                          + c[2 * m] * np.sin(2 * math.pi * m * x))
+        else:
+            wave = np.sin if basis == "sine" else np.cos
+            for k in range(1, c.size + 1):
+                want += c[k - 1] * wave(math.pi * k * x)
+        got = FourierRep(basis, c).evaluate(n).values
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_empty_coefficients(self):
+        for basis in ("sine", "cosine", "full"):
+            assert not np.any(FourierRep(basis, []).evaluate(256).values)
+
+
+def _old_fit_basis(regime, N, n):
+    """The fit basis as it was written before ``trig_basis`` existed."""
+    x = np.linspace(0.0, 1.0, n + 1)
+    m = np.arange(1, N + 1)[:, None]
+    cos = math.sqrt(2.0) * np.cos(2.0 * math.pi * m * x[None, :])
+    if regime == "symmetric-dirichlet":
+        return cos
+    sin = math.sqrt(2.0) * np.sin(2.0 * math.pi * m * x[None, :])
+    return np.concatenate([cos, sin], axis=0)
+
+
+class TestTrigBasis:
+    @pytest.mark.parametrize("kind", ["sine", "cosine"])
+    def test_simpson_gram_is_identity(self, kind):
+        B = trig_basis(kind, 8, 256)
+        gram = (B * _simpson_weights(256)[None, :]) @ B.T
+        assert np.max(np.abs(gram - np.eye(8))) <= 1e-12
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            trig_basis("tan", 4, 256)
+
+    @pytest.mark.parametrize("regime", ["symmetric-dirichlet", "dirichlet"])
+    @pytest.mark.parametrize("N", [3, 5, 12])
+    @pytest.mark.parametrize("n", [1024, 16384])
+    def test_fit_basis_bit_identical(self, regime, N, n):
+        norming = None if regime == "symmetric-dirichlet" else np.zeros(N)
+        target = FitTarget(regime=regime, remainders=np.zeros(N),
+                           norming=norming)
+        basis = _FitMap(target, InversionConfig(fit_grid=n)).basis
+        assert np.array_equal(basis, _old_fit_basis(regime, N, n))
 
 
 coeffs = st.lists(st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),

@@ -36,6 +36,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             InversionConfig(tol=0.0)
 
+    def test_no_jobs_knob(self):
+        with pytest.raises(TypeError):
+            InversionConfig(jobs=2)
+
     def test_defaults_are_modest(self):
         icfg = InversionConfig()
         assert icfg.basis_size == 16

@@ -104,6 +104,11 @@ class TestOracleComparison:
         ref = oracle_eigenvalues(sin2pi_potential, 10, b=1.0)
         assert np.max(np.abs(lam - ref) / np.abs(ref)) < 1e-7
 
+    def test_generic_against_finite_differences(self):
+        lam = solve_spectrum(SIN2PI_PROB, 1.0, -0.5, 12).eigenvalues
+        ref = oracle_eigenvalues(sin2pi_potential, 12, b=-0.5, a=1.0)
+        assert np.max(np.abs(lam - ref) / np.abs(ref)) < 1e-6
+
     def test_newton_residual_at_roots(self):
         for a, b in [(INF, INF), (INF, 1.0), (1.0, -0.5)]:
             lam = compute_eigenvalues(SIN2PI_PROB, a, b, 8)
