@@ -38,7 +38,7 @@ from .serialize import (atomic_write_text, condition_from_dict, dump_json,
                         write_grid_csv)
 from .spectral import (SolverOptions, characterize, equivalence_report,
                        hadamard_wronskian, identity_ab, identity_b,
-                       normalizing_constants, regime_of, solve_spectrum,
+                       normalizing_constants, solve_spectrum,
                        unperturbed_eigenvalues)
 from .transform import (ConditionU, DecayTerm, Impedance, Potential,
                         estimate_suite, forward_transform, frechet_apply)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateEigenfunctionError, IntegrationError
-from .grid import GridFunction, cumulative_integral, inner_product, integral, resample
+from .errors import IntegrationError
+from .grid import GridFunction, inner_product, integral, resample
 from .transform import ConditionU, Impedance, Potential, build_rho
 
 __all__ = [

@@ -29,6 +29,7 @@ from .ode import (
     SchrodingerProblem,
     _count_below,
     _endpoint_w,
+    _initial_data,
     _sweep,
     is_dirichlet,
 )
@@ -224,17 +225,53 @@ def _endpoint_quantities(prob, lam, a, b, regime):
     return norming, log_abs_dw
 
 
-def _alpha_quantities(prob, lam):
-    """Normalizing integrals int y**2 for Dirichlet eigenfunctions."""
-    co = prob._coefficients()
-    res = _sweep(co, np.asarray(lam, dtype=float), 0.0, 1.0, trace=True,
-                 renorm=False)
+def _traces(prob, lam, y0, v0):
+    """Unscaled shots from the data (y0, v0) at x = 0, one column per lam.
+
+    Impedance shots carry the weight rho, which makes them the normal-form
+    solutions of the transformed potential.
+    """
+    res = _sweep(prob._coefficients(), np.asarray(lam, dtype=float), y0, v0,
+                 trace=True, renorm=False)
     Y = res["Y"]
     if prob.kind == "impedance":
-        rho = build_rho(prob.q).rho.values[:, None]
-        Y = rho * Y
+        Y = build_rho(prob.q).rho.values[:, None] * Y
+    return Y
+
+
+def _alpha_quantities(prob, lam):
+    """Normalizing integrals int y**2 for Dirichlet eigenfunctions."""
+    Y = _traces(prob, lam, 0.0, 1.0)
     weights = _simpson_weights(Y.shape[0] - 1)
     return weights @ (Y * Y)
+
+
+def _potential_gradients(prob, lam, a, directions, norming=True):
+    """Exact derivatives of eigenvalues and norming constants along directions.
+
+    ``lam`` holds eigenvalues of the normal-form problem ``prob`` under left
+    parameter ``a``; ``directions`` holds one perturbation phi_j of p per row,
+    sampled on the problem grid.  With y_n the shot from the left data at
+    lam_n and z_n a second solution with Wronskian W = y z' - y' z,
+
+        d lam_n = int phi y_n**2 / int y_n**2,
+        d nu_n = -(int phi z_n y_n - d lam_n int z_n y_n) / W.
+
+    The second formula holds for nu = log|y(1)| and nu = log|y'(1)| alike,
+    because int y_n**2 (d p - d lam_n) = 0; it needs no right-end data.
+    Returns (d lam, d nu) of shape (N, J); d nu is None without ``norming``.
+    """
+    weights = _simpson_weights(prob.n)[:, None]
+    y0, v0 = _initial_data(a)
+    Y = _traces(prob, lam, y0, v0)
+    Yw = weights * Y
+    dlam = (directions @ (Yw * Y)) / np.sum(Yw * Y, axis=0)
+    if not norming:
+        return dlam.T, None
+    z0, w0 = (1.0, 0.0) if is_dirichlet(a) else (0.0, 1.0)
+    ZYw = _traces(prob, lam, z0, w0) * Yw
+    dnu = (dlam * np.sum(ZYw, axis=0) - directions @ ZYw) / (y0 * w0 - v0 * z0)
+    return dlam.T, dnu.T
 
 
 def _pipeline(prob, a, b, N, opts, want_alpha=False):

@@ -91,3 +91,14 @@ def sin2pi_potential(x):
 
 SIN2PI_NORM_SQ = 2.0 * math.pi ** 2 + 0.125
 """Exact squared norm of the potential above: 2 pi^2 + 1/8."""
+
+
+def fd_fit_jacobian(fmap, theta, delta: float = 1e-6) -> np.ndarray:
+    """Forward-difference Jacobian of a fit residual, one full solve per mode."""
+    r0 = fmap.residual(theta)[0]
+    cols = []
+    for j in range(theta.size):
+        shifted = theta.copy()
+        shifted[j] += delta
+        cols.append((fmap.residual(shifted)[0] - r0) / delta)
+    return np.stack(cols, axis=1)

@@ -12,6 +12,8 @@ from liouville import (INF, ConditionU, FitTarget, GridFunction, Impedance,
                        fit_potential_detailed, forward_transform,
                        invert_transform, invert_transform_detailed, l2_norm,
                        resample, solve_spectrum, sup_norm, symmetry_defect)
+from liouville.inverse import _FitMap
+from oracles import fd_fit_jacobian
 
 
 def sine_slope(coeffs, n=2048, scale=1.0):
@@ -171,6 +173,38 @@ class TestPotentialFits:
         moved = fit_potential(FitTarget(regime="symmetric-dirichlet",
                                         remainders=moved_rem))
         assert l2_norm(base.f - moved.f) >= 1e-3
+
+
+class TestFitJacobian:
+    @staticmethod
+    def fit_map(regime, a=INF, b=INF, N=3):
+        norming = None if regime == "symmetric-dirichlet" else np.zeros(N)
+        return _FitMap(FitTarget(regime=regime, remainders=np.zeros(N),
+                                 norming=norming, a=a, b=b), InversionConfig())
+
+    # Robin-Robin runs with both signs of a, so that a wrong sign of the
+    # Wronskian cannot pass.
+    @pytest.mark.parametrize("regime,a,b", [
+        ("symmetric-dirichlet", INF, INF), ("dirichlet", INF, INF),
+        ("mixed", INF, 1.0), ("generic", 1.0, -0.5), ("generic", -0.7, 2.0)])
+    def test_matches_finite_differences(self, regime, a, b):
+        fmap = self.fit_map(regime, a, b)
+        rng = np.random.default_rng(7)
+        theta = rng.normal(size=fmap.basis.shape[0])
+        theta *= 0.1 / np.linalg.norm(theta)
+        _, prob, lam = fmap.residual(theta)
+        J = fmap.jacobian(prob, lam)
+        J_fd = fd_fit_jacobian(fmap, theta)
+        assert J.shape == J_fd.shape
+        assert np.max(np.abs(J - J_fd)) / np.max(np.abs(J_fd)) < 1e-5
+
+    def test_free_dirichlet_closed_form(self):
+        # d lam_n along sqrt(2) cos(2 pi m x) at p = 0 is
+        # int sqrt(2) cos(2 pi m x) 2 sin(pi n x)**2 = -delta_nm / sqrt(2).
+        fmap = self.fit_map("symmetric-dirichlet", N=5)
+        _, prob, lam = fmap.residual(np.zeros(5))
+        J = fmap.jacobian(prob, lam)
+        assert np.max(np.abs(J + np.eye(5) / math.sqrt(2.0))) < 1e-8
 
 
 class TestImpedanceFits:

@@ -15,6 +15,7 @@ from liouville import (INF, ConditionU, GridFunction, Impedance,
                        normalizing_constants, norming_constants, regime_of,
                        solve_spectrum, unperturbed_eigenvalues,
                        unperturbed_norming, wronskian)
+from liouville.spectral import _potential_gradients
 from oracles import dirichlet_exact, mixed_exact, oracle_eigenvalues, \
     sin2pi_potential
 
@@ -288,3 +289,15 @@ class TestCharacterize:
         report = characterize(data, normalizing=inflated)
         assert report.alpha_tail_ok is False
         assert not report.passed
+
+
+class TestPotentialGradients:
+    @pytest.mark.parametrize("a,b", [(INF, INF), (INF, 1.0), (-0.7, 2.0)])
+    def test_constant_shift_moves_only_eigenvalues(self, a, b):
+        # p + t moves every eigenvalue by t and leaves every eigenfunction,
+        # hence every norming constant, where it was.
+        data = solve_spectrum(SIN2PI_PROB, a, b, 5)
+        ones = np.ones((1, N_GRID + 1))
+        dlam, dnu = _potential_gradients(SIN2PI_PROB, data.eigenvalues, a, ones)
+        assert np.max(np.abs(dlam - 1.0)) < 1e-10
+        assert np.max(np.abs(dnu)) < 1e-10
