@@ -3,10 +3,19 @@
 Both problems are integrated in first-order form y'' = (V - lam) y + d y':
 the normal form has V = p, d = 0; the impedance form has V = u, d = -2q
 (the weight never appears explicitly, only its logarithmic slope).  The
-integrator is classical fixed-step RK4, evaluated as a per-cell 2x2 step
-matrix so a whole batch of spectral parameters advances in lockstep.  The
-derivative of the flow with respect to lam propagates alongside by the
-product rule, which is exactly the variational equation of the discrete map.
+integrator is classical fixed-step RK4, written as one 2x2 matrix per cell.
+Each stage multiplies a y-component, which is at most linear in lam, by
+V - lam, so every cell matrix is exactly quadratic in lam:
+M(lam) = A0 + lam A1 + lam**2 A2, and dM/dlam = A1 + 2 lam A2.  The three
+lam-free coefficient arrays are computed once per problem and direction.
+
+A sweep propagates a batch of lam columns through all cells by a two-level
+blocked scan (Blelloch, "Prefix sums and their applications", 1990): the n
+cells form blocks of B = isqrt(n); the running products inside every block
+are formed in B steps, each vectorized over all blocks and columns; the
+block totals then carry the state across the n/B block boundaries, where it
+is rescaled if it grows too large.  Sweeps that need every node (sign counts
+and traces) apply the stored running products to the block-start states.
 """
 
 from __future__ import annotations
@@ -34,9 +43,7 @@ __all__ = [
 
 INF = math.inf
 
-_RENORM_EVERY = 512
 _RENORM_LIMIT = 1e250
-_OVERFLOW_LIMIT = 1e280
 _LOG_VALUE_LIMIT = 700.0
 
 
@@ -45,15 +52,69 @@ def is_dirichlet(b: float) -> bool:
     return math.isinf(b)
 
 
+def _quadratic_steps(Vn, Vm, dn, dm) -> np.ndarray:
+    """RK4 cell matrices of y'' = (V - lam) y + d y' as quadratics in lam.
+
+    Returns shape (3, 4, n): the coefficients of 1, lam and lam**2 of the
+    entries (M11, M21, M12, M22) of every cell.  Polynomials in lam are
+    arrays whose first axis holds those three coefficients.
+    """
+    n = Vm.size
+    h = 1.0 / n
+    half = 0.5 * h
+    h6 = h / 6.0
+    c0, c1, cm = Vn[:-1], Vn[1:], Vm
+    d0, d1, dd = dn[:-1], dn[1:], dm
+
+    def times(c, p):
+        # (c - lam) p; p is a y-component, at most linear in lam, so the
+        # lam**3 term p[2] would carry is zero.
+        return c * p - np.concatenate([np.zeros((1, n)), p[:2]])
+
+    def column(y0, v0):
+        k1y = v0
+        k1v = times(c0, y0) + d0 * v0
+        a1y = y0 + half * k1y
+        a1v = v0 + half * k1v
+        k2y = a1v
+        k2v = times(cm, a1y) + dd * a1v
+        a2y = y0 + half * k2y
+        a2v = v0 + half * k2v
+        k3y = a2v
+        k3v = times(cm, a2y) + dd * a2v
+        a3y = y0 + h * k3y
+        a3v = v0 + h * k3v
+        k4y = a3v
+        k4v = times(c1, a3y) + d1 * a3v
+        return (y0 + h6 * (k1y + 2.0 * (k2y + k3y) + k4y),
+                v0 + h6 * (k1v + 2.0 * (k2v + k3v) + k4v))
+
+    one = np.zeros((3, n))
+    one[0] = 1.0
+    zero = np.zeros((3, n))
+    return np.stack(column(one, zero) + column(zero, one), axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class _Coefficients:
-    """Node and midpoint samples of V and the damping d at one resolution."""
+    """Node and midpoint samples of V and the damping d at one resolution.
+
+    ``steps[reverse]`` holds the cell matrices of the forward (0) or the
+    reverse (1) sweep as ``_quadratic_steps`` coefficients.
+    """
 
     V: np.ndarray
     Vm: np.ndarray
     d: np.ndarray
     dm: np.ndarray
     rho1: float
+    steps: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", (
+            _quadratic_steps(self.V, self.Vm, self.d, self.dm),
+            _quadratic_steps(self.V[::-1], self.Vm[::-1], -self.d[::-1],
+                             -self.dm[::-1])))
 
 
 def _midpoints(values: np.ndarray) -> np.ndarray:
@@ -93,8 +154,8 @@ class SchrodingerProblem:
         co = self._cache.get("coeffs")
         if co is None:
             v = self.p.f.values
-            zn = np.zeros(1)
-            co = _Coefficients(V=v, Vm=_midpoints(v), d=zn, dm=zn, rho1=1.0)
+            co = _Coefficients(V=v, Vm=_midpoints(v), d=np.zeros(v.size),
+                               dm=np.zeros(v.size - 1), rho1=1.0)
             self._cache["coeffs"] = co
         return co
 
@@ -157,81 +218,49 @@ class StateTrace:
     dy: GridFunction
 
 
-def _step_matrices(Vn, Vm, dn, dm, lam, h, deriv, out, out_d, j0):
-    """Fill RK4 step matrices for cells [j0, j0+len) at each lam column."""
-    c0 = Vn[:-1, None] - lam[None, :]
-    c1 = Vn[1:, None] - lam[None, :]
-    cm = Vm[:, None] - lam[None, :]
-    if dn.size == 1:
-        d0 = d1 = dd = 0.0
-    else:
-        d0 = dn[:-1, None]
-        d1 = dn[1:, None]
-        dd = dm[:, None]
-    half = 0.5 * h
-    h6 = h / 6.0
-
-    def column(y0, v0, col):
-        k1y = v0
-        k1v = c0 * y0 + d0 * v0
-        a1y = y0 + half * k1y
-        a1v = v0 + half * k1v
-        k2y = a1v
-        k2v = cm * a1y + dd * a1v
-        a2y = y0 + half * k2y
-        a2v = v0 + half * k2v
-        k3y = a2v
-        k3v = cm * a2y + dd * a2v
-        a3y = y0 + h * k3y
-        a3v = v0 + h * k3v
-        k4y = a3v
-        k4v = c1 * a3y + d1 * a3v
-        out[2 * col][j0:j0 + c0.shape[0]] = y0 + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        out[2 * col + 1][j0:j0 + c0.shape[0]] = v0 + h6 * (k1v + 2.0 * (k2v + k3v) + k4v)
-        if not deriv:
-            return
-        # Tangent of the same stage recursion with d(c)/d(lam) = -1.
-        g1v = -y0
-        b1y = 0.0
-        b1v = half * g1v
-        g2y = b1v
-        g2v = cm * b1y + dd * b1v - a1y
-        b2y = half * g2y
-        b2v = half * g2v
-        g3y = b2v
-        g3v = cm * b2y + dd * b2v - a2y
-        b3y = h * g3y
-        b3v = h * g3v
-        g4y = b3v
-        g4v = c1 * b3y + d1 * b3v - a3y
-        out_d[2 * col][j0:j0 + c0.shape[0]] = h6 * (2.0 * (g2y + g3y) + g4y)
-        out_d[2 * col + 1][j0:j0 + c0.shape[0]] = h6 * (g1v + 2.0 * (g2v + g3v) + g4v)
-
-    column(1.0, 0.0, 0)  # first column: (M11, M21)
-    column(0.0, 1.0, 1)  # second column: (M12, M22)
-
-
 def _build_matrices(co: _Coefficients, lam: np.ndarray, deriv: bool,
                     reverse: bool):
-    n = co.V.size - 1
-    K = lam.size
-    h = 1.0 / n
-    if reverse:
-        Vn, Vm = co.V[::-1], co.Vm[::-1]
-        dn = co.d if co.d.size == 1 else -co.d[::-1]
-        dm = co.dm if co.dm.size == 1 else -co.dm[::-1]
-    else:
-        Vn, Vm, dn, dm = co.V, co.Vm, co.d, co.dm
-    M = [np.empty((n, K)) for _ in range(4)]
-    N = [np.empty((n, K)) for _ in range(4)] if deriv else None
-    chunk = max(256, (1 << 22) // max(K, 1))
-    for j0 in range(0, n, chunk):
-        j1 = min(j0 + chunk, n)
-        _step_matrices(Vn[j0:j1 + 1], Vm[j0:j1],
-                       dn if dn.size == 1 else dn[j0:j1 + 1],
-                       dm if dm.size == 1 else dm[j0:j1],
-                       lam, h, deriv, M, N, j0)
+    """Cell matrices (M11, M21, M12, M22) at every lam column, shape (4, n, K).
+
+    With ``deriv`` the second result holds their lam-derivatives, else None.
+    """
+    A0, A1, A2 = co.steps[reverse][..., None]
+    M = A2 * lam
+    M += A1
+    M *= lam
+    M += A0
+    if not deriv:
+        return M, None
+    N = A2 * (2.0 * lam)
+    N += A1
     return M, N
+
+
+def _blocked(M: np.ndarray, nb: int, B: int, pad) -> np.ndarray:
+    """Copy (4, n, K) cell data into shape (B, 2, 2, nb, K).
+
+    Cell b B + i lands at [i, column, row, b], so each step of a block scan
+    reads one contiguous slice.  Cells past n, in the last block, get the
+    matrix ``pad``.
+    """
+    n, K = M.shape[1:]
+    out = np.empty((B, 4, nb, K))
+    full = n // B
+    out[:, :, :full] = M[:, :full * B].reshape(4, full, B, K).transpose(2, 0, 1, 3)
+    if full < nb:
+        r = n - full * B
+        out[:r, :, full] = M[:, full * B:].transpose(1, 0, 2)
+        out[r:, :, full] = np.reshape(pad, (1, 4, 1))
+    return out.reshape(B, 2, 2, nb, K)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Products a @ b of 2x2 matrices stored [column, row] on the leading axes.
+
+    ``out`` may be ``a`` or ``b``: both products are formed before it is written.
+    """
+    return np.add(a[0][None] * b[:, 0][:, None], a[1][None] * b[:, 1][:, None],
+                  out=out)
 
 
 def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
@@ -246,44 +275,45 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
     n = co.V.size - 1
     K = lam.size
     M, N = _build_matrices(co, lam, deriv, reverse)
-    M11, M21, M12, M22 = M
-    if deriv:
-        N11, N21, N12, N22 = N
+    B = math.isqrt(n)
+    nb = -(-n // B)
+    nodes = trace or count
+    renorm_on = renorm and not trace
     y = np.broadcast_to(np.asarray(y0, dtype=float), (K,)).copy()
     v = np.broadcast_to(np.asarray(v0, dtype=float), (K,)).copy()
     dy = np.zeros(K)
     dv = np.zeros(K)
     logscale = np.zeros(K)
-    if trace:
-        Y = np.empty((n + 1, K))
-        W = np.empty((n + 1, K))
-        Y[0] = y
-        W[0] = v
-    if count:
-        flips = np.zeros(K, dtype=int)
-        last_sign = np.sign(y)
-    renorm_on = renorm and not trace
-    # Overflow is detected explicitly after the loop; silence the transient.
+    # Overflow is detected explicitly at the end; silence the transient.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n):
-            yn = M11[j] * y + M12[j] * v
-            vn = M21[j] * y + M22[j] * v
+        # Stage 1: P[i, :, :, b] becomes the product of the first i + 1
+        # cell matrices of block b, with its lam-derivative in dP.
+        P = _blocked(M, nb, B, (1.0, 0.0, 0.0, 1.0))
+        del M  # free each cell-order array once its blocked copy exists
+        dP = _blocked(N, nb, B, (0.0, 0.0, 0.0, 0.0)) if deriv else None
+        del N
+        for i in range(1, B):
             if deriv:
-                dyn = M11[j] * dy + M12[j] * dv + N11[j] * y + N12[j] * v
-                dvn = M21[j] * dy + M22[j] * dv + N21[j] * y + N22[j] * v
-                dy, dv = dyn, dvn
-            y, v = yn, vn
-            if trace:
-                Y[j + 1] = y
-                W[j + 1] = v
-            if count:
-                # A flip at the final node with y(1) != 0 is a genuine zero
-                # in the last cell; y(1) == 0 exactly contributes nothing,
-                # keeping the count strict.
-                s = np.sign(y)
-                flips += (s != 0) & (s == -last_sign)
-                np.copyto(last_sign, s, where=s != 0)
-            if renorm_on and (j + 1) % _RENORM_EVERY == 0:
+                np.add(_matmul(dP[i], P[i - 1]), _matmul(P[i], dP[i - 1]),
+                       out=dP[i])
+            _matmul(P[i], P[i - 1], out=P[i])
+
+        # Stage 2: carry the state over the block totals.
+        T = P[B - 1]
+        dT = dP[B - 1] if deriv else None
+        if nodes:
+            starts = np.empty((2, nb, K))
+        for b in range(nb):
+            if nodes:
+                starts[0, b] = y
+                starts[1, b] = v
+            (t11, t21), (t12, t22) = T[:, :, b]
+            if deriv:
+                (n11, n21), (n12, n22) = dT[:, :, b]
+                dy, dv = (t11 * dy + t12 * dv + n11 * y + n12 * v,
+                          t21 * dy + t22 * dv + n21 * y + n22 * v)
+            y, v = t11 * y + t12 * v, t21 * y + t22 * v
+            if renorm_on:
                 peak = np.maximum(np.abs(y), np.abs(v))
                 if deriv:
                     peak = np.maximum(peak,
@@ -297,6 +327,13 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
                         dy /= factor
                         dv /= factor
                     logscale += np.log(factor)
+
+        # Stage 3: every node from its block's start state.
+        if nodes:
+            ys, vs = starts
+            Y = _nodes(y0, P[:, 0, 0] * ys + P[:, 1, 0] * vs, n)
+        if trace:
+            W = _nodes(v0, P[:, 0, 1] * ys + P[:, 1, 1] * vs, n)
     if trace and not np.all(np.isfinite(Y[-1]) & np.isfinite(W[-1])):
         raise IntegrationError(
             f"trace integration overflowed (n={n}, lam up to {np.max(lam):.6g})")
@@ -311,8 +348,30 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
         out["Y"] = Y
         out["W"] = W
     if count:
-        out["flips"] = flips
+        out["flips"] = _sign_flips(Y)
     return out
+
+
+def _nodes(first, inner: np.ndarray, n: int) -> np.ndarray:
+    """Node values in grid order from the first node and (B, nb, K) block data."""
+    B, nb, K = inner.shape
+    out = np.empty((nb * B + 1, K))
+    out[0] = first
+    out[1:].reshape(nb, B, K)[...] = inner.transpose(1, 0, 2)
+    return out[:n + 1]
+
+
+def _sign_flips(Y: np.ndarray) -> np.ndarray:
+    """Sign changes down each column of Y, skipping exact zeros.
+
+    A zero node takes the last nonzero sign before it, so y == 0 exactly
+    (at the final node too) contributes nothing and the count stays strict.
+    """
+    s = np.sign(Y)
+    last = np.where(s != 0, np.arange(Y.shape[0])[:, None], 0)
+    np.maximum.accumulate(last, axis=0, out=last)
+    s = np.take_along_axis(s, last, axis=0)
+    return np.count_nonzero(s[1:] * s[:-1] < 0, axis=0)
 
 
 def _initial_data(a: float):

@@ -12,6 +12,8 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from liouville import IntegrationError
+
 INF = math.inf
 
 
@@ -102,3 +104,169 @@ def fd_fit_jacobian(fmap, theta, delta: float = 1e-6) -> np.ndarray:
         shifted[j] += delta
         cols.append((fmap.residual(shifted)[0] - r0) / delta)
     return np.stack(cols, axis=1)
+
+
+# The per-cell RK4 loop that propagated every sweep before the blocked scan,
+# kept as the reference the scan is tested against.  It reads only the node
+# and midpoint samples of a coefficient record (V, Vm, d, dm).
+
+RENORM_EVERY = 512
+RENORM_LIMIT = 1e250
+
+
+def loop_step_matrices(Vn, Vm, dn, dm, lam, h, deriv, out, out_d, j0):
+    """Fill RK4 step matrices for cells [j0, j0+len) at each lam column."""
+    c0 = Vn[:-1, None] - lam[None, :]
+    c1 = Vn[1:, None] - lam[None, :]
+    cm = Vm[:, None] - lam[None, :]
+    if dn.size == 1:
+        d0 = d1 = dd = 0.0
+    else:
+        d0 = dn[:-1, None]
+        d1 = dn[1:, None]
+        dd = dm[:, None]
+    half = 0.5 * h
+    h6 = h / 6.0
+
+    def column(y0, v0, col):
+        k1y = v0
+        k1v = c0 * y0 + d0 * v0
+        a1y = y0 + half * k1y
+        a1v = v0 + half * k1v
+        k2y = a1v
+        k2v = cm * a1y + dd * a1v
+        a2y = y0 + half * k2y
+        a2v = v0 + half * k2v
+        k3y = a2v
+        k3v = cm * a2y + dd * a2v
+        a3y = y0 + h * k3y
+        a3v = v0 + h * k3v
+        k4y = a3v
+        k4v = c1 * a3y + d1 * a3v
+        out[2 * col][j0:j0 + c0.shape[0]] = y0 + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        out[2 * col + 1][j0:j0 + c0.shape[0]] = v0 + h6 * (k1v + 2.0 * (k2v + k3v) + k4v)
+        if not deriv:
+            return
+        # Tangent of the same stage recursion with d(c)/d(lam) = -1.
+        g1v = -y0
+        b1y = 0.0
+        b1v = half * g1v
+        g2y = b1v
+        g2v = cm * b1y + dd * b1v - a1y
+        b2y = half * g2y
+        b2v = half * g2v
+        g3y = b2v
+        g3v = cm * b2y + dd * b2v - a2y
+        b3y = h * g3y
+        b3v = h * g3v
+        g4y = b3v
+        g4v = c1 * b3y + d1 * b3v - a3y
+        out_d[2 * col][j0:j0 + c0.shape[0]] = h6 * (2.0 * (g2y + g3y) + g4y)
+        out_d[2 * col + 1][j0:j0 + c0.shape[0]] = h6 * (g1v + 2.0 * (g2v + g3v) + g4v)
+
+    column(1.0, 0.0, 0)  # first column: (M11, M21)
+    column(0.0, 1.0, 1)  # second column: (M12, M22)
+
+
+def loop_build_matrices(co, lam: np.ndarray, deriv: bool,
+                        reverse: bool):
+    n = co.V.size - 1
+    K = lam.size
+    h = 1.0 / n
+    if reverse:
+        Vn, Vm = co.V[::-1], co.Vm[::-1]
+        dn = co.d if co.d.size == 1 else -co.d[::-1]
+        dm = co.dm if co.dm.size == 1 else -co.dm[::-1]
+    else:
+        Vn, Vm, dn, dm = co.V, co.Vm, co.d, co.dm
+    M = [np.empty((n, K)) for _ in range(4)]
+    N = [np.empty((n, K)) for _ in range(4)] if deriv else None
+    chunk = max(256, (1 << 22) // max(K, 1))
+    for j0 in range(0, n, chunk):
+        j1 = min(j0 + chunk, n)
+        loop_step_matrices(Vn[j0:j1 + 1], Vm[j0:j1],
+                           dn if dn.size == 1 else dn[j0:j1 + 1],
+                           dm if dm.size == 1 else dm[j0:j1],
+                           lam, h, deriv, M, N, j0)
+    return M, N
+
+
+def loop_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
+               trace=False, count=False, reverse=False, renorm=True):
+    """Advance the batch across all cells; returns endpoint data and extras.
+
+    With ``renorm`` the state is rescaled per column when it grows past the
+    renormalization limit; accumulated log factors are reported so callers
+    can reconstruct true magnitudes.  Traces are stored unscaled and overflow
+    raises instead.
+    """
+    n = co.V.size - 1
+    K = lam.size
+    M, N = loop_build_matrices(co, lam, deriv, reverse)
+    M11, M21, M12, M22 = M
+    if deriv:
+        N11, N21, N12, N22 = N
+    y = np.broadcast_to(np.asarray(y0, dtype=float), (K,)).copy()
+    v = np.broadcast_to(np.asarray(v0, dtype=float), (K,)).copy()
+    dy = np.zeros(K)
+    dv = np.zeros(K)
+    logscale = np.zeros(K)
+    if trace:
+        Y = np.empty((n + 1, K))
+        W = np.empty((n + 1, K))
+        Y[0] = y
+        W[0] = v
+    if count:
+        flips = np.zeros(K, dtype=int)
+        last_sign = np.sign(y)
+    renorm_on = renorm and not trace
+    # Overflow is detected explicitly after the loop; silence the transient.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            yn = M11[j] * y + M12[j] * v
+            vn = M21[j] * y + M22[j] * v
+            if deriv:
+                dyn = M11[j] * dy + M12[j] * dv + N11[j] * y + N12[j] * v
+                dvn = M21[j] * dy + M22[j] * dv + N21[j] * y + N22[j] * v
+                dy, dv = dyn, dvn
+            y, v = yn, vn
+            if trace:
+                Y[j + 1] = y
+                W[j + 1] = v
+            if count:
+                # A flip at the final node with y(1) != 0 is a genuine zero
+                # in the last cell; y(1) == 0 exactly contributes nothing,
+                # keeping the count strict.
+                s = np.sign(y)
+                flips += (s != 0) & (s == -last_sign)
+                np.copyto(last_sign, s, where=s != 0)
+            if renorm_on and (j + 1) % RENORM_EVERY == 0:
+                peak = np.maximum(np.abs(y), np.abs(v))
+                if deriv:
+                    peak = np.maximum(peak,
+                                      np.maximum(np.abs(dy), np.abs(dv)))
+                mask = peak > RENORM_LIMIT
+                if mask.any():
+                    factor = np.where(mask, peak, 1.0)
+                    y /= factor
+                    v /= factor
+                    if deriv:
+                        dy /= factor
+                        dv /= factor
+                    logscale += np.log(factor)
+    if trace and not np.all(np.isfinite(Y[-1]) & np.isfinite(W[-1])):
+        raise IntegrationError(
+            f"trace integration overflowed (n={n}, lam up to {np.max(lam):.6g})")
+    if not trace and not np.all(np.isfinite(y) & np.isfinite(v)):
+        raise IntegrationError(
+            f"integration overflowed despite rescaling (n={n})")
+    out = {"y": y, "v": v, "logscale": logscale}
+    if deriv:
+        out["dy"] = dy
+        out["dv"] = dv
+    if trace:
+        out["Y"] = Y
+        out["W"] = W
+    if count:
+        out["flips"] = flips
+    return out

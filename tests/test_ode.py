@@ -10,6 +10,8 @@ from liouville import (INF, ConditionU, GridFunction, Impedance,
                        SchrodingerProblem, build_rho, compute_c0,
                        forward_transform, oscillation_count, shoot_backward,
                        shoot_forward, wronskian)
+from liouville.ode import _build_matrices, _sign_flips, _sweep
+from oracles import loop_build_matrices, loop_sweep
 
 N = 2048
 FREE = SchrodingerProblem(Potential(GridFunction.zeros(N)))
@@ -210,3 +212,110 @@ class TestRefinement:
         assert errs[-1] < 1e-10
         for coarse, fine in zip(errs, errs[1:]):
             assert 11.0 < coarse / fine < 23.0
+
+
+def coefficient_cases(n=N):
+    """Damped (impedance) and undamped (normal-form) coefficients of one problem."""
+    q, cfg = q_two_mode(n), ConditionU.exponential(0.5, 1.0)
+    return {"damped": ImpedanceProblem(q, cfg)._coefficients(),
+            "undamped": SchrodingerProblem(forward_transform(q, cfg))._coefficients()}
+
+
+CASES = coefficient_cases()
+FINE_CASES = coefficient_cases(8192)
+MODES = {"endpoint": {}, "deriv": {"deriv": True}, "count": {"count": True},
+         "trace": {"trace": True, "renorm": False}}
+
+
+def run_both(co, lam, mode, reverse):
+    """The scan and the per-cell loop on the same sweep; an overflow must agree."""
+    kwargs = dict(MODES[mode], reverse=reverse)
+    try:
+        ref = loop_sweep(co, lam, 0.0, 1.0, **kwargs)
+    except IntegrationError:
+        with pytest.raises(IntegrationError):
+            _sweep(co, lam, 0.0, 1.0, **kwargs)
+        return None, None
+    return _sweep(co, lam, 0.0, 1.0, **kwargs), ref
+
+
+def assert_sweeps_agree(got, ref, lam):
+    assert set(got) == set(ref)
+    if "flips" in ref:
+        np.testing.assert_array_equal(got["flips"], ref["flips"])
+    # The two rescale at different cells, so compare y e**logscale.
+    align = np.exp(got["logscale"] - ref["logscale"])
+    scale = np.maximum(np.abs(ref["y"]),
+                       np.abs(ref["v"]) / np.sqrt(np.maximum(1.0, np.abs(lam))))
+    for key in ("y", "v", "dy", "dv"):
+        if key in ref:
+            assert np.all(np.abs(got[key] * align - ref[key]) <= 1e-9 * scale), key
+    for key in ("Y", "W"):
+        if key in ref:
+            assert got[key].shape == ref[key].shape
+            err = np.abs(got[key] - ref[key]).max(axis=0)
+            assert np.all(err <= 1e-12 * np.abs(ref[key]).max(axis=0)), key
+
+
+class TestBlockedScan:
+    """The blocked scan against the per-cell loop it replaced."""
+
+    @pytest.mark.parametrize("K", [1, 65])
+    @pytest.mark.parametrize("damping", sorted(CASES))
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_matches_loop(self, mode, reverse, damping, K):
+        lam = np.linspace(-2e5, 4e4, K)
+        got, ref = run_both(CASES[damping], lam, mode, reverse)
+        assert ref is not None
+        assert_sweeps_agree(got, ref, lam)
+
+    @pytest.mark.parametrize("damping", sorted(CASES))
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_matches_loop_while_rescaling(self, mode, reverse, damping):
+        co = FINE_CASES[damping]
+        lam = np.array([-1e6, -3e5, 10.0])
+        got, ref = run_both(co, lam, mode, reverse)
+        if ref is None:
+            assert mode == "trace"
+            return
+        assert ref["logscale"][0] > 0.0 and got["logscale"][0] > 0.0
+        assert_sweeps_agree(got, ref, lam)
+
+    def test_zero_nodes_keep_the_count_strict(self):
+        rng = np.random.default_rng(5)
+        Y = rng.choice([-2.0, 0.0, 3.0], size=(40, 200), p=[0.4, 0.2, 0.4])
+        Y[0, :50] = 0.0
+        expect = []
+        for col in Y.T:
+            last, flips = np.sign(col[0]), 0
+            for s in np.sign(col[1:]):
+                flips += s != 0 and s == -last
+                last = s if s != 0 else last
+            expect.append(flips)
+        np.testing.assert_array_equal(_sign_flips(Y), expect)
+
+
+class TestQuadraticSteps:
+    @pytest.mark.parametrize("damping", sorted(CASES))
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_quadratic_in_lam(self, damping, reverse):
+        co = CASES[damping]
+        A0, A1, A2 = co.steps[reverse]
+        for lam in (-2e5, 3.7, 4e4, 2e5):
+            M_ref, N_ref = loop_build_matrices(co, np.array([lam]), True, reverse)
+            M, N = _build_matrices(co, np.array([lam]), True, reverse)
+            for k in range(4):
+                m_ref, n_ref = M_ref[k][:, 0], N_ref[k][:, 0]
+                top_m, top_n = np.abs(m_ref).max(), np.abs(n_ref).max()
+                poly = A0[k] + lam * A1[k] + lam ** 2 * A2[k]
+                assert np.abs(poly - m_ref).max() <= 1e-14 * top_m
+                assert np.abs(A1[k] + 2.0 * lam * A2[k] - n_ref).max() <= 1e-14 * top_n
+                assert np.abs(M[k][:, 0] - m_ref).max() <= 1e-14 * top_m
+                assert np.abs(N[k][:, 0] - n_ref).max() <= 1e-14 * top_n
+
+    def test_normal_form_has_zero_damping_samples(self):
+        co = CASES["undamped"]
+        assert co.d.shape == co.V.shape and co.dm.shape == co.Vm.shape
+        assert not co.d.any() and not co.dm.any()
