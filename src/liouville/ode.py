@@ -4,6 +4,9 @@ Both problems are integrated in first-order form y'' = (V - lam) y + d y':
 the normal form has V = p, d = 0; the impedance form has V = u, d = -2q
 (the weight never appears explicitly, only its logarithmic slope).  The
 integrator is classical fixed-step RK4, written as one 2x2 matrix per cell.
+Its middle stages sample the coefficients at cell midpoints, which
+``grid.local_quintic`` forms from the node values: degree-5 Lagrange through
+the six nearest nodes, O(h**6), centred in the interior.
 Each stage multiplies a y-component, which is at most linear in lam, by
 V - lam, so every cell matrix is exactly quadratic in lam:
 M(lam) = A0 + lam A1 + lam**2 A2, and dM/dlam = A1 + 2 lam A2.  The three
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrationError
-from .grid import GridFunction, inner_product, integral, resample
+from .grid import GridFunction, inner_product, integral, local_quintic, resample
 from .transform import ConditionU, Impedance, Potential, build_rho
 
 __all__ = [
@@ -118,11 +121,7 @@ class _Coefficients:
 
 
 def _midpoints(values: np.ndarray) -> np.ndarray:
-    from scipy.interpolate import make_interp_spline
-
-    n = values.size - 1
-    x = np.linspace(0.0, 1.0, n + 1)
-    return make_interp_spline(x, values, k=5)(x[:-1] + 0.5 / n)
+    return local_quintic(values, np.arange(values.size - 1) + 0.5)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from liouville import IntegrationError
+from liouville import GridFunction, IntegrationError
 
 INF = math.inf
 
@@ -270,3 +270,28 @@ def loop_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
     if count:
         out["flips"] = flips
     return out
+
+
+# The global quintic splines that formed RK4 midpoints and resampled grids
+# before the local quintic interpolant, kept as its reference.
+
+def spline_midpoints(values: np.ndarray) -> np.ndarray:
+    from scipy.interpolate import make_interp_spline
+
+    n = values.size - 1
+    x = np.linspace(0.0, 1.0, n + 1)
+    return make_interp_spline(x, values, k=5)(x[:-1] + 0.5 / n)
+
+
+def spline_resample(f: GridFunction, n: int) -> GridFunction:
+    """Quintic-spline resampling to a different resolution.
+
+    Interpolation error is O(n**-6), below the order of every scheme that
+    consumes the result.
+    """
+    if n == f.n:
+        return f
+    from scipy.interpolate import make_interp_spline
+
+    spline = make_interp_spline(f.x, f.values, k=5)
+    return GridFunction(spline(np.linspace(0.0, 1.0, n + 1)))

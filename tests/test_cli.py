@@ -1,15 +1,21 @@
 """End-to-end checks of the command line interface.
 
-Every test drives ``liouville.cli.main`` in process against a scratch
-directory, then inspects the exit code and the files the command wrote.
+Every test drives ``liouville.cli.main`` against a scratch directory, then
+inspects the exit code and the files the command wrote.  The SciPy-free
+checks run in a child interpreter; the rest run in process.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liouville
 from liouville.cli import (EXIT_FIT, EXIT_INVERSION, EXIT_OK, EXIT_PARSE,
                            EXIT_SOLVER, EXIT_VERIFY, main)
 from liouville.grid import GridFunction
@@ -349,3 +355,55 @@ class TestErrorPaths:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "spectrum" in capsys.readouterr().out
+
+
+SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None
+import numpy as np
+from liouville.cli import main
+from liouville.grid import GridFunction, resample
+
+q, u = "fourier:[0.3,-0.2,0.1,0.05]", "exp:0.5,1.0"
+codes = [main(argv) for argv in (
+    ["spectrum", "--q", q, "--u", u, "--bc", "mixed", "--b", "1.0",
+     "--N", "12", "--out", "spec.json"],
+    ["transform", "--q", q, "--u", u, "--out", "p.csv"],
+    ["invert", "--p", "p.csv", "--u", u, "--out", "q.csv",
+     "--report", "inv.json"],
+    ["export", "--data", "spec.json", "--q", q, "--u", u, "--lam", "10.0",
+     "--prefix", "ex"],
+)]
+resample(GridFunction(np.sin(np.linspace(0.0, 3.0, 1001))), 2048)
+print(json.dumps(codes))
+"""
+
+SOLVE_THEN_LIST = """
+import json, math, sys
+import numpy as np
+from liouville import (ConditionU, GridFunction, Impedance, ImpedanceProblem,
+                       solve_spectrum)
+
+q = 0.4 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 1025))
+prob = ImpedanceProblem(Impedance(GridFunction(q)),
+                        ConditionU.exponential(0.5, 1.0))
+solve_spectrum(prob, math.inf, 1.0, 6)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def run_child(script, cwd):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(liouville.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestWithoutScipy:
+    def test_cli_runs_with_scipy_blocked(self, tmp_path):
+        assert run_child(SCIPY_BLOCKED, tmp_path) == [EXIT_OK] * 4
+
+    def test_solve_leaves_scipy_unimported(self, tmp_path):
+        assert run_child(SOLVE_THEN_LIST, tmp_path) == []

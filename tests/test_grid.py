@@ -14,6 +14,7 @@ from liouville import (FitTarget, FourierRep, GridFunction,
                        symmetry_defect, symmetry_project, trig_basis)
 from liouville.grid import _simpson_weights
 from liouville.inverse import _FitMap
+from liouville.ode import _midpoints
 
 
 def gf(fn, n=512):
@@ -167,6 +168,48 @@ class TestResample:
     def test_identity_fastpath(self):
         f = gf(lambda x: x)
         assert resample(f, f.n) is f
+
+
+def midpoint_x(n):
+    return (np.arange(n) + 0.5) / n
+
+
+class TestLocalQuintic:
+    def test_interior_midpoint_stencil(self):
+        n = 64
+        weights = np.stack([_midpoints(np.eye(n + 1)[i]) for i in range(n + 1)])
+        stencil = np.array([3.0, -25.0, 150.0, 150.0, -25.0, 3.0]) / 256.0
+        for j in range(2, n - 2):
+            expected = np.zeros(n + 1)
+            expected[j - 2:j + 4] = stencil
+            assert np.array_equal(weights[:, j], expected)
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_reproduces_quintics(self, degree):
+        coeffs = np.random.default_rng(degree).normal(size=degree + 1)
+        f = gf(lambda x: np.polyval(coeffs, x - 0.3), 64)
+        assert np.max(np.abs(_midpoints(f.values)
+                             - np.polyval(coeffs, midpoint_x(64) - 0.3))) < 1e-12
+        g = resample(f, 1000)
+        assert np.max(np.abs(g.values - np.polyval(coeffs, g.x - 0.3))) < 1e-12
+
+    def test_sixth_order(self):
+        def err(n):
+            f = gf(lambda x: np.sin(3 * np.pi * x), n)
+            return np.max(np.abs(_midpoints(f.values)
+                                 - np.sin(3 * np.pi * midpoint_x(n))))
+
+        assert math.log2(err(64) / err(128)) >= 5.5
+
+    def test_doubling_interleaves_midpoints(self):
+        f = gf(lambda x: np.exp(np.sin(5 * x)), 300)
+        g = resample(f, 600)
+        assert np.array_equal(g.values[::2], f.values)
+        assert np.array_equal(g.values[1::2], _midpoints(f.values))
+
+    def test_halving_returns_nodes(self):
+        f = gf(lambda x: np.exp(np.sin(5 * x)), 300)
+        assert np.array_equal(resample(resample(f, 600), 300).values, f.values)
 
 
 class TestFourierRep:

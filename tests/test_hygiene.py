@@ -35,3 +35,29 @@ def test_no_unused_imports(path):
 def test_scan_sees_an_unused_import():
     source = "import math\nfrom os import path, sep\nprint(sep)\n"
     assert unused_imports(source) == [(1, "math"), (2, "path")]
+
+
+def scipy_imports(source: str) -> list:
+    """Lines of the imports that reach SciPy, at any depth in the module."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_at_runtime(path):
+    assert scipy_imports(path.read_text()) == [], path.name
+
+
+def test_scan_sees_a_scipy_import():
+    source = ("import numpy\ndef f():\n    from scipy.interpolate import x\n"
+              "    import scipy.linalg as la\n")
+    assert scipy_imports(source) == [3, 4]

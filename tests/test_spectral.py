@@ -15,9 +15,10 @@ from liouville import (INF, ConditionU, GridFunction, Impedance,
                        normalizing_constants, norming_constants, regime_of,
                        solve_spectrum, unperturbed_eigenvalues,
                        unperturbed_norming, wronskian)
-from liouville.spectral import _potential_gradients
+from liouville import ode
+from liouville.spectral import _pipeline, _potential_gradients
 from oracles import dirichlet_exact, mixed_exact, oracle_eigenvalues, \
-    sin2pi_potential
+    sin2pi_potential, spline_midpoints, spline_resample
 
 N_GRID = 2048
 FREE = SchrodingerProblem(Potential(GridFunction.zeros(N_GRID)))
@@ -301,3 +302,57 @@ class TestPotentialGradients:
         dlam, dnu = _potential_gradients(SIN2PI_PROB, data.eigenvalues, a, ones)
         assert np.max(np.abs(dlam - 1.0)) < 1e-10
         assert np.max(np.abs(dnu)) < 1e-10
+
+
+SPECTRA_CASES = [(cfg, a, b) for cfg in ("zero", "exp")
+                 for a, b in ((INF, INF), (INF, 1.0), (1.0, -0.5))]
+
+
+def six_mode_problem(cfg, n):
+    """Unit-norm six-mode sine slope, with u zero or exp:0.5,1.0."""
+    c = np.random.default_rng(7).normal(size=6)
+    c /= np.linalg.norm(c)
+    x = np.linspace(0.0, 1.0, n + 1)
+    q = c @ (math.sqrt(2.0) * np.sin(np.pi * np.outer(np.arange(1, 7), x)))
+    cond = ConditionU.zero() if cfg == "zero" else ConditionU.exponential(0.5, 1.0)
+    return ImpedanceProblem(Impedance(GridFunction(q)), cond)
+
+
+def with_splines(monkeypatch, solve):
+    """Run ``solve`` with the quintic-spline midpoints and resampling."""
+    with monkeypatch.context() as m:
+        m.setattr(ode, "_midpoints", spline_midpoints)
+        m.setattr(ode, "resample", spline_resample)
+        return solve()
+
+
+class TestSplineOracle:
+    """The local quintic interpolant against the global quintic spline."""
+
+    @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
+    def test_spectra_match_spline(self, monkeypatch, cfg, a, b):
+        def solve():
+            return solve_spectrum(six_mode_problem(cfg, N_GRID), a, b, 64)
+
+        new = solve()
+        old = with_splines(monkeypatch, solve)
+        rel = np.abs(new.eigenvalues - old.eigenvalues) / np.abs(old.eigenvalues)
+        assert np.max(rel) < 1e-12
+        assert np.max(np.abs(new.norming - old.norming)) < 1e-12
+
+    @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
+    def test_coarse_shift_below_richardson_gap(self, monkeypatch, cfg, a, b):
+        # The gap |lam1 - lam0| / 15 estimates only the O(h**4) RK4 error.
+        # It can fall below the O(h**6) interpolation error of either
+        # interpolant for a low eigenvalue (4.7e-12 at lam0 = 0.078 for zero
+        # u, Robin-Robin), so the bound has a floor of 1e-10 relative.
+        def solve():
+            return _pipeline(six_mode_problem(cfg, 256), a, b, 64,
+                             SolverOptions())
+
+        new = solve()
+        old = with_splines(monkeypatch, solve)
+        lam0, lam1 = new["lam_levels"]
+        gap = np.abs(lam1 - lam0) / 15.0
+        floor = 1e-10 * np.maximum(1.0, np.abs(new["lam"]))
+        assert np.all(np.abs(new["lam"] - old["lam"]) < np.maximum(gap, floor))
