@@ -31,7 +31,8 @@ from .errors import (BracketError, ConditionError, DegenerateEigenfunctionError,
 from .grid import GridFunction, l2_norm, resample, trig_basis
 from .inverse import (FitTarget, InversionConfig, fit_impedance_detailed,
                       fit_potential_detailed, invert_transform_detailed)
-from .ode import INF, ImpedanceProblem, SchrodingerProblem, shoot_forward
+from .ode import (INF, ImpedanceProblem, SchrodingerProblem, resample_potential,
+                  shoot_forward)
 from .serialize import (atomic_write_text, condition_from_dict, dump_json,
                         inversion_report_to_dict, load_json, read_grid_csv,
                         spectral_from_dict, spectral_to_dict, target_from_dict,
@@ -91,24 +92,27 @@ def _parse_series(text: str) -> np.ndarray:
 
 
 def _grid_values(spec: str, n: int, trig: str) -> GridFunction:
-    """Grid function from ``zero``, ``fourier:[...]`` or a CSV path."""
+    """Grid function from ``zero``, ``fourier:[...]`` (on n cells) or a CSV path.
+
+    A CSV keeps its own grid; the caller moves it to n cells.
+    """
     if spec == "zero":
         return GridFunction(np.zeros(n + 1))
     if spec.startswith("fourier:"):
         coeffs = _parse_series(spec[len("fourier:"):])
         return GridFunction(coeffs @ trig_basis(trig, coeffs.size, n))
-    f = read_grid_csv(spec)
-    if f.n != n:
-        f = resample(f, n)
-    return f
+    return read_grid_csv(spec)
 
 
 def _load_q(spec: str, n: int) -> Impedance:
-    return Impedance(_grid_values(spec, n, "sine"))
+    f = _grid_values(spec, n, "sine")
+    return Impedance(f if f.n == n else resample(f, n))
 
 
 def _load_p(spec: str, n: int) -> Potential:
-    return Potential(_grid_values(spec, n, "cosine"))
+    """Potential checked on the grid it was given on, then moved to n cells."""
+    p = Potential(_grid_values(spec, n, "cosine"))
+    return p if p.n == n else resample_potential(p, n)
 
 
 def _load_u(spec: str) -> ConditionU:
@@ -189,6 +193,20 @@ def cmd_transform(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _failed(exc, report: str | None, key: str, stage: str, code: int) -> int:
+    """Report a failed stage and return its exit code.
+
+    The JSON report, written when a path is given, holds the message and
+    the residual history under ``key``; errors without a history give [].
+    """
+    if report:
+        dump_json({"converged": False, "error": str(exc),
+                   key: [float(r) for r in getattr(exc, "residuals", [])]},
+                  report)
+    print(f"{stage} failed: {exc}", file=sys.stderr)
+    return code
+
+
 def cmd_invert(args, cfg: RunConfig) -> int:
     ucfg = _load_u(args.u or "zero")
     p = _load_p(args.p, cfg.grid)
@@ -196,12 +214,8 @@ def cmd_invert(args, cfg: RunConfig) -> int:
     try:
         report = invert_transform_detailed(p, ucfg, icfg)
     except InversionError as exc:
-        if args.report:
-            dump_json({"converged": False, "error": str(exc),
-                       "residuals": [float(r) for r in exc.residuals]},
-                      args.report)
-        print(f"inversion failed: {exc}", file=sys.stderr)
-        return EXIT_INVERSION
+        return _failed(exc, args.report, "residuals", "inversion",
+                       EXIT_INVERSION)
     write_grid_csv(cfg.out, report.q.f)
     if args.report:
         dump_json(inversion_report_to_dict(report), args.report)
@@ -241,19 +255,10 @@ def cmd_fit(args, cfg: RunConfig) -> int:
                       "fit_residuals": [float(r) for r in rep.residuals],
                       "fit_iterations": rep.iterations}
     except (FitError, TargetError) as exc:
-        if args.report:
-            residuals = [float(r) for r in getattr(exc, "residuals", [])]
-            dump_json({"converged": False, "error": str(exc),
-                       "fit_residuals": residuals}, args.report)
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return EXIT_FIT
+        return _failed(exc, args.report, "fit_residuals", "fit", EXIT_FIT)
     except InversionError as exc:
-        if args.report:
-            dump_json({"converged": False, "error": str(exc),
-                       "inversion_residuals":
-                           [float(r) for r in exc.residuals]}, args.report)
-        print(f"fit inversion stage failed: {exc}", file=sys.stderr)
-        return EXIT_INVERSION
+        return _failed(exc, args.report, "inversion_residuals",
+                       "fit inversion stage", EXIT_INVERSION)
     write_grid_csv(cfg.out, result)
     if args.report:
         dump_json(report, args.report)

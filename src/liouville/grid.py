@@ -193,36 +193,47 @@ def trig_basis(kind: str, K: int, n: int) -> np.ndarray:
     return math.sqrt(2.0) * wave(math.pi * k * x[None, :])
 
 
-def differentiate(f: GridFunction) -> GridFunction:
-    """Fourth-order first derivative on the same grid."""
-    v = f.values
-    h = 1.0 / f.n
+def differentiate(f):
+    """Fourth-order first derivative on the same grid, along the last axis.
+
+    ``f`` is a GridFunction, which gives a GridFunction, or an array whose
+    rows are node values on one grid, such as a (K, n + 1) stack of
+    directions, which gives the array of derivative rows.
+    """
+    v = f.values if isinstance(f, GridFunction) else f
+    h = 1.0 / (v.shape[-1] - 1)
     out = np.empty_like(v)
-    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    out[0] = _EDGE_FIRST @ v[:5] / h
-    out[1] = _EDGE_SECOND @ v[:5] / h
-    out[-1] = -(_EDGE_FIRST @ v[-5:][::-1]) / h
-    out[-2] = -(_EDGE_SECOND @ v[-5:][::-1]) / h
-    return GridFunction(out)
+    out[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1]
+                      - v[..., 4:]) / (12.0 * h)
+    out[..., 0] = v[..., :5] @ _EDGE_FIRST / h
+    out[..., 1] = v[..., :5] @ _EDGE_SECOND / h
+    out[..., -1] = -(v[..., -5:][..., ::-1] @ _EDGE_FIRST) / h
+    out[..., -2] = -(v[..., -5:][..., ::-1] @ _EDGE_SECOND) / h
+    return GridFunction(out) if isinstance(f, GridFunction) else out
 
 
-def cumulative_integral(f: GridFunction) -> GridFunction:
-    """Running integral g(x) = int_0^x f, fourth order, with g(0) = 0."""
-    v = f.values
-    h = 1.0 / f.n
-    cells = np.empty(f.n)
-    cells[1:-1] = h * (
-        _CELL_INTERIOR[0] * v[:-3]
-        + _CELL_INTERIOR[1] * v[1:-2]
-        + _CELL_INTERIOR[2] * v[2:-1]
-        + _CELL_INTERIOR[3] * v[3:]
+def cumulative_integral(f):
+    """Running integral g(x) = int_0^x f, fourth order, with g(0) = 0.
+
+    Acts along the last axis, on a GridFunction or an array of rows, as
+    ``differentiate`` does.
+    """
+    v = f.values if isinstance(f, GridFunction) else f
+    n = v.shape[-1] - 1
+    h = 1.0 / n
+    cells = np.empty(v.shape[:-1] + (n,))
+    cells[..., 1:-1] = h * (
+        _CELL_INTERIOR[0] * v[..., :-3]
+        + _CELL_INTERIOR[1] * v[..., 1:-2]
+        + _CELL_INTERIOR[2] * v[..., 2:-1]
+        + _CELL_INTERIOR[3] * v[..., 3:]
     )
-    cells[0] = h * (_CELL_FIRST @ v[:4])
-    cells[-1] = h * (_CELL_FIRST @ v[-4:][::-1])
+    cells[..., 0] = h * (v[..., :4] @ _CELL_FIRST)
+    cells[..., -1] = h * (v[..., -4:][..., ::-1] @ _CELL_FIRST)
     out = np.empty_like(v)
-    out[0] = 0.0
-    np.cumsum(cells, out=out[1:])
-    return GridFunction(out)
+    out[..., 0] = 0.0
+    np.cumsum(cells, axis=-1, out=out[..., 1:])
+    return GridFunction(out) if isinstance(f, GridFunction) else out
 
 
 def _simpson_weights(n: int) -> np.ndarray:

@@ -4,9 +4,10 @@ The forward map takes a slope q (vanishing at both endpoints) to the
 mean-zero potential p = q' + q**2 + u - c0.  Inversion runs a damped Newton
 iteration on a trigonometric Galerkin section of that map: q lives in the
 span of sin(pi k x), the residual is projected onto cos(pi k x), and the
-Jacobian columns come from the exact directional derivative.  A continuation
-fallback (scaling the target up in stages) engages when plain damping
-stagnates.
+Jacobian is the projected exact directional derivative.  The derivative is
+linear in its direction, so one ``frechet_apply`` call per Newton step takes
+all K sine directions as a stack of rows.  A continuation fallback (scaling
+the target up in stages) engages when plain damping stagnates.
 
 Fits reconstruct a potential from truncated spectral data by Gauss-Newton
 on Fourier coefficients, and compose with the inversion to reconstruct an
@@ -88,7 +89,13 @@ class InversionReport:
 
 
 class _GalerkinMap:
-    """Projected forward map and Jacobian on a fixed grid."""
+    """Projected forward map and Jacobian on a fixed grid.
+
+    ``sines`` holds the K basis rows sqrt(2) sin(pi k x) of the slope and
+    ``project`` the K cosine rows with the Simpson weights folded in, so the
+    Jacobian is ``project`` applied to the derivative of all K sine rows,
+    taken in one batched call.
+    """
 
     def __init__(self, p: Potential, cfg: ConditionU, icfg: InversionConfig):
         self.cfg = cfg
@@ -113,9 +120,7 @@ class _GalerkinMap:
         return q, image, r
 
     def jacobian(self, q: Impedance) -> np.ndarray:
-        cols = [self.project @ frechet_apply(q, self.cfg, GridFunction(s)).values
-                for s in self.sines]
-        return np.stack(cols, axis=1)
+        return self.project @ frechet_apply(q, self.cfg, self.sines).T
 
 
 def _newton_leg(gmap: _GalerkinMap, alpha: np.ndarray, scale: float,

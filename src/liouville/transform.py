@@ -24,6 +24,7 @@ from .errors import ConditionError, RangeError
 from .grid import (
     DEFAULT_CELLS,
     GridFunction,
+    _simpson_weights,
     cumulative_integral,
     differentiate,
     inner_product,
@@ -268,24 +269,28 @@ def forward_transform(q: Impedance, cfg: ConditionU | None = None) -> Potential:
     return Potential(raw - integral(raw))
 
 
-def frechet_apply(q: Impedance, cfg: ConditionU, f: GridFunction) -> GridFunction:
+def frechet_apply(q: Impedance, cfg: ConditionU, f):
     """Directional derivative of the transform at q in direction f.
 
-    f must vanish at both endpoints (a tangent direction of the slope space).
+    f is one direction, a GridFunction, which gives a GridFunction, or a
+    (K, n + 1) array of direction rows on q's grid, which gives the K
+    derivative rows at once.  Every direction must vanish at both endpoints
+    (a tangent direction of the slope space).
     """
-    if abs(f.values[0]) > ENDPOINT_TOL or abs(f.values[-1]) > ENDPOINT_TOL:
+    rows = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
+    if np.any(np.abs(rows[..., [0, -1]]) > ENDPOINT_TOL):
         raise ValueError("direction must vanish at both endpoints")
-    if f.n != q.n:
+    if rows.shape[-1] != q.n + 1:
         raise ValueError("direction and slope live on different grids")
     profile = build_rho(q)
     cfg.validate(sup_norm(profile.Q))
-    Jf = cumulative_integral(f)
-    bulk = (
-        2.0 * (q.f * f)
-        + GridFunction(cfg.u1_derivative(q.f.values)) * f
-        + GridFunction(cfg.u2.derivative(profile.Q.values)) * Jf
-    )
-    return differentiate(f) + bulk - integral(bulk)
+    bulk = 2.0 * (q.f.values * rows) + cfg.u1_derivative(q.f.values) * rows
+    # u2'(Q) is identically zero for the zero term, so the running integral
+    # of the directions is needed only for the other two kinds.
+    if cfg.u2.kind != "zero":
+        bulk = bulk + cfg.u2.derivative(profile.Q.values) * cumulative_integral(rows)
+    out = differentiate(rows) + bulk - (bulk @ _simpson_weights(q.n))[..., None]
+    return GridFunction(out) if isinstance(f, GridFunction) else out
 
 
 @dataclass(frozen=True)

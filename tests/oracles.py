@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from liouville import GridFunction, IntegrationError
+from liouville import GridFunction, IntegrationError, frechet_apply
 
 INF = math.inf
 
@@ -295,3 +295,12 @@ def spline_resample(f: GridFunction, n: int) -> GridFunction:
 
     spline = make_interp_spline(f.x, f.values, k=5)
     return GridFunction(spline(np.linspace(0.0, 1.0, n + 1)))
+
+
+# The Galerkin Jacobian as K one-direction derivative calls, the column loop
+# that the batched ``frechet_apply`` call replaced, kept as its reference.
+
+def loop_galerkin_jacobian(gmap, q):
+    cols = [gmap.project @ frechet_apply(q, gmap.cfg, GridFunction(s)).values
+            for s in gmap.sines]
+    return np.stack(cols, axis=1)

@@ -14,11 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import liouville
+from liouville import (ConditionU, FitError, Impedance, InversionError,
+                       SchrodingerProblem, TargetError, forward_transform)
 from liouville.cli import (EXIT_FIT, EXIT_INVERSION, EXIT_OK, EXIT_PARSE,
-                           EXIT_SOLVER, EXIT_VERIFY, main)
-from liouville.grid import GridFunction
+                           EXIT_SOLVER, EXIT_VERIFY, _load_p, main)
+from liouville.grid import GridFunction, trig_basis
 from liouville.serialize import read_grid_csv, write_grid_csv
 
 # Inline mode coefficients are taken in the orthonormal basis, so a unit
@@ -149,6 +153,74 @@ class TestInvert:
         assert "outside" in doc["error"]
         assert len(doc["residuals"]) >= 1
         assert not (tmp_path / "q.csv").exists()
+
+
+# Every grid size RunConfig accepts.
+CLI_GRIDS = tuple(2 ** k for k in range(8, 15))
+
+
+class TestResampledPotentials:
+    """A valid potential stays valid when a level or a CSV moves it to another grid."""
+
+    def test_coarse_transform_then_spectrum(self, tmp_path):
+        pcsv, out = tmp_path / "p.csv", tmp_path / "s.json"
+        assert main(["transform", "--q", "fourier:[0.5,0.5,0.5,0.5,0.5,0.5]",
+                     "--grid", "256", "--out", str(pcsv)]) == EXIT_OK
+        assert main(["spectrum", "--p", str(pcsv), "--grid", "256",
+                     "--N", "8", "--out", str(out)]) == EXIT_OK
+
+    @settings(max_examples=12, deadline=None)
+    @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
+           .filter(lambda c: np.linalg.norm(c) > 0.1),
+           norm=st.floats(0.5, 3.0), exp_u=st.booleans(),
+           n=st.sampled_from(CLI_GRIDS))
+    @example(coeffs=[0.5] * 6, norm=math.sqrt(1.5), exp_u=False, n=256)
+    def test_resampling_keeps_zero_mean(self, tmp_path_factory, coeffs, norm,
+                                        exp_u, n):
+        c = norm * np.asarray(coeffs) / np.linalg.norm(coeffs)
+        cfg = ConditionU.exponential(0.5, 1.0) if exp_u else ConditionU.zero()
+        p = forward_transform(Impedance(GridFunction(c @ trig_basis("sine", 6, n))),
+                              cfg)
+        assert SchrodingerProblem(p).with_resolution(2 * n).n == 2 * n
+        pcsv = tmp_path_factory.mktemp("p") / "p.csv"
+        write_grid_csv(str(pcsv), p.f)
+        for m in CLI_GRIDS:
+            assert _load_p(str(pcsv), m).n == m
+
+
+class TestFailureReports:
+    """Each failure path of invert and fit writes its report and exit code."""
+
+    @pytest.mark.parametrize("argv, patched, error, key, code, stage", [
+        (["invert", "--p", "zero"], "invert_transform_detailed",
+         InversionError("stalled", residuals=[2.0, 0.5]), "residuals",
+         EXIT_INVERSION, "inversion"),
+        (["fit", "--regime", "symmetric-dirichlet"], "fit_potential_detailed",
+         FitError("stalled", residuals=[2.0, 0.5]), "fit_residuals", EXIT_FIT,
+         "fit"),
+        (["fit", "--regime", "symmetric-dirichlet"], "fit_potential_detailed",
+         TargetError("inadmissible"), "fit_residuals", EXIT_FIT, "fit"),
+        (["fit", "--regime", "symmetric-dirichlet", "--impedance"],
+         "fit_impedance_detailed", InversionError("stalled", residuals=[2.0, 0.5]),
+         "inversion_residuals", EXIT_INVERSION, "fit inversion stage"),
+    ], ids=["invert", "fit", "fit-target", "fit-inversion"])
+    def test_report_and_exit_code(self, argv, patched, error, key, code, stage,
+                                  tmp_path, dirichlet_run, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(f"liouville.cli.{patched}", fail)
+        data, _ = dirichlet_run
+        rep = tmp_path / "rep.json"
+        if argv[0] == "fit":
+            argv = argv + ["--data", str(data)]
+        assert main(argv + ["--grid", "1024", "--out", str(tmp_path / "x.csv"),
+                            "--report", str(rep)]) == code
+        assert json.loads(rep.read_text()) == {
+            "converged": False, "error": str(error),
+            key: list(getattr(error, "residuals", []))}
+        assert capsys.readouterr().err == f"{stage} failed: {error}\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestVerify:

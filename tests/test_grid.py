@@ -121,6 +121,17 @@ class TestCalculus:
         back = differentiate(cumulative_integral(f))
         assert np.max(np.abs(back.values - f.values)) < 1e-8
 
+    @pytest.mark.parametrize("kind", ["sines", "noise"])
+    @pytest.mark.parametrize("n", [2048, 1023])
+    @pytest.mark.parametrize("op", [differentiate, cumulative_integral])
+    def test_rows_match_one_row_calls(self, op, n, kind):
+        rows = trig_basis("sine", 16, n) if kind == "sines" \
+            else np.random.default_rng(n).normal(size=(3, n + 1))
+        batched = op(rows)
+        single = np.stack([op(GridFunction(r)).values for r in rows])
+        assert batched.shape == rows.shape
+        assert np.max(np.abs(batched - single)) <= 1e-15 * np.max(np.abs(single))
+
 
 class TestSequences:
     def test_seq_norm_closed_form(self):

@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from liouville import (INF, ConditionU, FitTarget, GridFunction, Impedance,
-                       InversionConfig, InversionError, Potential,
+from liouville import (INF, ConditionU, DecayTerm, FitTarget, GridFunction,
+                       Impedance, InversionConfig, InversionError, Potential,
                        SchrodingerProblem, SolverOptions, TargetError,
                        fit_impedance_detailed, fit_potential,
                        fit_potential_detailed, forward_transform,
                        invert_transform, invert_transform_detailed, l2_norm,
                        resample, solve_spectrum, sup_norm, symmetry_defect)
-from liouville.inverse import _FitMap
-from oracles import fd_fit_jacobian
+from liouville.grid import trig_basis
+from liouville.inverse import _FitMap, _GalerkinMap
+from oracles import fd_fit_jacobian, loop_galerkin_jacobian
 
 
 def sine_slope(coeffs, n=2048, scale=1.0):
@@ -92,6 +93,51 @@ class TestRoundtrips:
         assert symmetry_defect(q_star.f, "odd") < 1e-14
         q = invert_transform(forward_transform(q_star))
         assert symmetry_defect(q.f, "odd") < 1e-6
+
+
+class TestBatchedJacobian:
+    """The one-call Galerkin Jacobian against the K-call column loop."""
+
+    @pytest.mark.parametrize("cfg", [
+        ConditionU.zero(),
+        ConditionU.exponential(0.5, 1.0),
+        ConditionU.exponential(0.5, 1.0, u1=(0.0, 0.2)),
+        ConditionU(u2=DecayTerm("poly", coeffs=(0.2, -0.3, 0.0, -0.1))),
+    ], ids=["zero", "exp", "u1-exp", "poly"])
+    @pytest.mark.parametrize("n", [2048, 1023])
+    @pytest.mark.parametrize("K", [1, 16])
+    def test_matches_column_loop(self, cfg, n, K):
+        q = sine_slope([0.8, -0.5, 0.3, 0.0, 0.2, -0.1], n)
+        gmap = _GalerkinMap(forward_transform(q, cfg), cfg,
+                            InversionConfig(basis_size=K))
+        got = gmap.jacobian(q)
+        want = loop_galerkin_jacobian(gmap, q)
+        assert got.shape == (K, K)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_inversions_unchanged(self, monkeypatch):
+        """The first 64 targets of the benchmark's inversion workload, seed 0:
+        q = 0.7 A sum_k c_k sin(pi k x) over 6 modes, A uniform in [0.5, 4],
+        c_k ~ N(0, 1), capped at sup|q| = 10; every fourth uses exp:0.5,1.0."""
+        cases = []
+        for i in range(64):
+            rng = np.random.default_rng([0, i])
+            amplitude = rng.uniform(0.5, 4.0)
+            c = 0.7 * amplitude * rng.normal(size=6) / math.sqrt(2.0)
+            q = c @ trig_basis("sine", 6, 2048)
+            q[0] = q[-1] = 0.0
+            q *= min(1.0, 10.0 / np.max(np.abs(q)))
+            cfg = ConditionU.exponential(0.5, 1.0) if i % 4 == 3 \
+                else ConditionU.zero()
+            cases.append((forward_transform(Impedance(GridFunction(q)), cfg),
+                          cfg))
+        batched = [invert_transform_detailed(p, cfg) for p, cfg in cases]
+        monkeypatch.setattr(_GalerkinMap, "jacobian", loop_galerkin_jacobian)
+        looped = [invert_transform_detailed(p, cfg) for p, cfg in cases]
+        for got, want in zip(batched, looped):
+            assert got.iterations == want.iterations
+            assert got.used_homotopy == want.used_homotopy
+            assert np.max(np.abs(got.q.f.values - want.q.f.values)) <= 1e-12
 
 
 class TestFitTarget:

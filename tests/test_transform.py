@@ -12,7 +12,7 @@ from liouville import (ConditionError, ConditionU, DecayTerm, GridFunction,
                        build_rho, calibrate_bounds, compute_c0, differentiate,
                        estimate_suite, evaluate_u, forward_transform,
                        frechet_apply, inner_product, integral, l2_norm,
-                       sup_norm, symmetry_defect)
+                       sup_norm, symmetry_defect, trig_basis)
 from oracles import SIN2PI_NORM_SQ, sin2pi_potential
 
 
@@ -235,6 +235,8 @@ class TestFrechetDerivative:
         (lambda x: 0.3 * np.sin(2 * np.pi * x), ConditionU.zero()),
         (lambda x: 0.4 * np.sin(2 * np.pi * x) - 0.2 * np.sin(4 * np.pi * x),
          ConditionU.exponential(0.5, 1.0, u1=(0.0, 0.2))),
+        (lambda x: 0.4 * np.sin(2 * np.pi * x),
+         ConditionU(u2=DecayTerm("poly", coeffs=(0.2, -0.3, 0.0, -0.1)))),
     ])
     def test_matches_finite_differences(self, base, cfg):
         n, delta = 1024, 1e-6
@@ -260,6 +262,30 @@ class TestFrechetDerivative:
         lhs = frechet_apply(q, cfg, f * 2.0 + g * (-0.7))
         rhs = frechet_apply(q, cfg, f) * 2.0 + frechet_apply(q, cfg, g) * (-0.7)
         assert sup_norm(lhs - rhs) < 1e-11
+
+    @pytest.mark.parametrize("cfg", [
+        ConditionU.zero(),
+        ConditionU.exponential(0.5, 1.0, u1=(0.0, 0.2)),
+        ConditionU(u2=DecayTerm("poly", coeffs=(0.2, -0.3, 0.0, -0.1))),
+    ])
+    @pytest.mark.parametrize("n", [2048, 1023])
+    def test_rows_match_one_row_calls(self, cfg, n):
+        q = Impedance(GridFunction.from_callable(
+            lambda x: 0.6 * np.sin(np.pi * x) - 0.4 * np.sin(3 * np.pi * x), n))
+        rows = trig_basis("sine", 16, n)
+        batched = frechet_apply(q, cfg, rows)
+        single = np.stack([frechet_apply(q, cfg, GridFunction(r)).values
+                           for r in rows])
+        assert batched.shape == rows.shape
+        assert np.max(np.abs(batched - single)) <= 1e-15 * np.max(np.abs(single))
+
+    def test_every_row_is_checked(self):
+        rows = trig_basis("sine", 4, 2048)
+        rows[2, -1] = 1e-6
+        with pytest.raises(ValueError, match="endpoints"):
+            frechet_apply(SIN2PI, ConditionU.zero(), rows)
+        with pytest.raises(ValueError, match="grids"):
+            frechet_apply(SIN2PI, ConditionU.zero(), trig_basis("sine", 4, 1024))
 
 
 class TestSymmetry:
