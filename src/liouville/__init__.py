@@ -24,12 +24,12 @@ from .transform import (ConditionU, DecayTerm, EstimateReport, EstimateRow,
 from .ode import (INF, ImpedanceProblem, SchrodingerProblem, StateTrace,
                   is_dirichlet, oscillation_count, shoot_backward,
                   shoot_forward, wronskian)
-from .spectral import (AdmissibilityReport, EquivalenceReport, SolverOptions,
-                       SpectralData, boundary_shift, characterize,
-                       compute_eigenvalues, equivalence_report,
-                       extract_remainders, hadamard_wronskian, identity_ab,
-                       identity_b, norming_constants, normalizing_constants,
-                       regime_of, solve_spectrum, unperturbed_eigenvalues,
+from .spectral import (AdmissibilityReport, EquivalenceReport, SpectralData,
+                       boundary_shift, characterize, compute_eigenvalues,
+                       equivalence_report, extract_remainders,
+                       hadamard_wronskian, identity_ab, identity_b,
+                       norming_constants, normalizing_constants, regime_of,
+                       solve_spectrum, unperturbed_eigenvalues,
                        unperturbed_norming)
 from .inverse import (FitReport, FitTarget, ImpedanceFitReport,
                       InversionConfig, InversionReport, fit_impedance,
@@ -65,7 +65,7 @@ __all__ = [
     "StateTrace", "shoot_forward", "shoot_backward", "wronskian",
     "oscillation_count",
     # spectra
-    "SolverOptions", "SpectralData", "AdmissibilityReport",
+    "SpectralData", "AdmissibilityReport",
     "EquivalenceReport", "regime_of", "unperturbed_eigenvalues",
     "unperturbed_norming", "boundary_shift", "compute_eigenvalues",
     "solve_spectrum", "norming_constants", "normalizing_constants",

@@ -32,15 +32,14 @@ from .grid import GridFunction, l2_norm, resample, trig_basis
 from .inverse import (FitTarget, InversionConfig, fit_impedance_detailed,
                       fit_potential_detailed, invert_transform_detailed)
 from .ode import (INF, ImpedanceProblem, SchrodingerProblem, resample_potential,
-                  shoot_forward)
+                  shoot_forward, wronskian)
 from .serialize import (atomic_write_text, condition_from_dict, dump_json,
                         inversion_report_to_dict, load_json, read_grid_csv,
                         spectral_from_dict, spectral_to_dict, target_from_dict,
                         write_grid_csv)
-from .spectral import (SolverOptions, characterize, equivalence_report,
-                       hadamard_wronskian, identity_ab, identity_b,
-                       normalizing_constants, solve_spectrum,
-                       unperturbed_eigenvalues)
+from .spectral import (characterize, equivalence_report, hadamard_wronskian,
+                       identity_ab, identity_b, normalizing_constants,
+                       solve_spectrum, unperturbed_eigenvalues)
 from .transform import (ConditionU, DecayTerm, Impedance, Potential,
                         estimate_suite, forward_transform, frechet_apply)
 
@@ -173,7 +172,7 @@ def _slot_labels(regime: str, N: int) -> np.ndarray:
 def cmd_spectrum(args, cfg: RunConfig) -> int:
     prob = _problem(args, cfg)
     a, b = _boundary(args)
-    data = solve_spectrum(prob, a, b, cfg.N, SolverOptions())
+    data = solve_spectrum(prob, a, b, cfg.N)
     dump_json(spectral_to_dict(data), cfg.out)
     if args.emit_plot:
         _write_series_csv(args.emit_plot,
@@ -292,7 +291,7 @@ def _verify_battery(args, cfg: RunConfig) -> list:
                          eq.norming_discrepancy <= 1e-6))
 
     prob = ImpedanceProblem(q, ucfg)
-    data = solve_spectrum(prob, a, b, cfg.N, SolverOptions())
+    data = solve_spectrum(prob, a, b, cfg.N)
     alphas = normalizing_constants(prob, data) \
         if data.regime == "dirichlet" else None
     adm = characterize(data, normalizing=alphas)
@@ -314,7 +313,7 @@ def _verify_battery(args, cfg: RunConfig) -> list:
     probe_points = [-4.0, gaps[1] + 0.37 * (gaps[2] - gaps[1])]
     worst_ratio, monotone = 0.0, True
     for lam in probe_points:
-        direct = _direct_w(prob, lam, a, b)
+        direct = float(wronskian(prob, lam, a, b))
         half = abs(hadamard_wronskian(data, lam, max(1, cfg.N // 2)) - direct)
         full = abs(hadamard_wronskian(data, lam, cfg.N) - direct)
         scale = max(abs(direct), 1e-30)
@@ -349,11 +348,6 @@ def _verify_battery(args, cfg: RunConfig) -> list:
         checks.append(_check("file:norming_tail", ext_adm.norming_growth,
                              ext_adm.norming_tail_ok))
     return checks
-
-
-def _direct_w(prob, lam: float, a: float, b: float) -> float:
-    from .ode import wronskian
-    return float(wronskian(prob, lam, a, b))
 
 
 def _frechet_spot_check(q: Impedance, ucfg: ConditionU, seed: int) -> dict:
@@ -521,12 +515,6 @@ def main(argv=None) -> int:
         if args.command == "fit" and not (args.target or args.data):
             raise ValueError("fit needs --target or --data")
         return args.func(args, cfg)
-    except InversionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVERSION
-    except (FitError, TargetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIT
     except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

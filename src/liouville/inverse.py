@@ -30,7 +30,7 @@ from .errors import (BracketError, DegenerateEigenfunctionError, FitError,
                      IntegrationError, InversionError, RangeError, TargetError)
 from .grid import GridFunction, _simpson_weights, l2_norm, trig_basis
 from .ode import INF, SchrodingerProblem
-from .spectral import (SolverOptions, _potential_gradients, solve_spectrum,
+from .spectral import (_potential_gradients, solve_spectrum,
                        unperturbed_eigenvalues)
 from .transform import ConditionU, Impedance, Potential, forward_transform, frechet_apply
 
@@ -49,24 +49,26 @@ __all__ = [
 ]
 
 _FIT_CAP = 12
+# Newton and Gauss-Newton take at most _MAX_ITER steps; damping halves a
+# step up to _MAX_HALVINGS times before declaring stagnation, after which
+# the continuation fallback re-solves through _HOMOTOPY_STAGES scaled copies
+# of the target.
+_MAX_ITER = 30
+_MAX_HALVINGS = 20
+_HOMOTOPY_STAGES = 4
 
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Newton and Gauss-Newton policy knobs.
+    """Sizes and tolerance of the inversion and the fits.
 
     ``basis_size`` is the Galerkin dimension of the inversion; ``tol`` is the
-    residual tolerance in L2; damping halves the step up to ``max_halvings``
-    times before declaring stagnation, after which the continuation fallback
-    re-solves through ``homotopy_stages`` scaled copies of the target.
-    Spectral fits integrate on a ``fit_grid``-cell mesh.
+    residual tolerance in L2; spectral fits integrate on a ``fit_grid``-cell
+    mesh.
     """
 
     basis_size: int = 16
-    max_iter: int = 30
     tol: float = 1e-9
-    max_halvings: int = 20
-    homotopy_stages: int = 4
     fit_grid: int = 1024
 
     def __post_init__(self):
@@ -99,7 +101,6 @@ class _GalerkinMap:
 
     def __init__(self, p: Potential, cfg: ConditionU, icfg: InversionConfig):
         self.cfg = cfg
-        self.icfg = icfg
         self.n = p.n
         self.target = p.f.values
         K = icfg.basis_size
@@ -126,11 +127,10 @@ class _GalerkinMap:
 def _newton_leg(gmap: _GalerkinMap, alpha: np.ndarray, scale: float,
                 tol_proj: float, history: list):
     """Damped Newton toward the scaled target; returns (alpha, converged)."""
-    icfg = gmap.icfg
     q, _, r = gmap.residual(alpha, scale)
     rnorm = float(np.linalg.norm(r))
     history.append(rnorm)
-    for _ in range(icfg.max_iter):
+    for _ in range(_MAX_ITER):
         if rnorm <= tol_proj:
             return alpha, True
         J = gmap.jacobian(q)
@@ -141,7 +141,7 @@ def _newton_leg(gmap: _GalerkinMap, alpha: np.ndarray, scale: float,
                 "singular Galerkin Jacobian during inversion",
                 residuals=tuple(history)) from exc
         s = 1.0
-        for _ in range(icfg.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = alpha + s * step
             # An overlong trial step can overflow the integrator; that is
             # a rejected step, not a failure of the iteration.  Condition
@@ -181,8 +181,7 @@ def invert_transform_detailed(p: Potential, cfg: ConditionU | None = None,
     if not converged:
         used_homotopy = True
         alpha = np.zeros(icfg.basis_size)
-        for t in np.linspace(1.0 / icfg.homotopy_stages, 1.0,
-                             icfg.homotopy_stages):
+        for t in np.linspace(1.0 / _HOMOTOPY_STAGES, 1.0, _HOMOTOPY_STAGES):
             alpha, converged = _newton_leg(gmap, alpha, float(t), tol_proj,
                                            history)
             if not converged:
@@ -196,9 +195,9 @@ def invert_transform_detailed(p: Potential, cfg: ConditionU | None = None,
         proj = history[-1]
         raise InversionError(
             f"projected residual is {proj:.3e} but the full residual "
-            f"{full:.3e} exceeds tolerance {icfg.tol:.3e}; the target has "
-            f"l2 mass {math.sqrt(max(full**2 - proj**2, 0.0)):.3e} outside "
-            f"the K={icfg.basis_size} Galerkin span",
+            f"{full:.3e} exceeds tolerance {icfg.tol:.3e}; the residual "
+            f"P(q) - p has l2 mass {math.sqrt(max(full**2 - proj**2, 0.0)):.3e}"
+            f" outside the K={icfg.basis_size} Galerkin span",
             residuals=tuple(history))
     return InversionReport(q=q, residuals=tuple(history), full_residual=full,
                            converged=True, used_homotopy=used_homotopy,
@@ -299,7 +298,6 @@ class _FitMap:
             else ("cosine", "sine")
         self.basis = np.concatenate(
             [trig_basis(kind, 2 * target.N, self.n)[1::2] for kind in kinds])
-        self.opts = SolverOptions()
         self.boundary = (INF, INF) if target.regime == "symmetric-dirichlet" \
             else (target.a, target.b)
         self.weights = 2.0 * math.pi * np.arange(1, target.N + 1, dtype=float)
@@ -311,7 +309,7 @@ class _FitMap:
         """Residual at theta, with the solved problem and its eigenvalues."""
         prob = SchrodingerProblem(self.potential(theta))
         a, b = self.boundary
-        data = solve_spectrum(prob, a, b, self.target.N, self.opts)
+        data = solve_spectrum(prob, a, b, self.target.N)
         r = data.remainders.entries - self.target.remainders
         if self.target.regime != "symmetric-dirichlet":
             dev = data.norming_deviation.entries - self.target.norming
@@ -352,13 +350,13 @@ def fit_potential_detailed(target: FitTarget,
     r, prob, lam = fmap.residual(theta)
     rnorm = float(np.linalg.norm(r))
     history = [rnorm]
-    for _ in range(icfg.max_iter):
+    for _ in range(_MAX_ITER):
         if rnorm <= icfg.tol:
             break
         J = fmap.jacobian(prob, lam)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         s = 1.0
-        for _ in range(icfg.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = theta + s * step
             try:
                 r_try, prob_try, lam_try = fmap.residual(trial)
@@ -379,7 +377,7 @@ def fit_potential_detailed(target: FitTarget,
     else:
         if rnorm > icfg.tol:
             raise FitError(
-                f"fit did not reach tolerance within {icfg.max_iter} "
+                f"fit did not reach tolerance within {_MAX_ITER} "
                 f"iterations (residual {rnorm:.3e})",
                 residuals=tuple(history))
     return FitReport(potential=fmap.potential(theta), residuals=tuple(history),

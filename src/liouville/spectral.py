@@ -1,10 +1,10 @@
 """Eigenvalues, norming constants, product formulas, and trace identities.
 
-Spectra are located by exact oscillation-count bracketing, tightened by
-bisection, and polished by Newton steps on the characteristic function with
-its variational lam-derivative.  Quantities are computed at two grid levels
-and combined by fourth-order extrapolation, which removes the leading
-integrator error.
+Spectra are located by exact oscillation-count bracketing, then found by
+Newton steps on the characteristic function with its variational
+lam-derivative, each iterate kept inside its count bracket.  Quantities are
+computed at two grid levels and combined by fourth-order extrapolation,
+which removes the leading integrator error.
 
 Three boundary regimes are supported, encoded by the pair (a, b) with inf
 meaning a Dirichlet end: both ends Dirichlet (eigenvalues labelled from 1),
@@ -36,7 +36,6 @@ from .ode import (
 from .transform import ConditionU, Impedance, build_rho, forward_transform
 
 __all__ = [
-    "SolverOptions",
     "SpectralData",
     "AdmissibilityReport",
     "EquivalenceReport",
@@ -57,20 +56,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for the eigenvalue pipeline.
-
-    The solve runs on the problem's own grid; with ``richardson`` a second
-    pass on the doubled grid feeds a fourth-order extrapolation of
-    eigenvalues, norming and normalizing constants.
-    """
-
-    richardson: bool = True
-    rtol: float = 1e-12
-    sign_rounds: int = 10
-    max_newton: int = 16
-    max_repair: int = 48
+# Newton stops a root once its step is within _RTOL * max(1, |lam|);
+# _MAX_NEWTON bounds the rounds of one polish and _MAX_REPAIR the rounds of
+# each count stage.
+_RTOL = 1e-12
+_MAX_NEWTON = 16
+_MAX_REPAIR = 48
 
 
 def regime_of(a: float, b: float) -> str:
@@ -130,8 +121,11 @@ class SpectralData:
         return regime_of(self.a, self.b)
 
 
-def _solve_levels(prob, a, b, N, opts):
-    """Locate N eigenvalues at the problem grid and (optionally) the doubled one."""
+def _solve_levels(prob, a, b, N):
+    """Count brackets [lo, hi] holding exactly the eigenvalue of each slot.
+
+    Slot k (from 0) ends with k eigenvalues below lo and k + 1 below hi.
+    """
     regime = regime_of(a, b)
     slots = np.arange(N)
     targets = unperturbed_eigenvalues(regime, N + 1)
@@ -147,7 +141,7 @@ def _solve_levels(prob, a, b, N, opts):
     clo, chi = counts[:-1].copy(), counts[1:].copy()
 
     gaps = np.maximum(targets[1:] - targets[:-1], 1.0)
-    for _ in range(opts.max_repair):
+    for _ in range(_MAX_REPAIR):
         bad_lo = clo > slots
         bad_hi = chi < slots + 1
         if not bad_lo.any() and not bad_hi.any():
@@ -162,7 +156,7 @@ def _solve_levels(prob, a, b, N, opts):
         raise BracketError(
             f"could not isolate {N} eigenvalues; counts lo={clo}, hi={chi}")
 
-    for _ in range(opts.max_repair):
+    for _ in range(_MAX_REPAIR):
         wide = (chi - clo) > 1
         if not wide.any():
             break
@@ -176,40 +170,45 @@ def _solve_levels(prob, a, b, N, opts):
         chi[idx[~take_lo]] = cm[~take_lo]
     else:
         raise BracketError("count bisection failed to separate eigenvalues")
-
-    w_lo, _, _, _ = _endpoint_w(prob, lo, a, b, deriv=False)
-    sign_lo = np.sign(w_lo)
-    for _ in range(opts.sign_rounds):
-        mid = 0.5 * (lo + hi)
-        w_mid, _, _, _ = _endpoint_w(prob, mid, a, b, deriv=False)
-        same = np.sign(w_mid) == sign_lo
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-
-    lam = 0.5 * (lo + hi)
-    lam = _newton_polish(prob, lam, a, b, opts, max_step=hi - lo)
-    return regime, lam
+    return regime, lo, hi
 
 
-def _newton_polish(prob, lam, a, b, opts, max_step=None):
-    """Newton iteration on the characteristic function, batched over roots.
+def _newton_polish(prob, lam, lo, hi, a, b):
+    """Newton on the characteristic function, each root kept in its bracket.
 
-    Callers must seed inside the quadratic basin (the bisection stages do).
-    ``max_step`` caps each move, so even a noisy derivative cannot push an
-    iterate toward a neighboring root.
+    ``lo`` and ``hi`` are count brackets from ``_solve_levels``, slot k
+    first.  The characteristic value is positive below the spectrum and
+    changes sign at each simple eigenvalue, so in slot k it has the sign
+    (-1)**k below the root; each evaluation shrinks the bracket by that
+    sign, and a step that would leave the bracket takes its midpoint.  A
+    root stops once its Newton step is within the tolerance, taken or not,
+    at the step's end clipped to the bracket: a bracket can collapse to one
+    ulp while the step is still finite.
     """
     lam = np.array(lam, dtype=float)
-    for _ in range(opts.max_newton):
-        w, dw, _, _ = _endpoint_w(prob, lam, a, b, deriv=True)
-        if np.any(dw == 0.0):
-            raise BracketError("stationary characteristic value during polish")
-        step = w / dw
-        if max_step is not None:
-            step = np.clip(step, -max_step, max_step)
-        lam = lam - step
-        if np.all(np.abs(step) <= opts.rtol * np.maximum(1.0, np.abs(lam))):
-            break
-    return lam
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    below = (-1.0) ** np.arange(lam.size)
+    live = np.arange(lam.size)
+    for _ in range(_MAX_NEWTON):
+        x = lam[live]
+        w, dw, _, _ = _endpoint_w(prob, x, a, b, deriv=True)
+        side = np.sign(w) * below[live]
+        low = np.where(side > 0, x, lo[live])
+        high = np.where(side < 0, x, hi[live])
+        lo[live], hi[live] = low, high
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = w / dw
+        trial = x - step
+        done = np.abs(step) <= _RTOL * np.maximum(1.0, np.abs(x))
+        inside = (trial > low) & (trial < high)
+        lam[live] = np.where(inside | done, np.clip(trial, low, high),
+                             0.5 * (low + high))
+        live = live[~done]
+        if live.size == 0:
+            return lam
+    raise BracketError(
+        f"Newton polish left {live.size} roots unconverged after "
+        f"{_MAX_NEWTON} rounds")
 
 
 def _endpoint_quantities(prob, lam, a, b, regime):
@@ -274,44 +273,37 @@ def _potential_gradients(prob, lam, a, directions, norming=True):
     return dlam.T, dnu.T
 
 
-def _pipeline(prob, a, b, N, opts, want_alpha=False):
-    regime, lam0 = _solve_levels(prob, a, b, N, opts)
-    norm0, logdw0 = _endpoint_quantities(prob, lam0, a, b, regime)
-    alpha0 = _alpha_quantities(prob, lam0) if want_alpha else None
-    if not opts.richardson:
-        return {
-            "regime": regime, "lam": lam0, "norming": norm0,
-            "log_dw": logdw0, "alpha": alpha0, "levels": (prob,),
-            "lam_levels": (lam0,),
-        }
+def _extrapolate(coarse, fine):
+    """Fourth-order combination of problem-grid and doubled-grid values.
+
+    It cancels the leading O(h**4) integrator error of either level.
+    """
+    return (16.0 * fine - coarse) / 15.0
+
+
+def _pipeline(prob, a, b, N):
+    regime, lo, hi = _solve_levels(prob, a, b, N)
+    lam0 = _newton_polish(prob, 0.5 * (lo + hi), lo, hi, a, b)
+    norm0, _ = _endpoint_quantities(prob, lam0, a, b, regime)
     fine = prob.with_resolution(2 * prob.n)
-    lam1 = _newton_polish(fine, lam0, a, b, replace(opts, max_newton=6))
-    norm1, logdw1 = _endpoint_quantities(fine, lam1, a, b, regime)
-    alpha1 = _alpha_quantities(fine, lam1) if want_alpha else None
-    lam = (16.0 * lam1 - lam0) / 15.0
-    norming = (16.0 * norm1 - norm0) / 15.0
-    alpha = (16.0 * alpha1 - alpha0) / 15.0 if want_alpha else None
+    lam1 = _newton_polish(fine, lam0, lo, hi, a, b)
+    norm1, _ = _endpoint_quantities(fine, lam1, a, b, regime)
     return {
-        "regime": regime, "lam": lam, "norming": norming,
-        "log_dw": (16.0 * logdw1 - logdw0) / 15.0, "alpha": alpha,
-        "levels": (prob, fine), "lam_levels": (lam0, lam1),
+        "regime": regime, "lam": _extrapolate(lam0, lam1),
+        "norming": _extrapolate(norm0, norm1), "lam_levels": (lam0, lam1),
     }
 
 
-def compute_eigenvalues(prob, a: float, b: float, N: int,
-                        options: SolverOptions | None = None) -> np.ndarray:
+def compute_eigenvalues(prob, a: float, b: float, N: int) -> np.ndarray:
     """First N eigenvalues of the problem under the boundary pair (a, b)."""
-    opts = options or SolverOptions()
     if N < 1:
         raise ValueError("need at least one eigenvalue")
-    return _pipeline(prob, a, b, N, opts)["lam"]
+    return _pipeline(prob, a, b, N)["lam"]
 
 
-def solve_spectrum(prob, a: float, b: float, N: int,
-                   options: SolverOptions | None = None) -> SpectralData:
+def solve_spectrum(prob, a: float, b: float, N: int) -> SpectralData:
     """Eigenvalues plus norming constants, packaged with their remainders."""
-    opts = options or SolverOptions()
-    out = _pipeline(prob, a, b, N, opts)
+    out = _pipeline(prob, a, b, N)
     data = SpectralData(
         kind=prob.kind, a=float(a), b=float(b), c0=prob.c0,
         eigenvalues=out["lam"], norming=out["norming"],
@@ -323,40 +315,31 @@ def solve_spectrum(prob, a: float, b: float, N: int,
     return replace(data, remainders=rem, norming_deviation=dev)
 
 
-def norming_constants(prob, data: SpectralData,
-                      options: SolverOptions | None = None) -> np.ndarray:
+def norming_constants(prob, data: SpectralData) -> np.ndarray:
     """Norming constants at the eigenvalues stored in ``data``.
 
     Dirichlet pairs use the endpoint slope ratio; the other regimes use the
     endpoint value ratio.  Impedance problems include their endpoint weight,
     which makes the constants agree across the two pictures.
     """
-    opts = options or SolverOptions()
     regime = regime_of(data.a, data.b)
     lam = np.asarray(data.eigenvalues, dtype=float)
-    n0, _ = _endpoint_quantities(prob, lam, data.a, data.b, regime)
-    if not opts.richardson:
-        return n0
     # Both levels are read at the supplied eigenvalues, so the leading
     # integrator error has the same coefficient and cancels exactly.
+    n0, _ = _endpoint_quantities(prob, lam, data.a, data.b, regime)
     fine = prob.with_resolution(2 * prob.n)
     n1, _ = _endpoint_quantities(fine, lam, data.a, data.b, regime)
-    return (16.0 * n1 - n0) / 15.0
+    return _extrapolate(n0, n1)
 
 
-def normalizing_constants(prob, data: SpectralData,
-                          options: SolverOptions | None = None) -> np.ndarray:
+def normalizing_constants(prob, data: SpectralData) -> np.ndarray:
     """Integrals alpha_n = int y_n**2 with y_n'(0) = 1 (Dirichlet pairs only)."""
-    opts = options or SolverOptions()
     if regime_of(data.a, data.b) != "dirichlet":
         raise ValueError("normalizing constants are defined for Dirichlet pairs")
     lam = np.asarray(data.eigenvalues, dtype=float)
-    a0 = _alpha_quantities(prob, lam)
-    if not opts.richardson:
-        return a0
     fine = prob.with_resolution(2 * prob.n)
-    a1 = _alpha_quantities(fine, lam)
-    return (16.0 * a1 - a0) / 15.0
+    return _extrapolate(_alpha_quantities(prob, lam),
+                        _alpha_quantities(fine, lam))
 
 
 def extract_remainders(data: SpectralData):
@@ -412,7 +395,7 @@ def hadamard_wronskian(data: SpectralData, lam: float, M: int) -> float:
     return front * float(np.prod((lam - eigs) / (lam - ref)))
 
 
-def _identity_terms(prob, data, M, opts, sign: float):
+def _identity_terms(prob, data, M, sign: float):
     """Extrapolated ratios exp(sign * norming) / |dw| at the eigenvalues."""
     lam = np.asarray(data.eigenvalues[:M], dtype=float)
     regime = regime_of(data.a, data.b)
@@ -421,44 +404,36 @@ def _identity_terms(prob, data, M, opts, sign: float):
         norming, log_dw = _endpoint_quantities(p, lam, data.a, data.b, regime)
         return np.exp(sign * norming - log_dw)
 
-    t0 = level(prob)
-    if not opts.richardson:
-        return t0
-    t1 = level(prob.with_resolution(2 * prob.n))
-    return (16.0 * t1 - t0) / 15.0
+    return _extrapolate(level(prob), level(prob.with_resolution(2 * prob.n)))
 
 
-def identity_b(prob, data: SpectralData, M: int,
-               options: SolverOptions | None = None) -> np.ndarray:
+def identity_b(prob, data: SpectralData, M: int) -> np.ndarray:
     """Partial sums of the fixed-b trace identity (Dirichlet-Robin pairs).
 
     Returns S_1..S_M with S_m = sum_{k<m} (2 - exp(norming_k)/|dw(lam_k)|);
     the sums converge to the boundary parameter b.
     """
-    opts = options or SolverOptions()
     if regime_of(data.a, data.b) != "mixed":
         raise ValueError("the fixed-b identity needs a Dirichlet-Robin pair")
     if M > data.N:
         raise ValueError("identity ladder exceeds stored data")
-    ratios = _identity_terms(prob, data, M, opts, sign=+1.0)
+    ratios = _identity_terms(prob, data, M, sign=+1.0)
     return np.cumsum(2.0 - ratios)
 
 
-def identity_ab(prob, data: SpectralData, M: int,
-                options: SolverOptions | None = None):
+def identity_ab(prob, data: SpectralData, M: int):
     """Partial-sum pair of the Robin-Robin trace identities.
 
     Returns (S_b, S_a) arrays; S_b converges to b and S_a to a, both starting
     from -1 and accumulating 2 - exp(+-norming)/|dw| over the first M
     eigenvalues (labelled from 0).
     """
-    opts = options or SolverOptions()
     if regime_of(data.a, data.b) != "generic":
         raise ValueError("the trace-identity pair needs a Robin-Robin pair")
     if M > data.N:
         raise ValueError("identity ladder exceeds stored data")
-    r_plus = _identity_terms(prob, data, M, opts, sign=+1.0)
-    r_minus = _identity_terms(prob, data, M, opts, sign=-1.0)
+    r_plus = _identity_terms(prob, data, M, sign=+1.0)
+    r_minus = _identity_terms(prob, data, M, sign=-1.0)
     return -1.0 + np.cumsum(2.0 - r_plus), -1.0 + np.cumsum(2.0 - r_minus)
 
 
@@ -568,8 +543,7 @@ class EquivalenceReport:
 
 
 def equivalence_report(q: Impedance, cfg: ConditionU, a: float, b: float,
-                       N: int, options: SolverOptions | None = None
-                       ) -> EquivalenceReport:
+                       N: int) -> EquivalenceReport:
     """Solve one problem in both pictures and tabulate the match.
 
     The impedance eigenvalues must equal the transformed-potential
@@ -577,11 +551,10 @@ def equivalence_report(q: Impedance, cfg: ConditionU, a: float, b: float,
     outright (the endpoint weight accounts for the change of dependent
     variable).
     """
-    opts = options or SolverOptions()
     imp = ImpedanceProblem(q, cfg)
     sch = SchrodingerProblem(forward_transform(q, cfg))
-    di = solve_spectrum(imp, a, b, N, opts)
-    ds = solve_spectrum(sch, a, b, N, opts)
+    di = solve_spectrum(imp, a, b, N)
+    ds = solve_spectrum(sch, a, b, N)
     return EquivalenceReport(
         c0=imp.c0,
         impedance_eigenvalues=di.eigenvalues,

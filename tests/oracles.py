@@ -12,7 +12,10 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from liouville import GridFunction, IntegrationError, frechet_apply
+from liouville import BracketError, GridFunction, IntegrationError, frechet_apply
+from liouville.ode import _count_below, _endpoint_w
+from liouville.spectral import (_endpoint_quantities, boundary_shift, regime_of,
+                                unperturbed_eigenvalues)
 
 INF = math.inf
 
@@ -304,3 +307,99 @@ def loop_galerkin_jacobian(gmap, q):
     cols = [gmap.project @ frechet_apply(q, gmap.cfg, GridFunction(s)).values
             for s in gmap.sines]
     return np.stack(cols, axis=1)
+
+
+# The root finder that located eigenvalues before bracket-safeguarded Newton:
+# count brackets, a fixed run of sign bisections, then Newton with capped
+# steps, and the two-level extrapolation on top.  Kept as its reference.
+
+SIGN_ROUNDS = 10
+MAX_REPAIR = 48
+BISECT_RTOL = 1e-12
+
+
+def bisect_solve_levels(prob, a, b, N, max_newton=16):
+    """Eigenvalues at the problem grid by counts, sign bisection and Newton."""
+    regime = regime_of(a, b)
+    slots = np.arange(N)
+    targets = unperturbed_eigenvalues(regime, N + 1)
+    shift = prob.coefficient_mean() + boundary_shift(regime, a, b)
+    targets = targets + shift
+
+    mids = np.empty(N + 1)
+    mids[0] = targets[0] - 0.5 * (targets[1] - targets[0])
+    mids[1:] = 0.5 * (targets[:-1] + targets[1:])
+
+    counts = _count_below(prob, mids, a, b)
+    lo, hi = mids[:-1].copy(), mids[1:].copy()
+    clo, chi = counts[:-1].copy(), counts[1:].copy()
+
+    gaps = np.maximum(targets[1:] - targets[:-1], 1.0)
+    for _ in range(MAX_REPAIR):
+        bad_lo = clo > slots
+        bad_hi = chi < slots + 1
+        if not bad_lo.any() and not bad_hi.any():
+            break
+        if bad_lo.any():
+            lo[bad_lo] -= gaps[bad_lo]
+            clo[bad_lo] = _count_below(prob, lo[bad_lo], a, b)
+        if bad_hi.any():
+            hi[bad_hi] += gaps[bad_hi]
+            chi[bad_hi] = _count_below(prob, hi[bad_hi], a, b)
+    else:
+        raise BracketError(
+            f"could not isolate {N} eigenvalues; counts lo={clo}, hi={chi}")
+
+    for _ in range(MAX_REPAIR):
+        wide = (chi - clo) > 1
+        if not wide.any():
+            break
+        mid = 0.5 * (lo[wide] + hi[wide])
+        cm = _count_below(prob, mid, a, b)
+        take_lo = cm <= slots[wide]
+        idx = np.flatnonzero(wide)
+        lo[idx[take_lo]] = mid[take_lo]
+        clo[idx[take_lo]] = cm[take_lo]
+        hi[idx[~take_lo]] = mid[~take_lo]
+        chi[idx[~take_lo]] = cm[~take_lo]
+    else:
+        raise BracketError("count bisection failed to separate eigenvalues")
+
+    w_lo, _, _, _ = _endpoint_w(prob, lo, a, b, deriv=False)
+    sign_lo = np.sign(w_lo)
+    for _ in range(SIGN_ROUNDS):
+        mid = 0.5 * (lo + hi)
+        w_mid, _, _, _ = _endpoint_w(prob, mid, a, b, deriv=False)
+        same = np.sign(w_mid) == sign_lo
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+
+    lam = 0.5 * (lo + hi)
+    lam = bisect_newton_polish(prob, lam, a, b, max_newton, max_step=hi - lo)
+    return regime, lam
+
+
+def bisect_newton_polish(prob, lam, a, b, max_newton, max_step=None):
+    """Newton iteration on the characteristic function, batched over roots."""
+    lam = np.array(lam, dtype=float)
+    for _ in range(max_newton):
+        w, dw, _, _ = _endpoint_w(prob, lam, a, b, deriv=True)
+        if np.any(dw == 0.0):
+            raise BracketError("stationary characteristic value during polish")
+        step = w / dw
+        if max_step is not None:
+            step = np.clip(step, -max_step, max_step)
+        lam = lam - step
+        if np.all(np.abs(step) <= BISECT_RTOL * np.maximum(1.0, np.abs(lam))):
+            break
+    return lam
+
+
+def bisect_spectrum(prob, a, b, N):
+    """Extrapolated eigenvalues and norming constants from the old root finder."""
+    regime, lam0 = bisect_solve_levels(prob, a, b, N)
+    norm0, _ = _endpoint_quantities(prob, lam0, a, b, regime)
+    fine = prob.with_resolution(2 * prob.n)
+    lam1 = bisect_newton_polish(fine, lam0, a, b, max_newton=6)
+    norm1, _ = _endpoint_quantities(fine, lam1, a, b, regime)
+    return (16.0 * lam1 - lam0) / 15.0, (16.0 * norm1 - norm0) / 15.0

@@ -320,6 +320,23 @@ class TestFit:
         assert "inversion_residuals" in doc
         assert "used_homotopy" in doc
 
+    def test_off_span_mass_is_the_residuals(self, tmp_path):
+        # The fitted potential lies in the Galerkin span; the mass that
+        # keeps the full residual above tolerance belongs to P(q) - p.
+        data = tmp_path / "d.json"
+        assert main(["spectrum", "--q", "fourier:[0.3,-0.2,0.1,0.05]",
+                     "--bc", "dirichlet", "--N", "6", "--grid", "1024",
+                     "--out", str(data)]) == EXIT_OK
+        rep = tmp_path / "rep.json"
+        code = main(["fit", "--data", str(data), "--regime",
+                     "symmetric-dirichlet", "--impedance", "--grid", "1024",
+                     "--out", str(tmp_path / "q.csv"), "--report", str(rep)])
+        assert code == EXIT_INVERSION
+        error = json.loads(rep.read_text())["error"]
+        assert "the residual P(q) - p has l2 mass" in error
+        assert "outside the K=16 Galerkin span" in error
+        assert "the target has" not in error
+
     def test_inadmissible_target_exit_code(self, tmp_path, dirichlet_run):
         data, _ = dirichlet_run
         doc = json.loads(data.read_text())

@@ -1,5 +1,6 @@
 """Newton inversion of the forward map and Gauss-Newton spectral fits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from liouville import (INF, ConditionU, DecayTerm, FitTarget, GridFunction,
                        Impedance, InversionConfig, InversionError, Potential,
-                       SchrodingerProblem, SolverOptions, TargetError,
+                       SchrodingerProblem, TargetError,
                        fit_impedance_detailed, fit_potential,
                        fit_potential_detailed, forward_transform,
                        invert_transform, invert_transform_detailed, l2_norm,
@@ -40,8 +41,12 @@ class TestConfig:
             InversionConfig(tol=0.0)
 
     def test_no_jobs_knob(self):
-        with pytest.raises(TypeError):
-            InversionConfig(jobs=2)
+        # The iteration caps are module constants, not knobs.
+        for knob in ("jobs", "max_iter", "max_halvings", "homotopy_stages"):
+            with pytest.raises(TypeError):
+                InversionConfig(**{knob: 2})
+        assert [f.name for f in dataclasses.fields(InversionConfig)] == [
+            "basis_size", "tol", "fit_grid"]
 
     def test_defaults_are_modest(self):
         icfg = InversionConfig()

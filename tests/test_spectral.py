@@ -5,20 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liouville import (INF, ConditionU, GridFunction, Impedance,
+from liouville import (INF, BracketError, ConditionU, GridFunction, Impedance,
                        ImpedanceProblem, PoleCollisionError, Potential,
-                       SchrodingerProblem, SequenceData, SolverOptions,
-                       boundary_shift, characterize, compute_eigenvalues,
-                       equivalence_report, extract_remainders,
+                       SchrodingerProblem, SequenceData, boundary_shift,
+                       characterize, compute_eigenvalues, equivalence_report,
+                       extract_remainders, forward_transform,
                        hadamard_wronskian, identity_ab, identity_b,
                        normalizing_constants, norming_constants, regime_of,
                        solve_spectrum, unperturbed_eigenvalues,
                        unperturbed_norming, wronskian)
-from liouville import ode
+from liouville import ode, spectral
 from liouville.spectral import _pipeline, _potential_gradients
-from oracles import dirichlet_exact, mixed_exact, oracle_eigenvalues, \
-    sin2pi_potential, spline_midpoints, spline_resample
+from oracles import bisect_spectrum, dirichlet_exact, mixed_exact, \
+    oracle_eigenvalues, sin2pi_potential, spline_midpoints, spline_resample
 
 N_GRID = 2048
 FREE = SchrodingerProblem(Potential(GridFunction.zeros(N_GRID)))
@@ -121,11 +123,10 @@ class TestOracleComparison:
 
 class TestSolverOptions:
     def test_extrapolation_sharpens(self):
-        plain = SolverOptions(richardson=False)
         exact = dirichlet_exact(10)
         coarse_prob = SchrodingerProblem(Potential(GridFunction.zeros(512)))
         e_plain = np.max(np.abs(
-            compute_eigenvalues(coarse_prob, INF, INF, 10, plain) - exact))
+            _pipeline(coarse_prob, INF, INF, 10)["lam_levels"][0] - exact))
         e_rich = np.max(np.abs(
             compute_eigenvalues(coarse_prob, INF, INF, 10) - exact))
         assert e_rich < e_plain / 50.0
@@ -347,8 +348,7 @@ class TestSplineOracle:
         # interpolant for a low eigenvalue (4.7e-12 at lam0 = 0.078 for zero
         # u, Robin-Robin), so the bound has a floor of 1e-10 relative.
         def solve():
-            return _pipeline(six_mode_problem(cfg, 256), a, b, 64,
-                             SolverOptions())
+            return _pipeline(six_mode_problem(cfg, 256), a, b, 64)
 
         new = solve()
         old = with_splines(monkeypatch, solve)
@@ -356,3 +356,73 @@ class TestSplineOracle:
         gap = np.abs(lam1 - lam0) / 15.0
         floor = 1e-10 * np.maximum(1.0, np.abs(new["lam"]))
         assert np.all(np.abs(new["lam"] - old["lam"]) < np.maximum(gap, floor))
+
+
+def in_picture(imp, picture):
+    """The impedance problem itself, or the normal form of its potential."""
+    if picture == "impedance":
+        return imp
+    return SchrodingerProblem(forward_transform(imp.q, imp.cfg))
+
+
+# Boundary pairs of the root-finder checks: every regime, signs of a and b.
+BOUNDARY_PAIRS = [(INF, INF), (INF, 1.0), (INF, 0.5), (1.0, -0.5),
+                  (0.3, -0.2), (-0.7, 2.0)]
+
+
+class TestRootFinder:
+    """Bracket-safeguarded Newton against the sign-bisection solver."""
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    @pytest.mark.parametrize("picture", ["impedance", "schrodinger"])
+    @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
+    def test_matches_bisection_oracle(self, cfg, a, b, picture, n):
+        prob = in_picture(six_mode_problem(cfg, n), picture)
+        data = solve_spectrum(prob, a, b, 64)
+        lam, norming = bisect_spectrum(prob, a, b, 64)
+        assert np.max(np.abs(data.eigenvalues - lam) / np.abs(lam)) < 1e-13
+        assert np.max(np.abs(data.norming - norming)) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+           pair=st.sampled_from(BOUNDARY_PAIRS),
+           picture=st.sampled_from(["impedance", "schrodinger"]),
+           lam=st.lists(st.floats(-60.0, 2500.0), min_size=1, max_size=16))
+    def test_sign_follows_count_parity(self, coeffs, pair, picture, lam):
+        # w > 0 below the spectrum and changes sign at each simple
+        # eigenvalue, which is what lets Newton read its bracket side.
+        x = np.linspace(0.0, 1.0, 257)
+        q = np.asarray(coeffs) @ (math.sqrt(2.0) * np.sin(
+            np.pi * np.outer(np.arange(1, 7), x)))
+        prob = in_picture(ImpedanceProblem(Impedance(GridFunction(q))), picture)
+        a, b = pair
+        lam = np.asarray(lam)
+        w, _, _, _ = ode._endpoint_w(prob, lam, a, b, deriv=False)
+        count = ode._count_below(prob, lam, a, b)
+        assert np.array_equal(np.sign(w), np.where(count % 2 == 0, 1.0, -1.0))
+
+    def test_nonconverging_iteration_raises(self, monkeypatch):
+        # A stationary characteristic value gives no usable Newton step, so
+        # every round takes the bracket midpoint and none meets the
+        # tolerance: the polish must stop at its cap and say so.
+        endpoint_w = spectral._endpoint_w
+
+        def flat(prob, lam, a, b, deriv):
+            w, dw, scale, res = endpoint_w(prob, lam, a, b, deriv)
+            return w, None if dw is None else np.zeros_like(dw), scale, res
+
+        monkeypatch.setattr(spectral, "_endpoint_w", flat)
+        with pytest.raises(BracketError, match="unconverged"):
+            compute_eigenvalues(SIN2PI_PROB, INF, 1.0, 8)
+
+
+class TestNormingConstants:
+    """``norming_constants`` at solved eigenvalues reproduces the solve."""
+
+    @pytest.mark.parametrize("picture", ["impedance", "schrodinger"])
+    @pytest.mark.parametrize("a,b", [(INF, INF), (INF, 1.0), (1.0, -0.5)])
+    def test_matches_solved_norming(self, a, b, picture):
+        prob = in_picture(six_mode_problem("exp", N_GRID), picture)
+        data = solve_spectrum(prob, a, b, 32)
+        assert np.max(np.abs(norming_constants(prob, data) - data.norming)) \
+            < 1e-10
