@@ -4,9 +4,9 @@ Commands
 --------
 spectrum   solve a boundary pair and write truncated spectral data as JSON
 transform  apply the slope-to-potential map and write the potential CSV
-invert     recover a slope from a potential CSV (Newton with continuation)
+invert     recover a slope from a potential CSV (Newton; exit 4 on failure)
 verify     run the estimate/equivalence/identity battery, write a report
-fit        reconstruct a potential or slope from spectral targets
+fit        Gauss-Newton fit of a potential, or of a slope, to spectral data
 export     re-emit spectral JSON or solution traces as plot-ready CSV
 
 All outputs are deterministic: identical inputs (and seed) produce
@@ -233,8 +233,7 @@ def _fit_target(args) -> FitTarget:
 
 
 def cmd_fit(args, cfg: RunConfig) -> int:
-    icfg = InversionConfig(basis_size=args.basis, tol=cfg.tol,
-                           fit_grid=cfg.grid)
+    icfg = InversionConfig(tol=cfg.tol, fit_grid=cfg.grid)
     try:
         target = _fit_target(args)
         if args.impedance:
@@ -243,10 +242,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
             result = rep.q.f
             report = {"converged": True, "kind": "impedance",
                       "fit_residuals": [float(r) for r in rep.fit.residuals],
-                      "fit_iterations": rep.fit.iterations,
-                      "inversion_residuals":
-                          [float(r) for r in rep.inversion.residuals],
-                      "used_homotopy": rep.inversion.used_homotopy}
+                      "fit_iterations": rep.fit.iterations}
         else:
             rep = fit_potential_detailed(target, icfg)
             result = rep.potential.f
@@ -255,9 +251,6 @@ def cmd_fit(args, cfg: RunConfig) -> int:
                       "fit_iterations": rep.iterations}
     except (FitError, TargetError) as exc:
         return _failed(exc, args.report, "fit_residuals", "fit", EXIT_FIT)
-    except InversionError as exc:
-        return _failed(exc, args.report, "inversion_residuals",
-                       "fit inversion stage", EXIT_INVERSION)
     write_grid_csv(cfg.out, result)
     if args.report:
         dump_json(report, args.report)
@@ -485,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--impedance", action="store_true",
                      help="recover the slope, not just the potential")
     fit.add_argument("--u", default="zero")
-    fit.add_argument("--basis", type=int, default=16)
     fit.add_argument("--report", default=None)
     _add_common(fit, "tol", "out", "emit-plot")
     fit.set_defaults(func=cmd_fit)

@@ -9,19 +9,21 @@ linear in its direction, so one ``frechet_apply`` call per Newton step takes
 all K sine directions as a stack of rows.  A continuation fallback (scaling
 the target up in stages) engages when plain damping stagnates.
 
-Fits reconstruct a potential from truncated spectral data by Gauss-Newton
-on Fourier coefficients, and compose with the inversion to reconstruct an
-impedance slope end to end.  The fit Jacobian is exact: eigenvalue gradients
-are the squared eigenfunctions and norming-constant gradients the product of
-the eigenfunction with a second solution, integrated from trace sweeps at
-the eigenvalues of the accepted iterate, so a Gauss-Newton step costs one
-spectral solve per trial step and nothing per basis mode.
+Fits reconstruct a potential or a slope from truncated spectral data by
+Gauss-Newton on Fourier coefficients.  The map is a global isomorphism
+between the two inverse problems, so a slope fit runs the same iteration on
+slope coefficients, with the map's derivative as the chain rule.  The fit
+Jacobian is exact: eigenvalue gradients are the squared eigenfunctions and
+norming-constant gradients the product of the eigenfunction with a second
+solution, integrated from trace sweeps at the eigenvalues of the accepted
+iterate, so a Gauss-Newton step costs one spectral solve per trial step and
+nothing per basis mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -279,31 +281,44 @@ class FitReport:
 
 @dataclass(frozen=True)
 class ImpedanceFitReport:
-    """Outcome of the composed impedance fit."""
+    """Outcome of an impedance fit; ``fit`` holds its Gauss-Newton history."""
 
     q: Impedance
     potential: Potential
     fit: FitReport
-    inversion: InversionReport
 
 
 class _FitMap:
-    """Residuals of computed spectral data against a fixed target."""
+    """Residuals of computed spectral data against a fixed target.
 
-    def __init__(self, target: FitTarget, icfg: InversionConfig):
+    theta weighs the potential rows ``basis`` or, given ``cfg``, the slope
+    rows ``slopes``, their running integrals; the potential is then P(q).
+    """
+
+    def __init__(self, target: FitTarget, icfg: InversionConfig,
+                 cfg: ConditionU | None = None):
         self.target = target
         self.n = icfg.fit_grid
+        self.cfg = cfg
+        symmetric = target.regime == "symmetric-dirichlet"
         # Full-period modes: the even rows k = 2m of the half-period basis.
-        kinds = ("cosine",) if target.regime == "symmetric-dirichlet" \
-            else ("cosine", "sine")
-        self.basis = np.concatenate(
-            [trig_basis(kind, 2 * target.N, self.n)[1::2] for kind in kinds])
-        self.boundary = (INF, INF) if target.regime == "symmetric-dirichlet" \
-            else (target.a, target.b)
+        cos, sin = (trig_basis(kind, 2 * target.N, self.n)[1::2]
+                    for kind in ("cosine", "sine"))
+        self.basis = cos if symmetric else np.concatenate([cos, sin])
+        self.boundary = (INF, INF) if symmetric else (target.a, target.b)
         self.weights = 2.0 * math.pi * np.arange(1, target.N + 1, dtype=float)
+        slopes = np.concatenate([sin, math.sqrt(2.0) - cos]) \
+            / np.tile(self.weights, 2)[:, None]
+        slopes[:, [0, -1]] = 0.0
+        self.slopes = slopes[:self.basis.shape[0]]
+
+    def impedance(self, theta: np.ndarray) -> Impedance:
+        return Impedance(GridFunction(theta @ self.slopes))
 
     def potential(self, theta: np.ndarray) -> Potential:
-        return Potential(GridFunction(theta @ self.basis))
+        if self.cfg is None:
+            return Potential(GridFunction(theta @ self.basis))
+        return forward_transform(self.impedance(theta), self.cfg)
 
     def residual(self, theta: np.ndarray):
         """Residual at theta, with the solved problem and its eigenvalues."""
@@ -316,36 +331,33 @@ class _FitMap:
             r = np.concatenate([r, self.weights * dev])
         return r, prob, data.eigenvalues
 
-    def jacobian(self, prob: SchrodingerProblem, lam: np.ndarray) -> np.ndarray:
-        """Exact Jacobian of the residual at the solved problem.
+    def jacobian(self, theta: np.ndarray, prob: SchrodingerProblem,
+                 lam: np.ndarray) -> np.ndarray:
+        """Exact Jacobian of the residual at theta and its solved problem.
 
         The remainders differ from the eigenvalues by a shift that does not
-        depend on p, so their rows are the eigenvalue gradients.
+        depend on p, so their rows are the eigenvalue gradients.  Slope
+        coefficients take them along P'(q) of the slope rows.
         """
         symmetric = self.target.regime == "symmetric-dirichlet"
+        directions = self.basis if self.cfg is None else \
+            frechet_apply(self.impedance(theta), self.cfg, self.slopes)
         dlam, dnu = _potential_gradients(prob, lam, self.boundary[0],
-                                         self.basis, norming=not symmetric)
+                                         directions, norming=not symmetric)
         if symmetric:
             return dlam
         return np.concatenate([dlam, self.weights[:, None] * dnu])
 
 
-def fit_potential_detailed(target: FitTarget,
-                           icfg: InversionConfig | None = None) -> FitReport:
-    """Gauss-Newton fit of a potential to truncated spectral data.
-
-    The symmetric regime fits N even modes to N eigenvalue remainders; the
-    general regimes fit 2N full-period modes to remainders plus weighted
-    norming deviations.  Stagnation above tolerance raises with the residual
-    history attached.
-    """
-    icfg = icfg or InversionConfig()
+def _gauss_newton(target: FitTarget, icfg: InversionConfig,
+                  cfg: ConditionU | None):
+    """Damped Gauss-Newton on a ``_FitMap``: the map, theta and report."""
     if target.N > _FIT_CAP:
         raise TargetError(
             f"fits are desk scale: N={target.N} exceeds the cap {_FIT_CAP}")
     if target.N < 1:
         raise TargetError("need at least one target eigenvalue")
-    fmap = _FitMap(target, icfg)
+    fmap = _FitMap(target, icfg, cfg)
     theta = np.zeros(fmap.basis.shape[0])
     r, prob, lam = fmap.residual(theta)
     rnorm = float(np.linalg.norm(r))
@@ -353,7 +365,7 @@ def fit_potential_detailed(target: FitTarget,
     for _ in range(_MAX_ITER):
         if rnorm <= icfg.tol:
             break
-        J = fmap.jacobian(prob, lam)
+        J = fmap.jacobian(theta, prob, lam)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         s = 1.0
         for _ in range(_MAX_HALVINGS + 1):
@@ -380,8 +392,21 @@ def fit_potential_detailed(target: FitTarget,
                 f"fit did not reach tolerance within {_MAX_ITER} "
                 f"iterations (residual {rnorm:.3e})",
                 residuals=tuple(history))
-    return FitReport(potential=fmap.potential(theta), residuals=tuple(history),
-                     converged=True, iterations=len(history) - 1)
+    return fmap, theta, FitReport(potential=prob.p, residuals=tuple(history),
+                                  converged=True,
+                                  iterations=len(history) - 1)
+
+
+def fit_potential_detailed(target: FitTarget,
+                           icfg: InversionConfig | None = None) -> FitReport:
+    """Gauss-Newton fit of a potential to truncated spectral data.
+
+    The symmetric regime fits N even modes to N eigenvalue remainders; the
+    general regimes fit 2N full-period modes to remainders plus weighted
+    norming deviations.  Stagnation above tolerance raises with the residual
+    history attached.
+    """
+    return _gauss_newton(target, icfg or InversionConfig(), None)[2]
 
 
 def fit_potential(target: FitTarget,
@@ -390,36 +415,18 @@ def fit_potential(target: FitTarget,
     return fit_potential_detailed(target, icfg).potential
 
 
-def _cos_pi_tail_mass(p: Potential, K: int) -> float:
-    """L2 mass of p outside the first K half-period cosine modes."""
-    C = trig_basis("cosine", K, p.n)
-    coeffs = (C * _simpson_weights(p.n)[None, :]) @ p.f.values
-    total = l2_norm(p.f) ** 2
-    return math.sqrt(max(total - float(coeffs @ coeffs), 0.0))
-
-
 def fit_impedance_detailed(target: FitTarget, cfg: ConditionU | None = None,
                            icfg: InversionConfig | None = None
                            ) -> ImpedanceFitReport:
-    """Fit a potential to the target, then invert the transform.
+    """Gauss-Newton fit of an impedance slope to truncated spectral data.
 
-    The inversion tolerance is relaxed to the fitted potential's mass
-    outside the inversion span, since no slope in the span can do better.
+    The iteration of ``fit_potential_detailed`` runs on slope coefficients,
+    so the slope is held to ``tol`` on the same spectral residual.
     """
-    cfg = cfg or ConditionU.zero()
-    icfg = icfg or InversionConfig()
-    fit = fit_potential_detailed(target, icfg)
-    try:
-        tail = _cos_pi_tail_mass(fit.potential, icfg.basis_size)
-        inv_icfg = icfg if 3.0 * tail <= icfg.tol else \
-            replace(icfg, tol=3.0 * tail)
-        inversion = invert_transform_detailed(fit.potential, cfg, inv_icfg)
-    except InversionError as exc:
-        raise InversionError(
-            f"potential stage converged but inversion failed: {exc}",
-            residuals=exc.residuals) from exc
-    return ImpedanceFitReport(q=inversion.q, potential=fit.potential,
-                              fit=fit, inversion=inversion)
+    fmap, theta, fit = _gauss_newton(target, icfg or InversionConfig(),
+                                     cfg or ConditionU.zero())
+    return ImpedanceFitReport(q=fmap.impedance(theta), potential=fit.potential,
+                              fit=fit)
 
 
 def fit_impedance(target: FitTarget, cfg: ConditionU | None = None,
