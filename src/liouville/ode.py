@@ -14,11 +14,14 @@ lam-free coefficient arrays are computed once per problem and direction.
 
 A sweep propagates a batch of lam columns through all cells by a two-level
 blocked scan (Blelloch, "Prefix sums and their applications", 1990): the n
-cells form blocks of B = isqrt(n); the running products inside every block
+cells form blocks of B = isqrt(n), and the coefficients are stored in that
+block order, so the multiply-add in lam writes the cell matrices straight
+into the layout the scan reads.  The running products inside every block
 are formed in B steps, each vectorized over all blocks and columns; the
-block totals then carry the state across the n/B block boundaries, where it
-is rescaled if it grows too large.  Sweeps that need every node (sign counts
-and traces) apply the stored running products to the block-start states.
+block totals then carry the state across the n/B block boundaries, one
+batched matrix product per block, and the state is rescaled there if it
+grows too large.  Sweeps that need every node (sign counts and traces)
+apply the stored running products to the block-start states.
 """
 
 from __future__ import annotations
@@ -104,7 +107,10 @@ class _Coefficients:
     """Node and midpoint samples of V and the damping d at one resolution.
 
     ``steps[reverse]`` holds the cell matrices of the forward (0) or the
-    reverse (1) sweep as ``_quadratic_steps`` coefficients.
+    reverse (1) sweep as ``_quadratic_steps`` coefficients in block order,
+    shape (3, B, 4, nb, 1): cell b B + i sits at [:, i, :, b], so each step
+    of a block scan reads one contiguous slice.  The cells past n that fill
+    the last block are the identity, A0 = I and A1 = A2 = 0.
     """
 
     V: np.ndarray
@@ -115,10 +121,22 @@ class _Coefficients:
     steps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", (
+        object.__setattr__(self, "steps", tuple(map(_block_order, (
             _quadratic_steps(self.V, self.Vm, self.d, self.dm),
             _quadratic_steps(self.V[::-1], self.Vm[::-1], -self.d[::-1],
-                             -self.dm[::-1])))
+                             -self.dm[::-1])))))
+
+
+def _block_order(A: np.ndarray) -> np.ndarray:
+    """(3, 4, n) cell coefficients as (3, B, 4, nb, 1), padded with I."""
+    n = A.shape[2]
+    B = math.isqrt(n)
+    nb = -(-n // B)
+    out = np.zeros((3, 4, nb * B))
+    out[..., :n] = A
+    out[0, [0, 3], n:] = 1.0
+    out = out.reshape(3, 4, nb, B).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(out)[..., None]
 
 
 def _midpoints(values: np.ndarray) -> np.ndarray:
@@ -232,38 +250,23 @@ class StateTrace:
 
 def _build_matrices(co: _Coefficients, lam: np.ndarray, deriv: bool,
                     reverse: bool):
-    """Cell matrices (M11, M21, M12, M22) at every lam column, shape (4, n, K).
+    """Cell matrices at every lam column in block order, shape (B, 2, 2, nb, K).
 
-    With ``deriv`` the second result holds their lam-derivatives, else None.
+    Cell b B + i sits at [i, column, row, b]; the cells that fill the last
+    block are exactly I.  With ``deriv`` the second result holds the
+    lam-derivatives (exactly 0 on those cells), else None.
     """
-    A0, A1, A2 = co.steps[reverse][..., None]
+    A0, A1, A2 = co.steps[reverse]
+    shape = (A0.shape[0], 2, 2, A0.shape[2], lam.size)
     M = A2 * lam
     M += A1
     M *= lam
     M += A0
     if not deriv:
-        return M, None
+        return M.reshape(shape), None
     N = A2 * (2.0 * lam)
     N += A1
-    return M, N
-
-
-def _blocked(M: np.ndarray, nb: int, B: int, pad) -> np.ndarray:
-    """Copy (4, n, K) cell data into shape (B, 2, 2, nb, K).
-
-    Cell b B + i lands at [i, column, row, b], so each step of a block scan
-    reads one contiguous slice.  Cells past n, in the last block, get the
-    matrix ``pad``.
-    """
-    n, K = M.shape[1:]
-    out = np.empty((B, 4, nb, K))
-    full = n // B
-    out[:, :, :full] = M[:, :full * B].reshape(4, full, B, K).transpose(2, 0, 1, 3)
-    if full < nb:
-        r = n - full * B
-        out[:r, :, full] = M[:, full * B:].transpose(1, 0, 2)
-        out[r:, :, full] = np.reshape(pad, (1, 4, 1))
-    return out.reshape(B, 2, 2, nb, K)
+    return M.reshape(shape), N.reshape(shape)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -279,6 +282,9 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
            trace=False, count=False, reverse=False, renorm=True):
     """Advance the batch across all cells; returns endpoint data and extras.
 
+    The cell matrices come from ``_build_matrices`` in block order; the scan
+    forms the running products in place, then carries the state over the
+    block totals with one batched matrix product per block.
     With ``renorm`` the state is rescaled per column when it grows past the
     renormalization limit; accumulated log factors are reported so callers
     can reconstruct true magnitudes.  Traces are stored unscaled and overflow
@@ -286,63 +292,53 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
     """
     n = co.V.size - 1
     K = lam.size
-    M, N = _build_matrices(co, lam, deriv, reverse)
-    B = math.isqrt(n)
-    nb = -(-n // B)
+    P, dP = _build_matrices(co, lam, deriv, reverse)
+    B, nb = P.shape[0], P.shape[3]
     nodes = trace or count
     renorm_on = renorm and not trace
-    y = np.broadcast_to(np.asarray(y0, dtype=float), (K,)).copy()
-    v = np.broadcast_to(np.asarray(v0, dtype=float), (K,)).copy()
-    dy = np.zeros(K)
-    dv = np.zeros(K)
+    # Column k carries the state s[k] = (dy, dv, y, v) with deriv, else (y, v).
+    d = 4 if deriv else 2
+    s = np.zeros((K, d, 1))
+    s[:, -2, 0] = y0
+    s[:, -1, 0] = v0
     logscale = np.zeros(K)
     # Overflow is detected explicitly at the end; silence the transient.
     with np.errstate(over="ignore", invalid="ignore"):
         # Stage 1: P[i, :, :, b] becomes the product of the first i + 1
         # cell matrices of block b, with its lam-derivative in dP.
-        P = _blocked(M, nb, B, (1.0, 0.0, 0.0, 1.0))
-        del M  # free each cell-order array once its blocked copy exists
-        dP = _blocked(N, nb, B, (0.0, 0.0, 0.0, 0.0)) if deriv else None
-        del N
         for i in range(1, B):
             if deriv:
                 np.add(_matmul(dP[i], P[i - 1]), _matmul(P[i], dP[i - 1]),
                        out=dP[i])
             _matmul(P[i], P[i - 1], out=P[i])
 
-        # Stage 2: carry the state over the block totals.
-        T = P[B - 1]
-        dT = dP[B - 1] if deriv else None
+        # Stage 2: s <- G s over the block totals, one batched product per
+        # block; G is T, or [[T, dT], [0, T]] with deriv.  It is built
+        # [column, row] and only viewed as (nb, K) stacks of matrices: on
+        # these strides np.matmul keeps its own small-matrix loop, which at
+        # K = 64 takes half the time of a BLAS call per matrix.
+        G = P[B - 1]
+        if deriv:
+            G = np.zeros((4, 4, nb, K))
+            G[:2, :2] = G[2:, 2:] = P[B - 1]
+            G[2:, :2] = dP[B - 1]
+        G = G.transpose(2, 3, 1, 0)
         if nodes:
-            starts = np.empty((2, nb, K))
+            starts = np.empty((nb, K, d, 1))
         for b in range(nb):
             if nodes:
-                starts[0, b] = y
-                starts[1, b] = v
-            (t11, t21), (t12, t22) = T[:, :, b]
-            if deriv:
-                (n11, n21), (n12, n22) = dT[:, :, b]
-                dy, dv = (t11 * dy + t12 * dv + n11 * y + n12 * v,
-                          t21 * dy + t22 * dv + n21 * y + n22 * v)
-            y, v = t11 * y + t12 * v, t21 * y + t22 * v
-            if renorm_on:
-                peak = np.maximum(np.abs(y), np.abs(v))
-                if deriv:
-                    peak = np.maximum(peak,
-                                      np.maximum(np.abs(dy), np.abs(dv)))
-                mask = peak > _RENORM_LIMIT
-                if mask.any():
-                    factor = np.where(mask, peak, 1.0)
-                    y /= factor
-                    v /= factor
-                    if deriv:
-                        dy /= factor
-                        dv /= factor
-                    logscale += np.log(factor)
+                starts[b] = s
+            s = np.matmul(G[b], s)
+            if renorm_on and np.abs(s).max() > _RENORM_LIMIT:
+                peak = np.abs(s).max(axis=(1, 2))
+                factor = np.where(peak > _RENORM_LIMIT, peak, 1.0)
+                s /= factor[:, None, None]
+                logscale += np.log(factor)
+        y, v = s[:, -2, 0], s[:, -1, 0]
 
         # Stage 3: every node from its block's start state.
         if nodes:
-            ys, vs = starts
+            ys, vs = starts[:, :, -2, 0], starts[:, :, -1, 0]
             Y = _nodes(y0, P[:, 0, 0] * ys + P[:, 1, 0] * vs, n)
         if trace:
             W = _nodes(v0, P[:, 0, 1] * ys + P[:, 1, 1] * vs, n)
@@ -354,8 +350,8 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
             f"integration overflowed despite rescaling (n={n})")
     out = {"y": y, "v": v, "logscale": logscale}
     if deriv:
-        out["dy"] = dy
-        out["dv"] = dv
+        out["dy"] = s[:, 0, 0]
+        out["dv"] = s[:, 1, 0]
     if trace:
         out["Y"] = Y
         out["W"] = W

@@ -13,7 +13,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from liouville import BracketError, GridFunction, IntegrationError, frechet_apply
-from liouville.ode import _count_below, _endpoint_w
+from liouville.ode import (_count_below, _endpoint_w, _matmul, _nodes,
+                           _quadratic_steps, _sign_flips)
 from liouville.spectral import (_endpoint_quantities, boundary_shift, regime_of,
                                 unperturbed_eigenvalues)
 
@@ -274,6 +275,100 @@ def loop_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
         out["flips"] = flips
     return out
 
+
+
+# The blocked scan as it ran before the steps were stored in block order:
+# the multiply-add wrote cell order, a copy moved it into the block layout,
+# and the carry over the block totals updated each state component with its
+# own NumPy call.  Kept as the reference for the output drift of the
+# batched carry.
+
+def _copy_blocked(M, nb: int, B: int, pad) -> np.ndarray:
+    n, K = M.shape[1:]
+    out = np.empty((B, 4, nb, K))
+    full = n // B
+    out[:, :, :full] = M[:, :full * B].reshape(4, full, B, K).transpose(2, 0, 1, 3)
+    if full < nb:
+        r = n - full * B
+        out[:r, :, full] = M[:, full * B:].transpose(1, 0, 2)
+        out[r:, :, full] = np.reshape(pad, (1, 4, 1))
+    return out.reshape(B, 2, 2, nb, K)
+
+
+def scalar_carry_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
+                       trace=False, count=False, reverse=False, renorm=True):
+    """``ode._sweep`` before block-order storage and the batched carry."""
+    n = co.V.size - 1
+    K = lam.size
+    if reverse:
+        steps = _quadratic_steps(co.V[::-1], co.Vm[::-1], -co.d[::-1], -co.dm[::-1])
+    else:
+        steps = _quadratic_steps(co.V, co.Vm, co.d, co.dm)
+    A0, A1, A2 = steps[..., None]
+    M = (A2 * lam + A1) * lam + A0
+    B = math.isqrt(n)
+    nb = -(-n // B)
+    nodes = trace or count
+    renorm_on = renorm and not trace
+    y = np.broadcast_to(np.asarray(y0, dtype=float), (K,)).copy()
+    v = np.broadcast_to(np.asarray(v0, dtype=float), (K,)).copy()
+    dy = np.zeros(K)
+    dv = np.zeros(K)
+    logscale = np.zeros(K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _copy_blocked(M, nb, B, (1.0, 0.0, 0.0, 1.0))
+        dP = _copy_blocked(A2 * (2.0 * lam) + A1, nb, B, (0.0,) * 4) if deriv else None
+        for i in range(1, B):
+            if deriv:
+                np.add(_matmul(dP[i], P[i - 1]), _matmul(P[i], dP[i - 1]),
+                       out=dP[i])
+            _matmul(P[i], P[i - 1], out=P[i])
+        T = P[B - 1]
+        dT = dP[B - 1] if deriv else None
+        starts = np.empty((2, nb, K))
+        for b in range(nb):
+            starts[0, b] = y
+            starts[1, b] = v
+            (t11, t21), (t12, t22) = T[:, :, b]
+            if deriv:
+                (n11, n21), (n12, n22) = dT[:, :, b]
+                dy, dv = (t11 * dy + t12 * dv + n11 * y + n12 * v,
+                          t21 * dy + t22 * dv + n21 * y + n22 * v)
+            y, v = t11 * y + t12 * v, t21 * y + t22 * v
+            if renorm_on:
+                peak = np.maximum(np.abs(y), np.abs(v))
+                if deriv:
+                    peak = np.maximum(peak,
+                                      np.maximum(np.abs(dy), np.abs(dv)))
+                mask = peak > RENORM_LIMIT
+                if mask.any():
+                    factor = np.where(mask, peak, 1.0)
+                    y /= factor
+                    v /= factor
+                    if deriv:
+                        dy /= factor
+                        dv /= factor
+                    logscale += np.log(factor)
+        if nodes:
+            ys, vs = starts
+            Y = _nodes(y0, P[:, 0, 0] * ys + P[:, 1, 0] * vs, n)
+            W = _nodes(v0, P[:, 0, 1] * ys + P[:, 1, 1] * vs, n)
+    if trace and not np.all(np.isfinite(Y[-1]) & np.isfinite(W[-1])):
+        raise IntegrationError(
+            f"trace integration overflowed (n={n}, lam up to {np.max(lam):.6g})")
+    if not trace and not np.all(np.isfinite(y) & np.isfinite(v)):
+        raise IntegrationError(
+            f"integration overflowed despite rescaling (n={n})")
+    out = {"y": y, "v": v, "logscale": logscale}
+    if deriv:
+        out["dy"] = dy
+        out["dv"] = dv
+    if trace:
+        out["Y"] = Y
+        out["W"] = W
+    if count:
+        out["flips"] = _sign_flips(Y)
+    return out
 
 # The global quintic splines that formed RK4 midpoints and resampled grids
 # before the local quintic interpolant, kept as its reference.

@@ -10,7 +10,8 @@ from liouville import (INF, ConditionU, GridFunction, Impedance,
                        SchrodingerProblem, build_rho, compute_c0,
                        forward_transform, oscillation_count, shoot_backward,
                        shoot_forward, wronskian)
-from liouville.ode import _build_matrices, _sign_flips, _sweep
+from liouville.ode import (_build_matrices, _quadratic_steps, _sign_flips,
+                           _sweep)
 from oracles import loop_build_matrices, loop_sweep
 
 N = 2048
@@ -223,6 +224,9 @@ def coefficient_cases(n=N):
 
 CASES = coefficient_cases()
 FINE_CASES = coefficient_cases(8192)
+# 16 = 4**2 (the grid minimum) and 1024 = 32**2 fill their blocks exactly;
+# 17 = 4**2 + 1 and 257 = 16**2 + 1 leave one real cell in their last block.
+EDGE_CASES = {n: coefficient_cases(n) for n in (16, 17, 257, 1024)}
 MODES = {"endpoint": {}, "deriv": {"deriv": True}, "count": {"count": True},
          "trace": {"trace": True, "renorm": False}}
 
@@ -270,6 +274,17 @@ class TestBlockedScan:
         assert ref is not None
         assert_sweeps_agree(got, ref, lam)
 
+    @pytest.mark.parametrize("K", [1, 65])
+    @pytest.mark.parametrize("damping", sorted(CASES))
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("n", sorted(EDGE_CASES))
+    def test_matches_loop_at_block_edges(self, n, mode, reverse, damping, K):
+        lam = np.linspace(-2e5, 4e4, K)
+        got, ref = run_both(EDGE_CASES[n][damping], lam, mode, reverse)
+        assert ref is not None
+        assert_sweeps_agree(got, ref, lam)
+
     @pytest.mark.parametrize("damping", sorted(CASES))
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("mode", sorted(MODES))
@@ -297,23 +312,38 @@ class TestBlockedScan:
         np.testing.assert_array_equal(_sign_flips(Y), expect)
 
 
+def cell_order(M: np.ndarray) -> np.ndarray:
+    """(B, 2, 2, nb, K) block-order matrices as (4, nb B, K) in cell order."""
+    B, _, _, nb, K = M.shape
+    return M.reshape(B, 4, nb, K).transpose(1, 2, 0, 3).reshape(4, nb * B, K)
+
+
 class TestQuadraticSteps:
     @pytest.mark.parametrize("damping", sorted(CASES))
     @pytest.mark.parametrize("reverse", [False, True])
     def test_quadratic_in_lam(self, damping, reverse):
         co = CASES[damping]
-        A0, A1, A2 = co.steps[reverse]
+        n = co.Vm.size
+        sign = -1.0 if reverse else 1.0
+        flip = slice(None, None, -1 if reverse else 1)
+        A0, A1, A2 = _quadratic_steps(co.V[flip], co.Vm[flip], sign * co.d[flip],
+                                      sign * co.dm[flip])
         for lam in (-2e5, 3.7, 4e4, 2e5):
             M_ref, N_ref = loop_build_matrices(co, np.array([lam]), True, reverse)
-            M, N = _build_matrices(co, np.array([lam]), True, reverse)
+            M, N = (cell_order(a) for a in
+                    _build_matrices(co, np.array([lam]), True, reverse))
             for k in range(4):
                 m_ref, n_ref = M_ref[k][:, 0], N_ref[k][:, 0]
                 top_m, top_n = np.abs(m_ref).max(), np.abs(n_ref).max()
                 poly = A0[k] + lam * A1[k] + lam ** 2 * A2[k]
                 assert np.abs(poly - m_ref).max() <= 1e-14 * top_m
                 assert np.abs(A1[k] + 2.0 * lam * A2[k] - n_ref).max() <= 1e-14 * top_n
-                assert np.abs(M[k][:, 0] - m_ref).max() <= 1e-14 * top_m
-                assert np.abs(N[k][:, 0] - n_ref).max() <= 1e-14 * top_n
+                assert np.abs(M[k, :n, 0] - m_ref).max() <= 1e-14 * top_m
+                assert np.abs(N[k, :n, 0] - n_ref).max() <= 1e-14 * top_n
+            # Cells past n fill the last block and must be exactly I and 0.
+            assert M.shape[1] > n
+            assert np.all(M[:, n:, 0].T == [1.0, 0.0, 0.0, 1.0])
+            assert np.all(N[:, n:, 0] == 0.0)
 
     def test_normal_form_has_zero_damping_samples(self):
         co = CASES["undamped"]

@@ -20,7 +20,8 @@ from liouville import (INF, BracketError, ConditionU, GridFunction, Impedance,
 from liouville import ode, spectral
 from liouville.spectral import _pipeline, _potential_gradients
 from oracles import bisect_spectrum, dirichlet_exact, mixed_exact, \
-    oracle_eigenvalues, sin2pi_potential, spline_midpoints, spline_resample
+    oracle_eigenvalues, scalar_carry_sweep, sin2pi_potential, \
+    spline_midpoints, spline_resample
 
 N_GRID = 2048
 FREE = SchrodingerProblem(Potential(GridFunction.zeros(N_GRID)))
@@ -414,6 +415,24 @@ class TestRootFinder:
         monkeypatch.setattr(spectral, "_endpoint_w", flat)
         with pytest.raises(BracketError, match="unconverged"):
             compute_eigenvalues(SIN2PI_PROB, INF, 1.0, 8)
+
+
+class TestBatchedCarry:
+    """Spectra through the sweep against the scalar-carry scan it replaced."""
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    @pytest.mark.parametrize("picture", ["impedance", "schrodinger"])
+    @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
+    def test_spectra_match_scalar_carry(self, monkeypatch, cfg, a, b, picture, n):
+        prob = in_picture(six_mode_problem(cfg, n), picture)
+        data = solve_spectrum(prob, a, b, 64)
+        with monkeypatch.context() as m:
+            m.setattr(ode, "_sweep", scalar_carry_sweep)
+            m.setattr(spectral, "_sweep", scalar_carry_sweep)
+            old = solve_spectrum(prob, a, b, 64)
+        rel = np.abs(data.eigenvalues - old.eigenvalues) / np.abs(old.eigenvalues)
+        assert np.max(rel) <= 1e-14
+        assert np.max(np.abs(data.norming - old.norming)) <= 1e-14
 
 
 class TestNormingConstants:
