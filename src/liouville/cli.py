@@ -58,7 +58,6 @@ _SOLVER_ERRORS = (BracketError, ConditionError, DegenerateEigenfunctionError,
 class RunConfig:
     """Validated run parameters shared by every command."""
 
-    command: str
     out: str | None
     grid: int
     N: int
@@ -77,7 +76,7 @@ class RunConfig:
 
 
 def _run_config(args) -> RunConfig:
-    return RunConfig(command=args.command, out=getattr(args, "out", None),
+    return RunConfig(out=getattr(args, "out", None),
                      grid=args.grid, N=getattr(args, "N", 10),
                      tol=getattr(args, "tol", 1e-9),
                      seed=getattr(args, "seed", 0))
@@ -165,18 +164,11 @@ def _write_series_csv(path: str, labels, values) -> None:
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
-def _slot_labels(regime: str, N: int) -> np.ndarray:
-    return np.arange(N) + (1 if regime == "dirichlet" else 0)
-
-
 def cmd_spectrum(args, cfg: RunConfig) -> int:
     prob = _problem(args, cfg)
     a, b = _boundary(args)
     data = solve_spectrum(prob, a, b, cfg.N)
     dump_json(spectral_to_dict(data), cfg.out)
-    if args.emit_plot:
-        _write_series_csv(args.emit_plot,
-                          _slot_labels(data.regime, data.N), data.eigenvalues)
     print(f"wrote {cfg.out} ({data.regime}, N={data.N})")
     return EXIT_OK
 
@@ -186,8 +178,6 @@ def cmd_transform(args, cfg: RunConfig) -> int:
     q = _load_q(args.q, cfg.grid)
     p = forward_transform(q, ucfg)
     write_grid_csv(cfg.out, p.f)
-    if args.emit_plot:
-        write_grid_csv(args.emit_plot, p.f)
     print(f"wrote {cfg.out} (|p| = {l2_norm(p.f):.6g})")
     return EXIT_OK
 
@@ -218,8 +208,6 @@ def cmd_invert(args, cfg: RunConfig) -> int:
     write_grid_csv(cfg.out, report.q.f)
     if args.report:
         dump_json(inversion_report_to_dict(report), args.report)
-    if args.emit_plot:
-        write_grid_csv(args.emit_plot, report.q.f)
     print(f"wrote {cfg.out} (iterations={report.iterations}, "
           f"homotopy={report.used_homotopy})")
     return EXIT_OK
@@ -254,8 +242,6 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     write_grid_csv(cfg.out, result)
     if args.report:
         dump_json(report, args.report)
-    if args.emit_plot:
-        write_grid_csv(args.emit_plot, result)
     print(f"wrote {cfg.out} ({report['kind']} fit, "
           f"{report['fit_iterations']} iterations)")
     return EXIT_OK
@@ -379,7 +365,7 @@ def cmd_export(args, cfg: RunConfig) -> int:
     wrote = []
     if args.data:
         data = spectral_from_dict(load_json(args.data))
-        labels = _slot_labels(data.regime, data.N)
+        labels = np.arange(data.N) + (1 if data.regime == "dirichlet" else 0)
         for name, values in (("eigenvalues", data.eigenvalues),
                              ("norming", data.norming),
                              ("remainders", data.remainders.entries)):
@@ -415,9 +401,6 @@ def _add_common(sub, *flags, out_required=True):
                          help="seed for randomized checks")
     if "out" in flags:
         sub.add_argument("--out", required=out_required, help="output path")
-    if "emit-plot" in flags:
-        sub.add_argument("--emit-plot", default=None,
-                         help="also write plot-ready CSV here")
 
 
 def _add_boundary(sub):
@@ -442,13 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u", default="zero",
                     help="perturbation: zero | exp:E,beta | poly:[...] | file.json")
     _add_boundary(sp)
-    _add_common(sp, "N", "tol", "out", "emit-plot")
+    _add_common(sp, "N", "tol", "out")
     sp.set_defaults(func=cmd_spectrum)
 
     tr = subs.add_parser("transform", help="apply the forward map")
     tr.add_argument("--q", required=True)
     tr.add_argument("--u", default="zero")
-    _add_common(tr, "out", "emit-plot")
+    _add_common(tr, "out")
     tr.set_defaults(func=cmd_transform)
 
     inv = subs.add_parser("invert", help="invert the forward map")
@@ -458,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Galerkin dimension of the inversion")
     inv.add_argument("--report", default=None,
                      help="write iteration report JSON here")
-    _add_common(inv, "tol", "out", "emit-plot")
+    _add_common(inv, "tol", "out")
     inv.set_defaults(func=cmd_invert)
 
     ver = subs.add_parser("verify", help="run the verification battery")
@@ -479,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="recover the slope, not just the potential")
     fit.add_argument("--u", default="zero")
     fit.add_argument("--report", default=None)
-    _add_common(fit, "tol", "out", "emit-plot")
+    _add_common(fit, "tol", "out")
     fit.set_defaults(func=cmd_fit)
 
     ex = subs.add_parser("export", help="re-emit results as plot CSV")

@@ -10,7 +10,9 @@ the six nearest nodes, O(h**6), centred in the interior.
 Each stage multiplies a y-component, which is at most linear in lam, by
 V - lam, so every cell matrix is exactly quadratic in lam:
 M(lam) = A0 + lam A1 + lam**2 A2, and dM/dlam = A1 + 2 lam A2.  The three
-lam-free coefficient arrays are computed once per problem and direction.
+lam-free coefficient arrays are computed once per problem.  A backward
+shot is the same equation on the reflected coefficients V(1 - s) and
+-d(1 - s), so every sweep runs from x = 0.
 
 A sweep propagates a batch of lam columns through all cells by a two-level
 blocked scan (Blelloch, "Prefix sums and their applications", 1990): the n
@@ -106,11 +108,11 @@ def _quadratic_steps(Vn, Vm, dn, dm) -> np.ndarray:
 class _Coefficients:
     """Node and midpoint samples of V and the damping d at one resolution.
 
-    ``steps[reverse]`` holds the cell matrices of the forward (0) or the
-    reverse (1) sweep as ``_quadratic_steps`` coefficients in block order,
-    shape (3, B, 4, nb, 1): cell b B + i sits at [:, i, :, b], so each step
-    of a block scan reads one contiguous slice.  The cells past n that fill
-    the last block are the identity, A0 = I and A1 = A2 = 0.
+    ``steps`` holds the cell matrices as ``_quadratic_steps`` coefficients
+    in block order, shape (3, B, 4, nb, 1): cell b B + i sits at
+    [:, i, :, b], so each step of a block scan reads one contiguous slice.
+    The cells past n that fill the last block are the identity, A0 = I and
+    A1 = A2 = 0.
     """
 
     V: np.ndarray
@@ -118,13 +120,16 @@ class _Coefficients:
     d: np.ndarray
     dm: np.ndarray
     rho1: float
-    steps: tuple = field(init=False, repr=False)
+    steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(map(_block_order, (
-            _quadratic_steps(self.V, self.Vm, self.d, self.dm),
-            _quadratic_steps(self.V[::-1], self.Vm[::-1], -self.d[::-1],
-                             -self.dm[::-1])))))
+        object.__setattr__(self, "steps", _block_order(
+            _quadratic_steps(self.V, self.Vm, self.d, self.dm)))
+
+    def reflected(self) -> "_Coefficients":
+        """Coefficients of the same equation in s = 1 - x: V(1 - s), -d(1 - s)."""
+        return _Coefficients(V=self.V[::-1], Vm=self.Vm[::-1], d=-self.d[::-1],
+                             dm=-self.dm[::-1], rho1=self.rho1)
 
 
 def _block_order(A: np.ndarray) -> np.ndarray:
@@ -248,15 +253,14 @@ class StateTrace:
     dy: GridFunction
 
 
-def _build_matrices(co: _Coefficients, lam: np.ndarray, deriv: bool,
-                    reverse: bool):
+def _build_matrices(co: _Coefficients, lam: np.ndarray, deriv: bool):
     """Cell matrices at every lam column in block order, shape (B, 2, 2, nb, K).
 
     Cell b B + i sits at [i, column, row, b]; the cells that fill the last
     block are exactly I.  With ``deriv`` the second result holds the
     lam-derivatives (exactly 0 on those cells), else None.
     """
-    A0, A1, A2 = co.steps[reverse]
+    A0, A1, A2 = co.steps
     shape = (A0.shape[0], 2, 2, A0.shape[2], lam.size)
     M = A2 * lam
     M += A1
@@ -279,23 +283,22 @@ def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
 
 
 def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
-           trace=False, count=False, reverse=False, renorm=True):
+           trace=False, count=False):
     """Advance the batch across all cells; returns endpoint data and extras.
 
     The cell matrices come from ``_build_matrices`` in block order; the scan
     forms the running products in place, then carries the state over the
     block totals with one batched matrix product per block.
-    With ``renorm`` the state is rescaled per column when it grows past the
-    renormalization limit; accumulated log factors are reported so callers
-    can reconstruct true magnitudes.  Traces are stored unscaled and overflow
+    Without ``trace`` the state is rescaled per column when it grows past
+    ``_RENORM_LIMIT``; accumulated log factors are reported so callers can
+    reconstruct true magnitudes.  Traces are stored unscaled and overflow
     raises instead.
     """
     n = co.V.size - 1
     K = lam.size
-    P, dP = _build_matrices(co, lam, deriv, reverse)
+    P, dP = _build_matrices(co, lam, deriv)
     B, nb = P.shape[0], P.shape[3]
     nodes = trace or count
-    renorm_on = renorm and not trace
     # Column k carries the state s[k] = (dy, dv, y, v) with deriv, else (y, v).
     d = 4 if deriv else 2
     s = np.zeros((K, d, 1))
@@ -329,7 +332,7 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
             if nodes:
                 starts[b] = s
             s = np.matmul(G[b], s)
-            if renorm_on and np.abs(s).max() > _RENORM_LIMIT:
+            if not trace and np.abs(s).max() > _RENORM_LIMIT:
                 peak = np.abs(s).max(axis=(1, 2))
                 factor = np.where(peak > _RENORM_LIMIT, peak, 1.0)
                 s /= factor[:, None, None]
@@ -412,15 +415,12 @@ def _endpoint_w(prob, lam: np.ndarray, a: float, b: float, deriv: bool):
         w = res["v"] + float(b) * res["y"]
         dw = res.get("dv") + float(b) * res.get("dy") if deriv else None
     scale = res["logscale"] + math.log(co.rho1)
-    return (w, dw, scale, res) if deriv else (w, None, scale, res)
+    return w, dw, scale, res
 
 
 def oscillation_count(prob, lam: float, a: float = INF) -> int:
     """Number of interior zeros of the forward shot at this lam."""
-    co = prob._coefficients()
-    y0, v0 = _initial_data(a)
-    res = _sweep(co, np.asarray([float(lam)]), y0, v0, count=True)
-    return int(res["flips"][0])
+    return int(_count_below(prob, [lam], a, INF)[0])
 
 
 def wronskian(prob, lam: float, a: float = INF, b: float = INF,
@@ -458,23 +458,16 @@ def wronskian(prob, lam: float, a: float = INF, b: float = INF,
     return collapse(float(w[0]))
 
 
-def _trace_result(prob, lam: float, res, reverse: bool) -> StateTrace:
-    ls = float(res["logscale"][0])
-    if abs(ls) > 0.0:
-        raise IntegrationError("trace integration left the value range")
-    yv = res["Y"][:, 0]
-    wv = res["W"][:, 0]
-    if reverse:
-        yv = yv[::-1]
-        wv = -wv[::-1]
-    return StateTrace(lam=float(lam), y=GridFunction(yv), dy=GridFunction(wv))
+def _trace(co: _Coefficients, lam: float, y0: float, v0: float):
+    """Node values (Y, W) of one unscaled shot from (y0, v0) at the first node."""
+    res = _sweep(co, np.asarray([float(lam)]), y0, v0, trace=True)
+    return res["Y"][:, 0], res["W"][:, 0]
 
 
 def shoot_forward(prob, lam: float, y0: float = 0.0, dy0: float = 1.0) -> StateTrace:
     """Integrate from x = 0 with the given initial data, keeping the trace."""
-    res = _sweep(prob._coefficients(), np.asarray([float(lam)]), float(y0),
-                 float(dy0), trace=True, renorm=False)
-    return _trace_result(prob, lam, res, reverse=False)
+    y, dy = _trace(prob._coefficients(), lam, float(y0), float(dy0))
+    return StateTrace(lam=float(lam), y=GridFunction(y), dy=GridFunction(dy))
 
 
 def shoot_backward(prob, lam: float, b: float = INF) -> StateTrace:
@@ -486,6 +479,6 @@ def shoot_backward(prob, lam: float, b: float = INF) -> StateTrace:
         g0, g1 = 0.0, 1.0   # g(s) = y(1-s): g' = -y'
     else:
         g0, g1 = 1.0, float(b)
-    res = _sweep(prob._coefficients(), np.asarray([float(lam)]), g0, g1,
-                 trace=True, renorm=False, reverse=True)
-    return _trace_result(prob, lam, res, reverse=True)
+    g, dg = _trace(prob._coefficients().reflected(), lam, g0, g1)
+    return StateTrace(lam=float(lam), y=GridFunction(g[::-1]),
+                      dy=GridFunction(-dg[::-1]))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import GridFunction, SequenceData
 from .inverse import FitTarget, InversionReport
-from .spectral import SpectralData, unperturbed_norming
+from .spectral import SpectralData
 from .transform import ConditionU, DecayTerm
 
 __all__ = [
@@ -118,21 +118,15 @@ def spectral_to_dict(data: SpectralData) -> dict:
 
 
 def spectral_from_dict(d: dict) -> SpectralData:
-    """Rebuild spectral data; norming deviations are recomputed exactly."""
+    """Rebuild spectral data; norming deviations follow from the norming constants."""
     a = _boundary_in(d["a"])
     b = _boundary_in(d["b"])
     eig = np.asarray(d["eigenvalues"], dtype=float)
     norming = np.asarray(d["norming"], dtype=float)
     rem = np.asarray(d["remainders"], dtype=float)
-    N = int(d["N"])
-    data = SpectralData(kind=str(d["kind"]), a=a, b=b, c0=float(d["c0"]),
+    return SpectralData(kind=str(d["kind"]), a=a, b=b, c0=float(d["c0"]),
                         eigenvalues=eig, norming=norming,
-                        remainders=SequenceData(rem),
-                        norming_deviation=SequenceData(np.zeros(N), alpha=1.0),
-                        N=N)
-    dev = norming - unperturbed_norming(data.regime, N)
-    object.__setattr__(data, "norming_deviation", SequenceData(dev, alpha=1.0))
-    return data
+                        remainders=SequenceData(rem), N=int(d["N"]))
 
 
 def target_to_dict(target: FitTarget) -> dict:

@@ -14,7 +14,7 @@ Dirichlet-Robin (labelled from 0), and Robin-Robin (labelled from 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +62,11 @@ __all__ = [
 _RTOL = 1e-12
 _MAX_NEWTON = 16
 _MAX_REPAIR = 48
+
+# Tail-growth tolerances and noise floor of ``characterize``.
+_GROWTH_TOL = 0.01
+_ALPHA_GROWTH_TOL = 0.25
+_NOISE_FLOOR = 1e-4
 
 
 def regime_of(a: float, b: float) -> str:
@@ -113,12 +118,17 @@ class SpectralData:
     eigenvalues: np.ndarray
     norming: np.ndarray
     remainders: SequenceData
-    norming_deviation: SequenceData
     N: int
 
     @property
     def regime(self) -> str:
         return regime_of(self.a, self.b)
+
+    @property
+    def norming_deviation(self) -> SequenceData:
+        """Norming constants less those of the zero problem."""
+        dev = self.norming - unperturbed_norming(self.regime, self.norming.size)
+        return SequenceData(dev, alpha=1.0)
 
 
 def _solve_levels(prob, a, b, N):
@@ -211,17 +221,18 @@ def _newton_polish(prob, lam, lo, hi, a, b):
         f"{_MAX_NEWTON} rounds")
 
 
-def _endpoint_quantities(prob, lam, a, b, regime):
-    """Norming constants and endpoint diagnostics at given eigenvalues."""
-    w, dw, scale, res = _endpoint_w(prob, lam, a, b, deriv=True)
+def _endpoint_quantities(prob, lam, a, b, regime, deriv=False):
+    """Norming constants at the eigenvalues lam, and log|dw| with ``deriv``."""
+    _, dw, _, res = _endpoint_w(prob, lam, a, b, deriv=deriv)
     rho1 = prob._coefficients().rho1
     numerator = np.abs(res["v"]) if regime == "dirichlet" else np.abs(res["y"])
     if np.any(numerator == 0.0):
         raise DegenerateEigenfunctionError(
             "eigenfunction endpoint data vanished; spectrum is corrupted")
     norming = np.log(numerator) + math.log(rho1) + res["logscale"]
-    log_abs_dw = np.log(np.abs(dw)) + math.log(rho1) + res["logscale"]
-    return norming, log_abs_dw
+    if not deriv:
+        return norming, None
+    return norming, np.log(np.abs(dw)) + math.log(rho1) + res["logscale"]
 
 
 def _traces(prob, lam, y0, v0):
@@ -231,7 +242,7 @@ def _traces(prob, lam, y0, v0):
     solutions of the transformed potential.
     """
     res = _sweep(prob._coefficients(), np.asarray(lam, dtype=float), y0, v0,
-                 trace=True, renorm=False)
+                 trace=True)
     Y = res["Y"]
     if prob.kind == "impedance":
         Y = build_rho(prob.q).rho.values[:, None] * Y
@@ -304,15 +315,11 @@ def compute_eigenvalues(prob, a: float, b: float, N: int) -> np.ndarray:
 def solve_spectrum(prob, a: float, b: float, N: int) -> SpectralData:
     """Eigenvalues plus norming constants, packaged with their remainders."""
     out = _pipeline(prob, a, b, N)
-    data = SpectralData(
+    return SpectralData(
         kind=prob.kind, a=float(a), b=float(b), c0=prob.c0,
         eigenvalues=out["lam"], norming=out["norming"],
-        remainders=SequenceData(np.zeros(N)),
-        norming_deviation=SequenceData(np.zeros(N), alpha=1.0),
-        N=N,
+        remainders=_remainders(out["lam"], a, b, prob.c0), N=N,
     )
-    rem, dev = extract_remainders(data)
-    return replace(data, remainders=rem, norming_deviation=dev)
 
 
 def norming_constants(prob, data: SpectralData) -> np.ndarray:
@@ -342,6 +349,13 @@ def normalizing_constants(prob, data: SpectralData) -> np.ndarray:
                         _alpha_quantities(fine, lam))
 
 
+def _remainders(lam, a, b, c0) -> SequenceData:
+    """Eigenvalues less the reference ladder and the shift c0 + boundary terms."""
+    regime = regime_of(a, b)
+    shift = c0 + boundary_shift(regime, a, b)
+    return SequenceData(lam - unperturbed_eigenvalues(regime, lam.size) - shift)
+
+
 def extract_remainders(data: SpectralData):
     """Split eigenvalues and norming constants from their reference values.
 
@@ -349,12 +363,8 @@ def extract_remainders(data: SpectralData):
     reference eigenvalues and the constant shift c0 + boundary terms, the
     deviations subtract the zero-problem norming constants.
     """
-    regime = regime_of(data.a, data.b)
-    N = data.eigenvalues.size
-    shift = data.c0 + boundary_shift(regime, data.a, data.b)
-    rem = data.eigenvalues - unperturbed_eigenvalues(regime, N) - shift
-    dev = data.norming - unperturbed_norming(regime, N)
-    return SequenceData(rem), SequenceData(dev, alpha=1.0)
+    return (_remainders(data.eigenvalues, data.a, data.b, data.c0),
+            data.norming_deviation)
 
 
 def _entire_cos_sqrt(lam: float) -> float:
@@ -401,7 +411,8 @@ def _identity_terms(prob, data, M, sign: float):
     regime = regime_of(data.a, data.b)
 
     def level(p):
-        norming, log_dw = _endpoint_quantities(p, lam, data.a, data.b, regime)
+        norming, log_dw = _endpoint_quantities(p, lam, data.a, data.b, regime,
+                                               deriv=True)
         return np.exp(sign * norming - log_dw)
 
     return _extrapolate(level(prob), level(prob.with_resolution(2 * prob.n)))
@@ -458,7 +469,7 @@ class AdmissibilityReport:
         return all(verdicts)
 
 
-def _tail_growth(weighted_sq: np.ndarray, noise_floor: float) -> float:
+def _tail_growth(weighted_sq: np.ndarray) -> float:
     """Relative growth of the cumulative sum over the second half.
 
     A sequence whose full weighted energy sits below the noise floor is
@@ -470,15 +481,13 @@ def _tail_growth(weighted_sq: np.ndarray, noise_floor: float) -> float:
         return 0.0
     s_half = float(np.sum(weighted_sq[:N // 2]))
     s_full = float(np.sum(weighted_sq))
-    if s_full <= noise_floor:
+    if s_full <= _NOISE_FLOOR:
         return 0.0
     return (s_full - s_half) / max(s_half, 1e-16)
 
 
-def characterize(data: SpectralData, normalizing: np.ndarray | None = None,
-                 growth_tol: float = 0.01,
-                 alpha_growth_tol: float = 0.25,
-                 noise_floor: float = 1e-4) -> AdmissibilityReport:
+def characterize(data: SpectralData,
+                 normalizing: np.ndarray | None = None) -> AdmissibilityReport:
     """Check computed or externally supplied data against the admissible set.
 
     Ordering must be strict; the remainder and weighted norming sequences
@@ -491,28 +500,28 @@ def characterize(data: SpectralData, normalizing: np.ndarray | None = None,
     universal 1/n**2 component there, so its weighted tail behaves like a
     barely convergent series at practical truncations (a few percent of
     growth), while a corrupted sequence registers order-one growth.
-    Sequences whose total weighted energy stays below ``noise_floor`` count
+    Sequences whose total weighted energy stays below ``_NOISE_FLOOR`` count
     as summable outright, so solver-level noise never trips the verdict.
     """
     ordering_ok = bool(np.all(np.diff(data.eigenvalues) > 0.0))
     rem = data.remainders.entries
     pos = np.arange(1, rem.size + 1, dtype=float)
-    g_rem = _tail_growth(rem * rem, noise_floor)
+    g_rem = _tail_growth(rem * rem)
     dev = data.norming_deviation.entries
     wdev = (2.0 * math.pi * pos[:dev.size]) * dev
-    g_dev = _tail_growth(wdev * wdev, noise_floor)
+    g_dev = _tail_growth(wdev * wdev)
     g_alpha = None
     alpha_ok = None
     if normalizing is not None:
         n_lab = np.arange(1, normalizing.size + 1, dtype=float)
         g = 2.0 * (math.pi * n_lab) ** 2 * normalizing - 1.0
         wg = (2.0 * math.pi * n_lab) * g
-        g_alpha = _tail_growth(wg * wg, noise_floor)
-        alpha_ok = g_alpha <= alpha_growth_tol
+        g_alpha = _tail_growth(wg * wg)
+        alpha_ok = g_alpha <= _ALPHA_GROWTH_TOL
     return AdmissibilityReport(
         ordering_ok=ordering_ok,
-        remainder_tail_ok=g_rem <= growth_tol,
-        norming_tail_ok=g_dev <= growth_tol,
+        remainder_tail_ok=g_rem <= _GROWTH_TOL,
+        norming_tail_ok=g_dev <= _GROWTH_TOL,
         alpha_tail_ok=alpha_ok,
         remainder_growth=g_rem,
         norming_growth=g_dev,

@@ -55,6 +55,10 @@ ENDPOINT_TOL = 1e-12
 MEAN_TOL = 1e-10
 LOG_RANGE_LIMIT = 700.0
 _RANGE_SAMPLES = 1024
+# Knots per probe ray in ``calibrate_bounds``; relative agreement that
+# ``estimate_suite`` asks of its identity rows.
+_CALIBRATION_KNOTS = 9
+_ESTIMATE_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +345,7 @@ def _segment_max(pcoeffs, t0: float) -> float:
     return max(float(npoly.polyval(t, pcoeffs)) for t in candidates)
 
 
-def calibrate_bounds(cfg: ConditionU, probes, sweep: int = 9) -> ConditionU:
+def calibrate_bounds(cfg: ConditionU, probes) -> ConditionU:
     """Tabulate majorants F1, F2 from scaled copies of the probe slopes.
 
     Each probe q contributes knots along the ray {t q : t in [0, 1]} with the
@@ -377,7 +381,7 @@ def calibrate_bounds(cfg: ConditionU, probes, sweep: int = 9) -> ConditionU:
             p_dec = None
         norm_dq = l2_norm(differentiate(q.f))
         norm_q = l2_norm(q.f)
-        for t in np.linspace(0.0, 1.0, sweep)[1:]:
+        for t in np.linspace(0.0, 1.0, _CALIBRATION_KNOTS)[1:]:
             t = float(t)
             xs1.append(t * norm_dq)
             ys1.append(math.sqrt(max(_segment_max(p_val, t),
@@ -401,12 +405,12 @@ def calibrate_bounds(cfg: ConditionU, probes, sweep: int = 9) -> ConditionU:
     return replace(cfg, F1=f1, F2=f2)
 
 
-def estimate_suite(q: Impedance, cfg: ConditionU | None = None,
-                   rel_tol: float = 1e-8) -> EstimateReport:
+def estimate_suite(q: Impedance, cfg: ConditionU | None = None) -> EstimateReport:
     """Evaluate the norm identities and bounds linking p = P(q) to q.
 
-    Identity rows are satisfied when both sides agree to ``rel_tol``
-    relatively; inequality rows allow a same-order roundoff slack.
+    Identity rows are satisfied when both sides agree to
+    ``_ESTIMATE_REL_TOL`` relatively; inequality rows allow a same-order
+    roundoff slack.
     """
     if cfg is None:
         cfg = ConditionU.zero()
@@ -440,12 +444,13 @@ def estimate_suite(q: Impedance, cfg: ConditionU | None = None,
     def identity(name, lhs, rhs):
         scale = max(abs(lhs), abs(rhs), 1e-30)
         err = abs(lhs - rhs) / scale
-        rows.append(EstimateRow(name, lhs, rhs, "==", err <= rel_tol, err))
+        rows.append(EstimateRow(name, lhs, rhs, "==", err <= _ESTIMATE_REL_TOL,
+                                err))
 
     def bound(name, lhs, rhs):
         # Inequalities can saturate (the slack term may vanish identically),
         # so the verdict allows the same relative tolerance as the identities.
-        slack = rel_tol * max(abs(lhs), abs(rhs), 1.0)
+        slack = _ESTIMATE_REL_TOL * max(abs(lhs), abs(rhs), 1.0)
         rows.append(EstimateRow(name, lhs, rhs, "<=", lhs <= rhs + slack, rhs - lhs))
 
     # Cross term: 2(q', h) = 2(q', u2(Q)) = -2(q**2, u2'(Q)) after parts.

@@ -196,10 +196,10 @@ def loop_build_matrices(co, lam: np.ndarray, deriv: bool,
 
 
 def loop_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
-               trace=False, count=False, reverse=False, renorm=True):
+               trace=False, count=False, reverse=False):
     """Advance the batch across all cells; returns endpoint data and extras.
 
-    With ``renorm`` the state is rescaled per column when it grows past the
+    Without ``trace`` the state is rescaled per column when it grows past the
     renormalization limit; accumulated log factors are reported so callers
     can reconstruct true magnitudes.  Traces are stored unscaled and overflow
     raises instead.
@@ -223,7 +223,6 @@ def loop_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
     if count:
         flips = np.zeros(K, dtype=int)
         last_sign = np.sign(y)
-    renorm_on = renorm and not trace
     # Overflow is detected explicitly after the loop; silence the transient.
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
@@ -244,7 +243,7 @@ def loop_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
                 s = np.sign(y)
                 flips += (s != 0) & (s == -last_sign)
                 np.copyto(last_sign, s, where=s != 0)
-            if renorm_on and (j + 1) % RENORM_EVERY == 0:
+            if not trace and (j + 1) % RENORM_EVERY == 0:
                 peak = np.maximum(np.abs(y), np.abs(v))
                 if deriv:
                     peak = np.maximum(peak,
@@ -296,20 +295,15 @@ def _copy_blocked(M, nb: int, B: int, pad) -> np.ndarray:
 
 
 def scalar_carry_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
-                       trace=False, count=False, reverse=False, renorm=True):
+                       trace=False, count=False):
     """``ode._sweep`` before block-order storage and the batched carry."""
     n = co.V.size - 1
     K = lam.size
-    if reverse:
-        steps = _quadratic_steps(co.V[::-1], co.Vm[::-1], -co.d[::-1], -co.dm[::-1])
-    else:
-        steps = _quadratic_steps(co.V, co.Vm, co.d, co.dm)
-    A0, A1, A2 = steps[..., None]
+    A0, A1, A2 = _quadratic_steps(co.V, co.Vm, co.d, co.dm)[..., None]
     M = (A2 * lam + A1) * lam + A0
     B = math.isqrt(n)
     nb = -(-n // B)
     nodes = trace or count
-    renorm_on = renorm and not trace
     y = np.broadcast_to(np.asarray(y0, dtype=float), (K,)).copy()
     v = np.broadcast_to(np.asarray(v0, dtype=float), (K,)).copy()
     dy = np.zeros(K)
@@ -335,7 +329,7 @@ def scalar_carry_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
                 dy, dv = (t11 * dy + t12 * dv + n11 * y + n12 * v,
                           t21 * dy + t22 * dv + n21 * y + n22 * v)
             y, v = t11 * y + t12 * v, t21 * y + t22 * v
-            if renorm_on:
+            if not trace:
                 peak = np.maximum(np.abs(y), np.abs(v))
                 if deriv:
                     peak = np.maximum(peak,
@@ -493,8 +487,8 @@ def bisect_newton_polish(prob, lam, a, b, max_newton, max_step=None):
 def bisect_spectrum(prob, a, b, N):
     """Extrapolated eigenvalues and norming constants from the old root finder."""
     regime, lam0 = bisect_solve_levels(prob, a, b, N)
-    norm0, _ = _endpoint_quantities(prob, lam0, a, b, regime)
+    norm0, _ = _endpoint_quantities(prob, lam0, a, b, regime, deriv=True)
     fine = prob.with_resolution(2 * prob.n)
     lam1 = bisect_newton_polish(fine, lam0, a, b, max_newton=6)
-    norm1, _ = _endpoint_quantities(fine, lam1, a, b, regime)
+    norm1, _ = _endpoint_quantities(fine, lam1, a, b, regime, deriv=True)
     return (16.0 * lam1 - lam0) / 15.0, (16.0 * norm1 - norm0) / 15.0

@@ -87,18 +87,6 @@ class TestSpectrum:
         assert lam.shape == (5,)
         assert np.all(np.diff(lam) > 0)
 
-    def test_emit_plot_writes_series(self, tmp_path):
-        out = tmp_path / "spec.json"
-        plot = tmp_path / "plot.csv"
-        code = main(["spectrum", "--q", "zero", "--bc", "dirichlet",
-                     "--N", "5", "--grid", "512", "--out", str(out),
-                     "--emit-plot", str(plot)])
-        assert code == EXIT_OK
-        lines = plot.read_text().strip().splitlines()
-        assert lines[0] == "n,value"
-        assert len(lines) == 6
-        assert lines[1].startswith("1,")
-
 
 class TestTransform:
     def test_sine_matches_closed_form(self, tmp_path):
@@ -362,6 +350,9 @@ class TestExport:
                 .strip().splitlines()
             assert lines[0] == "n,value"
             assert len(lines) == 7
+            # Dirichlet slots are labelled from 1.
+            assert [row.split(",")[0] for row in lines[1:]] == \
+                [str(n) for n in range(1, 7)]
 
     def test_trace_file(self, tmp_path):
         prefix = str(tmp_path / "run")
@@ -429,14 +420,22 @@ class TestErrorPaths:
         ["spectrum", "--q", "zero", "--jobs", "2", "--out", "x.json"],
         ["fit", "--regime", "symmetric-dirichlet", "--impedance",
          "--grid", "1024", "--out", "q.csv", "--basis", "6"],
+        ["spectrum", "--q", "zero", "--out", "x.json", "--emit-plot", "x.csv"],
+        ["transform", "--q", "zero", "--out", "p.csv", "--emit-plot", "x.csv"],
+        ["invert", "--grid", "1024", "--basis", "8", "--out", "q.csv",
+         "--emit-plot", "x.csv"],
+        ["fit", "--regime", "symmetric-dirichlet", "--impedance",
+         "--grid", "1024", "--out", "q.csv", "--emit-plot", "x.csv"],
     ])
     def test_unread_flags_rejected(self, argv, tmp_path, monkeypatch, capsys,
                                    dirichlet_run):
         # Each command runs cleanly without the trailing flag; with it the
         # parser refuses, before any file is read or written.
-        data, _ = dirichlet_run
+        data, pcsv = dirichlet_run
         if argv[0] in ("export", "fit"):
             argv = argv[:1] + ["--data", str(data)] + argv[1:]
+        if argv[0] == "invert":
+            argv = argv[:1] + ["--p", str(pcsv)] + argv[1:]
         monkeypatch.chdir(tmp_path)
         assert main(argv) == EXIT_PARSE
         assert "unrecognized arguments" in capsys.readouterr().err

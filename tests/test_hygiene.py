@@ -37,6 +37,44 @@ def test_scan_sees_an_unused_import():
     assert unused_imports(source) == [(1, "math"), (2, "path")]
 
 
+def unused_parameters(source: str) -> list:
+    """(line, "function.parameter") for each parameter its body never reads.
+
+    ``self`` and ``cls`` are exempt; a read inside a nested function or
+    lambda counts for the enclosing one.
+    """
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            p for p in (args.vararg, args.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unused.extend((p.lineno, f"{name}.{p.arg}") for p in params
+                      if p.arg not in ("self", "cls") and p.arg not in read)
+    return sorted(unused)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    unused = unused_parameters(path.read_text())
+    assert not unused, ", ".join(f"{path.name}:{line} {name}"
+                                 for line, name in unused)
+
+
+def test_scan_sees_an_unused_parameter():
+    source = ("def f(a, b, *args, c, **kw):\n    return a + c\n"
+              "class K:\n    def m(self, x, cls):\n"
+              "        return lambda y: x\n")
+    assert unused_parameters(source) == [
+        (1, "f.args"), (1, "f.b"), (1, "f.kw"), (5, "<lambda>.y")]
+
+
 def scipy_imports(source: str) -> list:
     """Lines of the imports that reach SciPy, at any depth in the module."""
     lines = []

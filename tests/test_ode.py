@@ -228,19 +228,24 @@ FINE_CASES = coefficient_cases(8192)
 # 17 = 4**2 + 1 and 257 = 16**2 + 1 leave one real cell in their last block.
 EDGE_CASES = {n: coefficient_cases(n) for n in (16, 17, 257, 1024)}
 MODES = {"endpoint": {}, "deriv": {"deriv": True}, "count": {"count": True},
-         "trace": {"trace": True, "renorm": False}}
+         "trace": {"trace": True}}
 
 
 def run_both(co, lam, mode, reverse):
-    """The scan and the per-cell loop on the same sweep; an overflow must agree."""
-    kwargs = dict(MODES[mode], reverse=reverse)
+    """The scan and the per-cell loop on the same sweep; an overflow must agree.
+
+    A reverse sweep is the scan on the reflected coefficients against the
+    loop reading the original ones from the far end.
+    """
+    kwargs = MODES[mode]
+    scanned = co.reflected() if reverse else co
     try:
-        ref = loop_sweep(co, lam, 0.0, 1.0, **kwargs)
+        ref = loop_sweep(co, lam, 0.0, 1.0, reverse=reverse, **kwargs)
     except IntegrationError:
         with pytest.raises(IntegrationError):
-            _sweep(co, lam, 0.0, 1.0, **kwargs)
+            _sweep(scanned, lam, 0.0, 1.0, **kwargs)
         return None, None
-    return _sweep(co, lam, 0.0, 1.0, **kwargs), ref
+    return _sweep(scanned, lam, 0.0, 1.0, **kwargs), ref
 
 
 def assert_sweeps_agree(got, ref, lam):
@@ -328,10 +333,11 @@ class TestQuadraticSteps:
         flip = slice(None, None, -1 if reverse else 1)
         A0, A1, A2 = _quadratic_steps(co.V[flip], co.Vm[flip], sign * co.d[flip],
                                       sign * co.dm[flip])
+        scanned = co.reflected() if reverse else co
         for lam in (-2e5, 3.7, 4e4, 2e5):
             M_ref, N_ref = loop_build_matrices(co, np.array([lam]), True, reverse)
             M, N = (cell_order(a) for a in
-                    _build_matrices(co, np.array([lam]), True, reverse))
+                    _build_matrices(scanned, np.array([lam]), True))
             for k in range(4):
                 m_ref, n_ref = M_ref[k][:, 0], N_ref[k][:, 0]
                 top_m, top_n = np.abs(m_ref).max(), np.abs(n_ref).max()
