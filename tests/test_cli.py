@@ -87,6 +87,22 @@ class TestSpectrum:
         assert lam.shape == (5,)
         assert np.all(np.diff(lam) > 0)
 
+    def test_eigenvalues_export_as_series(self, tmp_path):
+        out = tmp_path / "spec.json"
+        code = main(["spectrum", "--q", "zero", "--bc", "dirichlet",
+                     "--N", "5", "--grid", "512", "--out", str(out)])
+        assert code == EXIT_OK
+        prefix = str(tmp_path / "run")
+        assert main(["export", "--data", str(out),
+                     "--prefix", prefix]) == EXIT_OK
+        lines = (tmp_path / "run_eigenvalues.csv").read_text() \
+            .strip().splitlines()
+        assert lines[0] == "n,value"
+        assert len(lines) == 6
+        # Dirichlet slots are labelled from 1.
+        assert [row.split(",")[0] for row in lines[1:]] == \
+            [str(n) for n in range(1, 6)]
+
 
 class TestTransform:
     def test_sine_matches_closed_form(self, tmp_path):
@@ -350,9 +366,6 @@ class TestExport:
                 .strip().splitlines()
             assert lines[0] == "n,value"
             assert len(lines) == 7
-            # Dirichlet slots are labelled from 1.
-            assert [row.split(",")[0] for row in lines[1:]] == \
-                [str(n) for n in range(1, 7)]
 
     def test_trace_file(self, tmp_path):
         prefix = str(tmp_path / "run")
