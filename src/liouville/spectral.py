@@ -2,9 +2,14 @@
 
 Spectra are located by exact oscillation-count bracketing, then found by
 Newton steps on the characteristic function with its variational
-lam-derivative, each iterate kept inside its count bracket.  Quantities are
-computed at two grid levels and combined by fourth-order extrapolation,
-which removes the leading integrator error.
+lam-derivative, each iterate kept inside its count bracket.  Normal-form
+spectra are solved at the problem grid and corrected by the integrator error
+of the zero potential under the same boundary pair (asymptotic correction:
+Paine, de Hoog & Anderssen, Computing 26, 1981), which the zero problem
+shows exactly and without a sweep.  Impedance spectra, and the few
+normal-form cases that correction does not cover, are computed at two grid
+levels and combined by fourth-order extrapolation, which removes the
+leading integrator error.
 
 Three boundary regimes are supported, encoded by the pair (a, b) with inf
 meaning a Dirichlet end: both ends Dirichlet (eigenvalues labelled from 1),
@@ -30,6 +35,7 @@ from .ode import (
     _count_below,
     _endpoint_w,
     _initial_data,
+    _quadratic_steps,
     _sweep,
     is_dirichlet,
 )
@@ -183,17 +189,18 @@ def _solve_levels(prob, a, b, N):
     return regime, lo, hi
 
 
-def _newton_polish(prob, lam, lo, hi, a, b):
-    """Newton on the characteristic function, each root kept in its bracket.
+def _newton_polish(char, lam, lo, hi):
+    """Newton on a characteristic function, each root kept in its bracket.
 
-    ``lo`` and ``hi`` are count brackets from ``_solve_levels``, slot k
-    first.  The characteristic value is positive below the spectrum and
-    changes sign at each simple eigenvalue, so in slot k it has the sign
-    (-1)**k below the root; each evaluation shrinks the bracket by that
-    sign, and a step that would leave the bracket takes its midpoint.  A
-    root stops once its Newton step is within the tolerance, taken or not,
-    at the step's end clipped to the bracket: a bracket can collapse to one
-    ulp while the step is still finite.
+    ``char(x)`` returns the characteristic values at x and their
+    lam-derivatives.  ``lo`` and ``hi`` bracket one root each, slot k first
+    (count brackets from ``_solve_levels``).  The characteristic value is
+    positive below the spectrum and changes sign at each simple eigenvalue,
+    so in slot k it has the sign (-1)**k below the root; each evaluation
+    shrinks the bracket by that sign, and a step that would leave the
+    bracket takes its midpoint.  A root stops once its Newton step is within
+    the tolerance, taken or not, at the step's end clipped to the bracket: a
+    bracket can collapse to one ulp while the step is still finite.
     """
     lam = np.array(lam, dtype=float)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
@@ -201,7 +208,7 @@ def _newton_polish(prob, lam, lo, hi, a, b):
     live = np.arange(lam.size)
     for _ in range(_MAX_NEWTON):
         x = lam[live]
-        w, dw, _, _ = _endpoint_w(prob, x, a, b, deriv=True)
+        w, dw = char(x)
         side = np.sign(w) * below[live]
         low = np.where(side > 0, x, lo[live])
         high = np.where(side < 0, x, hi[live])
@@ -219,6 +226,14 @@ def _newton_polish(prob, lam, lo, hi, a, b):
     raise BracketError(
         f"Newton polish left {live.size} roots unconverged after "
         f"{_MAX_NEWTON} rounds")
+
+
+def _problem_char(prob, a, b):
+    """The problem's characteristic function as ``_newton_polish`` reads it."""
+    def char(x):
+        w, dw, _, _ = _endpoint_w(prob, x, a, b, deriv=True)
+        return w, dw
+    return char
 
 
 def _endpoint_quantities(prob, lam, a, b, regime, deriv=False):
@@ -288,16 +303,228 @@ def _extrapolate(coarse, fine):
     """Fourth-order combination of problem-grid and doubled-grid values.
 
     It cancels the leading O(h**4) integrator error of either level.
+    Impedance problems use it: the error of their damped equation grows with
+    lam in a way that the zero-potential correction does not see.
     """
     return (16.0 * fine - coarse) / 15.0
 
 
+# Every transfer matrix of the zero problem y'' = -lam y is C I + S A with
+# A = [[0, 1], [-lam, 0]]: the exact one over [0, 1] has C = cos(w) and
+# S = sin(w) / w at w = sqrt(lam), and an RK4 cell matrix has the same form
+# with polynomials in lam.  The functions below pass a transfer as the tuple
+# (C, S, dC, dS) of those entries and their lam-derivatives.
+
+def _unit_block():
+    """Coefficients of 1, z, z**2 in G(z) = [[M, M'], [0, M]], shape (3, 4, 4).
+
+    M(z) is the RK4 cell matrix of y'' = -z y on a cell of unit width, from
+    ``_quadratic_steps``, and M' = dM/dz.
+    """
+    M = _quadratic_steps(np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(1))
+    M = M[..., 0].reshape(3, 2, 2).transpose(0, 2, 1)  # stored by column
+    G = np.zeros((3, 4, 4))
+    G[:, :2, :2] = G[:, 2:, 2:] = M
+    G[:2, :2, 2:] = M[1:] * np.array([1.0, 2.0])[:, None, None]
+    return G
+
+
+_UNIT_BLOCK = _unit_block()
+
+
+def _cos_sinc_sqrt(lam):
+    """cos(sqrt(lam)) and sin(sqrt(lam)) / sqrt(lam), entire in lam."""
+    lam = np.asarray(lam, dtype=float)
+    z = np.sqrt(lam.astype(complex))
+    small = np.abs(lam) < 1e-8
+    safe = np.where(small, 1.0, z)
+    sinc = np.where(small, 1.0 - lam / 6.0 + lam * lam / 120.0,
+                    (np.sin(safe) / safe).real)
+    return np.cos(z).real, sinc
+
+
+def _exact_transfer(lam):
+    """The exact transfer of the zero problem over [0, 1]."""
+    C, S = _cos_sinc_sqrt(lam)
+    small = np.abs(lam) < 1e-3
+    # d/dlam sin(w)/w = (C - S) / (2 lam), by its Taylor series near 0.
+    dS = np.where(small, -1.0 / 6.0 + lam / 60.0,
+                  (C - S) / (2.0 * np.where(small, 1.0, lam)))
+    return C, S, -0.5 * S, dS
+
+
+def _discrete_transfer(n, lam):
+    """The RK4 transfer of the zero problem over n cells.
+
+    Every cell matrix is the same M(lam), so the transfer is M(lam)**n and
+    needs no sweep.  In the cell variable s = n x a cell has unit width and
+    the equation reads z = lam / n**2.  Repeated squaring of the block
+    [[M, M'], [0, M]] of that unit cell gives the power and, in its upper
+    right block, the z-derivative; its first row holds C, n S and their
+    z-derivatives.
+    """
+    z = np.asarray(lam, dtype=float)[:, None, None] / n**2
+    B0, B1, B2 = _UNIT_BLOCK
+    row = np.linalg.matrix_power((B2 * z + B1) * z + B0, n)[:, 0]
+    return tuple(row.T / np.array([1.0, n, n**2, n**3])[:, None])
+
+
+def _phase_matched(n, lam):
+    """Where the RK4 transfer over n cells turns by the exact phase sqrt(lam).
+
+    A unit cell turns (y, y') by phi(t) = atan2(t S, C) at t = sqrt(z),
+    with C and S its entries M11 and M12; three Newton steps solve
+    n phi(t) = sqrt(lam) for lam = (n t)**2.  For the zero problem with
+    Dirichlet ends that is the discrete eigenvalue itself, and with Robin
+    ends it is within a small shift of it.  lam <= 0 is returned as it is.
+    """
+    target = np.sqrt(np.maximum(lam, 0.0)) / n
+    t = target
+    B0, B1, B2 = _UNIT_BLOCK[:, 0, :, None]
+    for _ in range(3):
+        z = t * t
+        C, S, dC, dS = (B2 * z + B1) * z + B0
+        slope = (C * (S + 2.0 * z * dS) - 2.0 * z * S * dC) / (C * C + z * S * S)
+        t = t - (np.arctan2(t * S, C) - target) / slope
+    return np.where(lam > 0.0, (n * t) ** 2, lam)
+
+
+def _zero_ends(transfer, lam, a):
+    """(y, v, dy, dv) at x = 1 of the shot from the left data of ``a``.
+
+    ``transfer`` is the (C, S, dC, dS) of the zero problem at ``lam``; the
+    conventions are those of ``_endpoint_w``.
+    """
+    C, S, dC, dS = transfer
+    if is_dirichlet(a):
+        return S, C, dS, dC
+    return (C + a * S, a * C - lam * S,
+            dC + a * dS, a * dC - S - lam * dS)
+
+
+def _zero_char(transfer, a, b):
+    """The zero problem's characteristic function as ``_newton_polish`` reads it."""
+    def char(x):
+        y, v, dy, dv = _zero_ends(transfer(x), x, a)
+        if is_dirichlet(b):
+            return y, dy
+        return v + b * y, dv + b * dy
+    return char
+
+
+def _zero_norming(transfer, lam, a, b):
+    """Norming constants of the zero problem at lam, as in ``_endpoint_quantities``."""
+    y, v, _, _ = _zero_ends(transfer(lam), lam, a)
+    return np.log(np.abs(v if is_dirichlet(b) else y))
+
+
+def _exact_ladder(a, b, N):
+    """Eigenvalues and norming constants of p = 0 under (a, b), by slot.
+
+    Robin ends take a bracketed Newton on the closed-form characteristic
+    function.  With a Dirichlet left end, slot k >= 1 lies in
+    ((k pi)**2, ((k + 1) pi)**2), since w cot w = -b has one root in each of
+    those w-intervals.  A Robin left end interlaces with that ladder: slot k
+    lies between its slots k - 1 and k, and so in
+    (((k - 1) pi)**2, ((k + 1) pi)**2).  When ab < t_0, the points
+    t_k = ((k + 1/2) pi)**2 separate the slots as well: there the
+    characteristic function is (ab - t_k) (-1)**k / sqrt(t_k), whose sign
+    places t_k between slots k and k + 1, and no ladder is solved for them.
+    Below -m**2 with m = max(1, 1 - min(a, b)) nothing lies: at lam = -v**2,
+    2 v w(lam) = e**v (v + a) (v + b) - e**-v (v - a) (v - b) for Robin
+    ends and e**v (v + b) + e**-v (v - b) for a Dirichlet left end, positive
+    for v >= m.  An end with a or b below -1 holds a state near -a**2 or
+    -b**2, where the lowest slot starts.
+    """
+    regime = regime_of(a, b)
+    if regime == "dirichlet":
+        return (unperturbed_eigenvalues(regime, N),
+                unperturbed_norming(regime, N))
+    if regime == "mixed":
+        edges = (math.pi * np.arange(N + 1)) ** 2
+    else:
+        edges = np.empty(N + 1)
+        edges[1:] = ((np.arange(N) + 0.5) * math.pi) ** 2
+        if a * b >= edges[1]:
+            edges[1:] = _exact_ladder(math.inf, b, N)[0]
+    low = min(a, b)
+    edges[0] = -max(1.0, 1.0 - low) ** 2
+    lo, hi = edges[:-1], edges[1:]
+    # First-order starts; the positive ones are sharpened by the Pruefer
+    # phase: y = R sin(t), y' = w R cos(t) turns at the rate w = sqrt(lam),
+    # from t = atan2(w, a) (0 for Dirichlet) to atan2(w, -b) + k pi in slot k.
+    start = unperturbed_eigenvalues(regime, N) + boundary_shift(regime, a, b)
+    w = np.sqrt(np.maximum(start, 0.0))
+    for _ in range(3):
+        turn = np.arctan2(w, -b) - (0.0 if is_dirichlet(a) else np.arctan2(w, a))
+        w = np.maximum(math.pi * np.arange(N) + turn, 0.0)
+    start = np.where(start > 0.0, w * w, start)
+    if low < -1.0:
+        start[0] = -low * low
+    lam = _newton_polish(_zero_char(_exact_transfer, a, b),
+                         np.clip(start, lo, hi), lo, hi)
+    return lam, _zero_norming(_exact_transfer, lam, a, b)
+
+
+def _zero_correction(n, a, b, N):
+    """Exact less discrete eigenvalues and norming constants of p = 0, by slot.
+
+    The discrete integrator error of a normal-form eigenvalue is dominated
+    by a part that does not depend on the potential, so adding these
+    differences to the values of any potential on n cells removes it.  The
+    discrete values come from Newton on the RK4 transfer M(lam)**n, started
+    where the transfer turns by the exact phase and kept halfway to the
+    neighbouring starts; where that does not isolate a root, the Newton
+    polish raises ``BracketError``.
+    """
+    lam, norming = _exact_ladder(a, b, N + 1)
+    start = _phase_matched(n, lam)
+    hi = 0.5 * (start[1:] + start[:-1])
+    lo = np.concatenate([[2.0 * start[0] - hi[0]], hi[:-1]])
+
+    def transfer(x):
+        return _discrete_transfer(n, x)
+
+    lam_h = _newton_polish(_zero_char(transfer, a, b), start[:N], lo, hi)
+    return (lam[:N] - lam_h,
+            norming[:N] - _zero_norming(transfer, lam_h, a, b))
+
+
+def _normal_form_correction(prob, a, b, N):
+    """``_zero_correction`` for a normal-form problem, else None.
+
+    Impedance problems get None: their damped equation has an error that
+    grows with lam in a way the zero problem does not show.  So do the
+    cases where the zero ladder cannot be matched slot by slot, and
+    ``_zero_correction`` raises: grids so coarse for N that RK4 moves a zero
+    eigenvalue by half a gap, and two Robin ends below about -10 whose
+    boundary states nearly coincide.
+    """
+    if prob.kind != "schrodinger":
+        return None
+    try:
+        return _zero_correction(prob.n, a, b, N)
+    except BracketError:
+        return None
+
+
 def _pipeline(prob, a, b, N):
+    """Eigenvalues and norming constants by slot, with their grid levels.
+
+    Normal-form problems take one grid level plus the zero-potential
+    correction; impedance problems, and normal forms that the correction
+    does not cover, add the doubled grid and ``_extrapolate``.
+    """
     regime, lo, hi = _solve_levels(prob, a, b, N)
-    lam0 = _newton_polish(prob, 0.5 * (lo + hi), lo, hi, a, b)
+    lam0 = _newton_polish(_problem_char(prob, a, b), 0.5 * (lo + hi), lo, hi)
     norm0, _ = _endpoint_quantities(prob, lam0, a, b, regime)
+    correction = _normal_form_correction(prob, a, b, N)
+    if correction is not None:
+        dlam, dnorm = correction
+        return {"regime": regime, "lam": lam0 + dlam, "norming": norm0 + dnorm,
+                "lam_levels": (lam0,)}
     fine = prob.with_resolution(2 * prob.n)
-    lam1 = _newton_polish(fine, lam0, lo, hi, a, b)
+    lam1 = _newton_polish(_problem_char(fine, a, b), lam0, lo, hi)
     norm1, _ = _endpoint_quantities(fine, lam1, a, b, regime)
     return {
         "regime": regime, "lam": _extrapolate(lam0, lam1),
@@ -327,10 +554,19 @@ def norming_constants(prob, data: SpectralData) -> np.ndarray:
 
     Dirichlet pairs use the endpoint slope ratio; the other regimes use the
     endpoint value ratio.  Impedance problems include their endpoint weight,
-    which makes the constants agree across the two pictures.
+    which makes the constants agree across the two pictures.  Where
+    ``solve_spectrum`` corrects one level, one level is read at the discrete
+    eigenvalues that the stored ones imply, data less the zero-potential
+    correction, and the correction is added; elsewhere two levels are read
+    at the stored values.
     """
     regime = regime_of(data.a, data.b)
     lam = np.asarray(data.eigenvalues, dtype=float)
+    correction = _normal_form_correction(prob, data.a, data.b, lam.size)
+    if correction is not None:
+        dlam, dnorm = correction
+        n0, _ = _endpoint_quantities(prob, lam - dlam, data.a, data.b, regime)
+        return n0 + dnorm
     # Both levels are read at the supplied eigenvalues, so the leading
     # integrator error has the same coefficient and cancels exactly.
     n0, _ = _endpoint_quantities(prob, lam, data.a, data.b, regime)
@@ -367,18 +603,6 @@ def extract_remainders(data: SpectralData):
             data.norming_deviation)
 
 
-def _entire_cos_sqrt(lam: float) -> float:
-    z = complex(lam) ** 0.5
-    return complex(np.cos(z)).real
-
-
-def _entire_sinc_sqrt(lam: float) -> float:
-    if abs(lam) < 1e-8:
-        return 1.0 - lam / 6.0 + lam * lam / 120.0
-    z = complex(lam) ** 0.5
-    return complex(np.sin(z) / z).real
-
-
 def hadamard_wronskian(data: SpectralData, lam: float, M: int) -> float:
     """Truncated product-formula value of the characteristic function.
 
@@ -396,12 +620,13 @@ def hadamard_wronskian(data: SpectralData, lam: float, M: int) -> float:
     for pole in np.concatenate([ref, eigs]):
         if abs(lam - pole) < tol * max(1.0, abs(lam), abs(pole)):
             raise PoleCollisionError(f"lam={lam} collides with {pole}")
+    cos, sinc = _cos_sinc_sqrt(lam)
     if regime == "dirichlet":
-        front = _entire_sinc_sqrt(lam)
+        front = float(sinc)
     elif regime == "mixed":
-        front = _entire_cos_sqrt(lam)
+        front = float(cos)
     else:
-        front = -lam * _entire_sinc_sqrt(lam)
+        front = -lam * float(sinc)
     return front * float(np.prod((lam - eigs) / (lam - ref)))
 
 

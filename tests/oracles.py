@@ -15,8 +15,9 @@ from scipy.linalg import eigh_tridiagonal
 from liouville import BracketError, GridFunction, IntegrationError, frechet_apply
 from liouville.ode import (_count_below, _endpoint_w, _matmul, _nodes,
                            _quadratic_steps, _sign_flips)
-from liouville.spectral import (_endpoint_quantities, boundary_shift, regime_of,
-                                unperturbed_eigenvalues)
+from liouville.spectral import (_endpoint_quantities, _newton_polish,
+                                _problem_char, _solve_levels, boundary_shift,
+                                regime_of, unperturbed_eigenvalues)
 
 INF = math.inf
 
@@ -484,11 +485,45 @@ def bisect_newton_polish(prob, lam, a, b, max_newton, max_step=None):
     return lam
 
 
+def bisect_level(prob, a, b, N):
+    """Eigenvalues and norming constants at the problem grid, old root finder."""
+    regime, lam = bisect_solve_levels(prob, a, b, N)
+    norming, _ = _endpoint_quantities(prob, lam, a, b, regime, deriv=True)
+    return lam, norming
+
+
 def bisect_spectrum(prob, a, b, N):
     """Extrapolated eigenvalues and norming constants from the old root finder."""
-    regime, lam0 = bisect_solve_levels(prob, a, b, N)
-    norm0, _ = _endpoint_quantities(prob, lam0, a, b, regime, deriv=True)
+    lam0, norm0 = bisect_level(prob, a, b, N)
+    regime = regime_of(a, b)
     fine = prob.with_resolution(2 * prob.n)
     lam1 = bisect_newton_polish(fine, lam0, a, b, max_newton=6)
     norm1, _ = _endpoint_quantities(fine, lam1, a, b, regime, deriv=True)
     return (16.0 * lam1 - lam0) / 15.0, (16.0 * norm1 - norm0) / 15.0
+
+
+# The two-level solve that every spectrum took before normal-form problems
+# moved to one level and the zero-potential correction: bracket-kept Newton
+# at the problem grid and at the doubled grid, combined by fourth-order
+# extrapolation.  Newton runs on chunks of SLOT_CHUNK slots, an even number
+# so that every chunk keeps the sign pattern of its brackets; the chunks
+# bound the sweep memory of a 16384-cell reference.
+
+SLOT_CHUNK = 16
+
+
+def richardson_spectrum(prob, a, b, N):
+    """Eigenvalues and norming constants from two grid levels, extrapolated."""
+    regime, lo, hi = _solve_levels(prob, a, b, N)
+    fine = prob.with_resolution(2 * prob.n)
+    lam, norming = np.empty(N), np.empty(N)
+    for start in range(0, N, SLOT_CHUNK):
+        k = slice(start, start + SLOT_CHUNK)
+        lam0 = _newton_polish(_problem_char(prob, a, b), 0.5 * (lo[k] + hi[k]),
+                              lo[k], hi[k])
+        norm0, _ = _endpoint_quantities(prob, lam0, a, b, regime)
+        lam1 = _newton_polish(_problem_char(fine, a, b), lam0, lo[k], hi[k])
+        norm1, _ = _endpoint_quantities(fine, lam1, a, b, regime)
+        lam[k] = (16.0 * lam1 - lam0) / 15.0
+        norming[k] = (16.0 * norm1 - norm0) / 15.0
+    return lam, norming

@@ -19,9 +19,9 @@ from liouville import (INF, BracketError, ConditionU, GridFunction, Impedance,
                        unperturbed_norming, wronskian)
 from liouville import ode, spectral
 from liouville.spectral import _pipeline, _potential_gradients
-from oracles import bisect_spectrum, dirichlet_exact, mixed_exact, \
-    oracle_eigenvalues, scalar_carry_sweep, sin2pi_potential, \
-    spline_midpoints, spline_resample
+from oracles import bisect_level, bisect_spectrum, dirichlet_exact, \
+    mixed_exact, oracle_eigenvalues, richardson_spectrum, scalar_carry_sweep, \
+    sin2pi_potential, spline_midpoints, spline_resample
 
 N_GRID = 2048
 FREE = SchrodingerProblem(Potential(GridFunction.zeros(N_GRID)))
@@ -124,8 +124,10 @@ class TestOracleComparison:
 
 class TestSolverOptions:
     def test_extrapolation_sharpens(self):
+        # Impedance problems extrapolate; normal-form ones are corrected
+        # (TestZeroCorrection).
         exact = dirichlet_exact(10)
-        coarse_prob = SchrodingerProblem(Potential(GridFunction.zeros(512)))
+        coarse_prob = ImpedanceProblem(Impedance(GridFunction.zeros(512)))
         e_plain = np.max(np.abs(
             _pipeline(coarse_prob, INF, INF, 10)["lam_levels"][0] - exact))
         e_rich = np.max(np.abs(
@@ -378,9 +380,18 @@ class TestRootFinder:
     @pytest.mark.parametrize("picture", ["impedance", "schrodinger"])
     @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
     def test_matches_bisection_oracle(self, cfg, a, b, picture, n):
+        # Impedance spectra extrapolate two levels.  Normal-form spectra take
+        # one level plus the zero-potential correction, so their single
+        # level is compared with the oracle's: the same correction is added
+        # to both.
         prob = in_picture(six_mode_problem(cfg, n), picture)
         data = solve_spectrum(prob, a, b, 64)
-        lam, norming = bisect_spectrum(prob, a, b, 64)
+        if picture == "impedance":
+            lam, norming = bisect_spectrum(prob, a, b, 64)
+        else:
+            lam, norming = bisect_level(prob, a, b, 64)
+            dlam, dnorm = spectral._zero_correction(n, a, b, 64)
+            lam, norming = lam + dlam, norming + dnorm
         assert np.max(np.abs(data.eigenvalues - lam) / np.abs(lam)) < 1e-13
         assert np.max(np.abs(data.norming - norming)) < 1e-12
 
@@ -445,3 +456,151 @@ class TestNormingConstants:
         data = solve_spectrum(prob, a, b, 32)
         assert np.max(np.abs(norming_constants(prob, data) - data.norming)) \
             < 1e-10
+
+
+# Boundary pairs of the zero-potential checks: the three regimes, a
+# Dirichlet-Robin pair with a Neumann end, and pairs whose lowest
+# eigenvalue is 0 exactly (eigenfunction 1 + x for (1, -0.5)) or negative.
+# Robin pairs with ab >= (pi / 2)**2 bracket their slots by the
+# Dirichlet-Robin ladder, the others by ((k + 1/2) pi)**2.
+ZERO_PAIRS = [(INF, INF), (INF, 1.0), (INF, 0.0), (1.0, -0.5), (INF, -3.0),
+              (-0.7, 2.0), (2.0, 3.0), (-3.0, -2.0)]
+
+
+def closed_form_ladder(a, b, N):
+    """Zero-potential eigenvalues and norming constants, by root scanning.
+
+    The characteristic function of y'' = -w**2 y with y(0), y'(0) = (0, 1)
+    or (1, a) is scanned in w for sign changes and each is refined by
+    ``brentq``; the norming constant is log|y'(1)| for a Dirichlet right
+    end, else log|y(1)|.  Only pairs with positive eigenvalues or the one
+    eigenvalue 0 of (1, -0.5) are covered.
+    """
+    from scipy.optimize import brentq
+
+    y0, v0 = (0.0, 1.0) if a == INF else (1.0, a)
+
+    def ends(w):
+        y = y0 * math.cos(w) + v0 * math.sin(w) / w
+        v = v0 * math.cos(w) - y0 * w * math.sin(w)
+        return y, v
+
+    def char(w):
+        y, v = ends(w)
+        return y if b == INF else v + b * y
+
+    roots = [0.0] if (a, b) == (1.0, -0.5) else []
+    grid = np.linspace(1e-3, (N + 1) * math.pi, 64 * (N + 1))
+    vals = [char(w) for w in grid]
+    for w0, w1, f0, f1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if f0 * f1 < 0.0:
+            roots.append(brentq(char, w0, w1, xtol=1e-15, rtol=1e-15))
+    roots = np.array(roots[:N])
+    norming = []
+    for w in roots:
+        y, v = ends(w) if w > 0.0 else (y0 + v0, v0)
+        norming.append(math.log(abs(v if b == INF else y)))
+    return roots ** 2, np.array(norming)
+
+
+class TestZeroCorrection:
+    """One grid level plus the zero-potential correction for normal forms."""
+
+    @pytest.mark.parametrize("a,b", ZERO_PAIRS[:4])
+    def test_zero_potential_at_closed_form(self, a, b):
+        free = SchrodingerProblem(Potential(GridFunction.zeros(256)))
+        data = solve_spectrum(free, a, b, 32)
+        lam, norming = closed_form_ladder(a, b, 32)
+        scale = np.maximum(1.0, np.abs(lam))
+        assert np.max(np.abs(data.eigenvalues - lam) / scale) <= 1e-12
+        assert np.max(np.abs(data.norming - norming)) <= 1e-12
+
+    @pytest.mark.parametrize("a,b", ZERO_PAIRS[:4])
+    def test_coarse_grid_keeps_slots(self, a, b):
+        # 90 slots on 256 cells: RK4 moves the top zero eigenvalues by more
+        # than half a gap, which the phase-matched starts take up.
+        free = SchrodingerProblem(Potential(GridFunction.zeros(256)))
+        data = solve_spectrum(free, a, b, 90)
+        lam, _ = closed_form_ladder(a, b, 90)
+        scale = np.maximum(1.0, np.abs(lam))
+        assert np.max(np.abs(data.eigenvalues - lam) / scale) <= 1e-12
+
+    @pytest.mark.parametrize("a,b", ZERO_PAIRS[:-1])
+    def test_discrete_values_match_sweeps(self, a, b):
+        # The transfer power M(lam)**n against sweeps over 256 zero cells,
+        # found by the old root finder.  (-3, -2) is left out: its two lowest
+        # eigenfunctions sit at one end each, so log|y(1)| of the one at
+        # x = 0 carries rounding of the growing solution (1e-12 apart).
+        n, N = 256, 64
+        exact, exact_norming = spectral._exact_ladder(a, b, N)
+        dlam, dnorm = spectral._zero_correction(n, a, b, N)
+        free = SchrodingerProblem(Potential(GridFunction.zeros(n)))
+        lam, norming = bisect_level(free, a, b, N)
+        scale = np.maximum(1.0, np.abs(lam))
+        assert np.max(np.abs(exact - dlam - lam) / scale) <= 1e-13
+        assert np.max(np.abs(exact_norming - dnorm - norming)) <= 1e-13
+
+    @pytest.mark.parametrize("a,b", ZERO_PAIRS)
+    def test_exact_ladder_is_a_root_ladder(self, a, b):
+        # Strictly increasing, one root per slot: the closed-form
+        # characteristic function changes sign across each eigenvalue.
+        lam, _ = spectral._exact_ladder(a, b, 16)
+        assert np.all(np.diff(lam) > 0.0)
+        step = 1e-6 * np.maximum(1.0, np.abs(lam))
+        char = spectral._zero_char(spectral._exact_transfer, a, b)
+        w_lo, _ = char(lam - step)
+        w_hi, _ = char(lam + step)
+        below = (-1.0) ** np.arange(16)
+        assert np.all(np.sign(w_lo) == below)
+        assert np.all(np.sign(w_hi) == -below)
+
+    def test_no_doubled_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("normal-form spectra must not resample")
+
+        monkeypatch.setattr(SchrodingerProblem, "with_resolution", refuse)
+        monkeypatch.setattr(ode, "resample", refuse)
+        for a, b in ((INF, INF), (INF, 1.0), (1.0, -0.5)):
+            data = solve_spectrum(SIN2PI_PROB, a, b, 8)
+            norming_constants(SIN2PI_PROB, data)
+
+    def test_impedance_keeps_two_levels(self):
+        prob = six_mode_problem("exp", 256)
+        data = solve_spectrum(prob, 1.0, -0.5, 32)
+        lam, norming = richardson_spectrum(prob, 1.0, -0.5, 32)
+        assert np.array_equal(data.eigenvalues, lam)
+        assert np.array_equal(data.norming, norming)
+
+    @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
+    def test_no_less_accurate_than_two_levels(self, cfg, a, b):
+        # Errors against a two-level 16384-cell reference, eigenvalues
+        # relative to max(1, |lam|), norming constants absolute.
+        ref_lam, ref_norming = richardson_spectrum(
+            in_picture(six_mode_problem(cfg, 16384), "schrodinger"), a, b, 64)
+        scale = np.maximum(1.0, np.abs(ref_lam))
+
+        def errors(lam, norming):
+            return (np.max(np.abs(lam - ref_lam) / scale),
+                    np.max(np.abs(norming - ref_norming)))
+
+        for n in (256, 2048):
+            prob = in_picture(six_mode_problem(cfg, n), "schrodinger")
+            data = solve_spectrum(prob, a, b, 64)
+            corrected = errors(data.eigenvalues, data.norming)
+            two_levels = errors(*richardson_spectrum(prob, a, b, 64))
+            assert corrected[0] <= two_levels[0]
+            assert corrected[1] <= two_levels[1]
+
+    @pytest.mark.parametrize("a,b", [(-12.0, -12.0), (-15.0, -13.5)])
+    def test_two_levels_where_ladders_do_not_match(self, a, b):
+        # Two deep Robin ends hold two boundary states whose eigenvalues
+        # nearly coincide, and Newton on the closed form does not separate
+        # them within its rounds: these solves keep the doubled grid.
+        prob = SchrodingerProblem(Potential.from_callable(
+            lambda x: 0.3 * sin2pi_potential(x), 2048))
+        with pytest.raises(BracketError):
+            spectral._zero_correction(2048, a, b, 8)
+        data = solve_spectrum(prob, a, b, 8)
+        lam, norming = richardson_spectrum(prob, a, b, 8)
+        assert np.array_equal(data.eigenvalues, lam)
+        assert np.array_equal(data.norming, norming)
