@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liouville import (INF, BracketError, ConditionU, GridFunction, Impedance,
@@ -400,9 +400,13 @@ class TestRootFinder:
            pair=st.sampled_from(BOUNDARY_PAIRS),
            picture=st.sampled_from(["impedance", "schrodinger"]),
            lam=st.lists(st.floats(-60.0, 2500.0), min_size=1, max_size=16))
+    # The zero potential under (1, -0.5) has the eigenvalue 0 exactly.
+    @example(coeffs=[0.0] * 6, pair=(1.0, -0.5), picture="impedance",
+             lam=[0.0])
     def test_sign_follows_count_parity(self, coeffs, pair, picture, lam):
         # w > 0 below the spectrum and changes sign at each simple
-        # eigenvalue, which is what lets Newton read its bracket side.
+        # eigenvalue, which is what lets Newton read its bracket side.  At
+        # an eigenvalue itself w is 0 and the count steps by one across it.
         x = np.linspace(0.0, 1.0, 257)
         q = np.asarray(coeffs) @ (math.sqrt(2.0) * np.sin(
             np.pi * np.outer(np.arange(1, 7), x)))
@@ -411,7 +415,16 @@ class TestRootFinder:
         lam = np.asarray(lam)
         w, _, _, _ = ode._endpoint_w(prob, lam, a, b, deriv=False)
         count = ode._count_below(prob, lam, a, b)
-        assert np.array_equal(np.sign(w), np.where(count % 2 == 0, 1.0, -1.0))
+        root = w == 0.0
+        assert np.array_equal(np.sign(w[~root]),
+                              np.where(count[~root] % 2 == 0, 1.0, -1.0))
+        if root.any():
+            eig = lam[root]
+            step = 1e-9 * np.maximum(1.0, np.abs(eig))
+            assert np.array_equal(ode._count_below(prob, eig - step, a, b),
+                                  count[root])
+            assert np.array_equal(ode._count_below(prob, eig + step, a, b),
+                                  count[root] + 1)
 
     def test_nonconverging_iteration_raises(self, monkeypatch):
         # A stationary characteristic value gives no usable Newton step, so
