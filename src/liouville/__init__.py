@@ -24,9 +24,8 @@ from .transform import (ConditionU, DecayTerm, EstimateReport, EstimateRow,
 from .ode import (INF, ImpedanceProblem, SchrodingerProblem, StateTrace,
                   is_dirichlet, oscillation_count, shoot_backward,
                   shoot_forward, wronskian)
-from .spectral import (AdmissibilityReport, EquivalenceReport, SpectralData,
-                       boundary_shift, characterize, compute_eigenvalues,
-                       equivalence_report, extract_remainders,
+from .spectral import (AdmissibilityReport, SpectralData, boundary_shift,
+                       characterize, compute_eigenvalues, extract_remainders,
                        hadamard_wronskian, identity_ab, identity_b,
                        norming_constants, normalizing_constants, regime_of,
                        solve_spectrum, unperturbed_eigenvalues,
@@ -65,12 +64,12 @@ __all__ = [
     "StateTrace", "shoot_forward", "shoot_backward", "wronskian",
     "oscillation_count",
     # spectra
-    "SpectralData", "AdmissibilityReport",
-    "EquivalenceReport", "regime_of", "unperturbed_eigenvalues",
+    "SpectralData", "AdmissibilityReport", "regime_of",
+    "unperturbed_eigenvalues",
     "unperturbed_norming", "boundary_shift", "compute_eigenvalues",
     "solve_spectrum", "norming_constants", "normalizing_constants",
     "extract_remainders", "hadamard_wronskian", "identity_b", "identity_ab",
-    "characterize", "equivalence_report",
+    "characterize",
     # inverse problems
     "InversionConfig", "InversionReport", "FitTarget", "FitReport",
     "ImpedanceFitReport", "invert_transform", "invert_transform_detailed",

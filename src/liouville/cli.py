@@ -5,7 +5,7 @@ Commands
 spectrum   solve a boundary pair and write truncated spectral data as JSON
 transform  apply the slope-to-potential map and write the potential CSV
 invert     recover a slope from a potential CSV (Newton; exit 4 on failure)
-verify     run the estimate/equivalence/identity battery, write a report
+verify     run the estimate/admissibility/identity battery, write a report
 fit        Gauss-Newton fit of a potential, or of a slope, to spectral data
 export     re-emit spectral JSON or solution traces as plot-ready CSV
 
@@ -37,9 +37,9 @@ from .serialize import (atomic_write_text, condition_from_dict, dump_json,
                         inversion_report_to_dict, load_json, read_grid_csv,
                         spectral_from_dict, spectral_to_dict, target_from_dict,
                         write_grid_csv)
-from .spectral import (characterize, equivalence_report, hadamard_wronskian,
-                       identity_ab, identity_b, normalizing_constants,
-                       solve_spectrum, unperturbed_eigenvalues)
+from .spectral import (characterize, hadamard_wronskian, identity_ab,
+                       identity_b, normalizing_constants, solve_spectrum,
+                       unperturbed_eigenvalues)
 from .transform import (ConditionU, DecayTerm, Impedance, Potential,
                         estimate_suite, forward_transform, frechet_apply)
 
@@ -261,13 +261,6 @@ def _verify_battery(args, cfg: RunConfig) -> list:
     for row in est.rows:
         checks.append(_check(f"estimate:{row.name}", row.margin,
                              row.satisfied))
-
-    eq = equivalence_report(q, ucfg, a, b, cfg.N)
-    checks.append(_check("equivalence:eigenvalues",
-                         eq.eigenvalue_discrepancy,
-                         eq.eigenvalue_discrepancy <= 1e-6))
-    checks.append(_check("equivalence:norming", eq.norming_discrepancy,
-                         eq.norming_discrepancy <= 1e-6))
 
     prob = ImpedanceProblem(q, ucfg)
     data = solve_spectrum(prob, a, b, cfg.N)

@@ -1,18 +1,20 @@
-"""Shooting integration for both pictures of the eigenvalue equation.
+"""Shooting integration of the normal form -y'' + V y = lam y.
 
-Both problems are integrated in first-order form y'' = (V - lam) y + d y':
-the normal form has V = p, d = 0; the impedance form has V = u, d = -2q
-(the weight never appears explicitly, only its logarithmic slope).  The
-integrator is classical fixed-step RK4, written as one 2x2 matrix per cell.
-Its middle stages sample the coefficients at cell midpoints, which
+Both problems are integrated in first-order form y'' = (V - lam) y.  A
+normal-form problem has V = p.  An impedance problem is solved through the
+Liouville map f -> rho f, which carries -rho**-2 (rho**2 f')' + u f onto
+-y'' + (P(q) + c0) y with the same lam and, since rho(0) = 1 and
+q(0) = q(1) = 0, the same boundary data; its shots are converted back to f.
+The integrator is classical fixed-step RK4, written as one 2x2 matrix per
+cell.  Its middle stages sample V at cell midpoints, which
 ``grid.local_quintic`` forms from the node values: degree-5 Lagrange through
 the six nearest nodes, O(h**6), centred in the interior.
 Each stage multiplies a y-component, which is at most linear in lam, by
 V - lam, so every cell matrix is exactly quadratic in lam:
 M(lam) = A0 + lam A1 + lam**2 A2, and dM/dlam = A1 + 2 lam A2.  The three
 lam-free coefficient arrays are computed once per problem.  A backward
-shot is the same equation on the reflected coefficients V(1 - s) and
--d(1 - s), so every sweep runs from x = 0.
+shot is the same equation on the reflected coefficients V(1 - s), so every
+sweep runs from x = 0.
 
 A sweep propagates a batch of lam columns through all cells by a two-level
 blocked scan (Blelloch, "Prefix sums and their applications", 1990): the n
@@ -34,8 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrationError
-from .grid import GridFunction, inner_product, integral, local_quintic, resample
-from .transform import ConditionU, Impedance, Potential, build_rho
+from .grid import GridFunction, integral, local_quintic, resample
+from .transform import (ConditionU, Impedance, Potential, build_rho,
+                        compute_c0, forward_transform)
 
 __all__ = [
     "INF",
@@ -61,8 +64,8 @@ def is_dirichlet(b: float) -> bool:
     return math.isinf(b)
 
 
-def _quadratic_steps(Vn, Vm, dn, dm) -> np.ndarray:
-    """RK4 cell matrices of y'' = (V - lam) y + d y' as quadratics in lam.
+def _quadratic_steps(Vn, Vm) -> np.ndarray:
+    """RK4 cell matrices of y'' = (V - lam) y as quadratics in lam.
 
     Returns shape (3, 4, n): the coefficients of 1, lam and lam**2 of the
     entries (M11, M21, M12, M22) of every cell.  Polynomials in lam are
@@ -73,7 +76,6 @@ def _quadratic_steps(Vn, Vm, dn, dm) -> np.ndarray:
     half = 0.5 * h
     h6 = h / 6.0
     c0, c1, cm = Vn[:-1], Vn[1:], Vm
-    d0, d1, dd = dn[:-1], dn[1:], dm
 
     def times(c, p):
         # (c - lam) p; p is a y-component, at most linear in lam, so the
@@ -82,19 +84,19 @@ def _quadratic_steps(Vn, Vm, dn, dm) -> np.ndarray:
 
     def column(y0, v0):
         k1y = v0
-        k1v = times(c0, y0) + d0 * v0
+        k1v = times(c0, y0)
         a1y = y0 + half * k1y
         a1v = v0 + half * k1v
         k2y = a1v
-        k2v = times(cm, a1y) + dd * a1v
+        k2v = times(cm, a1y)
         a2y = y0 + half * k2y
         a2v = v0 + half * k2v
         k3y = a2v
-        k3v = times(cm, a2y) + dd * a2v
+        k3v = times(cm, a2y)
         a3y = y0 + h * k3y
         a3v = v0 + h * k3v
         k4y = a3v
-        k4v = times(c1, a3y) + d1 * a3v
+        k4v = times(c1, a3y)
         return (y0 + h6 * (k1y + 2.0 * (k2y + k3y) + k4y),
                 v0 + h6 * (k1v + 2.0 * (k2v + k3v) + k4v))
 
@@ -106,7 +108,7 @@ def _quadratic_steps(Vn, Vm, dn, dm) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Coefficients:
-    """Node and midpoint samples of V and the damping d at one resolution.
+    """Node and midpoint samples of V at one resolution.
 
     ``steps`` holds the cell matrices as ``_quadratic_steps`` coefficients
     in block order, shape (3, B, 4, nb, 1): cell b B + i sits at
@@ -117,19 +119,15 @@ class _Coefficients:
 
     V: np.ndarray
     Vm: np.ndarray
-    d: np.ndarray
-    dm: np.ndarray
-    rho1: float
     steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _block_order(
-            _quadratic_steps(self.V, self.Vm, self.d, self.dm)))
+            _quadratic_steps(self.V, self.Vm)))
 
     def reflected(self) -> "_Coefficients":
-        """Coefficients of the same equation in s = 1 - x: V(1 - s), -d(1 - s)."""
-        return _Coefficients(V=self.V[::-1], Vm=self.Vm[::-1], d=-self.d[::-1],
-                             dm=-self.dm[::-1], rho1=self.rho1)
+        """Coefficients of the same equation in s = 1 - x: V(1 - s)."""
+        return _Coefficients(V=self.V[::-1], Vm=self.Vm[::-1])
 
 
 def _block_order(A: np.ndarray) -> np.ndarray:
@@ -189,15 +187,19 @@ class SchrodingerProblem:
         co = self._cache.get("coeffs")
         if co is None:
             v = self.p.f.values
-            co = _Coefficients(V=v, Vm=_midpoints(v), d=np.zeros(v.size),
-                               dm=np.zeros(v.size - 1), rho1=1.0)
+            co = _Coefficients(V=v, Vm=_midpoints(v))
             self._cache["coeffs"] = co
         return co
 
 
 @dataclass(frozen=True, eq=False)
 class ImpedanceProblem:
-    """Impedance-form problem in expanded shape -f'' - 2q f' + u f = lam f."""
+    """Impedance problem -rho**-2 (rho**2 f')' + u f = lam f, rho = exp(Q).
+
+    It is solved as its normal form -y'' + V y = lam y with
+    V = P(q) + c0 = q' + q**2 + u, which has the same eigenvalues and
+    boundary data; its shots are y = rho f.
+    """
 
     q: Impedance
     cfg: ConditionU = field(default_factory=ConditionU.zero)
@@ -213,8 +215,7 @@ class ImpedanceProblem:
     def c0(self) -> float:
         c = self._cache.get("c0")
         if c is None:
-            self._coefficients()
-            c = self._cache["c0"]
+            c = self._cache["c0"] = compute_c0(self.q, self.cfg)
         return c
 
     def with_resolution(self, n: int) -> "ImpedanceProblem":
@@ -228,19 +229,9 @@ class ImpedanceProblem:
     def _coefficients(self) -> _Coefficients:
         co = self._cache.get("coeffs")
         if co is None:
-            profile = build_rho(self.q)
-            self.cfg.validate(float(np.max(np.abs(profile.Q.values))))
-            qv = self.q.f.values
-            Qv = profile.Q.values
-            u = self.cfg.u1_value(qv) + self.cfg.u2.value(Qv)
-            qm = _midpoints(qv)
-            Qm = _midpoints(Qv)
-            um = self.cfg.u1_value(qm) + self.cfg.u2.value(Qm)
-            co = _Coefficients(V=u, Vm=um, d=-2.0 * qv, dm=-2.0 * qm,
-                               rho1=profile.rho1)
+            V = forward_transform(self.q, self.cfg).f.values + self.c0
+            co = _Coefficients(V=V, Vm=_midpoints(V))
             self._cache["coeffs"] = co
-            self._cache["c0"] = inner_product(self.q.f, self.q.f) + integral(
-                GridFunction(u))
         return co
 
 
@@ -414,8 +405,7 @@ def _endpoint_w(prob, lam: np.ndarray, a: float, b: float, deriv: bool):
     else:
         w = res["v"] + float(b) * res["y"]
         dw = res.get("dv") + float(b) * res.get("dy") if deriv else None
-    scale = res["logscale"] + math.log(co.rho1)
-    return w, dw, scale, res
+    return w, dw, res["logscale"], res
 
 
 def oscillation_count(prob, lam: float, a: float = INF) -> int:
@@ -427,12 +417,12 @@ def wronskian(prob, lam: float, a: float = INF, b: float = INF,
               deriv: bool = False, scaled: bool = False):
     """Characteristic function of the boundary pair (a, b) at lam.
 
-    The impedance picture carries its endpoint weight factor, so the value
-    agrees identically with the normal-form characteristic function of the
-    transformed potential evaluated at lam - c0.  With ``deriv`` the
-    lam-derivative (variational, exact to integrator order) is returned as a
-    second element.  With ``scaled`` values come as (mantissa..., log_scale)
-    to survive deep negative lam.
+    An impedance problem reads it from its normal form, so the value is
+    the characteristic function of the transformed potential at lam - c0
+    (the endpoint data of y = rho f are those of f times rho(1)).  With
+    ``deriv`` the lam-derivative (variational, exact to integrator order) is
+    returned as a second element.  With ``scaled`` values come as
+    (mantissa..., log_scale) to survive deep negative lam.
     """
     w, dw, scale, _ = _endpoint_w(prob, np.asarray([float(lam)]), a, b, deriv)
     ls = float(scale[0])
@@ -464,10 +454,24 @@ def _trace(co: _Coefficients, lam: float, y0: float, v0: float):
     return res["Y"][:, 0], res["W"][:, 0]
 
 
+def _in_picture(prob, lam, y, dy, from_end=False) -> StateTrace:
+    """A normal-form shot y as a trace of the problem's own equation.
+
+    An impedance problem's solution is f = y / rho, f' = (y' - q y) / rho;
+    a shot ``from_end`` is scaled by rho(1) as well, so that f keeps the
+    end data of y at x = 1.
+    """
+    if isinstance(prob, ImpedanceProblem):
+        rho = build_rho(prob.q).rho.values
+        weight = (rho[-1] if from_end else 1.0) / rho
+        y, dy = weight * y, weight * (dy - prob.q.f.values * y)
+    return StateTrace(lam=float(lam), y=GridFunction(y), dy=GridFunction(dy))
+
+
 def shoot_forward(prob, lam: float, y0: float = 0.0, dy0: float = 1.0) -> StateTrace:
     """Integrate from x = 0 with the given initial data, keeping the trace."""
     y, dy = _trace(prob._coefficients(), lam, float(y0), float(dy0))
-    return StateTrace(lam=float(lam), y=GridFunction(y), dy=GridFunction(dy))
+    return _in_picture(prob, lam, y, dy)
 
 
 def shoot_backward(prob, lam: float, b: float = INF) -> StateTrace:
@@ -480,5 +484,4 @@ def shoot_backward(prob, lam: float, b: float = INF) -> StateTrace:
     else:
         g0, g1 = 1.0, float(b)
     g, dg = _trace(prob._coefficients().reflected(), lam, g0, g1)
-    return StateTrace(lam=float(lam), y=GridFunction(g[::-1]),
-                      dy=GridFunction(-dg[::-1]))
+    return _in_picture(prob, lam, g[::-1], -dg[::-1], from_end=True)

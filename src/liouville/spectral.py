@@ -2,14 +2,14 @@
 
 Spectra are located by exact oscillation-count bracketing, then found by
 Newton steps on the characteristic function with its variational
-lam-derivative, each iterate kept inside its count bracket.  Normal-form
-spectra are solved at the problem grid and corrected by the integrator error
-of the zero potential under the same boundary pair (asymptotic correction:
+lam-derivative, each iterate kept inside its count bracket.  Both pictures
+are solved as normal forms (an impedance problem through the Liouville map,
+see ``ode``), at the problem grid, and corrected by the integrator error of
+the zero potential under the same boundary pair (asymptotic correction:
 Paine, de Hoog & Anderssen, Computing 26, 1981), which the zero problem
-shows exactly and without a sweep.  Impedance spectra, and the few
-normal-form cases that correction does not cover, are computed at two grid
-levels and combined by fourth-order extrapolation, which removes the
-leading integrator error.
+shows exactly and without a sweep.  The few cases that correction does not
+cover are computed at two grid levels and combined by fourth-order
+extrapolation, which removes the leading integrator error.
 
 Three boundary regimes are supported, encoded by the pair (a, b) with inf
 meaning a Dirichlet end: both ends Dirichlet (eigenvalues labelled from 1),
@@ -30,8 +30,6 @@ from .errors import (
 )
 from .grid import SequenceData, _simpson_weights
 from .ode import (
-    ImpedanceProblem,
-    SchrodingerProblem,
     _count_below,
     _endpoint_w,
     _initial_data,
@@ -39,12 +37,10 @@ from .ode import (
     _sweep,
     is_dirichlet,
 )
-from .transform import ConditionU, Impedance, build_rho, forward_transform
 
 __all__ = [
     "SpectralData",
     "AdmissibilityReport",
-    "EquivalenceReport",
     "regime_of",
     "unperturbed_eigenvalues",
     "unperturbed_norming",
@@ -58,7 +54,6 @@ __all__ = [
     "identity_b",
     "identity_ab",
     "characterize",
-    "equivalence_report",
 ]
 
 
@@ -137,10 +132,24 @@ class SpectralData:
         return SequenceData(dev, alpha=1.0)
 
 
+def _spectrum_floor(prob, a, b):
+    """A lam below the whole spectrum: min V - m**2 - 1.
+
+    With m = max(1, 1 - min(a, b)) nothing of the zero problem lies below
+    -m**2 (see ``_exact_ladder``), and V shifts the spectrum by no less than
+    its minimum; the 1 leaves room for the integrator error.
+    """
+    co = prob._coefficients()
+    m = max(1.0, 1.0 - min(a, b))
+    return min(float(co.V.min()), float(co.Vm.min())) - m * m - 1.0
+
+
 def _solve_levels(prob, a, b, N):
     """Count brackets [lo, hi] holding exactly the eigenvalue of each slot.
 
-    Slot k (from 0) ends with k eigenvalues below lo and k + 1 below hi.
+    Slot k (from 0) ends with k eigenvalues below lo and k + 1 below hi.  A
+    lower bracket that counts too many moves to ``_spectrum_floor`` at once,
+    and the count bisection takes it up from there.
     """
     regime = regime_of(a, b)
     slots = np.arange(N)
@@ -163,7 +172,7 @@ def _solve_levels(prob, a, b, N):
         if not bad_lo.any() and not bad_hi.any():
             break
         if bad_lo.any():
-            lo[bad_lo] -= gaps[bad_lo]
+            lo[bad_lo] = _spectrum_floor(prob, a, b)
             clo[bad_lo] = _count_below(prob, lo[bad_lo], a, b)
         if bad_hi.any():
             hi[bad_hi] += gaps[bad_hi]
@@ -239,29 +248,24 @@ def _problem_char(prob, a, b):
 def _endpoint_quantities(prob, lam, a, b, regime, deriv=False):
     """Norming constants at the eigenvalues lam, and log|dw| with ``deriv``."""
     _, dw, _, res = _endpoint_w(prob, lam, a, b, deriv=deriv)
-    rho1 = prob._coefficients().rho1
     numerator = np.abs(res["v"]) if regime == "dirichlet" else np.abs(res["y"])
     if np.any(numerator == 0.0):
         raise DegenerateEigenfunctionError(
             "eigenfunction endpoint data vanished; spectrum is corrupted")
-    norming = np.log(numerator) + math.log(rho1) + res["logscale"]
+    norming = np.log(numerator) + res["logscale"]
     if not deriv:
         return norming, None
-    return norming, np.log(np.abs(dw)) + math.log(rho1) + res["logscale"]
+    return norming, np.log(np.abs(dw)) + res["logscale"]
 
 
 def _traces(prob, lam, y0, v0):
-    """Unscaled shots from the data (y0, v0) at x = 0, one column per lam.
+    """Unscaled normal-form shots from the data (y0, v0) at x = 0, by lam.
 
-    Impedance shots carry the weight rho, which makes them the normal-form
-    solutions of the transformed potential.
+    For an impedance problem these are y = rho f.
     """
     res = _sweep(prob._coefficients(), np.asarray(lam, dtype=float), y0, v0,
                  trace=True)
-    Y = res["Y"]
-    if prob.kind == "impedance":
-        Y = build_rho(prob.q).rho.values[:, None] * Y
-    return Y
+    return res["Y"]
 
 
 def _alpha_quantities(prob, lam):
@@ -302,9 +306,9 @@ def _potential_gradients(prob, lam, a, directions, norming=True):
 def _extrapolate(coarse, fine):
     """Fourth-order combination of problem-grid and doubled-grid values.
 
-    It cancels the leading O(h**4) integrator error of either level.
-    Impedance problems use it: the error of their damped equation grows with
-    lam in a way that the zero-potential correction does not see.
+    It cancels the leading O(h**4) integrator error of either level.  Spectra
+    use it only where ``_normal_form_correction`` gives None; the
+    normalizing constants and the trace identities use it throughout.
     """
     return (16.0 * fine - coarse) / 15.0
 
@@ -321,7 +325,7 @@ def _unit_block():
     M(z) is the RK4 cell matrix of y'' = -z y on a cell of unit width, from
     ``_quadratic_steps``, and M' = dM/dz.
     """
-    M = _quadratic_steps(np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(1))
+    M = _quadratic_steps(np.zeros(2), np.zeros(1))
     M = M[..., 0].reshape(3, 2, 2).transpose(0, 2, 1)  # stored by column
     G = np.zeros((3, 4, 4))
     G[:, :2, :2] = G[:, 2:, 2:] = M
@@ -491,17 +495,16 @@ def _zero_correction(n, a, b, N):
 
 
 def _normal_form_correction(prob, a, b, N):
-    """``_zero_correction`` for a normal-form problem, else None.
+    """``_zero_correction`` for the problem, or None where it does not apply.
 
-    Impedance problems get None: their damped equation has an error that
-    grows with lam in a way the zero problem does not show.  So do the
-    cases where the zero ladder cannot be matched slot by slot, and
-    ``_zero_correction`` raises: grids so coarse for N that RK4 moves a zero
-    eigenvalue by half a gap, and two Robin ends below about -10 whose
-    boundary states nearly coincide.
+    Both pictures integrate a normal form, whose constant shift c0 moves
+    the discrete and the exact eigenvalues alike, so the correction is that
+    of the grid and the boundary pair.  None marks the cases where the zero
+    ladder cannot be matched slot by slot, and ``_zero_correction`` raises:
+    grids so coarse for N that RK4 moves a zero eigenvalue by half a gap,
+    and two Robin ends below about -10 whose boundary states nearly
+    coincide.
     """
-    if prob.kind != "schrodinger":
-        return None
     try:
         return _zero_correction(prob.n, a, b, N)
     except BracketError:
@@ -511,9 +514,8 @@ def _normal_form_correction(prob, a, b, N):
 def _pipeline(prob, a, b, N):
     """Eigenvalues and norming constants by slot, with their grid levels.
 
-    Normal-form problems take one grid level plus the zero-potential
-    correction; impedance problems, and normal forms that the correction
-    does not cover, add the doubled grid and ``_extrapolate``.
+    One grid level plus the zero-potential correction; where the correction
+    does not apply, the doubled grid and ``_extrapolate``.
     """
     regime, lo, hi = _solve_levels(prob, a, b, N)
     lam0 = _newton_polish(_problem_char(prob, a, b), 0.5 * (lo + hi), lo, hi)
@@ -553,12 +555,12 @@ def norming_constants(prob, data: SpectralData) -> np.ndarray:
     """Norming constants at the eigenvalues stored in ``data``.
 
     Dirichlet pairs use the endpoint slope ratio; the other regimes use the
-    endpoint value ratio.  Impedance problems include their endpoint weight,
-    which makes the constants agree across the two pictures.  Where
-    ``solve_spectrum`` corrects one level, one level is read at the discrete
-    eigenvalues that the stored ones imply, data less the zero-potential
-    correction, and the correction is added; elsewhere two levels are read
-    at the stored values.
+    endpoint value ratio, read from the normal form of either picture (for
+    an impedance problem, those of f times rho(1)), so the constants agree
+    across the two pictures.  Where ``solve_spectrum`` corrects one level,
+    one level is read at the discrete eigenvalues that the stored ones
+    imply, data less the zero-potential correction, and the correction is
+    added; elsewhere two levels are read at the stored values.
     """
     regime = regime_of(data.a, data.b)
     lam = np.asarray(data.eigenvalues, dtype=float)
@@ -751,48 +753,4 @@ def characterize(data: SpectralData,
         remainder_growth=g_rem,
         norming_growth=g_dev,
         alpha_growth=g_alpha,
-    )
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Side-by-side spectra of one impedance problem in both pictures."""
-
-    c0: float
-    impedance_eigenvalues: np.ndarray
-    schrodinger_eigenvalues: np.ndarray
-    impedance_norming: np.ndarray
-    schrodinger_norming: np.ndarray
-
-    @property
-    def eigenvalue_discrepancy(self) -> float:
-        shifted = self.schrodinger_eigenvalues + self.c0
-        scale = np.maximum(1.0, np.abs(shifted))
-        return float(np.max(np.abs(self.impedance_eigenvalues - shifted) / scale))
-
-    @property
-    def norming_discrepancy(self) -> float:
-        return float(np.max(np.abs(self.impedance_norming -
-                                   self.schrodinger_norming)))
-
-
-def equivalence_report(q: Impedance, cfg: ConditionU, a: float, b: float,
-                       N: int) -> EquivalenceReport:
-    """Solve one problem in both pictures and tabulate the match.
-
-    The impedance eigenvalues must equal the transformed-potential
-    eigenvalues shifted by c0, and the norming constants must agree
-    outright (the endpoint weight accounts for the change of dependent
-    variable).
-    """
-    imp = ImpedanceProblem(q, cfg)
-    sch = SchrodingerProblem(forward_transform(q, cfg))
-    di = solve_spectrum(imp, a, b, N)
-    ds = solve_spectrum(sch, a, b, N)
-    return EquivalenceReport(
-        c0=imp.c0,
-        impedance_eigenvalues=di.eigenvalues,
-        schrodinger_eigenvalues=ds.eigenvalues,
-        impedance_norming=di.norming,
-        schrodinger_norming=ds.norming,
     )

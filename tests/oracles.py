@@ -8,11 +8,13 @@ eigenvalue algorithm (dense symmetric tridiagonal), different grids.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from liouville import BracketError, GridFunction, IntegrationError, frechet_apply
+from liouville import (BracketError, GridFunction, Impedance, IntegrationError,
+                       build_rho, frechet_apply)
 from liouville.ode import (_count_below, _endpoint_w, _matmul, _nodes,
                            _quadratic_steps, _sign_flips)
 from liouville.spectral import (_endpoint_quantities, _newton_polish,
@@ -112,11 +114,14 @@ def fd_fit_jacobian(fmap, theta, delta: float = 1e-6) -> np.ndarray:
 
 
 # The per-cell RK4 loop that propagated every sweep before the blocked scan,
-# kept as the reference the scan is tested against.  It reads only the node
-# and midpoint samples of a coefficient record (V, Vm, d, dm).
+# kept as the reference the scan is tested against.  It integrates
+# y'' = (V - lam) y + d y' and reads only the node and midpoint samples of a
+# coefficient record: V and Vm, and the damping d and dm where the record
+# has them (``damped_coefficients``); the package's records have none.
 
 RENORM_EVERY = 512
 RENORM_LIMIT = 1e250
+_NO_DAMPING = np.zeros(1)  # a size-1 damping array reads as d = 0
 
 
 def loop_step_matrices(Vn, Vm, dn, dm, lam, h, deriv, out, out_d, j0):
@@ -178,12 +183,13 @@ def loop_build_matrices(co, lam: np.ndarray, deriv: bool,
     n = co.V.size - 1
     K = lam.size
     h = 1.0 / n
+    dn, dm = getattr(co, "d", _NO_DAMPING), getattr(co, "dm", _NO_DAMPING)
     if reverse:
         Vn, Vm = co.V[::-1], co.Vm[::-1]
-        dn = co.d if co.d.size == 1 else -co.d[::-1]
-        dm = co.dm if co.dm.size == 1 else -co.dm[::-1]
+        dn = dn if dn.size == 1 else -dn[::-1]
+        dm = dm if dm.size == 1 else -dm[::-1]
     else:
-        Vn, Vm, dn, dm = co.V, co.Vm, co.d, co.dm
+        Vn, Vm = co.V, co.Vm
     M = [np.empty((n, K)) for _ in range(4)]
     N = [np.empty((n, K)) for _ in range(4)] if deriv else None
     chunk = max(256, (1 << 22) // max(K, 1))
@@ -277,6 +283,70 @@ def loop_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
 
 
 
+# The impedance equation integrated as it stands, -f'' - 2 q f' + u f = lam f,
+# that is f'' = (u - lam) f + d f' with d = -2q, by the per-cell loop above.
+# The package solves impedance problems through the Liouville map instead,
+# as the normal form with V = q' + q**2 + u, so this path shares neither the
+# map nor the sweep with it; its coefficients are sampled by the global
+# quintic spline below.  End data carry the weight rho(1), which makes them
+# those of y = rho f.
+
+def damped_coefficients(q, cfg):
+    """Node and midpoint samples of u and of the damping d = -2q."""
+    profile = build_rho(q)
+    qv, Qv = q.f.values, profile.Q.values
+    qm, Qm = spline_midpoints(qv), spline_midpoints(Qv)
+    return SimpleNamespace(
+        V=cfg.u1_value(qv) + cfg.u2.value(Qv),
+        Vm=cfg.u1_value(qm) + cfg.u2.value(Qm),
+        d=-2.0 * qv, dm=-2.0 * qm, rho1=profile.rho1)
+
+
+def damped_ends(q, cfg, lam, a=INF, b=INF, deriv=False):
+    """Characteristic values w, their lam-derivatives and norming constants.
+
+    The conventions are those of the package's characteristic function and
+    norming constants: the shot starts from (0, 1) or (1, a), w is f(1) or
+    f'(1) + b f(1), and the norming constant is log|f'(1)| for a Dirichlet
+    right end, else log|f(1)|, all with the weight rho(1).
+    """
+    co = damped_coefficients(q, cfg)
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    y0, v0 = (0.0, 1.0) if a == INF else (1.0, float(a))
+    res = loop_sweep(co, lam, y0, v0, deriv=deriv)
+    weight = co.rho1 * np.exp(res["logscale"])
+    y, v = weight * res["y"], weight * res["v"]
+    norming = np.log(np.abs(v if b == INF else y))
+    if not deriv:
+        return (y if b == INF else v + b * y), None, norming
+    dy, dv = weight * res["dy"], weight * res["dv"]
+    if b == INF:
+        return y, dy, norming
+    return v + b * y, dv + b * dy, norming
+
+
+def damped_spectrum(q, cfg, a, b, start, max_newton=16):
+    """Eigenvalues and norming constants of the damped equation.
+
+    Newton from ``start`` (one value per eigenvalue, close to it) on q's
+    grid and on the doubled grid, combined by fourth-order extrapolation.
+    """
+    levels = []
+    for qn in (q, Impedance(spline_resample(q.f, 2 * q.n))):
+        lam = np.array(start, dtype=float)
+        for _ in range(max_newton):
+            w, dw, _ = damped_ends(qn, cfg, lam, a, b, deriv=True)
+            step = w / dw
+            lam = lam - step
+            if np.all(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(lam))):
+                break
+        else:
+            raise BracketError("damped Newton did not converge")
+        levels.append((lam, damped_ends(qn, cfg, lam, a, b)[2]))
+    (lam0, norm0), (lam1, norm1) = levels
+    return (16.0 * lam1 - lam0) / 15.0, (16.0 * norm1 - norm0) / 15.0
+
+
 # The blocked scan as it ran before the steps were stored in block order:
 # the multiply-add wrote cell order, a copy moved it into the block layout,
 # and the carry over the block totals updated each state component with its
@@ -300,7 +370,7 @@ def scalar_carry_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
     """``ode._sweep`` before block-order storage and the batched carry."""
     n = co.V.size - 1
     K = lam.size
-    A0, A1, A2 = _quadratic_steps(co.V, co.Vm, co.d, co.dm)[..., None]
+    A0, A1, A2 = _quadratic_steps(co.V, co.Vm)[..., None]
     M = (A2 * lam + A1) * lam + A0
     B = math.isqrt(n)
     nb = -(-n // B)
@@ -401,7 +471,7 @@ def loop_galerkin_jacobian(gmap, q):
 
 # The root finder that located eigenvalues before bracket-safeguarded Newton:
 # count brackets, a fixed run of sign bisections, then Newton with capped
-# steps, and the two-level extrapolation on top.  Kept as its reference.
+# steps.  Kept as its reference.
 
 SIGN_ROUNDS = 10
 MAX_REPAIR = 48
@@ -490,16 +560,6 @@ def bisect_level(prob, a, b, N):
     regime, lam = bisect_solve_levels(prob, a, b, N)
     norming, _ = _endpoint_quantities(prob, lam, a, b, regime, deriv=True)
     return lam, norming
-
-
-def bisect_spectrum(prob, a, b, N):
-    """Extrapolated eigenvalues and norming constants from the old root finder."""
-    lam0, norm0 = bisect_level(prob, a, b, N)
-    regime = regime_of(a, b)
-    fine = prob.with_resolution(2 * prob.n)
-    lam1 = bisect_newton_polish(fine, lam0, a, b, max_newton=6)
-    norm1, _ = _endpoint_quantities(fine, lam1, a, b, regime, deriv=True)
-    return (16.0 * lam1 - lam0) / 15.0, (16.0 * norm1 - norm0) / 15.0
 
 
 # The two-level solve that every spectrum took before normal-form problems

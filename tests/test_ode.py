@@ -1,5 +1,6 @@
 """Characteristic functions, shooting traces, and picture equivalence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from liouville import (INF, ConditionU, GridFunction, Impedance,
                        shoot_forward, wronskian)
 from liouville.ode import (_build_matrices, _quadratic_steps, _sign_flips,
                            _sweep)
-from oracles import loop_build_matrices, loop_sweep
+from oracles import (damped_coefficients, damped_ends, loop_build_matrices,
+                     loop_sweep)
 
 N = 2048
 FREE = SchrodingerProblem(Potential(GridFunction.zeros(N)))
@@ -180,6 +182,8 @@ class TestOscillation:
 
 
 class TestPictureEquivalence:
+    """Both pictures against the damped impedance equation of the loop oracle."""
+
     @pytest.mark.parametrize("b", [INF, 1.0])
     def test_characteristic_functions_agree(self, b):
         q = q_two_mode()
@@ -188,8 +192,11 @@ class TestPictureEquivalence:
         sch = SchrodingerProblem(forward_transform(q, cfg))
         c0 = compute_c0(q, cfg)
         for lam in (-8.0, 0.0, 7.3, 44.4, 130.0):
+            ref = damped_ends(q, cfg, lam, b=b)[0][0]
             assert wronskian(imp, lam, b=b) == pytest.approx(
-                wronskian(sch, lam - c0, b=b), rel=1e-9, abs=1e-11)
+                ref, rel=1e-9, abs=1e-11)
+            assert wronskian(sch, lam - c0, b=b) == pytest.approx(
+                ref, rel=1e-9, abs=1e-11)
 
     def test_endpoint_weight_enters(self):
         q = Impedance(GridFunction.from_callable(
@@ -198,15 +205,36 @@ class TestPictureEquivalence:
         sch = SchrodingerProblem(forward_transform(q))
         c0 = compute_c0(q, ConditionU.zero())
         for lam in (3.0, 25.0):
-            assert wronskian(imp, lam) == pytest.approx(
-                wronskian(sch, lam - c0), rel=1e-9, abs=1e-11)
+            ref = damped_ends(q, ConditionU.zero(), lam)[0][0]
+            assert wronskian(imp, lam) == pytest.approx(ref, rel=1e-9, abs=1e-11)
+            assert wronskian(sch, lam - c0) == pytest.approx(
+                ref, rel=1e-9, abs=1e-11)
+
+    @pytest.mark.parametrize("b", [INF, 0.7])
+    def test_shots_match_damped_loop(self, b):
+        # Shots convert back from y = rho f; the loop integrates f itself.
+        q = Impedance(GridFunction.from_callable(
+            lambda x: np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x), N))
+        cfg = ConditionU.exponential(0.5, 1.0)
+        co = damped_coefficients(q, cfg)
+        lam = np.array([13.7])
+        fwd = shoot_forward(ImpedanceProblem(q, cfg), 13.7, 1.0, 0.4)
+        ref = loop_sweep(co, lam, 1.0, 0.4, trace=True)
+        bwd = shoot_backward(ImpedanceProblem(q, cfg), 13.7, b=b)
+        g0, g1 = (0.0, 1.0) if b == INF else (1.0, b)
+        back = loop_sweep(co, lam, g0, g1, trace=True, reverse=True)
+        for got, want in ((fwd.y, ref["Y"]), (fwd.dy, ref["W"]),
+                          (bwd.y, back["Y"][::-1]), (bwd.dy, -back["W"][::-1])):
+            want = want[:, 0]
+            assert np.abs(got.values - want).max() <= 1e-11 * np.abs(want).max()
 
 
 class TestRefinement:
     def test_fourth_order_convergence(self):
+        # Errors against the damped loop oracle on 8192 cells.
         lam = 11.0
         cfg = ConditionU.exponential(0.5, 1.0)
-        ref = wronskian(ImpedanceProblem(q_two_mode(8192), cfg), lam, b=0.7)
+        ref = damped_ends(q_two_mode(8192), cfg, lam, b=0.7)[0][0]
         errs = [abs(wronskian(ImpedanceProblem(q_two_mode(n), cfg), lam,
                               b=0.7) - ref)
                 for n in (256, 512, 1024)]
@@ -216,7 +244,12 @@ class TestRefinement:
 
 
 def coefficient_cases(n=N):
-    """Damped (impedance) and undamped (normal-form) coefficients of one problem."""
+    """Coefficient records of one problem in both pictures.
+
+    Key "damped" holds the impedance problem's: its own equation carries the
+    damping -2q f', which the Liouville map removes, so the record holds
+    V = P(q) + c0.  Key "undamped" holds the normal form of P(q).
+    """
     q, cfg = q_two_mode(n), ConditionU.exponential(0.5, 1.0)
     return {"damped": ImpedanceProblem(q, cfg)._coefficients(),
             "undamped": SchrodingerProblem(forward_transform(q, cfg))._coefficients()}
@@ -329,10 +362,8 @@ class TestQuadraticSteps:
     def test_quadratic_in_lam(self, damping, reverse):
         co = CASES[damping]
         n = co.Vm.size
-        sign = -1.0 if reverse else 1.0
         flip = slice(None, None, -1 if reverse else 1)
-        A0, A1, A2 = _quadratic_steps(co.V[flip], co.Vm[flip], sign * co.d[flip],
-                                      sign * co.dm[flip])
+        A0, A1, A2 = _quadratic_steps(co.V[flip], co.Vm[flip])
         scanned = co.reflected() if reverse else co
         for lam in (-2e5, 3.7, 4e4, 2e5):
             M_ref, N_ref = loop_build_matrices(co, np.array([lam]), True, reverse)
@@ -352,6 +383,11 @@ class TestQuadraticSteps:
             assert np.all(N[:, n:, 0] == 0.0)
 
     def test_normal_form_has_zero_damping_samples(self):
-        co = CASES["undamped"]
-        assert co.d.shape == co.V.shape and co.dm.shape == co.Vm.shape
-        assert not co.d.any() and not co.dm.any()
+        # Both pictures integrate y'' = (V - lam) y, so a record holds V and
+        # nothing else, and the impedance problem's V is that of the normal
+        # form shifted by c0.
+        imp, sch = CASES["damped"], CASES["undamped"]
+        for co in (imp, sch):
+            assert [f.name for f in dataclasses.fields(co)] == ["V", "Vm", "steps"]
+        c0 = compute_c0(q_two_mode(), ConditionU.exponential(0.5, 1.0))
+        np.testing.assert_array_equal(imp.V, sch.V + c0)
