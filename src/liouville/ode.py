@@ -25,7 +25,9 @@ are formed in B steps, each vectorized over all blocks and columns; the
 block totals then carry the state across the n/B block boundaries, one
 batched matrix product per block, and the state is rescaled there if it
 grows too large.  Sweeps that need every node (sign counts and traces)
-apply the stored running products to the block-start states.
+apply the stored running products to the block-start states; a count reads
+the signs of y in that block layout, with the last node of each block
+carried to the next, and never forms the nodes in grid order.
 """
 
 from __future__ import annotations
@@ -333,8 +335,9 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
         # Stage 3: every node from its block's start state.
         if nodes:
             ys, vs = starts[:, :, -2, 0], starts[:, :, -1, 0]
-            Y = _nodes(y0, P[:, 0, 0] * ys + P[:, 1, 0] * vs, n)
+            inner = P[:, 0, 0] * ys + P[:, 1, 0] * vs
         if trace:
+            Y = _nodes(y0, inner, n)
             W = _nodes(v0, P[:, 0, 1] * ys + P[:, 1, 1] * vs, n)
     if trace and not np.all(np.isfinite(Y[-1]) & np.isfinite(W[-1])):
         raise IntegrationError(
@@ -350,7 +353,7 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
         out["Y"] = Y
         out["W"] = W
     if count:
-        out["flips"] = _sign_flips(Y)
+        out["flips"] = _block_flips(y0, inner, n)
     return out
 
 
@@ -363,35 +366,63 @@ def _nodes(first, inner: np.ndarray, n: int) -> np.ndarray:
     return out[:n + 1]
 
 
-def _sign_flips(Y: np.ndarray) -> np.ndarray:
-    """Sign changes down each column of Y, skipping exact zeros.
+def _block_flips(first, inner: np.ndarray, n: int) -> np.ndarray:
+    """Sign changes down the nodes of each column, skipping exact zeros.
 
-    A zero node takes the last nonzero sign before it, so y == 0 exactly
-    (at the final node too) contributes nothing and the count stays strict.
+    ``first`` is node 0 and ``inner`` holds node b B + i + 1 at [i, b], the
+    (B, nb, K) block data of ``_nodes``; the cells past node n that pad the
+    last block are read as copies of node n.  A zero node takes the last
+    nonzero sign before it, so y == 0 exactly (at the final node too)
+    contributes nothing and the count stays strict.
     """
-    s = np.sign(Y)
-    last = np.where(s != 0, np.arange(Y.shape[0])[:, None], 0)
-    np.maximum.accumulate(last, axis=0, out=last)
-    s = np.take_along_axis(s, last, axis=0)
-    return np.count_nonzero(s[1:] * s[:-1] < 0, axis=0)
+    B, nb, K = inner.shape
+    # Row 0 of block b is the node before it: node 0 for the first block,
+    # else the last node of block b - 1.
+    s = np.empty((B + 1, nb, K))
+    np.sign(inner, out=s[1:])
+    last = n - (nb - 1) * B
+    s[last + 1:, -1] = s[last, -1]
+    s[0, 0] = np.sign(first)
+    s[0, 1:] = s[B, :-1]
+    # Exact zeros are rare: each pass moves the sign before a run of zeros
+    # one node into it, until no zero follows a nonzero sign.
+    while not s[1:].all():
+        fill = (s[1:] == 0.0) & (s[:-1] != 0.0)
+        if not fill.any():
+            break
+        s[1:][fill] = s[:-1][fill]
+        s[0, 1:] = s[B, :-1]
+    return np.count_nonzero(s[1:] * s[:-1] < 0.0, axis=(0, 1))
 
 
 def _initial_data(a: float):
     return (0.0, 1.0) if is_dirichlet(a) else (1.0, float(a))
 
 
-def _count_below(prob, lam: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Exact number of eigenvalues strictly below each lam (batched)."""
+def _count_below(prob, lam: np.ndarray, a: float, b: float, phase=False):
+    """Exact number of eigenvalues strictly below each lam (batched).
+
+    The count is that of the Pruefer phase at x = 1: with s = sqrt(max(lam,
+    1)), y = R sin(theta) and y' = s R cos(theta), theta starts in [0, pi)
+    and passes a multiple of pi at each zero of y, so theta(1) = pi flips +
+    frac with frac = atan2(s y(1), y'(1)) mod pi.  Slot k's eigenvalue has
+    the phase (k + 1) pi for a Dirichlet right end, else k pi + beta with
+    beta = atan2(s, -b).  With ``phase`` the counts come with theta(1).
+    """
     co = prob._coefficients()
     y0, v0 = _initial_data(a)
-    res = _sweep(co, np.asarray(lam, dtype=float), y0, v0, count=True)
+    lam = np.asarray(lam, dtype=float)
+    res = _sweep(co, lam, y0, v0, count=True)
+    s = np.sqrt(np.maximum(lam, 1.0))
+    frac = np.mod(np.arctan2(s * res["y"], res["v"]), math.pi)
     if is_dirichlet(b):
         # frac < pi always, so the endpoint term never fires.
-        return res["flips"].copy()
-    s = np.sqrt(np.maximum(np.asarray(lam, dtype=float), 1.0))
-    frac = np.mod(np.arctan2(s * res["y"], res["v"]), math.pi)
-    beta = np.arctan2(s, -float(b))
-    return res["flips"] + (frac > beta).astype(int)
+        count = res["flips"].copy()
+    else:
+        count = res["flips"] + (frac > np.arctan2(s, -float(b))).astype(int)
+    if phase:
+        return count, math.pi * res["flips"] + frac
+    return count
 
 
 def _endpoint_w(prob, lam: np.ndarray, a: float, b: float, deriv: bool):

@@ -149,7 +149,10 @@ def _solve_levels(prob, a, b, N):
 
     Slot k (from 0) ends with k eigenvalues below lo and k + 1 below hi.  A
     lower bracket that counts too many moves to ``_spectrum_floor`` at once,
-    and the count bisection takes it up from there.
+    and the count bisection takes it up from there.  Every count brings the
+    Pruefer phase at x = 1 (``_count_below``), which is carried with its
+    bracket end to place the Newton starts (``_phase_starts``).
+    Returns (regime, lo, hi, start).
     """
     regime = regime_of(a, b)
     slots = np.arange(N)
@@ -161,9 +164,10 @@ def _solve_levels(prob, a, b, N):
     mids[0] = targets[0] - 0.5 * (targets[1] - targets[0])
     mids[1:] = 0.5 * (targets[:-1] + targets[1:])
 
-    counts = _count_below(prob, mids, a, b)
+    counts, theta = _count_below(prob, mids, a, b, phase=True)
     lo, hi = mids[:-1].copy(), mids[1:].copy()
     clo, chi = counts[:-1].copy(), counts[1:].copy()
+    tlo, thi = theta[:-1].copy(), theta[1:].copy()
 
     gaps = np.maximum(targets[1:] - targets[:-1], 1.0)
     for _ in range(_MAX_REPAIR):
@@ -173,10 +177,12 @@ def _solve_levels(prob, a, b, N):
             break
         if bad_lo.any():
             lo[bad_lo] = _spectrum_floor(prob, a, b)
-            clo[bad_lo] = _count_below(prob, lo[bad_lo], a, b)
+            clo[bad_lo], tlo[bad_lo] = _count_below(prob, lo[bad_lo], a, b,
+                                                    phase=True)
         if bad_hi.any():
             hi[bad_hi] += gaps[bad_hi]
-            chi[bad_hi] = _count_below(prob, hi[bad_hi], a, b)
+            chi[bad_hi], thi[bad_hi] = _count_below(prob, hi[bad_hi], a, b,
+                                                    phase=True)
     else:
         raise BracketError(
             f"could not isolate {N} eigenvalues; counts lo={clo}, hi={chi}")
@@ -186,16 +192,43 @@ def _solve_levels(prob, a, b, N):
         if not wide.any():
             break
         mid = 0.5 * (lo[wide] + hi[wide])
-        cm = _count_below(prob, mid, a, b)
+        cm, tm = _count_below(prob, mid, a, b, phase=True)
         take_lo = cm <= slots[wide]
         idx = np.flatnonzero(wide)
         lo[idx[take_lo]] = mid[take_lo]
         clo[idx[take_lo]] = cm[take_lo]
+        tlo[idx[take_lo]] = tm[take_lo]
         hi[idx[~take_lo]] = mid[~take_lo]
         chi[idx[~take_lo]] = cm[~take_lo]
+        thi[idx[~take_lo]] = tm[~take_lo]
     else:
         raise BracketError("count bisection failed to separate eigenvalues")
-    return regime, lo, hi
+    return regime, lo, hi, _phase_starts(lo, hi, tlo, thi, b)
+
+
+def _phase_starts(lo, hi, tlo, thi, b):
+    """Newton starts where the bracket's phase reaches the root's phase.
+
+    The Pruefer phase at x = 1 turns nearly linearly in sqrt(lam) (at the
+    rate 1 for the zero potential), so across slot k's bracket it is taken
+    linear in sqrt(lam) between theta(lo) and theta(hi) and solved for the
+    root phase of ``_count_below``: (k + 1) pi, or k pi + atan2(sqrt(lam),
+    -b), whose slow turn two substitutions take up.  Where lo <= 1 (the
+    phase there is scaled by 1, not sqrt(lam)) or the start does not land
+    strictly inside its bracket, the bracket midpoint is the start.
+    """
+    k = np.arange(lo.size)
+    mid = 0.5 * (lo + hi)
+    r_lo = np.sqrt(np.maximum(lo, 1.0))
+    r = np.sqrt(np.maximum(mid, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = (np.sqrt(np.maximum(hi, 1.0)) - r_lo) / (thi - tlo)
+        for _ in range(1 if is_dirichlet(b) else 2):
+            turn = math.pi if is_dirichlet(b) else np.arctan2(r, -float(b))
+            r = r_lo + (math.pi * k + turn - tlo) * rate
+    start = r * r
+    keep = (lo > 1.0) & (start > lo) & (start < hi)
+    return np.where(keep, start, mid)
 
 
 def _newton_polish(char, lam, lo, hi):
@@ -203,21 +236,28 @@ def _newton_polish(char, lam, lo, hi):
 
     ``char(x)`` returns the characteristic values at x and their
     lam-derivatives.  ``lo`` and ``hi`` bracket one root each, slot k first
-    (count brackets from ``_solve_levels``).  The characteristic value is
-    positive below the spectrum and changes sign at each simple eigenvalue,
-    so in slot k it has the sign (-1)**k below the root; each evaluation
-    shrinks the bracket by that sign, and a step that would leave the
-    bracket takes its midpoint.  A root stops once its Newton step is within
-    the tolerance, taken or not, at the step's end clipped to the bracket: a
-    bracket can collapse to one ulp while the step is still finite.
+    (count brackets from ``_solve_levels``); any start inside its bracket is
+    safe, and a start near the root (``_phase_starts``) saves rounds.  The
+    characteristic value is positive below the spectrum and changes sign at
+    each simple eigenvalue, so in slot k it has the sign (-1)**k below the
+    root; each evaluation shrinks the bracket by that sign, and a step that
+    would leave the bracket takes its midpoint.  A root stops once its
+    Newton step is within the tolerance, taken or not, at the step's end
+    clipped to the bracket: a bracket can collapse to one ulp while the
+    step is still finite.
+
+    A ``char`` that returns a companion g and its lam-derivative dg after
+    w and dw gets (lam, g) back, g carried from each root's last evaluation
+    x by the same step: g(x) + dg(x) (lam - x).
     """
     lam = np.array(lam, dtype=float)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     below = (-1.0) ** np.arange(lam.size)
     live = np.arange(lam.size)
+    companion = np.empty(lam.size)
     for _ in range(_MAX_NEWTON):
         x = lam[live]
-        w, dw = char(x)
+        w, dw, *rest = char(x)
         side = np.sign(w) * below[live]
         low = np.where(side > 0, x, lo[live])
         high = np.where(side < 0, x, hi[live])
@@ -229,19 +269,35 @@ def _newton_polish(char, lam, lo, hi):
         inside = (trial > low) & (trial < high)
         lam[live] = np.where(inside | done, np.clip(trial, low, high),
                              0.5 * (low + high))
+        if rest:
+            g, dg = rest
+            companion[live[done]] = (g + dg * (lam[live] - x))[done]
         live = live[~done]
         if live.size == 0:
-            return lam
+            return (lam, companion) if rest else lam
     raise BracketError(
         f"Newton polish left {live.size} roots unconverged after "
         f"{_MAX_NEWTON} rounds")
 
 
-def _problem_char(prob, a, b):
-    """The problem's characteristic function as ``_newton_polish`` reads it."""
+def _problem_char(prob, a, b, norming=False):
+    """The problem's characteristic function as ``_newton_polish`` reads it.
+
+    With ``norming`` it returns the norming constant nu of
+    ``_endpoint_quantities`` and its lam-derivative as the companion, read
+    from the same sweep: nu = log|num| + log scale with num = y'(1) for a
+    Dirichlet pair, else y(1), and dnu/dlam = dnum / num.
+    """
+    dirichlet_pair = regime_of(a, b) == "dirichlet"
+
     def char(x):
-        w, dw, _, _ = _endpoint_w(prob, x, a, b, deriv=True)
-        return w, dw
+        w, dw, scale, res = _endpoint_w(prob, x, a, b, deriv=True)
+        if not norming:
+            return w, dw
+        num, dnum = ((res["v"], res["dv"]) if dirichlet_pair
+                     else (res["y"], res["dy"]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return w, dw, np.log(np.abs(num)) + scale, dnum / num
     return char
 
 
@@ -514,17 +570,26 @@ def _normal_form_correction(prob, a, b, N):
 def _pipeline(prob, a, b, N):
     """Eigenvalues and norming constants by slot, with their grid levels.
 
-    One grid level plus the zero-potential correction; where the correction
-    does not apply, the doubled grid and ``_extrapolate``.
+    One grid level plus the zero-potential correction: Newton from the
+    phase-matched starts of ``_solve_levels``, whose last sweep at each root
+    gives its norming constant as well.  Where the correction does not
+    apply, Newton from the bracket midpoints at the problem grid and the
+    doubled grid, norming constants read at both roots, and
+    ``_extrapolate``.
     """
-    regime, lo, hi = _solve_levels(prob, a, b, N)
-    lam0 = _newton_polish(_problem_char(prob, a, b), 0.5 * (lo + hi), lo, hi)
-    norm0, _ = _endpoint_quantities(prob, lam0, a, b, regime)
+    regime, lo, hi, start = _solve_levels(prob, a, b, N)
     correction = _normal_form_correction(prob, a, b, N)
     if correction is not None:
+        lam0, norm0 = _newton_polish(_problem_char(prob, a, b, norming=True),
+                                     start, lo, hi)
+        if not np.all(np.isfinite(norm0)):
+            raise DegenerateEigenfunctionError(
+                "eigenfunction endpoint data vanished; spectrum is corrupted")
         dlam, dnorm = correction
         return {"regime": regime, "lam": lam0 + dlam, "norming": norm0 + dnorm,
                 "lam_levels": (lam0,)}
+    lam0 = _newton_polish(_problem_char(prob, a, b), 0.5 * (lo + hi), lo, hi)
+    norm0, _ = _endpoint_quantities(prob, lam0, a, b, regime)
     fine = prob.with_resolution(2 * prob.n)
     lam1 = _newton_polish(_problem_char(fine, a, b), lam0, lo, hi)
     norm1, _ = _endpoint_quantities(fine, lam1, a, b, regime)

@@ -16,7 +16,7 @@ from scipy.linalg import eigh_tridiagonal
 from liouville import (BracketError, GridFunction, Impedance, IntegrationError,
                        build_rho, frechet_apply)
 from liouville.ode import (_count_below, _endpoint_w, _matmul, _nodes,
-                           _quadratic_steps, _sign_flips)
+                           _quadratic_steps)
 from liouville.spectral import (_endpoint_quantities, _newton_polish,
                                 _problem_char, _solve_levels, boundary_shift,
                                 regime_of, unperturbed_eigenvalues)
@@ -347,6 +347,23 @@ def damped_spectrum(q, cfg, a, b, start, max_newton=16):
     return (16.0 * lam1 - lam0) / 15.0, (16.0 * norm1 - norm0) / 15.0
 
 
+# The sign count that read every node in grid order, from the (n + 1, K)
+# node array, before counts were read in the block layout of the scan.  Kept
+# as the reference for ``ode._block_flips`` and used by the scalar-carry sweep.
+
+def sign_flips(Y: np.ndarray) -> np.ndarray:
+    """Sign changes down each column of Y, skipping exact zeros.
+
+    A zero node takes the last nonzero sign before it, so y == 0 exactly
+    (at the final node too) contributes nothing and the count stays strict.
+    """
+    s = np.sign(Y)
+    last = np.where(s != 0, np.arange(Y.shape[0])[:, None], 0)
+    np.maximum.accumulate(last, axis=0, out=last)
+    s = np.take_along_axis(s, last, axis=0)
+    return np.count_nonzero(s[1:] * s[:-1] < 0, axis=0)
+
+
 # The blocked scan as it ran before the steps were stored in block order:
 # the multiply-add wrote cell order, a copy moved it into the block layout,
 # and the carry over the block totals updated each state component with its
@@ -432,7 +449,7 @@ def scalar_carry_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
         out["Y"] = Y
         out["W"] = W
     if count:
-        out["flips"] = _sign_flips(Y)
+        out["flips"] = sign_flips(Y)
     return out
 
 # The global quintic splines that formed RK4 midpoints and resampled grids
@@ -574,7 +591,7 @@ SLOT_CHUNK = 16
 
 def richardson_spectrum(prob, a, b, N):
     """Eigenvalues and norming constants from two grid levels, extrapolated."""
-    regime, lo, hi = _solve_levels(prob, a, b, N)
+    regime, lo, hi, _ = _solve_levels(prob, a, b, N)
     fine = prob.with_resolution(2 * prob.n)
     lam, norming = np.empty(N), np.empty(N)
     for start in range(0, N, SLOT_CHUNK):

@@ -11,10 +11,10 @@ from liouville import (INF, ConditionU, GridFunction, Impedance,
                        SchrodingerProblem, build_rho, compute_c0,
                        forward_transform, oscillation_count, shoot_backward,
                        shoot_forward, wronskian)
-from liouville.ode import (_build_matrices, _quadratic_steps, _sign_flips,
+from liouville.ode import (_block_flips, _build_matrices, _quadratic_steps,
                            _sweep)
 from oracles import (damped_coefficients, damped_ends, loop_build_matrices,
-                     loop_sweep)
+                     loop_sweep, sign_flips)
 
 N = 2048
 FREE = SchrodingerProblem(Potential(GridFunction.zeros(N)))
@@ -347,7 +347,30 @@ class TestBlockedScan:
                 flips += s != 0 and s == -last
                 last = s if s != 0 else last
             expect.append(flips)
-        np.testing.assert_array_equal(_sign_flips(Y), expect)
+        np.testing.assert_array_equal(sign_flips(Y), expect)
+
+    @pytest.mark.parametrize("n", sorted(EDGE_CASES))
+    def test_block_counts_match_grid_order(self, n):
+        # Columns from dense signs to runs of zeros that cross block edges,
+        # with zeros forced at node 0, the last node and both sides of the
+        # first block edge; the pad cells past node n hold noise, which the
+        # count must not read.
+        B = math.isqrt(n)
+        nb = -(-n // B)
+        rng = np.random.default_rng(n)
+        zero_share = np.repeat([0.0, 0.2, 0.6, 0.95], 16)
+        K = zero_share.size
+        Y = rng.choice([-2.0, 3.0], size=(n + 1, K))
+        Y[rng.random((n + 1, K)) < zero_share] = 0.0
+        Y[0, ::2] = 0.0
+        Y[n, ::3] = 0.0
+        Y[B:B + 2, 1::4] = 0.0
+        Y[:, -1] = 0.0
+        inner = rng.choice([-1.0, 0.0, 1.0], size=(nb * B, K))
+        inner[:n] = Y[1:]
+        inner = inner.reshape(nb, B, K).transpose(1, 0, 2)
+        np.testing.assert_array_equal(_block_flips(Y[0], inner, n),
+                                      sign_flips(Y))
 
 
 def cell_order(M: np.ndarray) -> np.ndarray:

@@ -431,6 +431,29 @@ class TestRootFinder:
             assert np.array_equal(ode._count_below(prob, eig + step, a, b),
                                   count[root] + 1)
 
+    def test_sweep_budget(self, monkeypatch):
+        # One count sweep places brackets and phase-matched starts; Newton
+        # then takes at most two full-width rounds, and its last evaluation
+        # at each root gives the norming constant, so no endpoint sweep
+        # follows.
+        prob = six_mode_problem("exp", 2048)
+        sweep = ode._sweep
+        calls = []
+
+        def counted(co, lam, y0, v0, **kwargs):
+            mode = [m for m in ("count", "deriv", "trace") if kwargs.get(m)]
+            calls.append((mode[0] if mode else "endpoint", np.size(lam)))
+            return sweep(co, lam, y0, v0, **kwargs)
+
+        monkeypatch.setattr(ode, "_sweep", counted)
+        monkeypatch.setattr(spectral, "_sweep", counted)
+        solve_spectrum(prob, INF, INF, 64)
+        modes = [mode for mode, _ in calls]
+        assert modes.count("count") == 1
+        assert modes.count("endpoint") == 0
+        assert modes.count("trace") == 0
+        assert sum(1 for mode, K in calls if mode == "deriv" and K == 64) <= 2
+
     def test_nonconverging_iteration_raises(self, monkeypatch):
         # A stationary characteristic value gives no usable Newton step, so
         # every round takes the bracket midpoint and none meets the
@@ -474,6 +497,23 @@ class TestNormingConstants:
         data = solve_spectrum(prob, a, b, 32)
         assert np.max(np.abs(norming_constants(prob, data) - data.norming)) \
             < 1e-10
+
+    @pytest.mark.parametrize("picture", ["impedance", "schrodinger"])
+    def test_matches_at_a_boundary_state(self, picture):
+        # A Robin left end a = -6 holds a state near lam = -50 that lives at
+        # x = 0, so y(1) is the small end of a decaying shot: there
+        # dnu/dlam = -4.5e3, one ulp of lam (7e-15) is 3e-11 of nu, and nu
+        # read by one sweep jumps by up to 1e-10 between neighbouring ulps.
+        # The solve reads nu at its last Newton point and carries it to the
+        # root, ``norming_constants`` reads it at the root: measured 1.2e-10
+        # (impedance) and 2.3e-10 (Schrodinger) apart.  The other slots
+        # agree to 1e-14.
+        prob = in_picture(six_mode_problem("exp", N_GRID), picture)
+        data = solve_spectrum(prob, -6.0, 1.0, 32)
+        assert data.eigenvalues[0] < -48.0
+        diff = np.abs(norming_constants(prob, data) - data.norming)
+        assert diff[0] < 1e-9
+        assert np.max(diff[1:]) < 1e-12
 
     @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
     def test_matches_on_coarse_grid(self, cfg, a, b):
