@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u", default="zero",
                     help="perturbation: zero | exp:E,beta | poly:[...] | file.json")
     _add_boundary(sp)
-    _add_common(sp, "N", "tol", "out")
+    _add_common(sp, "N", "out")
     sp.set_defaults(func=cmd_spectrum)
 
     tr = subs.add_parser("transform", help="apply the forward map")

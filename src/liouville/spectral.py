@@ -7,8 +7,11 @@ are solved as normal forms (an impedance problem through the Liouville map,
 see ``ode``), at the problem grid, and corrected by the integrator error of
 the zero potential under the same boundary pair (asymptotic correction:
 Paine, de Hoog & Anderssen, Computing 26, 1981), which the zero problem
-shows exactly and without a sweep.  The few cases that correction does not
-cover are computed at two grid levels and combined by fourth-order
+shows exactly and without a sweep.  The norming constants, normalizing
+constants and trace-identity terms at stored eigenvalues are read the same
+way: one grid level at the discrete eigenvalues those imply, plus the
+correction of each quantity.  The few boundary pairs that correction does
+not cover are computed at two grid levels and combined by fourth-order
 extrapolation, which removes the leading integrator error.
 
 Three boundary regimes are supported, encoded by the pair (a, b) with inf
@@ -152,7 +155,7 @@ def _solve_levels(prob, a, b, N):
     and the count bisection takes it up from there.  Every count brings the
     Pruefer phase at x = 1 (``_count_below``), which is carried with its
     bracket end to place the Newton starts (``_phase_starts``).
-    Returns (regime, lo, hi, start).
+    Returns (lo, hi, start).
     """
     regime = regime_of(a, b)
     slots = np.arange(N)
@@ -203,7 +206,7 @@ def _solve_levels(prob, a, b, N):
         thi[idx[~take_lo]] = tm[~take_lo]
     else:
         raise BracketError("count bisection failed to separate eigenvalues")
-    return regime, lo, hi, _phase_starts(lo, hi, tlo, thi, b)
+    return lo, hi, _phase_starts(lo, hi, tlo, thi, b)
 
 
 def _phase_starts(lo, hi, tlo, thi, b):
@@ -301,17 +304,19 @@ def _problem_char(prob, a, b, norming=False):
     return char
 
 
-def _endpoint_quantities(prob, lam, a, b, regime, deriv=False):
-    """Norming constants at the eigenvalues lam, and log|dw| with ``deriv``."""
-    _, dw, _, res = _endpoint_w(prob, lam, a, b, deriv=deriv)
-    numerator = np.abs(res["v"]) if regime == "dirichlet" else np.abs(res["y"])
+def _endpoint_quantities(prob, lam, a, b):
+    """Norming constants nu and log|dw| at the eigenvalues lam, from one sweep.
+
+    nu = log|y'(1)| for a Dirichlet pair, else log|y(1)|, of the shot from
+    the left data; dw is the lam-derivative of the characteristic function.
+    """
+    _, dw, _, res = _endpoint_w(prob, lam, a, b, deriv=True)
+    numerator = np.abs(res["v"] if is_dirichlet(b) else res["y"])
     if np.any(numerator == 0.0):
         raise DegenerateEigenfunctionError(
             "eigenfunction endpoint data vanished; spectrum is corrupted")
-    norming = np.log(numerator) + res["logscale"]
-    if not deriv:
-        return norming, None
-    return norming, np.log(np.abs(dw)) + res["logscale"]
+    return (np.log(numerator) + res["logscale"],
+            np.log(np.abs(dw)) + res["logscale"])
 
 
 def _traces(prob, lam, y0, v0):
@@ -322,13 +327,6 @@ def _traces(prob, lam, y0, v0):
     res = _sweep(prob._coefficients(), np.asarray(lam, dtype=float), y0, v0,
                  trace=True)
     return res["Y"]
-
-
-def _alpha_quantities(prob, lam):
-    """Normalizing integrals int y**2 for Dirichlet eigenfunctions."""
-    Y = _traces(prob, lam, 0.0, 1.0)
-    weights = _simpson_weights(Y.shape[0] - 1)
-    return weights @ (Y * Y)
 
 
 def _potential_gradients(prob, lam, a, directions, norming=True):
@@ -362,9 +360,8 @@ def _potential_gradients(prob, lam, a, directions, norming=True):
 def _extrapolate(coarse, fine):
     """Fourth-order combination of problem-grid and doubled-grid values.
 
-    It cancels the leading O(h**4) integrator error of either level.  Spectra
-    use it only where ``_normal_form_correction`` gives None; the
-    normalizing constants and the trace identities use it throughout.
+    It cancels the leading O(h**4) integrator error of either level.  It is
+    used only where ``_normal_form_correction`` gives None.
     """
     return (16.0 * fine - coarse) / 15.0
 
@@ -472,14 +469,16 @@ def _zero_char(transfer, a, b):
     return char
 
 
-def _zero_norming(transfer, lam, a, b):
-    """Norming constants of the zero problem at lam, as in ``_endpoint_quantities``."""
-    y, v, _, _ = _zero_ends(transfer(lam), lam, a)
-    return np.log(np.abs(v if is_dirichlet(b) else y))
+def _zero_quantities(transfer, lam, a, b):
+    """nu and log|dw| of the zero problem at lam, as in ``_endpoint_quantities``."""
+    y, v, dy, dv = _zero_ends(transfer(lam), lam, a)
+    if is_dirichlet(b):
+        return np.log(np.abs(v)), np.log(np.abs(dy))
+    return np.log(np.abs(y)), np.log(np.abs(dv + b * dy))
 
 
 def _exact_ladder(a, b, N):
-    """Eigenvalues and norming constants of p = 0 under (a, b), by slot.
+    """Eigenvalues, norming constants and log|dw| of p = 0 under (a, b), by slot.
 
     Robin ends take a bracketed Newton on the closed-form characteristic
     function.  With a Dirichlet left end, slot k >= 1 lies in
@@ -494,12 +493,13 @@ def _exact_ladder(a, b, N):
     2 v w(lam) = e**v (v + a) (v + b) - e**-v (v - a) (v - b) for Robin
     ends and e**v (v + b) + e**-v (v - b) for a Dirichlet left end, positive
     for v >= m.  An end with a or b below -1 holds a state near -a**2 or
-    -b**2, where the lowest slot starts.
+    -b**2, where the lowest slot starts.  A Dirichlet pair is closed form:
+    w = sin(k pi) / (k pi) has dw = cos(k pi) / (2 lam).
     """
     regime = regime_of(a, b)
     if regime == "dirichlet":
-        return (unperturbed_eigenvalues(regime, N),
-                unperturbed_norming(regime, N))
+        lam = unperturbed_eigenvalues(regime, N)
+        return lam, unperturbed_norming(regime, N), -np.log(2.0 * lam)
     if regime == "mixed":
         edges = (math.pi * np.arange(N + 1)) ** 2
     else:
@@ -523,21 +523,22 @@ def _exact_ladder(a, b, N):
         start[0] = -low * low
     lam = _newton_polish(_zero_char(_exact_transfer, a, b),
                          np.clip(start, lo, hi), lo, hi)
-    return lam, _zero_norming(_exact_transfer, lam, a, b)
+    return (lam, *_zero_quantities(_exact_transfer, lam, a, b))
 
 
 def _zero_correction(n, a, b, N):
-    """Exact less discrete eigenvalues and norming constants of p = 0, by slot.
+    """Exact less discrete eigenvalues, nu and log|dw| of p = 0, by slot.
 
     The discrete integrator error of a normal-form eigenvalue is dominated
     by a part that does not depend on the potential, so adding these
-    differences to the values of any potential on n cells removes it.  The
+    differences to the values of any potential on n cells removes it, and
+    the same holds for nu and log|dw| read at the discrete eigenvalue.  The
     discrete values come from Newton on the RK4 transfer M(lam)**n, started
     where the transfer turns by the exact phase and kept halfway to the
     neighbouring starts; where that does not isolate a root, the Newton
     polish raises ``BracketError``.
     """
-    lam, norming = _exact_ladder(a, b, N + 1)
+    lam, norming, log_dw = _exact_ladder(a, b, N + 1)
     start = _phase_matched(n, lam)
     hi = 0.5 * (start[1:] + start[:-1])
     lo = np.concatenate([[2.0 * start[0] - hi[0]], hi[:-1]])
@@ -546,8 +547,8 @@ def _zero_correction(n, a, b, N):
         return _discrete_transfer(n, x)
 
     lam_h = _newton_polish(_zero_char(transfer, a, b), start[:N], lo, hi)
-    return (lam[:N] - lam_h,
-            norming[:N] - _zero_norming(transfer, lam_h, a, b))
+    norming_h, log_dw_h = _zero_quantities(transfer, lam_h, a, b)
+    return lam[:N] - lam_h, norming[:N] - norming_h, log_dw[:N] - log_dw_h
 
 
 def _normal_form_correction(prob, a, b, N):
@@ -555,11 +556,9 @@ def _normal_form_correction(prob, a, b, N):
 
     Both pictures integrate a normal form, whose constant shift c0 moves
     the discrete and the exact eigenvalues alike, so the correction is that
-    of the grid and the boundary pair.  None marks the cases where the zero
+    of the grid and the boundary pair.  None marks the pairs where the zero
     ladder cannot be matched slot by slot, and ``_zero_correction`` raises:
-    grids so coarse for N that RK4 moves a zero eigenvalue by half a gap,
-    and two Robin ends below about -10 whose boundary states nearly
-    coincide.
+    two Robin ends below about -10, whose boundary states nearly coincide.
     """
     try:
         return _zero_correction(prob.n, a, b, N)
@@ -568,7 +567,7 @@ def _normal_form_correction(prob, a, b, N):
 
 
 def _pipeline(prob, a, b, N):
-    """Eigenvalues and norming constants by slot, with their grid levels.
+    """Eigenvalues and norming constants by slot.
 
     One grid level plus the zero-potential correction: Newton from the
     phase-matched starts of ``_solve_levels``, whose last sweep at each root
@@ -577,7 +576,7 @@ def _pipeline(prob, a, b, N):
     doubled grid, norming constants read at both roots, and
     ``_extrapolate``.
     """
-    regime, lo, hi, start = _solve_levels(prob, a, b, N)
+    lo, hi, start = _solve_levels(prob, a, b, N)
     correction = _normal_form_correction(prob, a, b, N)
     if correction is not None:
         lam0, norm0 = _newton_polish(_problem_char(prob, a, b, norming=True),
@@ -585,35 +584,54 @@ def _pipeline(prob, a, b, N):
         if not np.all(np.isfinite(norm0)):
             raise DegenerateEigenfunctionError(
                 "eigenfunction endpoint data vanished; spectrum is corrupted")
-        dlam, dnorm = correction
-        return {"regime": regime, "lam": lam0 + dlam, "norming": norm0 + dnorm,
-                "lam_levels": (lam0,)}
+        dlam, dnorm, _ = correction
+        return lam0 + dlam, norm0 + dnorm
     lam0 = _newton_polish(_problem_char(prob, a, b), 0.5 * (lo + hi), lo, hi)
-    norm0, _ = _endpoint_quantities(prob, lam0, a, b, regime)
+    norm0, _ = _endpoint_quantities(prob, lam0, a, b)
     fine = prob.with_resolution(2 * prob.n)
     lam1 = _newton_polish(_problem_char(fine, a, b), lam0, lo, hi)
-    norm1, _ = _endpoint_quantities(fine, lam1, a, b, regime)
-    return {
-        "regime": regime, "lam": _extrapolate(lam0, lam1),
-        "norming": _extrapolate(norm0, norm1), "lam_levels": (lam0, lam1),
-    }
+    norm1, _ = _endpoint_quantities(fine, lam1, a, b)
+    return _extrapolate(lam0, lam1), _extrapolate(norm0, norm1)
 
 
 def compute_eigenvalues(prob, a: float, b: float, N: int) -> np.ndarray:
     """First N eigenvalues of the problem under the boundary pair (a, b)."""
     if N < 1:
         raise ValueError("need at least one eigenvalue")
-    return _pipeline(prob, a, b, N)["lam"]
+    return _pipeline(prob, a, b, N)[0]
 
 
 def solve_spectrum(prob, a: float, b: float, N: int) -> SpectralData:
     """Eigenvalues plus norming constants, packaged with their remainders."""
-    out = _pipeline(prob, a, b, N)
+    lam, norming = _pipeline(prob, a, b, N)
     return SpectralData(
         kind=prob.kind, a=float(a), b=float(b), c0=prob.c0,
-        eigenvalues=out["lam"], norming=out["norming"],
-        remainders=_remainders(out["lam"], a, b, prob.c0), N=N,
+        eigenvalues=lam, norming=norming,
+        remainders=_remainders(lam, a, b, prob.c0), N=N,
     )
+
+
+def _stored_quantities(prob, data: SpectralData, M: int | None = None):
+    """nu and log|dw| at the first M (default all) stored eigenvalues.
+
+    Where ``solve_spectrum`` corrects one level, one level is read at the
+    discrete eigenvalues that the stored ones imply (data less the
+    zero-potential correction) and the correction of each quantity is
+    added.  Elsewhere two levels are read at the stored values: the leading
+    integrator error then has the same coefficient and ``_extrapolate``
+    cancels it.
+    """
+    a, b = data.a, data.b
+    lam = np.asarray(data.eigenvalues[:M], dtype=float)
+    correction = _normal_form_correction(prob, a, b, lam.size)
+    if correction is not None:
+        dlam, dnorm, dlog_dw = correction
+        norming, log_dw = _endpoint_quantities(prob, lam - dlam, a, b)
+        return norming + dnorm, log_dw + dlog_dw
+    fine = prob.with_resolution(2 * prob.n)
+    n0, l0 = _endpoint_quantities(prob, lam, a, b)
+    n1, l1 = _endpoint_quantities(fine, lam, a, b)
+    return _extrapolate(n0, n1), _extrapolate(l0, l1)
 
 
 def norming_constants(prob, data: SpectralData) -> np.ndarray:
@@ -622,34 +640,24 @@ def norming_constants(prob, data: SpectralData) -> np.ndarray:
     Dirichlet pairs use the endpoint slope ratio; the other regimes use the
     endpoint value ratio, read from the normal form of either picture (for
     an impedance problem, those of f times rho(1)), so the constants agree
-    across the two pictures.  Where ``solve_spectrum`` corrects one level,
-    one level is read at the discrete eigenvalues that the stored ones
-    imply, data less the zero-potential correction, and the correction is
-    added; elsewhere two levels are read at the stored values.
+    across the two pictures.  They are read by ``_stored_quantities``: one
+    grid level at the discrete eigenvalues that the stored ones imply, plus
+    the zero-potential correction.
     """
-    regime = regime_of(data.a, data.b)
-    lam = np.asarray(data.eigenvalues, dtype=float)
-    correction = _normal_form_correction(prob, data.a, data.b, lam.size)
-    if correction is not None:
-        dlam, dnorm = correction
-        n0, _ = _endpoint_quantities(prob, lam - dlam, data.a, data.b, regime)
-        return n0 + dnorm
-    # Both levels are read at the supplied eigenvalues, so the leading
-    # integrator error has the same coefficient and cancels exactly.
-    n0, _ = _endpoint_quantities(prob, lam, data.a, data.b, regime)
-    fine = prob.with_resolution(2 * prob.n)
-    n1, _ = _endpoint_quantities(fine, lam, data.a, data.b, regime)
-    return _extrapolate(n0, n1)
+    return _stored_quantities(prob, data)[0]
 
 
 def normalizing_constants(prob, data: SpectralData) -> np.ndarray:
-    """Integrals alpha_n = int y_n**2 with y_n'(0) = 1 (Dirichlet pairs only)."""
+    """Integrals alpha_n = int y_n**2 with y_n'(0) = 1 (Dirichlet pairs only).
+
+    For a Dirichlet pair alpha_n = y_n'(1) dw(lam_n) (Poeschel & Trubowitz,
+    Inverse Spectral Theory, 1987, ch. 2), that is exp(nu + log|dw|), read
+    at the stored eigenvalues by ``_stored_quantities``.
+    """
     if regime_of(data.a, data.b) != "dirichlet":
         raise ValueError("normalizing constants are defined for Dirichlet pairs")
-    lam = np.asarray(data.eigenvalues, dtype=float)
-    fine = prob.with_resolution(2 * prob.n)
-    return _extrapolate(_alpha_quantities(prob, lam),
-                        _alpha_quantities(fine, lam))
+    norming, log_dw = _stored_quantities(prob, data)
+    return np.exp(norming + log_dw)
 
 
 def _remainders(lam, a, b, c0) -> SequenceData:
@@ -697,19 +705,6 @@ def hadamard_wronskian(data: SpectralData, lam: float, M: int) -> float:
     return front * float(np.prod((lam - eigs) / (lam - ref)))
 
 
-def _identity_terms(prob, data, M, sign: float):
-    """Extrapolated ratios exp(sign * norming) / |dw| at the eigenvalues."""
-    lam = np.asarray(data.eigenvalues[:M], dtype=float)
-    regime = regime_of(data.a, data.b)
-
-    def level(p):
-        norming, log_dw = _endpoint_quantities(p, lam, data.a, data.b, regime,
-                                               deriv=True)
-        return np.exp(sign * norming - log_dw)
-
-    return _extrapolate(level(prob), level(prob.with_resolution(2 * prob.n)))
-
-
 def identity_b(prob, data: SpectralData, M: int) -> np.ndarray:
     """Partial sums of the fixed-b trace identity (Dirichlet-Robin pairs).
 
@@ -720,8 +715,8 @@ def identity_b(prob, data: SpectralData, M: int) -> np.ndarray:
         raise ValueError("the fixed-b identity needs a Dirichlet-Robin pair")
     if M > data.N:
         raise ValueError("identity ladder exceeds stored data")
-    ratios = _identity_terms(prob, data, M, sign=+1.0)
-    return np.cumsum(2.0 - ratios)
+    norming, log_dw = _stored_quantities(prob, data, M)
+    return np.cumsum(2.0 - np.exp(norming - log_dw))
 
 
 def identity_ab(prob, data: SpectralData, M: int):
@@ -735,8 +730,8 @@ def identity_ab(prob, data: SpectralData, M: int):
         raise ValueError("the trace-identity pair needs a Robin-Robin pair")
     if M > data.N:
         raise ValueError("identity ladder exceeds stored data")
-    r_plus = _identity_terms(prob, data, M, sign=+1.0)
-    r_minus = _identity_terms(prob, data, M, sign=-1.0)
+    norming, log_dw = _stored_quantities(prob, data, M)
+    r_plus, r_minus = np.exp(norming - log_dw), np.exp(-norming - log_dw)
     return -1.0 + np.cumsum(2.0 - r_plus), -1.0 + np.cumsum(2.0 - r_minus)
 
 

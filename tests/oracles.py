@@ -15,11 +15,13 @@ from scipy.linalg import eigh_tridiagonal
 
 from liouville import (BracketError, GridFunction, Impedance, IntegrationError,
                        build_rho, frechet_apply)
+from liouville.grid import _simpson_weights
 from liouville.ode import (_count_below, _endpoint_w, _matmul, _nodes,
                            _quadratic_steps)
 from liouville.spectral import (_endpoint_quantities, _newton_polish,
-                                _problem_char, _solve_levels, boundary_shift,
-                                regime_of, unperturbed_eigenvalues)
+                                _problem_char, _solve_levels, _traces,
+                                boundary_shift, regime_of,
+                                unperturbed_eigenvalues)
 
 INF = math.inf
 
@@ -574,8 +576,8 @@ def bisect_newton_polish(prob, lam, a, b, max_newton, max_step=None):
 
 def bisect_level(prob, a, b, N):
     """Eigenvalues and norming constants at the problem grid, old root finder."""
-    regime, lam = bisect_solve_levels(prob, a, b, N)
-    norming, _ = _endpoint_quantities(prob, lam, a, b, regime, deriv=True)
+    _, lam = bisect_solve_levels(prob, a, b, N)
+    norming, _ = _endpoint_quantities(prob, lam, a, b)
     return lam, norming
 
 
@@ -591,16 +593,51 @@ SLOT_CHUNK = 16
 
 def richardson_spectrum(prob, a, b, N):
     """Eigenvalues and norming constants from two grid levels, extrapolated."""
-    regime, lo, hi, _ = _solve_levels(prob, a, b, N)
+    lo, hi, _ = _solve_levels(prob, a, b, N)
     fine = prob.with_resolution(2 * prob.n)
     lam, norming = np.empty(N), np.empty(N)
     for start in range(0, N, SLOT_CHUNK):
         k = slice(start, start + SLOT_CHUNK)
         lam0 = _newton_polish(_problem_char(prob, a, b), 0.5 * (lo[k] + hi[k]),
                               lo[k], hi[k])
-        norm0, _ = _endpoint_quantities(prob, lam0, a, b, regime)
+        norm0, _ = _endpoint_quantities(prob, lam0, a, b)
         lam1 = _newton_polish(_problem_char(fine, a, b), lam0, lo[k], hi[k])
-        norm1, _ = _endpoint_quantities(fine, lam1, a, b, regime)
+        norm1, _ = _endpoint_quantities(fine, lam1, a, b)
         lam[k] = (16.0 * lam1 - lam0) / 15.0
         norming[k] = (16.0 * norm1 - norm0) / 15.0
     return lam, norming
+
+
+# The readers at stored eigenvalues before they moved to one level and the
+# zero-potential correction: normalizing constants as the Simpson integral
+# of y**2 along a trace, and trace-identity ratios exp(sign * nu) / |dw|
+# from the endpoint data, each read at the problem grid and at the doubled
+# grid at the same eigenvalues and combined by fourth-order extrapolation.
+
+def two_level_normalizing(prob, lam):
+    """alpha_n = int y_n**2 with y_n'(0) = 1 (Dirichlet pairs), two levels."""
+    def level(p, x):
+        Y = _traces(p, x, 0.0, 1.0)
+        return _simpson_weights(p.n) @ (Y * Y)
+
+    return _two_levels(prob, lam, level)
+
+
+def two_level_ratios(prob, lam, a, b, sign):
+    """Trace-identity ratios exp(sign * nu) / |dw| at lam, two levels."""
+    def level(p, x):
+        norming, log_dw = _endpoint_quantities(p, x, a, b)
+        return np.exp(sign * norming - log_dw)
+
+    return _two_levels(prob, lam, level)
+
+
+def _two_levels(prob, lam, level):
+    """``level`` at both grids, extrapolated, by chunks of SLOT_CHUNK slots."""
+    fine = prob.with_resolution(2 * prob.n)
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty(lam.size)
+    for start in range(0, lam.size, SLOT_CHUNK):
+        k = slice(start, start + SLOT_CHUNK)
+        out[k] = (16.0 * level(fine, lam[k]) - level(prob, lam[k])) / 15.0
+    return out

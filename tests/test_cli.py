@@ -439,6 +439,7 @@ class TestErrorPaths:
          "--emit-plot", "x.csv"],
         ["fit", "--regime", "symmetric-dirichlet", "--impedance",
          "--grid", "1024", "--out", "q.csv", "--emit-plot", "x.csv"],
+        ["spectrum", "--q", "zero", "--tol", "1e-6", "--out", "x.json"],
     ])
     def test_unread_flags_rejected(self, argv, tmp_path, monkeypatch, capsys,
                                    dirichlet_run):

@@ -18,10 +18,11 @@ from liouville import (INF, BracketError, ConditionU, GridFunction, Impedance,
                        solve_spectrum, unperturbed_eigenvalues,
                        unperturbed_norming, wronskian)
 from liouville import ode, spectral
-from liouville.spectral import _pipeline, _potential_gradients
+from liouville.spectral import _potential_gradients
 from oracles import bisect_level, damped_spectrum, dirichlet_exact, \
     mixed_exact, oracle_eigenvalues, richardson_spectrum, scalar_carry_sweep, \
-    sin2pi_potential, spline_midpoints, spline_resample
+    sin2pi_potential, spline_midpoints, spline_resample, \
+    two_level_normalizing, two_level_ratios
 
 N_GRID = 2048
 FREE = SchrodingerProblem(Potential(GridFunction.zeros(N_GRID)))
@@ -125,15 +126,18 @@ class TestOracleComparison:
 class TestSolverOptions:
     def test_extrapolation_sharpens(self):
         # Two deep Robin ends keep the doubled grid (TestZeroCorrection);
-        # the reference is a two-level solve on eight times the cells.
+        # the reference is a two-level solve on eight times the cells, and
+        # the plain level is the problem grid's, found by the old root
+        # finder.
         def prob(n):
             return SchrodingerProblem(Potential.from_callable(
                 lambda x: 0.3 * sin2pi_potential(x), n))
 
         ref, _ = richardson_spectrum(prob(4096), -12.0, -12.0, 10)
-        out = _pipeline(prob(512), -12.0, -12.0, 10)
-        e_plain = np.max(np.abs(out["lam_levels"][0] - ref))
-        e_rich = np.max(np.abs(out["lam"] - ref))
+        plain, _ = bisect_level(prob(512), -12.0, -12.0, 10)
+        lam = compute_eigenvalues(prob(512), -12.0, -12.0, 10)
+        e_plain = np.max(np.abs(plain - ref))
+        e_rich = np.max(np.abs(lam - ref))
         assert e_rich < e_plain / 50.0
 
     def test_deterministic_across_instances(self):
@@ -395,7 +399,7 @@ class TestRootFinder:
         prob = in_picture(six_mode_problem(cfg, n), picture)
         data = solve_spectrum(prob, a, b, 64)
         lam, norming = bisect_level(prob, a, b, 64)
-        dlam, dnorm = spectral._zero_correction(n, a, b, 64)
+        dlam, dnorm, _ = spectral._zero_correction(n, a, b, 64)
         lam, norming = lam + dlam, norming + dnorm
         assert np.max(np.abs(data.eigenvalues - lam) / np.abs(lam)) < 1e-13
         assert np.max(np.abs(data.norming - norming)) < 1e-12
@@ -599,19 +603,21 @@ class TestZeroCorrection:
         # eigenfunctions sit at one end each, so log|y(1)| of the one at
         # x = 0 carries rounding of the growing solution (1e-12 apart).
         n, N = 256, 64
-        exact, exact_norming = spectral._exact_ladder(a, b, N)
-        dlam, dnorm = spectral._zero_correction(n, a, b, N)
+        exact, exact_norming, exact_log_dw = spectral._exact_ladder(a, b, N)
+        dlam, dnorm, dlog_dw = spectral._zero_correction(n, a, b, N)
         free = SchrodingerProblem(Potential(GridFunction.zeros(n)))
         lam, norming = bisect_level(free, a, b, N)
+        _, log_dw = spectral._endpoint_quantities(free, lam, a, b)
         scale = np.maximum(1.0, np.abs(lam))
         assert np.max(np.abs(exact - dlam - lam) / scale) <= 1e-13
         assert np.max(np.abs(exact_norming - dnorm - norming)) <= 1e-13
+        assert np.max(np.abs(exact_log_dw - dlog_dw - log_dw)) <= 1e-13
 
     @pytest.mark.parametrize("a,b", ZERO_PAIRS)
     def test_exact_ladder_is_a_root_ladder(self, a, b):
         # Strictly increasing, one root per slot: the closed-form
         # characteristic function changes sign across each eigenvalue.
-        lam, _ = spectral._exact_ladder(a, b, 16)
+        lam, _, _ = spectral._exact_ladder(a, b, 16)
         assert np.all(np.diff(lam) > 0.0)
         step = 1e-6 * np.maximum(1.0, np.abs(lam))
         char = spectral._zero_char(spectral._exact_transfer, a, b)
@@ -632,26 +638,56 @@ class TestZeroCorrection:
             for a, b in ((INF, INF), (INF, 1.0), (1.0, -0.5)):
                 data = solve_spectrum(prob, a, b, 8)
                 norming_constants(prob, data)
+            normalizing_constants(prob, solve_spectrum(prob, INF, INF, 8))
+            identity_b(prob, solve_spectrum(prob, INF, 1.0, 8), 8)
+            identity_ab(prob, solve_spectrum(prob, 1.0, -0.5, 8), 8)
 
     @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
     def test_no_less_accurate_than_two_levels(self, cfg, a, b):
-        # Errors against a two-level 16384-cell reference, eigenvalues
-        # relative to max(1, |lam|), norming constants absolute.
-        ref_lam, ref_norming = richardson_spectrum(
-            in_picture(six_mode_problem(cfg, 16384), "schrodinger"), a, b, 64)
-        scale = np.maximum(1.0, np.abs(ref_lam))
+        # Errors against a two-level 16384-cell reference: eigenvalues
+        # relative to max(1, |lam|), norming constants absolute, and the
+        # reads at the solved eigenvalues against the two-level readers at
+        # the reference: alpha of Dirichlet pairs (relative) and the
+        # trace-identity ratios exp(+-nu) / |dw| (absolute; + for the
+        # Dirichlet-Robin pair, both for the Robin-Robin pair).  Measured,
+        # two-level readers -> one corrected level: alpha 6.8e-3 -> 1.9e-6,
+        # + 1.2e-3 -> 2.3e-6, - 1.5e-1 -> 5.3e-6 at n = 256; 4.2e-7 ->
+        # 6.9e-10, 2.0e-9 -> 7.0e-10, 1.5e-6 -> 1.5e-9 at n = 2048.
+        ref_prob = in_picture(six_mode_problem(cfg, 16384), "schrodinger")
+        ref_lam, ref_norming = richardson_spectrum(ref_prob, a, b, 64)
+        dirichlet = regime_of(a, b) == "dirichlet"
+        signs = (1.0,) if a == INF else (1.0, -1.0)
 
-        def errors(lam, norming):
-            return (np.max(np.abs(lam - ref_lam) / scale),
-                    np.max(np.abs(norming - ref_norming)))
+        def two_level_reads(prob, lam):
+            if dirichlet:
+                return [two_level_normalizing(prob, lam)]
+            return [two_level_ratios(prob, lam, a, b, s) for s in signs]
+
+        def corrected_reads(prob, data):
+            if dirichlet:
+                return [normalizing_constants(prob, data)]
+            norming, log_dw = spectral._stored_quantities(prob, data)
+            return [np.exp(s * norming - log_dw) for s in signs]
+
+        ref_reads = two_level_reads(ref_prob, ref_lam)
+        scale = np.maximum(1.0, np.abs(ref_lam))
+        read_scale = np.abs(ref_reads[0]) if dirichlet else 1.0
+
+        def errors(lam, norming, reads):
+            return [np.max(np.abs(lam - ref_lam) / scale),
+                    np.max(np.abs(norming - ref_norming))] + [
+                np.max(np.abs(r - ref) / read_scale)
+                for r, ref in zip(reads, ref_reads)]
 
         for n in (256, 2048):
             prob = in_picture(six_mode_problem(cfg, n), "schrodinger")
             data = solve_spectrum(prob, a, b, 64)
-            corrected = errors(data.eigenvalues, data.norming)
-            two_levels = errors(*richardson_spectrum(prob, a, b, 64))
-            assert corrected[0] <= two_levels[0]
-            assert corrected[1] <= two_levels[1]
+            corrected = errors(data.eigenvalues, data.norming,
+                               corrected_reads(prob, data))
+            two_levels = errors(*richardson_spectrum(prob, a, b, 64),
+                                two_level_reads(prob, data.eigenvalues))
+            assert np.all(np.array(corrected) <= np.array(two_levels)), \
+                (n, corrected, two_levels)
 
     @pytest.mark.parametrize("a,b", [(-12.0, -12.0), (-15.0, -13.5)])
     def test_two_levels_where_ladders_do_not_match(self, a, b):
@@ -666,6 +702,14 @@ class TestZeroCorrection:
         lam, norming = richardson_spectrum(prob, a, b, 8)
         assert np.array_equal(data.eigenvalues, lam)
         assert np.array_equal(data.norming, norming)
+        # So do the reads at stored eigenvalues; they extrapolate nu and
+        # log|dw| where the old readers extrapolated the ratios, measured
+        # 4.2e-10 apart.
+        nu, log_dw = spectral._stored_quantities(prob, data)
+        for sign in (1.0, -1.0):
+            ratios = two_level_ratios(prob, data.eigenvalues, a, b, sign)
+            assert np.allclose(np.exp(sign * nu - log_dw), ratios,
+                               rtol=1e-9, atol=0.0)
 
 
 class TestDeepRobinEnds:
