@@ -4,10 +4,13 @@ The forward map takes a slope q (vanishing at both endpoints) to the
 mean-zero potential p = q' + q**2 + u - c0.  Inversion runs a damped Newton
 iteration on a trigonometric Galerkin section of that map: q lives in the
 span of sin(pi k x), the residual is projected onto cos(pi k x), and the
-Jacobian is the projected exact directional derivative.  The derivative is
-linear in its direction, so one ``frechet_apply`` call per Newton step takes
-all K sine directions as a stack of rows.  A continuation fallback (scaling
-the target up in stages) engages when plain damping stagnates.
+Jacobian is the projected exact directional derivative
+P'(q) phi = phi' + (2q + u1'(q)) phi + u2'(Q) int phi - mean.  Only the
+pointwise factors 2q + u1'(q) and u2'(Q) depend on q, so the projected
+derivative and running integrals of the sine rows are built once per map
+and each Newton step assembles the K x K Jacobian from weighted products
+with them.  A continuation fallback (scaling the target up in stages)
+engages when plain damping stagnates.
 
 Fits reconstruct a potential or a slope from truncated spectral data by
 Gauss-Newton on Fourier coefficients.  The map is a global isomorphism
@@ -30,7 +33,8 @@ import numpy as np
 
 from .errors import (BracketError, DegenerateEigenfunctionError, FitError,
                      IntegrationError, InversionError, RangeError, TargetError)
-from .grid import GridFunction, _simpson_weights, l2_norm, trig_basis
+from .grid import (GridFunction, _simpson_weights, cumulative_integral,
+                   differentiate, l2_norm, trig_basis)
 from .ode import INF, SchrodingerProblem
 from .spectral import (_potential_gradients, solve_spectrum,
                        unperturbed_eigenvalues)
@@ -97,8 +101,12 @@ class _GalerkinMap:
 
     ``sines`` holds the K basis rows sqrt(2) sin(pi k x) of the slope and
     ``project`` the K cosine rows with the Simpson weights folded in, so the
-    Jacobian is ``project`` applied to the derivative of all K sine rows,
-    taken in one batched call.
+    Jacobian is ``project`` applied to ``frechet_apply`` of the K sine rows.
+    That derivative is phi' + g phi + d int phi less its mean, where only
+    g = 2q + u1'(q) and d = u2'(Q) depend on q.  The projected derivative
+    of the rows, their running integrals (when u2 is not zero) and the
+    row sums of ``project`` are built here, so a Jacobian costs one or two
+    weighted K x (n + 1) x K products and no stencil pass.
     """
 
     def __init__(self, p: Potential, cfg: ConditionU, icfg: InversionConfig):
@@ -106,9 +114,13 @@ class _GalerkinMap:
         self.n = p.n
         self.target = p.f.values
         K = icfg.basis_size
+        self.weights = _simpson_weights(self.n)
         self.sines = trig_basis("sine", K, self.n)
-        self.project = trig_basis("cosine", K, self.n) \
-            * _simpson_weights(self.n)[None, :]
+        self.project = trig_basis("cosine", K, self.n) * self.weights[None, :]
+        self.project_derivative = self.project @ differentiate(self.sines).T
+        self.project_mean = self.project.sum(axis=1)
+        self.sine_integrals = None if cfg.u2.kind == "zero" \
+            else cumulative_integral(self.sines)
 
     def impedance(self, alpha: np.ndarray) -> Impedance:
         values = alpha @ self.sines
@@ -123,18 +135,32 @@ class _GalerkinMap:
         return q, image, r
 
     def jacobian(self, q: Impedance) -> np.ndarray:
-        return self.project @ frechet_apply(q, self.cfg, self.sines).T
+        """``project`` applied to ``frechet_apply(q, cfg, sines)``, assembled."""
+        g = 2.0 * q.f.values + self.cfg.u1_derivative(q.f.values)
+        J = self.project_derivative + (self.project * g) @ self.sines.T
+        mean = self.sines @ (self.weights * g)
+        if self.sine_integrals is not None:
+            Q = cumulative_integral(q.f.values)
+            self.cfg.validate(float(np.max(np.abs(Q))))
+            d = self.cfg.u2.derivative(Q)
+            J += (self.project * d) @ self.sine_integrals.T
+            mean += self.sine_integrals @ (self.weights * d)
+        return J - np.outer(self.project_mean, mean)
 
 
 def _newton_leg(gmap: _GalerkinMap, alpha: np.ndarray, scale: float,
                 tol_proj: float, history: list):
-    """Damped Newton toward the scaled target; returns (alpha, converged)."""
-    q, _, r = gmap.residual(alpha, scale)
+    """Damped Newton toward the scaled target.
+
+    Returns (alpha, q, image, converged): the last accepted coefficients,
+    their slope and its forward image, and whether the leg converged.
+    """
+    q, image, r = gmap.residual(alpha, scale)
     rnorm = float(np.linalg.norm(r))
     history.append(rnorm)
     for _ in range(_MAX_ITER):
         if rnorm <= tol_proj:
-            return alpha, True
+            return alpha, q, image, True
         J = gmap.jacobian(q)
         try:
             step = np.linalg.solve(J, -r)
@@ -149,18 +175,19 @@ def _newton_leg(gmap: _GalerkinMap, alpha: np.ndarray, scale: float,
             # a rejected step, not a failure of the iteration.  Condition
             # violations are contract errors and propagate.
             try:
-                q_try, _, r_try = gmap.residual(trial, scale)
+                q_try, image_try, r_try = gmap.residual(trial, scale)
                 r_try_norm = float(np.linalg.norm(r_try))
             except (IntegrationError, RangeError):
                 r_try_norm = math.inf
             if r_try_norm < rnorm:
-                alpha, q, r, rnorm = trial, q_try, r_try, r_try_norm
+                alpha, q, image, r = trial, q_try, image_try, r_try
+                rnorm = r_try_norm
                 history.append(rnorm)
                 break
             s *= 0.5
         else:
-            return alpha, False
-    return alpha, rnorm <= tol_proj
+            return alpha, q, image, False
+    return alpha, q, image, rnorm <= tol_proj
 
 
 def invert_transform_detailed(p: Potential, cfg: ConditionU | None = None,
@@ -178,21 +205,21 @@ def invert_transform_detailed(p: Potential, cfg: ConditionU | None = None,
     tol_proj = 0.3 * icfg.tol
     history: list = []
     alpha = np.zeros(icfg.basis_size)
-    alpha, converged = _newton_leg(gmap, alpha, 1.0, tol_proj, history)
+    alpha, q, image, converged = _newton_leg(gmap, alpha, 1.0, tol_proj,
+                                             history)
     used_homotopy = False
     if not converged:
         used_homotopy = True
         alpha = np.zeros(icfg.basis_size)
         for t in np.linspace(1.0 / _HOMOTOPY_STAGES, 1.0, _HOMOTOPY_STAGES):
-            alpha, converged = _newton_leg(gmap, alpha, float(t), tol_proj,
-                                           history)
+            alpha, q, image, converged = _newton_leg(
+                gmap, alpha, float(t), tol_proj, history)
             if not converged:
                 raise InversionError(
                     f"inversion stagnated at continuation stage t={t:.3f} "
                     f"with projected residual {history[-1]:.3e}",
                     residuals=tuple(history))
-    q = gmap.impedance(alpha)
-    full = l2_norm(forward_transform(q, cfg).f - p.f)
+    full = l2_norm(image.f - p.f)
     if full > icfg.tol:
         proj = history[-1]
         raise InversionError(

@@ -304,19 +304,30 @@ def _problem_char(prob, a, b, norming=False):
     return char
 
 
-def _endpoint_quantities(prob, lam, a, b):
+def _endpoint_quantities(prob, lam, a, b, deriv=True):
     """Norming constants nu and log|dw| at the eigenvalues lam, from one sweep.
 
     nu = log|y'(1)| for a Dirichlet pair, else log|y(1)|, of the shot from
     the left data; dw is the lam-derivative of the characteristic function.
+    Without ``deriv`` an endpoint sweep gives the row nu alone, as (nu,).
     """
-    _, dw, _, res = _endpoint_w(prob, lam, a, b, deriv=True)
+    _, dw, _, res = _endpoint_w(prob, lam, a, b, deriv=deriv)
     numerator = np.abs(res["v"] if is_dirichlet(b) else res["y"])
     if np.any(numerator == 0.0):
         raise DegenerateEigenfunctionError(
             "eigenfunction endpoint data vanished; spectrum is corrupted")
-    return (np.log(numerator) + res["logscale"],
-            np.log(np.abs(dw)) + res["logscale"])
+    norming = np.log(numerator) + res["logscale"]
+    if not deriv:
+        return (norming,)
+    return norming, np.log(np.abs(dw)) + res["logscale"]
+
+
+def _require_finite(*rows):
+    """Raise where a row of norming constants (or of log|dw|) is not finite."""
+    if not all(np.all(np.isfinite(row)) for row in rows):
+        raise DegenerateEigenfunctionError(
+            "a norming constant is not finite: eigenfunction endpoint data "
+            "vanished")
 
 
 def _traces(prob, lam, y0, v0):
@@ -470,11 +481,18 @@ def _zero_char(transfer, a, b):
 
 
 def _zero_quantities(transfer, lam, a, b):
-    """nu and log|dw| of the zero problem at lam, as in ``_endpoint_quantities``."""
+    """nu and log|dw| of the zero problem at lam, as in ``_endpoint_quantities``.
+
+    The boundary state of a Robin left end a below about -18 has y(1) =
+    cosh|a| - sinh|a| cancelled to zero, so nu is -inf there (and its
+    correction -inf or nan); the readers of corrected norming constants
+    reject it with ``_require_finite``.
+    """
     y, v, dy, dv = _zero_ends(transfer(lam), lam, a)
-    if is_dirichlet(b):
-        return np.log(np.abs(v)), np.log(np.abs(dy))
-    return np.log(np.abs(y)), np.log(np.abs(dv + b * dy))
+    with np.errstate(divide="ignore"):
+        if is_dirichlet(b):
+            return np.log(np.abs(v)), np.log(np.abs(dy))
+        return np.log(np.abs(y)), np.log(np.abs(dv + b * dy))
 
 
 def _exact_ladder(a, b, N):
@@ -548,7 +566,8 @@ def _zero_correction(n, a, b, N):
 
     lam_h = _newton_polish(_zero_char(transfer, a, b), start[:N], lo, hi)
     norming_h, log_dw_h = _zero_quantities(transfer, lam_h, a, b)
-    return lam[:N] - lam_h, norming[:N] - norming_h, log_dw[:N] - log_dw_h
+    with np.errstate(invalid="ignore"):
+        return lam[:N] - lam_h, norming[:N] - norming_h, log_dw[:N] - log_dw_h
 
 
 def _normal_form_correction(prob, a, b, N):
@@ -581,16 +600,13 @@ def _pipeline(prob, a, b, N):
     if correction is not None:
         lam0, norm0 = _newton_polish(_problem_char(prob, a, b, norming=True),
                                      start, lo, hi)
-        if not np.all(np.isfinite(norm0)):
-            raise DegenerateEigenfunctionError(
-                "eigenfunction endpoint data vanished; spectrum is corrupted")
         dlam, dnorm, _ = correction
         return lam0 + dlam, norm0 + dnorm
     lam0 = _newton_polish(_problem_char(prob, a, b), 0.5 * (lo + hi), lo, hi)
-    norm0, _ = _endpoint_quantities(prob, lam0, a, b)
+    norm0, = _endpoint_quantities(prob, lam0, a, b, deriv=False)
     fine = prob.with_resolution(2 * prob.n)
     lam1 = _newton_polish(_problem_char(fine, a, b), lam0, lo, hi)
-    norm1, _ = _endpoint_quantities(fine, lam1, a, b)
+    norm1, = _endpoint_quantities(fine, lam1, a, b, deriv=False)
     return _extrapolate(lam0, lam1), _extrapolate(norm0, norm1)
 
 
@@ -604,6 +620,7 @@ def compute_eigenvalues(prob, a: float, b: float, N: int) -> np.ndarray:
 def solve_spectrum(prob, a: float, b: float, N: int) -> SpectralData:
     """Eigenvalues plus norming constants, packaged with their remainders."""
     lam, norming = _pipeline(prob, a, b, N)
+    _require_finite(norming)
     return SpectralData(
         kind=prob.kind, a=float(a), b=float(b), c0=prob.c0,
         eigenvalues=lam, norming=norming,
@@ -611,7 +628,8 @@ def solve_spectrum(prob, a: float, b: float, N: int) -> SpectralData:
     )
 
 
-def _stored_quantities(prob, data: SpectralData, M: int | None = None):
+def _stored_quantities(prob, data: SpectralData, M: int | None = None,
+                       deriv: bool = True):
     """nu and log|dw| at the first M (default all) stored eigenvalues.
 
     Where ``solve_spectrum`` corrects one level, one level is read at the
@@ -619,19 +637,22 @@ def _stored_quantities(prob, data: SpectralData, M: int | None = None):
     zero-potential correction) and the correction of each quantity is
     added.  Elsewhere two levels are read at the stored values: the leading
     integrator error then has the same coefficient and ``_extrapolate``
-    cancels it.
+    cancels it.  Without ``deriv`` endpoint sweeps give (nu,) alone, as in
+    ``_endpoint_quantities``.
     """
     a, b = data.a, data.b
     lam = np.asarray(data.eigenvalues[:M], dtype=float)
     correction = _normal_form_correction(prob, a, b, lam.size)
     if correction is not None:
-        dlam, dnorm, dlog_dw = correction
-        norming, log_dw = _endpoint_quantities(prob, lam - dlam, a, b)
-        return norming + dnorm, log_dw + dlog_dw
-    fine = prob.with_resolution(2 * prob.n)
-    n0, l0 = _endpoint_quantities(prob, lam, a, b)
-    n1, l1 = _endpoint_quantities(fine, lam, a, b)
-    return _extrapolate(n0, n1), _extrapolate(l0, l1)
+        rows = _endpoint_quantities(prob, lam - correction[0], a, b, deriv)
+        rows = tuple(row + d for row, d in zip(rows, correction[1:]))
+    else:
+        fine = prob.with_resolution(2 * prob.n)
+        rows = tuple(map(_extrapolate,
+                         _endpoint_quantities(prob, lam, a, b, deriv),
+                         _endpoint_quantities(fine, lam, a, b, deriv)))
+    _require_finite(*rows)
+    return rows
 
 
 def norming_constants(prob, data: SpectralData) -> np.ndarray:
@@ -644,7 +665,7 @@ def norming_constants(prob, data: SpectralData) -> np.ndarray:
     grid level at the discrete eigenvalues that the stored ones imply, plus
     the zero-potential correction.
     """
-    return _stored_quantities(prob, data)[0]
+    return _stored_quantities(prob, data, deriv=False)[0]
 
 
 def normalizing_constants(prob, data: SpectralData) -> np.ndarray:

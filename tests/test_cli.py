@@ -423,6 +423,17 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_SOLVER
 
+    def test_vanished_norming_maps_to_solver_exit(self, tmp_path, capsys):
+        # A Robin left end a = -20 leaves a norming constant that is not
+        # finite; JSON cannot hold it, so the solve fails as a solver error.
+        out = tmp_path / "x.json"
+        code = main(["spectrum", "--p", "fourier:[0.3,-0.2,0.1,0.05]",
+                     "--bc", "generic", "--a", "-20", "--b", "3", "--N", "8",
+                     "--grid", "1024", "--out", str(out)])
+        assert code == EXIT_SOLVER
+        assert "solver error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--emit-plot", "x.csv"],
         ["export", "--prefix", "p", "--emit-plot", "x.csv"],

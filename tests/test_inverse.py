@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville import (INF, ConditionU, DecayTerm, FitTarget, GridFunction,
                        Impedance, InversionConfig, InversionError, Potential,
@@ -13,6 +15,7 @@ from liouville import (INF, ConditionU, DecayTerm, FitTarget, GridFunction,
                        fit_potential_detailed, forward_transform,
                        invert_transform, invert_transform_detailed, l2_norm,
                        resample, solve_spectrum, sup_norm, symmetry_defect)
+from liouville import inverse
 from liouville.grid import trig_basis
 from liouville.inverse import _FitMap, _GalerkinMap
 from oracles import fd_fit_jacobian, loop_galerkin_jacobian
@@ -100,15 +103,19 @@ class TestRoundtrips:
         assert symmetry_defect(q.f, "odd") < 1e-6
 
 
-class TestBatchedJacobian:
-    """The one-call Galerkin Jacobian against the K-call column loop."""
+JACOBIAN_CFGS = {
+    "zero": ConditionU.zero(),
+    "exp": ConditionU.exponential(0.5, 1.0),
+    "u1-exp": ConditionU.exponential(0.5, 1.0, u1=(0.0, 0.2)),
+    "poly": ConditionU(u2=DecayTerm("poly", coeffs=(0.2, -0.3, 0.0, -0.1))),
+}
 
-    @pytest.mark.parametrize("cfg", [
-        ConditionU.zero(),
-        ConditionU.exponential(0.5, 1.0),
-        ConditionU.exponential(0.5, 1.0, u1=(0.0, 0.2)),
-        ConditionU(u2=DecayTerm("poly", coeffs=(0.2, -0.3, 0.0, -0.1))),
-    ], ids=["zero", "exp", "u1-exp", "poly"])
+
+class TestBatchedJacobian:
+    """The assembled Galerkin Jacobian against the K-call column loop."""
+
+    @pytest.mark.parametrize("cfg", list(JACOBIAN_CFGS.values()),
+                             ids=list(JACOBIAN_CFGS))
     @pytest.mark.parametrize("n", [2048, 1023])
     @pytest.mark.parametrize("K", [1, 16])
     def test_matches_column_loop(self, cfg, n, K):
@@ -119,6 +126,58 @@ class TestBatchedJacobian:
         want = loop_galerkin_jacobian(gmap, q)
         assert got.shape == (K, K)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+           peak=st.floats(0.0, 10.0), n=st.sampled_from([1023, 2048]),
+           K=st.sampled_from([1, 5, 16]),
+           name=st.sampled_from(sorted(JACOBIAN_CFGS)))
+    def test_matches_column_loop_on_random_slopes(self, coeffs, peak, n, K,
+                                                  name):
+        # Six-mode slopes scaled to sup|q| = peak, up to the benchmark's cap.
+        q = np.asarray(coeffs) @ trig_basis("sine", 6, n)
+        q[0] = q[-1] = 0.0
+        top = np.max(np.abs(q))
+        q = q * (peak / top) if top > 0.0 else q
+        cfg = JACOBIAN_CFGS[name]
+        q = Impedance(GridFunction(q))
+        gmap = _GalerkinMap(forward_transform(q, cfg), cfg,
+                            InversionConfig(basis_size=K))
+        got = gmap.jacobian(q)
+        want = loop_galerkin_jacobian(gmap, q)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_inversion_makes_no_derivative_pass(self, monkeypatch):
+        # The Jacobian is assembled from the map's stored rows, and the full
+        # residual reuses the last accepted forward image, so every forward
+        # transform is one residual evaluation.
+        calls = {"forward": 0, "residual": 0}
+
+        def no_frechet(*args, **kwargs):
+            raise AssertionError("frechet_apply called during inversion")
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(inverse, "frechet_apply", no_frechet)
+        monkeypatch.setattr(inverse, "forward_transform",
+                            counted("forward", forward_transform))
+        monkeypatch.setattr(_GalerkinMap, "residual",
+                            counted("residual", _GalerkinMap.residual))
+        homotopy = []
+        for cfg, scale in ((ConditionU.zero(), 15.0),
+                           (ConditionU.exponential(0.5, 1.0), 1.0)):
+            q_star = sine_slope([1.0, 0.6, -0.8, 0.0, 0.5, 0.0, 0.0, -0.4],
+                                scale=scale)
+            report = invert_transform_detailed(forward_transform(q_star, cfg),
+                                               cfg)
+            assert report.converged
+            homotopy.append(report.used_homotopy)
+        assert homotopy == [True, False]
+        assert calls["forward"] == calls["residual"] > 0
 
     def test_inversions_unchanged(self, monkeypatch):
         """The first 64 targets of the benchmark's inversion workload, seed 0:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liouville import (INF, BracketError, ConditionU, GridFunction, Impedance,
+from liouville import (INF, BracketError, ConditionU,
+                       DegenerateEigenfunctionError, GridFunction, Impedance,
                        ImpedanceProblem, PoleCollisionError, Potential,
                        SchrodingerProblem, SequenceData, boundary_shift,
                        characterize, compute_c0, compute_eigenvalues,
@@ -527,6 +528,47 @@ class TestNormingConstants:
         data = solve_spectrum(prob, a, b, 64)
         assert np.max(np.abs(norming_constants(prob, data) - data.norming)) \
             < 1e-12
+
+    @pytest.mark.parametrize("a,b", [(INF, INF), (1.0, -0.5), (-12.0, -12.0)])
+    def test_reads_endpoint_sweeps(self, monkeypatch, a, b):
+        # nu needs no lam-derivative, so no sweep carries one; the values
+        # are those of the derivative sweeps that also give log|dw|.  The
+        # pair (-12, -12) reads two levels.
+        prob = six_mode_problem("exp", N_GRID)
+        data = solve_spectrum(prob, a, b, 32)
+        modes = []
+        sweep = ode._sweep
+
+        def spy(*args, **kwargs):
+            modes.append(bool(kwargs.get("deriv")))
+            return sweep(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(ode, "_sweep", spy)
+            m.setattr(spectral, "_sweep", spy)
+            got = norming_constants(prob, data)
+        assert modes and not any(modes)
+        want = spectral._stored_quantities(prob, data)[0]
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+class TestDeepRobinLeftEnd:
+    """A Robin left end a = -20: y(1) of the zero problem's boundary state
+    cancels to 0, so its norming constant and correction are not finite."""
+
+    PROB = SchrodingerProblem(Potential.from_callable(
+        lambda x: 0.3 * np.cos(2.0 * np.pi * x), 1024))
+
+    @pytest.mark.filterwarnings("error")
+    def test_solve_raises_without_warning(self):
+        with pytest.raises(DegenerateEigenfunctionError, match="not finite"):
+            solve_spectrum(self.PROB, -20.0, 3.0, 8)
+
+    @pytest.mark.filterwarnings("error")
+    def test_eigenvalues_still_returned(self):
+        lam = compute_eigenvalues(self.PROB, -20.0, 3.0, 8)
+        assert np.all(np.isfinite(lam))
+        assert -400.0 < lam[0] < -399.0
 
 
 # Boundary pairs of the zero-potential checks: the three regimes, a
