@@ -18,9 +18,14 @@ between the two inverse problems, so a slope fit runs the same iteration on
 slope coefficients, with the map's derivative as the chain rule.  The fit
 Jacobian is exact: eigenvalue gradients are the squared eigenfunctions and
 norming-constant gradients the product of the eigenfunction with a second
-solution, integrated from trace sweeps at the eigenvalues of the accepted
+solution, integrated from one trace sweep at the eigenvalues of the accepted
 iterate, so a Gauss-Newton step costs one spectral solve per trial step and
-nothing per basis mode.
+nothing per basis mode.  Each solve starts Newton from a predicted ladder
+instead of the phase-matched starts: the exact zero ladder at theta = 0,
+where the potential is zero, and for the trial theta + s step the accepted
+eigenvalues plus s J_lam step, J_lam being the Jacobian's eigenvalue rows.
+The count sweep still fixes every label.  The zero-potential correction
+depends only on the grid, the boundary pair and N, so a fit computes it once.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from .errors import (BracketError, DegenerateEigenfunctionError, FitError,
 from .grid import (GridFunction, _simpson_weights, cumulative_integral,
                    differentiate, l2_norm, trig_basis)
 from .ode import INF, SchrodingerProblem
-from .spectral import (_potential_gradients, solve_spectrum,
+from .spectral import (_exact_ladder, _normal_form_correction,
+                       _potential_gradients, solve_spectrum,
                        unperturbed_eigenvalues)
 from .transform import ConditionU, Impedance, Potential, forward_transform, frechet_apply
 
@@ -338,6 +344,14 @@ class _FitMap:
             / np.tile(self.weights, 2)[:, None]
         slopes[:, [0, -1]] = 0.0
         self.slopes = slopes[:self.basis.shape[0]]
+        # Every solve of the fit shares the grid, the pair and N, and so
+        # the zero-potential correction.  At theta = 0 the potential is
+        # zero, also for slopes (P(0) = u(0) - c0 = 0), so its corrected
+        # eigenvalues are the exact zero ladder.
+        a, b = self.boundary
+        self.correction = _normal_form_correction(self.n, a, b, target.N)
+        self.zero_ladder = None if self.correction is None \
+            else _exact_ladder(a, b, target.N)[0]
 
     def impedance(self, theta: np.ndarray) -> Impedance:
         return Impedance(GridFunction(theta @ self.slopes))
@@ -347,11 +361,17 @@ class _FitMap:
             return Potential(GridFunction(theta @ self.basis))
         return forward_transform(self.impedance(theta), self.cfg)
 
-    def residual(self, theta: np.ndarray):
-        """Residual at theta, with the solved problem and its eigenvalues."""
+    def residual(self, theta: np.ndarray, guess: np.ndarray | None = None):
+        """Residual at theta, with the solved problem and its eigenvalues.
+
+        ``guess`` predicts the eigenvalues at theta.  It only places the
+        Newton starts of the solve (see ``spectral._pipeline``), so the
+        result does not depend on it beyond the Newton tolerance.
+        """
         prob = SchrodingerProblem(self.potential(theta))
         a, b = self.boundary
-        data = solve_spectrum(prob, a, b, self.target.N)
+        data = solve_spectrum(prob, a, b, self.target.N, _guess=guess,
+                              _correction=self.correction)
         r = data.remainders.entries - self.target.remainders
         if self.target.regime != "symmetric-dirichlet":
             dev = data.norming_deviation.entries - self.target.norming
@@ -378,7 +398,12 @@ class _FitMap:
 
 def _gauss_newton(target: FitTarget, icfg: InversionConfig,
                   cfg: ConditionU | None):
-    """Damped Gauss-Newton on a ``_FitMap``: the map, theta and report."""
+    """Damped Gauss-Newton on a ``_FitMap``: the map, theta and report.
+
+    Each solve starts Newton from a predicted ladder: the exact zero ladder
+    at theta = 0, and lam + s J_lam step for the trial theta + s step, where
+    J_lam is the eigenvalue rows of the Jacobian the step was solved with.
+    """
     if target.N > _FIT_CAP:
         raise TargetError(
             f"fits are desk scale: N={target.N} exceeds the cap {_FIT_CAP}")
@@ -386,7 +411,7 @@ def _gauss_newton(target: FitTarget, icfg: InversionConfig,
         raise TargetError("need at least one target eigenvalue")
     fmap = _FitMap(target, icfg, cfg)
     theta = np.zeros(fmap.basis.shape[0])
-    r, prob, lam = fmap.residual(theta)
+    r, prob, lam = fmap.residual(theta, fmap.zero_ladder)
     rnorm = float(np.linalg.norm(r))
     history = [rnorm]
     for _ in range(_MAX_ITER):
@@ -394,11 +419,12 @@ def _gauss_newton(target: FitTarget, icfg: InversionConfig,
             break
         J = fmap.jacobian(theta, prob, lam)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        dlam = J[:target.N] @ step
         s = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             trial = theta + s * step
             try:
-                r_try, prob_try, lam_try = fmap.residual(trial)
+                r_try, prob_try, lam_try = fmap.residual(trial, lam + s * dlam)
                 r_try_norm = float(np.linalg.norm(r_try))
             except (BracketError, DegenerateEigenfunctionError,
                     IntegrationError, RangeError):

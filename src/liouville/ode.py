@@ -279,9 +279,11 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
            trace=False, count=False):
     """Advance the batch across all cells; returns endpoint data and extras.
 
-    The cell matrices come from ``_build_matrices`` in block order; the scan
-    forms the running products in place, then carries the state over the
-    block totals with one batched matrix product per block.
+    The initial data y0 and v0 at x = 0 are scalars shared by every lam
+    column or (K,) arrays, one value per column.  The cell matrices come
+    from ``_build_matrices`` in block order; the scan forms the running
+    products in place, then carries the state over the block totals with
+    one batched matrix product per block.
     Without ``trace`` the state is rescaled per column when it grows past
     ``_RENORM_LIMIT``; accumulated log factors are reported so callers can
     reconstruct true magnitudes.  Traces are stored unscaled and overflow

@@ -333,7 +333,8 @@ def _require_finite(*rows):
 def _traces(prob, lam, y0, v0):
     """Unscaled normal-form shots from the data (y0, v0) at x = 0, by lam.
 
-    For an impedance problem these are y = rho f.
+    y0 and v0 are scalars or hold one value per lam column.  For an
+    impedance problem these are y = rho f.
     """
     res = _sweep(prob._coefficients(), np.asarray(lam, dtype=float), y0, v0,
                  trace=True)
@@ -353,17 +354,26 @@ def _potential_gradients(prob, lam, a, directions, norming=True):
 
     The second formula holds for nu = log|y(1)| and nu = log|y'(1)| alike,
     because int y_n**2 (d p - d lam_n) = 0; it needs no right-end data.
-    Returns (d lam, d nu) of shape (N, J); d nu is None without ``norming``.
+    With ``norming`` the shots y_n and z_n are the two halves of one trace
+    sweep of 2N columns.  Returns (d lam, d nu) of shape (N, J); d nu is
+    None without ``norming``.
     """
     weights = _simpson_weights(prob.n)[:, None]
+    lam = np.asarray(lam, dtype=float)
+    N = lam.size
     y0, v0 = _initial_data(a)
-    Y = _traces(prob, lam, y0, v0)
+    if not norming:
+        Y = _traces(prob, lam, y0, v0)
+    else:
+        z0, w0 = (1.0, 0.0) if is_dirichlet(a) else (0.0, 1.0)
+        YZ = _traces(prob, np.concatenate([lam, lam]),
+                     np.repeat([y0, z0], N), np.repeat([v0, w0], N))
+        Y, Z = YZ[:, :N], YZ[:, N:]
     Yw = weights * Y
     dlam = (directions @ (Yw * Y)) / np.sum(Yw * Y, axis=0)
     if not norming:
         return dlam.T, None
-    z0, w0 = (1.0, 0.0) if is_dirichlet(a) else (0.0, 1.0)
-    ZYw = _traces(prob, lam, z0, w0) * Yw
+    ZYw = Z * Yw
     dnu = (dlam * np.sum(ZYw, axis=0) - directions @ ZYw) / (y0 * w0 - v0 * z0)
     return dlam.T, dnu.T
 
@@ -570,8 +580,8 @@ def _zero_correction(n, a, b, N):
         return lam[:N] - lam_h, norming[:N] - norming_h, log_dw[:N] - log_dw_h
 
 
-def _normal_form_correction(prob, a, b, N):
-    """``_zero_correction`` for the problem, or None where it does not apply.
+def _normal_form_correction(n, a, b, N):
+    """``_zero_correction`` on n cells, or None where it does not apply.
 
     Both pictures integrate a normal form, whose constant shift c0 moves
     the discrete and the exact eigenvalues alike, so the correction is that
@@ -580,27 +590,40 @@ def _normal_form_correction(prob, a, b, N):
     two Robin ends below about -10, whose boundary states nearly coincide.
     """
     try:
-        return _zero_correction(prob.n, a, b, N)
+        return _zero_correction(n, a, b, N)
     except BracketError:
         return None
 
 
-def _pipeline(prob, a, b, N):
+# The default of ``_pipeline``'s ``_correction``: compute it there.  A caller
+# that solves many problems on one grid and pair passes the correction it
+# computed once, None (no correction applies) included.
+_OWN_CORRECTION = object()
+
+
+def _pipeline(prob, a, b, N, *, _guess=None, _correction=_OWN_CORRECTION):
     """Eigenvalues and norming constants by slot.
 
     One grid level plus the zero-potential correction: Newton from the
     phase-matched starts of ``_solve_levels``, whose last sweep at each root
-    gives its norming constant as well.  Where the correction does not
-    apply, Newton from the bracket midpoints at the problem grid and the
-    doubled grid, norming constants read at both roots, and
-    ``_extrapolate``.
+    gives its norming constant as well.  ``_guess`` predicts the corrected
+    eigenvalues; less the correction it replaces the phase start of each
+    slot where it lies strictly inside that slot's count bracket, so a
+    guess cannot change a label, only the rounds Newton takes.  Where the
+    correction does not apply, the guess is ignored: Newton from the
+    bracket midpoints at the problem grid and the doubled grid, norming
+    constants read at both roots, and ``_extrapolate``.
     """
     lo, hi, start = _solve_levels(prob, a, b, N)
-    correction = _normal_form_correction(prob, a, b, N)
+    correction = _normal_form_correction(prob.n, a, b, N) \
+        if _correction is _OWN_CORRECTION else _correction
     if correction is not None:
+        dlam, dnorm, _ = correction
+        if _guess is not None:
+            raw = np.asarray(_guess, dtype=float) - dlam
+            start = np.where((raw > lo) & (raw < hi), raw, start)
         lam0, norm0 = _newton_polish(_problem_char(prob, a, b, norming=True),
                                      start, lo, hi)
-        dlam, dnorm, _ = correction
         return lam0 + dlam, norm0 + dnorm
     lam0 = _newton_polish(_problem_char(prob, a, b), 0.5 * (lo + hi), lo, hi)
     norm0, = _endpoint_quantities(prob, lam0, a, b, deriv=False)
@@ -617,9 +640,18 @@ def compute_eigenvalues(prob, a: float, b: float, N: int) -> np.ndarray:
     return _pipeline(prob, a, b, N)[0]
 
 
-def solve_spectrum(prob, a: float, b: float, N: int) -> SpectralData:
-    """Eigenvalues plus norming constants, packaged with their remainders."""
-    lam, norming = _pipeline(prob, a, b, N)
+def solve_spectrum(prob, a: float, b: float, N: int, *, _guess=None,
+                   _correction=_OWN_CORRECTION) -> SpectralData:
+    """Eigenvalues plus norming constants, packaged with their remainders.
+
+    The private keywords reach ``_pipeline``: a predicted ladder for the
+    Newton starts and a zero-potential correction computed by the caller
+    (``_normal_form_correction`` of the grid, pair and N).  Without them
+    the solve starts from the phase-matched starts and computes its own
+    correction.
+    """
+    lam, norming = _pipeline(prob, a, b, N, _guess=_guess,
+                             _correction=_correction)
     _require_finite(norming)
     return SpectralData(
         kind=prob.kind, a=float(a), b=float(b), c0=prob.c0,
@@ -642,7 +674,7 @@ def _stored_quantities(prob, data: SpectralData, M: int | None = None,
     """
     a, b = data.a, data.b
     lam = np.asarray(data.eigenvalues[:M], dtype=float)
-    correction = _normal_form_correction(prob, a, b, lam.size)
+    correction = _normal_form_correction(prob.n, a, b, lam.size)
     if correction is not None:
         rows = _endpoint_quantities(prob, lam - correction[0], a, b, deriv)
         rows = tuple(row + d for row, d in zip(rows, correction[1:]))

@@ -15,7 +15,7 @@ from liouville import (INF, ConditionU, DecayTerm, FitTarget, GridFunction,
                        fit_potential_detailed, forward_transform,
                        invert_transform, invert_transform_detailed, l2_norm,
                        resample, solve_spectrum, sup_norm, symmetry_defect)
-from liouville import inverse
+from liouville import inverse, ode, spectral
 from liouville.grid import trig_basis
 from liouville.inverse import _FitMap, _GalerkinMap
 from oracles import fd_fit_jacobian, loop_galerkin_jacobian
@@ -369,3 +369,201 @@ class TestImpedanceFits:
             cfg)
         assert out.fit.residuals[-1] <= InversionConfig().tol
         assert q_error(out.q, q_star) <= 1e-6
+
+
+def fit_potential_target(regime, a, b, N=4, n=1024):
+    """Data of 0.4 sqrt(2) cos(2 pi x) + 0.25 sqrt(2) sin(4 pi x), a target."""
+    p_star = Potential.from_callable(
+        lambda x: 0.4 * math.sqrt(2) * np.cos(2 * np.pi * x)
+        + 0.25 * math.sqrt(2) * np.sin(4 * np.pi * x), n)
+    data = solve_spectrum(SchrodingerProblem(p_star), a, b, N)
+    return FitTarget.from_spectral_data(data, regime=regime)
+
+
+def fit_slope_target(cfg, N=4, n=1024):
+    """Dirichlet-Robin (b = 1) data of 0.3 sin(2 pi x) - 0.15 sin(4 pi x)."""
+    q_star = Impedance(GridFunction.from_callable(
+        lambda x: 0.3 * np.sin(2 * np.pi * x) - 0.15 * np.sin(4 * np.pi * x),
+        n))
+    data = solve_spectrum(SchrodingerProblem(forward_transform(q_star, cfg)),
+                          INF, 1.0, N)
+    return FitTarget.from_spectral_data(data)
+
+
+WARM_CASES = {
+    "symmetric-dirichlet": (lambda: fit_potential_target(
+        "symmetric-dirichlet", INF, INF), None),
+    "dirichlet": (lambda: fit_potential_target(None, INF, INF), None),
+    "mixed": (lambda: fit_potential_target(None, INF, 1.0), None),
+    "generic-1.0--0.5": (lambda: fit_potential_target(None, 1.0, -0.5), None),
+    "generic--0.7-2.0": (lambda: fit_potential_target(None, -0.7, 2.0), None),
+    "slope-zero": (lambda: fit_slope_target(ConditionU.zero()),
+                   ConditionU.zero()),
+    "slope-exp": (lambda: fit_slope_target(ConditionU.exponential(0.5, 1.0)),
+                  ConditionU.exponential(0.5, 1.0)),
+}
+
+
+def run_fit(target, cfg):
+    """(fitted grid values, FitReport) of a potential or slope fit."""
+    if cfg is None:
+        report = fit_potential_detailed(target)
+        return report.potential.f.values, report
+    out = fit_impedance_detailed(target, cfg)
+    return out.q.f.values, out.fit
+
+
+def benchmark_fit_inputs(count, seed=0, n=1024):
+    """The first ``count`` (target, cfg) inputs of the benchmark fit workload.
+
+    Kinds cycle through a symmetric-Dirichlet N = 5 fit of five unit even
+    cosine modes, a Dirichlet-Robin (b = 1) N = 3 fit of six unit full-period
+    modes, and a symmetric-Dirichlet N = 5 slope fit with exp:0.5,1.0 of
+    0.3 c_m sqrt(2) sin(2 pi m x), m = 1, 2, with c a unit vector.
+    """
+    x = np.linspace(0.0, 1.0, n + 1)
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        kind = i % 3
+        if kind == 0:
+            m = np.arange(1, 6)[:, None]
+            c = rng.normal(size=5)
+            pv = c / np.linalg.norm(c) @ (
+                math.sqrt(2.0) * np.cos(2 * math.pi * m * x))
+            data = solve_spectrum(
+                SchrodingerProblem(Potential(GridFunction(pv))), INF, INF, 5)
+            out.append((FitTarget.from_spectral_data(
+                data, regime="symmetric-dirichlet"), None))
+        elif kind == 1:
+            m = np.arange(1, 4)[:, None]
+            basis = math.sqrt(2.0) * np.concatenate(
+                [np.cos(2 * math.pi * m * x), np.sin(2 * math.pi * m * x)])
+            c = rng.normal(size=6)
+            pv = c / np.linalg.norm(c) @ basis
+            data = solve_spectrum(
+                SchrodingerProblem(Potential(GridFunction(pv))), INF, 1.0, 3)
+            out.append((FitTarget.from_spectral_data(data), None))
+        else:
+            c = rng.normal(size=2)
+            m = np.arange(1, 3)[:, None]
+            q = 0.3 * c / np.linalg.norm(c) @ (
+                math.sqrt(2.0) * np.sin(2 * math.pi * m * x))
+            q[0] = q[-1] = 0.0
+            cfg = ConditionU.exponential(0.5, 1.0)
+            data = solve_spectrum(SchrodingerProblem(forward_transform(
+                Impedance(GridFunction(q)), cfg)), INF, INF, 5)
+            out.append((FitTarget.from_spectral_data(
+                data, regime="symmetric-dirichlet"), cfg))
+    return out
+
+
+class TestWarmStarts:
+    """Fit solves start Newton from a predicted ladder; results do not move."""
+
+    @pytest.mark.parametrize("name", list(WARM_CASES))
+    def test_warm_matches_cold(self, monkeypatch, name):
+        make_target, cfg = WARM_CASES[name]
+        target = make_target()
+        warm_values, warm = run_fit(target, cfg)
+
+        def cold_solve(*args, _guess=None, **kwargs):
+            return solve_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(inverse, "solve_spectrum", cold_solve)
+        cold_values, cold = run_fit(target, cfg)
+        assert warm.iterations == cold.iterations
+        # The late entries of a history sit near the Newton tolerance, so
+        # they are compared on the scale of the first residual.
+        scale = cold.residuals[0]
+        assert np.max(np.abs(np.subtract(warm.residuals, cold.residuals))) \
+            <= 1e-10 * scale
+        assert np.max(np.abs(warm_values - cold_values)) <= 1e-11
+
+    @pytest.mark.parametrize("a,b", [(INF, INF), (INF, 1.0), (1.0, -0.5)])
+    @pytest.mark.parametrize("kind", ["shifted", "reversed", "nan", "outside"])
+    def test_bad_guess_keeps_labels(self, kind, a, b):
+        # A guess replaces a phase start only inside that slot's count
+        # bracket, so a wrong guess can cost rounds but never move a root.
+        prob = SchrodingerProblem(Potential.from_callable(
+            lambda x: 2.0 * np.cos(2 * np.pi * x) - np.sin(4 * np.pi * x),
+            1024))
+        N = 6
+        cold = solve_spectrum(prob, a, b, N)
+        guess = {
+            "shifted": solve_spectrum(prob, a, b, N + 1).eigenvalues[1:],
+            "reversed": cold.eigenvalues[::-1],
+            "nan": np.full(N, np.nan),
+            "outside": np.full(N, -1e6),
+        }[kind]
+        warm = solve_spectrum(prob, a, b, N, _guess=guess)
+        assert np.max(np.abs(warm.eigenvalues - cold.eigenvalues)
+                      / cold.eigenvalues.clip(1.0)) <= 1e-12
+        assert np.max(np.abs(warm.norming - cold.norming)) <= 1e-12
+        if kind in ("nan", "outside"):
+            assert np.array_equal(warm.eigenvalues, cold.eigenvalues)
+            assert np.array_equal(warm.norming, cold.norming)
+
+    def test_guess_ignored_without_correction(self):
+        # Two deep Robin ends take the two-level fallback, which starts from
+        # the bracket midpoints whatever the guess says.
+        prob = SchrodingerProblem(Potential.from_callable(
+            lambda x: 0.3 * np.cos(2 * np.pi * x), 1024))
+        assert spectral._normal_form_correction(1024, -12.0, -12.0, 6) is None
+        cold = solve_spectrum(prob, -12.0, -12.0, 6)
+        warm = solve_spectrum(prob, -12.0, -12.0, 6,
+                              _guess=cold.eigenvalues + 1e-3)
+        assert np.array_equal(warm.eigenvalues, cold.eigenvalues)
+        assert np.array_equal(warm.norming, cold.norming)
+        fmap = _FitMap(FitTarget(regime="generic", remainders=np.zeros(3),
+                                 norming=np.zeros(3), a=-12.0, b=-12.0),
+                       InversionConfig())
+        assert fmap.correction is None and fmap.zero_ladder is None
+
+    @pytest.mark.parametrize("name", ["symmetric-dirichlet", "mixed",
+                                      "slope-exp"])
+    def test_one_correction_per_fit(self, monkeypatch, name):
+        make_target, cfg = WARM_CASES[name]
+        target = make_target()
+        calls = []
+        zero_correction = spectral._zero_correction
+
+        def counted(*args):
+            calls.append(args)
+            return zero_correction(*args)
+
+        monkeypatch.setattr(spectral, "_zero_correction", counted)
+        _, report = run_fit(target, cfg)
+        assert report.iterations >= 3
+        assert len(calls) == 1
+
+    def test_sweep_budget_on_benchmark_inputs(self, monkeypatch):
+        # Over the first six seed-0 inputs of the benchmark's fit workload,
+        # cold starts took 104 derivative sweeps (14, 17, 17, 14, 20, 22).
+        # Each Jacobian makes one trace sweep.
+        inputs = benchmark_fit_inputs(6)
+        sweep = ode._sweep
+        modes = []
+
+        def counted(co, lam, y0, v0, **kwargs):
+            mode = [m for m in ("count", "deriv", "trace") if kwargs.get(m)]
+            modes.append(mode[0] if mode else "endpoint")
+            return sweep(co, lam, y0, v0, **kwargs)
+
+        monkeypatch.setattr(ode, "_sweep", counted)
+        monkeypatch.setattr(spectral, "_sweep", counted)
+        iterations = 0
+        for target, cfg in inputs:
+            iterations += run_fit(target, cfg)[1].iterations
+        assert modes.count("deriv") == 50
+        assert modes.count("trace") == iterations
+        assert modes.count("endpoint") == 0
+
+    def test_residual_without_guess(self):
+        target = fit_potential_target(None, INF, 1.0)
+        fmap = _FitMap(target, InversionConfig())
+        theta = np.zeros(fmap.basis.shape[0])
+        r_cold, _, lam_cold = fmap.residual(theta)
+        r_warm, _, lam_warm = fmap.residual(theta, fmap.zero_ladder)
+        assert np.max(np.abs(r_warm - r_cold)) <= 1e-11
+        assert np.max(np.abs(lam_warm - lam_cold) / lam_cold) <= 1e-12

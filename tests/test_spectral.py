@@ -320,6 +320,33 @@ class TestPotentialGradients:
         assert np.max(np.abs(dlam - 1.0)) < 1e-10
         assert np.max(np.abs(dnu)) < 1e-10
 
+    @pytest.mark.parametrize("cfg", ["zero", "exp"])
+    @pytest.mark.parametrize("a", [INF, 1.0, -0.7])
+    def test_one_trace_sweep_for_both_shots(self, monkeypatch, cfg, a):
+        # The eigenfunctions y and the second solutions z are the two halves
+        # of one 2N-column sweep with per-column initial data; each half
+        # matches its own sweep.
+        prob = six_mode_problem(cfg, N_GRID)
+        lam = solve_spectrum(prob, a, 1.0, 6).eigenvalues
+        y0, v0 = ode._initial_data(a)
+        z0, w0 = (1.0, 0.0) if math.isinf(a) else (0.0, 1.0)
+        Y = spectral._traces(prob, lam, y0, v0)
+        Z = spectral._traces(prob, lam, z0, w0)
+        YZ = spectral._traces(prob, np.concatenate([lam, lam]),
+                              np.repeat([y0, z0], 6), np.repeat([v0, w0], 6))
+        for got, want in ((YZ[:, :6], Y), (YZ[:, 6:], Z)):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        modes = []
+        sweep = ode._sweep
+
+        def spy(*args, **kwargs):
+            modes.append(kwargs.get("trace", False))
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_sweep", spy)
+        _potential_gradients(prob, lam, a, np.ones((1, N_GRID + 1)))
+        assert modes == [True]
+
 
 SPECTRA_CASES = [(cfg, a, b) for cfg in ("zero", "exp")
                  for a, b in ((INF, INF), (INF, 1.0), (1.0, -0.5))]
