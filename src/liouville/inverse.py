@@ -41,8 +41,8 @@ from .errors import (BracketError, DegenerateEigenfunctionError, FitError,
 from .grid import (GridFunction, _simpson_weights, cumulative_integral,
                    differentiate, l2_norm, trig_basis)
 from .ode import INF, SchrodingerProblem
-from .spectral import (_exact_ladder, _normal_form_correction,
-                       _potential_gradients, solve_spectrum,
+from . import spectral
+from .spectral import (_exact_ladder, _potential_gradients, solve_spectrum,
                        unperturbed_eigenvalues)
 from .transform import ConditionU, Impedance, Potential, forward_transform, frechet_apply
 
@@ -349,9 +349,8 @@ class _FitMap:
         # zero, also for slopes (P(0) = u(0) - c0 = 0), so its corrected
         # eigenvalues are the exact zero ladder.
         a, b = self.boundary
-        self.correction = _normal_form_correction(self.n, a, b, target.N)
-        self.zero_ladder = None if self.correction is None \
-            else _exact_ladder(a, b, target.N)[0]
+        self.correction = spectral._zero_correction(self.n, a, b, target.N)
+        self.zero_ladder = _exact_ladder(a, b, target.N)[0]
 
     def impedance(self, theta: np.ndarray) -> Impedance:
         return Impedance(GridFunction(theta @ self.slopes))

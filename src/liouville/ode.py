@@ -177,11 +177,6 @@ class SchrodingerProblem:
     def c0(self) -> float:
         return 0.0
 
-    def with_resolution(self, n: int) -> "SchrodingerProblem":
-        if n == self.n:
-            return self
-        return SchrodingerProblem(resample_potential(self.p, n))
-
     def coefficient_mean(self) -> float:
         return integral(self.p.f)
 
@@ -219,11 +214,6 @@ class ImpedanceProblem:
         if c is None:
             c = self._cache["c0"] = compute_c0(self.q, self.cfg)
         return c
-
-    def with_resolution(self, n: int) -> "ImpedanceProblem":
-        if n == self.n:
-            return self
-        return ImpedanceProblem(Impedance(resample(self.q.f, n)), self.cfg)
 
     def coefficient_mean(self) -> float:
         return self.c0

@@ -10,9 +10,9 @@ Paine, de Hoog & Anderssen, Computing 26, 1981), which the zero problem
 shows exactly and without a sweep.  The norming constants, normalizing
 constants and trace-identity terms at stored eigenvalues are read the same
 way: one grid level at the discrete eigenvalues those imply, plus the
-correction of each quantity.  The few boundary pairs that correction does
-not cover are computed at two grid levels and combined by fourth-order
-extrapolation, which removes the leading integrator error.
+correction of each quantity.  Every boundary pair takes that one path; a
+state that decays away from x = 0 has its norming constant read from the
+shot of the right data, which grows toward it.
 
 Three boundary regimes are supported, encoded by the pair (a, b) with inf
 meaning a Dirichlet end: both ends Dirichlet (eigenvalues labelled from 1),
@@ -36,7 +36,6 @@ from .ode import (
     _count_below,
     _endpoint_w,
     _initial_data,
-    _quadratic_steps,
     _sweep,
     is_dirichlet,
 )
@@ -283,20 +282,18 @@ def _newton_polish(char, lam, lo, hi):
         f"{_MAX_NEWTON} rounds")
 
 
-def _problem_char(prob, a, b, norming=False):
+def _problem_char(prob, a, b):
     """The problem's characteristic function as ``_newton_polish`` reads it.
 
-    With ``norming`` it returns the norming constant nu of
-    ``_endpoint_quantities`` and its lam-derivative as the companion, read
-    from the same sweep: nu = log|num| + log scale with num = y'(1) for a
-    Dirichlet pair, else y(1), and dnu/dlam = dnum / num.
+    Its companion is the norming constant nu of ``_endpoint_quantities``
+    and its lam-derivative, read from the same sweep: nu = log|num| +
+    log scale with num = y'(1) for a Dirichlet pair, else y(1), and
+    dnu/dlam = dnum / num.
     """
     dirichlet_pair = regime_of(a, b) == "dirichlet"
 
     def char(x):
         w, dw, scale, res = _endpoint_w(prob, x, a, b, deriv=True)
-        if not norming:
-            return w, dw
         num, dnum = ((res["v"], res["dv"]) if dirichlet_pair
                      else (res["y"], res["dy"]))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -312,11 +309,9 @@ def _endpoint_quantities(prob, lam, a, b, deriv=True):
     Without ``deriv`` an endpoint sweep gives the row nu alone, as (nu,).
     """
     _, dw, _, res = _endpoint_w(prob, lam, a, b, deriv=deriv)
-    numerator = np.abs(res["v"] if is_dirichlet(b) else res["y"])
-    if np.any(numerator == 0.0):
-        raise DegenerateEigenfunctionError(
-            "eigenfunction endpoint data vanished; spectrum is corrupted")
-    norming = np.log(numerator) + res["logscale"]
+    with np.errstate(divide="ignore"):
+        norming = np.log(np.abs(res["v" if is_dirichlet(b) else "y"])) \
+            + res["logscale"]
     if not deriv:
         return (norming,)
     return norming, np.log(np.abs(dw)) + res["logscale"]
@@ -378,131 +373,142 @@ def _potential_gradients(prob, lam, a, directions, norming=True):
     return dlam.T, dnu.T
 
 
-def _extrapolate(coarse, fine):
-    """Fourth-order combination of problem-grid and doubled-grid values.
-
-    It cancels the leading O(h**4) integrator error of either level.  It is
-    used only where ``_normal_form_correction`` gives None.
-    """
-    return (16.0 * fine - coarse) / 15.0
-
-
 # Every transfer matrix of the zero problem y'' = -lam y is C I + S A with
-# A = [[0, 1], [-lam, 0]]: the exact one over [0, 1] has C = cos(w) and
-# S = sin(w) / w at w = sqrt(lam), and an RK4 cell matrix has the same form
-# with polynomials in lam.  The functions below pass a transfer as the tuple
-# (C, S, dC, dS) of those entries and their lam-derivatives.
-
-def _unit_block():
-    """Coefficients of 1, z, z**2 in G(z) = [[M, M'], [0, M]], shape (3, 4, 4).
-
-    M(z) is the RK4 cell matrix of y'' = -z y on a cell of unit width, from
-    ``_quadratic_steps``, and M' = dM/dz.
-    """
-    M = _quadratic_steps(np.zeros(2), np.zeros(1))
-    M = M[..., 0].reshape(3, 2, 2).transpose(0, 2, 1)  # stored by column
-    G = np.zeros((3, 4, 4))
-    G[:, :2, :2] = G[:, 2:, 2:] = M
-    G[:2, :2, 2:] = M[1:] * np.array([1.0, 2.0])[:, None, None]
-    return G
+# A = [[0, 1], [-lam, 0]], here C = R H(u) and S = K G(u) with H(u) =
+# cos(sqrt u) and G(u) = sin(sqrt u) / sqrt u = sum (-u)**k / (2k + 1)!,
+# entire in u; the exact transfer over [0, 1] has R = K = 1 and u = lam.
+# A transfer is passed as (C, S, dC, dS, R, dR, u, du), d meaning d/dlam.
+_SINC_SLOPE = [(-1.0) ** k * k / math.factorial(2 * k + 1) for k in range(1, 7)]
 
 
-_UNIT_BLOCK = _unit_block()
-
-
-def _cos_sinc_sqrt(lam):
-    """cos(sqrt(lam)) and sin(sqrt(lam)) / sqrt(lam), entire in lam."""
-    lam = np.asarray(lam, dtype=float)
-    z = np.sqrt(lam.astype(complex))
-    small = np.abs(lam) < 1e-8
-    safe = np.where(small, 1.0, z)
-    sinc = np.where(small, 1.0 - lam / 6.0 + lam * lam / 120.0,
-                    (np.sin(safe) / safe).real)
-    return np.cos(z).real, sinc
+def _cos_sinc_sqrt(u):
+    """H(u), G(u) and G'(u) = (H - G) / (2u), G' by its series where
+    |u| < 0.1."""
+    u = np.asarray(u, dtype=float)
+    w = np.sqrt(u.astype(complex))
+    H = np.cos(w).real
+    G = np.where(w == 0.0, 1.0, (np.sin(w) / np.where(w == 0.0, 1.0, w)).real)
+    small = np.abs(u) < 0.1
+    return H, G, np.where(small, np.polynomial.polynomial.polyval(
+        u, _SINC_SLOPE), (H - G) / (2.0 * np.where(small, 1.0, u)))
 
 
 def _exact_transfer(lam):
     """The exact transfer of the zero problem over [0, 1]."""
-    C, S = _cos_sinc_sqrt(lam)
-    small = np.abs(lam) < 1e-3
-    # d/dlam sin(w)/w = (C - S) / (2 lam), by its Taylor series near 0.
-    dS = np.where(small, -1.0 / 6.0 + lam / 60.0,
-                  (C - S) / (2.0 * np.where(small, 1.0, lam)))
-    return C, S, -0.5 * S, dS
+    H, G, dG = _cos_sinc_sqrt(lam)
+    one = np.ones_like(H)
+    return H, G, -0.5 * G, dG, one, 0.0 * one, lam, one
+
+
+def _cell_phase(z):
+    """C1, S1 and r = arg(mu) / sqrt(z) of the RK4 unit cell at z (see
+    ``_discrete_transfer``), with r = 1 at z = 0."""
+    C1, S1 = 1.0 - z / 2.0 + z * z / 24.0, 1.0 - z / 6.0
+    t = np.sqrt(np.abs(z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(z > 0.0, np.arctan2(t * S1, C1),
+                     np.arctanh(t * S1 / C1)) / t
+    return C1, S1, np.where(t > 0.0, r, 1.0)
 
 
 def _discrete_transfer(n, lam):
-    """The RK4 transfer of the zero problem over n cells.
+    """The RK4 transfer of the zero problem over n cells, in closed form.
 
-    Every cell matrix is the same M(lam), so the transfer is M(lam)**n and
-    needs no sweep.  In the cell variable s = n x a cell has unit width and
-    the equation reads z = lam / n**2.  Repeated squaring of the block
-    [[M, M'], [0, M]] of that unit cell gives the power and, in its upper
-    right block, the z-derivative; its first row holds C, n S and their
-    z-derivatives.
+    Every cell matrix is M = C1 I + S1 A, with C1 = 1 - z/2 + z**2/24 and
+    S1 = 1 - z/6 at z = lam / n**2 in the cell variable.  Its eigenvalues
+    mu = C1 +- i sqrt(z) S1 give M**n = (mu+**n + mu-**n) / 2 I +
+    (mu+**n - mu-**n) / (2 i sqrt(z)) A: R = |mu|**n = det(M)**(n/2), with
+    det(M) = 1 - z**3/72 + z**4/576, u = (n arg mu)**2 = lam r**2 and
+    K = R r = det**((n - 1)/2) S1 / G(z r**2).
     """
-    z = np.asarray(lam, dtype=float)[:, None, None] / n**2
-    B0, B1, B2 = _UNIT_BLOCK
-    row = np.linalg.matrix_power((B2 * z + B1) * z + B0, n)[:, 0]
-    return tuple(row.T / np.array([1.0, n, n**2, n**3])[:, None])
+    lam = np.asarray(lam, dtype=float)
+    z = lam / n**2
+    C1, S1, r = _cell_phase(z)
+    dC1, dS1 = z / 12.0 - 0.5, -1.0 / 6.0
+    excess = z**3 * (z / 576.0 - 1.0 / 72.0)
+    det, ddet = 1.0 + excess, z * z * (z / 144.0 - 1.0 / 24.0)
+    du = r * (C1 * S1 + 2.0 * z * (C1 * dS1 - S1 * dC1)) / det
+    R = np.exp(0.5 * n * np.log1p(excess))
+    K, dR, u = R * r, 0.5 * R * ddet / (n * det), lam * r * r
+    _, G, dG = _cos_sinc_sqrt(z * r * r)
+    dK = K * (0.5 * (n - 1) * ddet / det + dS1 / S1 - dG * du / G) / n**2
+    H, G, dG = _cos_sinc_sqrt(u)
+    return (R * H, K * G, dR * H - 0.5 * R * G * du, dK * G + K * dG * du,
+            R, dR, u, du)
 
 
 def _phase_matched(n, lam):
     """Where the RK4 transfer over n cells turns by the exact phase sqrt(lam).
 
-    A unit cell turns (y, y') by phi(t) = atan2(t S, C) at t = sqrt(z),
-    with C and S its entries M11 and M12; three Newton steps solve
-    n phi(t) = sqrt(lam) for lam = (n t)**2.  For the zero problem with
-    Dirichlet ends that is the discrete eigenvalue itself, and with Robin
-    ends it is within a small shift of it.  lam <= 0 is returned as it is.
+    Three fixed-point steps x = lam / r(x / n**2)**2 (``_cell_phase``), to
+    1.5e-7 relative where lam <= 1.2 n**2: for the zero problem the
+    discrete eigenvalue with Dirichlet ends, a small shift off it with
+    Robin ends.  lam <= 0 is kept.
     """
-    target = np.sqrt(np.maximum(lam, 0.0)) / n
-    t = target
-    B0, B1, B2 = _UNIT_BLOCK[:, 0, :, None]
+    x = np.array(lam, dtype=float)
     for _ in range(3):
-        z = t * t
-        C, S, dC, dS = (B2 * z + B1) * z + B0
-        slope = (C * (S + 2.0 * z * dS) - 2.0 * z * S * dC) / (C * C + z * S * S)
-        t = t - (np.arctan2(t * S, C) - target) / slope
-    return np.where(lam > 0.0, (n * t) ** 2, lam)
+        x = lam / _cell_phase(x / n**2)[2] ** 2
+    return np.where(lam > 0.0, x, lam)
 
 
-def _zero_ends(transfer, lam, a):
-    """(y, v, dy, dv) at x = 1 of the shot from the left data of ``a``.
+def _zero_pairing(transfer, lam, left, right):
+    """l . T (y0, v0) and its lam-derivative: left = (y0, v0), right = l.
 
-    ``transfer`` is the (C, S, dC, dS) of the zero problem at ``lam``; the
-    conventions are those of ``_endpoint_w``.
+    It is C q0 + S q1 with q0 = l . (y0, v0) and q1 = l . (v0, -lam y0)
+    where lam >= -1.  Below, where C and S grow like e**v, v = sqrt(-lam),
+    and Robin combinations cancel them, it is summed by branch: T has the
+    eigenvectors (1, +-v) of A, with eigenvalues E+- = R e**(+-sqrt(-u)), so
+    l . T (y0, v0) = sum of E+- (v y0 +- v0) (l_y +- v l_v) / (2v).
     """
-    C, S, dC, dS = transfer
-    if is_dirichlet(a):
-        return S, C, dS, dC
-    return (C + a * S, a * C - lam * S,
-            dC + a * dS, a * dC - S - lam * dS)
+    C, S, dC, dS, R, dR, u, du = transfer
+    (y0, v0), (ly, lv) = left, right
+    q0, q1 = ly * y0 + lv * v0, ly * v0 - lam * lv * y0
+    value, slope = C * q0 + S * q1, dC * q0 + dS * q1 - S * lv * y0
+    deep = lam < -1.0
+    if not deep.any():
+        return value, slope
+    v, psi = (np.sqrt(-np.where(deep, x, -1.0)) for x in (lam, u))
+    dv, dpsi = -0.5 / v, -0.5 * du / psi
+    branches, slopes = 0.0, 0.0
+    for sign in (1.0, -1.0):
+        E = R * np.exp(sign * psi)
+        p, q = v * y0 + sign * v0, ly + sign * v * lv
+        branches = branches + E * p * q
+        slopes = slopes + (dR / R + sign * dpsi) * E * p * q \
+            + E * dv * (y0 * q + sign * lv * p)
+    branches = branches / (2.0 * v)
+    slopes = slopes / (2.0 * v) - branches * dv / v
+    return np.where(deep, branches, value), np.where(deep, slopes, slope)
 
 
 def _zero_char(transfer, a, b):
-    """The zero problem's characteristic function as ``_newton_polish`` reads it."""
+    """The zero problem's characteristic function as ``_newton_polish`` reads
+    it: the left data paired with y, or y' + b y, at x = 1."""
+    closing = (1.0, 0.0) if is_dirichlet(b) else (float(b), 1.0)
+
     def char(x):
-        y, v, dy, dv = _zero_ends(transfer(x), x, a)
-        if is_dirichlet(b):
-            return y, dy
-        return v + b * y, dv + b * dy
+        return _zero_pairing(transfer(x), x, _initial_data(a), closing)
     return char
 
 
 def _zero_quantities(transfer, lam, a, b):
     """nu and log|dw| of the zero problem at lam, as in ``_endpoint_quantities``.
 
-    The boundary state of a Robin left end a below about -18 has y(1) =
-    cosh|a| - sinh|a| cancelled to zero, so nu is -inf there (and its
-    correction -inf or nan); the readers of corrected norming constants
-    reject it with ``_require_finite``.
+    nu reads y'(1) for a Dirichlet b, else y(1); below lam = -1 it is read
+    from the end its state grows toward, as ``_norming`` reads the problem's.
     """
-    y, v, dy, dv = _zero_ends(transfer(lam), lam, a)
+    tr = transfer(lam)
+    end, _ = _zero_pairing(tr, lam, _initial_data(a),
+                           (0.0, 1.0) if is_dirichlet(b) else (1.0, 0.0))
+    start, _ = _zero_pairing(tr, lam, _initial_data(b),
+                             (0.0, 1.0) if is_dirichlet(a) else (1.0, 0.0))
+    _, dw = _zero_pairing(tr, lam, _initial_data(a),
+                          (1.0, 0.0) if is_dirichlet(b) else (float(b), 1.0))
     with np.errstate(divide="ignore"):
-        if is_dirichlet(b):
-            return np.log(np.abs(v)), np.log(np.abs(dy))
-        return np.log(np.abs(y)), np.log(np.abs(dv + b * dy))
+        forward, backward = np.log(np.abs(end)), -np.log(np.abs(start))
+        take = (lam < -1.0) & (backward + forward < 0.0)
+        return (np.where(take, backward + 2.0 * np.log(tr[4]), forward),
+                np.log(np.abs(dw)))
 
 
 def _exact_ladder(a, b, N):
@@ -521,7 +527,7 @@ def _exact_ladder(a, b, N):
     2 v w(lam) = e**v (v + a) (v + b) - e**-v (v - a) (v - b) for Robin
     ends and e**v (v + b) + e**-v (v - b) for a Dirichlet left end, positive
     for v >= m.  An end with a or b below -1 holds a state near -a**2 or
-    -b**2, where the lowest slot starts.  A Dirichlet pair is closed form:
+    -b**2, where the lowest slots start.  A Dirichlet pair is closed form:
     w = sin(k pi) / (k pi) has dw = cos(k pi) / (2 lam).
     """
     regime = regime_of(a, b)
@@ -547,8 +553,16 @@ def _exact_ladder(a, b, N):
         turn = np.arctan2(w, -b) - (0.0 if is_dirichlet(a) else np.arctan2(w, a))
         w = np.maximum(math.pi * np.arange(N) + turn, 0.0)
     start = np.where(start > 0.0, w * w, start)
-    if low < -1.0:
-        start[0] = -low * low
+    deep = [-c * c for c in (a, b) if c < -1.0]
+    if len(deep) == 2:
+        # At lam = -v**2 both solve (v + a)(v + b) = e**(-2v) (v - a)(v - b),
+        # a quadratic in v + a with the right side at the mean of -a and -b.
+        v = -0.5 * (a + b)
+        split = math.hypot(b - a, 2.0 * math.exp(-v) * math.sqrt(
+            (v - a) * (v - b)))
+        deep = [-(0.5 * (s * split - a - b)) ** 2 for s in (-1.0, 1.0)]
+    deep = sorted(deep)[:N]
+    start[:len(deep)] = deep
     lam = _newton_polish(_zero_char(_exact_transfer, a, b),
                          np.clip(start, lo, hi), lo, hi)
     return (lam, *_zero_quantities(_exact_transfer, lam, a, b))
@@ -558,13 +572,13 @@ def _zero_correction(n, a, b, N):
     """Exact less discrete eigenvalues, nu and log|dw| of p = 0, by slot.
 
     The discrete integrator error of a normal-form eigenvalue is dominated
-    by a part that does not depend on the potential, so adding these
-    differences to the values of any potential on n cells removes it, and
-    the same holds for nu and log|dw| read at the discrete eigenvalue.  The
-    discrete values come from Newton on the RK4 transfer M(lam)**n, started
+    by a part that does not depend on the potential (nor on the shift c0),
+    so adding these differences to the values of any potential on n cells
+    removes it, and the same holds for nu and log|dw| read at the discrete
+    eigenvalue.  The discrete values come from Newton on M(lam)**n, started
     where the transfer turns by the exact phase and kept halfway to the
-    neighbouring starts; where that does not isolate a root, the Newton
-    polish raises ``BracketError``.
+    neighbouring starts; where that does not isolate a root (two boundary
+    states closer than rounding splits), it raises ``BracketError``.
     """
     lam, norming, log_dw = _exact_ladder(a, b, N + 1)
     start = _phase_matched(n, lam)
@@ -576,61 +590,55 @@ def _zero_correction(n, a, b, N):
 
     lam_h = _newton_polish(_zero_char(transfer, a, b), start[:N], lo, hi)
     norming_h, log_dw_h = _zero_quantities(transfer, lam_h, a, b)
-    with np.errstate(invalid="ignore"):
-        return lam[:N] - lam_h, norming[:N] - norming_h, log_dw[:N] - log_dw_h
+    return lam[:N] - lam_h, norming[:N] - norming_h, log_dw[:N] - log_dw_h
 
 
-def _normal_form_correction(n, a, b, N):
-    """``_zero_correction`` on n cells, or None where it does not apply.
+def _norming(prob, lam, a, b, forward):
+    """Norming constants at the discrete eigenvalues lam, each read from
+    the end its state grows toward.
 
-    Both pictures integrate a normal form, whose constant shift c0 moves
-    the discrete and the exact eigenvalues alike, so the correction is that
-    of the grid and the boundary pair.  None marks the pairs where the zero
-    ladder cannot be matched slot by slot, and ``_zero_correction`` raises:
-    two Robin ends below about -10, whose boundary states nearly coincide.
+    ``forward`` holds the reads of the shots from the left data.  A state
+    that decays away from x = 0, as that near -a**2 of a Robin end a << -1,
+    leaves y(1) after terms of size e**|a| cancel, with the rounding of the
+    growing solution.  Below lam = -1, one endpoint sweep of the reflected
+    coefficients from the right data gives the backward read -log|z(0)|
+    (z'(0) at a Dirichlet a), taken where that shot grows more:
+    -nu_back > nu.  RK4 does not keep the Wronskian: on the zero problem,
+    for whose forward reads the correction is computed, a backward read
+    falls short by 2 log R (``_discrete_transfer``), which is added.
     """
-    try:
-        return _zero_correction(n, a, b, N)
-    except BracketError:
-        return None
+    nu = np.array(forward, dtype=float)
+    deep = lam < -1.0
+    if deep.any():
+        res = _sweep(prob._coefficients().reflected(), lam[deep],
+                     *_initial_data(b))
+        with np.errstate(divide="ignore"):
+            back = -np.log(np.abs(res["v" if is_dirichlet(a) else "y"])) \
+                - res["logscale"]
+        nu[deep] = np.where(back + nu[deep] < 0.0, back + 2.0 * np.log(
+            _discrete_transfer(prob.n, lam[deep])[4]), nu[deep])
+    return nu
 
 
-# The default of ``_pipeline``'s ``_correction``: compute it there.  A caller
-# that solves many problems on one grid and pair passes the correction it
-# computed once, None (no correction applies) included.
-_OWN_CORRECTION = object()
-
-
-def _pipeline(prob, a, b, N, *, _guess=None, _correction=_OWN_CORRECTION):
+def _pipeline(prob, a, b, N, *, _guess=None, _correction=None):
     """Eigenvalues and norming constants by slot.
 
-    One grid level plus the zero-potential correction: Newton from the
-    phase-matched starts of ``_solve_levels``, whose last sweep at each root
-    gives its norming constant as well.  ``_guess`` predicts the corrected
+    One grid level plus the zero-potential correction (``_correction``, if
+    the caller computed it): Newton from the phase-matched starts of
+    ``_solve_levels``, whose last sweep at each root gives its forward
+    norming read for ``_norming``.  ``_guess`` predicts the corrected
     eigenvalues; less the correction it replaces the phase start of each
     slot where it lies strictly inside that slot's count bracket, so a
-    guess cannot change a label, only the rounds Newton takes.  Where the
-    correction does not apply, the guess is ignored: Newton from the
-    bracket midpoints at the problem grid and the doubled grid, norming
-    constants read at both roots, and ``_extrapolate``.
+    guess cannot change a label, only the rounds Newton takes.
     """
     lo, hi, start = _solve_levels(prob, a, b, N)
-    correction = _normal_form_correction(prob.n, a, b, N) \
-        if _correction is _OWN_CORRECTION else _correction
-    if correction is not None:
-        dlam, dnorm, _ = correction
-        if _guess is not None:
-            raw = np.asarray(_guess, dtype=float) - dlam
-            start = np.where((raw > lo) & (raw < hi), raw, start)
-        lam0, norm0 = _newton_polish(_problem_char(prob, a, b, norming=True),
-                                     start, lo, hi)
-        return lam0 + dlam, norm0 + dnorm
-    lam0 = _newton_polish(_problem_char(prob, a, b), 0.5 * (lo + hi), lo, hi)
-    norm0, = _endpoint_quantities(prob, lam0, a, b, deriv=False)
-    fine = prob.with_resolution(2 * prob.n)
-    lam1 = _newton_polish(_problem_char(fine, a, b), lam0, lo, hi)
-    norm1, = _endpoint_quantities(fine, lam1, a, b, deriv=False)
-    return _extrapolate(lam0, lam1), _extrapolate(norm0, norm1)
+    dlam, dnorm, _ = _zero_correction(prob.n, a, b, N) \
+        if _correction is None else _correction
+    if _guess is not None:
+        raw = np.asarray(_guess, dtype=float) - dlam
+        start = np.where((raw > lo) & (raw < hi), raw, start)
+    lam, forward = _newton_polish(_problem_char(prob, a, b), start, lo, hi)
+    return lam + dlam, _norming(prob, lam, a, b, forward) + dnorm
 
 
 def compute_eigenvalues(prob, a: float, b: float, N: int) -> np.ndarray:
@@ -641,14 +649,13 @@ def compute_eigenvalues(prob, a: float, b: float, N: int) -> np.ndarray:
 
 
 def solve_spectrum(prob, a: float, b: float, N: int, *, _guess=None,
-                   _correction=_OWN_CORRECTION) -> SpectralData:
+                   _correction=None) -> SpectralData:
     """Eigenvalues plus norming constants, packaged with their remainders.
 
-    The private keywords reach ``_pipeline``: a predicted ladder for the
-    Newton starts and a zero-potential correction computed by the caller
-    (``_normal_form_correction`` of the grid, pair and N).  Without them
-    the solve starts from the phase-matched starts and computes its own
-    correction.
+    One grid level plus the zero-potential correction (``_pipeline``), for
+    every boundary pair.  The private keywords reach ``_pipeline``: a
+    predicted ladder for the Newton starts and the ``_zero_correction`` of
+    the grid, pair and N, computed by the caller.
     """
     lam, norming = _pipeline(prob, a, b, N, _guess=_guess,
                              _correction=_correction)
@@ -664,25 +671,17 @@ def _stored_quantities(prob, data: SpectralData, M: int | None = None,
                        deriv: bool = True):
     """nu and log|dw| at the first M (default all) stored eigenvalues.
 
-    Where ``solve_spectrum`` corrects one level, one level is read at the
-    discrete eigenvalues that the stored ones imply (data less the
-    zero-potential correction) and the correction of each quantity is
-    added.  Elsewhere two levels are read at the stored values: the leading
-    integrator error then has the same coefficient and ``_extrapolate``
-    cancels it.  Without ``deriv`` endpoint sweeps give (nu,) alone, as in
-    ``_endpoint_quantities``.
+    One level is read at the discrete eigenvalues that the stored ones
+    imply (data less the zero-potential correction), nu by ``_norming``,
+    and the correction of each quantity is added.  Without ``deriv``
+    endpoint sweeps give (nu,) alone, as in ``_endpoint_quantities``.
     """
     a, b = data.a, data.b
     lam = np.asarray(data.eigenvalues[:M], dtype=float)
-    correction = _normal_form_correction(prob.n, a, b, lam.size)
-    if correction is not None:
-        rows = _endpoint_quantities(prob, lam - correction[0], a, b, deriv)
-        rows = tuple(row + d for row, d in zip(rows, correction[1:]))
-    else:
-        fine = prob.with_resolution(2 * prob.n)
-        rows = tuple(map(_extrapolate,
-                         _endpoint_quantities(prob, lam, a, b, deriv),
-                         _endpoint_quantities(fine, lam, a, b, deriv)))
+    dlam, *deltas = _zero_correction(prob.n, a, b, lam.size)
+    nu, *rest = _endpoint_quantities(prob, lam - dlam, a, b, deriv)
+    rows = (_norming(prob, lam - dlam, a, b, nu), *rest)
+    rows = tuple(row + d for row, d in zip(rows, deltas))
     _require_finite(*rows)
     return rows
 
@@ -748,7 +747,7 @@ def hadamard_wronskian(data: SpectralData, lam: float, M: int) -> float:
     for pole in np.concatenate([ref, eigs]):
         if abs(lam - pole) < tol * max(1.0, abs(lam), abs(pole)):
             raise PoleCollisionError(f"lam={lam} collides with {pole}")
-    cos, sinc = _cos_sinc_sqrt(lam)
+    cos, sinc, _ = _cos_sinc_sqrt(lam)
     if regime == "dirichlet":
         front = float(sinc)
     elif regime == "mixed":

@@ -14,10 +14,11 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from liouville import (BracketError, GridFunction, Impedance, IntegrationError,
-                       build_rho, frechet_apply)
+                       ImpedanceProblem, SchrodingerProblem, build_rho,
+                       frechet_apply, resample)
 from liouville.grid import _simpson_weights
 from liouville.ode import (_count_below, _endpoint_w, _matmul, _nodes,
-                           _quadratic_steps)
+                           _quadratic_steps, resample_potential)
 from liouville.spectral import (_endpoint_quantities, _newton_polish,
                                 _problem_char, _solve_levels, _traces,
                                 boundary_shift, regime_of,
@@ -581,6 +582,23 @@ def bisect_level(prob, a, b, N):
     return lam, norming
 
 
+def cell_power_transfer(n, lam):
+    """(C, S, dC, dS) of the zero problem's RK4 transfer over n cells.
+
+    The transfer by repeated squaring of the unit-cell block
+    [[M, M'], [0, M]] with M' = dM/dz, which the closed form replaced: its
+    first row holds C, n S and their z-derivatives, z = lam / n**2.
+    """
+    M = _quadratic_steps(np.zeros(2), np.zeros(1))
+    M = M[..., 0].reshape(3, 2, 2).transpose(0, 2, 1)
+    G = np.zeros((3, 4, 4))
+    G[:, :2, :2] = G[:, 2:, 2:] = M
+    G[:2, :2, 2:] = M[1:] * np.array([1.0, 2.0])[:, None, None]
+    z = np.asarray(lam, dtype=float)[:, None, None] / n**2
+    row = np.linalg.matrix_power((G[2] * z + G[1]) * z + G[0], n)[:, 0]
+    return tuple(row.T / np.array([1.0, n, n**2, n**3])[:, None])
+
+
 # The two-level solve that every spectrum took before normal-form problems
 # moved to one level and the zero-potential correction: bracket-kept Newton
 # at the problem grid and at the doubled grid, combined by fourth-order
@@ -591,17 +609,25 @@ def bisect_level(prob, a, b, N):
 SLOT_CHUNK = 16
 
 
+def doubled(prob):
+    """The same problem on twice the cells."""
+    if isinstance(prob, ImpedanceProblem):
+        return ImpedanceProblem(Impedance(resample(prob.q.f, 2 * prob.n)),
+                                prob.cfg)
+    return SchrodingerProblem(resample_potential(prob.p, 2 * prob.n))
+
+
 def richardson_spectrum(prob, a, b, N):
     """Eigenvalues and norming constants from two grid levels, extrapolated."""
     lo, hi, _ = _solve_levels(prob, a, b, N)
-    fine = prob.with_resolution(2 * prob.n)
+    fine = doubled(prob)
     lam, norming = np.empty(N), np.empty(N)
     for start in range(0, N, SLOT_CHUNK):
         k = slice(start, start + SLOT_CHUNK)
-        lam0 = _newton_polish(_problem_char(prob, a, b), 0.5 * (lo[k] + hi[k]),
-                              lo[k], hi[k])
+        lam0, _ = _newton_polish(_problem_char(prob, a, b),
+                                 0.5 * (lo[k] + hi[k]), lo[k], hi[k])
         norm0, _ = _endpoint_quantities(prob, lam0, a, b)
-        lam1 = _newton_polish(_problem_char(fine, a, b), lam0, lo[k], hi[k])
+        lam1, _ = _newton_polish(_problem_char(fine, a, b), lam0, lo[k], hi[k])
         norm1, _ = _endpoint_quantities(fine, lam1, a, b)
         lam[k] = (16.0 * lam1 - lam0) / 15.0
         norming[k] = (16.0 * norm1 - norm0) / 15.0
@@ -634,7 +660,7 @@ def two_level_ratios(prob, lam, a, b, sign):
 
 def _two_levels(prob, lam, level):
     """``level`` at both grids, extrapolated, by chunks of SLOT_CHUNK slots."""
-    fine = prob.with_resolution(2 * prob.n)
+    fine = doubled(prob)
     lam = np.asarray(lam, dtype=float)
     out = np.empty(lam.size)
     for start in range(0, lam.size, SLOT_CHUNK):

@@ -18,11 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liouville
-from liouville import (ConditionU, FitError, Impedance, InversionError,
-                       SchrodingerProblem, TargetError, forward_transform)
+from liouville import (ConditionU, DegenerateEigenfunctionError, FitError,
+                       Impedance, InversionError, TargetError,
+                       forward_transform)
 from liouville.cli import (EXIT_FIT, EXIT_INVERSION, EXIT_OK, EXIT_PARSE,
                            EXIT_SOLVER, EXIT_VERIFY, _load_p, main)
 from liouville.grid import GridFunction, trig_basis
+from liouville.ode import resample_potential
 from liouville.serialize import read_grid_csv, write_grid_csv
 
 # Inline mode coefficients are taken in the orthonormal basis, so a unit
@@ -188,7 +190,7 @@ class TestResampledPotentials:
         cfg = ConditionU.exponential(0.5, 1.0) if exp_u else ConditionU.zero()
         p = forward_transform(Impedance(GridFunction(c @ trig_basis("sine", 6, n))),
                               cfg)
-        assert SchrodingerProblem(p).with_resolution(2 * n).n == 2 * n
+        assert resample_potential(p, 2 * n).n == 2 * n
         pcsv = tmp_path_factory.mktemp("p") / "p.csv"
         write_grid_csv(str(pcsv), p.f)
         for m in CLI_GRIDS:
@@ -423,16 +425,33 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_SOLVER
 
-    def test_vanished_norming_maps_to_solver_exit(self, tmp_path, capsys):
-        # A Robin left end a = -20 leaves a norming constant that is not
-        # finite; JSON cannot hold it, so the solve fails as a solver error.
+    def test_vanished_norming_maps_to_solver_exit(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # A norming constant that is not finite cannot go to JSON, so the
+        # solve fails as a solver error.
+        def vanished(*args, **kwargs):
+            raise DegenerateEigenfunctionError("a norming constant is not "
+                                               "finite")
+
+        monkeypatch.setattr("liouville.cli.solve_spectrum", vanished)
         out = tmp_path / "x.json"
         code = main(["spectrum", "--p", "fourier:[0.3,-0.2,0.1,0.05]",
-                     "--bc", "generic", "--a", "-20", "--b", "3", "--N", "8",
+                     "--bc", "generic", "--a", "1", "--b", "3", "--N", "8",
                      "--grid", "1024", "--out", str(out)])
         assert code == EXIT_SOLVER
         assert "solver error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_deep_robin_left_end_writes_finite_norming(self, tmp_path):
+        # The state near -a**2 of a Robin left end a = -20 is read from the
+        # right end, where its shot grows.
+        out = tmp_path / "x.json"
+        code = main(["spectrum", "--p", "fourier:[0.3,-0.2,0.1,0.05]",
+                     "--bc", "generic", "--a", "-20", "--b", "3", "--N", "8",
+                     "--grid", "1024", "--out", str(out)])
+        assert code == EXIT_OK
+        norming = json.loads(out.read_text())["norming"]
+        assert len(norming) == 8 and all(map(math.isfinite, norming))
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--emit-plot", "x.csv"],

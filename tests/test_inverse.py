@@ -504,21 +504,30 @@ class TestWarmStarts:
             assert np.array_equal(warm.eigenvalues, cold.eigenvalues)
             assert np.array_equal(warm.norming, cold.norming)
 
-    def test_guess_ignored_without_correction(self):
-        # Two deep Robin ends take the two-level fallback, which starts from
-        # the bracket midpoints whatever the guess says.
+    def test_deep_robin_pair_takes_the_guess(self):
+        # Two deep Robin ends take the correction like every pair, so a
+        # guess places their Newton starts too, and a fit map keeps the
+        # correction and the zero ladder.  The states near -144 are 7e-3
+        # apart; a guess off by 1e-4 stays inside their count brackets.
+        # Measured against the cold solve: lam 2.0e-16 relative, nu 1.9e-11,
+        # which is about e**12 / 576 times the rounding of lam at a
+        # state of an even potential under an even pair.
         prob = SchrodingerProblem(Potential.from_callable(
             lambda x: 0.3 * np.cos(2 * np.pi * x), 1024))
-        assert spectral._normal_form_correction(1024, -12.0, -12.0, 6) is None
         cold = solve_spectrum(prob, -12.0, -12.0, 6)
         warm = solve_spectrum(prob, -12.0, -12.0, 6,
-                              _guess=cold.eigenvalues + 1e-3)
-        assert np.array_equal(warm.eigenvalues, cold.eigenvalues)
-        assert np.array_equal(warm.norming, cold.norming)
+                              _guess=cold.eigenvalues + 1e-4)
+        assert np.max(np.abs(warm.eigenvalues - cold.eigenvalues)
+                      / np.abs(cold.eigenvalues)) <= 1e-12
+        assert np.max(np.abs(warm.norming - cold.norming)) <= 1e-9
         fmap = _FitMap(FitTarget(regime="generic", remainders=np.zeros(3),
                                  norming=np.zeros(3), a=-12.0, b=-12.0),
                        InversionConfig())
-        assert fmap.correction is None and fmap.zero_ladder is None
+        for got, want in zip(fmap.correction, spectral._zero_correction(
+                fmap.n, -12.0, -12.0, 3)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(fmap.zero_ladder,
+                              spectral._exact_ladder(-12.0, -12.0, 3)[0])
 
     @pytest.mark.parametrize("name", ["symmetric-dirichlet", "mixed",
                                       "slope-exp"])

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liouville import (INF, BracketError, ConditionU,
-                       DegenerateEigenfunctionError, GridFunction, Impedance,
+from liouville import (INF, BracketError, ConditionU, GridFunction, Impedance,
                        ImpedanceProblem, PoleCollisionError, Potential,
                        SchrodingerProblem, SequenceData, boundary_shift,
                        characterize, compute_c0, compute_eigenvalues,
@@ -20,9 +19,9 @@ from liouville import (INF, BracketError, ConditionU,
                        unperturbed_norming, wronskian)
 from liouville import ode, spectral
 from liouville.spectral import _potential_gradients
-from oracles import bisect_level, damped_spectrum, dirichlet_exact, \
-    mixed_exact, oracle_eigenvalues, richardson_spectrum, scalar_carry_sweep, \
-    sin2pi_potential, spline_midpoints, spline_resample, \
+from oracles import bisect_level, cell_power_transfer, damped_spectrum, \
+    dirichlet_exact, mixed_exact, oracle_eigenvalues, richardson_spectrum, \
+    scalar_carry_sweep, sin2pi_potential, spline_midpoints, spline_resample, \
     two_level_normalizing, two_level_ratios
 
 N_GRID = 2048
@@ -126,10 +125,11 @@ class TestOracleComparison:
 
 class TestSolverOptions:
     def test_extrapolation_sharpens(self):
-        # Two deep Robin ends keep the doubled grid (TestZeroCorrection);
-        # the reference is a two-level solve on eight times the cells, and
-        # the plain level is the problem grid's, found by the old root
-        # finder.
+        # Two deep Robin ends take one level plus the zero-potential
+        # correction like every pair, which removes the leading integrator
+        # error as the two-level extrapolation did; the reference is a
+        # two-level solve on eight times the cells, and the plain level is
+        # the problem grid's, found by the old root finder.
         def prob(n):
             return SchrodingerProblem(Potential.from_callable(
                 lambda x: 0.3 * sin2pi_potential(x), n))
@@ -560,7 +560,8 @@ class TestNormingConstants:
     def test_reads_endpoint_sweeps(self, monkeypatch, a, b):
         # nu needs no lam-derivative, so no sweep carries one; the values
         # are those of the derivative sweeps that also give log|dw|.  The
-        # pair (-12, -12) reads two levels.
+        # pair (-12, -12) reads its lowest state, which decays away from
+        # x = 0, by an endpoint sweep of the reflected coefficients.
         prob = six_mode_problem("exp", N_GRID)
         data = solve_spectrum(prob, a, b, 32)
         modes = []
@@ -579,22 +580,33 @@ class TestNormingConstants:
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
-class TestDeepRobinLeftEnd:
-    """A Robin left end a = -20: y(1) of the zero problem's boundary state
-    cancels to 0, so its norming constant and correction are not finite."""
+def cos_problem(n):
+    """The potential 0.3 cos(2 pi x) on n cells."""
+    return SchrodingerProblem(Potential.from_callable(
+        lambda x: 0.3 * np.cos(2.0 * np.pi * x), n))
 
-    PROB = SchrodingerProblem(Potential.from_callable(
-        lambda x: 0.3 * np.cos(2.0 * np.pi * x), 1024))
+
+class TestDeepRobinLeftEnd:
+    """A Robin left end a = -20: its state near -400 decays away from x = 0,
+    where y(1) of the forward shot cancels to rounding, so its norming
+    constant is read from the right end."""
+
+    PROB = cos_problem(1024)
 
     @pytest.mark.filterwarnings("error")
-    def test_solve_raises_without_warning(self):
-        with pytest.raises(DegenerateEigenfunctionError, match="not finite"):
-            solve_spectrum(self.PROB, -20.0, 3.0, 8)
+    def test_solve_is_finite_without_warning(self):
+        # Against the same solve on eight times the cells: measured 4.5e-11.
+        data = solve_spectrum(self.PROB, -20.0, 3.0, 8)
+        ref = solve_spectrum(cos_problem(8192), -20.0, 3.0, 8)
+        assert np.max(np.abs(data.norming - ref.norming)) < 1e-9
+        assert np.max(np.abs(norming_constants(self.PROB, data)
+                             - data.norming)) < 1e-12
 
     @pytest.mark.filterwarnings("error")
     def test_eigenvalues_still_returned(self):
         lam = compute_eigenvalues(self.PROB, -20.0, 3.0, 8)
-        assert np.all(np.isfinite(lam))
+        assert np.array_equal(lam, solve_spectrum(self.PROB, -20.0, 3.0, 8)
+                              .eigenvalues)
         assert -400.0 < lam[0] < -399.0
 
 
@@ -682,6 +694,30 @@ class TestZeroCorrection:
         assert np.max(np.abs(exact_norming - dnorm - norming)) <= 1e-13
         assert np.max(np.abs(exact_log_dw - dlog_dw - log_dw)) <= 1e-13
 
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_closed_form_transfer_matches_cell_power(self, n):
+        # C, S and their lam-derivatives in closed form against the
+        # squared unit-cell block, relative to each entry or to 1e-3 of its
+        # largest value.  Measured: 2.8e-14 (n = 256), 2.3e-13 (n = 2048),
+        # where the repeated squaring loses more.
+        lam = np.concatenate([np.linspace(-400.0, 4e4, 2001),
+                              [0.0, 1e-12, -1e-6, 1e-3, -0.5, 2.0]])
+        closed = spectral._discrete_transfer(n, lam)[:4]
+        for got, want in zip(closed, cell_power_transfer(n, lam)):
+            scale = np.maximum(np.abs(want), 1e-3 * np.max(np.abs(want)))
+            assert np.max(np.abs(got - want) / scale) < 1e-12
+
+    def test_pair_rounding_cannot_split_raises(self):
+        # At a = b = -40 the two boundary states lie 5.4e-14 apart, below
+        # one ulp of 1600; a = b = -37 (9.3e-13 apart) still solves.
+        free = SchrodingerProblem(Potential(GridFunction.zeros(1024)))
+        with pytest.raises(BracketError):
+            spectral._exact_ladder(-40.0, -40.0, 4)
+        with pytest.raises(BracketError):
+            solve_spectrum(free, -40.0, -40.0, 4)
+        lam = solve_spectrum(free, -37.0, -37.0, 4).eigenvalues
+        assert lam[0] < lam[1] < -1368.0
+
     @pytest.mark.parametrize("a,b", ZERO_PAIRS)
     def test_exact_ladder_is_a_root_ladder(self, a, b):
         # Strictly increasing, one root per slot: the closed-form
@@ -697,19 +733,20 @@ class TestZeroCorrection:
         assert np.all(np.sign(w_hi) == -below)
 
     def test_no_doubled_grid(self, monkeypatch):
+        # Deep Robin pairs included: every pair takes one level.
         def refuse(*args, **kwargs):
             raise AssertionError("spectra must not resample")
 
-        monkeypatch.setattr(SchrodingerProblem, "with_resolution", refuse)
-        monkeypatch.setattr(ImpedanceProblem, "with_resolution", refuse)
         monkeypatch.setattr(ode, "resample", refuse)
         for prob in (SIN2PI_PROB, six_mode_problem("exp", 256)):
-            for a, b in ((INF, INF), (INF, 1.0), (1.0, -0.5)):
+            for a, b in ((INF, INF), (INF, 1.0), (1.0, -0.5), (-12.0, -12.0),
+                         (-15.0, -13.5), (-20.0, 3.0), (-50.0, -20.0)):
                 data = solve_spectrum(prob, a, b, 8)
                 norming_constants(prob, data)
+                if a != INF:
+                    identity_ab(prob, data, 8)
             normalizing_constants(prob, solve_spectrum(prob, INF, INF, 8))
             identity_b(prob, solve_spectrum(prob, INF, 1.0, 8), 8)
-            identity_ab(prob, solve_spectrum(prob, 1.0, -0.5, 8), 8)
 
     @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
     def test_no_less_accurate_than_two_levels(self, cfg, a, b):
@@ -759,30 +796,92 @@ class TestZeroCorrection:
                 (n, corrected, two_levels)
 
     @pytest.mark.parametrize("a,b", [(-12.0, -12.0), (-15.0, -13.5)])
-    def test_two_levels_where_ladders_do_not_match(self, a, b):
-        # Two deep Robin ends hold two boundary states whose eigenvalues
-        # nearly coincide, and Newton on the closed form does not separate
-        # them within its rounds: these solves keep the doubled grid.
-        prob = SchrodingerProblem(Potential.from_callable(
-            lambda x: 0.3 * sin2pi_potential(x), 2048))
-        with pytest.raises(BracketError):
-            spectral._zero_correction(2048, a, b, 8)
-        data = solve_spectrum(prob, a, b, 8)
-        lam, norming = richardson_spectrum(prob, a, b, 8)
-        assert np.array_equal(data.eigenvalues, lam)
-        assert np.array_equal(data.norming, norming)
-        # So do the reads at stored eigenvalues; they extrapolate nu and
-        # log|dw| where the old readers extrapolated the ratios, measured
-        # 4.2e-10 apart.
-        nu, log_dw = spectral._stored_quantities(prob, data)
+    def test_one_level_where_boundary_states_nearly_coincide(self, a, b):
+        # Two deep Robin ends hold two boundary states 7.6e-3 and 43 apart.
+        # The closed-form ladders split them branch by branch, so these
+        # pairs take the correction like any other, checked against a
+        # solve on eight times the cells.  The potential is even, so at
+        # (-12, -12) the two states are the even and odd mixtures of the
+        # end states, and nu, about 0, moves by e**12 / 576 times the error
+        # of lam.  Measured: lam 5.2e-14 and 5.9e-14 relative; nu 2.2e-10
+        # and 6.9e-12; trace-identity ratios 2.4e-10 and 1.4e-11 relative.
+        def prob(n):
+            return SchrodingerProblem(Potential.from_callable(
+                lambda x: 0.3 * sin2pi_potential(x), n))
+
+        dlam, dnorm, dlog_dw = spectral._zero_correction(2048, a, b, 8)
+        assert np.all(np.isfinite(dlam) & np.isfinite(dnorm)
+                      & np.isfinite(dlog_dw))
+        data = solve_spectrum(prob(2048), a, b, 8)
+        ref = solve_spectrum(prob(16384), a, b, 8)
+        assert np.max(np.abs(data.eigenvalues - ref.eigenvalues)
+                      / np.abs(ref.eigenvalues)) < 1e-12
+        assert np.max(np.abs(data.norming - ref.norming)) < 1e-9
+        # The reads at the stored eigenvalues as well.
+        nu, log_dw = spectral._stored_quantities(prob(2048), data)
+        ref_nu, ref_log_dw = spectral._stored_quantities(prob(16384), ref)
         for sign in (1.0, -1.0):
-            ratios = two_level_ratios(prob, data.eigenvalues, a, b, sign)
-            assert np.allclose(np.exp(sign * nu - log_dw), ratios,
-                               rtol=1e-9, atol=0.0)
+            ratios = np.exp(sign * nu - log_dw)
+            ref_ratios = np.exp(sign * ref_nu - ref_log_dw)
+            assert np.max(np.abs(ratios / ref_ratios - 1.0)) < 1e-9
+
+
+def deep_robin_closed_form(a, b):
+    """Lowest eigenvalue and norming constant of p = 0 under (a, b), a << -1.
+
+    At lam = -v**2 the shot from (1, a) is y = cosh(v x) + a sinh(v x) / v;
+    the Robin right end gives v + a = e**(-2v) (v - a)(v - b) / (v + b),
+    and nu = log|y(1)| = -v + log((v - a) / (v + b)).
+    """
+    from scipy.optimize import brentq
+
+    def gap(v):
+        return v + a - math.exp(-2.0 * v) * (v - a) * (v - b) / (v + b)
+
+    v = brentq(gap, -a - 1.0, -a + 1.0, xtol=1e-15, rtol=1e-15)
+    return -v * v, -v + math.log((v - a) / (v + b))
+
+
+# Robin left ends whose lowest state decays away from x = 0.
+DEEP_LEFT_ENDS = [-6.0, -8.0, -10.0, -12.0, -15.0, -17.0, -20.0]
 
 
 class TestDeepRobinEnds:
     """Strongly attractive Robin ends hold states far below the ladder."""
+
+    @pytest.mark.parametrize("a", DEEP_LEFT_ENDS)
+    def test_zero_potential_at_closed_form(self, a):
+        # Measured at n = 2048: lam_0 within 1.2e-15 relative, nu_0 within
+        # 1.8e-13.
+        free = SchrodingerProblem(Potential(GridFunction.zeros(2048)))
+        data = solve_spectrum(free, a, 1.0, 8)
+        lam, nu = deep_robin_closed_form(a, 1.0)
+        assert abs(data.eigenvalues[0] - lam) < 1e-13 * abs(lam)
+        assert abs(data.norming[0] - nu) < 1e-9
+        assert abs(norming_constants(free, data)[0] - nu) < 1e-9
+
+    @pytest.mark.parametrize("a", DEEP_LEFT_ENDS)
+    def test_against_eight_times_the_cells(self, a):
+        # 0.3 cos(2 pi x) on 2048 cells against 16384.  Measured: nu_0
+        # within 2.1e-13 to 2.9e-12, eigenvalues within 1.4e-14 relative.
+        data = solve_spectrum(cos_problem(2048), a, 1.0, 4)
+        ref = solve_spectrum(cos_problem(16384), a, 1.0, 4)
+        assert abs(data.norming[0] - ref.norming[0]) < 1e-9
+        assert np.max(np.abs(data.eigenvalues - ref.eigenvalues)
+                      / np.abs(ref.eigenvalues)) < 1e-12
+
+    @pytest.mark.parametrize("a,b", [(-6.0, 1.0), (-10.0, 1.0), (-15.0, 1.0),
+                                     (-20.0, 1.0), (-30.0, 1.0),
+                                     (-50.0, -20.0)])
+    def test_norming_converges_at_fourth_order(self, a, b):
+        # Errors of nu_0 for 0.3 cos(2 pi x) against 16384 cells: eight
+        # times the cells divide them by 8**4 = 4096; measured 2900-6400,
+        # and 335 at a = -6, where n = 2048 reaches 7.5e-13.
+        ref = solve_spectrum(cos_problem(16384), a, b, 4).norming[0]
+        e256, e2048 = (abs(solve_spectrum(cos_problem(n), a, b, 4).norming[0]
+                           - ref) for n in (256, 2048))
+        assert e2048 < max(e256 / 1024.0, 2e-12)
+        assert e256 < 1e-6
 
     @pytest.mark.parametrize("a,b", [(INF, -50.0), (-50.0, -20.0)])
     def test_against_finite_differences(self, a, b):
