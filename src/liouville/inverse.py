@@ -388,7 +388,7 @@ class _FitMap:
         symmetric = self.target.regime == "symmetric-dirichlet"
         directions = self.basis if self.cfg is None else \
             frechet_apply(self.impedance(theta), self.cfg, self.slopes)
-        dlam, dnu = _potential_gradients(prob, lam, self.boundary[0],
+        dlam, dnu = _potential_gradients(prob, lam, *self.boundary,
                                          directions, norming=not symmetric)
         if symmetric:
             return dlam

@@ -16,18 +16,24 @@ lam-free coefficient arrays are computed once per problem.  A backward
 shot is the same equation on the reflected coefficients V(1 - s), so every
 sweep runs from x = 0.
 
-A sweep propagates a batch of lam columns through all cells by a two-level
-blocked scan (Blelloch, "Prefix sums and their applications", 1990): the n
-cells form blocks of B = isqrt(n), and the coefficients are stored in that
-block order, so the multiply-add in lam writes the cell matrices straight
-into the layout the scan reads.  The running products inside every block
-are formed in B steps, each vectorized over all blocks and columns; the
-block totals then carry the state across the n/B block boundaries, one
-batched matrix product per block, and the state is rescaled there if it
-grows too large.  Sweeps that need every node (sign counts and traces)
-apply the stored running products to the block-start states; a count reads
-the signs of y in that block layout, with the last node of each block
-carried to the next, and never forms the nodes in grid order.
+A sweep propagates a batch of lam columns through all cells by a blocked
+scan (Blelloch, "Prefix sums and their applications", 1990).  The n cells
+form blocks of a fixed 16, and the coefficients are stored in that block
+order, so the multiply-add in lam writes the cell matrices straight into
+the layout the scan reads.  The running products inside every block are
+formed in 15 steps, each vectorized over all blocks and columns.  The block
+totals are then multiplied pairwise, level by level, until one product
+spans 256 cells, and the state is carried across those products in order,
+one batched matrix product each.  The cap keeps the carry sequential over
+the interval: one product over all of it holds e**|a| near lam = -a**2, and
+applied to a state that decays away from x = 0 it cancels that state.
+The tree's first products and the carried state are scaled by powers of
+two, which is exact, and the scale is reported as a logarithm.  Sweeps
+that need every node (sign counts and traces) give every block its start
+state by a down-sweep of the stored levels and apply the stored running
+products to it; a count reads the signs of y in that block layout, with
+the last node of each block carried to the next, and never forms the nodes
+in grid order.
 """
 
 from __future__ import annotations
@@ -57,8 +63,12 @@ __all__ = [
 
 INF = math.inf
 
-_RENORM_LIMIT = 1e250
 _LOG_VALUE_LIMIT = 700.0
+
+# Cells per block of the scan, and the most cells one product of its tree
+# over the block totals may span (see the module docstring).
+_BLOCK = 16
+_SPAN_CAP = 256
 
 
 def is_dirichlet(b: float) -> bool:
@@ -113,8 +123,9 @@ class _Coefficients:
     """Node and midpoint samples of V at one resolution.
 
     ``steps`` holds the cell matrices as ``_quadratic_steps`` coefficients
-    in block order, shape (3, B, 4, nb, 1): cell b B + i sits at
-    [:, i, :, b], so each step of a block scan reads one contiguous slice.
+    in block order, shape (3, B, 4, 1, nb): cell b B + i sits at
+    [:, i, :, 0, b], so each step of a block scan reads one contiguous
+    slice, and the multiply-add in lam runs along the blocks.
     The cells past n that fill the last block are the identity, A0 = I and
     A1 = A2 = 0.
     """
@@ -133,15 +144,15 @@ class _Coefficients:
 
 
 def _block_order(A: np.ndarray) -> np.ndarray:
-    """(3, 4, n) cell coefficients as (3, B, 4, nb, 1), padded with I."""
+    """(3, 4, n) cell coefficients as (3, B, 4, 1, nb), padded with I."""
     n = A.shape[2]
-    B = math.isqrt(n)
+    B = _BLOCK
     nb = -(-n // B)
     out = np.zeros((3, 4, nb * B))
     out[..., :n] = A
     out[0, [0, 3], n:] = 1.0
     out = out.reshape(3, 4, nb, B).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(out)[..., None]
+    return np.ascontiguousarray(out)[:, :, :, None]
 
 
 def _midpoints(values: np.ndarray) -> np.ndarray:
@@ -237,14 +248,15 @@ class StateTrace:
 
 
 def _build_matrices(co: _Coefficients, lam: np.ndarray, deriv: bool):
-    """Cell matrices at every lam column in block order, shape (B, 2, 2, nb, K).
+    """Cell matrices at every lam column in block order, shape (B, 2, 2, K, nb).
 
-    Cell b B + i sits at [i, column, row, b]; the cells that fill the last
-    block are exactly I.  With ``deriv`` the second result holds the
-    lam-derivatives (exactly 0 on those cells), else None.
+    Cell b B + i of column k sits at [i, column, row, k, b]; the cells that
+    fill the last block are exactly I.  With ``deriv`` the second result
+    holds the lam-derivatives (exactly 0 on those cells), else None.
     """
     A0, A1, A2 = co.steps
-    shape = (A0.shape[0], 2, 2, A0.shape[2], lam.size)
+    shape = (A0.shape[0], 2, 2, lam.size, A0.shape[3])
+    lam = lam[:, None]
     M = A2 * lam
     M += A1
     M *= lam
@@ -259,10 +271,15 @@ def _build_matrices(co: _Coefficients, lam: np.ndarray, deriv: bool):
 def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Products a @ b of 2x2 matrices stored [column, row] on the leading axes.
 
-    ``out`` may be ``a`` or ``b``: both products are formed before it is written.
+    ``out`` may be ``a`` or ``b``: both products are formed before it is
+    written.  Without ``out`` the second is added in place, which keeps one
+    temporary fewer alive.
     """
-    return np.add(a[0][None] * b[:, 0][:, None], a[1][None] * b[:, 1][:, None],
-                  out=out)
+    prod = a[None, 0] * b[:, 0, None]
+    if out is None:
+        prod += a[None, 1] * b[:, 1, None]
+        return prod
+    return np.add(prod, a[None, 1] * b[:, 1, None], out=out)
 
 
 def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
@@ -272,65 +289,72 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
     The initial data y0 and v0 at x = 0 are scalars shared by every lam
     column or (K,) arrays, one value per column.  The cell matrices come
     from ``_build_matrices`` in block order; the scan forms the running
-    products in place, then carries the state over the block totals with
-    one batched matrix product per block.
-    Without ``trace`` the state is rescaled per column when it grows past
-    ``_RENORM_LIMIT``; accumulated log factors are reported so callers can
+    products in place, multiplies the block totals up to ``_SPAN_CAP``
+    cells (``_tree``), then carries the state over those products in order
+    with one batched matrix product each.
+    Without ``trace`` the tree's first products and the state after each
+    product are scaled per column by powers of two, exactly, to a largest
+    entry in [0.5, 1); the summed log factors are reported so callers can
     reconstruct true magnitudes.  Traces are stored unscaled and overflow
     raises instead.
     """
     n = co.V.size - 1
     K = lam.size
     P, dP = _build_matrices(co, lam, deriv)
-    B, nb = P.shape[0], P.shape[3]
+    B = P.shape[0]
     nodes = trace or count
     # Column k carries the state s[k] = (dy, dv, y, v) with deriv, else (y, v).
     d = 4 if deriv else 2
     s = np.zeros((K, d, 1))
     s[:, -2, 0] = y0
     s[:, -1, 0] = v0
-    logscale = np.zeros(K)
     # Overflow is detected explicitly at the end; silence the transient.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Stage 1: P[i, :, :, b] becomes the product of the first i + 1
+        # Stage 1: P[i, :, :, k, b] becomes the product of the first i + 1
         # cell matrices of block b, with its lam-derivative in dP.
         for i in range(1, B):
             if deriv:
-                np.add(_matmul(dP[i], P[i - 1]), _matmul(P[i], dP[i - 1]),
-                       out=dP[i])
+                _matmul(dP[i], P[i - 1], out=dP[i])
+                dP[i] += _matmul(P[i], dP[i - 1])
             _matmul(P[i], P[i - 1], out=P[i])
 
-        # Stage 2: s <- G s over the block totals, one batched product per
-        # block; G is T, or [[T, dT], [0, T]] with deriv.  It is built
-        # [column, row] and only viewed as (nb, K) stacks of matrices: on
-        # these strides np.matmul keeps its own small-matrix loop, which at
-        # K = 64 takes half the time of a BLAS call per matrix.
-        G = P[B - 1]
+        # Stage 2: s <- G s over the tree's top products, one batched
+        # product each; G is T, or [[T, dT], [0, T]] with deriv.  It is
+        # built [column, row] and only viewed as (m, K) stacks of matrices:
+        # on these strides np.matmul keeps its own small-matrix loop, which
+        # at K = 64 takes half the time of a BLAS call per matrix.
+        levels, T, dT, exponent = _tree(P[B - 1], dP[B - 1] if deriv else None,
+                                        scale=not trace)
+        m = T.shape[3]
+        G = T
         if deriv:
-            G = np.zeros((4, 4, nb, K))
-            G[:2, :2] = G[2:, 2:] = P[B - 1]
-            G[2:, :2] = dP[B - 1]
-        G = G.transpose(2, 3, 1, 0)
+            G = np.zeros((4, 4, K, m))
+            G[:2, :2] = G[2:, 2:] = T
+            G[2:, :2] = dT
+        G = G.transpose(3, 2, 1, 0)
         if nodes:
-            starts = np.empty((nb, K, d, 1))
-        for b in range(nb):
+            starts = np.empty((m, K, d, 1))
+        for b in range(m):
             if nodes:
                 starts[b] = s
             s = np.matmul(G[b], s)
-            if not trace and np.abs(s).max() > _RENORM_LIMIT:
-                peak = np.abs(s).max(axis=(1, 2))
-                factor = np.where(peak > _RENORM_LIMIT, peak, 1.0)
-                s /= factor[:, None, None]
-                logscale += np.log(factor)
+            if not trace:
+                e = np.frexp(np.abs(s).max(axis=(1, 2)))[1]
+                s *= np.ldexp(1.0, -e)[:, None, None]
+                exponent += e
+        logscale = math.log(2.0) * exponent
         y, v = s[:, -2, 0], s[:, -1, 0]
 
-        # Stage 3: every node from its block's start state.
+        # Stage 3: every node from its block's start state, as (B, K, nb)
+        # block data read through (B, nb, K) views.
         if nodes:
-            ys, vs = starts[:, :, -2, 0], starts[:, :, -1, 0]
-            inner = P[:, 0, 0] * ys + P[:, 1, 0] * vs
+            ys, vs = _block_starts(levels, starts[:, :, -2, 0].T,
+                                   starts[:, :, -1, 0].T)
+            inner = (P[:, 0, 0] * ys + P[:, 1, 0] * vs).transpose(0, 2, 1)
         if trace:
             Y = _nodes(y0, inner, n)
-            W = _nodes(v0, P[:, 0, 1] * ys + P[:, 1, 1] * vs, n)
+            W = _nodes(v0, (P[:, 0, 1] * ys + P[:, 1, 1] * vs)
+                       .transpose(0, 2, 1), n)
     if trace and not np.all(np.isfinite(Y[-1]) & np.isfinite(W[-1])):
         raise IntegrationError(
             f"trace integration overflowed (n={n}, lam up to {np.max(lam):.6g})")
@@ -349,13 +373,78 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
     return out
 
 
+def _tree(T, dT, scale: bool):
+    """Block totals multiplied pairwise until a product spans _SPAN_CAP cells.
+
+    T and its lam-derivative dT (or None) are (2, 2, K, nb) stacks stored
+    [column, row].  Each level multiplies node 2j + 1 after node 2j; an odd
+    last node passes up as it is.  With ``scale`` the first level (with its
+    dT) is scaled by 2**-e, exactly, so that each largest entry lies in
+    [0.5, 1); no product of the three levels above it, nor its
+    lam-derivative, then reaches 2**16.  Returns the levels below the top,
+    which the down-sweep of ``_block_starts`` reads, the top (T, dT), and
+    the exponents e summed per column.
+    """
+    levels = []
+    exponent = np.zeros(T.shape[2])
+    span = _BLOCK
+    while span < _SPAN_CAP and T.shape[3] > 1:
+        levels.append(T)
+        h = T.shape[3] // 2
+        left, right = T[..., 0:2 * h:2], T[..., 1:2 * h:2]
+        up, dup = _matmul(right, left), None
+        if dT is not None:
+            dup = _matmul(dT[..., 1:2 * h:2], left)
+            dup += _matmul(right, dT[..., 0:2 * h:2])
+        if T.shape[3] % 2:
+            up = np.concatenate([up, T[..., -1:]], axis=3)
+            if dT is not None:
+                dup = np.concatenate([dup, dT[..., -1:]], axis=3)
+        if scale and span == _BLOCK:
+            peak = np.abs(up).max(axis=(0, 1))
+            if dT is not None:
+                peak = np.maximum(peak, np.abs(dup).max(axis=(0, 1)))
+            e = np.frexp(peak)[1]
+            factor = np.ldexp(1.0, -e)
+            up *= factor
+            if dT is not None:
+                dup *= factor
+            exponent += e.sum(axis=1)
+        T, dT = up, dup
+        span *= 2
+    return levels, T, dT, exponent
+
+
+def _block_starts(levels, y: np.ndarray, v: np.ndarray):
+    """(K, nb) start states of the blocks from the (K, m) ones of the top.
+
+    Walks the levels of ``_tree`` down: node 2j (and an odd last node)
+    starts where its parent j does, and node 2j + 1 at T[2j] applied to
+    that start.
+    """
+    for T in reversed(levels):
+        h = T.shape[3] // 2
+        left = T[..., 0:2 * h:2]
+        ys = np.empty(T.shape[2:])
+        vs = np.empty_like(ys)
+        ys[:, 0::2], vs[:, 0::2] = y, v
+        ys[:, 1::2] = left[0, 0] * y[:, :h] + left[1, 0] * v[:, :h]
+        vs[:, 1::2] = left[0, 1] * y[:, :h] + left[1, 1] * v[:, :h]
+        y, v = ys, vs
+    return y, v
+
+
 def _nodes(first, inner: np.ndarray, n: int) -> np.ndarray:
-    """Node values in grid order from the first node and (B, nb, K) block data."""
+    """Node values in grid order from the first node and (B, nb, K) block data.
+
+    The result is an (n + 1, K) view of a column-major array: the scan keeps
+    the blocks of each column together, and this copy reads them in runs.
+    """
     B, nb, K = inner.shape
-    out = np.empty((nb * B + 1, K))
-    out[0] = first
-    out[1:].reshape(nb, B, K)[...] = inner.transpose(1, 0, 2)
-    return out[:n + 1]
+    out = np.empty((K, nb * B + 1))
+    out[:, 0] = first
+    out[:, 1:].reshape(K, nb, B)[...] = inner.transpose(2, 1, 0)
+    return out[:, :n + 1].T
 
 
 def _block_flips(first, inner: np.ndarray, n: int) -> np.ndarray:

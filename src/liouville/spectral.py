@@ -60,8 +60,8 @@ __all__ = [
 
 
 # Newton stops a root once its step is within _RTOL * max(1, |lam|);
-# _MAX_NEWTON bounds the rounds of one polish and _MAX_REPAIR the rounds of
-# each count stage.
+# _MAX_NEWTON bounds the rounds of one polish and _MAX_REPAIR those of the
+# bracket repair before the count bisection.
 _RTOL = 1e-12
 _MAX_NEWTON = 16
 _MAX_REPAIR = 48
@@ -189,11 +189,15 @@ def _solve_levels(prob, a, b, N):
         raise BracketError(
             f"could not isolate {N} eigenvalues; counts lo={clo}, hi={chi}")
 
-    for _ in range(_MAX_REPAIR):
+    # Bisection halves a bracket until it holds one eigenvalue, or until no
+    # float lies strictly inside it: rounding cannot split that pair.
+    while True:
         wide = (chi - clo) > 1
         if not wide.any():
             break
         mid = 0.5 * (lo[wide] + hi[wide])
+        if np.any((mid <= lo[wide]) | (mid >= hi[wide])):
+            raise BracketError("count bisection failed to separate eigenvalues")
         cm, tm = _count_below(prob, mid, a, b, phase=True)
         take_lo = cm <= slots[wide]
         idx = np.flatnonzero(wide)
@@ -203,8 +207,6 @@ def _solve_levels(prob, a, b, N):
         hi[idx[~take_lo]] = mid[~take_lo]
         chi[idx[~take_lo]] = cm[~take_lo]
         thi[idx[~take_lo]] = tm[~take_lo]
-    else:
-        raise BracketError("count bisection failed to separate eigenvalues")
     return lo, hi, _phase_starts(lo, hi, tlo, thi, b)
 
 
@@ -325,51 +327,67 @@ def _require_finite(*rows):
             "vanished")
 
 
-def _traces(prob, lam, y0, v0):
-    """Unscaled normal-form shots from the data (y0, v0) at x = 0, by lam.
+def _traces(co, lam, y0, v0):
+    """Unscaled shots (Y, W) of the coefficients ``co`` from the data (y0, v0)
+    at their first node, by lam.
 
     y0 and v0 are scalars or hold one value per lam column.  For an
     impedance problem these are y = rho f.
     """
-    res = _sweep(prob._coefficients(), np.asarray(lam, dtype=float), y0, v0,
-                 trace=True)
-    return res["Y"]
+    res = _sweep(co, np.asarray(lam, dtype=float), y0, v0, trace=True)
+    return res["Y"], res["W"]
 
 
-def _potential_gradients(prob, lam, a, directions, norming=True):
+def _potential_gradients(prob, lam, a, b, directions, norming=True):
     """Exact derivatives of eigenvalues and norming constants along directions.
 
-    ``lam`` holds eigenvalues of the normal-form problem ``prob`` under left
-    parameter ``a``; ``directions`` holds one perturbation phi_j of p per row,
-    sampled on the problem grid.  With y_n the shot from the left data at
-    lam_n and z_n a second solution with Wronskian W = y z' - y' z,
+    ``lam`` holds eigenvalues of the normal-form problem ``prob`` under the
+    pair (a, b); ``directions`` holds one perturbation phi_j of p per row,
+    sampled on the problem grid.  With y_n an eigenfunction at lam_n and
+    z_n the shot from the second left data, with Wronskian W = y z' - y' z,
 
         d lam_n = int phi y_n**2 / int y_n**2,
         d nu_n = -(int phi z_n y_n - d lam_n int z_n y_n) / W.
 
     The second formula holds for nu = log|y(1)| and nu = log|y'(1)| alike,
-    because int y_n**2 (d p - d lam_n) = 0; it needs no right-end data.
-    With ``norming`` the shots y_n and z_n are the two halves of one trace
-    sweep of 2N columns.  Returns (d lam, d nu) of shape (N, J); d nu is
-    None without ``norming``.
+    because int y_n**2 (d p - d lam_n) = 0.  Both are unchanged when y_n is
+    scaled, so y_n is the shot from the left data, or, below lam = -1 where
+    the shot of the right data grows more (the test of ``_norming``), that
+    shot read backward: a state that decays away from x = 0 leaves the
+    forward shot with the rounding of the growing solution.  With
+    ``norming`` the forward shots y_n and z_n are the two halves of one
+    trace sweep of 2N columns.  Returns (d lam, d nu) of shape (N, J); d nu
+    is None without ``norming``.
     """
     weights = _simpson_weights(prob.n)[:, None]
     lam = np.asarray(lam, dtype=float)
     N = lam.size
+    co = prob._coefficients()
     y0, v0 = _initial_data(a)
+    z0, w0 = (1.0, 0.0) if is_dirichlet(a) else (0.0, 1.0)
     if not norming:
-        Y = _traces(prob, lam, y0, v0)
+        Y, W = _traces(co, lam, y0, v0)
     else:
-        z0, w0 = (1.0, 0.0) if is_dirichlet(a) else (0.0, 1.0)
-        YZ = _traces(prob, np.concatenate([lam, lam]),
-                     np.repeat([y0, z0], N), np.repeat([v0, w0], N))
+        YZ, W = _traces(co, np.concatenate([lam, lam]),
+                        np.repeat([y0, z0], N), np.repeat([v0, w0], N))
         Y, Z = YZ[:, :N], YZ[:, N:]
+    wronskian = np.full(N, y0 * w0 - v0 * z0)
+    deep = np.flatnonzero(lam < -1.0)
+    if deep.size:
+        G, dG = _traces(co.reflected(), lam[deep], *_initial_data(b))
+        forward = W[-1, deep] if is_dirichlet(b) else Y[-1, deep]
+        back = dG[-1] if is_dirichlet(a) else G[-1]
+        grows = np.abs(back) > np.abs(forward)
+        deep = deep[grows]
+        Y[:, deep] = G[::-1, grows]
+        # g(s) = y(1 - s), so y'(0) = -g'(1).
+        wronskian[deep] = G[-1, grows] * w0 + dG[-1, grows] * z0
     Yw = weights * Y
     dlam = (directions @ (Yw * Y)) / np.sum(Yw * Y, axis=0)
     if not norming:
         return dlam.T, None
     ZYw = Z * Yw
-    dnu = (dlam * np.sum(ZYw, axis=0) - directions @ ZYw) / (y0 * w0 - v0 * z0)
+    dnu = (dlam * np.sum(ZYw, axis=0) - directions @ ZYw) / wronskian
     return dlam.T, dnu.T
 
 

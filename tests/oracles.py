@@ -643,7 +643,7 @@ def richardson_spectrum(prob, a, b, N):
 def two_level_normalizing(prob, lam):
     """alpha_n = int y_n**2 with y_n'(0) = 1 (Dirichlet pairs), two levels."""
     def level(p, x):
-        Y = _traces(p, x, 0.0, 1.0)
+        Y = _traces(p._coefficients(), x, 0.0, 1.0)[0]
         return _simpson_weights(p.n) @ (Y * Y)
 
     return _two_levels(prob, lam, level)

@@ -245,6 +245,13 @@ class TestFitTarget:
         assert t_sym.norming is None
 
 
+def deep_left_potential():
+    """0.5 sqrt(2) cos(2 pi x) + 0.3 sqrt(2) sin(2 pi x) on 1024 cells."""
+    return Potential.from_callable(
+        lambda x: math.sqrt(2.0) * (0.5 * np.cos(2 * np.pi * x)
+                                    + 0.3 * np.sin(2 * np.pi * x)), 1024)
+
+
 class TestPotentialFits:
     def symmetric_target(self, N=6):
         p_star = Potential.from_callable(
@@ -274,6 +281,15 @@ class TestPotentialFits:
         got = report.potential.f if report.potential.n == 1024 \
             else resample(report.potential.f, 1024)
         assert l2_norm(got - p_star.f) < 1e-4
+
+    def test_deep_robin_left_end_fit(self):
+        # Under (-20, 1) the state near -400 decays from x = 0; with the
+        # norming gradient of its forward shot the fit stagnated.
+        p_star = deep_left_potential()
+        data = solve_spectrum(SchrodingerProblem(p_star), -20.0, 1.0, 4)
+        report = fit_potential_detailed(FitTarget.from_spectral_data(data))
+        assert report.converged
+        assert l2_norm(report.potential.f - p_star.f) < 1e-4
 
     def test_identifiability_of_targets(self):
         _, target = self.symmetric_target(N=4)
@@ -317,6 +333,22 @@ class TestFitJacobian:
         J_fd = fd_fit_jacobian(fmap, theta)
         assert J.shape == J_fd.shape
         assert np.max(np.abs(J - J_fd)) / np.max(np.abs(J_fd)) < 1e-5
+
+    def test_deep_left_state_norming_gradient(self):
+        # The forward shot of the state near -400 under (-20, 1) carries the
+        # rounding of the growing solution: read from it, d nu_0 along
+        # sqrt(2) cos(4 pi x) was 1e-5 off.  Central differences of full
+        # solves with h = 1e-4; at h = 1e-6 their own rounding reaches 2e-8.
+        p = deep_left_potential()
+        phi = math.sqrt(2.0) * np.cos(4 * np.pi * p.f.x)
+        lam = solve_spectrum(SchrodingerProblem(p), -20.0, 1.0, 4).eigenvalues
+        dlam, dnu = spectral._potential_gradients(
+            SchrodingerProblem(p), lam, -20.0, 1.0, phi[None])
+        h = 1e-4
+        up, down = (solve_spectrum(SchrodingerProblem(Potential(
+            GridFunction(p.f.values + s * h * phi))), -20.0, 1.0, 4)
+            for s in (1.0, -1.0))
+        assert np.max(np.abs(dnu[:, 0] - (up.norming - down.norming) / (2 * h))) < 1e-8
 
     def test_free_dirichlet_closed_form(self):
         # d lam_n along sqrt(2) cos(2 pi m x) at p = 0 is

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville import (INF, ConditionU, GridFunction, Impedance,
                        ImpedanceProblem, IntegrationError, Potential,
@@ -257,8 +259,9 @@ def coefficient_cases(n=N):
 
 CASES = coefficient_cases()
 FINE_CASES = coefficient_cases(8192)
-# 16 = 4**2 (the grid minimum) and 1024 = 32**2 fill their blocks exactly;
-# 17 = 4**2 + 1 and 257 = 16**2 + 1 leave one real cell in their last block.
+# A record's steps hold blocks of steps.shape[1] cells, ode's block rule.
+# In those blocks 16 (the grid minimum) and 1024 fill their blocks exactly,
+# and 17 and 257 leave one real cell in their last block.
 EDGE_CASES = {n: coefficient_cases(n) for n in (16, 17, 257, 1024)}
 MODES = {"endpoint": {}, "deriv": {"deriv": True}, "count": {"count": True},
          "trace": {"trace": True}}
@@ -336,6 +339,18 @@ class TestBlockedScan:
         assert ref["logscale"][0] > 0.0 and got["logscale"][0] > 0.0
         assert_sweeps_agree(got, ref, lam)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(16, 4096), damping=st.sampled_from(sorted(CASES)),
+           mode=st.sampled_from(sorted(MODES)), reverse=st.booleans(),
+           lam=st.lists(st.floats(-2e5, 4e4), min_size=1, max_size=70))
+    def test_matches_loop_on_random_grids(self, n, damping, mode, reverse, lam):
+        # Odd and even block counts, partial last blocks, and grids within
+        # one span of the tree over the block totals and across many.
+        lam = np.array(lam)
+        got, ref = run_both(coefficient_cases(n)[damping], lam, mode, reverse)
+        if ref is not None:
+            assert_sweeps_agree(got, ref, lam)
+
     def test_zero_nodes_keep_the_count_strict(self):
         rng = np.random.default_rng(5)
         Y = rng.choice([-2.0, 0.0, 3.0], size=(40, 200), p=[0.4, 0.2, 0.4])
@@ -355,7 +370,7 @@ class TestBlockedScan:
         # with zeros forced at node 0, the last node and both sides of the
         # first block edge; the pad cells past node n hold noise, which the
         # count must not read.
-        B = math.isqrt(n)
+        B = EDGE_CASES[n]["undamped"].steps.shape[1]
         nb = -(-n // B)
         rng = np.random.default_rng(n)
         zero_share = np.repeat([0.0, 0.2, 0.6, 0.95], 16)
@@ -374,16 +389,17 @@ class TestBlockedScan:
 
 
 def cell_order(M: np.ndarray) -> np.ndarray:
-    """(B, 2, 2, nb, K) block-order matrices as (4, nb B, K) in cell order."""
-    B, _, _, nb, K = M.shape
-    return M.reshape(B, 4, nb, K).transpose(1, 2, 0, 3).reshape(4, nb * B, K)
+    """(B, 2, 2, K, nb) block-order matrices as (4, nb B, K) in cell order."""
+    B, _, _, K, nb = M.shape
+    return M.reshape(B, 4, K, nb).transpose(1, 3, 0, 2).reshape(4, nb * B, K)
 
 
 class TestQuadraticSteps:
     @pytest.mark.parametrize("damping", sorted(CASES))
     @pytest.mark.parametrize("reverse", [False, True])
     def test_quadratic_in_lam(self, damping, reverse):
-        co = CASES[damping]
+        # 17 cells leave a padded last block.
+        co = EDGE_CASES[17][damping]
         n = co.Vm.size
         flip = slice(None, None, -1 if reverse else 1)
         A0, A1, A2 = _quadratic_steps(co.V[flip], co.Vm[flip])

@@ -316,7 +316,8 @@ class TestPotentialGradients:
         # hence every norming constant, where it was.
         data = solve_spectrum(SIN2PI_PROB, a, b, 5)
         ones = np.ones((1, N_GRID + 1))
-        dlam, dnu = _potential_gradients(SIN2PI_PROB, data.eigenvalues, a, ones)
+        dlam, dnu = _potential_gradients(SIN2PI_PROB, data.eigenvalues, a, b,
+                                         ones)
         assert np.max(np.abs(dlam - 1.0)) < 1e-10
         assert np.max(np.abs(dnu)) < 1e-10
 
@@ -330,10 +331,11 @@ class TestPotentialGradients:
         lam = solve_spectrum(prob, a, 1.0, 6).eigenvalues
         y0, v0 = ode._initial_data(a)
         z0, w0 = (1.0, 0.0) if math.isinf(a) else (0.0, 1.0)
-        Y = spectral._traces(prob, lam, y0, v0)
-        Z = spectral._traces(prob, lam, z0, w0)
-        YZ = spectral._traces(prob, np.concatenate([lam, lam]),
-                              np.repeat([y0, z0], 6), np.repeat([v0, w0], 6))
+        co = prob._coefficients()
+        Y = spectral._traces(co, lam, y0, v0)[0]
+        Z = spectral._traces(co, lam, z0, w0)[0]
+        YZ = spectral._traces(co, np.concatenate([lam, lam]),
+                              np.repeat([y0, z0], 6), np.repeat([v0, w0], 6))[0]
         for got, want in ((YZ[:, :6], Y), (YZ[:, 6:], Z)):
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         modes = []
@@ -344,7 +346,7 @@ class TestPotentialGradients:
             return sweep(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "_sweep", spy)
-        _potential_gradients(prob, lam, a, np.ones((1, N_GRID + 1)))
+        _potential_gradients(prob, lam, a, 1.0, np.ones((1, N_GRID + 1)))
         assert modes == [True]
 
 
@@ -717,6 +719,16 @@ class TestZeroCorrection:
             solve_spectrum(free, -40.0, -40.0, 4)
         lam = solve_spectrum(free, -37.0, -37.0, 4).eigenvalues
         assert lam[0] < lam[1] < -1368.0
+
+    def test_count_bisection_runs_to_the_last_float(self):
+        # The two boundary states of 0.3 cos(2 pi x) at a = b = -35 lie
+        # about 27 ulp apart; 48 halvings of their bracket left it near
+        # 5e-12 wide and raised BracketError.
+        data = solve_spectrum(cos_problem(1024), -35.0, -35.0, 8)
+        ref = solve_spectrum(cos_problem(2048), -35.0, -35.0, 8)
+        lam = data.eigenvalues
+        assert lam[0] < lam[1] and np.all(np.abs(lam[:2] + 1224.70) < 0.01)
+        assert np.max(np.abs(lam - ref.eigenvalues) / np.abs(ref.eigenvalues)) < 1e-12
 
     @pytest.mark.parametrize("a,b", ZERO_PAIRS)
     def test_exact_ladder_is_a_root_ladder(self, a, b):
