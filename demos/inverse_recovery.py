@@ -1,8 +1,9 @@
 """Recover coefficients from spectra, two ways.
 
 First a Newton roundtrip: push an impedance profile through the forward
-map and invert it back, including a steep profile where plain Newton
-stalls and the solver falls back to homotopy continuation.  Then a
+map and invert it back, including a steep profile where Newton from zero
+stalls and the solver restarts from the Neumann ground state, whose
+rho'/rho is the exact inverse when u = 0.  Then a
 Gauss-Newton fit: reconstruct the profile from a handful of eigenvalues,
 which is the desk-scale version of the inverse spectral problem.
 """
@@ -31,8 +32,8 @@ for label, q_star in (("gentle", sine_slope([0.0, 1.0, 0.0, -0.2])),
                                             0.0, 0.0, -0.4], scale=15.0))):
     rep = invert_transform_detailed(forward_transform(q_star))
     err = l2_norm(rep.q.f - q_star.f)
-    print("  %-6s iterations=%2d homotopy=%-5s residual=%.2e error=%.2e"
-          % (label, rep.iterations, rep.used_homotopy,
+    print("  %-6s iterations=%2d restarted=%-5s residual=%.2e error=%.2e"
+          % (label, rep.iterations, rep.restarted,
              rep.full_residual, err))
     tail = "  ".join("%.1e" % r for r in rep.residuals[-4:])
     print("         final residuals %s" % tail)

@@ -209,7 +209,7 @@ def cmd_invert(args, cfg: RunConfig) -> int:
     if args.report:
         dump_json(inversion_report_to_dict(report), args.report)
     print(f"wrote {cfg.out} (iterations={report.iterations}, "
-          f"homotopy={report.used_homotopy})")
+          f"restarted={report.restarted})")
     return EXIT_OK
 
 

@@ -9,8 +9,9 @@ P'(q) phi = phi' + (2q + u1'(q)) phi + u2'(Q) int phi - mean.  Only the
 pointwise factors 2q + u1'(q) and u2'(Q) depend on q, so the projected
 derivative and running integrals of the sine rows are built once per map
 and each Newton step assembles the K x K Jacobian from weighted products
-with them.  A continuation fallback (scaling the target up in stages)
-engages when plain damping stagnates.
+with them.  Newton starts from zero; if that leg stagnates or misses the
+full tolerance, it restarts once from rho'/rho, rho the positive Neumann
+ground state of -y'' + p y, which is the inverse itself when u = 0.
 
 Fits reconstruct a potential or a slope from truncated spectral data by
 Gauss-Newton on Fourier coefficients.  The map is a global isomorphism
@@ -21,11 +22,8 @@ norming-constant gradients the product of the eigenfunction with a second
 solution, integrated from one trace sweep at the eigenvalues of the accepted
 iterate, so a Gauss-Newton step costs one spectral solve per trial step and
 nothing per basis mode.  Each solve starts Newton from a predicted ladder
-instead of the phase-matched starts: the exact zero ladder at theta = 0,
-where the potential is zero, and for the trial theta + s step the accepted
-eigenvalues plus s J_lam step, J_lam being the Jacobian's eigenvalue rows.
-The count sweep still fixes every label.  The zero-potential correction
-depends only on the grid, the boundary pair and N, so a fit computes it once.
+instead of the phase-matched starts (see ``_gauss_newton``); the count sweep
+still fixes every label.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from .errors import (BracketError, DegenerateEigenfunctionError, FitError,
                      IntegrationError, InversionError, RangeError, TargetError)
 from .grid import (GridFunction, _simpson_weights, cumulative_integral,
                    differentiate, l2_norm, trig_basis)
-from .ode import INF, SchrodingerProblem
+from .ode import INF, SchrodingerProblem, shoot_forward
 from . import spectral
 from .spectral import (_exact_ladder, _potential_gradients, solve_spectrum,
                        unperturbed_eigenvalues)
@@ -63,21 +61,16 @@ __all__ = [
 _FIT_CAP = 12
 # Newton and Gauss-Newton take at most _MAX_ITER steps; damping halves a
 # step up to _MAX_HALVINGS times before declaring stagnation, after which
-# the continuation fallback re-solves through _HOMOTOPY_STAGES scaled copies
-# of the target.
+# an inversion restarts once from the ground state.
 _MAX_ITER = 30
 _MAX_HALVINGS = 20
-_HOMOTOPY_STAGES = 4
 
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Sizes and tolerance of the inversion and the fits.
-
-    ``basis_size`` is the Galerkin dimension of the inversion; ``tol`` is the
-    residual tolerance in L2; spectral fits integrate on a ``fit_grid``-cell
-    mesh.
-    """
+    """Sizes and tolerance of the inversion and the fits: the Galerkin
+    dimension ``basis_size``, the L2 residual tolerance ``tol``, and the
+    ``fit_grid`` cells of the mesh spectral fits integrate on."""
 
     basis_size: int = 16
     tol: float = 1e-9
@@ -98,7 +91,7 @@ class InversionReport:
     residuals: tuple
     full_residual: float
     converged: bool
-    used_homotopy: bool
+    restarted: bool
     iterations: int
 
 
@@ -117,12 +110,11 @@ class _GalerkinMap:
 
     def __init__(self, p: Potential, cfg: ConditionU, icfg: InversionConfig):
         self.cfg = cfg
-        self.n = p.n
         self.target = p.f.values
         K = icfg.basis_size
-        self.weights = _simpson_weights(self.n)
-        self.sines = trig_basis("sine", K, self.n)
-        self.project = trig_basis("cosine", K, self.n) * self.weights[None, :]
+        self.weights = _simpson_weights(p.n)
+        self.sines = trig_basis("sine", K, p.n)
+        self.project = trig_basis("cosine", K, p.n) * self.weights[None, :]
         self.project_derivative = self.project @ differentiate(self.sines).T
         self.project_mean = self.project.sum(axis=1)
         self.sine_integrals = None if cfg.u2.kind == "zero" \
@@ -130,15 +122,13 @@ class _GalerkinMap:
 
     def impedance(self, alpha: np.ndarray) -> Impedance:
         values = alpha @ self.sines
-        values[0] = 0.0
-        values[-1] = 0.0
+        values[[0, -1]] = 0.0
         return Impedance(GridFunction(values))
 
-    def residual(self, alpha: np.ndarray, scale: float):
+    def residual(self, alpha: np.ndarray):
         q = self.impedance(alpha)
         image = forward_transform(q, self.cfg)
-        r = self.project @ (image.f.values - scale * self.target)
-        return q, image, r
+        return self.project @ (image.f.values - self.target), q, image
 
     def jacobian(self, q: Impedance) -> np.ndarray:
         """``project`` applied to ``frechet_apply(q, cfg, sines)``, assembled."""
@@ -154,46 +144,71 @@ class _GalerkinMap:
         return J - np.outer(self.project_mean, mean)
 
 
-def _newton_leg(gmap: _GalerkinMap, alpha: np.ndarray, scale: float,
-                tol_proj: float, history: list):
-    """Damped Newton toward the scaled target.
-
-    Returns (alpha, q, image, converged): the last accepted coefficients,
-    their slope and its forward image, and whether the leg converged.
+def _damped_step(residual, rnorm: float, rejects: tuple):
+    """First step length s = 1, 1/2, ... whose ``residual(s)`` (r first) has
+    a norm below rnorm, as (s, norm, residual(s)), or None after
+    _MAX_HALVINGS halvings.  A trial raising one of ``rejects`` (an overlong
+    step can overflow the integrator) is rejected; any other error, such as
+    a condition violation, is a contract error and propagates.
     """
-    q, image, r = gmap.residual(alpha, scale)
+    s = 1.0
+    for _ in range(_MAX_HALVINGS + 1):
+        try:
+            out = residual(s)
+            norm = float(np.linalg.norm(out[0]))
+        except rejects:
+            norm = math.inf
+        if norm < rnorm:
+            return s, norm, out
+        s *= 0.5
+    return None
+
+
+def _newton_leg(gmap: _GalerkinMap, alpha: np.ndarray, tol_proj: float,
+                history: list):
+    """Damped Newton from alpha toward the target: the last accepted slope,
+    its forward image, and whether the leg converged."""
+    r, q, image = gmap.residual(alpha)
     rnorm = float(np.linalg.norm(r))
     history.append(rnorm)
     for _ in range(_MAX_ITER):
         if rnorm <= tol_proj:
-            return alpha, q, image, True
-        J = gmap.jacobian(q)
+            return q, image, True
         try:
-            step = np.linalg.solve(J, -r)
+            step = np.linalg.solve(gmap.jacobian(q), -r)
         except np.linalg.LinAlgError as exc:
             raise InversionError(
                 "singular Galerkin Jacobian during inversion",
                 residuals=tuple(history)) from exc
-        s = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            trial = alpha + s * step
-            # An overlong trial step can overflow the integrator; that is
-            # a rejected step, not a failure of the iteration.  Condition
-            # violations are contract errors and propagate.
-            try:
-                q_try, image_try, r_try = gmap.residual(trial, scale)
-                r_try_norm = float(np.linalg.norm(r_try))
-            except (IntegrationError, RangeError):
-                r_try_norm = math.inf
-            if r_try_norm < rnorm:
-                alpha, q, image, r = trial, q_try, image_try, r_try
-                rnorm = r_try_norm
-                history.append(rnorm)
-                break
-            s *= 0.5
-        else:
-            return alpha, q, image, False
-    return alpha, q, image, rnorm <= tol_proj
+        found = _damped_step(lambda s: gmap.residual(alpha + s * step),
+                             rnorm, (IntegrationError, RangeError))
+        if found is None:
+            return q, image, False
+        s, rnorm, (r, q, image) = found
+        alpha = alpha + s * step
+        history.append(rnorm)
+    return q, image, rnorm <= tol_proj
+
+
+def _ground_state_slope(p: Potential, history: list) -> np.ndarray:
+    """rho'/rho at the nodes, rho the Neumann ground state of -y'' + p y:
+    with u = 0, rho = exp(int q) solves -rho'' + p rho = -c0 rho with
+    rho'(0) = rho'(1) = 0 and rho > 0, so this is the inverse of the map."""
+    prob = SchrodingerProblem(p)
+    try:
+        lam0 = solve_spectrum(prob, 0.0, 0.0, 1).eigenvalues[0]
+        rho = shoot_forward(prob, lam0, 1.0, 0.0)
+    except (BracketError, DegenerateEigenfunctionError,
+            IntegrationError) as exc:
+        raise InversionError(f"ground-state restart failed: {exc}",
+                             residuals=tuple(history)) from exc
+    if not np.all(rho.y.values > 0.0):
+        raise InversionError(
+            "ground-state restart failed: the Neumann ground state is not "
+            "positive at every node", residuals=tuple(history))
+    q = rho.dy.values / rho.y.values
+    q[0] = q[-1] = 0.0
+    return q
 
 
 def invert_transform_detailed(p: Potential, cfg: ConditionU | None = None,
@@ -201,30 +216,25 @@ def invert_transform_detailed(p: Potential, cfg: ConditionU | None = None,
                               ) -> InversionReport:
     """Invert the forward map and keep the iteration history.
 
-    Runs damped Newton from zero; if that stagnates, re-solves through a
-    ladder of scaled targets (continuation) and reports that the fallback
-    was used.  Raises when the final full residual exceeds the tolerance.
+    Runs damped Newton from zero, then, if that stagnates or misses the full
+    tolerance, once more from the sine projection of the ground-state slope.
+    Raises when the final full residual exceeds the tolerance.
     """
     cfg = cfg or ConditionU.zero()
     icfg = icfg or InversionConfig()
     gmap = _GalerkinMap(p, cfg, icfg)
     tol_proj = 0.3 * icfg.tol
     history: list = []
-    alpha = np.zeros(icfg.basis_size)
-    alpha, q, image, converged = _newton_leg(gmap, alpha, 1.0, tol_proj,
-                                             history)
-    used_homotopy = False
+    q, image, converged = _newton_leg(gmap, np.zeros(icfg.basis_size),
+                                      tol_proj, history)
+    restarted = not converged or l2_norm(image.f - p.f) > icfg.tol
+    if restarted:
+        start = gmap.sines @ (gmap.weights * _ground_state_slope(p, history))
+        q, image, converged = _newton_leg(gmap, start, tol_proj, history)
     if not converged:
-        used_homotopy = True
-        alpha = np.zeros(icfg.basis_size)
-        for t in np.linspace(1.0 / _HOMOTOPY_STAGES, 1.0, _HOMOTOPY_STAGES):
-            alpha, q, image, converged = _newton_leg(
-                gmap, alpha, float(t), tol_proj, history)
-            if not converged:
-                raise InversionError(
-                    f"inversion stagnated at continuation stage t={t:.3f} "
-                    f"with projected residual {history[-1]:.3e}",
-                    residuals=tuple(history))
+        raise InversionError(
+            "inversion stagnated after the ground-state restart with "
+            f"projected residual {history[-1]:.3e}", residuals=tuple(history))
     full = l2_norm(image.f - p.f)
     if full > icfg.tol:
         proj = history[-1]
@@ -235,7 +245,7 @@ def invert_transform_detailed(p: Potential, cfg: ConditionU | None = None,
             f" outside the K={icfg.basis_size} Galerkin span",
             residuals=tuple(history))
     return InversionReport(q=q, residuals=tuple(history), full_residual=full,
-                           converged=True, used_homotopy=used_homotopy,
+                           converged=True, restarted=restarted,
                            iterations=len(history) - 1)
 
 
@@ -419,34 +429,23 @@ def _gauss_newton(target: FitTarget, icfg: InversionConfig,
         J = fmap.jacobian(theta, prob, lam)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         dlam = J[:target.N] @ step
-        s = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            trial = theta + s * step
-            try:
-                r_try, prob_try, lam_try = fmap.residual(trial, lam + s * dlam)
-                r_try_norm = float(np.linalg.norm(r_try))
-            except (BracketError, DegenerateEigenfunctionError,
-                    IntegrationError, RangeError):
-                r_try_norm = math.inf
-            if r_try_norm < rnorm:
-                theta, r, rnorm, prob, lam = (trial, r_try, r_try_norm,
-                                              prob_try, lam_try)
-                history.append(rnorm)
-                break
-            s *= 0.5
-        else:
+        found = _damped_step(
+            lambda s: fmap.residual(theta + s * step, lam + s * dlam), rnorm,
+            (BracketError, DegenerateEigenfunctionError, IntegrationError,
+             RangeError))
+        if found is None:
             raise FitError(
                 f"fit stagnated with residual {rnorm:.3e} above tolerance "
                 f"{icfg.tol:.3e}", residuals=tuple(history))
-    else:
-        if rnorm > icfg.tol:
-            raise FitError(
-                f"fit did not reach tolerance within {_MAX_ITER} "
-                f"iterations (residual {rnorm:.3e})",
-                residuals=tuple(history))
+        s, rnorm, (r, prob, lam) = found
+        theta = theta + s * step
+        history.append(rnorm)
+    if rnorm > icfg.tol:
+        raise FitError(
+            f"fit did not reach tolerance within {_MAX_ITER} "
+            f"iterations (residual {rnorm:.3e})", residuals=tuple(history))
     return fmap, theta, FitReport(potential=prob.p, residuals=tuple(history),
-                                  converged=True,
-                                  iterations=len(history) - 1)
+                                  converged=True, iterations=len(history) - 1)
 
 
 def fit_potential_detailed(target: FitTarget,

@@ -560,10 +560,15 @@ def wronskian(prob, lam: float, a: float = INF, b: float = INF,
     return collapse(float(w[0]))
 
 
-def _trace(co: _Coefficients, lam: float, y0: float, v0: float):
-    """Node values (Y, W) of one unscaled shot from (y0, v0) at the first node."""
-    res = _sweep(co, np.asarray([float(lam)]), y0, v0, trace=True)
-    return res["Y"][:, 0], res["W"][:, 0]
+def _traces(co, lam, y0, v0):
+    """Unscaled shots (Y, W) of the coefficients ``co`` from the data (y0, v0)
+    at their first node, by lam.
+
+    y0 and v0 are scalars or hold one value per lam column.  For an
+    impedance problem these are y = rho f.
+    """
+    res = _sweep(co, np.asarray(lam, dtype=float), y0, v0, trace=True)
+    return res["Y"], res["W"]
 
 
 def _in_picture(prob, lam, y, dy, from_end=False) -> StateTrace:
@@ -582,8 +587,8 @@ def _in_picture(prob, lam, y, dy, from_end=False) -> StateTrace:
 
 def shoot_forward(prob, lam: float, y0: float = 0.0, dy0: float = 1.0) -> StateTrace:
     """Integrate from x = 0 with the given initial data, keeping the trace."""
-    y, dy = _trace(prob._coefficients(), lam, float(y0), float(dy0))
-    return _in_picture(prob, lam, y, dy)
+    Y, W = _traces(prob._coefficients(), [float(lam)], float(y0), float(dy0))
+    return _in_picture(prob, lam, Y[:, 0], W[:, 0])
 
 
 def shoot_backward(prob, lam: float, b: float = INF) -> StateTrace:
@@ -595,5 +600,5 @@ def shoot_backward(prob, lam: float, b: float = INF) -> StateTrace:
         g0, g1 = 0.0, 1.0   # g(s) = y(1-s): g' = -y'
     else:
         g0, g1 = 1.0, float(b)
-    g, dg = _trace(prob._coefficients().reflected(), lam, g0, g1)
-    return _in_picture(prob, lam, g[::-1], -dg[::-1], from_end=True)
+    G, dG = _traces(prob._coefficients().reflected(), [float(lam)], g0, g1)
+    return _in_picture(prob, lam, G[::-1, 0], -dG[::-1, 0], from_end=True)

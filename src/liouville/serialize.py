@@ -182,6 +182,6 @@ def inversion_report_to_dict(report: InversionReport) -> dict:
         "residuals": [float(r) for r in report.residuals],
         "full_residual": float(report.full_residual),
         "converged": bool(report.converged),
-        "used_homotopy": bool(report.used_homotopy),
+        "restarted": bool(report.restarted),
         "iterations": int(report.iterations),
     }

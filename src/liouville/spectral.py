@@ -37,6 +37,7 @@ from .ode import (
     _endpoint_w,
     _initial_data,
     _sweep,
+    _traces,
     is_dirichlet,
 )
 
@@ -325,17 +326,6 @@ def _require_finite(*rows):
         raise DegenerateEigenfunctionError(
             "a norming constant is not finite: eigenfunction endpoint data "
             "vanished")
-
-
-def _traces(co, lam, y0, v0):
-    """Unscaled shots (Y, W) of the coefficients ``co`` from the data (y0, v0)
-    at their first node, by lam.
-
-    y0 and v0 are scalars or hold one value per lam column.  For an
-    impedance problem these are y = rho f.
-    """
-    res = _sweep(co, np.asarray(lam, dtype=float), y0, v0, trace=True)
-    return res["Y"], res["W"]
 
 
 def _potential_gradients(prob, lam, a, b, directions, norming=True):

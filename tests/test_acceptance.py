@@ -196,10 +196,10 @@ def test_criterion_05_transform_inversion():
     quadratic = len(tail) >= 3 and all(r < 100.0 for r in ratios[-3:])
 
     ok = (max(err_plain, err_pert, err_steep) <= 1e-6
-          and rep_steep.used_homotopy and quadratic)
+          and rep_steep.restarted and quadratic)
     verdict(5, "transform inversion", ok,
             f"errors {err_plain:.1e}/{err_pert:.1e}/{err_steep:.1e}, "
-            f"homotopy={rep_steep.used_homotopy}, quadratic={quadratic}")
+            f"restarted={rep_steep.restarted}, quadratic={quadratic}")
 
 
 def test_criterion_06_trace_identities():

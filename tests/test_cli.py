@@ -138,7 +138,7 @@ class TestTransform:
         assert np.max(np.abs(q.values - exact)) < 1e-6
         doc = json.loads(rep.read_text())
         assert doc["converged"] is True
-        assert doc["used_homotopy"] is False
+        assert doc["restarted"] is False
         assert doc["full_residual"] < 1e-9
         assert doc["iterations"] == len(doc["residuals"]) - 1
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouville import (INF, ConditionU, DecayTerm, FitTarget, GridFunction,
-                       Impedance, InversionConfig, InversionError, Potential,
+from liouville import (INF, BracketError, ConditionU, DecayTerm, FitTarget,
+                       GridFunction, Impedance, InversionConfig,
+                       InversionError, Potential,
                        SchrodingerProblem, TargetError,
                        fit_impedance_detailed, fit_potential,
                        fit_potential_detailed, forward_transform,
@@ -29,6 +30,27 @@ def sine_slope(coeffs, n=2048, scale=1.0):
         return scale * out
 
     return Impedance(GridFunction.from_callable(fn, n))
+
+
+def steep_slope(peak, seed, n=2048):
+    """Six sine modes with N(0, 1) weights from default_rng([7, seed]),
+    scaled to sup|q| = peak."""
+    q = np.random.default_rng([7, seed]).normal(size=6) \
+        @ trig_basis("sine", 6, n)
+    q[0] = q[-1] = 0.0
+    return Impedance(GridFunction(q * (peak / np.max(np.abs(q)))))
+
+
+def benchmark_slope(i, n=2048):
+    """Target i of the benchmark's inversion workload, seed 0:
+    q = 0.7 A sum_k c_k sin(pi k x) over 6 modes, A uniform in [0.5, 4],
+    c_k ~ N(0, 1), capped at sup|q| = 10."""
+    rng = np.random.default_rng([0, i])
+    amplitude = rng.uniform(0.5, 4.0)
+    c = 0.7 * amplitude * rng.normal(size=6) / math.sqrt(2.0)
+    q = c @ trig_basis("sine", 6, n)
+    q[0] = q[-1] = 0.0
+    return Impedance(GridFunction(q * min(1.0, 10.0 / np.max(np.abs(q)))))
 
 
 def q_error(q_got, q_want):
@@ -62,7 +84,7 @@ class TestRoundtrips:
         q_star = sine_slope([0.0, 1.0, 0.0, -0.2])
         report = invert_transform_detailed(forward_transform(q_star))
         assert report.converged
-        assert not report.used_homotopy
+        assert not report.restarted
         assert report.full_residual < 1e-9
         assert q_error(report.q, q_star) < 1e-6
 
@@ -81,13 +103,24 @@ class TestRoundtrips:
         ratios = [r[i + 1] / r[i] ** 2 for i in range(len(r) - 1)]
         assert all(rho < 100.0 for rho in ratios)
 
-    def test_steep_target_needs_continuation(self):
-        q_star = sine_slope([1.0, 0.6, -0.8, 0.0, 0.5, 0.0, 0.0, -0.4],
-                            scale=15.0)
-        report = invert_transform_detailed(forward_transform(q_star))
-        assert report.converged
-        assert report.used_homotopy
-        assert q_error(report.q, q_star) < 1e-6
+    def test_steep_targets_restart(self):
+        # Newton from zero stagnates on each of these.  The six-mode slopes
+        # S/i/u (sup|q| = S, default_rng([7, i])) stagnated on the old
+        # continuation ladder (12/9/zero, 20/9/exp) or ended on a projected
+        # root with full residual 5.2 (20/0/zero) or 8.0 (20/9/zero).
+        cases = [(sine_slope([1.0, 0.6, -0.8, 0.0, 0.5, 0.0, 0.0, -0.4],
+                             scale=15.0), ConditionU.zero())]
+        for peak, seed, cfg in ((12.0, 9, ConditionU.zero()),
+                                (20.0, 0, ConditionU.zero()),
+                                (20.0, 9, ConditionU.zero()),
+                                (20.0, 9, ConditionU.exponential(0.5, 1.0))):
+            cases.append((steep_slope(peak, seed), cfg))
+        for q_star, cfg in cases:
+            report = invert_transform_detailed(forward_transform(q_star, cfg),
+                                               cfg)
+            assert report.converged
+            assert report.restarted
+            assert q_error(report.q, q_star) < 1e-6
 
     def test_off_span_target_rejected(self):
         p = Potential.from_callable(
@@ -101,6 +134,36 @@ class TestRoundtrips:
         assert symmetry_defect(q_star.f, "odd") < 1e-14
         q = invert_transform(forward_transform(q_star))
         assert symmetry_defect(q.f, "odd") < 1e-6
+
+
+class TestGroundStateStart:
+    """The restart's start: rho'/rho of the Neumann ground state."""
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_start_is_the_inverse_at_zero_u(self, i):
+        q_star = benchmark_slope(i)
+        start = inverse._ground_state_slope(forward_transform(q_star), [])
+        assert np.max(np.abs(start - q_star.f.values)) < 1e-8
+
+    def test_failed_ground_state_is_inversion_error(self, monkeypatch):
+        def no_bracket(*args, **kwargs):
+            raise BracketError("no bracket")
+
+        monkeypatch.setattr(inverse, "solve_spectrum", no_bracket)
+        with pytest.raises(InversionError, match="ground-state restart") \
+                as info:
+            invert_transform(forward_transform(steep_slope(20.0, 9)))
+        assert len(info.value.residuals) > 1
+
+    def test_sign_changing_ground_state_is_inversion_error(self,
+                                                           monkeypatch):
+        def flipped(prob, lam, y0, dy0):
+            shot = ode.shoot_forward(prob, lam, y0, dy0)
+            return dataclasses.replace(shot, y=-shot.y)
+
+        monkeypatch.setattr(inverse, "shoot_forward", flipped)
+        with pytest.raises(InversionError, match="not positive"):
+            invert_transform(forward_transform(steep_slope(20.0, 9)))
 
 
 JACOBIAN_CFGS = {
@@ -167,7 +230,7 @@ class TestBatchedJacobian:
                             counted("forward", forward_transform))
         monkeypatch.setattr(_GalerkinMap, "residual",
                             counted("residual", _GalerkinMap.residual))
-        homotopy = []
+        restarted = []
         for cfg, scale in ((ConditionU.zero(), 15.0),
                            (ConditionU.exponential(0.5, 1.0), 1.0)):
             q_star = sine_slope([1.0, 0.6, -0.8, 0.0, 0.5, 0.0, 0.0, -0.4],
@@ -175,32 +238,24 @@ class TestBatchedJacobian:
             report = invert_transform_detailed(forward_transform(q_star, cfg),
                                                cfg)
             assert report.converged
-            homotopy.append(report.used_homotopy)
-        assert homotopy == [True, False]
+            restarted.append(report.restarted)
+        assert restarted == [True, False]
         assert calls["forward"] == calls["residual"] > 0
 
     def test_inversions_unchanged(self, monkeypatch):
-        """The first 64 targets of the benchmark's inversion workload, seed 0:
-        q = 0.7 A sum_k c_k sin(pi k x) over 6 modes, A uniform in [0.5, 4],
-        c_k ~ N(0, 1), capped at sup|q| = 10; every fourth uses exp:0.5,1.0."""
+        """The first 64 targets of the benchmark's inversion workload, seed 0;
+        every fourth uses exp:0.5,1.0."""
         cases = []
         for i in range(64):
-            rng = np.random.default_rng([0, i])
-            amplitude = rng.uniform(0.5, 4.0)
-            c = 0.7 * amplitude * rng.normal(size=6) / math.sqrt(2.0)
-            q = c @ trig_basis("sine", 6, 2048)
-            q[0] = q[-1] = 0.0
-            q *= min(1.0, 10.0 / np.max(np.abs(q)))
             cfg = ConditionU.exponential(0.5, 1.0) if i % 4 == 3 \
                 else ConditionU.zero()
-            cases.append((forward_transform(Impedance(GridFunction(q)), cfg),
-                          cfg))
+            cases.append((forward_transform(benchmark_slope(i), cfg), cfg))
         batched = [invert_transform_detailed(p, cfg) for p, cfg in cases]
         monkeypatch.setattr(_GalerkinMap, "jacobian", loop_galerkin_jacobian)
         looped = [invert_transform_detailed(p, cfg) for p, cfg in cases]
         for got, want in zip(batched, looped):
             assert got.iterations == want.iterations
-            assert got.used_homotopy == want.used_homotopy
+            assert got.restarted == want.restarted
             assert np.max(np.abs(got.q.f.values - want.q.f.values)) <= 1e-12
 
 

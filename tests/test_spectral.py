@@ -345,6 +345,8 @@ class TestPotentialGradients:
             modes.append(kwargs.get("trace", False))
             return sweep(*args, **kwargs)
 
+        # Trace shots sweep through ode; deep states through spectral.
+        monkeypatch.setattr(ode, "_sweep", spy)
         monkeypatch.setattr(spectral, "_sweep", spy)
         _potential_gradients(prob, lam, a, 1.0, np.ones((1, N_GRID + 1)))
         assert modes == [True]
