@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,34 +51,6 @@ EXIT_FIT = 6
 
 _SOLVER_ERRORS = (BracketError, ConditionError, DegenerateEigenfunctionError,
                   IntegrationError, PoleCollisionError, RangeError)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by every command."""
-
-    out: str | None
-    grid: int
-    N: int
-    tol: float
-    seed: int
-
-    def __post_init__(self):
-        n = self.grid
-        if n < 256 or n > 16384 or (n & (n - 1)) != 0:
-            raise ValueError(
-                f"grid size must be a power of two in [256, 16384], got {n}")
-        if not (1 <= self.N <= 64):
-            raise ValueError(f"N must lie in [1, 64], got {self.N}")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
-
-
-def _run_config(args) -> RunConfig:
-    return RunConfig(out=getattr(args, "out", None),
-                     grid=args.grid, N=getattr(args, "N", 10),
-                     tol=getattr(args, "tol", 1e-9),
-                     seed=getattr(args, "seed", 0))
 
 
 def _parse_series(text: str) -> np.ndarray:
@@ -126,9 +97,7 @@ def _load_u(spec: str) -> ConditionU:
 
 
 def _boundary(args) -> tuple:
-    a = getattr(args, "a", None)
-    b = getattr(args, "b", None)
-    bc = getattr(args, "bc", None)
+    a, b, bc = args.a, args.b, args.bc
     if bc == "dirichlet":
         if a is not None or b is not None:
             raise ValueError("dirichlet takes no --a/--b values")
@@ -138,24 +107,22 @@ def _boundary(args) -> tuple:
             raise ValueError("mixed boundary needs --b")
         if a is not None:
             raise ValueError("mixed boundary keeps the left end Dirichlet")
-        return INF, float(b)
+        return INF, b
     if bc == "generic":
         if a is None or b is None:
             raise ValueError("generic boundary needs --a and --b")
-        return float(a), float(b)
-    return (INF if a is None else float(a), INF if b is None else float(b))
+        return a, b
+    return (INF if a is None else a, INF if b is None else b)
 
 
-def _problem(args, cfg: RunConfig):
+def _problem(args):
     """Impedance or normal-form problem from --q/--p flags."""
-    q_spec = getattr(args, "q", None)
-    p_spec = getattr(args, "p", None)
-    if (q_spec is None) == (p_spec is None):
+    if (args.q is None) == (args.p is None):
         raise ValueError("give exactly one of --q or --p")
-    if q_spec is not None:
-        ucfg = _load_u(getattr(args, "u", "zero") or "zero")
-        return ImpedanceProblem(_load_q(q_spec, cfg.grid), ucfg)
-    return SchrodingerProblem(_load_p(p_spec, cfg.grid))
+    if args.q is not None:
+        return ImpedanceProblem(_load_q(args.q, args.grid),
+                                _load_u(args.u or "zero"))
+    return SchrodingerProblem(_load_p(args.p, args.grid))
 
 
 def _write_series_csv(path: str, labels, values) -> None:
@@ -164,21 +131,21 @@ def _write_series_csv(path: str, labels, values) -> None:
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
-def cmd_spectrum(args, cfg: RunConfig) -> int:
-    prob = _problem(args, cfg)
+def cmd_spectrum(args) -> int:
+    prob = _problem(args)
     a, b = _boundary(args)
-    data = solve_spectrum(prob, a, b, cfg.N)
-    dump_json(spectral_to_dict(data), cfg.out)
-    print(f"wrote {cfg.out} ({data.regime}, N={data.N})")
+    data = solve_spectrum(prob, a, b, args.N)
+    dump_json(spectral_to_dict(data), args.out)
+    print(f"wrote {args.out} ({data.regime}, N={data.N})")
     return EXIT_OK
 
 
-def cmd_transform(args, cfg: RunConfig) -> int:
+def cmd_transform(args) -> int:
     ucfg = _load_u(args.u or "zero")
-    q = _load_q(args.q, cfg.grid)
+    q = _load_q(args.q, args.grid)
     p = forward_transform(q, ucfg)
-    write_grid_csv(cfg.out, p.f)
-    print(f"wrote {cfg.out} (|p| = {l2_norm(p.f):.6g})")
+    write_grid_csv(args.out, p.f)
+    print(f"wrote {args.out} (|p| = {l2_norm(p.f):.6g})")
     return EXIT_OK
 
 
@@ -196,19 +163,19 @@ def _failed(exc, report: str | None, key: str, stage: str, code: int) -> int:
     return code
 
 
-def cmd_invert(args, cfg: RunConfig) -> int:
+def cmd_invert(args) -> int:
     ucfg = _load_u(args.u or "zero")
-    p = _load_p(args.p, cfg.grid)
-    icfg = InversionConfig(basis_size=args.basis, tol=cfg.tol)
+    p = _load_p(args.p, args.grid)
+    icfg = InversionConfig(basis_size=args.basis, tol=args.tol)
     try:
         report = invert_transform_detailed(p, ucfg, icfg)
     except InversionError as exc:
         return _failed(exc, args.report, "residuals", "inversion",
                        EXIT_INVERSION)
-    write_grid_csv(cfg.out, report.q.f)
+    write_grid_csv(args.out, report.q.f)
     if args.report:
         dump_json(inversion_report_to_dict(report), args.report)
-    print(f"wrote {cfg.out} (iterations={report.iterations}, "
+    print(f"wrote {args.out} (iterations={report.iterations}, "
           f"restarted={report.restarted})")
     return EXIT_OK
 
@@ -220,8 +187,8 @@ def _fit_target(args) -> FitTarget:
     return FitTarget.from_spectral_data(data, regime=args.regime or None)
 
 
-def cmd_fit(args, cfg: RunConfig) -> int:
-    icfg = InversionConfig(tol=cfg.tol, fit_grid=cfg.grid)
+def cmd_fit(args) -> int:
+    icfg = InversionConfig(tol=args.tol, fit_grid=args.grid)
     try:
         target = _fit_target(args)
         if args.impedance:
@@ -239,10 +206,10 @@ def cmd_fit(args, cfg: RunConfig) -> int:
                       "fit_iterations": rep.iterations}
     except (FitError, TargetError) as exc:
         return _failed(exc, args.report, "fit_residuals", "fit", EXIT_FIT)
-    write_grid_csv(cfg.out, result)
+    write_grid_csv(args.out, result)
     if args.report:
         dump_json(report, args.report)
-    print(f"wrote {cfg.out} ({report['kind']} fit, "
+    print(f"wrote {args.out} ({report['kind']} fit, "
           f"{report['fit_iterations']} iterations)")
     return EXIT_OK
 
@@ -251,9 +218,9 @@ def _check(name: str, margin: float, passed: bool) -> dict:
     return {"name": name, "margin": float(margin), "passed": bool(passed)}
 
 
-def _verify_battery(args, cfg: RunConfig) -> list:
+def _verify_battery(args) -> list:
     ucfg = _load_u(args.u or "zero")
-    q = _load_q(args.q or "zero", cfg.grid)
+    q = _load_q(args.q or "zero", args.grid)
     a, b = _boundary(args)
     checks = []
 
@@ -263,7 +230,7 @@ def _verify_battery(args, cfg: RunConfig) -> list:
                              row.satisfied))
 
     prob = ImpedanceProblem(q, ucfg)
-    data = solve_spectrum(prob, a, b, cfg.N)
+    data = solve_spectrum(prob, a, b, args.N)
     alphas = normalizing_constants(prob, data) \
         if data.regime == "dirichlet" else None
     adm = characterize(data, normalizing=alphas)
@@ -281,13 +248,13 @@ def _verify_battery(args, cfg: RunConfig) -> list:
     # directly integrated characteristic function as the ladder grows.  Both
     # probe points sit below the shorter ladder's coverage, where adding
     # factors only appends shrinking far-slot corrections.
-    gaps = unperturbed_eigenvalues(data.regime, cfg.N + 1)
+    gaps = unperturbed_eigenvalues(data.regime, args.N + 1)
     probe_points = [-4.0, gaps[1] + 0.37 * (gaps[2] - gaps[1])]
     worst_ratio, monotone = 0.0, True
     for lam in probe_points:
         direct = float(wronskian(prob, lam, a, b))
-        half = abs(hadamard_wronskian(data, lam, max(1, cfg.N // 2)) - direct)
-        full = abs(hadamard_wronskian(data, lam, cfg.N) - direct)
+        half = abs(hadamard_wronskian(data, lam, max(1, args.N // 2)) - direct)
+        full = abs(hadamard_wronskian(data, lam, args.N) - direct)
         scale = max(abs(direct), 1e-30)
         worst_ratio = max(worst_ratio, full / scale)
         if full > half + 1e-12 * scale:
@@ -295,19 +262,19 @@ def _verify_battery(args, cfg: RunConfig) -> list:
     checks.append(_check("product:refines", worst_ratio, monotone))
 
     if data.regime == "mixed":
-        sums = identity_b(prob, data, cfg.N)
-        mid = abs(sums[cfg.N // 2] - b)
+        sums = identity_b(prob, data, args.N)
+        mid = abs(sums[args.N // 2] - b)
         final = abs(sums[-1] - b)
         checks.append(_check("identity:b", final,
                              final <= mid + 1e-12 * max(1.0, abs(b))))
     elif data.regime == "generic":
-        sums_b, sums_a = identity_ab(prob, data, cfg.N)
+        sums_b, sums_a = identity_ab(prob, data, args.N)
         err = max(abs(sums_b[-1] - b), abs(sums_a[-1] - a))
-        mid = max(abs(sums_b[cfg.N // 2] - b), abs(sums_a[cfg.N // 2] - a))
+        mid = max(abs(sums_b[args.N // 2] - b), abs(sums_a[args.N // 2] - a))
         checks.append(_check("identity:ab", err,
                              err <= mid + 1e-12 * max(1.0, abs(a), abs(b))))
 
-    checks.append(_frechet_spot_check(q, ucfg, cfg.seed))
+    checks.append(_frechet_spot_check(q, ucfg, args.seed))
 
     if args.data:
         ext = spectral_from_dict(load_json(args.data))
@@ -340,21 +307,20 @@ def _frechet_spot_check(q: Impedance, ucfg: ConditionU, seed: int) -> dict:
     return _check("frechet:consistency", worst, worst <= 1e-4)
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    checks = _verify_battery(args, cfg)
+def cmd_verify(args) -> int:
+    checks = _verify_battery(args)
     all_passed = all(c["passed"] for c in checks)
-    report = {"checks": checks, "all_passed": all_passed, "seed": cfg.seed,
-              "N": cfg.N, "grid": cfg.grid}
-    out = cfg.out or "verify-report.json"
-    dump_json(report, out)
+    report = {"checks": checks, "all_passed": all_passed, "seed": args.seed,
+              "N": args.N, "grid": args.grid}
+    dump_json(report, args.out)
     for c in checks:
         state = "pass" if c["passed"] else "FAIL"
         print(f"{state}  {c['name']}  margin={c['margin']:.3e}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
-def cmd_export(args, cfg: RunConfig) -> int:
+def cmd_export(args) -> int:
     wrote = []
     if args.data:
         data = spectral_from_dict(load_json(args.data))
@@ -368,7 +334,7 @@ def cmd_export(args, cfg: RunConfig) -> int:
     if args.q or args.p:
         if args.lam is None:
             raise ValueError("trace export needs --lam")
-        prob = _problem(args, cfg)
+        prob = _problem(args)
         trace = shoot_forward(prob, args.lam)
         path = f"{args.prefix}_trace.csv"
         write_grid_csv(path, trace.y)
@@ -379,21 +345,34 @@ def cmd_export(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, *flags, out_required=True):
-    """Register --grid plus each named flag; a command gets only what it reads."""
-    sub.add_argument("--grid", type=int, default=2048,
-                     help="grid cells, power of two in [256, 16384]")
+def _add_checked(sub, flag: str, kind, default, ok, rule: str):
+    """Register a flag whose text parses as ``kind`` and must pass ``ok``."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text}")
+        return value
+    sub.add_argument(flag, type=parse, default=default, help=rule)
+
+
+def _add_common(sub, *flags, out=None):
+    """Register --grid plus each named flag; a command gets only what it
+    reads.  --out is required unless ``out`` gives it a default."""
+    _add_checked(sub, "--grid", int, 2048,
+                 lambda n: 256 <= n <= 16384 and not n & (n - 1),
+                 "grid cells, a power of two in [256, 16384]")
     if "N" in flags:
-        sub.add_argument("--N", type=int, default=10,
-                         help="number of eigenvalues (1..64)")
+        _add_checked(sub, "--N", int, 10, lambda N: 1 <= N <= 64,
+                     "number of eigenvalues, 1..64")
     if "tol" in flags:
-        sub.add_argument("--tol", type=float, default=1e-9,
-                         help="iteration tolerance")
+        _add_checked(sub, "--tol", float, 1e-9, lambda tol: tol > 0.0,
+                     "a positive iteration tolerance")
     if "seed" in flags:
         sub.add_argument("--seed", type=int, default=0,
                          help="seed for randomized checks")
     if "out" in flags:
-        sub.add_argument("--out", required=out_required, help="output path")
+        sub.add_argument("--out", required=out is None, default=out,
+                         help="output path")
 
 
 def _add_boundary(sub):
@@ -443,14 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--data", default=None,
                      help="also characterize this spectral JSON file")
     _add_boundary(ver)
-    _add_common(ver, "N", "seed", "out", out_required=False)
+    _add_common(ver, "N", "seed", "out", out="verify-report.json")
     ver.set_defaults(func=cmd_verify)
 
     fit = subs.add_parser("fit", help="fit to spectral targets")
-    fit.add_argument("--target", default=None, help="fit-target JSON")
-    fit.add_argument("--data", default=None, help="spectral-data JSON")
+    source = fit.add_mutually_exclusive_group(required=True)
+    source.add_argument("--target", help="fit-target JSON")
+    source.add_argument("--data", help="spectral-data JSON")
     fit.add_argument("--regime", default=None,
-                     help="override target regime (e.g. symmetric-dirichlet)")
+                     help="symmetric-dirichlet (Dirichlet data only)")
     fit.add_argument("--impedance", action="store_true",
                      help="recover the slope, not just the potential")
     fit.add_argument("--u", default="zero")
@@ -479,10 +459,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = _run_config(args)
-        if args.command == "fit" and not (args.target or args.data):
-            raise ValueError("fit needs --target or --data")
-        return args.func(args, cfg)
+        return args.func(args)
     except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

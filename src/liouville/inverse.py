@@ -40,8 +40,8 @@ from .grid import (GridFunction, _simpson_weights, cumulative_integral,
                    differentiate, l2_norm, trig_basis)
 from .ode import INF, SchrodingerProblem, shoot_forward
 from . import spectral
-from .spectral import (_exact_ladder, _potential_gradients, solve_spectrum,
-                       unperturbed_eigenvalues)
+from .spectral import (_exact_ladder, _potential_gradients, regime_of,
+                       solve_spectrum, unperturbed_eigenvalues)
 from .transform import ConditionU, Impedance, Potential, forward_transform, frechet_apply
 
 __all__ = [
@@ -264,10 +264,11 @@ class FitTarget:
     """Truncated spectral targets for the finite-dimensional fits.
 
     ``regime`` is one of ``dirichlet``, ``mixed``, ``generic`` or
-    ``symmetric-dirichlet`` (eigenvalues only, even modes).  Remainders are
-    the eigenvalue deviations from the unperturbed ladder after removing
-    constant shifts; ``norming`` holds the norming-constant deviations and
-    may be omitted only for the symmetric regime.
+    ``symmetric-dirichlet`` (eigenvalues only, even modes, Dirichlet ends),
+    and must match the pair (a, b).  Remainders are the eigenvalue
+    deviations from the unperturbed ladder after removing constant shifts;
+    ``norming`` holds the norming-constant deviations and may be omitted
+    only for the symmetric regime.
     """
 
     regime: str
@@ -297,8 +298,11 @@ class FitTarget:
             if self.norming.size != N:
                 raise TargetError(
                     f"expected {N} norming deviations, got {self.norming.size}")
-        base = "dirichlet" if self.regime == "symmetric-dirichlet" else self.regime
-        ladder = unperturbed_eigenvalues(base, N) + rem
+        pair = regime_of(self.a, self.b)
+        if self.regime.replace("symmetric-", "") != pair:
+            raise TargetError(f"a {self.regime} target does not match the "
+                              f"{pair} pair ({self.a}, {self.b})")
+        ladder = unperturbed_eigenvalues(pair, N) + rem
         if not np.all(np.diff(ladder) > 0.0):
             raise TargetError(
                 "target eigenvalue ladder violates the admissibility ordering")
@@ -348,7 +352,7 @@ class _FitMap:
         cos, sin = (trig_basis(kind, 2 * target.N, self.n)[1::2]
                     for kind in ("cosine", "sine"))
         self.basis = cos if symmetric else np.concatenate([cos, sin])
-        self.boundary = (INF, INF) if symmetric else (target.a, target.b)
+        self.boundary = (target.a, target.b)
         self.weights = 2.0 * math.pi * np.arange(1, target.N + 1, dtype=float)
         slopes = np.concatenate([sin, math.sqrt(2.0) - cos]) \
             / np.tile(self.weights, 2)[:, None]

@@ -5,6 +5,10 @@ normal-form problem has V = p.  An impedance problem is solved through the
 Liouville map f -> rho f, which carries -rho**-2 (rho**2 f')' + u f onto
 -y'' + (P(q) + c0) y with the same lam and, since rho(0) = 1 and
 q(0) = q(1) = 0, the same boundary data; its shots are converted back to f.
+A boundary end is one number c: +inf for Dirichlet, finite for the Robin
+condition y' = c y in the coordinate pointing into the interval.  ``_end``
+decodes it, refusing -inf and NaN, into the data that start a shot there
+and the rows that close and read a shot.
 The integrator is classical fixed-step RK4, written as one 2x2 matrix per
 cell.  Its middle stages sample V at cell midpoints, which
 ``grid.local_quintic`` forms from the node values: degree-5 Lagrange through
@@ -39,6 +43,7 @@ in grid order.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,8 +77,31 @@ _SPAN_CAP = 256
 
 
 def is_dirichlet(b: float) -> bool:
-    """True when a boundary parameter encodes the Dirichlet condition."""
-    return math.isinf(b)
+    """True for +inf (Dirichlet), False if finite (Robin); else ValueError."""
+    if not (b == INF or math.isfinite(b)):
+        raise ValueError(f"boundary parameter {b} is neither finite nor +inf")
+    return b == INF
+
+
+_End = namedtuple("_End", "data closing read")
+
+
+def _end(c: float) -> _End:
+    """The end with parameter c, Dirichlet for +inf and Robin if finite.
+
+    ``data`` starts a shot from this end, in the coordinate that points into
+    the interval: (0, 1), or (1, c).  As the right end, the row ``closing``
+    closes the forward shot, w = l . (y, y')(1): y, or y' + c y.  The row
+    ``read`` gives the norming read there, y' or y; it is 1 on ``data``.
+    """
+    if is_dirichlet(c):
+        return _End((0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
+    return _End((1.0, float(c)), (float(c), 1.0), (1.0, 0.0))
+
+
+def _pair(row, y, v):
+    """row . (y, v), a row of ``_end`` on the states (y, v)."""
+    return row[0] * y + row[1] * v
 
 
 def _quadratic_steps(Vn, Vm) -> np.ndarray:
@@ -476,10 +504,6 @@ def _block_flips(first, inner: np.ndarray, n: int) -> np.ndarray:
     return np.count_nonzero(s[1:] * s[:-1] < 0.0, axis=(0, 1))
 
 
-def _initial_data(a: float):
-    return (0.0, 1.0) if is_dirichlet(a) else (1.0, float(a))
-
-
 def _count_below(prob, lam: np.ndarray, a: float, b: float, phase=False):
     """Exact number of eigenvalues strictly below each lam (batched).
 
@@ -487,20 +511,19 @@ def _count_below(prob, lam: np.ndarray, a: float, b: float, phase=False):
     1)), y = R sin(theta) and y' = s R cos(theta), theta starts in [0, pi)
     and passes a multiple of pi at each zero of y, so theta(1) = pi flips +
     frac with frac = atan2(s y(1), y'(1)) mod pi.  Slot k's eigenvalue has
-    the phase (k + 1) pi for a Dirichlet right end, else k pi + beta with
-    beta = atan2(s, -b).  With ``phase`` the counts come with theta(1).
+    the phase k pi + beta, where the closing row l of b vanishes: beta =
+    atan2(s l_y', -l_y), that is atan2(s, -b), or pi at a Dirichlet end.
+    frac may round up to pi (np.mod(-1e-20, pi) == pi) but never exceeds
+    it, so the strict > adds nothing there.  With ``phase`` the counts come
+    with theta(1).
     """
     co = prob._coefficients()
-    y0, v0 = _initial_data(a)
+    ly, lv = _end(b).closing
     lam = np.asarray(lam, dtype=float)
-    res = _sweep(co, lam, y0, v0, count=True)
+    res = _sweep(co, lam, *_end(a).data, count=True)
     s = np.sqrt(np.maximum(lam, 1.0))
     frac = np.mod(np.arctan2(s * res["y"], res["v"]), math.pi)
-    if is_dirichlet(b):
-        # frac < pi always, so the endpoint term never fires.
-        count = res["flips"].copy()
-    else:
-        count = res["flips"] + (frac > np.arctan2(s, -float(b))).astype(int)
+    count = res["flips"] + (frac > np.arctan2(s * lv, -ly)).astype(int)
     if phase:
         return count, math.pi * res["flips"] + frac
     return count
@@ -508,16 +531,11 @@ def _count_below(prob, lam: np.ndarray, a: float, b: float, phase=False):
 
 def _endpoint_w(prob, lam: np.ndarray, a: float, b: float, deriv: bool):
     """Scaled characteristic values (and lam-derivatives) at each lam."""
-    co = prob._coefficients()
-    y0, v0 = _initial_data(a)
-    res = _sweep(co, np.asarray(lam, dtype=float), y0, v0, deriv=deriv)
-    if is_dirichlet(b):
-        w = res["y"]
-        dw = res.get("dy")
-    else:
-        w = res["v"] + float(b) * res["y"]
-        dw = res.get("dv") + float(b) * res.get("dy") if deriv else None
-    return w, dw, res["logscale"], res
+    closing = _end(b).closing
+    res = _sweep(prob._coefficients(), np.asarray(lam, dtype=float),
+                 *_end(a).data, deriv=deriv)
+    dw = _pair(closing, res["dy"], res["dv"]) if deriv else None
+    return _pair(closing, res["y"], res["v"]), dw, res["logscale"], res
 
 
 def oscillation_count(prob, lam: float, a: float = INF) -> int:
@@ -594,11 +612,9 @@ def shoot_forward(prob, lam: float, y0: float = 0.0, dy0: float = 1.0) -> StateT
 def shoot_backward(prob, lam: float, b: float = INF) -> StateTrace:
     """Integrate from x = 1 with data encoding the right boundary condition.
 
-    Convention: finite b uses (y, y')(1) = (1, -b); Dirichlet uses (0, -1).
+    The shot g(s) = y(1 - s) starts from ``_end(b).data``, so (y, y')(1) =
+    (1, -b), or (0, -1) for a Dirichlet end.
     """
-    if is_dirichlet(b):
-        g0, g1 = 0.0, 1.0   # g(s) = y(1-s): g' = -y'
-    else:
-        g0, g1 = 1.0, float(b)
-    G, dG = _traces(prob._coefficients().reflected(), [float(lam)], g0, g1)
+    G, dG = _traces(prob._coefficients().reflected(), [float(lam)],
+                    *_end(b).data)
     return _in_picture(prob, lam, G[::-1, 0], -dG[::-1, 0], from_end=True)

@@ -95,7 +95,7 @@ def read_grid_csv(path: str) -> GridFunction:
 
 
 def _boundary_out(value: float):
-    return "infinity" if math.isinf(value) else float(value)
+    return "infinity" if value == math.inf else float(value)
 
 
 def _boundary_in(value) -> float:

@@ -32,14 +32,8 @@ from .errors import (
     PoleCollisionError,
 )
 from .grid import SequenceData, _simpson_weights
-from .ode import (
-    _count_below,
-    _endpoint_w,
-    _initial_data,
-    _sweep,
-    _traces,
-    is_dirichlet,
-)
+from .ode import (_count_below, _end, _endpoint_w, _pair, _sweep, _traces,
+                  is_dirichlet)
 
 __all__ = [
     "SpectralData",
@@ -74,14 +68,11 @@ _NOISE_FLOOR = 1e-4
 
 
 def regime_of(a: float, b: float) -> str:
-    if is_dirichlet(a) and is_dirichlet(b):
-        return "dirichlet"
-    if is_dirichlet(a):
-        return "mixed"
-    if is_dirichlet(b):
+    left, right = is_dirichlet(a), is_dirichlet(b)
+    if right and not left:
         raise ValueError("the Robin-Dirichlet orientation is not supported; "
                          "reflect the problem instead")
-    return "generic"
+    return "dirichlet" if right else "mixed" if left else "generic"
 
 
 def unperturbed_eigenvalues(regime: str, N: int) -> np.ndarray:
@@ -217,8 +208,9 @@ def _phase_starts(lo, hi, tlo, thi, b):
     The Pruefer phase at x = 1 turns nearly linearly in sqrt(lam) (at the
     rate 1 for the zero potential), so across slot k's bracket it is taken
     linear in sqrt(lam) between theta(lo) and theta(hi) and solved for the
-    root phase of ``_count_below``: (k + 1) pi, or k pi + atan2(sqrt(lam),
-    -b), whose slow turn two substitutions take up.  Where lo <= 1 (the
+    root phase of ``_count_below``: k pi + atan2(sqrt(lam), -b), whose slow
+    turn two substitutions take up; at a Dirichlet end atan2(r, -inf) = pi
+    for every r > 0, so the second repeats the first.  Where lo <= 1 (the
     phase there is scaled by 1, not sqrt(lam)) or the start does not land
     strictly inside its bracket, the bracket midpoint is the start.
     """
@@ -228,9 +220,8 @@ def _phase_starts(lo, hi, tlo, thi, b):
     r = np.sqrt(np.maximum(mid, 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = (np.sqrt(np.maximum(hi, 1.0)) - r_lo) / (thi - tlo)
-        for _ in range(1 if is_dirichlet(b) else 2):
-            turn = math.pi if is_dirichlet(b) else np.arctan2(r, -float(b))
-            r = r_lo + (math.pi * k + turn - tlo) * rate
+        for _ in range(2):
+            r = r_lo + (math.pi * k + np.arctan2(r, -b) - tlo) * rate
     start = r * r
     keep = (lo > 1.0) & (start > lo) & (start < hi)
     return np.where(keep, start, mid)
@@ -290,15 +281,14 @@ def _problem_char(prob, a, b):
 
     Its companion is the norming constant nu of ``_endpoint_quantities``
     and its lam-derivative, read from the same sweep: nu = log|num| +
-    log scale with num = y'(1) for a Dirichlet pair, else y(1), and
-    dnu/dlam = dnum / num.
+    log scale with num the read of b at x = 1, and dnu/dlam = dnum / num.
     """
-    dirichlet_pair = regime_of(a, b) == "dirichlet"
+    read = _end(b).read
 
     def char(x):
         w, dw, scale, res = _endpoint_w(prob, x, a, b, deriv=True)
-        num, dnum = ((res["v"], res["dv"]) if dirichlet_pair
-                     else (res["y"], res["dy"]))
+        num, dnum = (_pair(read, res["y"], res["v"]),
+                     _pair(read, res["dy"], res["dv"]))
         with np.errstate(divide="ignore", invalid="ignore"):
             return w, dw, np.log(np.abs(num)) + scale, dnum / num
     return char
@@ -313,7 +303,7 @@ def _endpoint_quantities(prob, lam, a, b, deriv=True):
     """
     _, dw, _, res = _endpoint_w(prob, lam, a, b, deriv=deriv)
     with np.errstate(divide="ignore"):
-        norming = np.log(np.abs(res["v" if is_dirichlet(b) else "y"])) \
+        norming = np.log(np.abs(_pair(_end(b).read, res["y"], res["v"]))) \
             + res["logscale"]
     if not deriv:
         return (norming,)
@@ -334,7 +324,8 @@ def _potential_gradients(prob, lam, a, b, directions, norming=True):
     ``lam`` holds eigenvalues of the normal-form problem ``prob`` under the
     pair (a, b); ``directions`` holds one perturbation phi_j of p per row,
     sampled on the problem grid.  With y_n an eigenfunction at lam_n and
-    z_n the shot from the second left data, with Wronskian W = y z' - y' z,
+    z_n the shot from the read row of a swapped, so that the Wronskian
+    W = y z' - y' z is +-1,
 
         d lam_n = int phi y_n**2 / int y_n**2,
         d nu_n = -(int phi z_n y_n - d lam_n int z_n y_n) / W.
@@ -353,8 +344,8 @@ def _potential_gradients(prob, lam, a, b, directions, norming=True):
     lam = np.asarray(lam, dtype=float)
     N = lam.size
     co = prob._coefficients()
-    y0, v0 = _initial_data(a)
-    z0, w0 = (1.0, 0.0) if is_dirichlet(a) else (0.0, 1.0)
+    left, right = _end(a), _end(b)
+    (y0, v0), (w0, z0) = left.data, left.read
     if not norming:
         Y, W = _traces(co, lam, y0, v0)
     else:
@@ -364,10 +355,9 @@ def _potential_gradients(prob, lam, a, b, directions, norming=True):
     wronskian = np.full(N, y0 * w0 - v0 * z0)
     deep = np.flatnonzero(lam < -1.0)
     if deep.size:
-        G, dG = _traces(co.reflected(), lam[deep], *_initial_data(b))
-        forward = W[-1, deep] if is_dirichlet(b) else Y[-1, deep]
-        back = dG[-1] if is_dirichlet(a) else G[-1]
-        grows = np.abs(back) > np.abs(forward)
+        G, dG = _traces(co.reflected(), lam[deep], *right.data)
+        grows = np.abs(_pair(left.read, G[-1], dG[-1])) \
+            > np.abs(_pair(right.read, Y[-1, deep], W[-1, deep]))
         deep = deep[grows]
         Y[:, deep] = G[::-1, grows]
         # g(s) = y(1 - s), so y'(0) = -g'(1).
@@ -491,32 +481,29 @@ def _zero_pairing(transfer, lam, left, right):
 
 def _zero_char(transfer, a, b):
     """The zero problem's characteristic function as ``_newton_polish`` reads
-    it: the left data paired with y, or y' + b y, at x = 1."""
-    closing = (1.0, 0.0) if is_dirichlet(b) else (float(b), 1.0)
+    it: the left data paired with the closing row of b at x = 1."""
+    data, closing = _end(a).data, _end(b).closing
 
     def char(x):
-        return _zero_pairing(transfer(x), x, _initial_data(a), closing)
+        return _zero_pairing(transfer(x), x, data, closing)
     return char
 
 
 def _zero_quantities(transfer, lam, a, b):
     """nu and log|dw| of the zero problem at lam, as in ``_endpoint_quantities``.
 
-    nu reads y'(1) for a Dirichlet b, else y(1); below lam = -1 it is read
-    from the end its state grows toward, as ``_norming`` reads the problem's.
+    nu is the read of b at x = 1, or below lam = -1 that of a at x = 0 of
+    the shot from the right data (``_deep_read``), as ``_norming`` reads the
+    problem's.
     """
+    left, right = _end(a), _end(b)
     tr = transfer(lam)
-    end, _ = _zero_pairing(tr, lam, _initial_data(a),
-                           (0.0, 1.0) if is_dirichlet(b) else (1.0, 0.0))
-    start, _ = _zero_pairing(tr, lam, _initial_data(b),
-                             (0.0, 1.0) if is_dirichlet(a) else (1.0, 0.0))
-    _, dw = _zero_pairing(tr, lam, _initial_data(a),
-                          (1.0, 0.0) if is_dirichlet(b) else (float(b), 1.0))
+    end, _ = _zero_pairing(tr, lam, left.data, right.read)
+    start, _ = _zero_pairing(tr, lam, right.data, left.read)
+    _, dw = _zero_pairing(tr, lam, left.data, right.closing)
     with np.errstate(divide="ignore"):
-        forward, backward = np.log(np.abs(end)), -np.log(np.abs(start))
-        take = (lam < -1.0) & (backward + forward < 0.0)
-        return (np.where(take, backward + 2.0 * np.log(tr[4]), forward),
-                np.log(np.abs(dw)))
+        return (_deep_read(lam, np.log(np.abs(end)), -np.log(np.abs(start)),
+                           tr[4]), np.log(np.abs(dw)))
 
 
 def _exact_ladder(a, b, N):
@@ -535,8 +522,10 @@ def _exact_ladder(a, b, N):
     2 v w(lam) = e**v (v + a) (v + b) - e**-v (v - a) (v - b) for Robin
     ends and e**v (v + b) + e**-v (v - b) for a Dirichlet left end, positive
     for v >= m.  An end with a or b below -1 holds a state near -a**2 or
-    -b**2, where the lowest slots start.  A Dirichlet pair is closed form:
-    w = sin(k pi) / (k pi) has dw = cos(k pi) / (2 lam).
+    -b**2, where the lowest slots start.  The Pruefer phase that sharpens
+    the starts leaves a Dirichlet a = +inf at atan2(w, inf) = 0.  A
+    Dirichlet pair is closed form: w = sin(k pi) / (k pi) has
+    dw = cos(k pi) / (2 lam).
     """
     regime = regime_of(a, b)
     if regime == "dirichlet":
@@ -549,16 +538,15 @@ def _exact_ladder(a, b, N):
         edges[1:] = ((np.arange(N) + 0.5) * math.pi) ** 2
         if a * b >= edges[1]:
             edges[1:] = _exact_ladder(math.inf, b, N)[0]
-    low = min(a, b)
-    edges[0] = -max(1.0, 1.0 - low) ** 2
+    edges[0] = -max(1.0, 1.0 - min(a, b)) ** 2
     lo, hi = edges[:-1], edges[1:]
     # First-order starts; the positive ones are sharpened by the Pruefer
     # phase: y = R sin(t), y' = w R cos(t) turns at the rate w = sqrt(lam),
-    # from t = atan2(w, a) (0 for Dirichlet) to atan2(w, -b) + k pi in slot k.
+    # from t = atan2(w, a) to atan2(w, -b) + k pi in slot k.
     start = unperturbed_eigenvalues(regime, N) + boundary_shift(regime, a, b)
     w = np.sqrt(np.maximum(start, 0.0))
     for _ in range(3):
-        turn = np.arctan2(w, -b) - (0.0 if is_dirichlet(a) else np.arctan2(w, a))
+        turn = np.arctan2(w, -b) - np.arctan2(w, a)
         w = np.maximum(math.pi * np.arange(N) + turn, 0.0)
     start = np.where(start > 0.0, w * w, start)
     deep = [-c * c for c in (a, b) if c < -1.0]
@@ -601,6 +589,19 @@ def _zero_correction(n, a, b, N):
     return lam[:N] - lam_h, norming[:N] - norming_h, log_dw[:N] - log_dw_h
 
 
+def _deep_read(lam, forward, backward, R):
+    """nu from the end each state grows toward: ``backward`` + 2 log R below
+    lam = -1 where backward + forward < 0, else ``forward``.
+
+    ``forward`` is log|read of b| at x = 1 of the shot from the left data,
+    ``backward`` -log|read of a| at x = 0 of that from the right data.  RK4
+    does not keep the Wronskian: over n cells of the zero problem a
+    backward read falls short by 2 log R (``_discrete_transfer``).
+    """
+    take = (lam < -1.0) & (backward + forward < 0.0)
+    return np.where(take, backward + 2.0 * np.log(R), forward)
+
+
 def _norming(prob, lam, a, b, forward):
     """Norming constants at the discrete eigenvalues lam, each read from
     the end its state grows toward.
@@ -610,21 +611,20 @@ def _norming(prob, lam, a, b, forward):
     leaves y(1) after terms of size e**|a| cancel, with the rounding of the
     growing solution.  Below lam = -1, one endpoint sweep of the reflected
     coefficients from the right data gives the backward read -log|z(0)|
-    (z'(0) at a Dirichlet a), taken where that shot grows more:
-    -nu_back > nu.  RK4 does not keep the Wronskian: on the zero problem,
-    for whose forward reads the correction is computed, a backward read
-    falls short by 2 log R (``_discrete_transfer``), which is added.
+    (z'(0) at a Dirichlet a), which ``_deep_read`` takes where that shot
+    grows more; the 2 log R it adds is that of the zero problem, for whose
+    forward reads the correction is computed.
     """
     nu = np.array(forward, dtype=float)
     deep = lam < -1.0
     if deep.any():
         res = _sweep(prob._coefficients().reflected(), lam[deep],
-                     *_initial_data(b))
+                     *_end(b).data)
         with np.errstate(divide="ignore"):
-            back = -np.log(np.abs(res["v" if is_dirichlet(a) else "y"])) \
+            back = -np.log(np.abs(_pair(_end(a).read, res["y"], res["v"]))) \
                 - res["logscale"]
-        nu[deep] = np.where(back + nu[deep] < 0.0, back + 2.0 * np.log(
-            _discrete_transfer(prob.n, lam[deep])[4]), nu[deep])
+        nu[deep] = _deep_read(lam[deep], nu[deep], back, _discrete_transfer(
+            prob.n, lam[deep])[4])
     return nu
 
 
@@ -773,8 +773,8 @@ def identity_b(prob, data: SpectralData, M: int) -> np.ndarray:
     """
     if regime_of(data.a, data.b) != "mixed":
         raise ValueError("the fixed-b identity needs a Dirichlet-Robin pair")
-    if M > data.N:
-        raise ValueError("identity ladder exceeds stored data")
+    if M < 1 or M > data.N:
+        raise ValueError(f"ladder length M={M} outside 1..{data.N}")
     norming, log_dw = _stored_quantities(prob, data, M)
     return np.cumsum(2.0 - np.exp(norming - log_dw))
 
@@ -788,8 +788,8 @@ def identity_ab(prob, data: SpectralData, M: int):
     """
     if regime_of(data.a, data.b) != "generic":
         raise ValueError("the trace-identity pair needs a Robin-Robin pair")
-    if M > data.N:
-        raise ValueError("identity ladder exceeds stored data")
+    if M < 1 or M > data.N:
+        raise ValueError(f"ladder length M={M} outside 1..{data.N}")
     norming, log_dw = _stored_quantities(prob, data, M)
     r_plus, r_minus = np.exp(norming - log_dw), np.exp(-norming - log_dw)
     return -1.0 + np.cumsum(2.0 - r_plus), -1.0 + np.cumsum(2.0 - r_minus)

@@ -420,6 +420,44 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("ends", [
+        ["--a=-inf", "--b", "1"], ["--bc", "mixed", "--b", "nan"],
+        ["--bc", "mixed", "--b=-inf"]])
+    def test_minus_infinity_and_nan_ends_refused(self, tmp_path, ends):
+        # Only +inf is a Dirichlet end; -inf and NaN are argument errors,
+        # refused before any solve or write.
+        out = tmp_path / "x.json"
+        code = main(["spectrum", "--p", "zero", *ends, "--grid", "256",
+                     "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert not out.exists()
+
+    def test_fit_takes_one_of_target_and_data(self, tmp_path):
+        # Both files are valid, so only the flag pair is refused.
+        data, target = tmp_path / "d.json", tmp_path / "t.json"
+        assert main(["spectrum", "--p", "zero", "--bc", "mixed", "--b", "1",
+                     "--N", "3", "--grid", "256", "--out", str(data)]) \
+            == EXIT_OK
+        doc = json.loads(data.read_text())
+        target.write_text(json.dumps({
+            "regime": "mixed", "b": 1.0, "remainders": doc["remainders"],
+            "norming": [0.0, 0.0, 0.0]}))
+        out = tmp_path / "fit.csv"
+        code = main(["fit", "--target", str(target), "--data", str(data),
+                     "--grid", "256", "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert not out.exists()
+
+    def test_fit_regime_must_match_data(self, tmp_path):
+        data = tmp_path / "g.json"
+        assert main(["spectrum", "--p", "fourier:[0.3,-0.2,0.1,0.05]",
+                     "--bc", "generic", "--a", "1", "--b", "-0.5", "--N", "4",
+                     "--grid", "256", "--out", str(data)]) == EXIT_OK
+        code = main(["fit", "--data", str(data), "--regime",
+                     "symmetric-dirichlet", "--grid", "256",
+                     "--out", str(tmp_path / "fit.csv")])
+        assert code == EXIT_FIT
+
     def test_overflow_maps_to_solver_exit(self, tmp_path):
         code = main(["spectrum", "--q", "fourier:[1414.2]", "--grid", "512",
                      "--out", str(tmp_path / "x.json")])

@@ -269,6 +269,24 @@ class TestFitTarget:
         with pytest.raises(TargetError):
             FitTarget(regime="mixed", remainders=np.zeros(3), b=1.0)
 
+    @pytest.mark.parametrize("regime, a, b", [
+        ("generic", INF, -0.5), ("mixed", 1.0, -0.5), ("dirichlet", INF, 1.0),
+        ("symmetric-dirichlet", 1.0, -0.5), ("symmetric-dirichlet", INF, 1.0)])
+    def test_regime_must_match_pair(self, regime, a, b):
+        # The pair decides the regime.  A fit run under the pair with the
+        # target read in another regime converges to the wrong potential.
+        with pytest.raises(TargetError):
+            FitTarget(regime=regime, remainders=np.zeros(3),
+                      norming=np.zeros(3), a=a, b=b)
+
+    def test_symmetric_target_of_generic_data_refused(self):
+        p = Potential(GridFunction.from_callable(
+            lambda x: 0.4 * math.sqrt(2.0) * np.cos(2 * np.pi * x)
+            + 0.2 * math.sqrt(2.0) * np.sin(4 * np.pi * x), 1024))
+        data = solve_spectrum(SchrodingerProblem(p), 1.0, -0.5, 3)
+        with pytest.raises(TargetError):
+            FitTarget.from_spectral_data(data, regime="symmetric-dirichlet")
+
     def test_symmetric_regime_skips_norming(self):
         t = FitTarget(regime="symmetric-dirichlet", remainders=np.zeros(3))
         assert t.N == 3 and t.norming is None

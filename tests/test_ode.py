@@ -136,16 +136,23 @@ class TestTraces:
         assert tr.y.values[-1] == 1.0
         assert tr.dy.values[-1] == -0.7
 
-    @pytest.mark.parametrize("b", [INF, 0.7])
-    def test_cross_wronskian_is_constant(self, b):
+    @pytest.mark.parametrize("a, b", [
+        (INF, INF), (INF, 0.7), (-0.7, INF), (-0.7, 0.7), (1.3, INF),
+        (1.3, 0.7)], ids=["inf", "0.7", "-0.7-inf", "-0.7-0.7", "1.3-inf",
+                          "1.3-0.7"])
+    def test_cross_wronskian_is_constant(self, a, b):
+        # The characteristic function is the Wronskian of the shots from
+        # either end's data, so every regime's closing row is checked
+        # without reading one.
         prob = SchrodingerProblem(forward_transform(q_two_mode()))
         lam = 11.0
-        yf = shoot_forward(prob, lam)
+        yf = shoot_forward(prob, lam, *((0.0, 1.0) if math.isinf(a)
+                                        else (1.0, a)))
         yb = shoot_backward(prob, lam, b=b)
         W = yf.y.values * yb.dy.values - yf.dy.values * yb.y.values
         assert W.std() < 1e-13 * (1.0 + np.abs(W).max())
-        assert wronskian(prob, lam, b=b) == pytest.approx(-W.mean(),
-                                                          rel=1e-10)
+        assert wronskian(prob, lam, a, b) == pytest.approx(-W.mean(),
+                                                           rel=1e-10)
 
     def test_weighted_cross_wronskian_impedance(self):
         q = Impedance(GridFunction.from_callable(

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liouville import (INF, BracketError, ConditionU, GridFunction, Impedance,
-                       ImpedanceProblem, PoleCollisionError, Potential,
+from liouville import (INF, BracketError, ConditionU, FitTarget, GridFunction,
+                       Impedance, ImpedanceProblem, PoleCollisionError,
+                       Potential,
                        SchrodingerProblem, SequenceData, boundary_shift,
                        characterize, compute_c0, compute_eigenvalues,
                        extract_remainders, forward_transform,
                        hadamard_wronskian, identity_ab, identity_b,
                        normalizing_constants, norming_constants, regime_of,
-                       solve_spectrum, unperturbed_eigenvalues,
-                       unperturbed_norming, wronskian)
+                       oscillation_count, shoot_backward, solve_spectrum,
+                       unperturbed_eigenvalues, unperturbed_norming,
+                       wronskian)
 from liouville import ode, spectral
 from liouville.spectral import _potential_gradients
 from oracles import bisect_level, cell_power_transfer, damped_spectrum, \
@@ -43,6 +45,27 @@ class TestReferenceLadders:
         assert regime_of(1.0, -0.5) == "generic"
         with pytest.raises(ValueError):
             regime_of(0.7, INF)
+
+    @pytest.mark.parametrize("bad", [-INF, math.nan])
+    def test_minus_infinity_and_nan_ends_refused(self, bad):
+        # Only +inf encodes a Dirichlet end; -inf and NaN encode no end, and
+        # every reader of an end refuses them before any sweep.
+        zero = SchrodingerProblem(Potential(GridFunction.zeros(256)))
+        mixed = solve_spectrum(zero, INF, 1.0, 3)
+        calls = [lambda: oscillation_count(zero, 1.0, bad),
+                 lambda: shoot_backward(zero, 1.0, bad)]
+        for a, b in ((bad, 1.0), (INF, bad)):
+            stored = dataclasses.replace(mixed, a=a, b=b)
+            calls += [lambda a=a, b=b: regime_of(a, b),
+                      lambda a=a, b=b: solve_spectrum(zero, a, b, 3),
+                      lambda s=stored: norming_constants(zero, s),
+                      lambda s=stored: identity_b(zero, s, 3),
+                      lambda s=stored: FitTarget.from_spectral_data(s),
+                      lambda a=a, b=b: wronskian(zero, 1.0, a, b),
+                      lambda a=a, b=b: ode._count_below(zero, [1.0], a, b)]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
 
     def test_closed_form_ladders(self):
         assert np.allclose(unperturbed_eigenvalues("dirichlet", 4),
@@ -267,8 +290,12 @@ class TestTraceIdentities:
         with pytest.raises(ValueError):
             identity_ab(FREE, data, 4)
         mixed = solve_spectrum(FREE, INF, 1.0, 4)
-        with pytest.raises(ValueError):
-            identity_b(FREE, mixed, 8)
+        generic = solve_spectrum(FREE, 1.0, -0.5, 4)
+        for M in (8, 0, -1):
+            with pytest.raises(ValueError):
+                identity_b(FREE, mixed, M)
+            with pytest.raises(ValueError):
+                identity_ab(FREE, generic, M)
 
 
 class TestCharacterize:
@@ -329,7 +356,7 @@ class TestPotentialGradients:
         # matches its own sweep.
         prob = six_mode_problem(cfg, N_GRID)
         lam = solve_spectrum(prob, a, 1.0, 6).eigenvalues
-        y0, v0 = ode._initial_data(a)
+        y0, v0 = ode._end(a).data
         z0, w0 = (1.0, 0.0) if math.isinf(a) else (0.0, 1.0)
         co = prob._coefficients()
         Y = spectral._traces(co, lam, y0, v0)[0]
