@@ -25,10 +25,13 @@ scan (Blelloch, "Prefix sums and their applications", 1990).  The n cells
 form blocks of a fixed 16, and the coefficients are stored in that block
 order, so the multiply-add in lam writes the cell matrices straight into
 the layout the scan reads.  The running products inside every block are
-formed in 15 steps, each vectorized over all blocks and columns.  The block
-totals are then multiplied pairwise, level by level, until one product
-spans 256 cells, and the state is carried across those products in order,
-one batched matrix product each.  The cap keeps the carry sequential over
+formed in 15 steps, each vectorized over all blocks and columns; a sweep
+with lam-derivatives carries the derivative of that running product beside
+it, and forms each step's dM/dlam, for one cell of every block, only when
+it is used, so no derivative is stored per cell.  The block totals are
+then multiplied pairwise, level by level, until one product spans 256
+cells, and the state is carried across those products in order, one
+batched matrix product each.  The cap keeps the carry sequential over
 the interval: one product over all of it holds e**|a| near lam = -a**2, and
 applied to a state that decays away from x = 0 it cancels that state.
 The tree's first products and the carried state are scaled by powers of
@@ -279,21 +282,33 @@ def _build_matrices(co: _Coefficients, lam: np.ndarray, deriv: bool):
     """Cell matrices at every lam column in block order, shape (B, 2, 2, K, nb).
 
     Cell b B + i of column k sits at [i, column, row, k, b]; the cells that
-    fill the last block are exactly I.  With ``deriv`` the second result
-    holds the lam-derivatives (exactly 0 on those cells), else None.
+    fill the last block are exactly I.  With ``deriv`` the second result is
+    the lam-derivative of row 0 (``_row_derivative``), where the running
+    derivative product of a sweep starts, else None.
     """
     A0, A1, A2 = co.steps
     shape = (A0.shape[0], 2, 2, lam.size, A0.shape[3])
-    lam = lam[:, None]
-    M = A2 * lam
+    col = lam[:, None]
+    M = A2 * col
     M += A1
-    M *= lam
+    M *= col
     M += A0
-    if not deriv:
-        return M.reshape(shape), None
-    N = A2 * (2.0 * lam)
-    N += A1
-    return M.reshape(shape), N.reshape(shape)
+    return M.reshape(shape), _row_derivative(co, lam, 0) if deriv else None
+
+
+def _row_derivative(co: _Coefficients, lam: np.ndarray, i: int, out=None):
+    """dM/dlam = A1 + 2 lam A2 of cell row i of every block, (2, 2, K, nb).
+
+    Exactly 0 on the cells that fill the last block.  ``out`` is an optional
+    buffer of that shape.
+    """
+    _, A1, A2 = co.steps[:, i]
+    K, nb = lam.size, A1.shape[-1]
+    if out is not None:
+        out = out.reshape(4, K, nb)
+    out = np.multiply(A2, 2.0 * lam[:, None], out=out)
+    out += A1
+    return out.reshape(2, 2, K, nb)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -319,7 +334,9 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
     from ``_build_matrices`` in block order; the scan forms the running
     products in place, multiplies the block totals up to ``_SPAN_CAP``
     cells (``_tree``), then carries the state over those products in order
-    with one batched matrix product each.
+    with one batched matrix product each.  With ``deriv`` the scan carries
+    one running lam-derivative product per block, taking each block row's
+    dM/dlam from ``_row_derivative`` into a row-sized buffer.
     Without ``trace`` the tree's first products and the state after each
     product are scaled per column by powers of two, exactly, to a largest
     entry in [0.5, 1); the summed log factors are reported so callers can
@@ -339,11 +356,17 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
     # Overflow is detected explicitly at the end; silence the transient.
     with np.errstate(over="ignore", invalid="ignore"):
         # Stage 1: P[i, :, :, k, b] becomes the product of the first i + 1
-        # cell matrices of block b, with its lam-derivative in dP.
+        # cell matrices of block b.  With deriv, dP is the lam-derivative of
+        # the running product: each row's dM is formed in the spare buffer,
+        # dP <- dM[i] P[i - 1] + M[i] dP, and the two buffers swap.
+        if deriv:
+            spare = np.empty_like(dP)
         for i in range(1, B):
             if deriv:
-                _matmul(dP[i], P[i - 1], out=dP[i])
-                dP[i] += _matmul(P[i], dP[i - 1])
+                row = _row_derivative(co, lam, i, out=spare)
+                _matmul(row, P[i - 1], out=row)
+                row += _matmul(P[i], dP)
+                dP, spare = row, dP
             _matmul(P[i], P[i - 1], out=P[i])
 
         # Stage 2: s <- G s over the tree's top products, one batched
@@ -351,8 +374,7 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
         # built [column, row] and only viewed as (m, K) stacks of matrices:
         # on these strides np.matmul keeps its own small-matrix loop, which
         # at K = 64 takes half the time of a BLAS call per matrix.
-        levels, T, dT, exponent = _tree(P[B - 1], dP[B - 1] if deriv else None,
-                                        scale=not trace)
+        levels, T, dT, exponent = _tree(P[B - 1], dP, scale=not trace)
         m = T.shape[3]
         G = T
         if deriv:

@@ -2,7 +2,8 @@
 
 Spectra are located by exact oscillation-count bracketing, then found by
 Newton steps on the characteristic function with its variational
-lam-derivative, each iterate kept inside its count bracket.  Both pictures
+lam-derivative, each iterate kept inside its count bracket; a root already
+near takes chord steps, which reuse its last derivative.  Both pictures
 are solved as normal forms (an impedance problem through the Liouville map,
 see ``ode``), at the problem grid, and corrected by the integrator error of
 the zero potential under the same boundary pair (asymptotic correction:
@@ -54,10 +55,12 @@ __all__ = [
 ]
 
 
-# Newton stops a root once its step is within _RTOL * max(1, |lam|);
+# Newton stops a root once its step is within _RTOL * max(1, |lam|), and
+# takes chord rounds after a step within _CHORD * max(1, |lam|);
 # _MAX_NEWTON bounds the rounds of one polish and _MAX_REPAIR those of the
 # bracket repair before the count bisection.
 _RTOL = 1e-12
+_CHORD = math.sqrt(_RTOL)
 _MAX_NEWTON = 16
 _MAX_REPAIR = 48
 
@@ -227,11 +230,12 @@ def _phase_starts(lo, hi, tlo, thi, b):
     return np.where(keep, start, mid)
 
 
-def _newton_polish(char, lam, lo, hi):
+def _newton_polish(char, lam, lo, hi, value=None):
     """Newton on a characteristic function, each root kept in its bracket.
 
-    ``char(x)`` returns the characteristic values at x and their
-    lam-derivatives.  ``lo`` and ``hi`` bracket one root each, slot k first
+    ``char(x)`` returns the characteristic values at x, their
+    lam-derivatives and the log of their common scale (w e**scale is the
+    true value).  ``lo`` and ``hi`` bracket one root each, slot k first
     (count brackets from ``_solve_levels``); any start inside its bracket is
     safe, and a start near the root (``_phase_starts``) saves rounds.  The
     characteristic value is positive below the spectrum and changes sign at
@@ -243,55 +247,79 @@ def _newton_polish(char, lam, lo, hi):
     step is still finite.
 
     A ``char`` that returns a companion g and its lam-derivative dg after
-    w and dw gets (lam, g) back, g carried from each root's last evaluation
-    x by the same step: g(x) + dg(x) (lam - x).
+    the scale gets (lam, g) back, g carried from each root's last
+    evaluation x by the same step: g(x) + dg(x) (lam - x).
+
+    Such a char may come with ``value``, which returns the values, their
+    log scale and g, without derivatives.  A root whose last step landed
+    inside its bracket and within ``_CHORD`` then takes chord rounds
+    (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
+    sec. 5.4): ``value`` evaluates it, and its last dw, carried to the new
+    scale, and its last dg are reused.  Such a round costs an endpoint
+    sweep, not a derivative sweep.
     """
     lam = np.array(lam, dtype=float)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     below = (-1.0) ** np.arange(lam.size)
     live = np.arange(lam.size)
-    companion = np.empty(lam.size)
+    # Each root's last evaluation: w, dw, their log scale, g and dg.
+    w, dw, scale, g, dg = np.zeros((5, lam.size))
+    chord = np.zeros(lam.size, dtype=bool)
     for _ in range(_MAX_NEWTON):
+        fresh, held = live[~chord[live]], live[chord[live]]
+        if fresh.size:
+            w[fresh], dw[fresh], scale[fresh], *carry = char(lam[fresh])
+            if carry:
+                g[fresh], dg[fresh] = carry
+        if held.size:
+            w[held], new_scale, g[held] = value(lam[held])
+            dw[held] *= np.exp(scale[held] - new_scale)
+            scale[held] = new_scale
         x = lam[live]
-        w, dw, *rest = char(x)
-        side = np.sign(w) * below[live]
+        side = np.sign(w[live]) * below[live]
         low = np.where(side > 0, x, lo[live])
         high = np.where(side < 0, x, hi[live])
         lo[live], hi[live] = low, high
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = w / dw
+            step = w[live] / dw[live]
         trial = x - step
-        done = np.abs(step) <= _RTOL * np.maximum(1.0, np.abs(x))
+        reach = np.maximum(1.0, np.abs(x))
+        done = np.abs(step) <= _RTOL * reach
         inside = (trial > low) & (trial < high)
         lam[live] = np.where(inside | done, np.clip(trial, low, high),
                              0.5 * (low + high))
-        if rest:
-            g, dg = rest
-            companion[live[done]] = (g + dg * (lam[live] - x))[done]
+        g[live] += dg[live] * (lam[live] - x)
+        if value is not None:
+            chord[live] = inside & (np.abs(step) <= _CHORD * reach)
         live = live[~done]
         if live.size == 0:
-            return (lam, companion) if rest else lam
+            return (lam, g) if carry else lam
     raise BracketError(
         f"Newton polish left {live.size} roots unconverged after "
         f"{_MAX_NEWTON} rounds")
 
 
 def _problem_char(prob, a, b):
-    """The problem's characteristic function as ``_newton_polish`` reads it.
+    """The problem's characteristic function and its ``value`` form, as
+    ``_newton_polish`` reads them.
 
     Its companion is the norming constant nu of ``_endpoint_quantities``
     and its lam-derivative, read from the same sweep: nu = log|num| +
     log scale with num the read of b at x = 1, and dnu/dlam = dnum / num.
+    The value form reads w and nu from an endpoint sweep.
     """
     read = _end(b).read
 
-    def char(x):
-        w, dw, scale, res = _endpoint_w(prob, x, a, b, deriv=True)
-        num, dnum = (_pair(read, res["y"], res["v"]),
-                     _pair(read, res["dy"], res["dv"]))
+    def evaluate(x, deriv):
+        w, dw, scale, res = _endpoint_w(prob, x, a, b, deriv)
+        num = _pair(read, res["y"], res["v"])
         with np.errstate(divide="ignore", invalid="ignore"):
-            return w, dw, np.log(np.abs(num)) + scale, dnum / num
-    return char
+            nu = np.log(np.abs(num)) + scale
+            if not deriv:
+                return w, scale, nu
+            return w, dw, scale, nu, _pair(read, res["dy"], res["dv"]) / num
+
+    return (lambda x: evaluate(x, True)), (lambda x: evaluate(x, False))
 
 
 def _endpoint_quantities(prob, lam, a, b, deriv=True):
@@ -481,11 +509,12 @@ def _zero_pairing(transfer, lam, left, right):
 
 def _zero_char(transfer, a, b):
     """The zero problem's characteristic function as ``_newton_polish`` reads
-    it: the left data paired with the closing row of b at x = 1."""
+    it: the left data paired with the closing row of b at x = 1, at log
+    scale 0."""
     data, closing = _end(a).data, _end(b).closing
 
     def char(x):
-        return _zero_pairing(transfer(x), x, data, closing)
+        return (*_zero_pairing(transfer(x), x, data, closing), 0.0)
     return char
 
 
@@ -645,7 +674,8 @@ def _pipeline(prob, a, b, N, *, _guess=None, _correction=None):
     if _guess is not None:
         raw = np.asarray(_guess, dtype=float) - dlam
         start = np.where((raw > lo) & (raw < hi), raw, start)
-    lam, forward = _newton_polish(_problem_char(prob, a, b), start, lo, hi)
+    char, value = _problem_char(prob, a, b)
+    lam, forward = _newton_polish(char, start, lo, hi, value)
     return lam + dlam, _norming(prob, lam, a, b, forward) + dnorm
 
 

@@ -624,10 +624,11 @@ def richardson_spectrum(prob, a, b, N):
     lam, norming = np.empty(N), np.empty(N)
     for start in range(0, N, SLOT_CHUNK):
         k = slice(start, start + SLOT_CHUNK)
-        lam0, _ = _newton_polish(_problem_char(prob, a, b),
+        lam0, _ = _newton_polish(_problem_char(prob, a, b)[0],
                                  0.5 * (lo[k] + hi[k]), lo[k], hi[k])
         norm0, _ = _endpoint_quantities(prob, lam0, a, b)
-        lam1, _ = _newton_polish(_problem_char(fine, a, b), lam0, lo[k], hi[k])
+        lam1, _ = _newton_polish(_problem_char(fine, a, b)[0], lam0, lo[k],
+                                 hi[k])
         norm1, _ = _endpoint_quantities(fine, lam1, a, b)
         lam[k] = (16.0 * lam1 - lam0) / 15.0
         norming[k] = (16.0 * norm1 - norm0) / 15.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from liouville import (INF, ConditionU, GridFunction, Impedance,
                        forward_transform, oscillation_count, shoot_backward,
                        shoot_forward, wronskian)
 from liouville.ode import (_block_flips, _build_matrices, _quadratic_steps,
-                           _sweep)
+                           _row_derivative, _sweep)
 from oracles import (damped_coefficients, damped_ends, loop_build_matrices,
                      loop_sweep, sign_flips)
 
@@ -413,8 +414,13 @@ class TestQuadraticSteps:
         scanned = co.reflected() if reverse else co
         for lam in (-2e5, 3.7, 4e4, 2e5):
             M_ref, N_ref = loop_build_matrices(co, np.array([lam]), True, reverse)
-            M, N = (cell_order(a) for a in
-                    _build_matrices(scanned, np.array([lam]), True))
+            # A derivative sweep forms dM one block row at a time; the build
+            # gives row 0, where its running product starts.
+            M, first = _build_matrices(scanned, np.array([lam]), True)
+            rows = np.stack([_row_derivative(scanned, np.array([lam]), i)
+                             for i in range(M.shape[0])])
+            assert np.array_equal(first, rows[0])
+            M, N = cell_order(M), cell_order(rows)
             for k in range(4):
                 m_ref, n_ref = M_ref[k][:, 0], N_ref[k][:, 0]
                 top_m, top_n = np.abs(m_ref).max(), np.abs(n_ref).max()
@@ -437,3 +443,24 @@ class TestQuadraticSteps:
             assert [f.name for f in dataclasses.fields(co)] == ["V", "Vm", "steps"]
         c0 = compute_c0(q_two_mode(), ConditionU.exponential(0.5, 1.0))
         np.testing.assert_array_equal(imp.V, sch.V + c0)
+
+
+class TestSweepMemory:
+    def test_derivative_sweep_allocates_no_per_cell_derivatives(self):
+        # Stage 1 carries one running derivative product and forms each
+        # block row's dM in a row-sized buffer, so a derivative sweep needs
+        # little more than an endpoint sweep of the same width.  Holding dM
+        # for every cell, as the sweep once did, reads 1.93.
+        co = CASES["undamped"]
+        assert co.Vm.size == 2048
+        lam = (np.pi * (np.arange(64) + 1.0)) ** 2
+
+        def peak(**mode):
+            tracemalloc.start()
+            try:
+                _sweep(co, lam, 0.0, 1.0, **mode)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(deriv=True) <= 1.3 * peak()

@@ -440,6 +440,10 @@ def in_picture(imp, picture):
     return SchrodingerProblem(forward_transform(imp.q, imp.cfg))
 
 
+# Deep Robin ends on either side and on both.
+DEEP_CASES = [(cfg, a, b) for cfg in ("zero", "exp")
+              for a, b in ((-20.0, 3.0), (1.0, -6.0), (-12.0, -12.0))]
+
 # Boundary pairs of the root-finder checks: every regime, signs of a and b.
 BOUNDARY_PAIRS = [(INF, INF), (INF, 1.0), (INF, 0.5), (1.0, -0.5),
                   (0.3, -0.2), (-0.7, 2.0)]
@@ -450,14 +454,18 @@ class TestRootFinder:
 
     @pytest.mark.parametrize("n", [256, 2048])
     @pytest.mark.parametrize("picture", ["impedance", "schrodinger"])
-    @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
+    @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES + DEEP_CASES)
     def test_matches_bisection_oracle(self, cfg, a, b, picture, n):
         # Both pictures take one level plus the zero-potential correction,
         # so the single level is compared with the oracle's: the same
-        # correction is added to both.
+        # correction is added to both.  The oracle reads nu forward; a deep
+        # state's is read from the end it grows toward, at the oracle's
+        # eigenvalue.  The deep pairs' chord rounds carry each reused
+        # derivative across the log scales of the sweeps.
         prob = in_picture(six_mode_problem(cfg, n), picture)
         data = solve_spectrum(prob, a, b, 64)
-        lam, norming = bisect_level(prob, a, b, 64)
+        lam, forward = bisect_level(prob, a, b, 64)
+        norming = spectral._norming(prob, lam, a, b, forward)
         dlam, dnorm, _ = spectral._zero_correction(n, a, b, 64)
         lam, norming = lam + dlam, norming + dnorm
         assert np.max(np.abs(data.eigenvalues - lam) / np.abs(lam)) < 1e-13
@@ -496,26 +504,46 @@ class TestRootFinder:
 
     def test_sweep_budget(self, monkeypatch):
         # One count sweep places brackets and phase-matched starts; Newton
-        # then takes at most two full-width rounds, and its last evaluation
-        # at each root gives the norming constant, so no endpoint sweep
-        # follows.
+        # then takes one full-width derivative round.  A root whose step
+        # was already small takes chord rounds, each an endpoint sweep at a
+        # lam within _CHORD of one that a derivative sweep evaluated, and
+        # the last evaluation at each root gives its norming constant.
         prob = six_mode_problem("exp", 2048)
         sweep = ode._sweep
-        calls = []
+        polish = spectral._newton_polish
+        calls, inside = [], []
 
         def counted(co, lam, y0, v0, **kwargs):
             mode = [m for m in ("count", "deriv", "trace") if kwargs.get(m)]
-            calls.append((mode[0] if mode else "endpoint", np.size(lam)))
+            calls.append((mode[0] if mode else "endpoint", np.array(lam),
+                          bool(inside)))
             return sweep(co, lam, y0, v0, **kwargs)
+
+        def polishing(*args):
+            inside.append(True)
+            try:
+                return polish(*args)
+            finally:
+                inside.pop()
 
         monkeypatch.setattr(ode, "_sweep", counted)
         monkeypatch.setattr(spectral, "_sweep", counted)
+        monkeypatch.setattr(spectral, "_newton_polish", polishing)
         solve_spectrum(prob, INF, INF, 64)
-        modes = [mode for mode, _ in calls]
+        modes = [mode for mode, _, _ in calls]
         assert modes.count("count") == 1
-        assert modes.count("endpoint") == 0
         assert modes.count("trace") == 0
-        assert sum(1 for mode, K in calls if mode == "deriv" and K == 64) <= 2
+        assert sum(1 for mode, lam, _ in calls
+                   if mode == "deriv" and lam.size == 64) == 1
+        assert modes.count("endpoint") >= 1
+        for k, (mode, lam, in_polish) in enumerate(calls):
+            if mode != "endpoint":
+                continue
+            assert in_polish
+            seen = np.concatenate([x for m, x, _ in calls[:k] if m == "deriv"])
+            near = np.abs(lam[:, None] - seen) <= spectral._CHORD * np.maximum(
+                1.0, np.abs(lam))[:, None]
+            assert near.any(axis=1).all()
 
     def test_nonconverging_iteration_raises(self, monkeypatch):
         # A stationary characteristic value gives no usable Newton step, so
@@ -767,8 +795,8 @@ class TestZeroCorrection:
         assert np.all(np.diff(lam) > 0.0)
         step = 1e-6 * np.maximum(1.0, np.abs(lam))
         char = spectral._zero_char(spectral._exact_transfer, a, b)
-        w_lo, _ = char(lam - step)
-        w_hi, _ = char(lam + step)
+        w_lo = char(lam - step)[0]
+        w_hi = char(lam + step)[0]
         below = (-1.0) ** np.arange(16)
         assert np.all(np.sign(w_lo) == below)
         assert np.all(np.sign(w_hi) == -below)
