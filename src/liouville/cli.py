@@ -365,8 +365,9 @@ def _add_common(sub, *flags, out=None):
         _add_checked(sub, "--N", int, 10, lambda N: 1 <= N <= 64,
                      "number of eigenvalues, 1..64")
     if "tol" in flags:
-        _add_checked(sub, "--tol", float, 1e-9, lambda tol: tol > 0.0,
-                     "a positive iteration tolerance")
+        _add_checked(sub, "--tol", float, 1e-9,
+                     lambda tol: math.isfinite(tol) and tol > 0.0,
+                     "a finite positive iteration tolerance")
     if "seed" in flags:
         sub.add_argument("--seed", type=int, default=0,
                          help="seed for randomized checks")

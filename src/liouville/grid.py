@@ -2,13 +2,16 @@
 
 Grid functions are immutable vectors of node values on ``x_j = j/n``.  All
 derivative and quadrature rules are fourth order so that discretization error
-sits well below the tolerances of the spectral routines built on top.
+sits well below the tolerances of the spectral routines built on top.  The
+quadrature weights depend on the cell count alone; they are built once per
+count and process and shared as one read-only array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -236,6 +239,15 @@ def cumulative_integral(f):
     return GridFunction(out) if isinstance(f, GridFunction) else out
 
 
+def _read_only(*arrays):
+    """The arrays, each made read-only, as a tuple: the form in which the
+    tables memoized per process are shared."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=16)
 def _simpson_weights(n: int) -> np.ndarray:
     # Composite Simpson; odd cell counts close with a cubic 3/8 rule.
     w = np.zeros(n + 1)
@@ -246,7 +258,9 @@ def _simpson_weights(n: int) -> np.ndarray:
     w[m] += -1.0 / 3.0
     if n % 2 == 1:
         w[m:] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
-    return w / n
+    w /= n
+    w.flags.writeable = False
+    return w
 
 
 def integral(f: GridFunction) -> float:

@@ -7,11 +7,12 @@ span of sin(pi k x), the residual is projected onto cos(pi k x), and the
 Jacobian is the projected exact directional derivative
 P'(q) phi = phi' + (2q + u1'(q)) phi + u2'(Q) int phi - mean.  Only the
 pointwise factors 2q + u1'(q) and u2'(Q) depend on q, so the projected
-derivative and running integrals of the sine rows are built once per map
-and each Newton step assembles the K x K Jacobian from weighted products
-with them.  Newton starts from zero; if that leg stagnates or misses the
-full tolerance, it restarts once from rho'/rho, rho the positive Neumann
-ground state of -y'' + p y, which is the inverse itself when u = 0.
+derivative and running integrals of the sine rows are built once per grid
+and basis size (n, K) in a process, and each Newton step assembles the
+K x K Jacobian from weighted products with them.  Newton starts from zero;
+if that leg stagnates or misses the full tolerance, it restarts once from
+rho'/rho, rho the positive Neumann ground state of -y'' + p y, which is
+the inverse itself when u = 0.
 
 Fits reconstruct a potential or a slope from truncated spectral data by
 Gauss-Newton on Fourier coefficients.  The map is a global isomorphism
@@ -30,16 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import (BracketError, DegenerateEigenfunctionError, FitError,
                      IntegrationError, InversionError, RangeError, TargetError)
-from .grid import (GridFunction, _simpson_weights, cumulative_integral,
-                   differentiate, l2_norm, trig_basis)
+from .grid import (GridFunction, _read_only, _simpson_weights,
+                   cumulative_integral, differentiate, l2_norm, trig_basis)
 from .ode import INF, SchrodingerProblem, shoot_forward
-from . import spectral
 from .spectral import (_exact_ladder, _potential_gradients, regime_of,
                        solve_spectrum, unperturbed_eigenvalues)
 from .transform import ConditionU, Impedance, Potential, forward_transform, frechet_apply
@@ -79,8 +80,8 @@ class InversionConfig:
     def __post_init__(self):
         if self.basis_size < 1:
             raise ValueError("basis_size must be at least 1")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,22 @@ class InversionReport:
     iterations: int
 
 
+@lru_cache(maxsize=4)
+def _galerkin_section(n: int, K: int) -> tuple:
+    """The read-only tables of a Galerkin section on n cells with K modes.
+
+    In order: the sine rows, the cosine rows with the Simpson weights
+    folded in (``project``), ``project`` applied to the derivative of the
+    sine rows, the row sums of ``project`` and the running integrals of the
+    sine rows.  They depend on (n, K) alone, so they are built once per
+    process.
+    """
+    sines = trig_basis("sine", K, n)
+    project = trig_basis("cosine", K, n) * _simpson_weights(n)[None, :]
+    return _read_only(sines, project, project @ differentiate(sines).T,
+                      project.sum(axis=1), cumulative_integral(sines))
+
+
 class _GalerkinMap:
     """Projected forward map and Jacobian on a fixed grid.
 
@@ -103,22 +120,19 @@ class _GalerkinMap:
     Jacobian is ``project`` applied to ``frechet_apply`` of the K sine rows.
     That derivative is phi' + g phi + d int phi less its mean, where only
     g = 2q + u1'(q) and d = u2'(Q) depend on q.  The projected derivative
-    of the rows, their running integrals (when u2 is not zero) and the
-    row sums of ``project`` are built here, so a Jacobian costs one or two
-    weighted K x (n + 1) x K products and no stencil pass.
+    of the rows, their running integrals (used when u2 is not zero) and
+    the row sums of ``project`` come from ``_galerkin_section``, built once
+    per (n, K), so a Jacobian costs one or two weighted K x (n + 1) x K
+    products and no stencil pass.
     """
 
     def __init__(self, p: Potential, cfg: ConditionU, icfg: InversionConfig):
         self.cfg = cfg
         self.target = p.f.values
-        K = icfg.basis_size
         self.weights = _simpson_weights(p.n)
-        self.sines = trig_basis("sine", K, p.n)
-        self.project = trig_basis("cosine", K, p.n) * self.weights[None, :]
-        self.project_derivative = self.project @ differentiate(self.sines).T
-        self.project_mean = self.project.sum(axis=1)
-        self.sine_integrals = None if cfg.u2.kind == "zero" \
-            else cumulative_integral(self.sines)
+        (self.sines, self.project, self.project_derivative, self.project_mean,
+         integrals) = _galerkin_section(p.n, icfg.basis_size)
+        self.sine_integrals = None if cfg.u2.kind == "zero" else integrals
 
     def impedance(self, alpha: np.ndarray) -> Impedance:
         values = alpha @ self.sines
@@ -358,13 +372,10 @@ class _FitMap:
             / np.tile(self.weights, 2)[:, None]
         slopes[:, [0, -1]] = 0.0
         self.slopes = slopes[:self.basis.shape[0]]
-        # Every solve of the fit shares the grid, the pair and N, and so
-        # the zero-potential correction.  At theta = 0 the potential is
-        # zero, also for slopes (P(0) = u(0) - c0 = 0), so its corrected
-        # eigenvalues are the exact zero ladder.
-        a, b = self.boundary
-        self.correction = spectral._zero_correction(self.n, a, b, target.N)
-        self.zero_ladder = _exact_ladder(a, b, target.N)[0]
+        # At theta = 0 the potential is zero, also for slopes
+        # (P(0) = u(0) - c0 = 0), so its corrected eigenvalues are the
+        # exact zero ladder.
+        self.zero_ladder = _exact_ladder(target.a, target.b, target.N)[0]
 
     def impedance(self, theta: np.ndarray) -> Impedance:
         return Impedance(GridFunction(theta @ self.slopes))
@@ -383,8 +394,7 @@ class _FitMap:
         """
         prob = SchrodingerProblem(self.potential(theta))
         a, b = self.boundary
-        data = solve_spectrum(prob, a, b, self.target.N, _guess=guess,
-                              _correction=self.correction)
+        data = solve_spectrum(prob, a, b, self.target.N, _guess=guess)
         r = data.remainders.entries - self.target.remainders
         if self.target.regime != "symmetric-dirichlet":
             dev = data.norming_deviation.entries - self.target.norming

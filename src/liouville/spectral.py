@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import (
     DegenerateEigenfunctionError,
     PoleCollisionError,
 )
-from .grid import SequenceData, _simpson_weights
+from .grid import SequenceData, _read_only, _simpson_weights
 from .ode import (_count_below, _end, _endpoint_w, _pair, _sweep, _traces,
                   is_dirichlet)
 
@@ -535,6 +536,7 @@ def _zero_quantities(transfer, lam, a, b):
                            tr[4]), np.log(np.abs(dw)))
 
 
+@lru_cache(maxsize=64)
 def _exact_ladder(a, b, N):
     """Eigenvalues, norming constants and log|dw| of p = 0 under (a, b), by slot.
 
@@ -554,12 +556,14 @@ def _exact_ladder(a, b, N):
     -b**2, where the lowest slots start.  The Pruefer phase that sharpens
     the starts leaves a Dirichlet a = +inf at atan2(w, inf) = 0.  A
     Dirichlet pair is closed form: w = sin(k pi) / (k pi) has
-    dw = cos(k pi) / (2 lam).
+    dw = cos(k pi) / (2 lam).  The ladder depends on (a, b, N) alone, so it
+    is solved once per process and its arrays are read-only.
     """
     regime = regime_of(a, b)
     if regime == "dirichlet":
         lam = unperturbed_eigenvalues(regime, N)
-        return lam, unperturbed_norming(regime, N), -np.log(2.0 * lam)
+        return _read_only(lam, unperturbed_norming(regime, N),
+                          -np.log(2.0 * lam))
     if regime == "mixed":
         edges = (math.pi * np.arange(N + 1)) ** 2
     else:
@@ -590,9 +594,10 @@ def _exact_ladder(a, b, N):
     start[:len(deep)] = deep
     lam = _newton_polish(_zero_char(_exact_transfer, a, b),
                          np.clip(start, lo, hi), lo, hi)
-    return (lam, *_zero_quantities(_exact_transfer, lam, a, b))
+    return _read_only(lam, *_zero_quantities(_exact_transfer, lam, a, b))
 
 
+@lru_cache(maxsize=64)
 def _zero_correction(n, a, b, N):
     """Exact less discrete eigenvalues, nu and log|dw| of p = 0, by slot.
 
@@ -603,7 +608,9 @@ def _zero_correction(n, a, b, N):
     eigenvalue.  The discrete values come from Newton on M(lam)**n, started
     where the transfer turns by the exact phase and kept halfway to the
     neighbouring starts; where that does not isolate a root (two boundary
-    states closer than rounding splits), it raises ``BracketError``.
+    states closer than rounding splits), it raises ``BracketError``.  Every
+    solve on the same grid, pair and N shares one read-only result, built
+    once per process.
     """
     lam, norming, log_dw = _exact_ladder(a, b, N + 1)
     start = _phase_matched(n, lam)
@@ -615,7 +622,8 @@ def _zero_correction(n, a, b, N):
 
     lam_h = _newton_polish(_zero_char(transfer, a, b), start[:N], lo, hi)
     norming_h, log_dw_h = _zero_quantities(transfer, lam_h, a, b)
-    return lam[:N] - lam_h, norming[:N] - norming_h, log_dw[:N] - log_dw_h
+    return _read_only(lam[:N] - lam_h, norming[:N] - norming_h,
+                      log_dw[:N] - log_dw_h)
 
 
 def _deep_read(lam, forward, backward, R):
@@ -657,20 +665,19 @@ def _norming(prob, lam, a, b, forward):
     return nu
 
 
-def _pipeline(prob, a, b, N, *, _guess=None, _correction=None):
+def _pipeline(prob, a, b, N, *, _guess=None):
     """Eigenvalues and norming constants by slot.
 
-    One grid level plus the zero-potential correction (``_correction``, if
-    the caller computed it): Newton from the phase-matched starts of
-    ``_solve_levels``, whose last sweep at each root gives its forward
-    norming read for ``_norming``.  ``_guess`` predicts the corrected
-    eigenvalues; less the correction it replaces the phase start of each
-    slot where it lies strictly inside that slot's count bracket, so a
-    guess cannot change a label, only the rounds Newton takes.
+    One grid level plus the zero-potential correction: Newton from the
+    phase-matched starts of ``_solve_levels``, whose last sweep at each root
+    gives its forward norming read for ``_norming``.  ``_guess`` predicts
+    the corrected eigenvalues; less the correction it replaces the phase
+    start of each slot where it lies strictly inside that slot's count
+    bracket, so a guess cannot change a label, only the rounds Newton
+    takes.
     """
     lo, hi, start = _solve_levels(prob, a, b, N)
-    dlam, dnorm, _ = _zero_correction(prob.n, a, b, N) \
-        if _correction is None else _correction
+    dlam, dnorm, _ = _zero_correction(prob.n, a, b, N)
     if _guess is not None:
         raw = np.asarray(_guess, dtype=float) - dlam
         start = np.where((raw > lo) & (raw < hi), raw, start)
@@ -686,17 +693,15 @@ def compute_eigenvalues(prob, a: float, b: float, N: int) -> np.ndarray:
     return _pipeline(prob, a, b, N)[0]
 
 
-def solve_spectrum(prob, a: float, b: float, N: int, *, _guess=None,
-                   _correction=None) -> SpectralData:
+def solve_spectrum(prob, a: float, b: float, N: int, *,
+                   _guess=None) -> SpectralData:
     """Eigenvalues plus norming constants, packaged with their remainders.
 
     One grid level plus the zero-potential correction (``_pipeline``), for
-    every boundary pair.  The private keywords reach ``_pipeline``: a
-    predicted ladder for the Newton starts and the ``_zero_correction`` of
-    the grid, pair and N, computed by the caller.
+    every boundary pair.  The private ``_guess`` reaches ``_pipeline``: a
+    predicted ladder for the Newton starts.
     """
-    lam, norming = _pipeline(prob, a, b, N, _guess=_guess,
-                             _correction=_correction)
+    lam, norming = _pipeline(prob, a, b, N, _guess=_guess)
     _require_finite(norming)
     return SpectralData(
         kind=prob.kind, a=float(a), b=float(b), c0=prob.c0,

@@ -432,6 +432,20 @@ class TestErrorPaths:
         assert code == EXIT_PARSE
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["invert", "fit"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, command,
+                                                   tol, dirichlet_run):
+        # An infinite tolerance would accept the zero start after no step.
+        data, pcsv = dirichlet_run
+        source = ["--p", str(pcsv)] if command == "invert" \
+            else ["--data", str(data)]
+        out = tmp_path / "out.csv"
+        code = main([command, *source, "--grid", "1024", f"--tol={tol}",
+                     "--out", str(out)])
+        assert code == EXIT_PARSE == 2
+        assert not out.exists()
+
     def test_fit_takes_one_of_target_and_data(self, tmp_path):
         # Both files are valid, so only the flag pair is refused.
         data, target = tmp_path / "d.json", tmp_path / "t.json"

@@ -93,6 +93,21 @@ class TestQuadrature:
         assert sup_norm(gf(lambda x: -3.0 + 0.0 * x)) == 3.0
 
 
+class TestMemoizedWeights:
+    """The Simpson weights are built once per cell count and shared."""
+
+    @pytest.mark.parametrize("n", [16, 17, 256, 2048])
+    def test_equal_to_a_fresh_build(self, n):
+        got = _simpson_weights(n)
+        assert _simpson_weights(n) is got
+        assert np.array_equal(got, _simpson_weights.__wrapped__(n))
+
+    def test_read_only(self):
+        w = _simpson_weights(256)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+
 class TestCalculus:
     def test_derivative_exact_on_quartics(self):
         f = gf(lambda x: x ** 4)

@@ -16,9 +16,9 @@ from liouville import (INF, BracketError, ConditionU, DecayTerm, FitTarget,
                        fit_potential_detailed, forward_transform,
                        invert_transform, invert_transform_detailed, l2_norm,
                        resample, solve_spectrum, sup_norm, symmetry_defect)
-from liouville import inverse, ode, spectral
-from liouville.grid import trig_basis
-from liouville.inverse import _FitMap, _GalerkinMap
+from liouville import grid, inverse, ode, spectral
+from liouville.grid import differentiate, trig_basis
+from liouville.inverse import _FitMap, _GalerkinMap, _galerkin_section
 from oracles import fd_fit_jacobian, loop_galerkin_jacobian
 
 
@@ -53,6 +53,23 @@ def benchmark_slope(i, n=2048):
     return Impedance(GridFunction(q * min(1.0, 10.0 / np.max(np.abs(q)))))
 
 
+def clear_tables():
+    for table in (_galerkin_section, grid._simpson_weights,
+                  spectral._zero_correction, spectral._exact_ladder):
+        table.cache_clear()
+
+
+def benchmark_cases(count):
+    """The first ``count`` targets of the benchmark's inversion workload,
+    seed 0, as (p, cfg); every fourth uses exp:0.5,1.0."""
+    cases = []
+    for i in range(count):
+        cfg = ConditionU.exponential(0.5, 1.0) if i % 4 == 3 \
+            else ConditionU.zero()
+        cases.append((forward_transform(benchmark_slope(i), cfg), cfg))
+    return cases
+
+
 def q_error(q_got, q_want):
     f = q_got.f if q_got.f.n == q_want.f.n else resample(q_got.f, q_want.f.n)
     return l2_norm(f - q_want.f)
@@ -62,8 +79,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             InversionConfig(basis_size=0)
-        with pytest.raises(ValueError):
-            InversionConfig(tol=0.0)
+        for tol in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                InversionConfig(tol=tol)
 
     def test_no_jobs_knob(self):
         # The iteration caps are module constants, not knobs.
@@ -245,11 +263,7 @@ class TestBatchedJacobian:
     def test_inversions_unchanged(self, monkeypatch):
         """The first 64 targets of the benchmark's inversion workload, seed 0;
         every fourth uses exp:0.5,1.0."""
-        cases = []
-        for i in range(64):
-            cfg = ConditionU.exponential(0.5, 1.0) if i % 4 == 3 \
-                else ConditionU.zero()
-            cases.append((forward_transform(benchmark_slope(i), cfg), cfg))
+        cases = benchmark_cases(64)
         batched = [invert_transform_detailed(p, cfg) for p, cfg in cases]
         monkeypatch.setattr(_GalerkinMap, "jacobian", loop_galerkin_jacobian)
         looped = [invert_transform_detailed(p, cfg) for p, cfg in cases]
@@ -257,6 +271,65 @@ class TestBatchedJacobian:
             assert got.iterations == want.iterations
             assert got.restarted == want.restarted
             assert np.max(np.abs(got.q.f.values - want.q.f.values)) <= 1e-12
+
+
+class TestGridTables:
+    """The Galerkin section is built once per (n, K) and shared read-only."""
+
+    @pytest.mark.parametrize("n,K", [(2048, 16), (256, 8)])
+    def test_section_equal_to_a_fresh_build(self, n, K):
+        got = _galerkin_section(n, K)
+        assert _galerkin_section(n, K) is got
+        fresh = _galerkin_section.__wrapped__(n, K)
+        assert [row.shape for row in got] == [
+            (K, n + 1), (K, n + 1), (K, K), (K,), (K, n + 1)]
+        for got_row, want_row in zip(got, fresh):
+            assert np.array_equal(got_row, want_row)
+
+    def test_section_read_only(self):
+        for row in _galerkin_section(256, 8):
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+
+    def test_trig_basis_stays_writable(self):
+        rows = trig_basis("sine", 8, 256)
+        rows[0, 0] = 1.0
+        assert trig_basis("sine", 8, 256)[0, 0] == 0.0
+
+    def test_second_inversion_builds_no_basis(self, monkeypatch):
+        # The first inversion on a grid builds the (K, n + 1) rows and their
+        # derivative; a second one on the same grid finds them built.
+        built = []
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                if np.ndim(out) == 2:
+                    built.append(out.shape)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(inverse, "trig_basis", spy(trig_basis))
+        monkeypatch.setattr(inverse, "differentiate", spy(differentiate))
+        _galerkin_section.cache_clear()
+        (p, cfg), = benchmark_cases(1)
+        invert_transform_detailed(p, cfg)
+        assert built == [(16, 2049)] * 3
+        built.clear()
+        invert_transform_detailed(p, cfg)
+        assert built == []
+
+    def test_cold_tables_give_the_warm_inversions(self):
+        """Every table built afresh before each of the 64 benchmark targets
+        gives the same slopes and iteration counts, bit for bit."""
+        cases = benchmark_cases(64)
+        warm = [invert_transform_detailed(p, cfg) for p, cfg in cases]
+        for (p, cfg), want in zip(cases, warm):
+            clear_tables()
+            got = invert_transform_detailed(p, cfg)
+            assert got.iterations == want.iterations
+            assert got.restarted == want.restarted
+            assert np.array_equal(got.q.f.values, want.q.f.values)
 
 
 class TestFitTarget:
@@ -611,8 +684,8 @@ class TestWarmStarts:
 
     def test_deep_robin_pair_takes_the_guess(self):
         # Two deep Robin ends take the correction like every pair, so a
-        # guess places their Newton starts too, and a fit map keeps the
-        # correction and the zero ladder.  The states near -144 are 7e-3
+        # guess places their Newton starts too, and a fit map starts from
+        # the zero ladder.  The states near -144 are 7e-3
         # apart; a guess off by 1e-4 stays inside their count brackets.
         # Measured against the cold solve: lam 2.0e-16 relative, nu 1.9e-11,
         # which is about e**12 / 576 times the rounding of lam at a
@@ -628,28 +701,23 @@ class TestWarmStarts:
         fmap = _FitMap(FitTarget(regime="generic", remainders=np.zeros(3),
                                  norming=np.zeros(3), a=-12.0, b=-12.0),
                        InversionConfig())
-        for got, want in zip(fmap.correction, spectral._zero_correction(
-                fmap.n, -12.0, -12.0, 3)):
-            assert np.array_equal(got, want)
         assert np.array_equal(fmap.zero_ladder,
                               spectral._exact_ladder(-12.0, -12.0, 3)[0])
 
     @pytest.mark.parametrize("name", ["symmetric-dirichlet", "mixed",
                                       "slope-exp"])
-    def test_one_correction_per_fit(self, monkeypatch, name):
+    def test_one_correction_per_fit(self, name):
+        # Every solve of a fit shares the grid, the pair and N, so a fit
+        # builds the zero-potential correction once, and a second identical
+        # fit finds it in the cache.
         make_target, cfg = WARM_CASES[name]
         target = make_target()
-        calls = []
-        zero_correction = spectral._zero_correction
-
-        def counted(*args):
-            calls.append(args)
-            return zero_correction(*args)
-
-        monkeypatch.setattr(spectral, "_zero_correction", counted)
+        spectral._zero_correction.cache_clear()
         _, report = run_fit(target, cfg)
         assert report.iterations >= 3
-        assert len(calls) == 1
+        assert spectral._zero_correction.cache_info().misses == 1
+        run_fit(target, cfg)
+        assert spectral._zero_correction.cache_info().misses == 1
 
     def test_sweep_budget_on_benchmark_inputs(self, monkeypatch):
         # Over the first six seed-0 inputs of the benchmark's fit workload,

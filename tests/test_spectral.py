@@ -895,6 +895,34 @@ class TestZeroCorrection:
             assert np.max(np.abs(ratios / ref_ratios - 1.0)) < 1e-9
 
 
+class TestMemoizedLadders:
+    """The zero ladders and corrections depend on (n, a, b, N) alone; each
+    is solved once per process and shared read-only."""
+
+    @pytest.mark.parametrize("a,b", [(-12.0, -12.0), (-20.0, 3.0),
+                                     (INF, -50.0)])
+    def test_equal_to_a_fresh_build(self, a, b):
+        got = spectral._zero_correction(1024, a, b, 8)
+        ladder = spectral._exact_ladder(a, b, 8)
+        assert spectral._zero_correction(1024, a, b, 8) is got
+        spectral._exact_ladder.cache_clear()
+        fresh = spectral._zero_correction.__wrapped__(1024, a, b, 8)
+        for got_row, want_row in zip(got, fresh):
+            assert np.array_equal(got_row, want_row)
+        for got_row, want_row in zip(ladder,
+                                     spectral._exact_ladder.__wrapped__(
+                                         a, b, 8)):
+            assert np.array_equal(got_row, want_row)
+
+    @pytest.mark.parametrize("a,b", [(INF, INF), (INF, 1.0), (1.0, -0.5)])
+    def test_read_only(self, a, b):
+        for table in (spectral._zero_correction(256, a, b, 4),
+                      spectral._exact_ladder(a, b, 4)):
+            for row in table:
+                with pytest.raises(ValueError):
+                    row[0] = 0.0
+
+
 def deep_robin_closed_form(a, b):
     """Lowest eigenvalue and norming constant of p = 0 under (a, b), a << -1.
 
