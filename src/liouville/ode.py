@@ -325,6 +325,15 @@ def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return np.add(prod, a[None, 1] * b[:, 1, None], out=out)
 
 
+def _carry(G: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """G @ s over (K, d, d) and (K, d, 1) stacks, summed over the inner index
+    in order, as np.matmul's own loop sums it."""
+    out = G[:, :, 0, None] * s[:, 0, None]
+    for j in range(1, s.shape[1]):
+        out += G[:, :, j, None] * s[:, j, None]
+    return out
+
+
 def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
            trace=False, count=False):
     """Advance the batch across all cells; returns endpoint data and extras.
@@ -373,7 +382,10 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
         # product each; G is T, or [[T, dT], [0, T]] with deriv.  It is
         # built [column, row] and only viewed as (m, K) stacks of matrices:
         # on these strides np.matmul keeps its own small-matrix loop, which
-        # at K = 64 takes half the time of a BLAS call per matrix.
+        # at K = 64 takes half the time of a BLAS call per matrix.  With
+        # K = m = 1 the lone matrix has unit row stride, and np.matmul would
+        # hand it to BLAS, which rounds differently; ``_carry`` sums it in
+        # the loop's order, so a column's sweep does not depend on its batch.
         levels, T, dT, exponent = _tree(P[B - 1], dP, scale=not trace)
         m = T.shape[3]
         G = T
@@ -387,7 +399,7 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
         for b in range(m):
             if nodes:
                 starts[b] = s
-            s = np.matmul(G[b], s)
+            s = np.matmul(G[b], s) if K * m > 1 else _carry(G[b], s)
             if not trace:
                 e = np.frexp(np.abs(s).max(axis=(1, 2)))[1]
                 s *= np.ldexp(1.0, -e)[:, None, None]

@@ -2,8 +2,13 @@
 
 Spectra are located by exact oscillation-count bracketing, then found by
 Newton steps on the characteristic function with its variational
-lam-derivative, each iterate kept inside its count bracket; a root already
-near takes chord steps, which reuse its last derivative.  Both pictures
+lam-derivative, each iterate kept inside its bracket; a root already near
+takes chord steps, which reuse its last derivative.  Only the lowest slots
+need counted brackets: above them the zero ladder shifted by the mean of
+the potential starts Newton within a few 1e-3, so a long ladder counts its
+low slots and one point above the ladder in one narrow sweep, and the
+labels of the rest hold once each root lands inside its own bracket below
+that point; otherwise every slot is counted.  Both pictures
 are solved as normal forms (an impedance problem through the Liouville map,
 see ``ode``), at the problem grid, and corrected by the integrator error of
 the zero potential under the same boundary pair (asymptotic correction:
@@ -64,6 +69,9 @@ _RTOL = 1e-12
 _CHORD = math.sqrt(_RTOL)
 _MAX_NEWTON = 16
 _MAX_REPAIR = 48
+# A ladder of more than _LOW slots takes count brackets for slots below
+# _LOW only; the zero ladder starts the others (see ``_narrow_roots``).
+_LOW = 8
 
 # Tail-growth tolerances and noise floor of ``characterize``.
 _GROWTH_TOL = 0.01
@@ -142,15 +150,17 @@ def _spectrum_floor(prob, a, b):
     return min(float(co.V.min()), float(co.Vm.min())) - m * m - 1.0
 
 
-def _solve_levels(prob, a, b, N):
+def _solve_levels(prob, a, b, N, above=None):
     """Count brackets [lo, hi] holding exactly the eigenvalue of each slot.
 
     Slot k (from 0) ends with k eigenvalues below lo and k + 1 below hi.  A
     lower bracket that counts too many moves to ``_spectrum_floor`` at once,
     and the count bisection takes it up from there.  Every count brings the
     Pruefer phase at x = 1 (``_count_below``), which is carried with its
-    bracket end to place the Newton starts (``_phase_starts``).
-    Returns (lo, hi, start).
+    bracket end to place the Newton starts (``_phase_starts``).  The first
+    count sweep takes the N + 1 bracket points, and ``above`` as one more
+    column where it is given.  Returns (lo, hi, start), followed by the
+    count below ``above`` where it is given.
     """
     regime = regime_of(a, b)
     slots = np.arange(N)
@@ -162,10 +172,11 @@ def _solve_levels(prob, a, b, N):
     mids[0] = targets[0] - 0.5 * (targets[1] - targets[0])
     mids[1:] = 0.5 * (targets[:-1] + targets[1:])
 
-    counts, theta = _count_below(prob, mids, a, b, phase=True)
+    points = mids if above is None else np.append(mids, above)
+    counts, theta = _count_below(prob, points, a, b, phase=True)
     lo, hi = mids[:-1].copy(), mids[1:].copy()
-    clo, chi = counts[:-1].copy(), counts[1:].copy()
-    tlo, thi = theta[:-1].copy(), theta[1:].copy()
+    clo, chi = counts[:N].copy(), counts[1:N + 1].copy()
+    tlo, thi = theta[:N].copy(), theta[1:N + 1].copy()
 
     gaps = np.maximum(targets[1:] - targets[:-1], 1.0)
     for _ in range(_MAX_REPAIR):
@@ -203,7 +214,8 @@ def _solve_levels(prob, a, b, N):
         hi[idx[~take_lo]] = mid[~take_lo]
         chi[idx[~take_lo]] = cm[~take_lo]
         thi[idx[~take_lo]] = tm[~take_lo]
-    return lo, hi, _phase_starts(lo, hi, tlo, thi, b)
+    levels = lo, hi, _phase_starts(lo, hi, tlo, thi, b)
+    return levels if above is None else (*levels, counts[-1])
 
 
 def _phase_starts(lo, hi, tlo, thi, b):
@@ -362,12 +374,17 @@ def _potential_gradients(prob, lam, a, b, directions, norming=True):
     The second formula holds for nu = log|y(1)| and nu = log|y'(1)| alike,
     because int y_n**2 (d p - d lam_n) = 0.  Both are unchanged when y_n is
     scaled, so y_n is the shot from the left data, or, below lam = -1 where
-    the shot of the right data grows more (the test of ``_norming``), that
-    shot read backward: a state that decays away from x = 0 leaves the
-    forward shot with the rounding of the growing solution.  With
-    ``norming`` the forward shots y_n and z_n are the two halves of one
-    trace sweep of 2N columns.  Returns (d lam, d nu) of shape (N, J); d nu
-    is None without ``norming``.
+    the shot of the right data grows more (``_reads_backward``, the test
+    of ``_norming``), that shot read backward: a state that decays away
+    from x = 0 leaves the forward shot with the rounding of the growing
+    solution.  The second is also unchanged under z_n -> z_n + c y_n, so
+    any second solution will do: a state below lam = -1 read forward grows
+    toward x = 1, as the z_n from x = 0 does, and their integrals would
+    cancel at e**(2|b|) scale, so it takes the z_n from x = 1 with a zero
+    read there, and W = -read(y_n).  With ``norming`` the forward shots y_n
+    and z_n are the two halves of one trace sweep of 2N columns, and the
+    deep states' shots from x = 1 one reflected trace sweep.  Returns
+    (d lam, d nu) of shape (N, J); d nu is None without ``norming``.
     """
     weights = _simpson_weights(prob.n)[:, None]
     lam = np.asarray(lam, dtype=float)
@@ -384,13 +401,31 @@ def _potential_gradients(prob, lam, a, b, directions, norming=True):
     wronskian = np.full(N, y0 * w0 - v0 * z0)
     deep = np.flatnonzero(lam < -1.0)
     if deep.size:
-        G, dG = _traces(co.reflected(), lam[deep], *right.data)
-        grows = np.abs(_pair(left.read, G[-1], dG[-1])) \
-            > np.abs(_pair(right.read, Y[-1, deep], W[-1, deep]))
-        deep = deep[grows]
-        Y[:, deep] = G[::-1, grows]
+        K = deep.size
+        (g0, h0), (r0, r1) = right.data, right.read
+        # The reflected sweep shoots from the right data and, with
+        # ``norming``, the second solution of every deep state from
+        # x = 1 with a zero read there: (z, z')(1) = (r1, -r0).
+        if norming:
+            G, dG = _traces(co.reflected(), np.concatenate([lam[deep]] * 2),
+                            np.repeat([g0, r1], K), np.repeat([h0, r0], K))
+        else:
+            G, dG = _traces(co.reflected(), lam[deep], g0, h0)
+        read = _pair(right.read, Y[-1, deep], W[-1, deep])
+        with np.errstate(divide="ignore"):
+            back = _reads_backward(lam[deep], np.log(np.abs(read)), -np.log(
+                np.abs(_pair(left.read, G[-1, :K], dG[-1, :K]))))
+        Y[:, deep[back]] = G[::-1, :K][:, back]
         # g(s) = y(1 - s), so y'(0) = -g'(1).
-        wronskian[deep] = G[-1, grows] * w0 + dG[-1, grows] * z0
+        wronskian[deep[back]] = G[-1, :K][back] * w0 + dG[-1, :K][back] * z0
+        if norming:
+            # A state read forward grows toward x = 1, and so does the
+            # shot z from x = 0: their integrals would cancel at that
+            # scale.  The z from x = 1 decays toward it, and at x = 1
+            # W = y z' - y' z = -read(y).
+            ahead = deep[~back]
+            Z[:, ahead] = G[::-1, K:][:, ~back]
+            wronskian[ahead] = -read[~back]
     Yw = weights * Y
     dlam = (directions @ (Yw * Y)) / np.sum(Yw * Y, axis=0)
     if not norming:
@@ -626,17 +661,25 @@ def _zero_correction(n, a, b, N):
                       log_dw[:N] - log_dw_h)
 
 
-def _deep_read(lam, forward, backward, R):
-    """nu from the end each state grows toward: ``backward`` + 2 log R below
-    lam = -1 where backward + forward < 0, else ``forward``.
+def _reads_backward(lam, forward, backward):
+    """The states read from the right end: below lam = -1 where
+    backward + forward < 0, the shot from the right data growing more.
 
     ``forward`` is log|read of b| at x = 1 of the shot from the left data,
-    ``backward`` -log|read of a| at x = 0 of that from the right data.  RK4
-    does not keep the Wronskian: over n cells of the zero problem a
+    ``backward`` -log|read of a| at x = 0 of that from the right data.
+    """
+    return (lam < -1.0) & (backward + forward < 0.0)
+
+
+def _deep_read(lam, forward, backward, R):
+    """nu from the end each state grows toward: ``backward`` + 2 log R where
+    ``_reads_backward``, else ``forward``.
+
+    RK4 does not keep the Wronskian: over n cells of the zero problem a
     backward read falls short by 2 log R (``_discrete_transfer``).
     """
-    take = (lam < -1.0) & (backward + forward < 0.0)
-    return np.where(take, backward + 2.0 * np.log(R), forward)
+    return np.where(_reads_backward(lam, forward, backward),
+                    backward + 2.0 * np.log(R), forward)
 
 
 def _norming(prob, lam, a, b, forward):
@@ -665,24 +708,69 @@ def _norming(prob, lam, a, b, forward):
     return nu
 
 
+def _narrow_roots(prob, a, b, N, polish):
+    """Roots of N > _LOW slots after one count sweep of _LOW + 2 columns, or
+    None where that sweep cannot prove their labels.
+
+    Slots below _LOW take the brackets and phase starts of ``_solve_levels``
+    for a ladder of _LOW slots.  Slot k above starts at s_k, the zero
+    problem's discrete eigenvalue (``_exact_ladder`` less
+    ``_zero_correction``) shifted by the mean of V: lam_k = lam0_k + int V
+    + l2 (Poeschel & Trubowitz, Inverse Spectral Theory, 1987), so it lands
+    within a few 1e-3.  Its bracket runs halfway to the neighbouring starts,
+    the lowest from hi[_LOW - 1], below which the count is _LOW, the highest
+    to t, halfway between s_{N-1} and s_N, which the same sweep counts.
+    With N eigenvalues below t, N - _LOW roots found strictly inside those
+    disjoint brackets are every eigenvalue in between, in order.  A count
+    at t other than N, a start or a root not strictly inside its bracket,
+    or a ``BracketError`` gives None.  ``polish(lo, hi, start)`` is the
+    Newton polish of ``_pipeline``; its (lam, forward) are returned.
+    """
+    high = slice(_LOW, None)
+    try:
+        dlam = _zero_correction(prob.n, a, b, N + 1)[0]
+        s = _exact_ladder(a, b, N + 1)[0][high] \
+            + (prob.coefficient_mean() - dlam)[high]
+        edges = 0.5 * (s[:-1] + s[1:])
+        lo, hi, start, count = _solve_levels(prob, a, b, _LOW, edges[-1])
+        lo = np.concatenate([lo, hi[-1:], edges[:-1]])
+        hi = np.concatenate([hi, edges])
+        if count != N or not np.all((s[:-1] > lo[high]) & (s[:-1] < hi[high])):
+            return None
+        lam, forward = polish(lo, hi, np.concatenate([start, s[:-1]]))
+    except BracketError:
+        return None
+    if np.all((lam[high] > lo[high]) & (lam[high] < hi[high])):
+        return lam, forward
+    return None
+
+
 def _pipeline(prob, a, b, N, *, _guess=None):
     """Eigenvalues and norming constants by slot.
 
     One grid level plus the zero-potential correction: Newton from the
     phase-matched starts of ``_solve_levels``, whose last sweep at each root
-    gives its forward norming read for ``_norming``.  ``_guess`` predicts
-    the corrected eigenvalues; less the correction it replaces the phase
-    start of each slot where it lies strictly inside that slot's count
-    bracket, so a guess cannot change a label, only the rounds Newton
-    takes.
+    gives its forward norming read for ``_norming``.  A ladder of more than
+    _LOW slots first takes ``_narrow_roots``, which counts brackets for the
+    low slots alone and starts the others from the zero ladder; where it
+    cannot prove the labels, the counted path runs.  ``_guess`` predicts
+    the corrected eigenvalues; less the correction it replaces the start of
+    each slot where it lies strictly inside that slot's bracket, so a guess
+    cannot change a label, only the rounds Newton takes.
     """
-    lo, hi, start = _solve_levels(prob, a, b, N)
     dlam, dnorm, _ = _zero_correction(prob.n, a, b, N)
-    if _guess is not None:
-        raw = np.asarray(_guess, dtype=float) - dlam
-        start = np.where((raw > lo) & (raw < hi), raw, start)
     char, value = _problem_char(prob, a, b)
-    lam, forward = _newton_polish(char, start, lo, hi, value)
+
+    def polish(lo, hi, start):
+        if _guess is not None:
+            raw = np.asarray(_guess, dtype=float) - dlam
+            start = np.where((raw > lo) & (raw < hi), raw, start)
+        return _newton_polish(char, start, lo, hi, value)
+
+    roots = _narrow_roots(prob, a, b, N, polish) if N > _LOW else None
+    if roots is None:
+        roots = polish(*_solve_levels(prob, a, b, N))
+    lam, forward = roots
     return lam + dlam, _norming(prob, lam, a, b, forward) + dnorm
 
 
@@ -698,8 +786,11 @@ def solve_spectrum(prob, a: float, b: float, N: int, *,
     """Eigenvalues plus norming constants, packaged with their remainders.
 
     One grid level plus the zero-potential correction (``_pipeline``), for
-    every boundary pair.  The private ``_guess`` reaches ``_pipeline``: a
-    predicted ladder for the Newton starts.
+    every boundary pair.  A ladder of at most _LOW = 8 slots is counted in
+    full; a longer one counts its low slots and one point above the ladder,
+    and is counted in full only where that cannot prove its labels.  The
+    private ``_guess`` reaches ``_pipeline``: a predicted ladder for the
+    Newton starts.
     """
     lam, norming = _pipeline(prob, a, b, N, _guess=_guess)
     _require_finite(norming)

@@ -437,6 +437,19 @@ class TestPotentialFits:
         assert report.converged
         assert l2_norm(report.potential.f - p_star.f) < 1e-4
 
+    @pytest.mark.parametrize("a,b", [(3.0, -20.0), (INF, -50.0)])
+    def test_deep_robin_right_end_fit(self, a, b):
+        # The state near -b**2 grows toward x = 1; with the second solution
+        # shot from x = 0 its norming gradient was off by 1e-2 and both fits
+        # stagnated.  Measured: 3 steps each.
+        p_star = Potential.from_callable(
+            lambda x: 0.4 * math.sqrt(2) * np.cos(2 * np.pi * x)
+            + 0.2 * math.sqrt(2) * np.sin(4 * np.pi * x), 1024)
+        data = solve_spectrum(SchrodingerProblem(p_star), a, b, 3)
+        report = fit_potential_detailed(FitTarget.from_spectral_data(data))
+        assert report.converged
+        assert l2_norm(report.potential.f - p_star.f) < 1e-4
+
     def test_identifiability_of_targets(self):
         _, target = self.symmetric_target(N=4)
         base = fit_potential(target)
@@ -658,15 +671,18 @@ class TestWarmStarts:
             <= 1e-10 * scale
         assert np.max(np.abs(warm_values - cold_values)) <= 1e-11
 
-    @pytest.mark.parametrize("a,b", [(INF, INF), (INF, 1.0), (1.0, -0.5)])
+    @pytest.mark.parametrize("a,b,N", [
+        pytest.param(a, b, N, id=f"{a}-{b}" + ("" if N == 6 else f"-N{N}"))
+        for N in (6, 16) for a, b in ((INF, INF), (INF, 1.0), (1.0, -0.5))])
     @pytest.mark.parametrize("kind", ["shifted", "reversed", "nan", "outside"])
-    def test_bad_guess_keeps_labels(self, kind, a, b):
-        # A guess replaces a phase start only inside that slot's count
-        # bracket, so a wrong guess can cost rounds but never move a root.
+    def test_bad_guess_keeps_labels(self, kind, a, b, N):
+        # A guess replaces a start only inside that slot's bracket, so a
+        # wrong guess can cost rounds but never move a root.  At N = 16 the
+        # slots above spectral._LOW take zero-ladder brackets, whose labels
+        # the count above the ladder and the converged roots prove.
         prob = SchrodingerProblem(Potential.from_callable(
             lambda x: 2.0 * np.cos(2 * np.pi * x) - np.sin(4 * np.pi * x),
             1024))
-        N = 6
         cold = solve_spectrum(prob, a, b, N)
         guess = {
             "shifted": solve_spectrum(prob, a, b, N + 1).eigenvalues[1:],

@@ -334,6 +334,22 @@ class TestBlockedScan:
         assert ref is not None
         assert_sweeps_agree(got, ref, lam)
 
+    @pytest.mark.parametrize("n", [16, 256, 257, 1024])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_column_does_not_depend_on_its_batch(self, mode, n):
+        # Alone, a column's state meets one top product of the tree where
+        # n <= 256, a lone matrix that np.matmul would hand to BLAS, whose
+        # fused rounding differs once the start (1, a) is inexact to
+        # multiply: the Newton path of a root then changed with the roots
+        # it was batched with.
+        co = coefficient_cases(n)["undamped"]
+        lam = np.linspace(-30.0, 2000.0, 8)
+        batch = _sweep(co, lam, 1.0, 3.0, **MODES[mode])
+        for k in range(lam.size):
+            alone = _sweep(co, lam[k:k + 1], 1.0, 3.0, **MODES[mode])
+            for key, value in alone.items():
+                assert np.array_equal(value[..., 0], batch[key][..., k]), key
+
     @pytest.mark.parametrize("damping", sorted(CASES))
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("mode", sorted(MODES))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from liouville import (INF, BracketError, ConditionU, FitTarget, GridFunction,
                        unperturbed_eigenvalues, unperturbed_norming,
                        wronskian)
 from liouville import ode, spectral
+from liouville.grid import trig_basis
 from liouville.spectral import _potential_gradients
 from oracles import bisect_level, cell_power_transfer, damped_spectrum, \
     dirichlet_exact, mixed_exact, oracle_eigenvalues, richardson_spectrum, \
@@ -378,6 +380,29 @@ class TestPotentialGradients:
         _potential_gradients(prob, lam, a, 1.0, np.ones((1, N_GRID + 1)))
         assert modes == [True]
 
+    @pytest.mark.parametrize("b", [-12.0, -16.0, -20.0, -30.0])
+    def test_deep_right_state_against_central_differences(self, b):
+        # The state near -b**2 grows toward x = 1, and so does the second
+        # solution shot from x = 0: int z y would cancel at e**(2|b|) scale
+        # (off by 2e-5 at b = -16 and 2e-2 at b = -30).  The z shot from
+        # x = 1 decays toward it.  Measured: 5e-11 to 7.2e-10.
+        x = np.linspace(0.0, 1.0, 1025)
+        p = math.sqrt(2.0) * (0.4 * np.cos(2 * np.pi * x)
+                              + 0.2 * np.sin(4 * np.pi * x))
+        phi = math.sqrt(2.0) * np.cos(4 * np.pi * x)
+
+        def solve(f):
+            return solve_spectrum(SchrodingerProblem(Potential(
+                GridFunction(f))), 3.0, b, 3)
+
+        data = solve(p)
+        _, dnu = _potential_gradients(
+            SchrodingerProblem(Potential(GridFunction(p))), data.eigenvalues,
+            3.0, b, phi[None, :])
+        h = 1e-4
+        fd = (solve(p + h * phi).norming - solve(p - h * phi).norming) / (2 * h)
+        assert np.max(np.abs(dnu[:, 0] - fd)) < 1e-8
+
 
 SPECTRA_CASES = [(cfg, a, b) for cfg in ("zero", "exp")
                  for a, b in ((INF, INF), (INF, 1.0), (1.0, -0.5))]
@@ -503,8 +528,10 @@ class TestRootFinder:
                                   count[root] + 1)
 
     def test_sweep_budget(self, monkeypatch):
-        # One count sweep places brackets and phase-matched starts; Newton
-        # then takes one full-width derivative round.  A root whose step
+        # One count sweep of _LOW + 2 columns places the brackets and
+        # phase-matched starts of the low slots and counts below the top
+        # bracket; the zero ladder starts the others.  Newton then takes
+        # one full-width derivative round.  A root whose step
         # was already small takes chord rounds, each an endpoint sweep at a
         # lam within _CHORD of one that a derivative sweep evaluated, and
         # the last evaluation at each root gives its norming constant.
@@ -531,7 +558,8 @@ class TestRootFinder:
         monkeypatch.setattr(spectral, "_newton_polish", polishing)
         solve_spectrum(prob, INF, INF, 64)
         modes = [mode for mode, _, _ in calls]
-        assert modes.count("count") == 1
+        assert [lam.size for mode, lam, _ in calls if mode == "count"] \
+            == [spectral._LOW + 2]
         assert modes.count("trace") == 0
         assert sum(1 for mode, lam, _ in calls
                    if mode == "deriv" and lam.size == 64) == 1
@@ -558,6 +586,73 @@ class TestRootFinder:
         monkeypatch.setattr(spectral, "_endpoint_w", flat)
         with pytest.raises(BracketError, match="unconverged"):
             compute_eigenvalues(SIN2PI_PROB, INF, 1.0, 8)
+
+
+# Pairs of the narrow-count checks: every regime, a deep right end, a deep
+# left end and two deep ends.
+NARROW_PAIRS = [(INF, INF), (INF, 1.0), (1.0, -0.5), (-20.0, 3.0),
+                (INF, -50.0), (-12.0, -12.0)]
+
+
+def counted(prob, a, b, N):
+    """The spectrum with every slot count-bracketed."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "_LOW", N)
+        return solve_spectrum(prob, a, b, N)
+
+
+class TestNarrowCount:
+    """Ladders above _LOW slots start from the zero ladder, not a count."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+           amplitude=st.floats(0.0, 300.0),
+           pair=st.sampled_from(NARROW_PAIRS),
+           N=st.sampled_from([9, 16, 64]), n=st.sampled_from([256, 1024]))
+    def test_matches_counted_path(self, coeffs, amplitude, pair, N, n):
+        # The slots agree far inside their gaps, so the labels are the
+        # same; slots below _LOW take the same brackets, starts and Newton
+        # path.  Where the counted path raises, so does the narrow one,
+        # which falls back to it.
+        p = np.asarray(coeffs) @ trig_basis("cosine", 6, n)
+        p *= amplitude / max(np.max(np.abs(p)), 1e-300)
+        prob = SchrodingerProblem(Potential(GridFunction(p)))
+        a, b = pair
+        try:
+            want = counted(prob, a, b, N)
+        except BracketError as err:
+            with pytest.raises(BracketError, match=re.escape(str(err))):
+                solve_spectrum(prob, a, b, N)
+            return
+        got = solve_spectrum(prob, a, b, N)
+        lam = want.eigenvalues
+        assert np.all(np.abs(got.eigenvalues - lam)
+                      <= 1e-12 * np.maximum(1.0, np.abs(lam)))
+        low = slice(0, spectral._LOW)
+        assert np.array_equal(got.eigenvalues[low], lam[low])
+        assert np.array_equal(got.norming[low], want.norming[low])
+
+    def test_resonant_potential_takes_full_count(self, monkeypatch):
+        # 300 sqrt(2) cos(24 pi x) opens a wide gap at slot 12 and moves
+        # slots 11 and 12 most of a gap off the zero ladder, out of their
+        # brackets: the ladder is counted in full, as at N <= _LOW.
+        n, N = 2048, 64
+        prob = SchrodingerProblem(Potential(GridFunction(
+            300.0 * trig_basis("cosine", 24, n)[23])))
+        want = counted(prob, 1.0, -0.5, N)
+        count_below = spectral._count_below
+        columns = []
+
+        def spy(prob, lam, *args, **kwargs):
+            columns.append(np.size(lam))
+            return count_below(prob, lam, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_count_below", spy)
+        got = solve_spectrum(prob, 1.0, -0.5, N)
+        assert columns[0] == spectral._LOW + 2
+        assert N + 1 in columns
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.norming, want.norming)
 
 
 class TestBatchedCarry:
