@@ -150,9 +150,8 @@ class _GalerkinMap:
         J = self.project_derivative + (self.project * g) @ self.sines.T
         mean = self.sines @ (self.weights * g)
         if self.sine_integrals is not None:
-            Q = cumulative_integral(q.f.values)
-            self.cfg.validate(float(np.max(np.abs(Q))))
-            d = self.cfg.u2.derivative(Q)
+            self.cfg.validate(q.Q_sup)
+            d = self.cfg.u2.derivative(q.Q)
             J += (self.project * d) @ self.sine_integrals.T
             mean += self.sine_integrals @ (self.weights * d)
         return J - np.outer(self.project_mean, mean)

@@ -254,7 +254,11 @@ def _newton_polish(char, lam, lo, hi, value=None):
     characteristic value is positive below the spectrum and changes sign at
     each simple eigenvalue, so in slot k it has the sign (-1)**k below the
     root; each evaluation shrinks the bracket by that sign, and a step that
-    would leave the bracket takes its midpoint.  A root stops once its
+    would leave the bracket takes its midpoint.  So does a step longer than
+    half the root's last Newton step, the safeguard of rtsafe (Press et
+    al., Numerical Recipes, sec. 9.4): a start far from the root would
+    otherwise crawl to it in steps that shrink too slowly.  A step after a
+    midpoint has no last step to compare with.  A root stops once its
     Newton step is within the tolerance, taken or not, at the step's end
     clipped to the bracket: a bracket can collapse to one ulp while the
     step is still finite.
@@ -264,8 +268,8 @@ def _newton_polish(char, lam, lo, hi, value=None):
     evaluation x by the same step: g(x) + dg(x) (lam - x).
 
     Such a char may come with ``value``, which returns the values, their
-    log scale and g, without derivatives.  A root whose last step landed
-    inside its bracket and within ``_CHORD`` then takes chord rounds
+    log scale and g, without derivatives.  A root whose last Newton step
+    landed inside its bracket and within ``_CHORD`` then takes chord rounds
     (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
     sec. 5.4): ``value`` evaluates it, and its last dw, carried to the new
     scale, and its last dg are reused.  Such a round costs an endpoint
@@ -278,6 +282,8 @@ def _newton_polish(char, lam, lo, hi, value=None):
     # Each root's last evaluation: w, dw, their log scale, g and dg.
     w, dw, scale, g, dg = np.zeros((5, lam.size))
     chord = np.zeros(lam.size, dtype=bool)
+    # Each root's last Newton step; inf where it has none to compare with.
+    last = np.full(lam.size, np.inf)
     for _ in range(_MAX_NEWTON):
         fresh, held = live[~chord[live]], live[chord[live]]
         if fresh.size:
@@ -299,11 +305,13 @@ def _newton_polish(char, lam, lo, hi, value=None):
         reach = np.maximum(1.0, np.abs(x))
         done = np.abs(step) <= _RTOL * reach
         inside = (trial > low) & (trial < high)
-        lam[live] = np.where(inside | done, np.clip(trial, low, high),
+        newton = inside & (np.abs(step) <= 0.5 * last[live])
+        lam[live] = np.where(newton | done, np.clip(trial, low, high),
                              0.5 * (low + high))
+        last[live] = np.where(newton, np.abs(step), np.inf)
         g[live] += dg[live] * (lam[live] - x)
         if value is not None:
-            chord[live] = inside & (np.abs(step) <= _CHORD * reach)
+            chord[live] = newton & (np.abs(step) <= _CHORD * reach)
         live = live[~done]
         if live.size == 0:
             return (lam, g) if carry else lam

@@ -10,12 +10,19 @@ where Q(x) = int_0^x q.  The profile must satisfy a monotone-decay condition:
 u2' <= 0 on the operating range of Q.  This module builds the map, its
 Frechet derivative, and a report of the norm identities and bounds relating
 p to q.
+
+Each :class:`Impedance` derives its arrays once: q' when it is built (its
+finite-norm check needs it) and Q with its sup on first use, where the
+exp-range guard is applied.  Every reader of q' or Q shares those read-only
+arrays, and the map works on plain arrays: it wraps only its output and
+never forms the weight rho = exp(Q), which ``build_rho`` alone computes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -185,16 +192,44 @@ class ConditionU:
 
 @dataclass(frozen=True, eq=False)
 class Impedance:
-    """Slope q of a log-impedance: q(0) = q(1) = 0 with q' in L2."""
+    """Slope q of a log-impedance: q(0) = q(1) = 0 with q' in L2.
+
+    ``dq`` holds q' on the same grid, and ``Q`` the accumulated
+    log-impedance int_0^x q with its sup ``Q_sup``; all are read-only.
+    """
 
     f: GridFunction
+    dq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = self.f.values
         if abs(v[0]) > ENDPOINT_TOL or abs(v[-1]) > ENDPOINT_TOL:
             raise ValueError("impedance slope must vanish at both endpoints")
-        if not math.isfinite(l2_norm(differentiate(self.f))):
+        dq = differentiate(self.f)
+        if not math.isfinite(l2_norm(dq)):
             raise ValueError("impedance slope must have finite derivative norm")
+        object.__setattr__(self, "dq", dq.values)
+
+    @cached_property
+    def _log_profile(self) -> tuple:
+        # Built on first use, not at construction: a slope whose Q leaves
+        # the exp range is still a slope, and only the readers of Q refuse it.
+        Q = cumulative_integral(self.f.values)
+        peak = float(np.max(np.abs(Q)))
+        if peak > LOG_RANGE_LIMIT:
+            raise RangeError(f"accumulated log-impedance reaches {peak:.3g}")
+        Q.flags.writeable = False
+        return Q, peak
+
+    @property
+    def Q(self) -> np.ndarray:
+        """Q = int_0^x q; raises RangeError when sup|Q| > LOG_RANGE_LIMIT."""
+        return self._log_profile[0]
+
+    @property
+    def Q_sup(self) -> float:
+        """sup|Q|, under the same guard as ``Q``."""
+        return self._log_profile[1]
 
     @property
     def n(self) -> int:
@@ -239,24 +274,24 @@ class ImpedanceProfile:
 
 def build_rho(q: Impedance) -> ImpedanceProfile:
     """Accumulate Q = int_0^x q and exponentiate, guarding the exp range."""
-    Q = cumulative_integral(q.f)
-    peak = sup_norm(Q)
-    if peak > LOG_RANGE_LIMIT:
-        raise RangeError(f"accumulated log-impedance reaches {peak:.3g}")
-    return ImpedanceProfile(Q=Q, rho=GridFunction(np.exp(Q.values)))
+    return ImpedanceProfile(Q=GridFunction(q.Q), rho=GridFunction(np.exp(q.Q)))
+
+
+def _u_values(q: Impedance, cfg: ConditionU) -> np.ndarray:
+    """Node values of u1(q) + u2(Q), after the range and decay checks."""
+    cfg.validate(q.Q_sup)
+    return cfg.u1_value(q.f.values) + cfg.u2.value(q.Q)
 
 
 def evaluate_u(q: Impedance, cfg: ConditionU) -> GridFunction:
     """Pointwise perturbation u1(q) + u2(Q), after checking the decay condition."""
-    profile = build_rho(q)
-    cfg.validate(sup_norm(profile.Q))
-    return GridFunction(cfg.u1_value(q.f.values) + cfg.u2.value(profile.Q.values))
+    return GridFunction(_u_values(q, cfg))
 
 
 def compute_c0(q: Impedance, cfg: ConditionU) -> float:
     """Spectral shift c0 = ||q||**2 + int_0^1 u."""
-    u = evaluate_u(q, cfg)
-    return inner_product(q.f, q.f) + integral(u)
+    u = _u_values(q, cfg)
+    return inner_product(q.f, q.f) + float(_simpson_weights(q.n) @ u)
 
 
 def forward_transform(q: Impedance, cfg: ConditionU | None = None) -> Potential:
@@ -268,9 +303,10 @@ def forward_transform(q: Impedance, cfg: ConditionU | None = None) -> Potential:
     """
     if cfg is None:
         cfg = ConditionU.zero()
-    u = evaluate_u(q, cfg)
-    raw = differentiate(q.f) + q.f * q.f + u
-    return Potential(raw - integral(raw))
+    u = _u_values(q, cfg)
+    v = q.f.values
+    raw = q.dq + v * v + u
+    return Potential(GridFunction(raw - float(_simpson_weights(q.n) @ raw)))
 
 
 def frechet_apply(q: Impedance, cfg: ConditionU, f):
@@ -286,13 +322,12 @@ def frechet_apply(q: Impedance, cfg: ConditionU, f):
         raise ValueError("direction must vanish at both endpoints")
     if rows.shape[-1] != q.n + 1:
         raise ValueError("direction and slope live on different grids")
-    profile = build_rho(q)
-    cfg.validate(sup_norm(profile.Q))
+    cfg.validate(q.Q_sup)
     bulk = 2.0 * (q.f.values * rows) + cfg.u1_derivative(q.f.values) * rows
     # u2'(Q) is identically zero for the zero term, so the running integral
     # of the directions is needed only for the other two kinds.
     if cfg.u2.kind != "zero":
-        bulk = bulk + cfg.u2.derivative(profile.Q.values) * cumulative_integral(rows)
+        bulk = bulk + cfg.u2.derivative(q.Q) * cumulative_integral(rows)
     out = differentiate(rows) + bulk - (bulk @ _simpson_weights(q.n))[..., None]
     return GridFunction(out) if isinstance(f, GridFunction) else out
 
@@ -418,16 +453,14 @@ def estimate_suite(q: Impedance, cfg: ConditionU | None = None) -> EstimateRepor
     if calibrated:
         cfg = calibrate_bounds(cfg, [q])
 
-    dq = differentiate(q.f)
+    dq = GridFunction(q.dq)
     qq = q.f * q.f
-    profile = build_rho(q)
-    cfg.validate(sup_norm(profile.Q))
-    u = GridFunction(cfg.u1_value(q.f.values) + cfg.u2.value(profile.Q.values))
+    u = evaluate_u(q, cfg)
     c0 = inner_product(q.f, q.f) + integral(u)
     p = dq + qq + u - c0
     h = qq + u - c0
-    u2Q = GridFunction(cfg.u2.value(profile.Q.values))
-    du2Q = GridFunction(cfg.u2.derivative(profile.Q.values))
+    u2Q = GridFunction(cfg.u2.value(q.Q))
+    du2Q = GridFunction(cfg.u2.derivative(q.Q))
     u1q = GridFunction(cfg.u1_value(q.f.values))
 
     norm_p = l2_norm(p)
@@ -460,7 +493,7 @@ def estimate_suite(q: Impedance, cfg: ConditionU | None = None) -> EstimateRepor
     bound("pe1_lower", norm_dq ** 2 + norm_h ** 2, norm_p ** 2)
     bound("pu2_decay",
           l2_norm(u2Q - float(cfg.u2.value(0.0))),
-          sup_norm(profile.Q) * f2)
+          q.Q_sup * f2)
     bound("pu2_local",
           l2_norm(u1q - float(cfg.u1_value(0.0))),
           sup_norm(q.f) * f1)

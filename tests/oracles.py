@@ -14,8 +14,10 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from liouville import (BracketError, GridFunction, Impedance, IntegrationError,
-                       ImpedanceProblem, SchrodingerProblem, build_rho,
-                       frechet_apply, resample)
+                       ImpedanceProblem, Potential, RangeError,
+                       SchrodingerProblem, build_rho, cumulative_integral,
+                       differentiate, frechet_apply, inner_product, integral,
+                       resample, sup_norm)
 from liouville.grid import _simpson_weights
 from liouville.ode import (_count_below, _endpoint_w, _matmul, _nodes,
                            _quadratic_steps, resample_potential)
@@ -23,6 +25,7 @@ from liouville.spectral import (_endpoint_quantities, _newton_polish,
                                 _problem_char, _solve_levels, _traces,
                                 boundary_shift, regime_of,
                                 unperturbed_eigenvalues)
+from liouville.transform import LOG_RANGE_LIMIT
 
 INF = math.inf
 
@@ -478,6 +481,38 @@ def spline_resample(f: GridFunction, n: int) -> GridFunction:
 
     spline = make_interp_spline(f.x, f.values, k=5)
     return GridFunction(spline(np.linspace(0.0, 1.0, n + 1)))
+
+
+# The forward map as it was composed before it ran on arrays: every step a
+# GridFunction and Q integrated afresh by each reader.  Kept as the
+# reference the array path must match bit for bit.
+
+def _composed_Q(q, cfg):
+    Q = cumulative_integral(q.f)
+    peak = sup_norm(Q)
+    if peak > LOG_RANGE_LIMIT:
+        raise RangeError(f"accumulated log-impedance reaches {peak:.3g}")
+    cfg.validate(peak)
+    return Q
+
+
+def composed_forward_transform(q, cfg):
+    """(u, c0, p) of the map at q, composed from GridFunction operations."""
+    Q = _composed_Q(q, cfg)
+    u = GridFunction(cfg.u1_value(q.f.values) + cfg.u2.value(Q.values))
+    c0 = inner_product(q.f, q.f) + integral(u)
+    raw = differentiate(q.f) + q.f * q.f + u
+    return u, c0, Potential(raw - integral(raw))
+
+
+def composed_frechet_apply(q, cfg, rows):
+    """The derivative rows of the map at q along ``rows``, composed the same
+    way."""
+    Q = _composed_Q(q, cfg)
+    bulk = 2.0 * (q.f.values * rows) + cfg.u1_derivative(q.f.values) * rows
+    if cfg.u2.kind != "zero":
+        bulk = bulk + cfg.u2.derivative(Q.values) * cumulative_integral(rows)
+    return differentiate(rows) + bulk - (bulk @ _simpson_weights(q.n))[..., None]
 
 
 # The Galerkin Jacobian as K one-direction derivative calls, the column loop

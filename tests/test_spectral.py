@@ -338,6 +338,12 @@ class TestCharacterize:
         assert not report.passed
 
 
+# Pairs of the reflection checks: each regime, deep ends on either side,
+# two deep ends and a symmetric deep pair.
+REFLECTION_PAIRS = [(INF, INF), (1.0, -0.5), (-6.0, 1.0), (-20.0, 3.0),
+                    (1.0, -50.0), (-12.0, -12.0), (-50.0, -20.0)]
+
+
 class TestPotentialGradients:
     @pytest.mark.parametrize("a,b", [(INF, INF), (INF, 1.0), (-0.7, 2.0)])
     def test_constant_shift_moves_only_eigenvalues(self, a, b):
@@ -402,6 +408,45 @@ class TestPotentialGradients:
         h = 1e-4
         fd = (solve(p + h * phi).norming - solve(p - h * phi).norming) / (2 * h)
         assert np.max(np.abs(dnu[:, 0] - fd)) < 1e-8
+
+    @settings(max_examples=30, deadline=None)
+    @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+           size=st.floats(0.0, 4.0), pair=st.sampled_from(REFLECTION_PAIRS))
+    @example(coeffs=[0.0, 0.6, 0.0, -0.5, 0.0, 0.3], size=1.0,
+             pair=(-12.0, -12.0))
+    def test_reflection(self, coeffs, size, pair):
+        # p(1 - x) under (b, a) has the eigenvalues of p under (a, b) and
+        # nu of the other sign; along the reflected directions d lam is the
+        # same and d nu changes sign.  Deep states are read from opposite
+        # ends on the two sides.  Each slot's differences are scaled by
+        # max(1, |lam|), which the discretization error grows with, and d nu
+        # also by its row's size, which a near-symmetric deep pair such as
+        # the even example at (-12, -12) makes large.  Worst of 2600 draws,
+        # in the order of the asserts: 1.2e-14, 4.7e-12, 4.0e-11, 5.0e-13.
+        n, N = 1024, 4
+        c = np.asarray(coeffs)
+        if c.any():
+            c = c / np.max(np.abs(c))
+            c *= size / np.linalg.norm(c)
+        p = c @ trig_basis("cosine", 6, n)
+        phi = np.concatenate([trig_basis("cosine", 6, n),
+                              trig_basis("sine", 6, n)])
+        a, b = pair
+
+        def solve(p, a, b, phi):
+            prob = SchrodingerProblem(Potential(GridFunction(p)))
+            data = solve_spectrum(prob, a, b, N)
+            return (data.eigenvalues, data.norming,
+                    *_potential_gradients(prob, data.eigenvalues, a, b, phi))
+
+        lam, nu, dlam, dnu = solve(p, a, b, phi)
+        lam_r, nu_r, dlam_r, dnu_r = solve(p[::-1], b, a, phi[:, ::-1])
+        scale = np.maximum(1.0, np.abs(lam))
+        assert np.all(np.abs(lam_r - lam) <= 3.6e-14 * scale)
+        assert np.all(np.abs(nu_r + nu) <= 1.4e-9 * scale)
+        assert np.all(np.abs(dlam_r - dlam) <= 2.3e-10 * scale[:, None])
+        row = scale * np.maximum(1.0, np.max(np.abs(dnu), axis=1))
+        assert np.all(np.abs(dnu_r + dnu) <= 4.5e-11 * row[:, None])
 
 
 SPECTRA_CASES = [(cfg, a, b) for cfg in ("zero", "exp")
@@ -1086,6 +1131,25 @@ class TestDeepRobinEnds:
         lam = solve_spectrum(prob, a, b, 8).eigenvalues
         ref = oracle_eigenvalues(pv, 8, b=b, a=a)
         assert np.max(np.abs(lam - ref) / np.abs(ref)) < 1e-8
+
+    @pytest.mark.parametrize("A", [150.0, 169.0, 200.0, 300.0])
+    def test_steep_potential_under_deep_right_end(self, A):
+        # Slot 1 starts about 500 below its root, where Newton crawls in
+        # steps that halve too slowly (40, then 20, ...) and used to run out
+        # of rounds; a step longer than half the last one now takes the
+        # bracket midpoint.  Measured against the finite differences:
+        # 1.7e-9 to 2.4e-8; nu against 8192 cells: 5.2e-7 to 1.1e-6.
+        def pv(x):
+            return A * math.sqrt(2.0) * np.cos(3.0 * np.pi * x)
+
+        def solve(n):
+            prob = SchrodingerProblem(Potential.from_callable(pv, n))
+            return solve_spectrum(prob, INF, -50.0, 9)
+
+        data, fine = solve(1024), solve(8192)
+        ref = oracle_eigenvalues(pv, 9, b=-50.0)
+        assert np.max(np.abs(data.eigenvalues - ref) / np.abs(ref)) < 1e-7
+        assert np.max(np.abs(data.norming - fine.norming)) < 1e-5
 
 
 def benchmark_slope(seed, i):

@@ -13,7 +13,8 @@ from liouville import (ConditionError, ConditionU, DecayTerm, GridFunction,
                        estimate_suite, evaluate_u, forward_transform,
                        frechet_apply, inner_product, integral, l2_norm,
                        sup_norm, symmetry_defect, trig_basis)
-from oracles import SIN2PI_NORM_SQ, sin2pi_potential
+from oracles import (SIN2PI_NORM_SQ, composed_forward_transform,
+                     composed_frechet_apply, sin2pi_potential)
 
 
 def imp(fn, n=2048):
@@ -132,6 +133,81 @@ class TestForwardMap:
         cfg = ConditionU.exponential(E, beta)
         p = forward_transform(q, cfg)
         assert abs(integral(p.f)) < 1e-12
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+MAP_CONFIGS = {
+    "zero": ConditionU.zero(),
+    "exp": ConditionU.exponential(0.5, 1.0, u1=(0.0, 0.2, 0.1)),
+    "poly": ConditionU(u1=(0.1, -0.3),
+                       u2=DecayTerm("poly", coeffs=(0.2, -0.3, 0.0, -0.1))),
+}
+RUNAWAY = (lambda x: 2000.0 * np.sin(np.pi * x), ConditionU.zero(), RangeError)
+INCREASING = (lambda x: np.sin(2 * np.pi * x),
+              ConditionU(u2=DecayTerm("poly", coeffs=(0.0, 1.0))),
+              ConditionError)
+
+
+class TestArrayMap:
+    """The array-level map against its GridFunction composition."""
+
+    @pytest.mark.parametrize("kind", sorted(MAP_CONFIGS))
+    @pytest.mark.parametrize("n", [16, 17, 256, 2048])
+    def test_bit_identical_to_composed_map(self, n, kind):
+        cfg = MAP_CONFIGS[kind]
+        q = sine_combo([0.9, -0.5, 0.7, 0.2, -0.3, 0.1], n)
+        u, c0, p = composed_forward_transform(q, cfg)
+        assert bits(forward_transform(q, cfg).f.values) == bits(p.f.values)
+        assert bits(evaluate_u(q, cfg).values) == bits(u.values)
+        assert compute_c0(q, cfg) == c0
+        rows = trig_basis("sine", 5, n)
+        assert bits(frechet_apply(q, cfg, rows)) == bits(
+            composed_frechet_apply(q, cfg, rows))
+        assert bits(frechet_apply(q, cfg, GridFunction(rows[2])).values) == bits(
+            composed_frechet_apply(q, cfg, rows[2]))
+
+    def test_default_condition_is_zero(self):
+        q = sine_combo([0.4, -0.2], 256)
+        assert bits(forward_transform(q).f.values) == bits(
+            composed_forward_transform(q, ConditionU.zero())[2].f.values)
+
+    @pytest.mark.parametrize("case", [RUNAWAY, INCREASING],
+                             ids=["range", "condition"])
+    @pytest.mark.parametrize("call", [
+        lambda q, cfg: forward_transform(q, cfg),
+        lambda q, cfg: evaluate_u(q, cfg),
+        lambda q, cfg: compute_c0(q, cfg),
+        lambda q, cfg: frechet_apply(q, cfg, trig_basis("sine", 3, q.n)),
+    ], ids=["forward", "u", "c0", "frechet"])
+    def test_guards_still_raise(self, call, case):
+        fn, cfg, error = case
+        q = imp(fn, 256)
+        for _ in range(2):
+            with pytest.raises(error):
+                call(q, cfg)
+
+    def test_construction_past_the_range_limit(self):
+        q = imp(RUNAWAY[0], 256)
+        with pytest.raises(RangeError, match="accumulated log-impedance"):
+            q.Q
+        with pytest.raises(RangeError):
+            q.Q_sup
+        with pytest.raises(RangeError):
+            build_rho(q)
+
+    def test_derived_arrays_are_read_only_and_shared(self):
+        q = TWO_MODE
+        assert bits(q.dq) == bits(differentiate(q.f).values)
+        assert q.Q is q.Q
+        assert q.Q_sup == sup_norm(build_rho(q).Q)
+        assert bits(build_rho(q).Q.values) == bits(q.Q)
+        for a in (q.dq, q.Q):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[1] = 0.0
 
 
 class TestEstimates:
