@@ -23,8 +23,8 @@ norming-constant gradients the product of the eigenfunction with a second
 solution, integrated from one trace sweep at the eigenvalues of the accepted
 iterate, so a Gauss-Newton step costs one spectral solve per trial step and
 nothing per basis mode.  Each solve starts Newton from a predicted ladder
-instead of the phase-matched starts (see ``_gauss_newton``); the count sweep
-still fixes every label.
+where it lies inside the count brackets (see ``_gauss_newton`` and
+``spectral._pipeline``); the count sweep still fixes every label.
 """
 
 from __future__ import annotations

@@ -538,7 +538,7 @@ def _block_flips(first, inner: np.ndarray, n: int) -> np.ndarray:
     return np.count_nonzero(s[1:] * s[:-1] < 0.0, axis=(0, 1))
 
 
-def _count_below(prob, lam: np.ndarray, a: float, b: float, phase=False):
+def _count_below(prob, lam: np.ndarray, a: float, b: float):
     """Exact number of eigenvalues strictly below each lam (batched).
 
     The count is that of the Pruefer phase at x = 1: with s = sqrt(max(lam,
@@ -548,8 +548,7 @@ def _count_below(prob, lam: np.ndarray, a: float, b: float, phase=False):
     the phase k pi + beta, where the closing row l of b vanishes: beta =
     atan2(s l_y', -l_y), that is atan2(s, -b), or pi at a Dirichlet end.
     frac may round up to pi (np.mod(-1e-20, pi) == pi) but never exceeds
-    it, so the strict > adds nothing there.  With ``phase`` the counts come
-    with theta(1).
+    it, so the strict > adds nothing there.
     """
     co = prob._coefficients()
     ly, lv = _end(b).closing
@@ -557,10 +556,7 @@ def _count_below(prob, lam: np.ndarray, a: float, b: float, phase=False):
     res = _sweep(co, lam, *_end(a).data, count=True)
     s = np.sqrt(np.maximum(lam, 1.0))
     frac = np.mod(np.arctan2(s * res["y"], res["v"]), math.pi)
-    count = res["flips"] + (frac > np.arctan2(s * lv, -ly)).astype(int)
-    if phase:
-        return count, math.pi * res["flips"] + frac
-    return count
+    return res["flips"] + (frac > np.arctan2(s * lv, -ly)).astype(int)
 
 
 def _endpoint_w(prob, lam: np.ndarray, a: float, b: float, deriv: bool):

@@ -3,12 +3,14 @@
 Spectra are located by exact oscillation-count bracketing, then found by
 Newton steps on the characteristic function with its variational
 lam-derivative, each iterate kept inside its bracket; a root already near
-takes chord steps, which reuse its last derivative.  Only the lowest slots
-need counted brackets: above them the zero ladder shifted by the mean of
-the potential starts Newton within a few 1e-3, so a long ladder counts its
-low slots and one point above the ladder in one narrow sweep, and the
-labels of the rest hold once each root lands inside its own bracket below
-that point; otherwise every slot is counted.  Both pictures
+takes chord steps, which reuse its last derivative.  Every slot starts from
+the zero ladder shifted by the mean of the potential, or from its bracket
+midpoint where that lies outside the bracket (a fit's predicted ladder
+comes first).  Only the lowest slots need counted brackets: above them that
+start lies within a few 1e-3 of the root, so a long ladder counts its low
+slots and one point above the ladder in one narrow sweep, and the labels of
+the rest hold once each root lands inside its own bracket below that point;
+otherwise every slot is counted.  Both pictures
 are solved as normal forms (an impedance problem through the Liouville map,
 see ``ode``), at the problem grid, and corrected by the integrator error of
 the zero potential under the same boundary pair (asymptotic correction:
@@ -155,12 +157,10 @@ def _solve_levels(prob, a, b, N, above=None):
 
     Slot k (from 0) ends with k eigenvalues below lo and k + 1 below hi.  A
     lower bracket that counts too many moves to ``_spectrum_floor`` at once,
-    and the count bisection takes it up from there.  Every count brings the
-    Pruefer phase at x = 1 (``_count_below``), which is carried with its
-    bracket end to place the Newton starts (``_phase_starts``).  The first
-    count sweep takes the N + 1 bracket points, and ``above`` as one more
-    column where it is given.  Returns (lo, hi, start), followed by the
-    count below ``above`` where it is given.
+    and the count bisection takes it up from there.  The first count sweep
+    takes the N + 1 bracket points, and ``above`` as one more column where
+    it is given.  Returns (lo, hi), followed by the count below ``above``
+    where it is given.
     """
     regime = regime_of(a, b)
     slots = np.arange(N)
@@ -173,10 +173,9 @@ def _solve_levels(prob, a, b, N, above=None):
     mids[1:] = 0.5 * (targets[:-1] + targets[1:])
 
     points = mids if above is None else np.append(mids, above)
-    counts, theta = _count_below(prob, points, a, b, phase=True)
+    counts = _count_below(prob, points, a, b)
     lo, hi = mids[:-1].copy(), mids[1:].copy()
     clo, chi = counts[:N].copy(), counts[1:N + 1].copy()
-    tlo, thi = theta[:N].copy(), theta[1:N + 1].copy()
 
     gaps = np.maximum(targets[1:] - targets[:-1], 1.0)
     for _ in range(_MAX_REPAIR):
@@ -186,12 +185,10 @@ def _solve_levels(prob, a, b, N, above=None):
             break
         if bad_lo.any():
             lo[bad_lo] = _spectrum_floor(prob, a, b)
-            clo[bad_lo], tlo[bad_lo] = _count_below(prob, lo[bad_lo], a, b,
-                                                    phase=True)
+            clo[bad_lo] = _count_below(prob, lo[bad_lo], a, b)
         if bad_hi.any():
             hi[bad_hi] += gaps[bad_hi]
-            chi[bad_hi], thi[bad_hi] = _count_below(prob, hi[bad_hi], a, b,
-                                                    phase=True)
+            chi[bad_hi] = _count_below(prob, hi[bad_hi], a, b)
     else:
         raise BracketError(
             f"could not isolate {N} eigenvalues; counts lo={clo}, hi={chi}")
@@ -205,42 +202,14 @@ def _solve_levels(prob, a, b, N, above=None):
         mid = 0.5 * (lo[wide] + hi[wide])
         if np.any((mid <= lo[wide]) | (mid >= hi[wide])):
             raise BracketError("count bisection failed to separate eigenvalues")
-        cm, tm = _count_below(prob, mid, a, b, phase=True)
+        cm = _count_below(prob, mid, a, b)
         take_lo = cm <= slots[wide]
         idx = np.flatnonzero(wide)
         lo[idx[take_lo]] = mid[take_lo]
         clo[idx[take_lo]] = cm[take_lo]
-        tlo[idx[take_lo]] = tm[take_lo]
         hi[idx[~take_lo]] = mid[~take_lo]
         chi[idx[~take_lo]] = cm[~take_lo]
-        thi[idx[~take_lo]] = tm[~take_lo]
-    levels = lo, hi, _phase_starts(lo, hi, tlo, thi, b)
-    return levels if above is None else (*levels, counts[-1])
-
-
-def _phase_starts(lo, hi, tlo, thi, b):
-    """Newton starts where the bracket's phase reaches the root's phase.
-
-    The Pruefer phase at x = 1 turns nearly linearly in sqrt(lam) (at the
-    rate 1 for the zero potential), so across slot k's bracket it is taken
-    linear in sqrt(lam) between theta(lo) and theta(hi) and solved for the
-    root phase of ``_count_below``: k pi + atan2(sqrt(lam), -b), whose slow
-    turn two substitutions take up; at a Dirichlet end atan2(r, -inf) = pi
-    for every r > 0, so the second repeats the first.  Where lo <= 1 (the
-    phase there is scaled by 1, not sqrt(lam)) or the start does not land
-    strictly inside its bracket, the bracket midpoint is the start.
-    """
-    k = np.arange(lo.size)
-    mid = 0.5 * (lo + hi)
-    r_lo = np.sqrt(np.maximum(lo, 1.0))
-    r = np.sqrt(np.maximum(mid, 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = (np.sqrt(np.maximum(hi, 1.0)) - r_lo) / (thi - tlo)
-        for _ in range(2):
-            r = r_lo + (math.pi * k + np.arctan2(r, -b) - tlo) * rate
-    start = r * r
-    keep = (lo > 1.0) & (start > lo) & (start < hi)
-    return np.where(keep, start, mid)
+    return (lo, hi) if above is None else (lo, hi, counts[-1])
 
 
 def _newton_polish(char, lam, lo, hi, value=None):
@@ -250,7 +219,7 @@ def _newton_polish(char, lam, lo, hi, value=None):
     lam-derivatives and the log of their common scale (w e**scale is the
     true value).  ``lo`` and ``hi`` bracket one root each, slot k first
     (count brackets from ``_solve_levels``); any start inside its bracket is
-    safe, and a start near the root (``_phase_starts``) saves rounds.  The
+    safe, and a start near the root (``_pipeline``) saves rounds.  The
     characteristic value is positive below the spectrum and changes sign at
     each simple eigenvalue, so in slot k it has the sign (-1)**k below the
     root; each evaluation shrinks the bracket by that sign, and a step that
@@ -596,8 +565,8 @@ def _exact_ladder(a, b, N):
     2 v w(lam) = e**v (v + a) (v + b) - e**-v (v - a) (v - b) for Robin
     ends and e**v (v + b) + e**-v (v - b) for a Dirichlet left end, positive
     for v >= m.  An end with a or b below -1 holds a state near -a**2 or
-    -b**2, where the lowest slots start.  The Pruefer phase that sharpens
-    the starts leaves a Dirichlet a = +inf at atan2(w, inf) = 0.  A
+    -b**2, where the lowest slots start; the others start from the
+    first-order ladder (``boundary_shift``) clipped to their brackets.  A
     Dirichlet pair is closed form: w = sin(k pi) / (k pi) has
     dw = cos(k pi) / (2 lam).  The ladder depends on (a, b, N) alone, so it
     is solved once per process and its arrays are read-only.
@@ -616,15 +585,7 @@ def _exact_ladder(a, b, N):
             edges[1:] = _exact_ladder(math.inf, b, N)[0]
     edges[0] = -max(1.0, 1.0 - min(a, b)) ** 2
     lo, hi = edges[:-1], edges[1:]
-    # First-order starts; the positive ones are sharpened by the Pruefer
-    # phase: y = R sin(t), y' = w R cos(t) turns at the rate w = sqrt(lam),
-    # from t = atan2(w, a) to atan2(w, -b) + k pi in slot k.
     start = unperturbed_eigenvalues(regime, N) + boundary_shift(regime, a, b)
-    w = np.sqrt(np.maximum(start, 0.0))
-    for _ in range(3):
-        turn = np.arctan2(w, -b) - np.arctan2(w, a)
-        w = np.maximum(math.pi * np.arange(N) + turn, 0.0)
-    start = np.where(start > 0.0, w * w, start)
     deep = [-c * c for c in (a, b) if c < -1.0]
     if len(deep) == 2:
         # At lam = -v**2 both solve (v + a)(v + b) = e**(-2v) (v - a)(v - b),
@@ -720,19 +681,16 @@ def _narrow_roots(prob, a, b, N, polish):
     """Roots of N > _LOW slots after one count sweep of _LOW + 2 columns, or
     None where that sweep cannot prove their labels.
 
-    Slots below _LOW take the brackets and phase starts of ``_solve_levels``
-    for a ladder of _LOW slots.  Slot k above starts at s_k, the zero
-    problem's discrete eigenvalue (``_exact_ladder`` less
-    ``_zero_correction``) shifted by the mean of V: lam_k = lam0_k + int V
-    + l2 (Poeschel & Trubowitz, Inverse Spectral Theory, 1987), so it lands
-    within a few 1e-3.  Its bracket runs halfway to the neighbouring starts,
-    the lowest from hi[_LOW - 1], below which the count is _LOW, the highest
-    to t, halfway between s_{N-1} and s_N, which the same sweep counts.
-    With N eigenvalues below t, N - _LOW roots found strictly inside those
-    disjoint brackets are every eigenvalue in between, in order.  A count
-    at t other than N, a start or a root not strictly inside its bracket,
-    or a ``BracketError`` gives None.  ``polish(lo, hi, start)`` is the
-    Newton polish of ``_pipeline``; its (lam, forward) are returned.
+    Slots below _LOW take the brackets of ``_solve_levels`` for a ladder of
+    _LOW slots.  Slot k above is bracketed around s_k, its zero-ladder start
+    in ``_pipeline``: halfway to the neighbouring starts, the lowest from
+    hi[_LOW - 1], below which the count is _LOW, the highest to t, halfway
+    between s_{N-1} and s_N, which the same sweep counts.  With N
+    eigenvalues below t, N - _LOW roots found strictly inside those disjoint
+    brackets are every eigenvalue in between, in order.  A count at t other
+    than N, an s_k or a root not strictly inside its bracket, or a
+    ``BracketError`` gives None.  ``polish(lo, hi)`` is the Newton polish of
+    ``_pipeline``; its (lam, forward) are returned.
     """
     high = slice(_LOW, None)
     try:
@@ -740,12 +698,12 @@ def _narrow_roots(prob, a, b, N, polish):
         s = _exact_ladder(a, b, N + 1)[0][high] \
             + (prob.coefficient_mean() - dlam)[high]
         edges = 0.5 * (s[:-1] + s[1:])
-        lo, hi, start, count = _solve_levels(prob, a, b, _LOW, edges[-1])
+        lo, hi, count = _solve_levels(prob, a, b, _LOW, edges[-1])
         lo = np.concatenate([lo, hi[-1:], edges[:-1]])
         hi = np.concatenate([hi, edges])
         if count != N or not np.all((s[:-1] > lo[high]) & (s[:-1] < hi[high])):
             return None
-        lam, forward = polish(lo, hi, np.concatenate([start, s[:-1]]))
+        lam, forward = polish(lo, hi)
     except BracketError:
         return None
     if np.all((lam[high] > lo[high]) & (lam[high] < hi[high])):
@@ -756,23 +714,31 @@ def _narrow_roots(prob, a, b, N, polish):
 def _pipeline(prob, a, b, N, *, _guess=None):
     """Eigenvalues and norming constants by slot.
 
-    One grid level plus the zero-potential correction: Newton from the
-    phase-matched starts of ``_solve_levels``, whose last sweep at each root
-    gives its forward norming read for ``_norming``.  A ladder of more than
-    _LOW slots first takes ``_narrow_roots``, which counts brackets for the
-    low slots alone and starts the others from the zero ladder; where it
-    cannot prove the labels, the counted path runs.  ``_guess`` predicts
-    the corrected eigenvalues; less the correction it replaces the start of
-    each slot where it lies strictly inside that slot's bracket, so a guess
-    cannot change a label, only the rounds Newton takes.
+    One grid level plus the zero-potential correction: Newton in the count
+    brackets of ``_solve_levels``, whose last sweep at each root gives its
+    forward norming read for ``_norming``.  A ladder of more than _LOW slots
+    first takes ``_narrow_roots``, which counts brackets for the low slots
+    alone and brackets the others around their starts; where it cannot
+    prove the labels, the counted path runs.  Here alone each slot's
+    Newton start is chosen, the first of these strictly inside its bracket:
+    ``_guess``, a prediction of the corrected eigenvalues, less the
+    correction; s_k, the zero problem's discrete eigenvalue
+    (``_exact_ladder`` less ``_zero_correction``) shifted by the mean of V,
+    since lam_k = lam0_k + int V + l2 (Poeschel & Trubowitz, Inverse
+    Spectral Theory, 1987); the bracket midpoint.  So a start cannot change
+    a label, only the rounds Newton takes.
     """
     dlam, dnorm, _ = _zero_correction(prob.n, a, b, N)
     char, value = _problem_char(prob, a, b)
+    # Later rows take precedence where they lie inside the bracket.
+    rows = [_exact_ladder(a, b, N)[0] + (prob.coefficient_mean() - dlam)]
+    if _guess is not None:
+        rows.append(np.asarray(_guess, dtype=float) - dlam)
 
-    def polish(lo, hi, start):
-        if _guess is not None:
-            raw = np.asarray(_guess, dtype=float) - dlam
-            start = np.where((raw > lo) & (raw < hi), raw, start)
+    def polish(lo, hi):
+        start = 0.5 * (lo + hi)
+        for row in rows:
+            start = np.where((row > lo) & (row < hi), row, start)
         return _newton_polish(char, start, lo, hi, value)
 
     roots = _narrow_roots(prob, a, b, N, polish) if N > _LOW else None

@@ -654,7 +654,7 @@ def doubled(prob):
 
 def richardson_spectrum(prob, a, b, N):
     """Eigenvalues and norming constants from two grid levels, extrapolated."""
-    lo, hi, _ = _solve_levels(prob, a, b, N)
+    lo, hi = _solve_levels(prob, a, b, N)
     fine = doubled(prob)
     lam, norming = np.empty(N), np.empty(N)
     for start in range(0, N, SLOT_CHUNK):
