@@ -30,10 +30,11 @@ with lam-derivatives carries the derivative of that running product beside
 it, and forms each step's dM/dlam, for one cell of every block, only when
 it is used, so no derivative is stored per cell.  The block totals are
 then multiplied pairwise, level by level, until one product spans 256
-cells, and the state is carried across those products in order, one
-batched matrix product each.  The cap keeps the carry sequential over
-the interval: one product over all of it holds e**|a| near lam = -a**2, and
-applied to a state that decays away from x = 0 it cancels that state.
+cells, or a quarter of the grid where that is less, and the state is
+carried across those products in order, one batched matrix product each.
+The cap keeps the carry sequential over the interval: one product over
+all of it holds e**|a| near lam = -a**2, and applied to a state that
+decays away from x = 0 it cancels that state.
 The tree's first products and the carried state are scaled by powers of
 two, which is exact, and the scale is reported as a logarithm.  Sweeps
 that need every node (sign counts and traces) give every block its start
@@ -342,10 +343,11 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
     column or (K,) arrays, one value per column.  The cell matrices come
     from ``_build_matrices`` in block order; the scan forms the running
     products in place, multiplies the block totals up to ``_SPAN_CAP``
-    cells (``_tree``), then carries the state over those products in order
-    with one batched matrix product each.  With ``deriv`` the scan carries
-    one running lam-derivative product per block, taking each block row's
-    dM/dlam from ``_row_derivative`` into a row-sized buffer.
+    cells or a quarter of the grid (``_tree``), then carries the state over
+    those products in order with one batched matrix product each.  With
+    ``deriv`` the scan carries one running lam-derivative product per
+    block, taking each block row's dM/dlam from ``_row_derivative`` into a
+    row-sized buffer.
     Without ``trace`` the tree's first products and the state after each
     product are scaled per column by powers of two, exactly, to a largest
     entry in [0.5, 1); the summed log factors are reported so callers can
@@ -436,7 +438,8 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
 
 
 def _tree(T, dT, scale: bool):
-    """Block totals multiplied pairwise until a product spans _SPAN_CAP cells.
+    """Block totals multiplied pairwise until a product spans _SPAN_CAP cells,
+    or a quarter of the grid where that is less.
 
     T and its lam-derivative dT (or None) are (2, 2, K, nb) stacks stored
     [column, row].  Each level multiplies node 2j + 1 after node 2j; an odd
@@ -449,8 +452,8 @@ def _tree(T, dT, scale: bool):
     """
     levels = []
     exponent = np.zeros(T.shape[2])
-    span = _BLOCK
-    while span < _SPAN_CAP and T.shape[3] > 1:
+    span, cap = _BLOCK, min(_SPAN_CAP, T.shape[3] * _BLOCK // 4)
+    while span < cap:
         levels.append(T)
         h = T.shape[3] // 2
         left, right = T[..., 0:2 * h:2], T[..., 1:2 * h:2]

@@ -242,7 +242,9 @@ def _newton_polish(char, lam, lo, hi, value=None):
     (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
     sec. 5.4): ``value`` evaluates it, and its last dw, carried to the new
     scale, and its last dg are reused.  Such a round costs an endpoint
-    sweep, not a derivative sweep.
+    sweep, not a derivative sweep.  A chord step longer than a tenth of
+    the step before it sends the root back to a derivative round: beside a
+    near-coincident state the stale dw contracts too slowly.
     """
     lam = np.array(lam, dtype=float)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
@@ -263,7 +265,7 @@ def _newton_polish(char, lam, lo, hi, value=None):
             w[held], new_scale, g[held] = value(lam[held])
             dw[held] *= np.exp(scale[held] - new_scale)
             scale[held] = new_scale
-        x = lam[live]
+        x, prev, was_chord = lam[live], last[live], chord[live]
         side = np.sign(w[live]) * below[live]
         low = np.where(side > 0, x, lo[live])
         high = np.where(side < 0, x, hi[live])
@@ -274,13 +276,14 @@ def _newton_polish(char, lam, lo, hi, value=None):
         reach = np.maximum(1.0, np.abs(x))
         done = np.abs(step) <= _RTOL * reach
         inside = (trial > low) & (trial < high)
-        newton = inside & (np.abs(step) <= 0.5 * last[live])
+        newton = inside & (np.abs(step) <= 0.5 * prev)
         lam[live] = np.where(newton | done, np.clip(trial, low, high),
                              0.5 * (low + high))
         last[live] = np.where(newton, np.abs(step), np.inf)
         g[live] += dg[live] * (lam[live] - x)
         if value is not None:
-            chord[live] = newton & (np.abs(step) <= _CHORD * reach)
+            chord[live] = newton & (np.abs(step) <= _CHORD * reach) & (
+                ~was_chord | (np.abs(step) <= 0.1 * prev))
         live = live[~done]
         if live.size == 0:
             return (lam, g) if carry else lam
@@ -566,7 +569,9 @@ def _exact_ladder(a, b, N):
     ends and e**v (v + b) + e**-v (v - b) for a Dirichlet left end, positive
     for v >= m.  An end with a or b below -1 holds a state near -a**2 or
     -b**2, where the lowest slots start; the others start from the
-    first-order ladder (``boundary_shift``) clipped to their brackets.  A
+    first-order ladder (``boundary_shift``) clipped to their brackets.  Two
+    such states whose closed-form starts are the same float (a = b below
+    about -37) raise ``BracketError``: no polish splits them.  A
     Dirichlet pair is closed form: w = sin(k pi) / (k pi) has
     dw = cos(k pi) / (2 lam).  The ladder depends on (a, b, N) alone, so it
     is solved once per process and its arrays are read-only.
@@ -595,6 +600,10 @@ def _exact_ladder(a, b, N):
             (v - a) * (v - b)))
         deep = [-(0.5 * (s * split - a - b)) ** 2 for s in (-1.0, 1.0)]
     deep = sorted(deep)[:N]
+    if len(deep) == 2 and deep[0] == deep[1]:
+        raise BracketError(
+            f"at (a, b) = ({a:g}, {b:g}) the zero problem's two boundary "
+            "states lie closer than rounding can split")
     start[:len(deep)] = deep
     lam = _newton_polish(_zero_char(_exact_transfer, a, b),
                          np.clip(start, lo, hi), lo, hi)

@@ -5,6 +5,9 @@ discretization (central differences on a fine mesh, Robin ends via a ghost
 node) sharpened by one Richardson step.  This pipeline shares no code with
 the shooting solver under test: different discretization, different
 eigenvalue algorithm (dense symmetric tridiagonal), different grids.
+Exact eigenvalues, norming constants and dw of steep potentials come from
+isospectral flows of the zero potential (``isospectral_flow``), built from
+closed forms and ``brentq`` alone.
 """
 
 import math
@@ -12,19 +15,16 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from liouville import (BracketError, GridFunction, Impedance, IntegrationError,
-                       ImpedanceProblem, Potential, RangeError,
-                       SchrodingerProblem, build_rho, cumulative_integral,
-                       differentiate, frechet_apply, inner_product, integral,
-                       resample, sup_norm)
-from liouville.grid import _simpson_weights
-from liouville.ode import (_count_below, _endpoint_w, _matmul, _nodes,
-                           _quadratic_steps, resample_potential)
-from liouville.spectral import (_endpoint_quantities, _newton_polish,
-                                _problem_char, _solve_levels, _traces,
-                                boundary_shift, regime_of,
-                                unperturbed_eigenvalues)
+                       Potential, RangeError, SchrodingerProblem, build_rho,
+                       cumulative_integral, differentiate, frechet_apply,
+                       inner_product, integral, resample, sup_norm)
+from liouville.grid import _simpson_weights, local_quintic
+from liouville.ode import _count_below, _endpoint_w, _quadratic_steps
+from liouville.spectral import (_endpoint_quantities, boundary_shift,
+                                regime_of, unperturbed_eigenvalues)
 from liouville.transform import LOG_RANGE_LIMIT
 
 INF = math.inf
@@ -96,6 +96,83 @@ def dirichlet_exact(N: int) -> np.ndarray:
 def mixed_exact(N: int) -> np.ndarray:
     """Zero-potential Dirichlet/Neumann eigenvalues (pi (n+1/2))^2, n >= 0."""
     return (math.pi * (np.arange(N) + 0.5)) ** 2
+
+
+def _free_shot(a, w, x):
+    """y, y' and int_0^x y**2 of the zero problem's shot from the left data.
+
+    The shot starts from (0, 1) or (1, a) at x = 0; at lam = w**2 > 0 it is
+    y = y0 cos(w x) + v0 sin(w x) / w, and y = y0 + v0 x at w = 0.
+    """
+    y0, v0 = (0.0, 1.0) if a == INF else (1.0, float(a))
+    x = np.asarray(x, dtype=float)
+    if w == 0.0:
+        return y0 + v0 * x, v0 + 0.0 * x, x * (y0 * y0 + x * (
+            y0 * v0 + x * v0 * v0 / 3.0))
+    c, s, half = np.cos(w * x), np.sin(w * x), np.sin(2.0 * w * x) / (4.0 * w)
+    square = (y0 * y0 * (0.5 * x + half) + y0 * v0 * (s / w) ** 2
+              + (v0 / w) ** 2 * (0.5 * x - half))
+    return y0 * c + v0 * s / w, v0 * c - y0 * w * s, square
+
+
+def closed_form_ladder(a, b, N):
+    """Zero-potential eigenvalues, norming constants and log|dw|, by slot.
+
+    The characteristic function of ``_free_shot`` at x = 1 is scanned in
+    w = sqrt(lam) for sign changes and each is refined by ``brentq``; lam = 0
+    is a root where it vanishes at w = 0.  The norming constant is
+    log|y'(1)| for a Dirichlet right end, else log|y(1)|.  The Lagrange
+    identity for d/dlam of the shot gives dw = int y**2 / y'(1), or
+    -int y**2 / y(1) at a Robin right end.  Only pairs without negative
+    eigenvalues are covered.
+    """
+    def char(w):
+        y, dy, _ = _free_shot(a, w, 1.0)
+        return float(y if b == INF else dy + b * y)
+
+    roots = [0.0] if char(0.0) == 0.0 else []
+    grid = np.linspace(1e-3, (N + 1) * math.pi, 64 * (N + 1))
+    vals = [char(w) for w in grid]
+    for w0, w1, f0, f1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if f0 * f1 < 0.0:
+            roots.append(brentq(char, w0, w1, xtol=1e-15, rtol=1e-15))
+    roots = np.array(roots[:N])
+    reads = np.empty((2, N))
+    for k, w in enumerate(roots):
+        y, dy, square = _free_shot(a, w, 1.0)
+        read = abs(dy if b == INF else y)
+        reads[:, k] = math.log(read), math.log(square / read)
+    return roots ** 2, reads[0], reads[1]
+
+
+def isospectral_flow(a, b, slot, t, n, N):
+    """A steep potential on n cells with exact spectral data, by slot.
+
+    g is the normalized eigenfunction of slot ``slot`` of p = 0 under
+    (a, b), c = e**t - 1 and theta = 1 + c int_x^1 g**2.  Then
+    p = -2 (log theta)'' has the spectrum of p = 0 under the ends
+    a' = a + (1 - e**-t) g(0)**2 and b' = b - c g(1)**2 (a Dirichlet end
+    stays one), the norming constants of p = 0 save nu + t in slot
+    ``slot``, and the same characteristic function, so the same dw
+    (Poeschel & Trubowitz, Inverse Spectral Theory, 1987, ch. 3).  The
+    potential built has its Simpson mean m taken off, and its eigenvalues
+    are those of p = 0 less m.  Returns the problem, the new ends and the
+    eigenvalues, norming constants and log|dw| of the first N slots.
+    """
+    lam, norming, log_dw = closed_form_ladder(a, b, N)
+    y, dy, square = _free_shot(a, math.sqrt(lam[slot]),
+                               np.linspace(0.0, 1.0, n + 1))
+    c, total = math.expm1(t), square[-1]
+    theta = 1.0 + c * (1.0 - square / total)
+    slope = -c * y * y / total / theta
+    p = -2.0 * (-2.0 * c * y * dy / total / theta - slope * slope)
+    m = integral(GridFunction(p))
+    norming[slot] += t
+    return SimpleNamespace(
+        problem=SchrodingerProblem(Potential(GridFunction(p - m))),
+        a=a if a == INF else a - math.expm1(-t) * y[0] ** 2 / total,
+        b=b if b == INF else b - c * y[-1] ** 2 / total,
+        eigenvalues=lam - m, norming=norming, log_dw=log_dw)
 
 
 def sin2pi_potential(x):
@@ -288,20 +365,20 @@ def loop_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
     return out
 
 
-
 # The impedance equation integrated as it stands, -f'' - 2 q f' + u f = lam f,
 # that is f'' = (u - lam) f + d f' with d = -2q, by the per-cell loop above.
 # The package solves impedance problems through the Liouville map instead,
 # as the normal form with V = q' + q**2 + u, so this path shares neither the
-# map nor the sweep with it; its coefficients are sampled by the global
-# quintic spline below.  End data carry the weight rho(1), which makes them
+# map nor the sweep with it; its midpoint samples come from the local quintic
+# interpolant of q and Q.  End data carry the weight rho(1), which makes them
 # those of y = rho f.
 
 def damped_coefficients(q, cfg):
     """Node and midpoint samples of u and of the damping d = -2q."""
     profile = build_rho(q)
     qv, Qv = q.f.values, profile.Q.values
-    qm, Qm = spline_midpoints(qv), spline_midpoints(Qv)
+    mid = np.arange(q.n) + 0.5
+    qm, Qm = local_quintic(qv, mid), local_quintic(Qv, mid)
     return SimpleNamespace(
         V=cfg.u1_value(qv) + cfg.u2.value(Qv),
         Vm=cfg.u1_value(qm) + cfg.u2.value(Qm),
@@ -338,7 +415,7 @@ def damped_spectrum(q, cfg, a, b, start, max_newton=16):
     grid and on the doubled grid, combined by fourth-order extrapolation.
     """
     levels = []
-    for qn in (q, Impedance(spline_resample(q.f, 2 * q.n))):
+    for qn in (q, Impedance(resample(q.f, 2 * q.n))):
         lam = np.array(start, dtype=float)
         for _ in range(max_newton):
             w, dw, _ = damped_ends(qn, cfg, lam, a, b, deriv=True)
@@ -355,7 +432,7 @@ def damped_spectrum(q, cfg, a, b, start, max_newton=16):
 
 # The sign count that read every node in grid order, from the (n + 1, K)
 # node array, before counts were read in the block layout of the scan.  Kept
-# as the reference for ``ode._block_flips`` and used by the scalar-carry sweep.
+# as the reference for ``ode._block_flips``.
 
 def sign_flips(Y: np.ndarray) -> np.ndarray:
     """Sign changes down each column of Y, skipping exact zeros.
@@ -368,119 +445,6 @@ def sign_flips(Y: np.ndarray) -> np.ndarray:
     np.maximum.accumulate(last, axis=0, out=last)
     s = np.take_along_axis(s, last, axis=0)
     return np.count_nonzero(s[1:] * s[:-1] < 0, axis=0)
-
-
-# The blocked scan as it ran before the steps were stored in block order:
-# the multiply-add wrote cell order, a copy moved it into the block layout,
-# and the carry over the block totals updated each state component with its
-# own NumPy call.  Kept as the reference for the output drift of the
-# batched carry.
-
-def _copy_blocked(M, nb: int, B: int, pad) -> np.ndarray:
-    n, K = M.shape[1:]
-    out = np.empty((B, 4, nb, K))
-    full = n // B
-    out[:, :, :full] = M[:, :full * B].reshape(4, full, B, K).transpose(2, 0, 1, 3)
-    if full < nb:
-        r = n - full * B
-        out[:r, :, full] = M[:, full * B:].transpose(1, 0, 2)
-        out[r:, :, full] = np.reshape(pad, (1, 4, 1))
-    return out.reshape(B, 2, 2, nb, K)
-
-
-def scalar_carry_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
-                       trace=False, count=False):
-    """``ode._sweep`` before block-order storage and the batched carry."""
-    n = co.V.size - 1
-    K = lam.size
-    A0, A1, A2 = _quadratic_steps(co.V, co.Vm)[..., None]
-    M = (A2 * lam + A1) * lam + A0
-    B = math.isqrt(n)
-    nb = -(-n // B)
-    nodes = trace or count
-    y = np.broadcast_to(np.asarray(y0, dtype=float), (K,)).copy()
-    v = np.broadcast_to(np.asarray(v0, dtype=float), (K,)).copy()
-    dy = np.zeros(K)
-    dv = np.zeros(K)
-    logscale = np.zeros(K)
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = _copy_blocked(M, nb, B, (1.0, 0.0, 0.0, 1.0))
-        dP = _copy_blocked(A2 * (2.0 * lam) + A1, nb, B, (0.0,) * 4) if deriv else None
-        for i in range(1, B):
-            if deriv:
-                np.add(_matmul(dP[i], P[i - 1]), _matmul(P[i], dP[i - 1]),
-                       out=dP[i])
-            _matmul(P[i], P[i - 1], out=P[i])
-        T = P[B - 1]
-        dT = dP[B - 1] if deriv else None
-        starts = np.empty((2, nb, K))
-        for b in range(nb):
-            starts[0, b] = y
-            starts[1, b] = v
-            (t11, t21), (t12, t22) = T[:, :, b]
-            if deriv:
-                (n11, n21), (n12, n22) = dT[:, :, b]
-                dy, dv = (t11 * dy + t12 * dv + n11 * y + n12 * v,
-                          t21 * dy + t22 * dv + n21 * y + n22 * v)
-            y, v = t11 * y + t12 * v, t21 * y + t22 * v
-            if not trace:
-                peak = np.maximum(np.abs(y), np.abs(v))
-                if deriv:
-                    peak = np.maximum(peak,
-                                      np.maximum(np.abs(dy), np.abs(dv)))
-                mask = peak > RENORM_LIMIT
-                if mask.any():
-                    factor = np.where(mask, peak, 1.0)
-                    y /= factor
-                    v /= factor
-                    if deriv:
-                        dy /= factor
-                        dv /= factor
-                    logscale += np.log(factor)
-        if nodes:
-            ys, vs = starts
-            Y = _nodes(y0, P[:, 0, 0] * ys + P[:, 1, 0] * vs, n)
-            W = _nodes(v0, P[:, 0, 1] * ys + P[:, 1, 1] * vs, n)
-    if trace and not np.all(np.isfinite(Y[-1]) & np.isfinite(W[-1])):
-        raise IntegrationError(
-            f"trace integration overflowed (n={n}, lam up to {np.max(lam):.6g})")
-    if not trace and not np.all(np.isfinite(y) & np.isfinite(v)):
-        raise IntegrationError(
-            f"integration overflowed despite rescaling (n={n})")
-    out = {"y": y, "v": v, "logscale": logscale}
-    if deriv:
-        out["dy"] = dy
-        out["dv"] = dv
-    if trace:
-        out["Y"] = Y
-        out["W"] = W
-    if count:
-        out["flips"] = sign_flips(Y)
-    return out
-
-# The global quintic splines that formed RK4 midpoints and resampled grids
-# before the local quintic interpolant, kept as its reference.
-
-def spline_midpoints(values: np.ndarray) -> np.ndarray:
-    from scipy.interpolate import make_interp_spline
-
-    n = values.size - 1
-    x = np.linspace(0.0, 1.0, n + 1)
-    return make_interp_spline(x, values, k=5)(x[:-1] + 0.5 / n)
-
-
-def spline_resample(f: GridFunction, n: int) -> GridFunction:
-    """Quintic-spline resampling to a different resolution.
-
-    Interpolation error is O(n**-6), below the order of every scheme that
-    consumes the result.
-    """
-    if n == f.n:
-        return f
-    from scipy.interpolate import make_interp_spline
-
-    spline = make_interp_spline(f.x, f.values, k=5)
-    return GridFunction(spline(np.linspace(0.0, 1.0, n + 1)))
 
 
 # The forward map as it was composed before it ran on arrays: every step a
@@ -526,7 +490,7 @@ def loop_galerkin_jacobian(gmap, q):
 
 # The root finder that located eigenvalues before bracket-safeguarded Newton:
 # count brackets, a fixed run of sign bisections, then Newton with capped
-# steps.  Kept as its reference.
+# steps.  Kept as its reference, the one label oracle for steep potentials.
 
 SIGN_ROUNDS = 10
 MAX_REPAIR = 48
@@ -549,6 +513,12 @@ def bisect_solve_levels(prob, a, b, N, max_newton=16):
     lo, hi = mids[:-1].copy(), mids[1:].copy()
     clo, chi = counts[:-1].copy(), counts[1:].copy()
 
+    # Nothing lies below min V - m**2 - 1, m = max(1, 1 - min(a, b)): the
+    # zero problem has nothing below -m**2, V shifts the spectrum by at
+    # least its minimum, and the 1 covers the integrator error.
+    co = prob._coefficients()
+    m = max(1.0, 1.0 - min(a, b))
+    floor = min(co.V.min(), co.Vm.min()) - m * m - 1.0
     gaps = np.maximum(targets[1:] - targets[:-1], 1.0)
     for _ in range(MAX_REPAIR):
         bad_lo = clo > slots
@@ -556,7 +526,7 @@ def bisect_solve_levels(prob, a, b, N, max_newton=16):
         if not bad_lo.any() and not bad_hi.any():
             break
         if bad_lo.any():
-            lo[bad_lo] -= gaps[bad_lo]
+            lo[bad_lo] = floor
             clo[bad_lo] = _count_below(prob, lo[bad_lo], a, b)
         if bad_hi.any():
             hi[bad_hi] += gaps[bad_hi]
@@ -632,74 +602,3 @@ def cell_power_transfer(n, lam):
     z = np.asarray(lam, dtype=float)[:, None, None] / n**2
     row = np.linalg.matrix_power((G[2] * z + G[1]) * z + G[0], n)[:, 0]
     return tuple(row.T / np.array([1.0, n, n**2, n**3])[:, None])
-
-
-# The two-level solve that every spectrum took before normal-form problems
-# moved to one level and the zero-potential correction: bracket-kept Newton
-# at the problem grid and at the doubled grid, combined by fourth-order
-# extrapolation.  Newton runs on chunks of SLOT_CHUNK slots, an even number
-# so that every chunk keeps the sign pattern of its brackets; the chunks
-# bound the sweep memory of a 16384-cell reference.
-
-SLOT_CHUNK = 16
-
-
-def doubled(prob):
-    """The same problem on twice the cells."""
-    if isinstance(prob, ImpedanceProblem):
-        return ImpedanceProblem(Impedance(resample(prob.q.f, 2 * prob.n)),
-                                prob.cfg)
-    return SchrodingerProblem(resample_potential(prob.p, 2 * prob.n))
-
-
-def richardson_spectrum(prob, a, b, N):
-    """Eigenvalues and norming constants from two grid levels, extrapolated."""
-    lo, hi = _solve_levels(prob, a, b, N)
-    fine = doubled(prob)
-    lam, norming = np.empty(N), np.empty(N)
-    for start in range(0, N, SLOT_CHUNK):
-        k = slice(start, start + SLOT_CHUNK)
-        lam0, _ = _newton_polish(_problem_char(prob, a, b)[0],
-                                 0.5 * (lo[k] + hi[k]), lo[k], hi[k])
-        norm0, _ = _endpoint_quantities(prob, lam0, a, b)
-        lam1, _ = _newton_polish(_problem_char(fine, a, b)[0], lam0, lo[k],
-                                 hi[k])
-        norm1, _ = _endpoint_quantities(fine, lam1, a, b)
-        lam[k] = (16.0 * lam1 - lam0) / 15.0
-        norming[k] = (16.0 * norm1 - norm0) / 15.0
-    return lam, norming
-
-
-# The readers at stored eigenvalues before they moved to one level and the
-# zero-potential correction: normalizing constants as the Simpson integral
-# of y**2 along a trace, and trace-identity ratios exp(sign * nu) / |dw|
-# from the endpoint data, each read at the problem grid and at the doubled
-# grid at the same eigenvalues and combined by fourth-order extrapolation.
-
-def two_level_normalizing(prob, lam):
-    """alpha_n = int y_n**2 with y_n'(0) = 1 (Dirichlet pairs), two levels."""
-    def level(p, x):
-        Y = _traces(p._coefficients(), x, 0.0, 1.0)[0]
-        return _simpson_weights(p.n) @ (Y * Y)
-
-    return _two_levels(prob, lam, level)
-
-
-def two_level_ratios(prob, lam, a, b, sign):
-    """Trace-identity ratios exp(sign * nu) / |dw| at lam, two levels."""
-    def level(p, x):
-        norming, log_dw = _endpoint_quantities(p, x, a, b)
-        return np.exp(sign * norming - log_dw)
-
-    return _two_levels(prob, lam, level)
-
-
-def _two_levels(prob, lam, level):
-    """``level`` at both grids, extrapolated, by chunks of SLOT_CHUNK slots."""
-    fine = doubled(prob)
-    lam = np.asarray(lam, dtype=float)
-    out = np.empty(lam.size)
-    for start in range(0, lam.size, SLOT_CHUNK):
-        k = slice(start, start + SLOT_CHUNK)
-        out[k] = (16.0 * level(fine, lam[k]) - level(prob, lam[k])) / 15.0
-    return out

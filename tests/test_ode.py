@@ -338,7 +338,7 @@ class TestBlockedScan:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_column_does_not_depend_on_its_batch(self, mode, n):
         # Alone, a column's state meets one top product of the tree where
-        # n <= 256, a lone matrix that np.matmul would hand to BLAS, whose
+        # n <= 16, a lone matrix that np.matmul would hand to BLAS, whose
         # fused rounding differs once the start (1, a) is inexact to
         # multiply: the Newton path of a root then changed with the roots
         # it was batched with.

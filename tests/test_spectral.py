@@ -23,10 +23,9 @@ from liouville import (INF, BracketError, ConditionU, FitTarget, GridFunction,
 from liouville import ode, spectral
 from liouville.grid import trig_basis
 from liouville.spectral import _potential_gradients
-from oracles import bisect_level, cell_power_transfer, damped_spectrum, \
-    dirichlet_exact, mixed_exact, oracle_eigenvalues, richardson_spectrum, \
-    scalar_carry_sweep, sin2pi_potential, spline_midpoints, spline_resample, \
-    two_level_normalizing, two_level_ratios
+from oracles import bisect_level, cell_power_transfer, closed_form_ladder, \
+    damped_spectrum, dirichlet_exact, isospectral_flow, mixed_exact, \
+    oracle_eigenvalues, sin2pi_potential
 
 N_GRID = 2048
 FREE = SchrodingerProblem(Potential(GridFunction.zeros(N_GRID)))
@@ -148,18 +147,91 @@ class TestOracleComparison:
                 assert abs(w / dw) < 1e-8 * (1.0 + abs(ev))
 
 
+def flow_errors(a, b, slot, t, n, N=8):
+    """Errors of a solve against ``oracles.isospectral_flow``: lam relative
+    to max(1, |lam|), nu, and alpha (relative) for a Dirichlet pair, else
+    log|dw|."""
+    flow = isospectral_flow(a, b, slot, t, n, N)
+    data = solve_spectrum(flow.problem, flow.a, flow.b, N)
+    lam = flow.eigenvalues
+    if regime_of(a, b) == "dirichlet":
+        read = normalizing_constants(flow.problem, data) \
+            / np.exp(flow.norming + flow.log_dw) - 1.0
+    else:
+        read = spectral._stored_quantities(flow.problem, data)[1] - flow.log_dw
+    return np.array([
+        np.max(np.abs(data.eigenvalues - lam) / np.maximum(1.0, np.abs(lam))),
+        np.max(np.abs(data.norming - flow.norming)), np.max(np.abs(read))])
+
+
+# (a, b, slot, t) of a flow of p = 0, N = 8, and the errors of
+# ``flow_errors`` measured at n = 512 and 2048.  (inf, inf, 1, 3) reaches
+# sup|p| = 253, (0.5, 1, 2, -2) 256 with a' = -11.8; (inf, 2, 1, 2) ends at
+# b' = -8.37 and (2, 1, 1, 2) at b' = -9.26.
+FLOW_CASES = {
+    (INF, INF, 0, 1.0): ([1.8e-10, 1.8e-10, 3.5e-10],
+                         [6.9e-13, 7.1e-13, 1.4e-12]),
+    (INF, INF, 2, -2.0): ([1.7e-8, 2.6e-8, 4.2e-8],
+                          [6.6e-11, 1.0e-10, 1.7e-10]),
+    (INF, INF, 1, 3.0): ([6.2e-8, 7.9e-8, 1.1e-7],
+                         [2.4e-10, 3.1e-10, 4.2e-10]),
+    (INF, 1.0, 0, 1.0): ([6.7e-12, 2.7e-10, 3.8e-11],
+                         [2.4e-14, 1.0e-12, 1.4e-13]),
+    (INF, 0.5, 2, -1.5): ([3.6e-9, 5.7e-9, 4.2e-9],
+                          [1.4e-11, 2.3e-11, 1.6e-11]),
+    (INF, 2.0, 1, 2.0): ([3.8e-8, 7.7e-9, 1.4e-8],
+                         [1.5e-10, 3.0e-11, 5.6e-11]),
+    (1.0, 2.0, 0, 1.0): ([1.0e-11, 2.2e-10, 8.8e-11],
+                         [3.6e-14, 8.7e-13, 3.4e-13]),
+    (0.5, 1.0, 2, -2.0): ([1.3e-7, 1.1e-7, 1.1e-7],
+                          [4.8e-10, 4.4e-10, 4.4e-10]),
+    (2.0, 1.0, 1, 2.0): ([2.5e-7, 7.4e-8, 7.4e-8],
+                         [9.7e-10, 2.9e-10, 2.9e-10]),
+}
+
+# The t of the random flows of each regime, slots 0-2: sup|p| up to 280,
+# 222 and 209.
+FLOW_DOMAINS = {(INF, INF): (-2.5, 2.5), (INF, 1.0): (-2.5, 1.5),
+                (1.0, 2.0): (-2.0, 2.0)}
+
+
+class TestIsospectralFlow:
+    """Steep potentials with exact eigenvalues, norming constants and dw."""
+
+    @pytest.mark.parametrize("case", list(FLOW_CASES))
+    def test_exact_data(self, case):
+        # Within 10x the measured errors, and fourth order: each error above
+        # 1e-12 at 2048 cells is at least 100x below that at 512 (measured
+        # 252-281x).
+        coarse, fine = (flow_errors(*case, n) for n in (512, 2048))
+        for got, measured in zip((coarse, fine), FLOW_CASES[case]):
+            assert np.all(got <= 10.0 * np.array(measured)), (got, measured)
+        assert np.all((fine <= 1e-12) | (coarse >= 100.0 * fine))
+
+    @pytest.mark.parametrize("pair", list(FLOW_DOMAINS))
+    @settings(max_examples=8, deadline=None)
+    @given(slot=st.integers(0, 2), share=st.floats(0.0, 1.0))
+    def test_random_flows(self, pair, slot, share):
+        # Measured over 41 t per slot at n = 1024, N = 6, by pair: lam
+        # 3.1e-9, 2.0e-9 and 2.1e-8; nu 4.9e-9, 2.9e-9 and 4.6e-9; alpha
+        # 9.2e-9, log|dw| 2.8e-9 and 4.6e-9.
+        lo, hi = FLOW_DOMAINS[pair]
+        errors = flow_errors(*pair, slot, lo + share * (hi - lo), 1024, 6)
+        assert np.all(errors <= [1e-7, 3e-8, 3e-8]), errors
+
+
 class TestSolverOptions:
     def test_extrapolation_sharpens(self):
         # Two deep Robin ends take one level plus the zero-potential
         # correction like every pair, which removes the leading integrator
         # error as the two-level extrapolation did; the reference is a
-        # two-level solve on eight times the cells, and the plain level is
-        # the problem grid's, found by the old root finder.
+        # solve on eight times the cells, and the plain level is the
+        # problem grid's, found by the old root finder.
         def prob(n):
             return SchrodingerProblem(Potential.from_callable(
                 lambda x: 0.3 * sin2pi_potential(x), n))
 
-        ref, _ = richardson_spectrum(prob(4096), -12.0, -12.0, 10)
+        ref = compute_eigenvalues(prob(4096), -12.0, -12.0, 10)
         plain, _ = bisect_level(prob(512), -12.0, -12.0, 10)
         lam = compute_eigenvalues(prob(512), -12.0, -12.0, 10)
         e_plain = np.max(np.abs(plain - ref))
@@ -463,46 +535,6 @@ def six_mode_problem(cfg, n):
     return ImpedanceProblem(Impedance(GridFunction(q)), cond)
 
 
-def with_splines(monkeypatch, solve):
-    """Run ``solve`` with the quintic-spline midpoints and resampling."""
-    with monkeypatch.context() as m:
-        m.setattr(ode, "_midpoints", spline_midpoints)
-        m.setattr(ode, "resample", spline_resample)
-        return solve()
-
-
-class TestSplineOracle:
-    """The local quintic interpolant against the global quintic spline."""
-
-    @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
-    def test_spectra_match_spline(self, monkeypatch, cfg, a, b):
-        def solve():
-            return solve_spectrum(six_mode_problem(cfg, N_GRID), a, b, 64)
-
-        new = solve()
-        old = with_splines(monkeypatch, solve)
-        rel = np.abs(new.eigenvalues - old.eigenvalues) / np.abs(old.eigenvalues)
-        # Both interpolate V = q' + q**2 + u, whose end cells take a
-        # one-sided stencil; Robin ends see them, and the lowest Robin-Robin
-        # eigenvalue (0.078 for zero u) moves by 1.2e-11 relative.
-        assert np.max(rel) < (2e-11 if a != INF else 1e-12)
-        assert np.max(np.abs(new.norming - old.norming)) < 1e-12
-
-    @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
-    def test_coarse_shift_below_richardson_gap(self, monkeypatch, cfg, a, b):
-        # On 256 cells each eigenvalue moves by less than its own error
-        # against a two-level 2048-cell solve (at most a fifth of it, on
-        # Robin ends), with a floor of 1e-10 relative.
-        def solve():
-            return solve_spectrum(six_mode_problem(cfg, 256), a, b, 64)
-
-        new = solve().eigenvalues
-        old = with_splines(monkeypatch, solve).eigenvalues
-        ref, _ = richardson_spectrum(six_mode_problem(cfg, 2048), a, b, 64)
-        floor = 1e-10 * np.maximum(1.0, np.abs(ref))
-        assert np.all(np.abs(new - old) < np.maximum(np.abs(new - ref), floor))
-
-
 def in_picture(imp, picture):
     """The impedance problem itself, or the normal form of its potential."""
     if picture == "impedance":
@@ -722,9 +754,10 @@ class TestStartRule:
         # ladder, so at sup|p| = 600 about one slot in eight starts from
         # its bracket midpoint.  The oracle counts every bracket, bisects
         # the sign and takes plain Newton; where it raises there is nothing
-        # to compare but the order.  It never reaches the state near -2500
-        # of (inf, -50), whose lower bracket it moves one gap a round.
-        # Measured: 1.0e-14 over 237 of 288 scratch cases.
+        # to compare but the order.  A lower bracket that counts too many
+        # jumps to the spectrum floor, so it reaches the state near -2500
+        # of (inf, -50).  Measured: 1.4e-14 over 320 of 320 scratch draws,
+        # 40 per pair.
         n = 1024
         p = np.asarray(coeffs) @ trig_basis("cosine", 6, n)
         p *= amplitude / max(np.max(np.abs(p)), 1e-300)
@@ -739,29 +772,6 @@ class TestStartRule:
         want = lam + spectral._zero_correction(n, a, b, N)[0]
         assert np.all(np.abs(got - want)
                       <= 1e-12 * np.maximum(1.0, np.abs(want)))
-
-
-class TestBatchedCarry:
-    """Spectra through the sweep against the scalar-carry scan it replaced."""
-
-    @pytest.mark.parametrize("n", [256, 2048])
-    @pytest.mark.parametrize("picture", ["impedance", "schrodinger"])
-    @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
-    def test_spectra_match_scalar_carry(self, monkeypatch, cfg, a, b, picture, n):
-        prob = in_picture(six_mode_problem(cfg, n), picture)
-        data = solve_spectrum(prob, a, b, 64)
-        with monkeypatch.context() as m:
-            m.setattr(ode, "_sweep", scalar_carry_sweep)
-            m.setattr(spectral, "_sweep", scalar_carry_sweep)
-            old = solve_spectrum(prob, a, b, 64)
-        # On the scale of the other spectral comparisons: relative to |lam|
-        # alone, the Robin-Robin lam_0 = 0.0775 at n = 2048 reads 5.6e-14,
-        # 4.4e-15 absolute, a regrouping of the scan's products that Newton's
-        # 1e-12 stop does not see.
-        scale = np.maximum(1.0, np.abs(old.eigenvalues))
-        assert np.max(np.abs(data.eigenvalues - old.eigenvalues) / scale) \
-            <= 1e-14
-        assert np.max(np.abs(data.norming - old.norming)) <= 1e-14
 
 
 class TestNormingConstants:
@@ -864,42 +874,6 @@ ZERO_PAIRS = [(INF, INF), (INF, 1.0), (INF, 0.0), (1.0, -0.5), (INF, -3.0),
               (-0.7, 2.0), (2.0, 3.0), (-3.0, -2.0)]
 
 
-def closed_form_ladder(a, b, N):
-    """Zero-potential eigenvalues and norming constants, by root scanning.
-
-    The characteristic function of y'' = -w**2 y with y(0), y'(0) = (0, 1)
-    or (1, a) is scanned in w for sign changes and each is refined by
-    ``brentq``; the norming constant is log|y'(1)| for a Dirichlet right
-    end, else log|y(1)|.  Only pairs with positive eigenvalues or the one
-    eigenvalue 0 of (1, -0.5) are covered.
-    """
-    from scipy.optimize import brentq
-
-    y0, v0 = (0.0, 1.0) if a == INF else (1.0, a)
-
-    def ends(w):
-        y = y0 * math.cos(w) + v0 * math.sin(w) / w
-        v = v0 * math.cos(w) - y0 * w * math.sin(w)
-        return y, v
-
-    def char(w):
-        y, v = ends(w)
-        return y if b == INF else v + b * y
-
-    roots = [0.0] if (a, b) == (1.0, -0.5) else []
-    grid = np.linspace(1e-3, (N + 1) * math.pi, 64 * (N + 1))
-    vals = [char(w) for w in grid]
-    for w0, w1, f0, f1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if f0 * f1 < 0.0:
-            roots.append(brentq(char, w0, w1, xtol=1e-15, rtol=1e-15))
-    roots = np.array(roots[:N])
-    norming = []
-    for w in roots:
-        y, v = ends(w) if w > 0.0 else (y0 + v0, v0)
-        norming.append(math.log(abs(v if b == INF else y)))
-    return roots ** 2, np.array(norming)
-
-
 class TestZeroCorrection:
     """One grid level plus the zero-potential correction for normal forms."""
 
@@ -907,7 +881,7 @@ class TestZeroCorrection:
     def test_zero_potential_at_closed_form(self, a, b):
         free = SchrodingerProblem(Potential(GridFunction.zeros(256)))
         data = solve_spectrum(free, a, b, 32)
-        lam, norming = closed_form_ladder(a, b, 32)
+        lam, norming, _ = closed_form_ladder(a, b, 32)
         scale = np.maximum(1.0, np.abs(lam))
         assert np.max(np.abs(data.eigenvalues - lam) / scale) <= 1e-12
         assert np.max(np.abs(data.norming - norming)) <= 1e-12
@@ -918,7 +892,7 @@ class TestZeroCorrection:
         # than half a gap, which the phase-matched starts take up.
         free = SchrodingerProblem(Potential(GridFunction.zeros(256)))
         data = solve_spectrum(free, a, b, 90)
-        lam, _ = closed_form_ladder(a, b, 90)
+        lam = closed_form_ladder(a, b, 90)[0]
         scale = np.maximum(1.0, np.abs(lam))
         assert np.max(np.abs(data.eigenvalues - lam) / scale) <= 1e-12
 
@@ -953,13 +927,18 @@ class TestZeroCorrection:
             assert np.max(np.abs(got - want) / scale) < 1e-12
 
     def test_pair_rounding_cannot_split_raises(self):
-        # At a = b = -40 the two boundary states lie 5.4e-14 apart, below
-        # one ulp of 1600; a = b = -37 (9.3e-13 apart) still solves.
+        # At a = b = -38 the two boundary states lie 3.6e-13 apart, 1.6 ulp
+        # of 1444, and their closed-form starts round to one float; a = b =
+        # -37 (9.3e-13 apart) still solves.
         free = SchrodingerProblem(Potential(GridFunction.zeros(1024)))
-        with pytest.raises(BracketError):
-            spectral._exact_ladder(-40.0, -40.0, 4)
-        with pytest.raises(BracketError):
-            solve_spectrum(free, -40.0, -40.0, 4)
+        message = (r"at \(a, b\) = \(-38, -38\) the zero problem's two "
+                   "boundary states lie closer than rounding can split")
+        with pytest.raises(BracketError, match=message):
+            spectral._exact_ladder(-38.0, -38.0, 8)
+        for pv in (lambda x: 0.0 * x, lambda x: 0.3 * np.cos(2.0 * np.pi * x)):
+            with pytest.raises(BracketError, match=message):
+                solve_spectrum(SchrodingerProblem(Potential.from_callable(
+                    pv, 1024)), -38.0, -38.0, 4)
         lam = solve_spectrum(free, -37.0, -37.0, 4).eigenvalues
         assert lam[0] < lam[1] < -1368.0
 
@@ -1002,53 +981,6 @@ class TestZeroCorrection:
                     identity_ab(prob, data, 8)
             normalizing_constants(prob, solve_spectrum(prob, INF, INF, 8))
             identity_b(prob, solve_spectrum(prob, INF, 1.0, 8), 8)
-
-    @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
-    def test_no_less_accurate_than_two_levels(self, cfg, a, b):
-        # Errors against a two-level 16384-cell reference: eigenvalues
-        # relative to max(1, |lam|), norming constants absolute, and the
-        # reads at the solved eigenvalues against the two-level readers at
-        # the reference: alpha of Dirichlet pairs (relative) and the
-        # trace-identity ratios exp(+-nu) / |dw| (absolute; + for the
-        # Dirichlet-Robin pair, both for the Robin-Robin pair).  Measured,
-        # two-level readers -> one corrected level: alpha 6.8e-3 -> 1.9e-6,
-        # + 1.2e-3 -> 2.3e-6, - 1.5e-1 -> 5.3e-6 at n = 256; 4.2e-7 ->
-        # 6.9e-10, 2.0e-9 -> 7.0e-10, 1.5e-6 -> 1.5e-9 at n = 2048.
-        ref_prob = in_picture(six_mode_problem(cfg, 16384), "schrodinger")
-        ref_lam, ref_norming = richardson_spectrum(ref_prob, a, b, 64)
-        dirichlet = regime_of(a, b) == "dirichlet"
-        signs = (1.0,) if a == INF else (1.0, -1.0)
-
-        def two_level_reads(prob, lam):
-            if dirichlet:
-                return [two_level_normalizing(prob, lam)]
-            return [two_level_ratios(prob, lam, a, b, s) for s in signs]
-
-        def corrected_reads(prob, data):
-            if dirichlet:
-                return [normalizing_constants(prob, data)]
-            norming, log_dw = spectral._stored_quantities(prob, data)
-            return [np.exp(s * norming - log_dw) for s in signs]
-
-        ref_reads = two_level_reads(ref_prob, ref_lam)
-        scale = np.maximum(1.0, np.abs(ref_lam))
-        read_scale = np.abs(ref_reads[0]) if dirichlet else 1.0
-
-        def errors(lam, norming, reads):
-            return [np.max(np.abs(lam - ref_lam) / scale),
-                    np.max(np.abs(norming - ref_norming))] + [
-                np.max(np.abs(r - ref) / read_scale)
-                for r, ref in zip(reads, ref_reads)]
-
-        for n in (256, 2048):
-            prob = in_picture(six_mode_problem(cfg, n), "schrodinger")
-            data = solve_spectrum(prob, a, b, 64)
-            corrected = errors(data.eigenvalues, data.norming,
-                               corrected_reads(prob, data))
-            two_levels = errors(*richardson_spectrum(prob, a, b, 64),
-                                two_level_reads(prob, data.eigenvalues))
-            assert np.all(np.array(corrected) <= np.array(two_levels)), \
-                (n, corrected, two_levels)
 
     @pytest.mark.parametrize("a,b", [(-12.0, -12.0), (-15.0, -13.5)])
     def test_one_level_where_boundary_states_nearly_coincide(self, a, b):
@@ -1165,6 +1097,30 @@ class TestDeepRobinEnds:
                            - ref) for n in (256, 2048))
         assert e2048 < max(e256 / 1024.0, 2e-12)
         assert e256 < 1e-6
+
+    @pytest.mark.parametrize("A", [0.0, 0.3])
+    @pytest.mark.parametrize("a,b", [(-25.0, 1.0), (-30.0, -2.0),
+                                     (-55.0, -2.4), (-15.0, -15.0),
+                                     (-20.0, -20.0), (-30.0, -30.0)])
+    def test_coarse_grids(self, a, b, A):
+        # On at most 512 cells the scan's tree stops at a quarter of the
+        # grid; one product over all of it cancelled the state near -a**2.
+        # Against 1024 cells, measured: lam 4.6e-10 relative, nu of unequal
+        # pairs 8.4e-6.  nu of an equal pair moves by e**|a| / (4 a**2)
+        # times the rounding of lam, so it is only finite.
+        def solve(n):
+            return solve_spectrum(SchrodingerProblem(Potential.from_callable(
+                lambda x: A * math.sqrt(2.0) * np.cos(2.0 * np.pi * x), n)),
+                a, b, 4)
+
+        ref = solve(1024)
+        for n in (128, 256, 257):
+            data = solve(n)
+            assert np.all(np.abs(data.eigenvalues - ref.eigenvalues)
+                          <= 1e-8 * np.maximum(1.0, np.abs(ref.eigenvalues)))
+            assert np.all(np.isfinite(data.norming))
+            if a != b:
+                assert np.max(np.abs(data.norming - ref.norming)) < 1e-4
 
     @pytest.mark.parametrize("a,b", [(INF, -50.0), (-50.0, -20.0)])
     def test_against_finite_differences(self, a, b):
