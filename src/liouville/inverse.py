@@ -22,9 +22,10 @@ Jacobian is exact: eigenvalue gradients are the squared eigenfunctions and
 norming-constant gradients the product of the eigenfunction with a second
 solution, integrated from one trace sweep at the eigenvalues of the accepted
 iterate, so a Gauss-Newton step costs one spectral solve per trial step and
-nothing per basis mode.  Each solve starts Newton from a predicted ladder
-where it lies inside the count brackets (see ``_gauss_newton`` and
-``spectral._pipeline``); the count sweep still fixes every label.
+nothing per basis mode.  Each solve brackets its slots around a predicted
+ladder and starts Newton there (see ``_gauss_newton`` and
+``spectral._pipeline``); a one-column count sweep at the point t above that
+ladder still fixes every label.
 """
 
 from __future__ import annotations

@@ -1,18 +1,15 @@
 """Eigenvalues, norming constants, product formulas, and trace identities.
 
-Spectra are located by exact oscillation-count bracketing, then found by
-Newton steps on the characteristic function with its variational
-lam-derivative, each iterate kept inside its bracket; a root already near
-takes chord steps, which reuse its last derivative.  Every slot starts from
-the zero ladder shifted by the mean of the potential, or from its bracket
-midpoint where that lies outside the bracket (a fit's predicted ladder
-comes first).  Only the lowest slots need counted brackets: above them that
-start lies within a few 1e-3 of the root, so a long ladder counts its low
-slots and one point above the ladder in one narrow sweep, and the labels of
-the rest hold once each root lands inside its own bracket below that point;
-otherwise every slot is counted.  Both pictures
-are solved as normal forms (an impedance problem through the Liouville map,
-see ``ode``), at the problem grid, and corrected by the integrator error of
+Spectra are found by Newton steps on the characteristic function with its
+variational lam-derivative, each iterate kept inside its bracket; a root
+already near takes chord steps, which reuse its last derivative.  Every
+ladder is bracketed around its starts, a fit's predicted ladder or the zero
+ladder shifted by the mean of the potential, and one exact oscillation
+count above the ladder proves the labels once each root lands inside its
+own bracket; otherwise every slot is count-bracketed.  Two states that
+rounding cannot split raise ``BracketError``.  Both pictures are solved as
+normal forms (an impedance problem through the Liouville map, see
+``ode``), at the problem grid, and corrected by the integrator error of
 the zero potential under the same boundary pair (asymptotic correction:
 Paine, de Hoog & Anderssen, Computing 26, 1981), which the zero problem
 shows exactly and without a sweep.  The norming constants, normalizing
@@ -71,9 +68,6 @@ _RTOL = 1e-12
 _CHORD = math.sqrt(_RTOL)
 _MAX_NEWTON = 16
 _MAX_REPAIR = 48
-# A ladder of more than _LOW slots takes count brackets for slots below
-# _LOW only; the zero ladder starts the others (see ``_narrow_roots``).
-_LOW = 8
 
 # Tail-growth tolerances and noise floor of ``characterize``.
 _GROWTH_TOL = 0.01
@@ -152,15 +146,14 @@ def _spectrum_floor(prob, a, b):
     return min(float(co.V.min()), float(co.Vm.min())) - m * m - 1.0
 
 
-def _solve_levels(prob, a, b, N, above=None):
+def _solve_levels(prob, a, b, N):
     """Count brackets [lo, hi] holding exactly the eigenvalue of each slot.
 
     Slot k (from 0) ends with k eigenvalues below lo and k + 1 below hi.  A
     lower bracket that counts too many moves to ``_spectrum_floor`` at once,
     and the count bisection takes it up from there.  The first count sweep
-    takes the N + 1 bracket points, and ``above`` as one more column where
-    it is given.  Returns (lo, hi), followed by the count below ``above``
-    where it is given.
+    takes the N + 1 bracket points.  ``_pipeline`` takes these brackets only
+    where its start brackets cannot prove the labels.
     """
     regime = regime_of(a, b)
     slots = np.arange(N)
@@ -172,8 +165,7 @@ def _solve_levels(prob, a, b, N, above=None):
     mids[0] = targets[0] - 0.5 * (targets[1] - targets[0])
     mids[1:] = 0.5 * (targets[:-1] + targets[1:])
 
-    points = mids if above is None else np.append(mids, above)
-    counts = _count_below(prob, points, a, b)
+    counts = _count_below(prob, mids, a, b)
     lo, hi = mids[:-1].copy(), mids[1:].copy()
     clo, chi = counts[:N].copy(), counts[1:N + 1].copy()
 
@@ -201,7 +193,8 @@ def _solve_levels(prob, a, b, N, above=None):
             break
         mid = 0.5 * (lo[wide] + hi[wide])
         if np.any((mid <= lo[wide]) | (mid >= hi[wide])):
-            raise BracketError("count bisection failed to separate eigenvalues")
+            raise BracketError("count bisection failed to separate two "
+                               "eigenvalues closer than rounding can split")
         cm = _count_below(prob, mid, a, b)
         take_lo = cm <= slots[wide]
         idx = np.flatnonzero(wide)
@@ -209,7 +202,7 @@ def _solve_levels(prob, a, b, N, above=None):
         clo[idx[take_lo]] = cm[take_lo]
         hi[idx[~take_lo]] = mid[~take_lo]
         chi[idx[~take_lo]] = cm[~take_lo]
-    return (lo, hi) if above is None else (lo, hi, counts[-1])
+    return lo, hi
 
 
 def _newton_polish(char, lam, lo, hi, value=None):
@@ -217,12 +210,12 @@ def _newton_polish(char, lam, lo, hi, value=None):
 
     ``char(x)`` returns the characteristic values at x, their
     lam-derivatives and the log of their common scale (w e**scale is the
-    true value).  ``lo`` and ``hi`` bracket one root each, slot k first
-    (count brackets from ``_solve_levels``); any start inside its bracket is
-    safe, and a start near the root (``_pipeline``) saves rounds.  The
-    characteristic value is positive below the spectrum and changes sign at
-    each simple eigenvalue, so in slot k it has the sign (-1)**k below the
-    root; each evaluation shrinks the bracket by that sign, and a step that
+    true value).  ``lo`` and ``hi`` bracket one root each, slot k first;
+    any start inside its bracket is safe, and one near the root saves
+    rounds.  The characteristic value is positive below the spectrum and
+    changes sign at each simple eigenvalue, so in slot k it has the sign
+    (-1)**k below the root; each evaluation shrinks the bracket by that
+    sign, and a step that
     would leave the bracket takes its midpoint.  So does a step longer than
     half the root's last Newton step, the safeguard of rtsafe (Press et
     al., Numerical Recipes, sec. 9.4): a start far from the root would
@@ -230,7 +223,9 @@ def _newton_polish(char, lam, lo, hi, value=None):
     midpoint has no last step to compare with.  A root stops once its
     Newton step is within the tolerance, taken or not, at the step's end
     clipped to the bracket: a bracket can collapse to one ulp while the
-    step is still finite.
+    step is still finite.  It also stops where w is exactly 0 or no float
+    lies inside its bracket: near two states that rounding cannot split w
+    and dw are rounding noise.
 
     A ``char`` that returns a companion g and its lam-derivative dg after
     the scale gets (lam, g) back, g carried from each root's last
@@ -271,10 +266,11 @@ def _newton_polish(char, lam, lo, hi, value=None):
         high = np.where(side < 0, x, hi[live])
         lo[live], hi[live] = low, high
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = w[live] / dw[live]
+            step = np.where(w[live] == 0.0, 0.0, w[live] / dw[live])
         trial = x - step
         reach = np.maximum(1.0, np.abs(x))
-        done = np.abs(step) <= _RTOL * reach
+        done = (np.abs(step) <= _RTOL * reach) | (
+            np.nextafter(low, high) >= high)
         inside = (trial > low) & (trial < high)
         newton = inside & (np.abs(step) <= 0.5 * prev)
         lam[live] = np.where(newton | done, np.clip(trial, low, high),
@@ -299,7 +295,8 @@ def _problem_char(prob, a, b):
     Its companion is the norming constant nu of ``_endpoint_quantities``
     and its lam-derivative, read from the same sweep: nu = log|num| +
     log scale with num the read of b at x = 1, and dnu/dlam = dnum / num.
-    The value form reads w and nu from an endpoint sweep.
+    The value form reads w and nu from an endpoint sweep.  A read rounded
+    to 0 has nu = -inf and no slope, and ``_norming`` reads it backward.
     """
     read = _end(b).read
 
@@ -310,7 +307,8 @@ def _problem_char(prob, a, b):
             nu = np.log(np.abs(num)) + scale
             if not deriv:
                 return w, scale, nu
-            return w, dw, scale, nu, _pair(read, res["dy"], res["dv"]) / num
+            return w, dw, scale, nu, np.where(
+                num == 0.0, 0.0, _pair(read, res["dy"], res["dv"]) / num)
 
     return (lambda x: evaluate(x, True)), (lambda x: evaluate(x, False))
 
@@ -551,6 +549,13 @@ def _zero_quantities(transfer, lam, a, b):
                            tr[4]), np.log(np.abs(dw)))
 
 
+def _unsplit(a, b):
+    """The error of a pair whose zero problem holds two boundary states
+    that rounding cannot split."""
+    return BracketError(f"at (a, b) = ({a:g}, {b:g}) the zero problem's two "
+                        "boundary states lie closer than rounding can split")
+
+
 @lru_cache(maxsize=64)
 def _exact_ladder(a, b, N):
     """Eigenvalues, norming constants and log|dw| of p = 0 under (a, b), by slot.
@@ -601,9 +606,7 @@ def _exact_ladder(a, b, N):
         deep = [-(0.5 * (s * split - a - b)) ** 2 for s in (-1.0, 1.0)]
     deep = sorted(deep)[:N]
     if len(deep) == 2 and deep[0] == deep[1]:
-        raise BracketError(
-            f"at (a, b) = ({a:g}, {b:g}) the zero problem's two boundary "
-            "states lie closer than rounding can split")
+        raise _unsplit(a, b)
     start[:len(deep)] = deep
     lam = _newton_polish(_zero_char(_exact_transfer, a, b),
                          np.clip(start, lo, hi), lo, hi)
@@ -620,10 +623,10 @@ def _zero_correction(n, a, b, N):
     removes it, and the same holds for nu and log|dw| read at the discrete
     eigenvalue.  The discrete values come from Newton on M(lam)**n, started
     where the transfer turns by the exact phase and kept halfway to the
-    neighbouring starts; where that does not isolate a root (two boundary
-    states closer than rounding splits), it raises ``BracketError``.  Every
-    solve on the same grid, pair and N shares one read-only result, built
-    once per process.
+    neighbouring starts.  Where a root fails or ends on its bracket's edge,
+    two boundary states lie closer than rounding splits (a = b below about
+    -37), and it raises ``BracketError``.  Every solve on the same grid,
+    pair and N shares one read-only result, built once per process.
     """
     lam, norming, log_dw = _exact_ladder(a, b, N + 1)
     start = _phase_matched(n, lam)
@@ -633,7 +636,12 @@ def _zero_correction(n, a, b, N):
     def transfer(x):
         return _discrete_transfer(n, x)
 
-    lam_h = _newton_polish(_zero_char(transfer, a, b), start[:N], lo, hi)
+    try:
+        lam_h = _newton_polish(_zero_char(transfer, a, b), start[:N], lo, hi)
+    except BracketError:
+        lam_h = np.full(N, np.nan)
+    if not np.all((lam_h > lo) & (lam_h < hi)):
+        raise _unsplit(a, b)
     norming_h, log_dw_h = _zero_quantities(transfer, lam_h, a, b)
     return _read_only(lam[:N] - lam_h, norming[:N] - norming_h,
                       log_dw[:N] - log_dw_h)
@@ -686,63 +694,39 @@ def _norming(prob, lam, a, b, forward):
     return nu
 
 
-def _narrow_roots(prob, a, b, N, polish):
-    """Roots of N > _LOW slots after one count sweep of _LOW + 2 columns, or
-    None where that sweep cannot prove their labels.
-
-    Slots below _LOW take the brackets of ``_solve_levels`` for a ladder of
-    _LOW slots.  Slot k above is bracketed around s_k, its zero-ladder start
-    in ``_pipeline``: halfway to the neighbouring starts, the lowest from
-    hi[_LOW - 1], below which the count is _LOW, the highest to t, halfway
-    between s_{N-1} and s_N, which the same sweep counts.  With N
-    eigenvalues below t, N - _LOW roots found strictly inside those disjoint
-    brackets are every eigenvalue in between, in order.  A count at t other
-    than N, an s_k or a root not strictly inside its bracket, or a
-    ``BracketError`` gives None.  ``polish(lo, hi)`` is the Newton polish of
-    ``_pipeline``; its (lam, forward) are returned.
-    """
-    high = slice(_LOW, None)
-    try:
-        dlam = _zero_correction(prob.n, a, b, N + 1)[0]
-        s = _exact_ladder(a, b, N + 1)[0][high] \
-            + (prob.coefficient_mean() - dlam)[high]
-        edges = 0.5 * (s[:-1] + s[1:])
-        lo, hi, count = _solve_levels(prob, a, b, _LOW, edges[-1])
-        lo = np.concatenate([lo, hi[-1:], edges[:-1]])
-        hi = np.concatenate([hi, edges])
-        if count != N or not np.all((s[:-1] > lo[high]) & (s[:-1] < hi[high])):
-            return None
-        lam, forward = polish(lo, hi)
-    except BracketError:
-        return None
-    if np.all((lam[high] > lo[high]) & (lam[high] < hi[high])):
-        return lam, forward
-    return None
-
-
 def _pipeline(prob, a, b, N, *, _guess=None):
     """Eigenvalues and norming constants by slot.
 
-    One grid level plus the zero-potential correction: Newton in the count
-    brackets of ``_solve_levels``, whose last sweep at each root gives its
-    forward norming read for ``_norming``.  A ladder of more than _LOW slots
-    first takes ``_narrow_roots``, which counts brackets for the low slots
-    alone and brackets the others around their starts; where it cannot
-    prove the labels, the counted path runs.  Here alone each slot's
-    Newton start is chosen, the first of these strictly inside its bracket:
-    ``_guess``, a prediction of the corrected eigenvalues, less the
-    correction; s_k, the zero problem's discrete eigenvalue
+    One grid level plus the zero-potential correction; Newton's last sweep
+    at each root gives its forward norming read for ``_norming``.  The
+    start row s holds N + 1 starts of the level: ``_guess``, a prediction
+    of the corrected eigenvalues, less the correction where that is finite
+    and increasing below s_N, else the zero problem's discrete eigenvalues
     (``_exact_ladder`` less ``_zero_correction``) shifted by the mean of V,
     since lam_k = lam0_k + int V + l2 (Poeschel & Trubowitz, Inverse
-    Spectral Theory, 1987); the bracket midpoint.  So a start cannot change
-    a label, only the rounds Newton takes.
+    Spectral Theory, 1987).  Slot k is bracketed halfway to its neighbours'
+    starts, slot 0 from ``_spectrum_floor`` and the last slot up to
+    t = (s_{N-1} + s_N) / 2.  One count sweep of the single column t proves
+    the labels: with N eigenvalues below t, N roots strictly inside those
+    disjoint brackets are every eigenvalue below t, in order.  A count other than N, a root on
+    its bracket's edge or a ``BracketError`` sends the ladder to the count
+    brackets of ``_solve_levels``.  Either way each slot starts from the
+    first of the guess, the shifted zero ladder and the bracket midpoint
+    inside its bracket, so a start cannot change a label.  Corrected
+    eigenvalues that do not increase belong to two states that rounding
+    cannot split, and raise ``BracketError``.
     """
-    dlam, dnorm, _ = _zero_correction(prob.n, a, b, N)
+    dlam, dnorm, _ = _zero_correction(prob.n, a, b, N + 1)
+    zero = _exact_ladder(a, b, N + 1)[0] + (prob.coefficient_mean() - dlam)
+    dlam, dnorm = dlam[:N], dnorm[:N]
     char, value = _problem_char(prob, a, b)
     # Later rows take precedence where they lie inside the bracket.
-    rows = [_exact_ladder(a, b, N)[0] + (prob.coefficient_mean() - dlam)]
+    rows, s = [zero[:N]], zero
     if _guess is not None:
         rows.append(np.asarray(_guess, dtype=float) - dlam)
+        guessed = np.append(rows[-1], zero[N])
+        if np.all(np.isfinite(guessed)) and np.all(np.diff(guessed) > 0.0):
+            s = guessed
 
     def polish(lo, hi):
         start = 0.5 * (lo + hi)
@@ -750,11 +734,22 @@ def _pipeline(prob, a, b, N, *, _guess=None):
             start = np.where((row > lo) & (row < hi), row, start)
         return _newton_polish(char, start, lo, hi, value)
 
-    roots = _narrow_roots(prob, a, b, N, polish) if N > _LOW else None
-    if roots is None:
-        roots = polish(*_solve_levels(prob, a, b, N))
-    lam, forward = roots
-    return lam + dlam, _norming(prob, lam, a, b, forward) + dnorm
+    hi = 0.5 * (s[:-1] + s[1:])
+    lo = np.concatenate([[_spectrum_floor(prob, a, b)], hi[:-1]])
+    lam = None
+    if _count_below(prob, hi[-1:], a, b)[0] == N:
+        try:
+            lam, forward = polish(lo, hi)
+        except BracketError:
+            pass
+    if lam is None or not np.all((lam > lo) & (lam < hi)):
+        lam, forward = polish(*_solve_levels(prob, a, b, N))
+    norming = _norming(prob, lam, a, b, forward) + dnorm
+    lam = lam + dlam
+    if not np.all(np.diff(lam) > 0.0):
+        raise BracketError(
+            "two eigenvalues lie closer than rounding can split")
+    return lam, norming
 
 
 def compute_eigenvalues(prob, a: float, b: float, N: int) -> np.ndarray:
@@ -769,10 +764,10 @@ def solve_spectrum(prob, a: float, b: float, N: int, *,
     """Eigenvalues plus norming constants, packaged with their remainders.
 
     One grid level plus the zero-potential correction (``_pipeline``), for
-    every boundary pair.  A ladder of at most _LOW = 8 slots is counted in
-    full; a longer one counts its low slots and one point above the ladder,
-    and is counted in full only where that cannot prove its labels.  The
-    private ``_guess`` reaches ``_pipeline``: a predicted ladder for the
+    every boundary pair and every N: the slots are bracketed around their
+    starts and one count above the ladder proves their labels; the ladder
+    is counted in full only where that cannot.  The private ``_guess``
+    reaches ``_pipeline``: a predicted ladder for the brackets and the
     Newton starts.
     """
     lam, norming = _pipeline(prob, a, b, N, _guess=_guess)

@@ -37,6 +37,58 @@ def test_scan_sees_an_unused_import():
     assert unused_imports(source) == [(1, "math"), (2, "path")]
 
 
+def unreferenced_privates(sources: dict) -> list:
+    """(module, line, name) of each private module-level function, class or
+    constant that no line of ``sources`` references.
+
+    ``sources`` maps module names to their text.  A reference is a read of
+    the name, an attribute of that name or an import of it, in any module;
+    a docstring that mentions it is none.
+    """
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(entry for entry in defined if entry[2] not in used)
+
+
+def test_no_unreferenced_privates():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    unused = unreferenced_privates(sources)
+    assert not unused, ", ".join(f"{module}.py:{line} {name}"
+                                 for module, line, name in unused)
+
+
+def test_scan_sees_an_unreferenced_private():
+    sources = {
+        "a": ("_USED = 1\n_SPARE = 8\n_A, (_B, _C) = 1, (2, 3)\n"
+              "def _orphan(x):\n    \"\"\"Not _SPARE.\"\"\"\n    return x\n"
+              "class _Kept:\n    pass\n"
+              "def _recurse(n):\n    return _recurse(n - 1) + _USED + _A\n"),
+        "b": "from a import _Kept\nimport a\nprint(a._B)\n",
+    }
+    assert unreferenced_privates(sources) == [
+        ("a", 2, "_SPARE"), ("a", 3, "_C"), ("a", 4, "_orphan")]
+
+
 def unused_parameters(source: str) -> list:
     """(line, "function.parameter") for each parameter its body never reads.
 

@@ -677,9 +677,11 @@ class TestWarmStarts:
     @pytest.mark.parametrize("kind", ["shifted", "reversed", "nan", "outside"])
     def test_bad_guess_keeps_labels(self, kind, a, b, N):
         # A guess replaces a start only inside that slot's bracket, so a
-        # wrong guess can cost rounds but never move a root.  At N = 16 the
-        # slots above spectral._LOW take zero-ladder brackets, whose labels
-        # the count above the ladder and the converged roots prove.
+        # wrong guess can cost rounds but never move a root.  A guess that
+        # is not increasing leaves the brackets to the zero ladder; one
+        # that is brackets the slots itself, and where the count above the
+        # ladder and the converged roots cannot prove those labels, the
+        # ladder is counted in full.
         prob = SchrodingerProblem(Potential.from_callable(
             lambda x: 2.0 * np.cos(2 * np.pi * x) - np.sin(4 * np.pi * x),
             1024))
@@ -740,14 +742,17 @@ class TestWarmStarts:
         # cold starts took 104 derivative sweeps (14, 17, 17, 14, 20, 22),
         # and warm starts with Newton rounds alone 50.  Chord rounds turn 14
         # of those into 19 endpoint sweeps.  Each Jacobian makes one trace
-        # sweep.
+        # sweep.  Every solve brackets its slots around the predicted
+        # ladder, so its one count sweep has the single column above it.
         inputs = benchmark_fit_inputs(6)
         sweep = ode._sweep
-        modes = []
+        modes, count_columns = [], []
 
         def counted(co, lam, y0, v0, **kwargs):
             mode = [m for m in ("count", "deriv", "trace") if kwargs.get(m)]
             modes.append(mode[0] if mode else "endpoint")
+            if kwargs.get("count"):
+                count_columns.append(np.size(lam))
             return sweep(co, lam, y0, v0, **kwargs)
 
         monkeypatch.setattr(ode, "_sweep", counted)
@@ -758,6 +763,7 @@ class TestWarmStarts:
         assert modes.count("deriv") == 36
         assert modes.count("trace") == iterations
         assert modes.count("endpoint") == 19
+        assert count_columns and set(count_columns) == {1}
 
     def test_residual_without_guess(self):
         target = fit_potential_target(None, INF, 1.0)

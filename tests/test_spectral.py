@@ -21,7 +21,7 @@ from liouville import (INF, BracketError, ConditionU, FitTarget, GridFunction,
                        unperturbed_eigenvalues, unperturbed_norming,
                        wronskian)
 from liouville import ode, spectral
-from liouville.grid import trig_basis
+from liouville.grid import integral, trig_basis
 from liouville.spectral import _potential_gradients
 from oracles import bisect_level, cell_power_transfer, closed_form_ladder, \
     damped_spectrum, dirichlet_exact, isospectral_flow, mixed_exact, \
@@ -605,13 +605,13 @@ class TestRootFinder:
                                   count[root] + 1)
 
     def test_sweep_budget(self, monkeypatch):
-        # One count sweep of _LOW + 2 columns places the brackets of the
-        # low slots and counts below the top bracket; every slot starts
-        # from the mean-shifted zero ladder where that lies inside its
-        # bracket.  Newton then takes one full-width derivative round.  A root whose step
-        # was already small takes chord rounds, each an endpoint sweep at a
-        # lam within _CHORD of one that a derivative sweep evaluated, and
-        # the last evaluation at each root gives its norming constant.
+        # Every slot is bracketed around its mean-shifted zero-ladder start,
+        # and one count sweep of the single column above the top bracket
+        # proves the labels.  Newton then takes one full-width derivative
+        # round.  A root whose step was already small takes chord rounds,
+        # each an endpoint sweep at a lam within _CHORD of one that a
+        # derivative sweep evaluated, and the last evaluation at each root
+        # gives its norming constant.
         prob = six_mode_problem("exp", 2048)
         sweep = ode._sweep
         polish = spectral._newton_polish
@@ -635,8 +635,7 @@ class TestRootFinder:
         monkeypatch.setattr(spectral, "_newton_polish", polishing)
         solve_spectrum(prob, INF, INF, 64)
         modes = [mode for mode, _, _ in calls]
-        assert [lam.size for mode, lam, _ in calls if mode == "count"] \
-            == [spectral._LOW + 2]
+        assert [lam.size for mode, lam, _ in calls if mode == "count"] == [1]
         assert modes.count("trace") == 0
         assert sum(1 for mode, lam, _ in calls
                    if mode == "deriv" and lam.size == 64) == 1
@@ -671,48 +670,82 @@ NARROW_PAIRS = [(INF, INF), (INF, 1.0), (1.0, -0.5), (-20.0, 3.0),
                 (INF, -50.0), (-12.0, -12.0)]
 
 
-def counted(prob, a, b, N):
-    """The spectrum with every slot count-bracketed."""
+def counted(prob, a, b, N, guess=None):
+    """The spectrum through the count brackets of ``_solve_levels``.
+
+    The one-column count at t reads -1, which is never N, so the start
+    brackets are refused before any polish and the fallback runs as it
+    does in production.
+    """
+    count_below, first = spectral._count_below, []
+
+    def spy(prob, lam, *args, **kwargs):
+        counts = count_below(prob, lam, *args, **kwargs)
+        if first:
+            return counts
+        first.append(np.size(lam))
+        return np.full_like(counts, -1)
+
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(spectral, "_LOW", N)
-        return solve_spectrum(prob, a, b, N)
+        m.setattr(spectral, "_count_below", spy)
+        data = solve_spectrum(prob, a, b, N, _guess=guess)
+    assert first == [1]
+    return data
 
 
 class TestNarrowCount:
-    """Ladders above _LOW slots start from the zero ladder, not a count."""
+    """Every ladder is bracketed around its starts and proved by one count
+    above the ladder; the count brackets are only the fallback."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
            amplitude=st.floats(0.0, 300.0),
            pair=st.sampled_from(NARROW_PAIRS),
-           N=st.sampled_from([9, 16, 64]), n=st.sampled_from([256, 1024]))
-    def test_matches_counted_path(self, coeffs, amplitude, pair, N, n):
-        # The slots agree far inside their gaps, so the labels are the
-        # same; slots below _LOW take the same brackets, starts and Newton
-        # path.  Where the counted path raises, so does the narrow one,
-        # which falls back to it.
+           N=st.sampled_from([1, 3, 5, 9, 16, 64]),
+           n=st.sampled_from([256, 1024]),
+           guess=st.sampled_from([None, "exact", "perturbed"]),
+           scale=st.sampled_from([1e-9, 1e-4, 1e-2, 0.2]),
+           seed=st.integers(0, 2**16))
+    # 300 sqrt(2) cos(2 pi x) under Dirichlet ends puts three eigenvalues
+    # below the first start bracket's top: the one-column count reads N,
+    # slots 1 and 2 find no root in their brackets, and the ladder falls
+    # back to the count brackets.
+    @example(coeffs=[0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+             amplitude=300.0 * math.sqrt(2.0), pair=(INF, INF), N=5, n=1024,
+             guess=None, scale=1e-9, seed=0)
+    def test_matches_counted_path(self, coeffs, amplitude, pair, N, n, guess,
+                                  scale, seed):
+        # The roots lie strictly inside their own brackets on both paths,
+        # so the labels are the same, and only Newton's path to each root
+        # differs.  A guess is the counted spectrum itself or a copy moved
+        # by up to scale max(1, |lam|) per slot; a copy that is not
+        # increasing leaves the starts to the zero ladder.  Where the
+        # counted path raises, so does the other, with the same message.
         p = np.asarray(coeffs) @ trig_basis("cosine", 6, n)
         p *= amplitude / max(np.max(np.abs(p)), 1e-300)
         prob = SchrodingerProblem(Potential(GridFunction(p)))
         a, b = pair
         try:
-            want = counted(prob, a, b, N)
+            exact = counted(prob, a, b, N).eigenvalues
         except BracketError as err:
             with pytest.raises(BracketError, match=re.escape(str(err))):
                 solve_spectrum(prob, a, b, N)
             return
-        got = solve_spectrum(prob, a, b, N)
-        lam = want.eigenvalues
-        assert np.all(np.abs(got.eigenvalues - lam)
-                      <= 1e-12 * np.maximum(1.0, np.abs(lam)))
-        low = slice(0, spectral._LOW)
-        assert np.array_equal(got.eigenvalues[low], lam[low])
-        assert np.array_equal(got.norming[low], want.norming[low])
+        if guess == "exact":
+            guess = exact
+        elif guess == "perturbed":
+            move = np.random.default_rng(seed).uniform(-1.0, 1.0, N)
+            guess = exact + scale * move * np.maximum(1.0, np.abs(exact))
+        want = counted(prob, a, b, N, guess).eigenvalues
+        got = solve_spectrum(prob, a, b, N, _guess=guess).eigenvalues
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_resonant_potential_takes_full_count(self, monkeypatch):
         # 300 sqrt(2) cos(24 pi x) opens a wide gap at slot 12 and moves
         # slots 11 and 12 most of a gap off the zero ladder, out of their
-        # brackets: the ladder is counted in full, as at N <= _LOW.
+        # brackets: after the one-column count the ladder is counted in
+        # full, N + 1 columns in the first sweep, as the counted path is.
         n, N = 2048, 64
         prob = SchrodingerProblem(Potential(GridFunction(
             300.0 * trig_basis("cosine", 24, n)[23])))
@@ -726,8 +759,7 @@ class TestNarrowCount:
 
         monkeypatch.setattr(spectral, "_count_below", spy)
         got = solve_spectrum(prob, 1.0, -0.5, N)
-        assert columns[0] == spectral._LOW + 2
-        assert N + 1 in columns
+        assert columns[:2] == [1, N + 1]
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.norming, want.norming)
 
@@ -1121,6 +1153,46 @@ class TestDeepRobinEnds:
             assert np.all(np.isfinite(data.norming))
             if a != b:
                 assert np.max(np.abs(data.norming - ref.norming)) < 1e-4
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.one_of(st.just(INF), st.floats(-40.0, 5.0)),
+           b=st.floats(-40.0, 5.0), equal=st.booleans(),
+           n=st.sampled_from([128, 256, 257, 1024]), N=st.integers(1, 8),
+           coeffs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           sup=st.floats(0.0, 30.0))
+    # Equal pairs from about -36 down hold two states a few ulps apart,
+    # where a solve could return two equal eigenvalues, leave a polish of
+    # the problem's or the zero problem's ladder unconverged, or read
+    # nu = nan; on 257 cells the unequal pair's forward read of its deep
+    # state rounds to exactly 0.
+    @example(a=-37.0, b=-37.0, equal=True, n=128, N=2, coeffs=[0.0] * 4,
+             sup=0.0)
+    @example(a=-36.825, b=-36.825, equal=True, n=1024, N=2,
+             coeffs=[0.0, 1.0, 0.0, 0.0], sup=20.0 * math.sqrt(2.0))
+    @example(a=-37.475, b=-37.475, equal=True, n=128, N=1, coeffs=[0.0] * 4,
+             sup=0.0)
+    @example(a=-37.87852847556983, b=-37.87852847556983, equal=True, n=257,
+             N=1, coeffs=[0.0] * 4, sup=0.0)
+    @example(a=-38.2912, b=-36.3275, equal=False, n=257, N=3,
+             coeffs=[0.0] * 4, sup=0.0)
+    def test_every_pair_solves(self, a, b, equal, n, N, coeffs, sup):
+        # Over the pair space of the scan, every solve gives increasing
+        # eigenvalues and finite norming constants, or refuses by name a
+        # pair whose two boundary states rounding cannot split (a = b below
+        # about -36).  The quadrature mean of a cosine on 257 cells is not
+        # zero, so it is taken off.
+        if equal:
+            a = b
+        p = np.asarray(coeffs) @ trig_basis("cosine", 4, n)
+        p = GridFunction(p * sup / max(np.max(np.abs(p)), 1e-300))
+        prob = SchrodingerProblem(Potential(p - integral(p)))
+        try:
+            data = solve_spectrum(prob, a, b, N)
+        except BracketError as err:
+            assert "closer than rounding can split" in str(err)
+            return
+        assert np.all(np.diff(data.eigenvalues) > 0.0)
+        assert np.all(np.isfinite(data.norming))
 
     @pytest.mark.parametrize("a,b", [(INF, -50.0), (-50.0, -20.0)])
     def test_against_finite_differences(self, a, b):
