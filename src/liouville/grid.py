@@ -191,9 +191,11 @@ def trig_basis(kind: str, K: int, n: int) -> np.ndarray:
     if kind not in ("sine", "cosine"):
         raise ValueError(f"unknown trigonometric kind {kind!r}")
     wave = np.sin if kind == "sine" else np.cos
-    x = np.linspace(0.0, 1.0, n + 1)
-    k = np.arange(1, K + 1)[:, None]
-    return math.sqrt(2.0) * wave(math.pi * k * x[None, :])
+    rows = np.multiply.outer(math.pi * np.arange(1, K + 1),
+                             np.linspace(0.0, 1.0, n + 1))
+    wave(rows, out=rows)
+    rows *= math.sqrt(2.0)
+    return rows
 
 
 def differentiate(f):

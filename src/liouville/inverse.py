@@ -5,14 +5,18 @@ mean-zero potential p = q' + q**2 + u - c0.  Inversion runs a damped Newton
 iteration on a trigonometric Galerkin section of that map: q lives in the
 span of sin(pi k x), the residual is projected onto cos(pi k x), and the
 Jacobian is the projected exact directional derivative
-P'(q) phi = phi' + (2q + u1'(q)) phi + u2'(Q) int phi - mean.  Only the
-pointwise factors 2q + u1'(q) and u2'(Q) depend on q, so the projected
-derivative and running integrals of the sine rows are built once per grid
-and basis size (n, K) in a process, and each Newton step assembles the
-K x K Jacobian from weighted products with them.  Newton starts from zero;
-if that leg stagnates or misses the full tolerance, it restarts once from
-rho'/rho, rho the positive Neumann ground state of -y'' + p y, which is
-the inverse itself when u = 0.
+P'(q) phi = phi' + (2q + u1'(q)) phi + u2'(Q) int phi - mean.  Both run in
+sine coefficients.  The derivative term is linear, so its projection and
+mean are K x K and K tables; only q**2 + u1(q) + u2(Q), with q and Q
+products of the coefficients with the sine rows and their running
+integrals, is formed on the nodes, and the pointwise factors 2q + u1'(q)
+enter the Jacobian through sine moments.  Those tables depend on the grid
+and basis size (n, K) alone and are built once per process, so a trial
+step makes no stencil pass and no grid object.  Each Newton leg builds its
+slope and forward image once, from its last coefficients.  Newton starts
+from zero; if that leg stagnates or misses the full tolerance, it restarts
+once from rho'/rho, rho the positive Neumann ground state of -y'' + p y,
+which is the inverse itself when u = 0.
 
 Fits reconstruct a potential or a slope from truncated spectral data by
 Gauss-Newton on Fourier coefficients.  The map is a global isomorphism
@@ -44,7 +48,8 @@ from .grid import (GridFunction, _read_only, _simpson_weights,
 from .ode import INF, SchrodingerProblem, shoot_forward
 from .spectral import (_exact_ladder, _potential_gradients, regime_of,
                        solve_spectrum, unperturbed_eigenvalues)
-from .transform import ConditionU, Impedance, Potential, forward_transform, frechet_apply
+from .transform import (LOG_RANGE_LIMIT, ConditionU, Impedance, Potential,
+                        forward_transform, frechet_apply)
 
 __all__ = [
     "InversionConfig",
@@ -101,39 +106,61 @@ class InversionReport:
 def _galerkin_section(n: int, K: int) -> tuple:
     """The read-only tables of a Galerkin section on n cells with K modes.
 
-    In order: the sine rows, the cosine rows with the Simpson weights
-    folded in (``project``), ``project`` applied to the derivative of the
-    sine rows, the row sums of ``project`` and the running integrals of the
-    sine rows.  They depend on (n, K) alone, so they are built once per
-    process.
+    In order: the 2K sine rows sqrt(2) sin(pi l x), l = 1..2K, whose first
+    K rows are the slope basis ``sines``; the cosine rows with the Simpson
+    weights folded in (``project``); ``project`` applied to the derivative
+    of the sine rows; the row sums of ``project``; the Simpson means of the
+    derivative of the sine rows; and the running integrals of the sine
+    rows.  They depend on (n, K) alone, so they are built once per process.
     """
-    sines = trig_basis("sine", K, n)
-    project = trig_basis("cosine", K, n) * _simpson_weights(n)[None, :]
-    return _read_only(sines, project, project @ differentiate(sines).T,
-                      project.sum(axis=1), cumulative_integral(sines))
+    moments = trig_basis("sine", 2 * K, n)
+    sines = moments[:K]
+    weights = _simpson_weights(n)
+    project = trig_basis("cosine", K, n) * weights[None, :]
+    dsines = differentiate(sines)
+    return _read_only(moments, project, project @ dsines.T,
+                      project.sum(axis=1), dsines @ weights,
+                      cumulative_integral(sines))
 
 
 class _GalerkinMap:
-    """Projected forward map and Jacobian on a fixed grid.
+    """Projected forward map and Jacobian on a fixed grid, in coefficients.
 
-    ``sines`` holds the K basis rows sqrt(2) sin(pi k x) of the slope and
-    ``project`` the K cosine rows with the Simpson weights folded in, so the
-    Jacobian is ``project`` applied to ``frechet_apply`` of the K sine rows.
-    That derivative is phi' + g phi + d int phi less its mean, where only
-    g = 2q + u1'(q) and d = u2'(Q) depend on q.  The projected derivative
-    of the rows, their running integrals (used when u2 is not zero) and
-    the row sums of ``project`` come from ``_galerkin_section``, built once
-    per (n, K), so a Jacobian costs one or two weighted K x (n + 1) x K
-    products and no stencil pass.
+    A slope is alpha @ ``sines``, the K rows sqrt(2) sin(pi k x) with its
+    end values set to 0, and ``project`` holds the K cosine rows with the
+    Simpson weights folded in.  The map p = q' + q**2 + u - c0 is linear in
+    q' and c0 is the Simpson mean of the raw sum, so the projected residual
+    is ``project_derivative`` @ alpha + project(f) less ``project_mean``
+    times the mean (``derivative_mean`` @ alpha + mean of f), less the
+    projected target, where f = q**2 + u1(q) + u2(Q) and Q = alpha @
+    ``integrals``.  A trial step costs three K x (n + 1) products and no
+    stencil pass or grid object.
+
+    The Jacobian is ``project`` applied to ``frechet_apply`` of the K sine
+    rows: phi' + g phi + d int phi less its mean, where only g = 2q + u1'(q)
+    and d = u2'(Q) depend on q.  The g part comes from the sine moments
+    m = ``moments`` @ (w g) of the 2K rows: 2 cos a sin b = sin(a + b) +
+    sin(b - a) gives J_kj = (m_(j+k) + sgn(j - k) m_|j-k|) / sqrt(2), and
+    the mean of g times row j is m_j.  The d part keeps its product with
+    the running integrals of the rows.  All tables come from
+    ``_galerkin_section``, built once per (n, K).
     """
 
     def __init__(self, p: Potential, cfg: ConditionU, icfg: InversionConfig):
+        K = icfg.basis_size
         self.cfg = cfg
-        self.target = p.f.values
         self.weights = _simpson_weights(p.n)
-        (self.sines, self.project, self.project_derivative, self.project_mean,
-         integrals) = _galerkin_section(p.n, icfg.basis_size)
-        self.sine_integrals = None if cfg.u2.kind == "zero" else integrals
+        (self.moments, self.project, self.project_derivative,
+         self.project_mean, self.derivative_mean,
+         self.integrals) = _galerkin_section(p.n, K)
+        self.sines = self.moments[:K]
+        self.target = p.f.values
+        self.project_target = self.project @ self.target
+        # J_kj = (m_(j+k) + sgn(j - k) m_|j-k|) / sqrt(2), with m_0 = 0.
+        k = np.arange(1, K + 1)
+        self.plus = k[:, None] + k[None, :]
+        self.minus = np.abs(k[None, :] - k[:, None])
+        self.sign = np.sign(k[None, :] - k[:, None])
 
     def impedance(self, alpha: np.ndarray) -> Impedance:
         values = alpha @ self.sines
@@ -141,20 +168,49 @@ class _GalerkinMap:
         return Impedance(GridFunction(values))
 
     def residual(self, alpha: np.ndarray):
-        q = self.impedance(alpha)
-        image = forward_transform(q, self.cfg)
-        return self.project @ (image.f.values - self.target), q, image
+        """The projected residual at alpha and the state the Jacobian reads:
+        the node values of q and Q.  Raises ValueError where a value is not
+        finite, RangeError where sup|Q| exceeds ``LOG_RANGE_LIMIT`` and
+        ConditionError where the decay term rises on that range, as
+        ``forward_transform`` of ``impedance(alpha)`` does."""
+        cfg = self.cfg
+        q = alpha @ self.sines
+        q[0] = q[-1] = 0.0
+        Q = alpha @ self.integrals
+        peak = max(Q.max(), -Q.min())
+        if not math.isfinite(peak):
+            raise ValueError("grid values must be finite")
+        if peak > LOG_RANGE_LIMIT:
+            raise RangeError(f"accumulated log-impedance reaches {peak:.3g}")
+        cfg.validate(peak)
+        f = q * q
+        if cfg.u1:
+            f += cfg.u1_value(q)
+        if cfg.u2.kind != "zero":
+            f += cfg.u2.value(Q)
+        mean = self.derivative_mean @ alpha + self.weights @ f
+        r = (self.project_derivative @ alpha + self.project @ f
+             - self.project_mean * mean - self.project_target)
+        if not np.all(np.isfinite(r)):
+            raise ValueError("grid values must be finite")
+        return r, (q, Q)
 
-    def jacobian(self, q: Impedance) -> np.ndarray:
-        """``project`` applied to ``frechet_apply(q, cfg, sines)``, assembled."""
-        g = 2.0 * q.f.values + self.cfg.u1_derivative(q.f.values)
-        J = self.project_derivative + (self.project * g) @ self.sines.T
-        mean = self.sines @ (self.weights * g)
-        if self.sine_integrals is not None:
-            self.cfg.validate(q.Q_sup)
-            d = self.cfg.u2.derivative(q.Q)
-            J += (self.project * d) @ self.sine_integrals.T
-            mean += self.sine_integrals @ (self.weights * d)
+    def jacobian(self, state) -> np.ndarray:
+        """``project`` applied to ``frechet_apply`` of the sine rows at the
+        state (q, Q) that ``residual`` returned, assembled."""
+        q, Q = state
+        g = 2.0 * q
+        if len(self.cfg.u1) > 1:
+            g += self.cfg.u1_derivative(q)
+        m = np.zeros(self.moments.shape[0] + 1)
+        m[1:] = self.moments @ (self.weights * g)
+        J = self.project_derivative \
+            + (m[self.plus] + self.sign * m[self.minus]) / math.sqrt(2.0)
+        mean = m[1:len(self.sines) + 1]
+        if self.cfg.u2.kind != "zero":
+            d = self.cfg.u2.derivative(Q)
+            J += (self.project * d) @ self.integrals.T
+            mean = mean + self.integrals @ (self.weights * d)
         return J - np.outer(self.project_mean, mean)
 
 
@@ -181,15 +237,16 @@ def _damped_step(residual, rnorm: float, rejects: tuple):
 def _newton_leg(gmap: _GalerkinMap, alpha: np.ndarray, tol_proj: float,
                 history: list):
     """Damped Newton from alpha toward the target: the last accepted slope,
-    its forward image, and whether the leg converged."""
-    r, q, image = gmap.residual(alpha)
+    its forward image, and whether the leg converged.  Trial steps run in
+    coefficients; the slope and its image are built once, at the end."""
+    r, state = gmap.residual(alpha)
     rnorm = float(np.linalg.norm(r))
     history.append(rnorm)
     for _ in range(_MAX_ITER):
         if rnorm <= tol_proj:
-            return q, image, True
+            break
         try:
-            step = np.linalg.solve(gmap.jacobian(q), -r)
+            step = np.linalg.solve(gmap.jacobian(state), -r)
         except np.linalg.LinAlgError as exc:
             raise InversionError(
                 "singular Galerkin Jacobian during inversion",
@@ -197,11 +254,12 @@ def _newton_leg(gmap: _GalerkinMap, alpha: np.ndarray, tol_proj: float,
         found = _damped_step(lambda s: gmap.residual(alpha + s * step),
                              rnorm, (IntegrationError, RangeError))
         if found is None:
-            return q, image, False
-        s, rnorm, (r, q, image) = found
+            break
+        s, rnorm, (r, state) = found
         alpha = alpha + s * step
         history.append(rnorm)
-    return q, image, rnorm <= tol_proj
+    q = gmap.impedance(alpha)
+    return q, forward_transform(q, gmap.cfg), rnorm <= tol_proj
 
 
 def _ground_state_slope(p: Potential, history: list) -> np.ndarray:

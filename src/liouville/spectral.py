@@ -216,11 +216,14 @@ def _newton_polish(char, lam, lo, hi, value=None):
     changes sign at each simple eigenvalue, so in slot k it has the sign
     (-1)**k below the root; each evaluation shrinks the bracket by that
     sign, and a step that
-    would leave the bracket takes its midpoint.  So does a step longer than
-    half the root's last Newton step, the safeguard of rtsafe (Press et
-    al., Numerical Recipes, sec. 9.4): a start far from the root would
-    otherwise crawl to it in steps that shrink too slowly.  A step after a
-    midpoint has no last step to compare with.  A root stops once its
+    would leave the bracket takes its midpoint.  So does the second of two
+    slow steps in a row, each longer than half the root's step before it,
+    after the safeguard of rtsafe (Press et al., Numerical Recipes, sec.
+    9.4): a start far from the root would otherwise crawl to it in steps
+    that shrink too slowly.  One slow step is taken, because Newton's steps
+    near a deep state shrink by less than half for a round or two before
+    they turn quadratic.  A step after a midpoint has no step before it to
+    compare with.  A root stops once its
     Newton step is within the tolerance, taken or not, at the step's end
     clipped to the bracket: a bracket can collapse to one ulp while the
     step is still finite.  It also stops where w is exactly 0 or no float
@@ -248,8 +251,10 @@ def _newton_polish(char, lam, lo, hi, value=None):
     # Each root's last evaluation: w, dw, their log scale, g and dg.
     w, dw, scale, g, dg = np.zeros((5, lam.size))
     chord = np.zeros(lam.size, dtype=bool)
-    # Each root's last Newton step; inf where it has none to compare with.
+    # Each root's last Newton step, inf where it has none to compare with,
+    # and whether that step was slow: longer than half the one before it.
     last = np.full(lam.size, np.inf)
+    slow = np.zeros(lam.size, dtype=bool)
     for _ in range(_MAX_NEWTON):
         fresh, held = live[~chord[live]], live[chord[live]]
         if fresh.size:
@@ -272,10 +277,12 @@ def _newton_polish(char, lam, lo, hi, value=None):
         done = (np.abs(step) <= _RTOL * reach) | (
             np.nextafter(low, high) >= high)
         inside = (trial > low) & (trial < high)
-        newton = inside & (np.abs(step) <= 0.5 * prev)
+        slow_step = np.abs(step) > 0.5 * prev
+        newton = inside & ~(slow_step & slow[live])
         lam[live] = np.where(newton | done, np.clip(trial, low, high),
                              0.5 * (low + high))
         last[live] = np.where(newton, np.abs(step), np.inf)
+        slow[live] = newton & slow_step
         g[live] += dg[live] * (lam[live] - x)
         if value is not None:
             chord[live] = newton & (np.abs(step) <= _CHORD * reach) & (

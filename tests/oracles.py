@@ -19,8 +19,8 @@ from scipy.optimize import brentq
 
 from liouville import (BracketError, GridFunction, Impedance, IntegrationError,
                        Potential, RangeError, SchrodingerProblem, build_rho,
-                       cumulative_integral, differentiate, frechet_apply,
-                       inner_product, integral, resample, sup_norm)
+                       cumulative_integral, differentiate, forward_transform,
+                       frechet_apply, inner_product, integral, resample, sup_norm)
 from liouville.grid import _simpson_weights, local_quintic
 from liouville.ode import _count_below, _endpoint_w, _quadratic_steps
 from liouville.spectral import (_endpoint_quantities, boundary_shift,
@@ -479,8 +479,17 @@ def composed_frechet_apply(q, cfg, rows):
     return differentiate(rows) + bulk - (bulk @ _simpson_weights(q.n))[..., None]
 
 
-# The Galerkin Jacobian as K one-direction derivative calls, the column loop
-# that the batched ``frechet_apply`` call replaced, kept as its reference.
+# The Galerkin step as it was before both halves were assembled from the
+# section: the residual through the forward map on the nodes, and the
+# Jacobian as K one-direction derivative calls.  Kept as the reference of
+# ``_GalerkinMap.residual`` and ``.jacobian``; the state the two pass is the
+# trial ``Impedance``.
+
+def forward_galerkin_residual(gmap, alpha):
+    q = gmap.impedance(alpha)
+    image = forward_transform(q, gmap.cfg)
+    return gmap.project @ (image.f.values - gmap.target), q
+
 
 def loop_galerkin_jacobian(gmap, q):
     cols = [gmap.project @ frechet_apply(q, gmap.cfg, GridFunction(s)).values

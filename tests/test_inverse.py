@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouville import (INF, BracketError, ConditionU, DecayTerm, FitTarget,
-                       GridFunction, Impedance, InversionConfig,
-                       InversionError, Potential,
+from liouville import (INF, BracketError, ConditionError, ConditionU,
+                       DecayTerm, FitTarget, GridFunction, Impedance,
+                       InversionConfig, InversionError, Potential, RangeError,
                        SchrodingerProblem, TargetError,
                        fit_impedance_detailed, fit_potential,
                        fit_potential_detailed, forward_transform,
@@ -19,7 +19,9 @@ from liouville import (INF, BracketError, ConditionU, DecayTerm, FitTarget,
 from liouville import grid, inverse, ode, spectral
 from liouville.grid import differentiate, trig_basis
 from liouville.inverse import _FitMap, _GalerkinMap, _galerkin_section
-from oracles import fd_fit_jacobian, loop_galerkin_jacobian
+from liouville.transform import LOG_RANGE_LIMIT
+from oracles import (fd_fit_jacobian, forward_galerkin_residual,
+                     loop_galerkin_jacobian)
 
 
 def sine_slope(coeffs, n=2048, scale=1.0):
@@ -192,6 +194,19 @@ JACOBIAN_CFGS = {
 }
 
 
+def six_mode_slope(coeffs, peak, n):
+    """The six sine modes with weights ``coeffs``, scaled to sup|q| = peak."""
+    q = np.asarray(coeffs) @ trig_basis("sine", 6, n)
+    q[0] = q[-1] = 0.0
+    top = np.max(np.abs(q))
+    return Impedance(GridFunction(q * (peak / top) if top > 0.0 else q))
+
+
+def galerkin_state(q):
+    """The (q, Q) node arrays that ``_GalerkinMap.jacobian`` reads."""
+    return q.f.values, q.Q
+
+
 class TestBatchedJacobian:
     """The assembled Galerkin Jacobian against the K-call column loop."""
 
@@ -203,7 +218,7 @@ class TestBatchedJacobian:
         q = sine_slope([0.8, -0.5, 0.3, 0.0, 0.2, -0.1], n)
         gmap = _GalerkinMap(forward_transform(q, cfg), cfg,
                             InversionConfig(basis_size=K))
-        got = gmap.jacobian(q)
+        got = gmap.jacobian(galerkin_state(q))
         want = loop_galerkin_jacobian(gmap, q)
         assert got.shape == (K, K)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -216,23 +231,19 @@ class TestBatchedJacobian:
     def test_matches_column_loop_on_random_slopes(self, coeffs, peak, n, K,
                                                   name):
         # Six-mode slopes scaled to sup|q| = peak, up to the benchmark's cap.
-        q = np.asarray(coeffs) @ trig_basis("sine", 6, n)
-        q[0] = q[-1] = 0.0
-        top = np.max(np.abs(q))
-        q = q * (peak / top) if top > 0.0 else q
         cfg = JACOBIAN_CFGS[name]
-        q = Impedance(GridFunction(q))
+        q = six_mode_slope(coeffs, peak, n)
         gmap = _GalerkinMap(forward_transform(q, cfg), cfg,
                             InversionConfig(basis_size=K))
-        got = gmap.jacobian(q)
+        got = gmap.jacobian(galerkin_state(q))
         want = loop_galerkin_jacobian(gmap, q)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_inversion_makes_no_derivative_pass(self, monkeypatch):
-        # The Jacobian is assembled from the map's stored rows, and the full
-        # residual reuses the last accepted forward image, so every forward
-        # transform is one residual evaluation.
-        calls = {"forward": 0, "residual": 0}
+        # Trial steps run in coefficients and the Jacobian is assembled from
+        # the section, so the only slope and forward image of a leg are
+        # built once, from its last accepted coefficients.
+        calls = {"forward": 0, "impedance": 0, "residual": 0}
 
         def no_frechet(*args, **kwargs):
             raise AssertionError("frechet_apply called during inversion")
@@ -246,6 +257,8 @@ class TestBatchedJacobian:
         monkeypatch.setattr(inverse, "frechet_apply", no_frechet)
         monkeypatch.setattr(inverse, "forward_transform",
                             counted("forward", forward_transform))
+        monkeypatch.setattr(inverse, "Impedance",
+                            counted("impedance", Impedance))
         monkeypatch.setattr(_GalerkinMap, "residual",
                             counted("residual", _GalerkinMap.residual))
         restarted = []
@@ -258,19 +271,99 @@ class TestBatchedJacobian:
             assert report.converged
             restarted.append(report.restarted)
         assert restarted == [True, False]
-        assert calls["forward"] == calls["residual"] > 0
+        # Three legs: two for the restarted target, one for the other.
+        assert calls["forward"] == calls["impedance"] == 3
+        assert calls["residual"] > 3
 
     def test_inversions_unchanged(self, monkeypatch):
-        """The first 64 targets of the benchmark's inversion workload, seed 0;
-        every fourth uses exp:0.5,1.0."""
-        cases = benchmark_cases(64)
-        batched = [invert_transform_detailed(p, cfg) for p, cfg in cases]
+        """The first 64 targets of the benchmark's inversion workload, seed
+        0 (every fourth uses exp:0.5,1.0), and three steep six-mode slopes
+        that restart, against the forward-map residual and the column-loop
+        Jacobian."""
+        cases = benchmark_cases(64) + [
+            (forward_transform(steep_slope(peak, seed)), ConditionU.zero())
+            for peak, seed in ((15.0, 10), (12.0, 9), (20.0, 12))]
+        assembled = [invert_transform_detailed(p, cfg) for p, cfg in cases]
+        monkeypatch.setattr(_GalerkinMap, "residual",
+                            forward_galerkin_residual)
         monkeypatch.setattr(_GalerkinMap, "jacobian", loop_galerkin_jacobian)
         looped = [invert_transform_detailed(p, cfg) for p, cfg in cases]
-        for got, want in zip(batched, looped):
+        for i, (got, want) in enumerate(zip(assembled, looped)):
             assert got.iterations == want.iterations
             assert got.restarted == want.restarted
-            assert np.max(np.abs(got.q.f.values - want.q.f.values)) <= 1e-12
+            # The steep slopes end where the Galerkin Jacobian is ill
+            # conditioned: at 12/9, ||J^-1|| = 118, so the last Newton step
+            # carries a 1e-14 rounding of either residual into the slope as
+            # 1e-12.  Measured: 1.1e-12 (15/10), 1.5e-12 (12/9), 2.8e-13
+            # (20/12), and at most 1.3e-13 on the benchmark targets.
+            bound = 1e-12 if i < 64 else 1e-11
+            assert np.max(np.abs(got.q.f.values - want.q.f.values)) <= bound
+        assert [r.restarted for r in assembled[64:]] == [True] * 3
+
+
+class TestAssembledResidual:
+    """The Galerkin residual assembled in coefficients against the forward
+    map of the slope on the nodes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+           peak=st.floats(0.0, 10.0), n=st.sampled_from([1023, 2048]),
+           K=st.sampled_from([1, 5, 16]),
+           name=st.sampled_from(sorted(JACOBIAN_CFGS)))
+    def test_matches_forward_map(self, coeffs, peak, n, K, name):
+        # The target is the image of a six-mode slope; the trial is its
+        # K-mode projection, the form of the restart's start.
+        cfg = JACOBIAN_CFGS[name]
+        q = six_mode_slope(coeffs, peak, n)
+        target = forward_transform(q, cfg)
+        gmap = _GalerkinMap(target, cfg, InversionConfig(basis_size=K))
+        alpha = gmap.sines @ (gmap.weights * q.f.values)
+        got, (q_nodes, Q_nodes) = gmap.residual(alpha)
+        trial = gmap.impedance(alpha)
+        want = gmap.project @ (forward_transform(trial, cfg).f.values
+                               - target.f.values)
+        assert got.shape == (K,)
+        assert np.max(np.abs(got - want)) \
+            <= 1e-12 * max(1.0, float(np.linalg.norm(want)))
+        assert np.array_equal(q_nodes, trial.f.values)
+        assert np.max(np.abs(Q_nodes - trial.Q)) <= 1e-13 * max(1.0, peak)
+
+    @pytest.mark.parametrize("cfg", list(JACOBIAN_CFGS.values()),
+                             ids=list(JACOBIAN_CFGS))
+    def test_range_error_past_the_log_range(self, cfg):
+        # One mode of weight 2000 reaches sup|Q| = 2000 * 2 sqrt(2) / pi.
+        assert 2000.0 * 2.0 * math.sqrt(2.0) / math.pi > LOG_RANGE_LIMIT
+        gmap = _GalerkinMap(Potential(GridFunction.zeros(1024)), cfg,
+                            InversionConfig(basis_size=4))
+        alpha = np.array([2000.0, 0.0, 0.0, 0.0])
+        with pytest.raises(RangeError):
+            gmap.residual(alpha)
+        with pytest.raises(RangeError):
+            forward_transform(gmap.impedance(alpha), cfg)
+
+    def test_rising_decay_term_is_condition_error(self):
+        cfg = ConditionU(u2=DecayTerm("poly", coeffs=(0.0, 1.0)))
+        gmap = _GalerkinMap(Potential(GridFunction.zeros(1024)), cfg,
+                            InversionConfig(basis_size=4))
+        alpha = np.array([0.3, -0.2, 0.0, 0.1])
+        with pytest.raises(ConditionError):
+            gmap.residual(alpha)
+        with pytest.raises(ConditionError):
+            forward_transform(gmap.impedance(alpha), cfg)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_trial_is_value_error(self, bad):
+        # Under the poly term a nan sup|Q| would reach the decay check; the
+        # finiteness check comes first, as the grid function's does.
+        gmap = _GalerkinMap(Potential(GridFunction.zeros(1024)),
+                            JACOBIAN_CFGS["poly"],
+                            InversionConfig(basis_size=4))
+        alpha = np.array([0.3, bad, 0.0, 0.1])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                gmap.residual(alpha)
+            with pytest.raises(ValueError, match="finite"):
+                gmap.impedance(alpha)
 
 
 class TestGridTables:
@@ -282,7 +375,7 @@ class TestGridTables:
         assert _galerkin_section(n, K) is got
         fresh = _galerkin_section.__wrapped__(n, K)
         assert [row.shape for row in got] == [
-            (K, n + 1), (K, n + 1), (K, K), (K,), (K, n + 1)]
+            (2 * K, n + 1), (K, n + 1), (K, K), (K,), (K,), (K, n + 1)]
         for got_row, want_row in zip(got, fresh):
             assert np.array_equal(got_row, want_row)
 
@@ -297,8 +390,9 @@ class TestGridTables:
         assert trig_basis("sine", 8, 256)[0, 0] == 0.0
 
     def test_second_inversion_builds_no_basis(self, monkeypatch):
-        # The first inversion on a grid builds the (K, n + 1) rows and their
-        # derivative; a second one on the same grid finds them built.
+        # The first inversion on a grid builds the 2K sine rows, the K cosine
+        # rows and the derivative of the first K sine rows; a second one on
+        # the same grid finds them built.
         built = []
 
         def spy(fn):
@@ -314,7 +408,7 @@ class TestGridTables:
         _galerkin_section.cache_clear()
         (p, cfg), = benchmark_cases(1)
         invert_transform_detailed(p, cfg)
-        assert built == [(16, 2049)] * 3
+        assert built == [(32, 2049), (16, 2049), (16, 2049)]
         built.clear()
         invert_transform_detailed(p, cfg)
         assert built == []

@@ -649,6 +649,25 @@ class TestRootFinder:
                 1.0, np.abs(lam))[:, None]
             assert near.any(axis=1).all()
 
+    def test_one_slow_step_is_taken(self):
+        # Newton on w = -(x**3 + x) from x = 3 steps 1.07, 0.75 and 0.55:
+        # the second and third are each longer than half the step before.
+        # The first slow step is taken; the second bisects the bracket.
+        seen = []
+
+        def char(x):
+            seen.append(float(x[0]))
+            return -(x ** 3 + x), -(3.0 * x ** 2 + 1.0), np.zeros_like(x)
+
+        lam = spectral._newton_polish(char, [3.0], [-10.0], [10.0])
+        assert abs(lam[0]) < 1e-12
+        newton = [3.0]
+        for _ in range(2):
+            x = newton[-1]
+            newton.append(x - (x ** 3 + x) / (3.0 * x ** 2 + 1.0))
+        assert np.allclose(seen[:3], newton, rtol=1e-14, atol=0.0)
+        assert seen[3] == 0.5 * (-10.0 + seen[2])
+
     def test_nonconverging_iteration_raises(self, monkeypatch):
         # A stationary characteristic value gives no usable Newton step, so
         # every round takes the bracket midpoint and none meets the
@@ -1210,8 +1229,9 @@ class TestDeepRobinEnds:
     def test_steep_potential_under_deep_right_end(self, A):
         # Slot 1 starts about 500 below its root, where Newton crawls in
         # steps that halve too slowly (40, then 20, ...) and used to run out
-        # of rounds; a step longer than half the last one now takes the
-        # bracket midpoint.  Measured against the finite differences:
+        # of rounds; the second of two steps in a row, each longer than half
+        # the one before, now takes the bracket midpoint.  Measured against
+        # the finite differences:
         # 1.7e-9 to 2.4e-8; nu against 8192 cells: 5.2e-7 to 1.1e-6.
         def pv(x):
             return A * math.sqrt(2.0) * np.cos(3.0 * np.pi * x)
