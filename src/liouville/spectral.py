@@ -1,10 +1,13 @@
 """Eigenvalues, norming constants, product formulas, and trace identities.
 
-Spectra are found by Newton steps on the characteristic function with its
-variational lam-derivative, each iterate kept inside its bracket; a root
-already near takes chord steps, which reuse its last derivative.  Every
-ladder is bracketed around its starts, a fit's predicted ladder or the zero
-ladder shifted by the mean of the potential, and one exact oscillation
+Spectra are found by Newton steps on the characteristic function, each
+iterate kept inside its bracket.  A step's slope is the secant through the
+root's last two evaluations, each an endpoint sweep, or in the first round
+the zero problem's lam-derivative at the same slot; the variational
+lam-derivative, a sweep of twice the cost, is the fallback for a root whose
+secant steps stop contracting or leave the bracket.  Every ladder is
+bracketed around its starts, a fit's predicted ladder or the zero ladder
+shifted by the mean of the potential, and one exact oscillation
 count above the ladder proves the labels once each root lands inside its
 own bracket; otherwise every slot is count-bracketed.  Two states that
 rounding cannot split raise ``BracketError``.  Both pictures are solved as
@@ -60,12 +63,13 @@ __all__ = [
 ]
 
 
-# Newton stops a root once its step is within _RTOL * max(1, |lam|), and
-# takes chord rounds after a step within _CHORD * max(1, |lam|);
-# _MAX_NEWTON bounds the rounds of one polish and _MAX_REPAIR those of the
-# bracket repair before the count bisection.
+# Newton stops a root once its step is within _RTOL * max(1, |lam|); after
+# a step inside its bracket it takes a value round, whose slope is the
+# secant through its last two evaluations.  _MAX_NEWTON bounds the cost of
+# one root's polish in derivative rounds, a value round costing half of
+# one, and _MAX_REPAIR the rounds of the bracket repair before the count
+# bisection.
 _RTOL = 1e-12
-_CHORD = math.sqrt(_RTOL)
 _MAX_NEWTON = 16
 _MAX_REPAIR = 48
 
@@ -205,7 +209,7 @@ def _solve_levels(prob, a, b, N):
     return lo, hi
 
 
-def _newton_polish(char, lam, lo, hi, value=None):
+def _newton_polish(char, lam, lo, hi, value=None, log_dw=None):
     """Newton on a characteristic function, each root kept in its bracket.
 
     ``char(x)`` returns the characteristic values at x, their
@@ -230,42 +234,71 @@ def _newton_polish(char, lam, lo, hi, value=None):
     lies inside its bracket: near two states that rounding cannot split w
     and dw are rounding noise.
 
-    A ``char`` that returns a companion g and its lam-derivative dg after
-    the scale gets (lam, g) back, g carried from each root's last
-    evaluation x by the same step: g(x) + dg(x) (lam - x).
-
     Such a char may come with ``value``, which returns the values, their
-    log scale and g, without derivatives.  A root whose last Newton step
-    landed inside its bracket and within ``_CHORD`` then takes chord rounds
-    (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
-    sec. 5.4): ``value`` evaluates it, and its last dw, carried to the new
-    scale, and its last dg are reused.  Such a round costs an endpoint
-    sweep, not a derivative sweep.  A chord step longer than a tenth of
-    the step before it sends the root back to a derivative round: beside a
-    near-coincident state the stale dw contracts too slowly.
+    log scale and a companion g, without derivatives; char then returns g
+    and its lam-derivative dg after the scale, and the polish returns
+    (lam, g), g carried from each root's last evaluation x by the same
+    step: g(x) + dg (lam - x).  A value round evaluates a root by ``value``
+    alone, an endpoint sweep where a derivative round costs a derivative
+    sweep, and takes its slope from the secant through the root's last two
+    evaluations, both values carried to the newer log scale: the secant's
+    efficiency index, 1.618 per evaluation, beats Newton's sqrt(2) when the
+    derivative costs as much as the value (Ostrowski, Solution of Equations
+    and Systems of Equations, 1960).  dg is the secant of g alike.  A
+    secant that is not finite or is 0 keeps the slope carried from before.
+    ``log_dw`` predicts log|dw| at each root, whose sign in slot k is
+    (-1)**(k + 1): in round 1 every root with a finite prediction takes a
+    value round with that slope, formed in logs so that a deep state cannot
+    overflow, and dg = 0.  After that a Newton step inside the bracket
+    leads to a value round, and a midpoint, or a value step longer than
+    half the step before it, to a derivative round.  A root stays live
+    until its rounds cost ``_MAX_NEWTON`` derivative rounds, a value round
+    costing half of one: the secant converges with order 1.618, not 2, so
+    a root that needs its derivative rounds far from the root takes more
+    rounds to finish than Newton would.
     """
     lam = np.array(lam, dtype=float)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     below = (-1.0) ** np.arange(lam.size)
     live = np.arange(lam.size)
-    # Each root's last evaluation: w, dw, their log scale, g and dg.
-    w, dw, scale, g, dg = np.zeros((5, lam.size))
-    chord = np.zeros(lam.size, dtype=bool)
+    # Each root's last evaluation: where it was, w and dw with their log
+    # scale, g and dg.  A predicted slope is -below at the log scale log_dw.
+    at = np.full(lam.size, np.nan)
+    w, g, dg = np.zeros((3, lam.size))
+    dw, scale = -below, np.zeros(lam.size)
+    by_value = np.zeros(lam.size, dtype=bool)
+    if value is not None and log_dw is not None:
+        by_value = np.isfinite(log_dw)
+        scale = np.where(by_value, log_dw, 0.0)
     # Each root's last Newton step, inf where it has none to compare with,
     # and whether that step was slow: longer than half the one before it.
     last = np.full(lam.size, np.inf)
     slow = np.zeros(lam.size, dtype=bool)
-    for _ in range(_MAX_NEWTON):
-        fresh, held = live[~chord[live]], live[chord[live]]
+    spent = np.zeros(lam.size)
+    while True:
+        fresh, held = live[~by_value[live]], live[by_value[live]]
         if fresh.size:
             w[fresh], dw[fresh], scale[fresh], *carry = char(lam[fresh])
             if carry:
                 g[fresh], dg[fresh] = carry
         if held.size:
-            w[held], new_scale, g[held] = value(lam[held])
-            dw[held] *= np.exp(scale[held] - new_scale)
-            scale[held] = new_scale
-        x, prev, was_chord = lam[live], last[live], chord[live]
+            x = lam[held]
+            w_x, scale_x, g_x = value(x)
+            with np.errstate(over="ignore", divide="ignore",
+                             invalid="ignore"):
+                carried = np.exp(scale[held] - scale_x)
+                dx = x - at[held]
+                dw_x = (w_x - w[held] * carried) / dx
+                dg_x = (g_x - g[held]) / dx
+                dw[held] = np.where(np.isfinite(dw_x) & (dw_x != 0.0), dw_x,
+                                    dw[held] * carried)
+                dg[held] = np.where(np.isfinite(dg_x) & (dg_x != 0.0), dg_x,
+                                    dg[held])
+            w[held], scale[held], g[held] = w_x, scale_x, g_x
+        spent[fresh] += 1.0
+        spent[held] += 0.5
+        x, prev, was_by_value = lam[live], last[live], by_value[live]
+        at[live] = x
         side = np.sign(w[live]) * below[live]
         low = np.where(side > 0, x, lo[live])
         high = np.where(side < 0, x, hi[live])
@@ -283,16 +316,15 @@ def _newton_polish(char, lam, lo, hi, value=None):
                              0.5 * (low + high))
         last[live] = np.where(newton, np.abs(step), np.inf)
         slow[live] = newton & slow_step
-        g[live] += dg[live] * (lam[live] - x)
         if value is not None:
-            chord[live] = newton & (np.abs(step) <= _CHORD * reach) & (
-                ~was_chord | (np.abs(step) <= 0.1 * prev))
+            by_value[live] = newton & ~(was_by_value & slow_step)
         live = live[~done]
         if live.size == 0:
-            return (lam, g) if carry else lam
-    raise BracketError(
-        f"Newton polish left {live.size} roots unconverged after "
-        f"{_MAX_NEWTON} rounds")
+            return lam if value is None else (lam, g + dg * (lam - at))
+        if np.any(spent[live] >= _MAX_NEWTON):
+            raise BracketError(
+                f"Newton polish left {live.size} roots unconverged after "
+                f"the cost of {_MAX_NEWTON} derivative rounds")
 
 
 def _problem_char(prob, a, b):
@@ -719,12 +751,16 @@ def _pipeline(prob, a, b, N, *, _guess=None):
     its bracket's edge or a ``BracketError`` sends the ladder to the count
     brackets of ``_solve_levels``.  Either way each slot starts from the
     first of the guess, the shifted zero ladder and the bracket midpoint
-    inside its bracket, so a start cannot change a label.  Corrected
-    eigenvalues that do not increase belong to two states that rounding
-    cannot split, and raise ``BracketError``.
+    inside its bracket, so a start cannot change a label, and predicts its
+    first slope by the zero problem's discrete log|dw| at the same slot.
+    Corrected eigenvalues that do not increase belong to two states that
+    rounding cannot split, and raise ``BracketError``.
     """
-    dlam, dnorm, _ = _zero_correction(prob.n, a, b, N + 1)
-    zero = _exact_ladder(a, b, N + 1)[0] + (prob.coefficient_mean() - dlam)
+    dlam, dnorm, dlog_dw = _zero_correction(prob.n, a, b, N + 1)
+    exact, _, log_dw = _exact_ladder(a, b, N + 1)
+    zero = exact + (prob.coefficient_mean() - dlam)
+    with np.errstate(invalid="ignore"):
+        log_dw = (log_dw - dlog_dw)[:N]
     dlam, dnorm = dlam[:N], dnorm[:N]
     char, value = _problem_char(prob, a, b)
     # Later rows take precedence where they lie inside the bracket.
@@ -739,7 +775,7 @@ def _pipeline(prob, a, b, N, *, _guess=None):
         start = 0.5 * (lo + hi)
         for row in rows:
             start = np.where((row > lo) & (row < hi), row, start)
-        return _newton_polish(char, start, lo, hi, value)
+        return _newton_polish(char, start, lo, hi, value, log_dw)
 
     hi = 0.5 * (s[:-1] + s[1:])
     lo = np.concatenate([[_spectrum_floor(prob, a, b)], hi[:-1]])

@@ -589,6 +589,106 @@ def bisect_newton_polish(prob, lam, a, b, max_newton, max_step=None):
     return lam
 
 
+# The polish as it was before value rounds: derivative rounds, and chord
+# rounds for a root whose last Newton step was within CHORD, which reuse
+# its last derivative.  Kept as the reference of ``spectral._newton_polish``;
+# it takes no predicted slope.
+
+_RTOL = 1e-12
+_CHORD = math.sqrt(_RTOL)
+_MAX_NEWTON = 16
+
+
+def newton_polish(char, lam, lo, hi, value=None):
+    """Newton on a characteristic function, each root kept in its bracket.
+
+    ``char(x)`` returns the characteristic values at x, their
+    lam-derivatives and the log of their common scale (w e**scale is the
+    true value).  ``lo`` and ``hi`` bracket one root each, slot k first;
+    any start inside its bracket is safe, and one near the root saves
+    rounds.  The characteristic value is positive below the spectrum and
+    changes sign at each simple eigenvalue, so in slot k it has the sign
+    (-1)**k below the root; each evaluation shrinks the bracket by that
+    sign, and a step that
+    would leave the bracket takes its midpoint.  So does the second of two
+    slow steps in a row, each longer than half the root's step before it,
+    after the safeguard of rtsafe (Press et al., Numerical Recipes, sec.
+    9.4): a start far from the root would otherwise crawl to it in steps
+    that shrink too slowly.  One slow step is taken, because Newton's steps
+    near a deep state shrink by less than half for a round or two before
+    they turn quadratic.  A step after a midpoint has no step before it to
+    compare with.  A root stops once its
+    Newton step is within the tolerance, taken or not, at the step's end
+    clipped to the bracket: a bracket can collapse to one ulp while the
+    step is still finite.  It also stops where w is exactly 0 or no float
+    lies inside its bracket: near two states that rounding cannot split w
+    and dw are rounding noise.
+
+    A ``char`` that returns a companion g and its lam-derivative dg after
+    the scale gets (lam, g) back, g carried from each root's last
+    evaluation x by the same step: g(x) + dg(x) (lam - x).
+
+    Such a char may come with ``value``, which returns the values, their
+    log scale and g, without derivatives.  A root whose last Newton step
+    landed inside its bracket and within ``_CHORD`` then takes chord rounds
+    (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
+    sec. 5.4): ``value`` evaluates it, and its last dw, carried to the new
+    scale, and its last dg are reused.  Such a round costs an endpoint
+    sweep, not a derivative sweep.  A chord step longer than a tenth of
+    the step before it sends the root back to a derivative round: beside a
+    near-coincident state the stale dw contracts too slowly.
+    """
+    lam = np.array(lam, dtype=float)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    below = (-1.0) ** np.arange(lam.size)
+    live = np.arange(lam.size)
+    # Each root's last evaluation: w, dw, their log scale, g and dg.
+    w, dw, scale, g, dg = np.zeros((5, lam.size))
+    chord = np.zeros(lam.size, dtype=bool)
+    # Each root's last Newton step, inf where it has none to compare with,
+    # and whether that step was slow: longer than half the one before it.
+    last = np.full(lam.size, np.inf)
+    slow = np.zeros(lam.size, dtype=bool)
+    for _ in range(_MAX_NEWTON):
+        fresh, held = live[~chord[live]], live[chord[live]]
+        if fresh.size:
+            w[fresh], dw[fresh], scale[fresh], *carry = char(lam[fresh])
+            if carry:
+                g[fresh], dg[fresh] = carry
+        if held.size:
+            w[held], new_scale, g[held] = value(lam[held])
+            dw[held] *= np.exp(scale[held] - new_scale)
+            scale[held] = new_scale
+        x, prev, was_chord = lam[live], last[live], chord[live]
+        side = np.sign(w[live]) * below[live]
+        low = np.where(side > 0, x, lo[live])
+        high = np.where(side < 0, x, hi[live])
+        lo[live], hi[live] = low, high
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(w[live] == 0.0, 0.0, w[live] / dw[live])
+        trial = x - step
+        reach = np.maximum(1.0, np.abs(x))
+        done = (np.abs(step) <= _RTOL * reach) | (
+            np.nextafter(low, high) >= high)
+        inside = (trial > low) & (trial < high)
+        slow_step = np.abs(step) > 0.5 * prev
+        newton = inside & ~(slow_step & slow[live])
+        lam[live] = np.where(newton | done, np.clip(trial, low, high),
+                             0.5 * (low + high))
+        last[live] = np.where(newton, np.abs(step), np.inf)
+        slow[live] = newton & slow_step
+        g[live] += dg[live] * (lam[live] - x)
+        if value is not None:
+            chord[live] = newton & (np.abs(step) <= _CHORD * reach) & (
+                ~was_chord | (np.abs(step) <= 0.1 * prev))
+        live = live[~done]
+        if live.size == 0:
+            return (lam, g) if carry else lam
+    raise BracketError(
+        f"Newton polish left {live.size} roots unconverged after "
+        f"{_MAX_NEWTON} rounds")
+
+
 def bisect_level(prob, a, b, N):
     """Eigenvalues and norming constants at the problem grid, old root finder."""
     _, lam = bisect_solve_levels(prob, a, b, N)

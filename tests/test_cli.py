@@ -508,8 +508,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("p,a", [
         ("fourier:[0,0.7071067811865476]", "-16"), ("fourier:[0,0.3]", "-15")])
     def test_deep_equal_pair_solves(self, tmp_path, p, a):
-        # Slot 0 took chord rounds beside its twin, 2.4e-4 away, and the
-        # stale derivative contracted by only about -0.46 a round.
+        # Slot 0 lies beside its twin, 2.4e-4 away, where a stale
+        # derivative contracted by only about -0.46 a round.
         out = tmp_path / "x.json"
         assert main(["spectrum", "--p", p, "--bc", "generic", "--a", a,
                      "--b", a, "--N", "6", "--out", str(out)]) == EXIT_OK

@@ -834,9 +834,10 @@ class TestWarmStarts:
     def test_sweep_budget_on_benchmark_inputs(self, monkeypatch):
         # Over the first six seed-0 inputs of the benchmark's fit workload,
         # cold starts took 104 derivative sweeps (14, 17, 17, 14, 20, 22),
-        # and warm starts with Newton rounds alone 50.  Chord rounds turn 14
-        # of those into 19 endpoint sweeps.  Each Jacobian makes one trace
-        # sweep.  Every solve brackets its slots around the predicted
+        # and warm starts with Newton rounds alone 50.  Chord rounds turned
+        # 14 of those into 19 endpoint sweeps; value rounds, from predicted
+        # and secant slopes, turn all 36 into 62.  Each Jacobian makes one
+        # trace sweep.  Every solve brackets its slots around the predicted
         # ladder, so its one count sweep has the single column above it.
         inputs = benchmark_fit_inputs(6)
         sweep = ode._sweep
@@ -854,9 +855,9 @@ class TestWarmStarts:
         iterations = 0
         for target, cfg in inputs:
             iterations += run_fit(target, cfg)[1].iterations
-        assert modes.count("deriv") == 36
+        assert modes.count("deriv") == 0
         assert modes.count("trace") == iterations
-        assert modes.count("endpoint") == 19
+        assert modes.count("endpoint") == 62
         assert count_columns and set(count_columns) == {1}
 
     def test_residual_without_guess(self):
