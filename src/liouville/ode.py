@@ -150,6 +150,25 @@ def _quadratic_steps(Vn, Vm) -> np.ndarray:
     return np.stack(column(one, zero) + column(zero, one), axis=1)
 
 
+def _log_growth(n: int, lam) -> np.ndarray:
+    """log R = (n/2) log det M: how far the RK4 shots of the zero potential
+    over n cells fail to keep the Wronskian, at each lam.
+
+    Every cell matrix of y'' = -lam y is the unit cell of
+    ``_quadratic_steps`` at z = lam / n**2, whose determinant is a
+    polynomial in z; det - 1 is formed as one, so that log1p keeps it
+    where z is small.  A backward read of that problem falls short of its
+    forward read by 2 log R.
+    """
+    P = np.polynomial.polynomial
+    M = _quadratic_steps(np.zeros(2), np.zeros(1))[..., 0]
+    excess = P.polysub(P.polymul(M[:, 0], M[:, 3]),
+                       P.polymul(M[:, 1], M[:, 2]))
+    excess[0] -= 1.0
+    z = np.asarray(lam, dtype=float) / n**2
+    return 0.5 * n * np.log1p(P.polyval(z, excess))
+
+
 @dataclass(frozen=True, eq=False)
 class _Coefficients:
     """Node and midpoint samples of V at one resolution.

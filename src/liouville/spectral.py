@@ -14,13 +14,15 @@ rounding cannot split raise ``BracketError``.  Both pictures are solved as
 normal forms (an impedance problem through the Liouville map, see
 ``ode``), at the problem grid, and corrected by the integrator error of
 the zero potential under the same boundary pair (asymptotic correction:
-Paine, de Hoog & Anderssen, Computing 26, 1981), which the zero problem
-shows exactly and without a sweep.  The norming constants, normalizing
-constants and trace-identity terms at stored eigenvalues are read the same
-way: one grid level at the discrete eigenvalues those imply, plus the
-correction of each quantity.  Every boundary pair takes that one path; a
-state that decays away from x = 0 has its norming constant read from the
-shot of the right data, which grows toward it.
+Paine, de Hoog & Anderssen, Computing 26, 1981): the zero problem's
+exact ladder, in closed form, less the same level solved for the zero
+potential on the same grid, so that only ``ode`` knows the integrator.
+The norming constants, normalizing constants and trace-identity terms at
+stored eigenvalues are read the same way: one grid level at the discrete
+eigenvalues those imply, plus the correction of each quantity.  Every
+boundary pair takes that one path; a state that decays away from x = 0
+has its norming constant read from the shot of the right data, which
+grows toward it.
 
 Three boundary regimes are supported, encoded by the pair (a, b) with inf
 meaning a Dirichlet end: both ends Dirichlet (eigenvalues labelled from 1),
@@ -40,9 +42,10 @@ from .errors import (
     DegenerateEigenfunctionError,
     PoleCollisionError,
 )
-from .grid import SequenceData, _read_only, _simpson_weights
-from .ode import (_count_below, _end, _endpoint_w, _pair, _sweep, _traces,
-                  is_dirichlet)
+from .grid import GridFunction, SequenceData, _read_only, _simpson_weights
+from .ode import (SchrodingerProblem, _count_below, _end, _endpoint_w,
+                  _log_growth, _pair, _sweep, _traces, is_dirichlet)
+from .transform import Potential
 
 __all__ = [
     "SpectralData",
@@ -363,9 +366,9 @@ def _endpoint_quantities(prob, lam, a, b, deriv=True):
     with np.errstate(divide="ignore"):
         norming = np.log(np.abs(_pair(_end(b).read, res["y"], res["v"]))) \
             + res["logscale"]
-    if not deriv:
-        return (norming,)
-    return norming, np.log(np.abs(dw)) + res["logscale"]
+        if not deriv:
+            return (norming,)
+        return norming, np.log(np.abs(dw)) + res["logscale"]
 
 
 def _require_finite(*rows):
@@ -452,11 +455,9 @@ def _potential_gradients(prob, lam, a, b, directions, norming=True):
     return dlam.T, dnu.T
 
 
-# Every transfer matrix of the zero problem y'' = -lam y is C I + S A with
-# A = [[0, 1], [-lam, 0]], here C = R H(u) and S = K G(u) with H(u) =
-# cos(sqrt u) and G(u) = sin(sqrt u) / sqrt u = sum (-u)**k / (2k + 1)!,
-# entire in u; the exact transfer over [0, 1] has R = K = 1 and u = lam.
-# A transfer is passed as (C, S, dC, dS, R, dR, u, du), d meaning d/dlam.
+# The exact transfer of the zero problem y'' = -lam y over [0, 1] is
+# H(lam) I + G(lam) A with A = [[0, 1], [-lam, 0]], H(u) = cos(sqrt u) and
+# G(u) = sin(sqrt u) / sqrt u = sum (-u)**k / (2k + 1)!, entire in u.
 _SINC_SLOPE = [(-1.0) ** k * k / math.factorial(2 * k + 1) for k in range(1, 7)]
 
 
@@ -472,106 +473,50 @@ def _cos_sinc_sqrt(u):
         u, _SINC_SLOPE), (H - G) / (2.0 * np.where(small, 1.0, u)))
 
 
-def _exact_transfer(lam):
-    """The exact transfer of the zero problem over [0, 1]."""
-    H, G, dG = _cos_sinc_sqrt(lam)
-    one = np.ones_like(H)
-    return H, G, -0.5 * G, dG, one, 0.0 * one, lam, one
+def _zero_pairing(lam, left, right):
+    """l . T (y0, v0) and its lam-derivative over the exact transfer T of
+    the zero problem: left = (y0, v0), right = l.
 
-
-def _cell_phase(z):
-    """C1, S1 and r = arg(mu) / sqrt(z) of the RK4 unit cell at z (see
-    ``_discrete_transfer``), with r = 1 at z = 0."""
-    C1, S1 = 1.0 - z / 2.0 + z * z / 24.0, 1.0 - z / 6.0
-    t = np.sqrt(np.abs(z))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(z > 0.0, np.arctan2(t * S1, C1),
-                     np.arctanh(t * S1 / C1)) / t
-    return C1, S1, np.where(t > 0.0, r, 1.0)
-
-
-def _discrete_transfer(n, lam):
-    """The RK4 transfer of the zero problem over n cells, in closed form.
-
-    Every cell matrix is M = C1 I + S1 A, with C1 = 1 - z/2 + z**2/24 and
-    S1 = 1 - z/6 at z = lam / n**2 in the cell variable.  Its eigenvalues
-    mu = C1 +- i sqrt(z) S1 give M**n = (mu+**n + mu-**n) / 2 I +
-    (mu+**n - mu-**n) / (2 i sqrt(z)) A: R = |mu|**n = det(M)**(n/2), with
-    det(M) = 1 - z**3/72 + z**4/576, u = (n arg mu)**2 = lam r**2 and
-    K = R r = det**((n - 1)/2) S1 / G(z r**2).
-    """
-    lam = np.asarray(lam, dtype=float)
-    z = lam / n**2
-    C1, S1, r = _cell_phase(z)
-    dC1, dS1 = z / 12.0 - 0.5, -1.0 / 6.0
-    excess = z**3 * (z / 576.0 - 1.0 / 72.0)
-    det, ddet = 1.0 + excess, z * z * (z / 144.0 - 1.0 / 24.0)
-    du = r * (C1 * S1 + 2.0 * z * (C1 * dS1 - S1 * dC1)) / det
-    R = np.exp(0.5 * n * np.log1p(excess))
-    K, dR, u = R * r, 0.5 * R * ddet / (n * det), lam * r * r
-    _, G, dG = _cos_sinc_sqrt(z * r * r)
-    dK = K * (0.5 * (n - 1) * ddet / det + dS1 / S1 - dG * du / G) / n**2
-    H, G, dG = _cos_sinc_sqrt(u)
-    return (R * H, K * G, dR * H - 0.5 * R * G * du, dK * G + K * dG * du,
-            R, dR, u, du)
-
-
-def _phase_matched(n, lam):
-    """Where the RK4 transfer over n cells turns by the exact phase sqrt(lam).
-
-    Three fixed-point steps x = lam / r(x / n**2)**2 (``_cell_phase``), to
-    1.5e-7 relative where lam <= 1.2 n**2: for the zero problem the
-    discrete eigenvalue with Dirichlet ends, a small shift off it with
-    Robin ends.  lam <= 0 is kept.
-    """
-    x = np.array(lam, dtype=float)
-    for _ in range(3):
-        x = lam / _cell_phase(x / n**2)[2] ** 2
-    return np.where(lam > 0.0, x, lam)
-
-
-def _zero_pairing(transfer, lam, left, right):
-    """l . T (y0, v0) and its lam-derivative: left = (y0, v0), right = l.
-
-    It is C q0 + S q1 with q0 = l . (y0, v0) and q1 = l . (v0, -lam y0)
-    where lam >= -1.  Below, where C and S grow like e**v, v = sqrt(-lam),
+    It is H q0 + G q1 with q0 = l . (y0, v0) and q1 = l . (v0, -lam y0)
+    where lam >= -1.  Below, where H and G grow like e**v, v = sqrt(-lam),
     and Robin combinations cancel them, it is summed by branch: T has the
-    eigenvectors (1, +-v) of A, with eigenvalues E+- = R e**(+-sqrt(-u)), so
-    l . T (y0, v0) = sum of E+- (v y0 +- v0) (l_y +- v l_v) / (2v).
+    eigenvectors (1, +-v) of A, with eigenvalues e**(+-v), so
+    l . T (y0, v0) = sum of e**(+-v) (v y0 +- v0) (l_y +- v l_v) / (2v).
     """
-    C, S, dC, dS, R, dR, u, du = transfer
+    H, G, dG = _cos_sinc_sqrt(lam)
+    dH = -0.5 * G
     (y0, v0), (ly, lv) = left, right
     q0, q1 = ly * y0 + lv * v0, ly * v0 - lam * lv * y0
-    value, slope = C * q0 + S * q1, dC * q0 + dS * q1 - S * lv * y0
+    value, slope = H * q0 + G * q1, dH * q0 + dG * q1 - G * lv * y0
     deep = lam < -1.0
     if not deep.any():
         return value, slope
-    v, psi = (np.sqrt(-np.where(deep, x, -1.0)) for x in (lam, u))
-    dv, dpsi = -0.5 / v, -0.5 * du / psi
+    v = np.sqrt(-np.where(deep, lam, -1.0))
+    dv = -0.5 / v
     branches, slopes = 0.0, 0.0
     for sign in (1.0, -1.0):
-        E = R * np.exp(sign * psi)
+        E = np.exp(sign * v)
         p, q = v * y0 + sign * v0, ly + sign * v * lv
         branches = branches + E * p * q
-        slopes = slopes + (dR / R + sign * dpsi) * E * p * q \
+        slopes = slopes + sign * dv * E * p * q \
             + E * dv * (y0 * q + sign * lv * p)
     branches = branches / (2.0 * v)
     slopes = slopes / (2.0 * v) - branches * dv / v
     return np.where(deep, branches, value), np.where(deep, slopes, slope)
 
 
-def _zero_char(transfer, a, b):
+def _zero_char(a, b):
     """The zero problem's characteristic function as ``_newton_polish`` reads
     it: the left data paired with the closing row of b at x = 1, at log
     scale 0."""
     data, closing = _end(a).data, _end(b).closing
 
     def char(x):
-        return (*_zero_pairing(transfer(x), x, data, closing), 0.0)
+        return (*_zero_pairing(x, data, closing), 0.0)
     return char
 
 
-def _zero_quantities(transfer, lam, a, b):
+def _zero_quantities(lam, a, b):
     """nu and log|dw| of the zero problem at lam, as in ``_endpoint_quantities``.
 
     nu is the read of b at x = 1, or below lam = -1 that of a at x = 0 of
@@ -579,13 +524,12 @@ def _zero_quantities(transfer, lam, a, b):
     problem's.
     """
     left, right = _end(a), _end(b)
-    tr = transfer(lam)
-    end, _ = _zero_pairing(tr, lam, left.data, right.read)
-    start, _ = _zero_pairing(tr, lam, right.data, left.read)
-    _, dw = _zero_pairing(tr, lam, left.data, right.closing)
+    end, _ = _zero_pairing(lam, left.data, right.read)
+    start, _ = _zero_pairing(lam, right.data, left.read)
+    _, dw = _zero_pairing(lam, left.data, right.closing)
     with np.errstate(divide="ignore"):
         return (_deep_read(lam, np.log(np.abs(end)), -np.log(np.abs(start)),
-                           tr[4]), np.log(np.abs(dw)))
+                           0.0), np.log(np.abs(dw)))
 
 
 def _unsplit(a, b):
@@ -647,9 +591,8 @@ def _exact_ladder(a, b, N):
     if len(deep) == 2 and deep[0] == deep[1]:
         raise _unsplit(a, b)
     start[:len(deep)] = deep
-    lam = _newton_polish(_zero_char(_exact_transfer, a, b),
-                         np.clip(start, lo, hi), lo, hi)
-    return _read_only(lam, *_zero_quantities(_exact_transfer, lam, a, b))
+    lam = _newton_polish(_zero_char(a, b), np.clip(start, lo, hi), lo, hi)
+    return _read_only(lam, *_zero_quantities(lam, a, b))
 
 
 @lru_cache(maxsize=64)
@@ -660,28 +603,24 @@ def _zero_correction(n, a, b, N):
     by a part that does not depend on the potential (nor on the shift c0),
     so adding these differences to the values of any potential on n cells
     removes it, and the same holds for nu and log|dw| read at the discrete
-    eigenvalue.  The discrete values come from Newton on M(lam)**n, started
-    where the transfer turns by the exact phase and kept halfway to the
-    neighbouring starts.  Where a root fails or ends on its bracket's edge,
-    two boundary states lie closer than rounding splits (a = b below about
-    -37), and it raises ``BracketError``.  Every solve on the same grid,
-    pair and N shares one read-only result, built once per process.
+    eigenvalue.  The discrete eigenvalues and nu are ``_level`` of the zero
+    potential on n cells, started from the exact ladder with its log|dw|
+    as first slopes, so they follow whatever integrator ``ode`` sweeps
+    with; one derivative sweep at them gives the discrete log|dw|.  Where
+    that level raises ``BracketError`` or its roots do not increase, two
+    boundary states lie closer than rounding splits (a = b below about
+    -37), and it raises ``BracketError`` by name.  Every solve on the same
+    grid, pair and N shares one read-only result, built once per process.
     """
     lam, norming, log_dw = _exact_ladder(a, b, N + 1)
-    start = _phase_matched(n, lam)
-    hi = 0.5 * (start[1:] + start[:-1])
-    lo = np.concatenate([[2.0 * start[0] - hi[0]], hi[:-1]])
-
-    def transfer(x):
-        return _discrete_transfer(n, x)
-
+    free = SchrodingerProblem(Potential(GridFunction.zeros(n)))
     try:
-        lam_h = _newton_polish(_zero_char(transfer, a, b), start[:N], lo, hi)
-    except BracketError:
-        lam_h = np.full(N, np.nan)
-    if not np.all((lam_h > lo) & (lam_h < hi)):
+        lam_h, norming_h = _level(free, a, b, N, lam, log_dw[:N])
+    except BracketError as err:
+        raise _unsplit(a, b) from err
+    if not np.all(np.diff(lam_h) > 0.0):
         raise _unsplit(a, b)
-    norming_h, log_dw_h = _zero_quantities(transfer, lam_h, a, b)
+    _, log_dw_h = _endpoint_quantities(free, lam_h, a, b)
     return _read_only(lam[:N] - lam_h, norming[:N] - norming_h,
                       log_dw[:N] - log_dw_h)
 
@@ -696,15 +635,17 @@ def _reads_backward(lam, forward, backward):
     return (lam < -1.0) & (backward + forward < 0.0)
 
 
-def _deep_read(lam, forward, backward, R):
-    """nu from the end each state grows toward: ``backward`` + 2 log R where
-    ``_reads_backward``, else ``forward``.
+def _deep_read(lam, forward, backward, log_growth):
+    """nu from the end each state grows toward: ``backward`` + 2
+    ``log_growth`` where ``_reads_backward``, else ``forward``.
 
-    RK4 does not keep the Wronskian: over n cells of the zero problem a
-    backward read falls short by 2 log R (``_discrete_transfer``).
+    ``log_growth`` is log R of the shots, 0 for the exact transfer.  RK4
+    does not keep the Wronskian: over n cells of the zero problem it grows
+    by R**2 (``ode._log_growth``), so a backward read falls short of the
+    forward one by 2 log R.
     """
     return np.where(_reads_backward(lam, forward, backward),
-                    backward + 2.0 * np.log(R), forward)
+                    backward + 2.0 * log_growth, forward)
 
 
 def _norming(prob, lam, a, b, forward):
@@ -717,8 +658,11 @@ def _norming(prob, lam, a, b, forward):
     growing solution.  Below lam = -1, one endpoint sweep of the reflected
     coefficients from the right data gives the backward read -log|z(0)|
     (z'(0) at a Dirichlet a), which ``_deep_read`` takes where that shot
-    grows more; the 2 log R it adds is that of the zero problem, for whose
-    forward reads the correction is computed.
+    grows more.  The 2 log R it adds is the zero potential's on the same
+    grid (``ode._log_growth``), which puts a backward read on the scale of
+    the forward reads the correction is taken from: the zero level reads
+    its states the same way, and near a symmetric deep pair rounding may
+    read a state from one end here and from the other in that level.
     """
     nu = np.array(forward, dtype=float)
     deep = lam < -1.0
@@ -728,46 +672,36 @@ def _norming(prob, lam, a, b, forward):
         with np.errstate(divide="ignore"):
             back = -np.log(np.abs(_pair(_end(a).read, res["y"], res["v"]))) \
                 - res["logscale"]
-        nu[deep] = _deep_read(lam[deep], nu[deep], back, _discrete_transfer(
-            prob.n, lam[deep])[4])
+        nu[deep] = _deep_read(lam[deep], nu[deep], back,
+                              _log_growth(prob.n, lam[deep]))
     return nu
 
 
-def _pipeline(prob, a, b, N, *, _guess=None):
-    """Eigenvalues and norming constants by slot.
+def _level(prob, a, b, N, starts, log_dw, guess=None):
+    """Eigenvalues and norming constants of one grid level, by slot, before
+    any correction.
 
-    One grid level plus the zero-potential correction; Newton's last sweep
-    at each root gives its forward norming read for ``_norming``.  The
-    start row s holds N + 1 starts of the level: ``_guess``, a prediction
-    of the corrected eigenvalues, less the correction where that is finite
-    and increasing below s_N, else the zero problem's discrete eigenvalues
-    (``_exact_ladder`` less ``_zero_correction``) shifted by the mean of V,
-    since lam_k = lam0_k + int V + l2 (Poeschel & Trubowitz, Inverse
-    Spectral Theory, 1987).  Slot k is bracketed halfway to its neighbours'
-    starts, slot 0 from ``_spectrum_floor`` and the last slot up to
-    t = (s_{N-1} + s_N) / 2.  One count sweep of the single column t proves
-    the labels: with N eigenvalues below t, N roots strictly inside those
-    disjoint brackets are every eigenvalue below t, in order.  A count other than N, a root on
-    its bracket's edge or a ``BracketError`` sends the ladder to the count
-    brackets of ``_solve_levels``.  Either way each slot starts from the
-    first of the guess, the shifted zero ladder and the bracket midpoint
-    inside its bracket, so a start cannot change a label, and predicts its
-    first slope by the zero problem's discrete log|dw| at the same slot.
-    Corrected eigenvalues that do not increase belong to two states that
-    rounding cannot split, and raise ``BracketError``.
+    ``starts`` holds N + 1 starts s of the level; ``guess``, N predicted
+    eigenvalues of the level, takes the place of the first N where it is
+    finite and increasing below s_N.  Slot k is bracketed halfway to its
+    neighbours' starts, slot 0 from ``_spectrum_floor`` and the last slot
+    up to t = (s_{N-1} + s_N) / 2.  One count sweep of the single column t
+    proves the labels: with N eigenvalues below t, N roots strictly inside
+    those disjoint brackets are every eigenvalue below t, in order.  A
+    count other than N, a root on its bracket's edge or a ``BracketError``
+    sends the ladder to the count brackets of ``_solve_levels``.  Either
+    way each slot starts from the first of the guess, the starts and the
+    bracket midpoint inside its bracket, so a start cannot change a label,
+    and ``log_dw`` predicts its first slope (``_newton_polish``).  Newton's
+    last sweep at each root gives its forward norming read for
+    ``_norming``.
     """
-    dlam, dnorm, dlog_dw = _zero_correction(prob.n, a, b, N + 1)
-    exact, _, log_dw = _exact_ladder(a, b, N + 1)
-    zero = exact + (prob.coefficient_mean() - dlam)
-    with np.errstate(invalid="ignore"):
-        log_dw = (log_dw - dlog_dw)[:N]
-    dlam, dnorm = dlam[:N], dnorm[:N]
     char, value = _problem_char(prob, a, b)
     # Later rows take precedence where they lie inside the bracket.
-    rows, s = [zero[:N]], zero
-    if _guess is not None:
-        rows.append(np.asarray(_guess, dtype=float) - dlam)
-        guessed = np.append(rows[-1], zero[N])
+    rows, s = [starts[:N]], starts
+    if guess is not None:
+        rows.append(guess)
+        guessed = np.append(guess, starts[N])
         if np.all(np.isfinite(guessed)) and np.all(np.diff(guessed) > 0.0):
             s = guessed
 
@@ -787,12 +721,36 @@ def _pipeline(prob, a, b, N, *, _guess=None):
             pass
     if lam is None or not np.all((lam > lo) & (lam < hi)):
         lam, forward = polish(*_solve_levels(prob, a, b, N))
-    norming = _norming(prob, lam, a, b, forward) + dnorm
+    return lam, _norming(prob, lam, a, b, forward)
+
+
+def _pipeline(prob, a, b, N, *, _guess=None):
+    """Eigenvalues and norming constants by slot.
+
+    One grid level (``_level``) plus the zero-potential correction.  The
+    level starts from the zero problem's discrete eigenvalues
+    (``_exact_ladder`` less ``_zero_correction``) shifted by the mean of V,
+    since lam_k = lam0_k + int V + l2 (Poeschel & Trubowitz, Inverse
+    Spectral Theory, 1987), and from ``_guess``, a prediction of the
+    corrected eigenvalues, less the correction; each slot predicts its
+    first slope by the zero problem's discrete log|dw| at the same slot.
+    Corrected eigenvalues that do not increase belong to two states that
+    rounding cannot split, and raise ``BracketError``.
+    """
+    dlam, dnorm, dlog_dw = _zero_correction(prob.n, a, b, N + 1)
+    exact, _, log_dw = _exact_ladder(a, b, N + 1)
+    starts = exact + (prob.coefficient_mean() - dlam)
+    with np.errstate(invalid="ignore"):
+        log_dw = (log_dw - dlog_dw)[:N]
+    dlam, dnorm = dlam[:N], dnorm[:N]
+    guess = None if _guess is None \
+        else np.asarray(_guess, dtype=float) - dlam
+    lam, norming = _level(prob, a, b, N, starts, log_dw, guess)
     lam = lam + dlam
     if not np.all(np.diff(lam) > 0.0):
         raise BracketError(
             "two eigenvalues lie closer than rounding can split")
-    return lam, norming
+    return lam, norming + dnorm
 
 
 def compute_eigenvalues(prob, a: float, b: float, N: int) -> np.ndarray:

@@ -7,7 +7,10 @@ the shooting solver under test: different discretization, different
 eigenvalue algorithm (dense symmetric tridiagonal), different grids.
 Exact eigenvalues, norming constants and dw of steep potentials come from
 isospectral flows of the zero potential (``isospectral_flow``), built from
-closed forms and ``brentq`` alone.
+closed forms and ``brentq`` alone.  The discrete eigenvalues of the zero
+potential, which the package's correction takes from its own sweeps, are
+checked against the count bisection and Newton of ``bisect_level`` on the
+same cells.
 """
 
 import math
@@ -22,7 +25,7 @@ from liouville import (BracketError, GridFunction, Impedance, IntegrationError,
                        cumulative_integral, differentiate, forward_transform,
                        frechet_apply, inner_product, integral, resample, sup_norm)
 from liouville.grid import _simpson_weights, local_quintic
-from liouville.ode import _count_below, _endpoint_w, _quadratic_steps
+from liouville.ode import _count_below, _endpoint_w
 from liouville.spectral import (_endpoint_quantities, boundary_shift,
                                 regime_of, unperturbed_eigenvalues)
 from liouville.transform import LOG_RANGE_LIMIT
@@ -695,19 +698,3 @@ def bisect_level(prob, a, b, N):
     norming, _ = _endpoint_quantities(prob, lam, a, b)
     return lam, norming
 
-
-def cell_power_transfer(n, lam):
-    """(C, S, dC, dS) of the zero problem's RK4 transfer over n cells.
-
-    The transfer by repeated squaring of the unit-cell block
-    [[M, M'], [0, M]] with M' = dM/dz, which the closed form replaced: its
-    first row holds C, n S and their z-derivatives, z = lam / n**2.
-    """
-    M = _quadratic_steps(np.zeros(2), np.zeros(1))
-    M = M[..., 0].reshape(3, 2, 2).transpose(0, 2, 1)
-    G = np.zeros((3, 4, 4))
-    G[:, :2, :2] = G[:, 2:, 2:] = M
-    G[:2, :2, 2:] = M[1:] * np.array([1.0, 2.0])[:, None, None]
-    z = np.asarray(lam, dtype=float)[:, None, None] / n**2
-    row = np.linalg.matrix_power((G[2] * z + G[1]) * z + G[0], n)[:, 0]
-    return tuple(row.T / np.array([1.0, n, n**2, n**3])[:, None])
