@@ -15,23 +15,20 @@ cell.  Its middle stages sample V at cell midpoints, which
 the six nearest nodes, O(h**6), centred in the interior.
 Each stage multiplies a y-component, which is at most linear in lam, by
 V - lam, so every cell matrix is exactly quadratic in lam:
-M(lam) = A0 + lam A1 + lam**2 A2, and dM/dlam = A1 + 2 lam A2.  The three
-lam-free coefficient arrays are computed once per problem.  A backward
-shot is the same equation on the reflected coefficients V(1 - s), so every
-sweep runs from x = 0.
+M(lam) = A0 + lam A1 + lam**2 A2.  The three lam-free coefficient arrays
+are computed once per problem.  A backward shot is the same equation on
+the reflected coefficients V(1 - s), so every sweep runs from x = 0.
 
 A sweep propagates a batch of lam columns through all cells by a blocked
 scan (Blelloch, "Prefix sums and their applications", 1990).  The n cells
 form blocks of a fixed 16, and the coefficients are stored in that block
 order, so the multiply-add in lam writes the cell matrices straight into
 the layout the scan reads.  The running products inside every block are
-formed in 15 steps, each vectorized over all blocks and columns; a sweep
-with lam-derivatives carries the derivative of that running product beside
-it, and forms each step's dM/dlam, for one cell of every block, only when
-it is used, so no derivative is stored per cell.  The block totals are
-then multiplied pairwise, level by level, until one product spans 256
-cells, or a quarter of the grid where that is less, and the state is
-carried across those products in order, one batched matrix product each.
+formed in 15 steps, each vectorized over all blocks and columns.  The
+block totals are then multiplied pairwise, level by level, until one
+product spans 256 cells, or a quarter of the grid where that is less, and
+the state is carried across those products in order, one batched matrix
+product each.
 The cap keeps the carry sequential over the interval: one product over
 all of it holds e**|a| near lam = -a**2, and applied to a state that
 decays away from x = 0 it cancels that state.
@@ -42,6 +39,13 @@ state by a down-sweep of the stored levels and apply the stored running
 products to it; a count reads the signs of y in that block layout, with
 the last node of each block carried to the next, and never forms the nodes
 in grid order.
+A sweep with lam-derivatives is the same scan at z = lam + ih.  Every cell
+matrix is a polynomial in lam with real coefficients, so the shot at z is
+y(lam) + ih y'(lam) to within a relative h**2, and with h = 2**-60
+max(1, |lam|) its real part is the shot at lam and its imaginary part h
+times the derivative, both to rounding: complex-step differentiation
+(Squire & Trapp, SIAM Review 40, 1998).  No part of the scan carries a
+derivative of its own.
 """
 
 from __future__ import annotations
@@ -78,6 +82,11 @@ _LOG_VALUE_LIMIT = 700.0
 # over the block totals may span (see the module docstring).
 _BLOCK = 16
 _SPAN_CAP = 256
+
+# The most lam columns one derivative sweep scans at a time.  A complex
+# column holds the bytes of two real ones, so 32 complex columns weigh what
+# 64 real ones do, the widest ladder the CLI solves.
+_COMPLEX_COLUMNS = 32
 
 
 def is_dirichlet(b: float) -> bool:
@@ -298,13 +307,13 @@ class StateTrace:
     dy: GridFunction
 
 
-def _build_matrices(co: _Coefficients, lam: np.ndarray, deriv: bool):
+def _build_matrices(co: _Coefficients, lam: np.ndarray):
     """Cell matrices at every lam column in block order, shape (B, 2, 2, K, nb).
 
     Cell b B + i of column k sits at [i, column, row, k, b]; the cells that
-    fill the last block are exactly I.  With ``deriv`` the second result is
-    the lam-derivative of row 0 (``_row_derivative``), where the running
-    derivative product of a sweep starts, else None.
+    fill the last block are exactly I.  lam may be complex, and the matrices
+    then are.  Returns the pair (M, None): the benchmark's tracer
+    (``perfbench/tracer.py``) unpacks two results to size the build.
     """
     A0, A1, A2 = co.steps
     shape = (A0.shape[0], 2, 2, lam.size, A0.shape[3])
@@ -313,22 +322,7 @@ def _build_matrices(co: _Coefficients, lam: np.ndarray, deriv: bool):
     M += A1
     M *= col
     M += A0
-    return M.reshape(shape), _row_derivative(co, lam, 0) if deriv else None
-
-
-def _row_derivative(co: _Coefficients, lam: np.ndarray, i: int, out=None):
-    """dM/dlam = A1 + 2 lam A2 of cell row i of every block, (2, 2, K, nb).
-
-    Exactly 0 on the cells that fill the last block.  ``out`` is an optional
-    buffer of that shape.
-    """
-    _, A1, A2 = co.steps[:, i]
-    K, nb = lam.size, A1.shape[-1]
-    if out is not None:
-        out = out.reshape(4, K, nb)
-    out = np.multiply(A2, 2.0 * lam[:, None], out=out)
-    out += A1
-    return out.reshape(2, 2, K, nb)
+    return M.reshape(shape), None
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -346,7 +340,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
 
 
 def _carry(G: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """G @ s over (K, d, d) and (K, d, 1) stacks, summed over the inner index
+    """G @ s over (K, 2, 2) and (K, 2, 1) stacks, summed over the inner index
     in order, as np.matmul's own loop sums it."""
     out = G[:, :, 0, None] * s[:, 0, None]
     for j in range(1, s.shape[1]):
@@ -359,64 +353,74 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
     """Advance the batch across all cells; returns endpoint data and extras.
 
     The initial data y0 and v0 at x = 0 are scalars shared by every lam
-    column or (K,) arrays, one value per column.  The cell matrices come
-    from ``_build_matrices`` in block order; the scan forms the running
-    products in place, multiplies the block totals up to ``_SPAN_CAP``
-    cells or a quarter of the grid (``_tree``), then carries the state over
-    those products in order with one batched matrix product each.  With
-    ``deriv`` the scan carries one running lam-derivative product per
-    block, taking each block row's dM/dlam from ``_row_derivative`` into a
-    row-sized buffer.
-    Without ``trace`` the tree's first products and the state after each
-    product are scaled per column by powers of two, exactly, to a largest
-    entry in [0.5, 1); the summed log factors are reported so callers can
-    reconstruct true magnitudes.  Traces are stored unscaled and overflow
-    raises instead.
+    column or (K,) arrays, one value per column.  Without ``deriv`` the
+    sweep is the scan ``_scan``.  With ``deriv`` it is that scan at
+    z = lam + ih, h = 2**-60 max(1, |lam|) (see the module docstring): y
+    and v are the real parts of the shot at z, and their lam-derivatives dy
+    and dv the imaginary parts over h.  Such a sweep reads the endpoints
+    alone, and scans at most ``_COMPLEX_COLUMNS`` columns at a time; a
+    column's sweep does not depend on its batch, so the chunks change no
+    value.
+    """
+    if not deriv:
+        return _scan(co, lam, y0, v0, trace, count)
+    h = 2.0 ** -60 * np.maximum(1.0, np.abs(lam))
+    z = lam + 1j * h
+    y0, v0 = (np.broadcast_to(np.asarray(c, dtype=float), lam.shape)
+              for c in (y0, v0))
+    parts = []
+    for k in range(0, lam.size, _COMPLEX_COLUMNS):
+        cols = slice(k, k + _COMPLEX_COLUMNS)
+        parts.append(_scan(co, z[cols], y0[cols], v0[cols], False, False))
+    y, v, logscale = (np.concatenate([part[key] for part in parts])
+                      for key in ("y", "v", "logscale"))
+    return {"y": y.real, "v": v.real, "logscale": logscale,
+            "dy": y.imag / h, "dv": v.imag / h}
+
+
+def _scan(co: _Coefficients, lam: np.ndarray, y0, v0, trace: bool,
+          count: bool):
+    """The blocked scan of ``_sweep`` at the lam columns, which may be complex.
+
+    The cell matrices come from ``_build_matrices`` in block order; the scan
+    forms the running products in place, multiplies the block totals up to
+    ``_SPAN_CAP`` cells or a quarter of the grid (``_tree``), then carries
+    the state over those products in order with one batched matrix product
+    each.  Without ``trace`` the tree's first products and the state after
+    each product are scaled per column by powers of two, exactly, to a
+    largest entry in [0.5, 1); the summed log factors are reported so
+    callers can reconstruct true magnitudes.  Traces are stored unscaled
+    and overflow raises instead.
     """
     n = co.V.size - 1
     K = lam.size
-    P, dP = _build_matrices(co, lam, deriv)
+    P, _ = _build_matrices(co, lam)
     B = P.shape[0]
     nodes = trace or count
-    # Column k carries the state s[k] = (dy, dv, y, v) with deriv, else (y, v).
-    d = 4 if deriv else 2
-    s = np.zeros((K, d, 1))
-    s[:, -2, 0] = y0
-    s[:, -1, 0] = v0
+    # Column k carries the state s[k] = (y, v).
+    s = np.zeros((K, 2, 1), dtype=P.dtype)
+    s[:, 0, 0] = y0
+    s[:, 1, 0] = v0
     # Overflow is detected explicitly at the end; silence the transient.
     with np.errstate(over="ignore", invalid="ignore"):
         # Stage 1: P[i, :, :, k, b] becomes the product of the first i + 1
-        # cell matrices of block b.  With deriv, dP is the lam-derivative of
-        # the running product: each row's dM is formed in the spare buffer,
-        # dP <- dM[i] P[i - 1] + M[i] dP, and the two buffers swap.
-        if deriv:
-            spare = np.empty_like(dP)
+        # cell matrices of block b.
         for i in range(1, B):
-            if deriv:
-                row = _row_derivative(co, lam, i, out=spare)
-                _matmul(row, P[i - 1], out=row)
-                row += _matmul(P[i], dP)
-                dP, spare = row, dP
             _matmul(P[i], P[i - 1], out=P[i])
 
-        # Stage 2: s <- G s over the tree's top products, one batched
-        # product each; G is T, or [[T, dT], [0, T]] with deriv.  It is
-        # built [column, row] and only viewed as (m, K) stacks of matrices:
-        # on these strides np.matmul keeps its own small-matrix loop, which
-        # at K = 64 takes half the time of a BLAS call per matrix.  With
-        # K = m = 1 the lone matrix has unit row stride, and np.matmul would
-        # hand it to BLAS, which rounds differently; ``_carry`` sums it in
-        # the loop's order, so a column's sweep does not depend on its batch.
-        levels, T, dT, exponent = _tree(P[B - 1], dP, scale=not trace)
+        # Stage 2: s <- T s over the tree's top products, one batched
+        # product each.  T is stored [column, row] and only viewed as (m, K)
+        # stacks of matrices: on these strides np.matmul keeps its own
+        # small-matrix loop, which at K = 64 takes half the time of a BLAS
+        # call per matrix.  With K = m = 1 the lone matrix has unit row
+        # stride, and np.matmul would hand it to BLAS, which rounds
+        # differently; ``_carry`` sums it in the loop's order, so a column's
+        # sweep does not depend on its batch.
+        levels, T, exponent = _tree(P[B - 1], scale=not trace)
         m = T.shape[3]
-        G = T
-        if deriv:
-            G = np.zeros((4, 4, K, m))
-            G[:2, :2] = G[2:, 2:] = T
-            G[2:, :2] = dT
-        G = G.transpose(3, 2, 1, 0)
+        G = T.transpose(3, 2, 1, 0)
         if nodes:
-            starts = np.empty((m, K, d, 1))
+            starts = np.empty((m, K, 2, 1))
         for b in range(m):
             if nodes:
                 starts[b] = s
@@ -426,13 +430,13 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
                 s *= np.ldexp(1.0, -e)[:, None, None]
                 exponent += e
         logscale = math.log(2.0) * exponent
-        y, v = s[:, -2, 0], s[:, -1, 0]
+        y, v = s[:, 0, 0], s[:, 1, 0]
 
         # Stage 3: every node from its block's start state, as (B, K, nb)
         # block data read through (B, nb, K) views.
         if nodes:
-            ys, vs = _block_starts(levels, starts[:, :, -2, 0].T,
-                                   starts[:, :, -1, 0].T)
+            ys, vs = _block_starts(levels, starts[:, :, 0, 0].T,
+                                   starts[:, :, 1, 0].T)
             inner = (P[:, 0, 0] * ys + P[:, 1, 0] * vs).transpose(0, 2, 1)
         if trace:
             Y = _nodes(y0, inner, n)
@@ -445,9 +449,6 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
         raise IntegrationError(
             f"integration overflowed despite rescaling (n={n})")
     out = {"y": y, "v": v, "logscale": logscale}
-    if deriv:
-        out["dy"] = s[:, 0, 0]
-        out["dv"] = s[:, 1, 0]
     if trace:
         out["Y"] = Y
         out["W"] = W
@@ -456,18 +457,17 @@ def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
     return out
 
 
-def _tree(T, dT, scale: bool):
+def _tree(T, scale: bool):
     """Block totals multiplied pairwise until a product spans _SPAN_CAP cells,
     or a quarter of the grid where that is less.
 
-    T and its lam-derivative dT (or None) are (2, 2, K, nb) stacks stored
-    [column, row].  Each level multiplies node 2j + 1 after node 2j; an odd
-    last node passes up as it is.  With ``scale`` the first level (with its
-    dT) is scaled by 2**-e, exactly, so that each largest entry lies in
-    [0.5, 1); no product of the three levels above it, nor its
-    lam-derivative, then reaches 2**16.  Returns the levels below the top,
-    which the down-sweep of ``_block_starts`` reads, the top (T, dT), and
-    the exponents e summed per column.
+    T is a (2, 2, K, nb) stack stored [column, row].  Each level multiplies
+    node 2j + 1 after node 2j; an odd last node passes up as it is.  With
+    ``scale`` the first level is scaled by 2**-e, exactly, so that each
+    largest entry lies in [0.5, 1); no product of the three levels above it
+    then reaches 2**16.  Returns the levels below the top, which the
+    down-sweep of ``_block_starts`` reads, the top, and the exponents e
+    summed per column.
     """
     levels = []
     exponent = np.zeros(T.shape[2])
@@ -475,28 +475,16 @@ def _tree(T, dT, scale: bool):
     while span < cap:
         levels.append(T)
         h = T.shape[3] // 2
-        left, right = T[..., 0:2 * h:2], T[..., 1:2 * h:2]
-        up, dup = _matmul(right, left), None
-        if dT is not None:
-            dup = _matmul(dT[..., 1:2 * h:2], left)
-            dup += _matmul(right, dT[..., 0:2 * h:2])
+        up = _matmul(T[..., 1:2 * h:2], T[..., 0:2 * h:2])
         if T.shape[3] % 2:
             up = np.concatenate([up, T[..., -1:]], axis=3)
-            if dT is not None:
-                dup = np.concatenate([dup, dT[..., -1:]], axis=3)
         if scale and span == _BLOCK:
-            peak = np.abs(up).max(axis=(0, 1))
-            if dT is not None:
-                peak = np.maximum(peak, np.abs(dup).max(axis=(0, 1)))
-            e = np.frexp(peak)[1]
-            factor = np.ldexp(1.0, -e)
-            up *= factor
-            if dT is not None:
-                dup *= factor
+            e = np.frexp(np.abs(up).max(axis=(0, 1)))[1]
+            up *= np.ldexp(1.0, -e)
             exponent += e.sum(axis=1)
-        T, dT = up, dup
+        T = up
         span *= 2
-    return levels, T, dT, exponent
+    return levels, T, exponent
 
 
 def _block_starts(levels, y: np.ndarray, v: np.ndarray):
@@ -602,8 +590,8 @@ def wronskian(prob, lam: float, a: float = INF, b: float = INF,
     An impedance problem reads it from its normal form, so the value is
     the characteristic function of the transformed potential at lam - c0
     (the endpoint data of y = rho f are those of f times rho(1)).  With
-    ``deriv`` the lam-derivative (variational, exact to integrator order) is
-    returned as a second element.  With ``scaled`` values come as
+    ``deriv`` the lam-derivative of the discrete shot (a complex-step sweep)
+    is returned as a second element.  With ``scaled`` values come as
     (mantissa..., log_scale) to survive deep negative lam.
     """
     w, dw, scale, _ = _endpoint_w(prob, np.asarray([float(lam)]), a, b, deriv)

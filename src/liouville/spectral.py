@@ -3,9 +3,9 @@
 Spectra are found by Newton steps on the characteristic function, each
 iterate kept inside its bracket.  A step's slope is the secant through the
 root's last two evaluations, each an endpoint sweep, or in the first round
-the zero problem's lam-derivative at the same slot; the variational
-lam-derivative, a sweep of twice the cost, is the fallback for a root whose
-secant steps stop contracting or leave the bracket.  Every ladder is
+the zero problem's lam-derivative at the same slot; a derivative sweep,
+of about twice the cost, is the fallback for a root whose secant steps
+stop contracting or leave the bracket.  Every ladder is
 bracketed around its starts, a fit's predicted ladder or the zero ladder
 shifted by the mean of the potential, and one exact oscillation
 count above the ladder proves the labels once each root lands inside its
@@ -603,25 +603,27 @@ def _zero_correction(n, a, b, N):
     by a part that does not depend on the potential (nor on the shift c0),
     so adding these differences to the values of any potential on n cells
     removes it, and the same holds for nu and log|dw| read at the discrete
-    eigenvalue.  The discrete eigenvalues and nu are ``_level`` of the zero
+    eigenvalue.  The discrete eigenvalues are ``_level`` of the zero
     potential on n cells, started from the exact ladder with its log|dw|
     as first slopes, so they follow whatever integrator ``ode`` sweeps
-    with; one derivative sweep at them gives the discrete log|dw|.  Where
-    that level raises ``BracketError`` or its roots do not increase, two
-    boundary states lie closer than rounding splits (a = b below about
+    with; one derivative sweep at them gives the discrete log|dw| and the
+    forward reads of nu, which ``_norming`` completes as for any problem.
+    Where that level raises ``BracketError`` or its roots do not increase,
+    two boundary states lie closer than rounding splits (a = b below about
     -37), and it raises ``BracketError`` by name.  Every solve on the same
     grid, pair and N shares one read-only result, built once per process.
     """
     lam, norming, log_dw = _exact_ladder(a, b, N + 1)
     free = SchrodingerProblem(Potential(GridFunction.zeros(n)))
     try:
-        lam_h, norming_h = _level(free, a, b, N, lam, log_dw[:N])
+        lam_h, _ = _level(free, a, b, N, lam, log_dw[:N])
     except BracketError as err:
         raise _unsplit(a, b) from err
     if not np.all(np.diff(lam_h) > 0.0):
         raise _unsplit(a, b)
-    _, log_dw_h = _endpoint_quantities(free, lam_h, a, b)
-    return _read_only(lam[:N] - lam_h, norming[:N] - norming_h,
+    forward, log_dw_h = _endpoint_quantities(free, lam_h, a, b)
+    return _read_only(lam[:N] - lam_h,
+                      norming[:N] - _norming(free, lam_h, a, b, forward),
                       log_dw[:N] - log_dw_h)
 
 
@@ -678,8 +680,8 @@ def _norming(prob, lam, a, b, forward):
 
 
 def _level(prob, a, b, N, starts, log_dw, guess=None):
-    """Eigenvalues and norming constants of one grid level, by slot, before
-    any correction.
+    """Eigenvalues of one grid level and their forward norming reads, by
+    slot, before any correction.
 
     ``starts`` holds N + 1 starts s of the level; ``guess``, N predicted
     eigenvalues of the level, takes the place of the first N where it is
@@ -693,8 +695,8 @@ def _level(prob, a, b, N, starts, log_dw, guess=None):
     way each slot starts from the first of the guess, the starts and the
     bracket midpoint inside its bracket, so a start cannot change a label,
     and ``log_dw`` predicts its first slope (``_newton_polish``).  Newton's
-    last sweep at each root gives its forward norming read for
-    ``_norming``.
+    last sweep at each root gives its forward norming read, which
+    ``_norming`` completes.
     """
     char, value = _problem_char(prob, a, b)
     # Later rows take precedence where they lie inside the bracket.
@@ -721,7 +723,7 @@ def _level(prob, a, b, N, starts, log_dw, guess=None):
             pass
     if lam is None or not np.all((lam > lo) & (lam < hi)):
         lam, forward = polish(*_solve_levels(prob, a, b, N))
-    return lam, _norming(prob, lam, a, b, forward)
+    return lam, forward
 
 
 def _pipeline(prob, a, b, N, *, _guess=None):
@@ -735,8 +737,11 @@ def _pipeline(prob, a, b, N, *, _guess=None):
     corrected eigenvalues, less the correction; each slot predicts its
     first slope by the zero problem's discrete log|dw| at the same slot.
     Corrected eigenvalues that do not increase belong to two states that
-    rounding cannot split, and raise ``BracketError``.
+    rounding cannot split, and raise ``BracketError``.  N < 1 raises
+    ``ValueError``.
     """
+    if N < 1:
+        raise ValueError("need at least one eigenvalue")
     dlam, dnorm, dlog_dw = _zero_correction(prob.n, a, b, N + 1)
     exact, _, log_dw = _exact_ladder(a, b, N + 1)
     starts = exact + (prob.coefficient_mean() - dlam)
@@ -745,7 +750,8 @@ def _pipeline(prob, a, b, N, *, _guess=None):
     dlam, dnorm = dlam[:N], dnorm[:N]
     guess = None if _guess is None \
         else np.asarray(_guess, dtype=float) - dlam
-    lam, norming = _level(prob, a, b, N, starts, log_dw, guess)
+    lam, forward = _level(prob, a, b, N, starts, log_dw, guess)
+    norming = _norming(prob, lam, a, b, forward)
     lam = lam + dlam
     if not np.all(np.diff(lam) > 0.0):
         raise BracketError(
@@ -755,8 +761,6 @@ def _pipeline(prob, a, b, N, *, _guess=None):
 
 def compute_eigenvalues(prob, a: float, b: float, N: int) -> np.ndarray:
     """First N eigenvalues of the problem under the boundary pair (a, b)."""
-    if N < 1:
-        raise ValueError("need at least one eigenvalue")
     return _pipeline(prob, a, b, N)[0]
 
 
@@ -786,12 +790,15 @@ def _stored_quantities(prob, data: SpectralData, M: int | None = None,
 
     One level is read at the discrete eigenvalues that the stored ones
     imply (data less the zero-potential correction), nu by ``_norming``,
-    and the correction of each quantity is added.  Without ``deriv``
-    endpoint sweeps give (nu,) alone, as in ``_endpoint_quantities``.
+    and the correction of each quantity is added.  The correction is the
+    solve's own table, keyed N + 1, so a read after a solve builds none.
+    Without ``deriv`` endpoint sweeps give (nu,) alone, as in
+    ``_endpoint_quantities``.
     """
     a, b = data.a, data.b
     lam = np.asarray(data.eigenvalues[:M], dtype=float)
-    dlam, *deltas = _zero_correction(prob.n, a, b, lam.size)
+    dlam, *deltas = (row[:lam.size] for row in
+                     _zero_correction(prob.n, a, b, data.N + 1))
     nu, *rest = _endpoint_quantities(prob, lam - dlam, a, b, deriv)
     rows = (_norming(prob, lam - dlam, a, b, nu), *rest)
     rows = tuple(row + d for row, d in zip(rows, deltas))

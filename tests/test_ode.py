@@ -14,8 +14,7 @@ from liouville import (INF, ConditionU, GridFunction, Impedance,
                        SchrodingerProblem, build_rho, compute_c0,
                        forward_transform, oscillation_count, shoot_backward,
                        shoot_forward, wronskian)
-from liouville.ode import (_block_flips, _build_matrices, _quadratic_steps,
-                           _row_derivative, _sweep)
+from liouville.ode import _block_flips, _build_matrices, _quadratic_steps, _sweep
 from oracles import (damped_coefficients, damped_ends, loop_build_matrices,
                      loop_sweep, sign_flips)
 
@@ -341,14 +340,17 @@ class TestBlockedScan:
         # n <= 16, a lone matrix that np.matmul would hand to BLAS, whose
         # fused rounding differs once the start (1, a) is inexact to
         # multiply: the Newton path of a root then changed with the roots
-        # it was batched with.
+        # it was batched with.  65 columns cross the chunk edges of a
+        # derivative sweep.
         co = coefficient_cases(n)["undamped"]
-        lam = np.linspace(-30.0, 2000.0, 8)
-        batch = _sweep(co, lam, 1.0, 3.0, **MODES[mode])
-        for k in range(lam.size):
-            alone = _sweep(co, lam[k:k + 1], 1.0, 3.0, **MODES[mode])
-            for key, value in alone.items():
-                assert np.array_equal(value[..., 0], batch[key][..., k]), key
+        for K in (8, 65):
+            lam = np.linspace(-30.0, 2000.0, K)
+            batch = _sweep(co, lam, 1.0, 3.0, **MODES[mode])
+            for k in range(lam.size):
+                alone = _sweep(co, lam[k:k + 1], 1.0, 3.0, **MODES[mode])
+                for key, value in alone.items():
+                    assert np.array_equal(value[..., 0],
+                                          batch[key][..., k]), key
 
     @pytest.mark.parametrize("damping", sorted(CASES))
     @pytest.mark.parametrize("reverse", [False, True])
@@ -430,13 +432,13 @@ class TestQuadraticSteps:
         scanned = co.reflected() if reverse else co
         for lam in (-2e5, 3.7, 4e4, 2e5):
             M_ref, N_ref = loop_build_matrices(co, np.array([lam]), True, reverse)
-            # A derivative sweep forms dM one block row at a time; the build
-            # gives row 0, where its running product starts.
-            M, first = _build_matrices(scanned, np.array([lam]), True)
-            rows = np.stack([_row_derivative(scanned, np.array([lam]), i)
-                             for i in range(M.shape[0])])
-            assert np.array_equal(first, rows[0])
-            M, N = cell_order(M), cell_order(rows)
+            # A derivative sweep builds its cells at lam + ih: the real part
+            # is M, the imaginary part h dM/dlam, since M is a polynomial in
+            # lam with real coefficients.
+            h = 2.0 ** -60 * max(1.0, abs(lam))
+            M, none = _build_matrices(scanned, np.array([lam + 1j * h]))
+            assert none is None
+            M, N = cell_order(M.real), cell_order(M.imag / h)
             for k in range(4):
                 m_ref, n_ref = M_ref[k][:, 0], N_ref[k][:, 0]
                 top_m, top_n = np.abs(m_ref).max(), np.abs(n_ref).max()
@@ -463,10 +465,11 @@ class TestQuadraticSteps:
 
 class TestSweepMemory:
     def test_derivative_sweep_allocates_no_per_cell_derivatives(self):
-        # Stage 1 carries one running derivative product and forms each
-        # block row's dM in a row-sized buffer, so a derivative sweep needs
-        # little more than an endpoint sweep of the same width.  Holding dM
-        # for every cell, as the sweep once did, reads 1.93.
+        # A derivative sweep scans at lam + ih, 32 complex columns at a
+        # time, which weigh what 64 real ones do, so it needs little more
+        # than an endpoint sweep of the same width.  Holding dM for every
+        # cell, as the sweep once did, reads 1.93, and one scan of all 64
+        # complex columns about 2.
         co = CASES["undamped"]
         assert co.Vm.size == 2048
         lam = (np.pi * (np.arange(64) + 1.0)) ** 2

@@ -119,8 +119,13 @@ class TestFreeSpectra:
             normalizing_constants(FREE, data)
 
     def test_need_at_least_one(self):
-        with pytest.raises(ValueError):
-            compute_eigenvalues(FREE, INF, INF, 0)
+        # Both entry points share the pipeline's check; solve_spectrum
+        # raised IndexError before it moved there.
+        for solve in (compute_eigenvalues, solve_spectrum):
+            for N in (0, -1):
+                with pytest.raises(ValueError,
+                                   match="need at least one eigenvalue"):
+                    solve(FREE, INF, INF, N)
 
 
 class TestOracleComparison:
@@ -981,11 +986,9 @@ class TestNormingConstants:
         # are those of the derivative sweeps that also give log|dw|.  The
         # pair (-12, -12) reads its lowest state, which decays away from
         # x = 0, by an endpoint sweep of the reflected coefficients.  The
-        # correction table of the read, built once per process by sweeps of
-        # the zero potential, is built before the spy.
+        # read takes the correction table the solve built.
         prob = six_mode_problem("exp", N_GRID)
         data = solve_spectrum(prob, a, b, 32)
-        spectral._zero_correction(N_GRID, a, b, 32)
         modes = []
         sweep = ode._sweep
 
@@ -1000,6 +1003,31 @@ class TestNormingConstants:
         assert modes and not any(modes)
         want = spectral._stored_quantities(prob, data)[0]
         assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("a,b", [(INF, INF), (1.0, -0.5), (-20.0, 3.0)])
+    def test_stored_reads_use_the_solve_table(self, monkeypatch, a, b):
+        # The solve of N slots builds the correction keyed N + 1, and every
+        # read at its eigenvalues takes that table: a read that built its
+        # own (a zero level of M slots) would take a count sweep and the
+        # sweeps of a Newton polish.
+        prob = six_mode_problem("exp", 512)
+        data = solve_spectrum(prob, a, b, 12)
+        modes = []
+        sweep = ode._sweep
+
+        def spy(*args, **kwargs):
+            mode = [m for m in ("count", "deriv", "trace") if kwargs.get(m)]
+            modes.append(mode[0] if mode else "endpoint")
+            return sweep(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(ode, "_sweep", spy)
+            m.setattr(spectral, "_sweep", spy)
+            norming_constants(prob, data)
+            spectral._stored_quantities(prob, data, 5)
+            if a != INF:
+                identity_ab(prob, data, 12)
+        assert modes and "count" not in modes
 
 
 def cos_problem(n):
@@ -1083,6 +1111,24 @@ class TestZeroCorrection:
         assert np.max(np.abs(exact - dlam - lam) / scale) <= 1e-13
         assert np.max(np.abs(exact_norming - dnorm - norming)) <= 1e-13
         assert np.max(np.abs(exact_log_dw - dlog_dw - log_dw)) <= 1e-13
+
+    @pytest.mark.parametrize("a,b", [(-12.0, -12.0), (3.0, -20.0),
+                                     (INF, -50.0), (INF, 1.0), (1.0, -0.5)])
+    def test_norming_row_read_at_the_discrete_roots(self, a, b):
+        # The table's nu row is the exact nu less a read at the zero
+        # level's roots, from the derivative sweep that gives log|dw|, not
+        # the nu its polish carried: a slot that converged in its first
+        # round kept the read at its start, up to 2.2e-11 off at
+        # (-12, -12) on 256 cells.
+        n, N = 256, 8
+        lam, norming, log_dw = spectral._exact_ladder(a, b, N + 1)
+        free = SchrodingerProblem(Potential(GridFunction.zeros(n)))
+        lam_h, _ = spectral._level(free, a, b, N, lam, log_dw[:N])
+        forward, _ = spectral._endpoint_quantities(free, lam_h, a, b)
+        dlam, dnorm, _ = spectral._zero_correction(n, a, b, N)
+        assert np.array_equal(dlam, lam[:N] - lam_h)
+        assert np.array_equal(
+            dnorm, norming[:N] - spectral._norming(free, lam_h, a, b, forward))
 
     def test_correction_follows_the_integrator(self, monkeypatch):
         # Swap RK4's cell for the second-order Taylor cell I + hA + (hA)**2/2
@@ -1222,6 +1268,32 @@ class TestMemoizedLadders:
                                      spectral._exact_ladder.__wrapped__(
                                          a, b, 8)):
             assert np.array_equal(got_row, want_row)
+
+    @pytest.mark.parametrize("a,b", [(INF, INF), (1.0, -0.5), (-20.0, 3.0)])
+    def test_repeated_solves_make_the_same_sweeps(self, monkeypatch, a, b):
+        # The first solve on a grid builds the tables; after it, identical
+        # solves of fresh problems make the same sweeps, mode by mode and
+        # width by width.
+        def solve():
+            prob = SchrodingerProblem(Potential.from_callable(
+                lambda x: 0.4 * np.cos(2.0 * np.pi * x), 256))
+            return solve_spectrum(prob, a, b, 2)
+
+        solve()
+        sweep = ode._sweep
+        calls = []
+
+        def spy(co, lam, y0, v0, **kwargs):
+            mode = [m for m in ("count", "deriv", "trace") if kwargs.get(m)]
+            calls[-1].append((mode[0] if mode else "endpoint", np.size(lam)))
+            return sweep(co, lam, y0, v0, **kwargs)
+
+        monkeypatch.setattr(ode, "_sweep", spy)
+        monkeypatch.setattr(spectral, "_sweep", spy)
+        for _ in range(2):
+            calls.append([])
+            solve()
+        assert calls[0] and calls[0] == calls[1]
 
     @pytest.mark.parametrize("a,b", [(INF, INF), (INF, 1.0), (1.0, -0.5)])
     def test_read_only(self, a, b):
