@@ -219,6 +219,18 @@ def _midpoints(values: np.ndarray) -> np.ndarray:
     return local_quintic(values, np.arange(values.size - 1) + 0.5)
 
 
+def _sampled(V: np.ndarray) -> _Coefficients:
+    return _Coefficients(V=V, Vm=_midpoints(V))
+
+
+def _cached(prob, key: str, build):
+    """The problem's value under ``key``, built by ``build()`` on first use."""
+    value = prob._cache.get(key)
+    if value is None:
+        value = prob._cache[key] = build()
+    return value
+
+
 def resample_potential(p: Potential, n: int) -> Potential:
     """The potential p on n cells, with the discrete mean of the result removed.
 
@@ -233,31 +245,23 @@ def resample_potential(p: Potential, n: int) -> Potential:
 
 @dataclass(frozen=True, eq=False)
 class SchrodingerProblem:
-    """Eigenvalue problem -y'' + p y = lam y on [0, 1]."""
+    """Eigenvalue problem -y'' + p y = lam y on [0, 1].
+
+    Its normal form is itself, V = p, whose mean c0 is 0 (``Potential``).
+    """
 
     p: Potential
     _cache: dict = field(default_factory=dict, repr=False)
 
     kind = "schrodinger"
+    c0 = 0.0
 
     @property
     def n(self) -> int:
         return self.p.n
 
-    @property
-    def c0(self) -> float:
-        return 0.0
-
-    def coefficient_mean(self) -> float:
-        return integral(self.p.f)
-
     def _coefficients(self) -> _Coefficients:
-        co = self._cache.get("coeffs")
-        if co is None:
-            v = self.p.f.values
-            co = _Coefficients(V=v, Vm=_midpoints(v))
-            self._cache["coeffs"] = co
-        return co
+        return _cached(self, "coeffs", lambda: _sampled(self.p.f.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +270,7 @@ class ImpedanceProblem:
 
     It is solved as its normal form -y'' + V y = lam y with
     V = P(q) + c0 = q' + q**2 + u, which has the same eigenvalues and
-    boundary data; its shots are y = rho f.
+    boundary data; its shots are y = rho f, and c0 is the mean of V.
     """
 
     q: Impedance
@@ -281,21 +285,11 @@ class ImpedanceProblem:
 
     @property
     def c0(self) -> float:
-        c = self._cache.get("c0")
-        if c is None:
-            c = self._cache["c0"] = compute_c0(self.q, self.cfg)
-        return c
-
-    def coefficient_mean(self) -> float:
-        return self.c0
+        return _cached(self, "c0", lambda: compute_c0(self.q, self.cfg))
 
     def _coefficients(self) -> _Coefficients:
-        co = self._cache.get("coeffs")
-        if co is None:
-            V = forward_transform(self.q, self.cfg).f.values + self.c0
-            co = _Coefficients(V=V, Vm=_midpoints(V))
-            self._cache["coeffs"] = co
-        return co
+        return _cached(self, "coeffs", lambda: _sampled(
+            forward_transform(self.q, self.cfg).f.values + self.c0))
 
 
 @dataclass(frozen=True, eq=False)

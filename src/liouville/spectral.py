@@ -7,7 +7,7 @@ the zero problem's lam-derivative at the same slot; a derivative sweep,
 of about twice the cost, is the fallback for a root whose secant steps
 stop contracting or leave the bracket.  Every ladder is
 bracketed around its starts, a fit's predicted ladder or the zero ladder
-shifted by the mean of the potential, and one exact oscillation
+shifted by the problem's c0, the mean of V, and one exact oscillation
 count above the ladder proves the labels once each root lands inside its
 own bracket; otherwise every slot is count-bracketed.  Two states that
 rounding cannot split raise ``BracketError``.  Both pictures are solved as
@@ -100,6 +100,12 @@ def unperturbed_eigenvalues(regime: str, N: int) -> np.ndarray:
     return (math.pi * k) ** 2
 
 
+# The boundary pair of the zero problem whose eigenvalues
+# ``unperturbed_eigenvalues`` lists, by regime.
+_REFERENCE_PAIRS = {"dirichlet": (math.inf, math.inf),
+                    "mixed": (math.inf, 0.0), "generic": (0.0, 0.0)}
+
+
 def unperturbed_norming(regime: str, N: int) -> np.ndarray:
     """Norming constants of the zero problem, by slot."""
     k = np.arange(N, dtype=float)
@@ -165,7 +171,7 @@ def _solve_levels(prob, a, b, N):
     regime = regime_of(a, b)
     slots = np.arange(N)
     targets = unperturbed_eigenvalues(regime, N + 1)
-    shift = prob.coefficient_mean() + boundary_shift(regime, a, b)
+    shift = prob.c0 + boundary_shift(regime, a, b)
     targets = targets + shift
 
     mids = np.empty(N + 1)
@@ -461,33 +467,27 @@ def _potential_gradients(prob, lam, a, b, directions, norming=True):
 _SINC_SLOPE = [(-1.0) ** k * k / math.factorial(2 * k + 1) for k in range(1, 7)]
 
 
-def _cos_sinc_sqrt(u):
-    """H(u), G(u) and G'(u) = (H - G) / (2u), G' by its series where
-    |u| < 0.1."""
-    u = np.asarray(u, dtype=float)
-    w = np.sqrt(u.astype(complex))
-    H = np.cos(w).real
-    G = np.where(w == 0.0, 1.0, (np.sin(w) / np.where(w == 0.0, 1.0, w)).real)
-    small = np.abs(u) < 0.1
-    return H, G, np.where(small, np.polynomial.polynomial.polyval(
-        u, _SINC_SLOPE), (H - G) / (2.0 * np.where(small, 1.0, u)))
-
-
 def _zero_pairing(lam, left, right):
     """l . T (y0, v0) and its lam-derivative over the exact transfer T of
     the zero problem: left = (y0, v0), right = l.
 
     It is H q0 + G q1 with q0 = l . (y0, v0) and q1 = l . (v0, -lam y0)
-    where lam >= -1.  Below, where H and G grow like e**v, v = sqrt(-lam),
-    and Robin combinations cancel them, it is summed by branch: T has the
-    eigenvectors (1, +-v) of A, with eigenvalues e**(+-v), so
-    l . T (y0, v0) = sum of e**(+-v) (v y0 +- v0) (l_y +- v l_v) / (2v).
+    where lam >= -1; its slope takes H' = -G / 2 and G' = (H - G) / (2 lam),
+    G' by its series where |lam| < 0.1.  Below, where H and G grow like
+    e**v, v = sqrt(-lam), and Robin combinations cancel them, it is summed by
+    branch: T has the eigenvectors (1, +-v) of A, with eigenvalues e**(+-v),
+    so l . T (y0, v0) = sum of e**(+-v) (v y0 +- v0) (l_y +- v l_v) / (2v).
     """
-    H, G, dG = _cos_sinc_sqrt(lam)
-    dH = -0.5 * G
+    lam = np.asarray(lam, dtype=float)
+    w = np.sqrt(lam.astype(complex))
+    H = np.cos(w).real
+    G = np.where(w == 0.0, 1.0, (np.sin(w) / np.where(w == 0.0, 1.0, w)).real)
+    small = np.abs(lam) < 0.1
+    dG = np.where(small, np.polynomial.polynomial.polyval(lam, _SINC_SLOPE),
+                  (H - G) / (2.0 * np.where(small, 1.0, lam)))
     (y0, v0), (ly, lv) = left, right
     q0, q1 = ly * y0 + lv * v0, ly * v0 - lam * lv * y0
-    value, slope = H * q0 + G * q1, dH * q0 + dG * q1 - G * lv * y0
+    value, slope = H * q0 + G * q1, -0.5 * G * q0 + dG * q1 - G * lv * y0
     deep = lam < -1.0
     if not deep.any():
         return value, slope
@@ -503,17 +503,6 @@ def _zero_pairing(lam, left, right):
     branches = branches / (2.0 * v)
     slopes = slopes / (2.0 * v) - branches * dv / v
     return np.where(deep, branches, value), np.where(deep, slopes, slope)
-
-
-def _zero_char(a, b):
-    """The zero problem's characteristic function as ``_newton_polish`` reads
-    it: the left data paired with the closing row of b at x = 1, at log
-    scale 0."""
-    data, closing = _end(a).data, _end(b).closing
-
-    def char(x):
-        return (*_zero_pairing(x, data, closing), 0.0)
-    return char
 
 
 def _zero_quantities(lam, a, b):
@@ -591,7 +580,9 @@ def _exact_ladder(a, b, N):
     if len(deep) == 2 and deep[0] == deep[1]:
         raise _unsplit(a, b)
     start[:len(deep)] = deep
-    lam = _newton_polish(_zero_char(a, b), np.clip(start, lo, hi), lo, hi)
+    data, closing = _end(a).data, _end(b).closing
+    lam = _newton_polish(lambda x: (*_zero_pairing(x, data, closing), 0.0),
+                         np.clip(start, lo, hi), lo, hi)
     return _read_only(lam, *_zero_quantities(lam, a, b))
 
 
@@ -731,8 +722,8 @@ def _pipeline(prob, a, b, N, *, _guess=None):
 
     One grid level (``_level``) plus the zero-potential correction.  The
     level starts from the zero problem's discrete eigenvalues
-    (``_exact_ladder`` less ``_zero_correction``) shifted by the mean of V,
-    since lam_k = lam0_k + int V + l2 (Poeschel & Trubowitz, Inverse
+    (``_exact_ladder`` less ``_zero_correction``) shifted by c0, the mean
+    of V, since lam_k = lam0_k + int V + l2 (Poeschel & Trubowitz, Inverse
     Spectral Theory, 1987), and from ``_guess``, a prediction of the
     corrected eigenvalues, less the correction; each slot predicts its
     first slope by the zero problem's discrete log|dw| at the same slot.
@@ -744,7 +735,7 @@ def _pipeline(prob, a, b, N, *, _guess=None):
         raise ValueError("need at least one eigenvalue")
     dlam, dnorm, dlog_dw = _zero_correction(prob.n, a, b, N + 1)
     exact, _, log_dw = _exact_ladder(a, b, N + 1)
-    starts = exact + (prob.coefficient_mean() - dlam)
+    starts = exact + (prob.c0 - dlam)
     with np.errstate(invalid="ignore"):
         log_dw = (log_dw - dlog_dw)[:N]
     dlam, dnorm = dlam[:N], dnorm[:N]
@@ -853,9 +844,11 @@ def extract_remainders(data: SpectralData):
 def hadamard_wronskian(data: SpectralData, lam: float, M: int) -> float:
     """Truncated product-formula value of the characteristic function.
 
-    Multiplies the zero-problem characteristic function by M factors
-    (lam - lam_k)/(lam - lam0_k).  Converges to the direct value as M grows;
-    evaluation too close to either sequence raises.
+    Multiplies the characteristic function of the zero problem under the
+    regime's reference pair (``_REFERENCE_PAIRS``: (inf, inf), (inf, 0) or
+    (0, 0)), whose eigenvalues lam0_k ``unperturbed_eigenvalues`` lists, by
+    M factors (lam - lam_k)/(lam - lam0_k).  Converges to the direct value
+    as M grows; evaluation too close to either sequence raises.
     """
     if M < 1 or M > data.N:
         raise ValueError(f"ladder length M={M} outside 1..{data.N}")
@@ -867,14 +860,9 @@ def hadamard_wronskian(data: SpectralData, lam: float, M: int) -> float:
     for pole in np.concatenate([ref, eigs]):
         if abs(lam - pole) < tol * max(1.0, abs(lam), abs(pole)):
             raise PoleCollisionError(f"lam={lam} collides with {pole}")
-    cos, sinc, _ = _cos_sinc_sqrt(lam)
-    if regime == "dirichlet":
-        front = float(sinc)
-    elif regime == "mixed":
-        front = float(cos)
-    else:
-        front = -lam * float(sinc)
-    return front * float(np.prod((lam - eigs) / (lam - ref)))
+    a, b = _REFERENCE_PAIRS[regime]
+    front, _ = _zero_pairing(lam, _end(a).data, _end(b).closing)
+    return float(front) * float(np.prod((lam - eigs) / (lam - ref)))
 
 
 def identity_b(prob, data: SpectralData, M: int) -> np.ndarray:

@@ -514,7 +514,7 @@ def bisect_solve_levels(prob, a, b, N, max_newton=16):
     regime = regime_of(a, b)
     slots = np.arange(N)
     targets = unperturbed_eigenvalues(regime, N + 1)
-    shift = prob.coefficient_mean() + boundary_shift(regime, a, b)
+    shift = prob.c0 + boundary_shift(regime, a, b)
     targets = targets + shift
 
     mids = np.empty(N + 1)

@@ -253,6 +253,18 @@ class TestVerify:
         names = [c["name"] for c in doc["checks"]]
         assert "identity:b" in names
 
+    def test_generic_writes_the_trace_identity_pair(self, tmp_path):
+        # The Robin-Robin pair's check reads both partial sums of
+        # ``identity_ab`` toward (a, b).
+        out = tmp_path / "report.json"
+        code = main(["verify", "--q", "fourier:[0.3,-0.2,0.1,0.05]",
+                     "--u", "exp:0.5,1.0", "--bc", "generic", "--a", "1.0",
+                     "--b", "-0.5", "--N", "64", "--out", str(out)])
+        assert code == EXIT_OK
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["identity:ab"]["passed"] is True
+        assert "identity:b" not in checks
+
     def test_default_report_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(["verify", "--grid", "512", "--N", "4"])
@@ -414,6 +426,21 @@ class TestErrorPaths:
         code = main(["spectrum", "--q", "zero", "--bc", "mixed", "--b", "1.0",
                      "--a", "0.5", "--out", str(tmp_path / "x.json")])
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--q", "zero", "--bc", "dirichlet", "--a", "1.0"],
+                     id="dirichlet-with-a"),
+        pytest.param(["--q", "zero", "--bc", "mixed"], id="mixed-without-b"),
+        pytest.param(["--q", "zero", "--bc", "generic", "--b", "1.0"],
+                     id="generic-without-a"),
+        pytest.param(["--q", "zero", "--p", "zero"], id="q-and-p")])
+    def test_boundary_and_source_flags_refused(self, tmp_path, flags):
+        # An end the regime does not take, an end it needs and is not given,
+        # and two sources at once are argument errors.
+        out = tmp_path / "x.json"
+        code = main(["spectrum", *flags, "--grid", "256", "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert not out.exists()
 
     def test_reflected_orientation_rejected(self, tmp_path):
         code = main(["spectrum", "--q", "zero", "--a", "1.0",

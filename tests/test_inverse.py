@@ -587,6 +587,20 @@ class TestFitJacobian:
         assert J.shape == J_fd.shape
         assert np.max(np.abs(J - J_fd)) / np.max(np.abs(J_fd)) < 1e-5
 
+    def test_dirichlet_state_below_minus_one(self):
+        # 30 sqrt(2) cos(2 pi x) puts lam_1 near -15.7.  A symmetric fit
+        # takes no norming gradient, so that state's eigenfunction comes
+        # from the reflected shot of the right data alone.
+        fmap = _FitMap(FitTarget(regime="symmetric-dirichlet",
+                                 remainders=np.zeros(4)),
+                       InversionConfig(fit_grid=1024))
+        theta = np.array([30.0, 0.0, 0.0, 0.0])
+        _, prob, lam = fmap.residual(theta)
+        assert lam[0] < -15.0 < 0.0 < lam[1]
+        J = fmap.jacobian(theta, prob, lam)
+        J_fd = fd_fit_jacobian(fmap, theta)
+        assert np.max(np.abs(J - J_fd)) / np.max(np.abs(J_fd)) < 1e-6
+
     def test_deep_left_state_norming_gradient(self):
         # The forward shot of the state near -400 under (-20, 1) carries the
         # rounding of the growing solution: read from it, d nu_0 along

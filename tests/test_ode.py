@@ -106,6 +106,17 @@ class TestDeepNegativeLambda:
         assert math.isfinite(m) and math.isfinite(ls)
         assert abs(math.log(abs(m)) + ls - (t - math.log(2.0 * t))) < 2e-2
 
+    @pytest.mark.parametrize("lam", [-3000.0, -20.0, 13.7])
+    def test_scaled_derivative_pair(self, lam):
+        # w and dw share one log scale: times e**scale they are the
+        # unscaled pair, wherever that is finite.
+        prob = ImpedanceProblem(q_two_mode(), ConditionU.exponential(0.5, 1.0))
+        w, dw, ls = wronskian(prob, lam, b=0.7, deriv=True, scaled=True)
+        plain = wronskian(prob, lam, b=0.7, deriv=True)
+        assert math.isfinite(ls) and (lam > 0.0 or ls > 1.0)
+        assert w * math.exp(ls) == pytest.approx(plain[0], rel=1e-12)
+        assert dw * math.exp(ls) == pytest.approx(plain[1], rel=1e-12)
+
 
 class TestTraces:
     def test_forward_free_closed_form(self):

@@ -300,19 +300,23 @@ class TestEquivalence:
 
 
 class TestHadamardProduct:
-    def build(self, M=64):
+    def build(self, M=64, a=INF, b=0.2):
         prob = SchrodingerProblem(Potential.from_callable(
             lambda x: 0.3 * sin2pi_potential(x), N_GRID))
-        return prob, solve_spectrum(prob, INF, 0.2, M)
+        return prob, solve_spectrum(prob, a, b, M)
 
     def test_truncations_converge(self):
-        prob, data = self.build()
-        for lam in (-5.0, 3.3, 57.0):
-            direct = wronskian(prob, lam, b=0.2)
-            errs = [abs(hadamard_wronskian(data, lam, M) - direct)
-                    for M in (8, 16, 32, 64)]
-            assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
-            assert errs[-1] < 1e-3 * max(1.0, abs(direct))
+        # The factors past M scale the product by about 1 - s / (k pi)**2
+        # each, s the boundary shift, so the error falls like |s| / (pi**2 M):
+        # 1.6e-3 of the value for (1, -0.5), s = 1, at M = 64.
+        for a, b, bound in ((INF, 0.2, 1e-3), (1.0, -0.5, 2e-3)):
+            prob, data = self.build(a=a, b=b)
+            for lam in (-5.0, 3.3, 57.0):
+                direct = wronskian(prob, lam, a, b)
+                errs = [abs(hadamard_wronskian(data, lam, M) - direct)
+                        for M in (8, 16, 32, 64)]
+                assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
+                assert errs[-1] < bound * max(1.0, abs(direct))
 
     def test_impedance_product(self):
         prob = ImpedanceProblem(q_two_mode())
@@ -1196,9 +1200,9 @@ class TestZeroCorrection:
         lam, _, _ = spectral._exact_ladder(a, b, 16)
         assert np.all(np.diff(lam) > 0.0)
         step = 1e-6 * np.maximum(1.0, np.abs(lam))
-        char = spectral._zero_char(a, b)
-        w_lo = char(lam - step)[0]
-        w_hi = char(lam + step)[0]
+        ends = (spectral._end(a).data, spectral._end(b).closing)
+        w_lo = spectral._zero_pairing(lam - step, *ends)[0]
+        w_hi = spectral._zero_pairing(lam + step, *ends)[0]
         below = (-1.0) ** np.arange(16)
         assert np.all(np.sign(w_lo) == below)
         assert np.all(np.sign(w_hi) == -below)
