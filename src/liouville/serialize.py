@@ -118,15 +118,26 @@ def spectral_to_dict(data: SpectralData) -> dict:
 
 
 def spectral_from_dict(d: dict) -> SpectralData:
-    """Rebuild spectral data; norming deviations follow from the norming constants."""
+    """Rebuild spectral data; norming deviations follow from the norming
+    constants.
+
+    Raises ``ValueError`` unless ``eigenvalues``, ``norming`` and
+    ``remainders`` each hold exactly N >= 1 entries.
+    """
     a = _boundary_in(d["a"])
     b = _boundary_in(d["b"])
     eig = np.asarray(d["eigenvalues"], dtype=float)
     norming = np.asarray(d["norming"], dtype=float)
     rem = np.asarray(d["remainders"], dtype=float)
+    N = int(d["N"])
+    shapes = {"eigenvalues": eig.shape, "norming": norming.shape,
+              "remainders": rem.shape}
+    if N < 1 or any(shape != (N,) for shape in shapes.values()):
+        raise ValueError(f"spectral data needs N >= 1 entries in each row; "
+                         f"got N = {N} and shapes {shapes}")
     return SpectralData(kind=str(d["kind"]), a=a, b=b, c0=float(d["c0"]),
                         eigenvalues=eig, norming=norming,
-                        remainders=SequenceData(rem), N=int(d["N"]))
+                        remainders=SequenceData(rem), N=N)
 
 
 def target_to_dict(target: FitTarget) -> dict:

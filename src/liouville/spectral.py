@@ -1,13 +1,12 @@
 """Eigenvalues, norming constants, product formulas, and trace identities.
 
 Spectra are found by Newton steps on the characteristic function, each
-iterate kept inside its bracket.  A step's slope is the secant through the
-root's last two evaluations, each an endpoint sweep, or in the first round
-the zero problem's lam-derivative at the same slot; a derivative sweep,
-of about twice the cost, is the fallback for a root whose secant steps
-stop contracting or leave the bracket.  Every ladder is
-bracketed around its starts, a fit's predicted ladder or the zero ladder
-shifted by the problem's c0, the mean of V, and one exact oscillation
+iterate kept inside its bracket.  Every round is one endpoint sweep: a
+step's slope is the zero problem's lam-derivative at the same slot in the
+first round, and the secant through the root's last two evaluations after
+that.  Every ladder is bracketed around its starts, a fit's predicted
+ladder or the zero ladder shifted by the problem's c0, the mean of V,
+and one exact oscillation
 count above the ladder proves the labels once each root lands inside its
 own bracket; otherwise every slot is count-bracketed.  Two states that
 rounding cannot split raise ``BracketError``.  Both pictures are solved as
@@ -66,14 +65,11 @@ __all__ = [
 ]
 
 
-# Newton stops a root once its step is within _RTOL * max(1, |lam|); after
-# a step inside its bracket it takes a value round, whose slope is the
-# secant through its last two evaluations.  _MAX_NEWTON bounds the cost of
-# one root's polish in derivative rounds, a value round costing half of
-# one, and _MAX_REPAIR the rounds of the bracket repair before the count
-# bisection.
+# Newton stops a root once its step is within _RTOL * max(1, |lam|).
+# _MAX_NEWTON bounds the rounds of one polish, each one endpoint sweep, and
+# _MAX_REPAIR the rounds of the bracket repair before the count bisection.
 _RTOL = 1e-12
-_MAX_NEWTON = 16
+_MAX_NEWTON = 32
 _MAX_REPAIR = 48
 
 # Tail-growth tolerances and noise floor of ``characterize``.
@@ -98,12 +94,6 @@ def unperturbed_eigenvalues(regime: str, N: int) -> np.ndarray:
     if regime == "mixed":
         return (math.pi * (k + 0.5)) ** 2
     return (math.pi * k) ** 2
-
-
-# The boundary pair of the zero problem whose eigenvalues
-# ``unperturbed_eigenvalues`` lists, by regime.
-_REFERENCE_PAIRS = {"dirichlet": (math.inf, math.inf),
-                    "mixed": (math.inf, 0.0), "generic": (0.0, 0.0)}
 
 
 def unperturbed_norming(regime: str, N: int) -> np.ndarray:
@@ -218,53 +208,44 @@ def _solve_levels(prob, a, b, N):
     return lo, hi
 
 
-def _newton_polish(char, lam, lo, hi, value=None, log_dw=None):
+def _newton_polish(value, lam, lo, hi, log_dw):
     """Newton on a characteristic function, each root kept in its bracket.
 
-    ``char(x)`` returns the characteristic values at x, their
-    lam-derivatives and the log of their common scale (w e**scale is the
-    true value).  ``lo`` and ``hi`` bracket one root each, slot k first;
-    any start inside its bracket is safe, and one near the root saves
-    rounds.  The characteristic value is positive below the spectrum and
-    changes sign at each simple eigenvalue, so in slot k it has the sign
-    (-1)**k below the root; each evaluation shrinks the bracket by that
-    sign, and a step that
-    would leave the bracket takes its midpoint.  So does the second of two
-    slow steps in a row, each longer than half the root's step before it,
-    after the safeguard of rtsafe (Press et al., Numerical Recipes, sec.
-    9.4): a start far from the root would otherwise crawl to it in steps
-    that shrink too slowly.  One slow step is taken, because Newton's steps
-    near a deep state shrink by less than half for a round or two before
-    they turn quadratic.  A step after a midpoint has no step before it to
-    compare with.  A root stops once its
-    Newton step is within the tolerance, taken or not, at the step's end
-    clipped to the bracket: a bracket can collapse to one ulp while the
-    step is still finite.  It also stops where w is exactly 0 or no float
-    lies inside its bracket: near two states that rounding cannot split w
-    and dw are rounding noise.
+    ``value(x)`` returns the characteristic values at x, the log of their
+    common scale (w e**scale is the true value) and a companion g.  ``lo``
+    and ``hi`` bracket one root each, slot k first; any start inside its
+    bracket is safe, and one near the root saves rounds.  The
+    characteristic value is positive below the spectrum and changes sign
+    at each simple eigenvalue, so in slot k it has the sign (-1)**k below
+    the root and its slope there the sign (-1)**(k + 1); each evaluation
+    shrinks the bracket by the sign of w, and a step that would leave the
+    bracket takes its midpoint.  So does the second of two slow steps in
+    a row, each longer than half the root's step before it, after the
+    safeguard of rtsafe (Press et al., Numerical Recipes, sec. 9.4): a
+    start far from the root would otherwise crawl to it in steps that
+    shrink too slowly.  One slow step is taken, because the steps near a
+    deep state shrink by less than half for a round or two before they
+    turn fast.  A step after a midpoint has no step before it to compare
+    with.  A root stops once its step is within the tolerance, taken or
+    not, at the step's end clipped to the bracket: a bracket can collapse
+    to one ulp while the step is still finite.  It also stops where w is
+    exactly 0 or no float lies inside its bracket: near two states that
+    rounding cannot split w is rounding noise.
 
-    Such a char may come with ``value``, which returns the values, their
-    log scale and a companion g, without derivatives; char then returns g
-    and its lam-derivative dg after the scale, and the polish returns
-    (lam, g), g carried from each root's last evaluation x by the same
-    step: g(x) + dg (lam - x).  A value round evaluates a root by ``value``
-    alone, an endpoint sweep where a derivative round costs a derivative
-    sweep, and takes its slope from the secant through the root's last two
-    evaluations, both values carried to the newer log scale: the secant's
-    efficiency index, 1.618 per evaluation, beats Newton's sqrt(2) when the
-    derivative costs as much as the value (Ostrowski, Solution of Equations
-    and Systems of Equations, 1960).  dg is the secant of g alike.  A
-    secant that is not finite or is 0 keeps the slope carried from before.
-    ``log_dw`` predicts log|dw| at each root, whose sign in slot k is
-    (-1)**(k + 1): in round 1 every root with a finite prediction takes a
-    value round with that slope, formed in logs so that a deep state cannot
-    overflow, and dg = 0.  After that a Newton step inside the bracket
-    leads to a value round, and a midpoint, or a value step longer than
-    half the step before it, to a derivative round.  A root stays live
-    until its rounds cost ``_MAX_NEWTON`` derivative rounds, a value round
-    costing half of one: the secant converges with order 1.618, not 2, so
-    a root that needs its derivative rounds far from the root takes more
-    rounds to finish than Newton would.
+    Every round is one call of ``value`` on the live roots, an endpoint
+    sweep for a problem.  ``log_dw`` predicts log|dw| at each root: round
+    1 steps by that slope, with the sign of the slot, formed in logs so
+    that a deep state cannot overflow; a root whose prediction is not
+    finite takes the bracket midpoint.  Every later slope is the secant
+    through the root's last two evaluations, both values carried to the
+    newer log scale: the secant's efficiency index, 1.618 per evaluation,
+    beats Newton's sqrt(2) when the derivative costs as much as the value
+    (Ostrowski, Solution of Equations and Systems of Equations, 1960).  A
+    secant that is not finite or has the wrong sign for its slot, as one
+    across a turn of w far from the root, keeps the slope carried from
+    before.  The polish returns (lam, g), g carried from each root's last
+    evaluation x by the secant of g: g(x) + dg (lam - x), dg = 0 until two
+    evaluations give a finite secant that is not 0.
     """
     lam = np.array(lam, dtype=float)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
@@ -272,93 +253,68 @@ def _newton_polish(char, lam, lo, hi, value=None, log_dw=None):
     live = np.arange(lam.size)
     # Each root's last evaluation: where it was, w and dw with their log
     # scale, g and dg.  A predicted slope is -below at the log scale log_dw.
+    predicted = np.isfinite(log_dw)
     at = np.full(lam.size, np.nan)
     w, g, dg = np.zeros((3, lam.size))
-    dw, scale = -below, np.zeros(lam.size)
-    by_value = np.zeros(lam.size, dtype=bool)
-    if value is not None and log_dw is not None:
-        by_value = np.isfinite(log_dw)
-        scale = np.where(by_value, log_dw, 0.0)
-    # Each root's last Newton step, inf where it has none to compare with,
-    # and whether that step was slow: longer than half the one before it.
+    dw = np.where(predicted, -below, np.nan)
+    scale = np.where(predicted, log_dw, 0.0)
+    # Each root's last step, inf where it has none to compare with, and
+    # whether that step was slow: longer than half the one before it.
     last = np.full(lam.size, np.inf)
     slow = np.zeros(lam.size, dtype=bool)
-    spent = np.zeros(lam.size)
-    while True:
-        fresh, held = live[~by_value[live]], live[by_value[live]]
-        if fresh.size:
-            w[fresh], dw[fresh], scale[fresh], *carry = char(lam[fresh])
-            if carry:
-                g[fresh], dg[fresh] = carry
-        if held.size:
-            x = lam[held]
-            w_x, scale_x, g_x = value(x)
-            with np.errstate(over="ignore", divide="ignore",
-                             invalid="ignore"):
-                carried = np.exp(scale[held] - scale_x)
-                dx = x - at[held]
-                dw_x = (w_x - w[held] * carried) / dx
-                dg_x = (g_x - g[held]) / dx
-                dw[held] = np.where(np.isfinite(dw_x) & (dw_x != 0.0), dw_x,
-                                    dw[held] * carried)
-                dg[held] = np.where(np.isfinite(dg_x) & (dg_x != 0.0), dg_x,
-                                    dg[held])
-            w[held], scale[held], g[held] = w_x, scale_x, g_x
-        spent[fresh] += 1.0
-        spent[held] += 0.5
-        x, prev, was_by_value = lam[live], last[live], by_value[live]
-        at[live] = x
-        side = np.sign(w[live]) * below[live]
+    for _ in range(_MAX_NEWTON):
+        x = lam[live]
+        w_x, scale_x, g_x = value(x)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            carried = np.exp(scale[live] - scale_x)
+            dx = x - at[live]
+            dw_x = (w_x - w[live] * carried) / dx
+            dg_x = (g_x - g[live]) / dx
+            dw[live] = np.where(np.isfinite(dw_x) & (dw_x * below[live] < 0.0),
+                                dw_x, dw[live] * carried)
+            dg[live] = np.where(np.isfinite(dg_x) & (dg_x != 0.0), dg_x,
+                                dg[live])
+        at[live], w[live], scale[live], g[live] = x, w_x, scale_x, g_x
+        side = np.sign(w_x) * below[live]
         low = np.where(side > 0, x, lo[live])
         high = np.where(side < 0, x, hi[live])
         lo[live], hi[live] = low, high
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(w[live] == 0.0, 0.0, w[live] / dw[live])
+            step = np.where(w_x == 0.0, 0.0, w_x / dw[live])
         trial = x - step
-        reach = np.maximum(1.0, np.abs(x))
-        done = (np.abs(step) <= _RTOL * reach) | (
+        done = (np.abs(step) <= _RTOL * np.maximum(1.0, np.abs(x))) | (
             np.nextafter(low, high) >= high)
-        inside = (trial > low) & (trial < high)
-        slow_step = np.abs(step) > 0.5 * prev
-        newton = inside & ~(slow_step & slow[live])
+        slow_step = np.abs(step) > 0.5 * last[live]
+        newton = (trial > low) & (trial < high) & ~(slow_step & slow[live])
         lam[live] = np.where(newton | done, np.clip(trial, low, high),
                              0.5 * (low + high))
         last[live] = np.where(newton, np.abs(step), np.inf)
         slow[live] = newton & slow_step
-        if value is not None:
-            by_value[live] = newton & ~(was_by_value & slow_step)
         live = live[~done]
         if live.size == 0:
-            return lam if value is None else (lam, g + dg * (lam - at))
-        if np.any(spent[live] >= _MAX_NEWTON):
-            raise BracketError(
-                f"Newton polish left {live.size} roots unconverged after "
-                f"the cost of {_MAX_NEWTON} derivative rounds")
+            return lam, g + dg * (lam - at)
+    raise BracketError(
+        f"Newton polish left {live.size} roots unconverged after "
+        f"{_MAX_NEWTON} rounds")
 
 
-def _problem_char(prob, a, b):
-    """The problem's characteristic function and its ``value`` form, as
-    ``_newton_polish`` reads them.
+def _problem_value(prob, a, b):
+    """The problem's characteristic function as ``_newton_polish`` reads it.
 
-    Its companion is the norming constant nu of ``_endpoint_quantities``
-    and its lam-derivative, read from the same sweep: nu = log|num| +
-    log scale with num the read of b at x = 1, and dnu/dlam = dnum / num.
-    The value form reads w and nu from an endpoint sweep.  A read rounded
-    to 0 has nu = -inf and no slope, and ``_norming`` reads it backward.
+    One endpoint sweep gives w, its log scale and the companion nu of
+    ``_endpoint_quantities``: nu = log|num| + log scale with num the read
+    of b at x = 1.  A read rounded to 0 has nu = -inf, and ``_norming``
+    reads it backward.
     """
     read = _end(b).read
 
-    def evaluate(x, deriv):
-        w, dw, scale, res = _endpoint_w(prob, x, a, b, deriv)
-        num = _pair(read, res["y"], res["v"])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nu = np.log(np.abs(num)) + scale
-            if not deriv:
-                return w, scale, nu
-            return w, dw, scale, nu, np.where(
-                num == 0.0, 0.0, _pair(read, res["dy"], res["dv"]) / num)
+    def value(x):
+        w, _, scale, res = _endpoint_w(prob, x, a, b, False)
+        with np.errstate(divide="ignore"):
+            return w, scale, np.log(np.abs(_pair(read, res["y"], res["v"]))) \
+                + scale
 
-    return (lambda x: evaluate(x, True)), (lambda x: evaluate(x, False))
+    return value
 
 
 def _endpoint_quantities(prob, lam, a, b, deriv=True):
@@ -533,14 +489,16 @@ def _exact_ladder(a, b, N):
     """Eigenvalues, norming constants and log|dw| of p = 0 under (a, b), by slot.
 
     Robin ends take a bracketed Newton on the closed-form characteristic
-    function.  With a Dirichlet left end, slot k >= 1 lies in
-    ((k pi)**2, ((k + 1) pi)**2), since w cot w = -b has one root in each of
-    those w-intervals.  A Robin left end interlaces with that ladder: slot k
-    lies between its slots k - 1 and k, and so in
-    (((k - 1) pi)**2, ((k + 1) pi)**2).  When ab < t_0, the points
-    t_k = ((k + 1/2) pi)**2 separate the slots as well: there the
-    characteristic function is (ab - t_k) (-1)**k / sqrt(t_k), whose sign
-    places t_k between slots k and k + 1, and no ladder is solved for them.
+    function, by the rounds of ``_newton_polish`` with first slopes from
+    its closed-form lam-derivative at the starts.  With a Dirichlet left
+    end, slot k >= 1 lies in ((k pi)**2, ((k + 1) pi)**2), since
+    w cot w = -b has one root in each of those w-intervals.  A Robin left
+    end interlaces with that ladder: slot k lies between its slots k - 1
+    and k, and so in (((k - 1) pi)**2, ((k + 1) pi)**2).  When ab < t_0,
+    the points t_k = ((k + 1/2) pi)**2 separate the slots as well: there
+    the characteristic function is (ab - t_k) (-1)**k / sqrt(t_k), whose
+    sign places t_k between slots k and k + 1, and no ladder is solved for
+    them.
     Below -m**2 with m = max(1, 1 - min(a, b)) nothing lies: at lam = -v**2,
     2 v w(lam) = e**v (v + a) (v + b) - e**-v (v - a) (v - b) for Robin
     ends and e**v (v + b) + e**-v (v - b) for a Dirichlet left end, positive
@@ -581,8 +539,12 @@ def _exact_ladder(a, b, N):
         raise _unsplit(a, b)
     start[:len(deep)] = deep
     data, closing = _end(a).data, _end(b).closing
-    lam = _newton_polish(lambda x: (*_zero_pairing(x, data, closing), 0.0),
-                         np.clip(start, lo, hi), lo, hi)
+    start = np.clip(start, lo, hi)
+    with np.errstate(divide="ignore"):
+        log_dw = np.log(np.abs(_zero_pairing(start, data, closing)[1]))
+    lam, _ = _newton_polish(
+        lambda x: (_zero_pairing(x, data, closing)[0], *np.zeros((2, x.size))),
+        start, lo, hi, log_dw)
     return _read_only(lam, *_zero_quantities(lam, a, b))
 
 
@@ -685,11 +647,12 @@ def _level(prob, a, b, N, starts, log_dw, guess=None):
     sends the ladder to the count brackets of ``_solve_levels``.  Either
     way each slot starts from the first of the guess, the starts and the
     bracket midpoint inside its bracket, so a start cannot change a label,
-    and ``log_dw`` predicts its first slope (``_newton_polish``).  Newton's
-    last sweep at each root gives its forward norming read, which
-    ``_norming`` completes.
+    and ``log_dw`` predicts its first slope (``_newton_polish``).  Every
+    sweep is a count or an endpoint sweep, none a derivative sweep.
+    Newton's last sweep at each root gives its forward norming read,
+    carried to the root by the secant of nu, which ``_norming`` completes.
     """
-    char, value = _problem_char(prob, a, b)
+    value = _problem_value(prob, a, b)
     # Later rows take precedence where they lie inside the bracket.
     rows, s = [starts[:N]], starts
     if guess is not None:
@@ -702,7 +665,7 @@ def _level(prob, a, b, N, starts, log_dw, guess=None):
         start = 0.5 * (lo + hi)
         for row in rows:
             start = np.where((row > lo) & (row < hi), row, start)
-        return _newton_polish(char, start, lo, hi, value, log_dw)
+        return _newton_polish(value, start, lo, hi, log_dw)
 
     hi = 0.5 * (s[:-1] + s[1:])
     lo = np.concatenate([[_spectrum_floor(prob, a, b)], hi[:-1]])
@@ -726,7 +689,8 @@ def _pipeline(prob, a, b, N, *, _guess=None):
     of V, since lam_k = lam0_k + int V + l2 (Poeschel & Trubowitz, Inverse
     Spectral Theory, 1987), and from ``_guess``, a prediction of the
     corrected eigenvalues, less the correction; each slot predicts its
-    first slope by the zero problem's discrete log|dw| at the same slot.
+    first slope by the zero problem's discrete log|dw| at the same slot,
+    and a slot without a finite prediction starts at its bracket midpoint.
     Corrected eigenvalues that do not increase belong to two states that
     rounding cannot split, and raise ``BracketError``.  N < 1 raises
     ``ValueError``.
@@ -845,23 +809,24 @@ def hadamard_wronskian(data: SpectralData, lam: float, M: int) -> float:
     """Truncated product-formula value of the characteristic function.
 
     Multiplies the characteristic function of the zero problem under the
-    regime's reference pair (``_REFERENCE_PAIRS``: (inf, inf), (inf, 0) or
-    (0, 0)), whose eigenvalues lam0_k ``unperturbed_eigenvalues`` lists, by
-    M factors (lam - lam_k)/(lam - lam0_k).  Converges to the direct value
-    as M grows; evaluation too close to either sequence raises.
+    data's own pair, shifted by c0, by M factors (lam - lam_k)/(lam - mu_k),
+    mu_k that problem's eigenvalues: ``_exact_ladder`` plus c0.  Each
+    factor past M is 1 - (lam_k - mu_k) / (lam - mu_k), 1 + O(k**-4) for a
+    smooth potential, so the error falls like M**-3.
+    Evaluation too close to either sequence raises.  A pair whose zero
+    problem holds two states that rounding cannot split (a = b below about
+    -37) raises ``BracketError``.
     """
     if M < 1 or M > data.N:
         raise ValueError(f"ladder length M={M} outside 1..{data.N}")
-    regime = regime_of(data.a, data.b)
-    ref = unperturbed_eigenvalues(regime, M)
+    a, b, lam = data.a, data.b, float(lam)
+    ref = _exact_ladder(a, b, M)[0] + data.c0
     eigs = data.eigenvalues[:M]
-    lam = float(lam)
     tol = 1e-9
     for pole in np.concatenate([ref, eigs]):
         if abs(lam - pole) < tol * max(1.0, abs(lam), abs(pole)):
             raise PoleCollisionError(f"lam={lam} collides with {pole}")
-    a, b = _REFERENCE_PAIRS[regime]
-    front, _ = _zero_pairing(lam, _end(a).data, _end(b).closing)
+    front, _ = _zero_pairing(lam - data.c0, _end(a).data, _end(b).closing)
     return float(front) * float(np.prod((lam - eigs) / (lam - ref)))
 
 

@@ -473,6 +473,29 @@ class TestErrorPaths:
         assert code == EXIT_PARSE == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", ["cut", "N"])
+    @pytest.mark.parametrize("command", ["export", "fit", "verify"])
+    def test_data_rows_must_match_N(self, tmp_path, command, edit):
+        # A spectral file whose eigenvalues are cut to 3 of its 6 entries,
+        # or whose N reads 9, is refused before anything is written.
+        data = tmp_path / "d.json"
+        assert main(["spectrum", "--q", "zero", "--bc", "mixed", "--b", "1",
+                     "--N", "6", "--grid", "256", "--out", str(data)]) \
+            == EXIT_OK
+        doc = json.loads(data.read_text())
+        if edit == "cut":
+            doc["eigenvalues"] = doc["eigenvalues"][:3]
+        else:
+            doc["N"] = 9
+        data.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {"export": ["export", "--prefix", str(out)],
+                "fit": ["fit", "--grid", "256", "--out", str(out)],
+                "verify": ["verify", "--grid", "256", "--N", "4",
+                           "--out", str(out)]}[command]
+        assert main(argv + ["--data", str(data)]) == EXIT_PARSE
+        assert list(tmp_path.iterdir()) == [data]
+
     def test_fit_takes_one_of_target_and_data(self, tmp_path):
         # Both files are valid, so only the flag pair is refused.
         data, target = tmp_path / "d.json", tmp_path / "t.json"

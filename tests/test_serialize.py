@@ -113,6 +113,19 @@ class TestSpectralDict:
         assert d["a"] == "infinity" and d["b"] == "infinity"
         assert spectral_from_dict(d).a == INF
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param({"eigenvalues": slice(0, 3)}, id="short-eigenvalues"),
+        pytest.param({"norming": slice(0, 5)}, id="short-norming"),
+        pytest.param({"remainders": slice(0, 0)}, id="empty-remainders"),
+        pytest.param({"N": 9}, id="N-too-large"),
+        pytest.param({"N": 0}, id="N-zero")])
+    def test_rows_must_hold_N_entries(self, edit):
+        d = spectral_to_dict(small_data(N=6))
+        for key, change in edit.items():
+            d[key] = d[key][change] if isinstance(change, slice) else change
+        with pytest.raises(ValueError, match="N >= 1 entries"):
+            spectral_from_dict(d)
+
     def test_deviation_recomputed_from_norming(self):
         data = small_data(b=0.5)
         d = spectral_to_dict(data)
