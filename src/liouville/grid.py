@@ -332,6 +332,37 @@ def local_quintic(values: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _quintic_weights(t: float) -> np.ndarray:
+    """``local_quintic``'s six weights at t, in cell units from its first node."""
+    return np.array([local_quintic(np.eye(6)[k], np.array([t]))[0]
+                     for k in range(6)])
+
+
+def _cell_samples(values: np.ndarray, offset=0.5) -> np.ndarray:
+    """``local_quintic`` at ``offset`` into every cell, the midpoints by default.
+
+    ``offset`` may be a sequence, which gives one row of n values each.
+    Cell i reads the six nodes from start = clip(i - 2, 0, n - 5) at
+    i + offset - start, so the interior cells share one row of weights and
+    each of the two cells at either end has its own.  Each sum runs in
+    ``local_quintic``'s order, so at the midpoints, where i + offset is
+    exact, the values are its own bit for bit.
+    """
+    n = values.size - 1
+    offsets = np.asarray(offset, dtype=float)
+    out = np.zeros(offsets.shape + (n,))
+    # Cells first..last - 1, the first node their values read, and t - offset.
+    for first, last, start, t in ((2, n - 2, 0, 2), (0, 1, 0, 0), (1, 2, 0, 1),
+                                  (n - 2, n - 1, n - 5, 3),
+                                  (n - 1, n, n - 5, 4)):
+        w = np.array([_quintic_weights(t + o) for o in offsets.flat]).T
+        for k in range(6):
+            out[..., first:last] += w[k].reshape(offsets.shape + (1,)) \
+                * values[start + k:start + k + last - first]
+    return out
+
+
 def resample(f: GridFunction, n: int) -> GridFunction:
     """Values of f on a uniform grid of n cells, by ``local_quintic``.
 

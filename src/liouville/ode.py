@@ -9,21 +9,27 @@ A boundary end is one number c: +inf for Dirichlet, finite for the Robin
 condition y' = c y in the coordinate pointing into the interval.  ``_end``
 decodes it, refusing -inf and NaN, into the data that start a shot there
 and the rows that close and read a shot.
-The integrator is classical fixed-step RK4, written as one 2x2 matrix per
-cell.  Its middle stages sample V at cell midpoints, which
-``grid.local_quintic`` forms from the node values: degree-5 Lagrange through
-the six nearest nodes, O(h**6), centred in the interior.
-Each stage multiplies a y-component, which is at most linear in lam, by
-V - lam, so every cell matrix is exactly quadratic in lam:
-M(lam) = A0 + lam A1 + lam**2 A2.  The three lam-free coefficient arrays
-are computed once per problem.  A backward shot is the same equation on
-the reflected coefficients V(1 - s), so every sweep runs from x = 0.
+The integrator is the sixth-order Magnus method of Blanes, Casas & Ros (BIT
+40, 2000), one 2x2 matrix per cell.  It samples V at the three Gauss nodes
+of each cell, which ``grid.local_quintic`` forms from the node values:
+degree-5 Lagrange through the six nearest nodes, O(h**6), centred in the
+interior.  Only the middle sample carries lam, so a cell's exponent is
+Omega = [[p, q], [r, -p]] with p and r linear in lam and q free of it
+(``_exponents``), and exp(Omega) = C(u) I + S(u) Omega with u = p**2 + q r,
+C = cosh sqrt(u) and S = sinh sqrt(u) / sqrt(u).  The cell is exact for
+constant V and has determinant 1.  C and S are entire in u, and u is
+quadratic in lam: where a column's bound on |u| is small, its cells are
+Taylor polynomials of C and S, cut below rounding, evaluated as
+polynomials in lam whose coefficients are computed once per problem and
+degree; elsewhere they come from cosh and sinh.  A backward shot is the
+same equation on the reflected samples V(1 - s), so every sweep runs from
+x = 0.
 
 A sweep propagates a batch of lam columns through all cells by a blocked
 scan (Blelloch, "Prefix sums and their applications", 1990).  The n cells
 form blocks of a fixed 16, and the coefficients are stored in that block
-order, so the multiply-add in lam writes the cell matrices straight into
-the layout the scan reads.  The running products inside every block are
+order, so the sum over the powers of lam writes the cell matrices straight
+into the layout the scan reads.  The running products inside every block are
 formed in 15 steps, each vectorized over all blocks and columns.  The
 block totals are then multiplied pairwise, level by level, until one
 product spans 256 cells, or a quarter of the grid where that is less, and
@@ -40,7 +46,7 @@ products to it; a count reads the signs of y in that block layout, with
 the last node of each block carried to the next, and never forms the nodes
 in grid order.
 A sweep with lam-derivatives is the same scan at z = lam + ih.  Every cell
-matrix is a polynomial in lam with real coefficients, so the shot at z is
+matrix is entire in lam and real on the real axis, so the shot at z is
 y(lam) + ih y'(lam) to within a relative h**2, and with h = 2**-60
 max(1, |lam|) its real part is the shot at lam and its imaginary part h
 times the derivative, both to rounding: complex-step differentiation
@@ -57,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrationError
-from .grid import GridFunction, integral, local_quintic, resample
+from .grid import GridFunction, _cell_samples, integral, resample
 from .transform import (ConditionU, Impedance, Potential, build_rho,
                         compute_c0, forward_transform)
 
@@ -82,6 +88,20 @@ _LOG_VALUE_LIMIT = 700.0
 # over the block totals may span (see the module docstring).
 _BLOCK = 16
 _SPAN_CAP = 256
+
+# The Gauss nodes of a cell, in cell units from its left end.
+_GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
+
+# Taylor coefficients 1/(2k)! of C and 1/(2k + 1)! of S, k = 0..9, the
+# degrees D of the entry tables, and the bound on |u| up to which each
+# holds: there the first dropped term of C, |u|**(D + 1) / (2D + 2)!, is
+# at most 2**-54, and that of S smaller.
+_TAYLOR = np.array([[1.0 / math.factorial(2 * k + j) for j in (0, 1)]
+                    for k in range(10)])
+# A column past the last bound takes the class 0: cells from cosh and sinh.
+_DEGREES = np.array([3, 4, 8, 0])
+_DEGREE_BOUNDS = [(math.factorial(2 * D + 2) * 2.0 ** -54) ** (1.0 / (D + 1))
+                  for D in _DEGREES[:-1]]
 
 # The most lam columns one derivative sweep scans at a time.  A complex
 # column holds the bytes of two real ones, so 32 complex columns weigh what
@@ -117,110 +137,132 @@ def _pair(row, y, v):
     return row[0] * y + row[1] * v
 
 
-def _quadratic_steps(Vn, Vm) -> np.ndarray:
-    """RK4 cell matrices of y'' = (V - lam) y as quadratics in lam.
+def _exponents(V1, V2, V3, n: int) -> np.ndarray:
+    """Each cell's Magnus exponent from its three Gauss samples of V.
 
-    Returns shape (3, 4, n): the coefficients of 1, lam and lam**2 of the
-    entries (M11, M21, M12, M22) of every cell.  Polynomials in lam are
-    arrays whose first axis holds those three coefficients.
+    With A = [[0, 1], [V - lam, 0]] sampled at the Gauss nodes, a1 = h A2,
+    a2 = (sqrt(15) h / 3)(A3 - A1), a3 = (10 h / 3)(A3 - 2 A2 + A1),
+    C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1] / 60, the exponent is
+    Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240 (Blanes, Casas
+    & Ros, BIT 40, 2000).  Only a1 carries lam, so Omega = [[p, q], [r, -p]]
+    with p = p0 + lam p1, q = q0 and r = r0 + lam r1.  Returns the rows
+    (p0, p1, q0, r0, r1), shape (5, n).
     """
-    n = Vm.size
     h = 1.0 / n
-    half = 0.5 * h
-    h6 = h / 6.0
-    c0, c1, cm = Vn[:-1], Vn[1:], Vm
-
-    def times(c, p):
-        # (c - lam) p; p is a y-component, at most linear in lam, so the
-        # lam**3 term p[2] would carry is zero.
-        return c * p - np.concatenate([np.zeros((1, n)), p[:2]])
-
-    def column(y0, v0):
-        k1y = v0
-        k1v = times(c0, y0)
-        a1y = y0 + half * k1y
-        a1v = v0 + half * k1v
-        k2y = a1v
-        k2v = times(cm, a1y)
-        a2y = y0 + half * k2y
-        a2v = v0 + half * k2v
-        k3y = a2v
-        k3v = times(cm, a2y)
-        a3y = y0 + h * k3y
-        a3v = v0 + h * k3v
-        k4y = a3v
-        k4v = times(c1, a3y)
-        return (y0 + h6 * (k1y + 2.0 * (k2y + k3y) + k4y),
-                v0 + h6 * (k1v + 2.0 * (k2v + k3v) + k4v))
-
-    one = np.zeros((3, n))
-    one[0] = 1.0
-    zero = np.zeros((3, n))
-    return np.stack(column(one, zero) + column(zero, one), axis=1)
+    w = h * V2
+    d2, d3 = (math.sqrt(15.0) * h / 3.0 * (V3 - V1),
+              10.0 * h / 3.0 * (V3 - 2.0 * V2 + V1))
+    # dp/dw and dr/dw, with w = h (V2 - lam).
+    p_w, r_w = h * h * d2 / 180.0, 1.0 + h * (20.0 * d3 + h * d2 * d2) / 3600.0
+    return np.stack([
+        p_w * w - h * d2 / 12.0 + h * h * d2 * d3 / 7200.0,
+        -h * p_w,
+        h + h * h * (h * d2 * d2 - 20.0 * d3) / 3600.0,
+        r_w * w + d3 / 12.0 + h * (d3 * d3 - 30.0 * d2 * d2) / 3600.0,
+        -h * r_w])
 
 
-def _log_growth(n: int, lam) -> np.ndarray:
-    """log R = (n/2) log det M: how far the RK4 shots of the zero potential
-    over n cells fail to keep the Wronskian, at each lam.
+def _times(a: np.ndarray, b) -> np.ndarray:
+    """Product of polynomials in lam, coefficients first: a an array, b rows."""
+    out = np.zeros((a.shape[0] + len(b) - 1,) + a.shape[1:])
+    for j, row in enumerate(b):
+        out[j:j + a.shape[0]] += a * row
+    return out
 
-    Every cell matrix of y'' = -lam y is the unit cell of
-    ``_quadratic_steps`` at z = lam / n**2, whose determinant is a
-    polynomial in z; det - 1 is formed as one, so that log1p keeps it
-    where z is small.  A backward read of that problem falls short of its
-    forward read by 2 log R.
+
+def _entry_table(cells: np.ndarray, D: int, u) -> np.ndarray:
+    """The entries (M11, M21, M12, M22) of exp(Omega) as polynomials in lam,
+    with C and S summed through u**D: shape (B, 4, m, nb), the coefficient
+    of lam**j of cell b B + i at [i, :, j, b].  ``u`` holds the rows of u as
+    a polynomial in lam, so m = D (len(u) - 1) + 2."""
+    p0, p1, q0, r0, r1 = cells
+    # C and S side by side, by Horner's rule in u.
+    CS = np.broadcast_to(_TAYLOR[D][None, :, None, None], (1, 2) + p0.shape)
+    for k in range(D - 1, -1, -1):
+        CS = _times(CS, u)
+        CS[0] += _TAYLOR[k][:, None, None]
+    C, S = CS[:, 0], CS[:, 1]
+    rows = np.zeros((4, C.shape[0] + 1) + p0.shape)
+    rows[[0, 3], :-1] = C
+    Sp = _times(S, (p0, p1))
+    rows[0] += Sp
+    rows[3] -= Sp
+    rows[1] = _times(S, (r0, r1))
+    rows[2, :-1] = S * q0
+    return np.ascontiguousarray(rows.transpose(2, 0, 1, 3))
+
+
+def _cosh_sinc(u):
+    """C(u) = cosh sqrt(u) and S(u) = sinh sqrt(u) / sqrt(u), real or complex.
+
+    Both are entire in u.  Where |u| < 1 they are the Taylor series through
+    u**9, whose first dropped term is below 1/20!: a complex step keeps its
+    derivative there, which sinh(s) / s loses near s = 0.  Elsewhere they
+    are cosh and sinh of a complex square root, either of whose signs gives
+    the same values.
     """
-    P = np.polynomial.polynomial
-    M = _quadratic_steps(np.zeros(2), np.zeros(1))[..., 0]
-    excess = P.polysub(P.polymul(M[:, 0], M[:, 3]),
-                       P.polymul(M[:, 1], M[:, 2]))
-    excess[0] -= 1.0
-    z = np.asarray(lam, dtype=float) / n**2
-    return 0.5 * n * np.log1p(P.polyval(z, excess))
+    small = np.abs(u) < 1.0
+    s = np.sqrt(np.where(small, 1.0, u) + 0j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C, S = (np.where(small, np.polynomial.polynomial.polyval(u, series),
+                         branch) for series, branch in
+                zip(_TAYLOR.T, (np.cosh(s), np.sinh(s) / s)))
+    return (C, S) if np.iscomplexobj(u) else (C.real, S.real)
 
 
 @dataclass(frozen=True, eq=False)
 class _Coefficients:
-    """Node and midpoint samples of V at one resolution.
+    """Node values V and the three Gauss samples of V in each cell, (3, n).
 
-    ``steps`` holds the cell matrices as ``_quadratic_steps`` coefficients
-    in block order, shape (3, B, 4, 1, nb): cell b B + i sits at
-    [:, i, :, 0, b], so each step of a block scan reads one contiguous
-    slice, and the multiply-add in lam runs along the blocks.
-    The cells past n that fill the last block are the identity, A0 = I and
-    A1 = A2 = 0.
+    ``cells`` holds the ``_exponents`` rows in block order, shape
+    (5, B, nb): cell b B + i sits at [:, i, b].  The cells past n that fill
+    the last block are 0, whose exponential is exactly I.  ``u`` holds the
+    rows (u0, u1, u2) of u = p**2 + q r = u0 + lam u1 + lam**2 u2 in the
+    same order, and ``bound`` the largest |u0|, |u1| and |u2|.
     """
 
     V: np.ndarray
-    Vm: np.ndarray
-    steps: np.ndarray = field(init=False, repr=False)
+    samples: np.ndarray
+    cells: np.ndarray = field(init=False, repr=False)
+    u: np.ndarray = field(init=False, repr=False)
+    bound: np.ndarray = field(init=False, repr=False)
+    _tables: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", _block_order(
-            _quadratic_steps(self.V, self.Vm)))
+        n = self.samples.shape[1]
+        cells = np.zeros((5, -(-n // _BLOCK) * _BLOCK))
+        cells[:, :n] = _exponents(*self.samples, n)
+        cells = np.ascontiguousarray(
+            cells.reshape(5, -1, _BLOCK).transpose(0, 2, 1))
+        p0, p1, q0, r0, r1 = cells
+        u = np.stack([p0 * p0 + q0 * r0, 2.0 * p0 * p1 + q0 * r1, p1 * p1])
+        for name, value in (("cells", cells), ("u", u),
+                            ("bound", np.abs(u).max(axis=(1, 2)))):
+            object.__setattr__(self, name, value)
+
+    def table(self, D: int) -> np.ndarray:
+        """``_entry_table`` of degree D.  Its columns have |lam| below
+        lam_D = ``_DEGREE_BOUNDS`` / max|u1|, and where max|u2| lam_D**2,
+        the most that u2 moves u, is below 2**-54, u is taken as linear in
+        lam: the table then has D + 2 powers of lam, not 2D + 2."""
+        if D not in self._tables:
+            reach = _DEGREE_BOUNDS[list(_DEGREES).index(D)] / self.bound[1]
+            linear = self.bound[2] * reach ** 2 <= 2.0 ** -54
+            self._tables[D] = _entry_table(self.cells, D,
+                                           self.u[:2] if linear else self.u)
+        return self._tables[D]
 
     def reflected(self) -> "_Coefficients":
         """Coefficients of the same equation in s = 1 - x: V(1 - s)."""
-        return _Coefficients(V=self.V[::-1], Vm=self.Vm[::-1])
+        return _Coefficients(V=self.V[::-1], samples=self.samples[::-1, ::-1])
 
 
-def _block_order(A: np.ndarray) -> np.ndarray:
-    """(3, 4, n) cell coefficients as (3, B, 4, 1, nb), padded with I."""
-    n = A.shape[2]
-    B = _BLOCK
-    nb = -(-n // B)
-    out = np.zeros((3, 4, nb * B))
-    out[..., :n] = A
-    out[0, [0, 3], n:] = 1.0
-    out = out.reshape(3, 4, nb, B).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(out)[:, :, :, None]
-
-
-def _midpoints(values: np.ndarray) -> np.ndarray:
-    return local_quintic(values, np.arange(values.size - 1) + 0.5)
+# V at an offset into every cell, the midpoints by default.
+_midpoints = _cell_samples
 
 
 def _sampled(V: np.ndarray) -> _Coefficients:
-    return _Coefficients(V=V, Vm=_midpoints(V))
+    return _Coefficients(V=V, samples=_midpoints(V, _GAUSS))
 
 
 def _cached(prob, key: str, build):
@@ -305,18 +347,41 @@ def _build_matrices(co: _Coefficients, lam: np.ndarray):
     """Cell matrices at every lam column in block order, shape (B, 2, 2, K, nb).
 
     Cell b B + i of column k sits at [i, column, row, k, b]; the cells that
-    fill the last block are exactly I.  lam may be complex, and the matrices
-    then are.  Returns the pair (M, None): the benchmark's tracer
+    fill the last block are exactly I.  Each column takes the degree of its
+    own bound on |u|, so its cells do not depend on its batch: a table's
+    columns are one einsum over the powers of lam, which sums them in the
+    same order for any number of columns, and the others come from
+    ``_cosh_sinc``.  lam may be complex, and the
+    matrices then are.  Returns the pair (M, None): the benchmark's tracer
     (``perfbench/tracer.py``) unpacks two results to size the build.
     """
-    A0, A1, A2 = co.steps
-    shape = (A0.shape[0], 2, 2, lam.size, A0.shape[3])
-    col = lam[:, None]
-    M = A2 * col
-    M += A1
-    M *= col
-    M += A0
-    return M.reshape(shape), None
+    _, B, nb = co.cells.shape
+
+    def cells(z, D, out=None):
+        if D == 0:
+            p0, p1, q0, r0, r1 = co.cells[:, :, None]
+            p, r = p0 + z[:, None] * p1, r0 + z[:, None] * r1
+            C, S = _cosh_sinc(p * p + q0 * r)
+            return np.stack([C + S * p, S * r, S * q0, C - S * p],
+                            axis=1, out=out)
+        table = co.table(D)
+        return np.einsum("km,bemn->bekn", np.vander(z, table.shape[2], True),
+                         table, optimize=False, out=out)
+
+    # Each column's degree: the first of _DEGREES whose bound holds the
+    # column's bound on |u|.  A class whose columns
+    # are adjacent, as along a ladder, is written in place.
+    size = np.abs(lam)
+    degree = _DEGREES[np.searchsorted(_DEGREE_BOUNDS, co.bound[0] + size * (
+        co.bound[1] + size * co.bound[2]))]
+    M = np.empty((B, 4, lam.size, nb), dtype=np.result_type(lam, 1.0))
+    for D in np.unique(degree):
+        k = np.flatnonzero(degree == D)
+        if k[-1] - k[0] == k.size - 1:
+            cells(lam[k], D, out=M[:, :, k[0]:k[-1] + 1])
+        else:
+            M[:, :, k] = cells(lam[k], D)
+    return M.reshape(B, 2, 2, lam.size, nb), None
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:

@@ -11,17 +11,13 @@ count above the ladder proves the labels once each root lands inside its
 own bracket; otherwise every slot is count-bracketed.  Two states that
 rounding cannot split raise ``BracketError``.  Both pictures are solved as
 normal forms (an impedance problem through the Liouville map, see
-``ode``), at the problem grid, and corrected by the integrator error of
-the zero potential under the same boundary pair (asymptotic correction:
-Paine, de Hoog & Anderssen, Computing 26, 1981): the zero problem's
-exact ladder, in closed form, less the same level solved for the zero
-potential on the same grid, so that only ``ode`` knows the integrator.
-The norming constants, normalizing constants and trace-identity terms at
-stored eigenvalues are read the same way: one grid level at the discrete
-eigenvalues those imply, plus the correction of each quantity.  Every
-boundary pair takes that one path; a state that decays away from x = 0
-has its norming constant read from the shot of the right data, which
-grows toward it.
+``ode``), at the problem grid, with no correction: the sixth-order Magnus
+cells of ``ode`` are exact for constant V, the zero potential included,
+and keep the Wronskian.  The norming constants, normalizing constants and
+trace-identity terms at stored eigenvalues are read by one sweep at those
+eigenvalues.  Every boundary pair takes that one path; a state that
+decays away from x = 0 has its norming constant read from the shot of
+the right data, which grows toward it.
 
 Three boundary regimes are supported, encoded by the pair (a, b) with inf
 meaning a Dirichlet end: both ends Dirichlet (eigenvalues labelled from 1),
@@ -41,10 +37,9 @@ from .errors import (
     DegenerateEigenfunctionError,
     PoleCollisionError,
 )
-from .grid import GridFunction, SequenceData, _read_only, _simpson_weights
-from .ode import (SchrodingerProblem, _count_below, _end, _endpoint_w,
-                  _log_growth, _pair, _sweep, _traces, is_dirichlet)
-from .transform import Potential
+from .grid import SequenceData, _read_only, _simpson_weights
+from .ode import (_count_below, _end, _endpoint_w, _pair, _sweep, _traces,
+                  is_dirichlet)
 
 __all__ = [
     "SpectralData",
@@ -146,7 +141,7 @@ def _spectrum_floor(prob, a, b):
     """
     co = prob._coefficients()
     m = max(1.0, 1.0 - min(a, b))
-    return min(float(co.V.min()), float(co.Vm.min())) - m * m - 1.0
+    return min(float(co.V.min()), float(co.samples.min())) - m * m - 1.0
 
 
 def _solve_levels(prob, a, b, N):
@@ -155,7 +150,7 @@ def _solve_levels(prob, a, b, N):
     Slot k (from 0) ends with k eigenvalues below lo and k + 1 below hi.  A
     lower bracket that counts too many moves to ``_spectrum_floor`` at once,
     and the count bisection takes it up from there.  The first count sweep
-    takes the N + 1 bracket points.  ``_pipeline`` takes these brackets only
+    takes the N + 1 bracket points.  ``_level`` takes these brackets only
     where its start brackets cannot prove the labels.
     """
     regime = regime_of(a, b)
@@ -465,23 +460,17 @@ def _zero_quantities(lam, a, b):
     """nu and log|dw| of the zero problem at lam, as in ``_endpoint_quantities``.
 
     nu is the read of b at x = 1, or below lam = -1 that of a at x = 0 of
-    the shot from the right data (``_deep_read``), as ``_norming`` reads the
-    problem's.
+    the shot from the right data (``_reads_backward``), as ``_norming``
+    reads the problem's.
     """
     left, right = _end(a), _end(b)
     end, _ = _zero_pairing(lam, left.data, right.read)
     start, _ = _zero_pairing(lam, right.data, left.read)
     _, dw = _zero_pairing(lam, left.data, right.closing)
     with np.errstate(divide="ignore"):
-        return (_deep_read(lam, np.log(np.abs(end)), -np.log(np.abs(start)),
-                           0.0), np.log(np.abs(dw)))
-
-
-def _unsplit(a, b):
-    """The error of a pair whose zero problem holds two boundary states
-    that rounding cannot split."""
-    return BracketError(f"at (a, b) = ({a:g}, {b:g}) the zero problem's two "
-                        "boundary states lie closer than rounding can split")
+        forward, backward = np.log(np.abs(end)), -np.log(np.abs(start))
+        return (np.where(_reads_backward(lam, forward, backward), backward,
+                         forward), np.log(np.abs(dw)))
 
 
 @lru_cache(maxsize=64)
@@ -536,7 +525,8 @@ def _exact_ladder(a, b, N):
         deep = [-(0.5 * (s * split - a - b)) ** 2 for s in (-1.0, 1.0)]
     deep = sorted(deep)[:N]
     if len(deep) == 2 and deep[0] == deep[1]:
-        raise _unsplit(a, b)
+        raise BracketError(f"at (a, b) = ({a:g}, {b:g}) the zero problem's two "
+                           "boundary states lie closer than rounding can split")
     start[:len(deep)] = deep
     data, closing = _end(a).data, _end(b).closing
     start = np.clip(start, lo, hi)
@@ -546,38 +536,6 @@ def _exact_ladder(a, b, N):
         lambda x: (_zero_pairing(x, data, closing)[0], *np.zeros((2, x.size))),
         start, lo, hi, log_dw)
     return _read_only(lam, *_zero_quantities(lam, a, b))
-
-
-@lru_cache(maxsize=64)
-def _zero_correction(n, a, b, N):
-    """Exact less discrete eigenvalues, nu and log|dw| of p = 0, by slot.
-
-    The discrete integrator error of a normal-form eigenvalue is dominated
-    by a part that does not depend on the potential (nor on the shift c0),
-    so adding these differences to the values of any potential on n cells
-    removes it, and the same holds for nu and log|dw| read at the discrete
-    eigenvalue.  The discrete eigenvalues are ``_level`` of the zero
-    potential on n cells, started from the exact ladder with its log|dw|
-    as first slopes, so they follow whatever integrator ``ode`` sweeps
-    with; one derivative sweep at them gives the discrete log|dw| and the
-    forward reads of nu, which ``_norming`` completes as for any problem.
-    Where that level raises ``BracketError`` or its roots do not increase,
-    two boundary states lie closer than rounding splits (a = b below about
-    -37), and it raises ``BracketError`` by name.  Every solve on the same
-    grid, pair and N shares one read-only result, built once per process.
-    """
-    lam, norming, log_dw = _exact_ladder(a, b, N + 1)
-    free = SchrodingerProblem(Potential(GridFunction.zeros(n)))
-    try:
-        lam_h, _ = _level(free, a, b, N, lam, log_dw[:N])
-    except BracketError as err:
-        raise _unsplit(a, b) from err
-    if not np.all(np.diff(lam_h) > 0.0):
-        raise _unsplit(a, b)
-    forward, log_dw_h = _endpoint_quantities(free, lam_h, a, b)
-    return _read_only(lam[:N] - lam_h,
-                      norming[:N] - _norming(free, lam_h, a, b, forward),
-                      log_dw[:N] - log_dw_h)
 
 
 def _reads_backward(lam, forward, backward):
@@ -590,19 +548,6 @@ def _reads_backward(lam, forward, backward):
     return (lam < -1.0) & (backward + forward < 0.0)
 
 
-def _deep_read(lam, forward, backward, log_growth):
-    """nu from the end each state grows toward: ``backward`` + 2
-    ``log_growth`` where ``_reads_backward``, else ``forward``.
-
-    ``log_growth`` is log R of the shots, 0 for the exact transfer.  RK4
-    does not keep the Wronskian: over n cells of the zero problem it grows
-    by R**2 (``ode._log_growth``), so a backward read falls short of the
-    forward one by 2 log R.
-    """
-    return np.where(_reads_backward(lam, forward, backward),
-                    backward + 2.0 * log_growth, forward)
-
-
 def _norming(prob, lam, a, b, forward):
     """Norming constants at the discrete eigenvalues lam, each read from
     the end its state grows toward.
@@ -612,12 +557,9 @@ def _norming(prob, lam, a, b, forward):
     leaves y(1) after terms of size e**|a| cancel, with the rounding of the
     growing solution.  Below lam = -1, one endpoint sweep of the reflected
     coefficients from the right data gives the backward read -log|z(0)|
-    (z'(0) at a Dirichlet a), which ``_deep_read`` takes where that shot
-    grows more.  The 2 log R it adds is the zero potential's on the same
-    grid (``ode._log_growth``), which puts a backward read on the scale of
-    the forward reads the correction is taken from: the zero level reads
-    its states the same way, and near a symmetric deep pair rounding may
-    read a state from one end here and from the other in that level.
+    (z'(0) at a Dirichlet a), taken where that shot grows more
+    (``_reads_backward``).  The two reads agree because the shots keep the
+    Wronskian: every Magnus cell has determinant 1.
     """
     nu = np.array(forward, dtype=float)
     deep = lam < -1.0
@@ -627,14 +569,14 @@ def _norming(prob, lam, a, b, forward):
         with np.errstate(divide="ignore"):
             back = -np.log(np.abs(_pair(_end(a).read, res["y"], res["v"]))) \
                 - res["logscale"]
-        nu[deep] = _deep_read(lam[deep], nu[deep], back,
-                              _log_growth(prob.n, lam[deep]))
+        nu[deep] = np.where(_reads_backward(lam[deep], nu[deep], back), back,
+                            nu[deep])
     return nu
 
 
 def _level(prob, a, b, N, starts, log_dw, guess=None):
-    """Eigenvalues of one grid level and their forward norming reads, by
-    slot, before any correction.
+    """Eigenvalues of the problem grid and their forward norming reads, by
+    slot.
 
     ``starts`` holds N + 1 starts s of the level; ``guess``, N predicted
     eigenvalues of the level, takes the place of the first N where it is
@@ -681,37 +623,25 @@ def _level(prob, a, b, N, starts, log_dw, guess=None):
 
 
 def _pipeline(prob, a, b, N, *, _guess=None):
-    """Eigenvalues and norming constants by slot.
+    """Eigenvalues and norming constants by slot, from one grid level.
 
-    One grid level (``_level``) plus the zero-potential correction.  The
-    level starts from the zero problem's discrete eigenvalues
-    (``_exact_ladder`` less ``_zero_correction``) shifted by c0, the mean
-    of V, since lam_k = lam0_k + int V + l2 (Poeschel & Trubowitz, Inverse
-    Spectral Theory, 1987), and from ``_guess``, a prediction of the
-    corrected eigenvalues, less the correction; each slot predicts its
-    first slope by the zero problem's discrete log|dw| at the same slot,
-    and a slot without a finite prediction starts at its bracket midpoint.
-    Corrected eigenvalues that do not increase belong to two states that
-    rounding cannot split, and raise ``BracketError``.  N < 1 raises
-    ``ValueError``.
+    ``_level`` starts from the zero problem's ladder (``_exact_ladder``)
+    shifted by c0, the mean of V, since lam_k = lam0_k + int V + l2
+    (Poeschel & Trubowitz, Inverse Spectral Theory, 1987), and from
+    ``_guess``, a prediction of the eigenvalues; each slot predicts its
+    first slope by the zero problem's log|dw| at the same slot, and a slot
+    without a finite prediction starts at its bracket midpoint.
+    Eigenvalues that do not increase belong to two states that rounding
+    cannot split, and raise ``BracketError``.  N < 1 raises ``ValueError``.
     """
     if N < 1:
         raise ValueError("need at least one eigenvalue")
-    dlam, dnorm, dlog_dw = _zero_correction(prob.n, a, b, N + 1)
     exact, _, log_dw = _exact_ladder(a, b, N + 1)
-    starts = exact + (prob.c0 - dlam)
-    with np.errstate(invalid="ignore"):
-        log_dw = (log_dw - dlog_dw)[:N]
-    dlam, dnorm = dlam[:N], dnorm[:N]
-    guess = None if _guess is None \
-        else np.asarray(_guess, dtype=float) - dlam
-    lam, forward = _level(prob, a, b, N, starts, log_dw, guess)
-    norming = _norming(prob, lam, a, b, forward)
-    lam = lam + dlam
+    lam, forward = _level(prob, a, b, N, exact + prob.c0, log_dw[:N], _guess)
     if not np.all(np.diff(lam) > 0.0):
         raise BracketError(
             "two eigenvalues lie closer than rounding can split")
-    return lam, norming + dnorm
+    return lam, _norming(prob, lam, a, b, forward)
 
 
 def compute_eigenvalues(prob, a: float, b: float, N: int) -> np.ndarray:
@@ -723,8 +653,8 @@ def solve_spectrum(prob, a: float, b: float, N: int, *,
                    _guess=None) -> SpectralData:
     """Eigenvalues plus norming constants, packaged with their remainders.
 
-    One grid level plus the zero-potential correction (``_pipeline``), for
-    every boundary pair and every N: the slots are bracketed around their
+    One grid level (``_pipeline``), for every boundary pair and every N:
+    the slots are bracketed around their
     starts and one count above the ladder proves their labels; the ladder
     is counted in full only where that cannot.  The private ``_guess``
     reaches ``_pipeline``: a predicted ladder for the brackets and the
@@ -743,20 +673,13 @@ def _stored_quantities(prob, data: SpectralData, M: int | None = None,
                        deriv: bool = True):
     """nu and log|dw| at the first M (default all) stored eigenvalues.
 
-    One level is read at the discrete eigenvalues that the stored ones
-    imply (data less the zero-potential correction), nu by ``_norming``,
-    and the correction of each quantity is added.  The correction is the
-    solve's own table, keyed N + 1, so a read after a solve builds none.
-    Without ``deriv`` endpoint sweeps give (nu,) alone, as in
-    ``_endpoint_quantities``.
+    One endpoint sweep at them reads both (``_endpoint_quantities``), and
+    ``_norming`` reads nu from the end each state grows toward.  Without
+    ``deriv`` endpoint sweeps give (nu,) alone.
     """
-    a, b = data.a, data.b
     lam = np.asarray(data.eigenvalues[:M], dtype=float)
-    dlam, *deltas = (row[:lam.size] for row in
-                     _zero_correction(prob.n, a, b, data.N + 1))
-    nu, *rest = _endpoint_quantities(prob, lam - dlam, a, b, deriv)
-    rows = (_norming(prob, lam - dlam, a, b, nu), *rest)
-    rows = tuple(row + d for row, d in zip(rows, deltas))
+    nu, *rest = _endpoint_quantities(prob, lam, data.a, data.b, deriv)
+    rows = (_norming(prob, lam, data.a, data.b, nu), *rest)
     _require_finite(*rows)
     return rows
 
@@ -767,9 +690,8 @@ def norming_constants(prob, data: SpectralData) -> np.ndarray:
     Dirichlet pairs use the endpoint slope ratio; the other regimes use the
     endpoint value ratio, read from the normal form of either picture (for
     an impedance problem, those of f times rho(1)), so the constants agree
-    across the two pictures.  They are read by ``_stored_quantities``: one
-    grid level at the discrete eigenvalues that the stored ones imply, plus
-    the zero-potential correction.
+    across the two pictures.  They are read at the stored eigenvalues by
+    ``_stored_quantities``.
     """
     return _stored_quantities(prob, data, deriv=False)[0]
 

@@ -7,17 +7,18 @@ the shooting solver under test: different discretization, different
 eigenvalue algorithm (dense symmetric tridiagonal), different grids.
 Exact eigenvalues, norming constants and dw of steep potentials come from
 isospectral flows of the zero potential (``isospectral_flow``), built from
-closed forms and ``brentq`` alone.  The discrete eigenvalues of the zero
-potential, which the package's correction takes from its own sweeps, are
-checked against the count bisection and Newton of ``bisect_level`` on the
-same cells.
+closed forms and ``brentq`` alone.  The per-cell Magnus loop
+(``loop_sweep``) forms each cell from explicit commutators and
+``scipy.linalg.expm``, and the count bisection and Newton of
+``bisect_level`` find a grid's eigenvalues by another path than the
+package's.
 """
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, expm
 from scipy.optimize import brentq
 
 from liouville import (BracketError, GridFunction, Impedance, IntegrationError,
@@ -199,93 +200,79 @@ def fd_fit_jacobian(fmap, theta, delta: float = 1e-6) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-# The per-cell RK4 loop that propagated every sweep before the blocked scan,
-# kept as the reference the scan is tested against.  It integrates
-# y'' = (V - lam) y + d y' and reads only the node and midpoint samples of a
-# coefficient record: V and Vm, and the damping d and dm where the record
-# has them (``damped_coefficients``); the package's records have none.
+# The per-cell loop that propagates every sweep one cell at a time, kept as
+# the reference the blocked scan is tested against.  It integrates
+# y'' = (V - lam) y + d y' over each cell by the sixth-order Magnus
+# exponent of its three Gauss samples (Blanes, Casas & Ros, BIT 40, 2000),
+# formed from explicit 2x2 commutators and exponentiated by
+# ``scipy.linalg.expm``; a derivative sweep takes the cells at lam + ih.  It
+# reads V at the nodes, the Gauss samples of V, and those of the damping d
+# where the record has them (``damped_coefficients``); the package's
+# records have none.
 
 RENORM_EVERY = 512
 RENORM_LIMIT = 1e250
-_NO_DAMPING = np.zeros(1)  # a size-1 damping array reads as d = 0
+SQRT15 = math.sqrt(15.0)
+GAUSS_NODES = np.array([0.5 - SQRT15 / 10.0, 0.5, 0.5 + SQRT15 / 10.0])
 
 
-def loop_step_matrices(Vn, Vm, dn, dm, lam, h, deriv, out, out_d, j0):
-    """Fill RK4 step matrices for cells [j0, j0+len) at each lam column."""
-    c0 = Vn[:-1, None] - lam[None, :]
-    c1 = Vn[1:, None] - lam[None, :]
-    cm = Vm[:, None] - lam[None, :]
-    if dn.size == 1:
-        d0 = d1 = dd = 0.0
-    else:
-        d0 = dn[:-1, None]
-        d1 = dn[1:, None]
-        dd = dm[:, None]
-    half = 0.5 * h
-    h6 = h / 6.0
-
-    def column(y0, v0, col):
-        k1y = v0
-        k1v = c0 * y0 + d0 * v0
-        a1y = y0 + half * k1y
-        a1v = v0 + half * k1v
-        k2y = a1v
-        k2v = cm * a1y + dd * a1v
-        a2y = y0 + half * k2y
-        a2v = v0 + half * k2v
-        k3y = a2v
-        k3v = cm * a2y + dd * a2v
-        a3y = y0 + h * k3y
-        a3v = v0 + h * k3v
-        k4y = a3v
-        k4v = c1 * a3y + d1 * a3v
-        out[2 * col][j0:j0 + c0.shape[0]] = y0 + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        out[2 * col + 1][j0:j0 + c0.shape[0]] = v0 + h6 * (k1v + 2.0 * (k2v + k3v) + k4v)
-        if not deriv:
-            return
-        # Tangent of the same stage recursion with d(c)/d(lam) = -1.
-        g1v = -y0
-        b1y = 0.0
-        b1v = half * g1v
-        g2y = b1v
-        g2v = cm * b1y + dd * b1v - a1y
-        b2y = half * g2y
-        b2v = half * g2v
-        g3y = b2v
-        g3v = cm * b2y + dd * b2v - a2y
-        b3y = h * g3y
-        b3v = h * g3v
-        g4y = b3v
-        g4v = c1 * b3y + d1 * b3v - a3y
-        out_d[2 * col][j0:j0 + c0.shape[0]] = h6 * (2.0 * (g2y + g3y) + g4y)
-        out_d[2 * col + 1][j0:j0 + c0.shape[0]] = h6 * (g1v + 2.0 * (g2v + g3v) + g4v)
-
-    column(1.0, 0.0, 0)  # first column: (M11, M21)
-    column(0.0, 1.0, 1)  # second column: (M12, M22)
+def _commutator(X, Y):
+    return X @ Y - Y @ X
 
 
-def loop_build_matrices(co, lam: np.ndarray, deriv: bool,
-                        reverse: bool):
-    n = co.V.size - 1
-    K = lam.size
-    h = 1.0 / n
-    dn, dm = getattr(co, "d", _NO_DAMPING), getattr(co, "dm", _NO_DAMPING)
+def magnus_exponents(samples, damping, lam, h):
+    """Omega of every cell at every lam column, shape (n, K, 2, 2), complex.
+
+    ``samples`` and ``damping`` hold V and d at the three Gauss nodes of
+    each cell, shape (3, n).
+    """
+    A = np.zeros((3, samples.shape[1], lam.size, 2, 2), dtype=complex)
+    A[..., 0, 1] = 1.0
+    A[..., 1, 0] = samples[:, :, None] - lam
+    A[..., 1, 1] = damping[:, :, None]
+    a1 = h * A[1]
+    a2 = SQRT15 * h / 3.0 * (A[2] - A[0])
+    a3 = 10.0 * h / 3.0 * (A[2] - 2.0 * A[1] + A[0])
+    c1 = _commutator(a1, a2)
+    c2 = -_commutator(a1, 2.0 * a3 + c1) / 60.0
+    return a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
+def magnus_cells(samples, damping, lam, h):
+    """exp(Omega) of every cell at every lam column, shape (n, K, 2, 2).
+
+    lam may be complex.  Where |V - lam| h is large Omega is far from
+    normal, and expm loses digits to it (1e-12 at 16 cells and lam = -7e4,
+    against 3e-15 here), so Omega is first balanced by a diagonal
+    similarity of a power of two, which is exact, and exponentiated in
+    complex arithmetic, the more accurate of expm's two.
+    """
+    omega = magnus_exponents(samples, damping, lam, h)
+    with np.errstate(divide="ignore"):
+        e = np.round(0.5 * np.log2(np.abs(omega[..., 1, 0])
+                                   / np.abs(omega[..., 0, 1])))
+    s = 2.0 ** np.where(np.isfinite(e), e, 0.0)
+    omega[..., 0, 1] *= s
+    omega[..., 1, 0] /= s
+    M = expm(omega)
+    M[..., 0, 1] /= s
+    M[..., 1, 0] *= s
+    return M if np.iscomplexobj(lam) else M.real
+
+
+def loop_cells(co, lam: np.ndarray, reverse: bool) -> np.ndarray:
+    """The cells of a record at the lam columns, in the order a sweep meets
+    them; a reverse sweep reads the record from x = 1, where the damping
+    changes sign."""
+    samples = co.samples
+    damping = getattr(co, "damping", np.zeros_like(samples))
     if reverse:
-        Vn, Vm = co.V[::-1], co.Vm[::-1]
-        dn = dn if dn.size == 1 else -dn[::-1]
-        dm = dm if dm.size == 1 else -dm[::-1]
-    else:
-        Vn, Vm = co.V, co.Vm
-    M = [np.empty((n, K)) for _ in range(4)]
-    N = [np.empty((n, K)) for _ in range(4)] if deriv else None
-    chunk = max(256, (1 << 22) // max(K, 1))
-    for j0 in range(0, n, chunk):
-        j1 = min(j0 + chunk, n)
-        loop_step_matrices(Vn[j0:j1 + 1], Vm[j0:j1],
-                           dn if dn.size == 1 else dn[j0:j1 + 1],
-                           dm if dm.size == 1 else dm[j0:j1],
-                           lam, h, deriv, M, N, j0)
-    return M, N
+        samples, damping = samples[::-1, ::-1], -damping[::-1, ::-1]
+    n = samples.shape[1]
+    chunk = max(16, (1 << 16) // max(lam.size, 1))
+    return np.concatenate([
+        magnus_cells(samples[:, j:j + chunk], damping[:, j:j + chunk], lam,
+                     1.0 / n) for j in range(0, n, chunk)])
 
 
 def loop_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
@@ -295,71 +282,55 @@ def loop_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
     Without ``trace`` the state is rescaled per column when it grows past the
     renormalization limit; accumulated log factors are reported so callers
     can reconstruct true magnitudes.  Traces are stored unscaled and overflow
-    raises instead.
+    raises instead.  With ``deriv`` the sweep runs at lam + ih,
+    h = 2**-60 max(1, |lam|), and dy and dv are the imaginary parts over h.
     """
     n = co.V.size - 1
     K = lam.size
-    M, N = loop_build_matrices(co, lam, deriv, reverse)
-    M11, M21, M12, M22 = M
-    if deriv:
-        N11, N21, N12, N22 = N
-    y = np.broadcast_to(np.asarray(y0, dtype=float), (K,)).copy()
-    v = np.broadcast_to(np.asarray(v0, dtype=float), (K,)).copy()
-    dy = np.zeros(K)
-    dv = np.zeros(K)
+    step = 2.0 ** -60 * np.maximum(1.0, np.abs(lam))
+    M = loop_cells(co, lam + 1j * step if deriv else lam, reverse)
+    y = np.broadcast_to(np.asarray(y0, dtype=float), (K,)).astype(M.dtype)
+    v = np.broadcast_to(np.asarray(v0, dtype=float), (K,)).astype(M.dtype)
     logscale = np.zeros(K)
     if trace:
         Y = np.empty((n + 1, K))
         W = np.empty((n + 1, K))
-        Y[0] = y
-        W[0] = v
+        Y[0] = y.real
+        W[0] = v.real
     if count:
         flips = np.zeros(K, dtype=int)
-        last_sign = np.sign(y)
+        last_sign = np.sign(y.real)
     # Overflow is detected explicitly after the loop; silence the transient.
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
-            yn = M11[j] * y + M12[j] * v
-            vn = M21[j] * y + M22[j] * v
-            if deriv:
-                dyn = M11[j] * dy + M12[j] * dv + N11[j] * y + N12[j] * v
-                dvn = M21[j] * dy + M22[j] * dv + N21[j] * y + N22[j] * v
-                dy, dv = dyn, dvn
-            y, v = yn, vn
+            y, v = (M[j, :, 0, 0] * y + M[j, :, 0, 1] * v,
+                    M[j, :, 1, 0] * y + M[j, :, 1, 1] * v)
             if trace:
-                Y[j + 1] = y
-                W[j + 1] = v
+                Y[j + 1] = y.real
+                W[j + 1] = v.real
             if count:
                 # A flip at the final node with y(1) != 0 is a genuine zero
                 # in the last cell; y(1) == 0 exactly contributes nothing,
                 # keeping the count strict.
-                s = np.sign(y)
+                s = np.sign(y.real)
                 flips += (s != 0) & (s == -last_sign)
                 np.copyto(last_sign, s, where=s != 0)
             if not trace and (j + 1) % RENORM_EVERY == 0:
                 peak = np.maximum(np.abs(y), np.abs(v))
-                if deriv:
-                    peak = np.maximum(peak,
-                                      np.maximum(np.abs(dy), np.abs(dv)))
-                mask = peak > RENORM_LIMIT
-                if mask.any():
-                    factor = np.where(mask, peak, 1.0)
-                    y /= factor
-                    v /= factor
-                    if deriv:
-                        dy /= factor
-                        dv /= factor
-                    logscale += np.log(factor)
+                factor = np.where(peak > RENORM_LIMIT, peak, 1.0)
+                y /= factor
+                v /= factor
+                logscale += np.log(factor)
     if trace and not np.all(np.isfinite(Y[-1]) & np.isfinite(W[-1])):
         raise IntegrationError(
             f"trace integration overflowed (n={n}, lam up to {np.max(lam):.6g})")
     if not trace and not np.all(np.isfinite(y) & np.isfinite(v)):
         raise IntegrationError(
             f"integration overflowed despite rescaling (n={n})")
-    out = {"y": y, "v": v, "logscale": logscale}
+    out = {"y": y.real, "v": v.real, "logscale": logscale}
     if deriv:
-        out["dy"] = dy
-        out["dv"] = dv
+        out["dy"] = y.imag / step
+        out["dv"] = v.imag / step
     if trace:
         out["Y"] = Y
         out["W"] = W
@@ -372,20 +343,20 @@ def loop_sweep(co, lam: np.ndarray, y0, v0, *, deriv=False,
 # that is f'' = (u - lam) f + d f' with d = -2q, by the per-cell loop above.
 # The package solves impedance problems through the Liouville map instead,
 # as the normal form with V = q' + q**2 + u, so this path shares neither the
-# map nor the sweep with it; its midpoint samples come from the local quintic
+# map nor the sweep with it; its Gauss samples come from the local quintic
 # interpolant of q and Q.  End data carry the weight rho(1), which makes them
 # those of y = rho f.
 
 def damped_coefficients(q, cfg):
-    """Node and midpoint samples of u and of the damping d = -2q."""
+    """Node values of u, and u and the damping d = -2q at the Gauss nodes."""
     profile = build_rho(q)
     qv, Qv = q.f.values, profile.Q.values
-    mid = np.arange(q.n) + 0.5
-    qm, Qm = local_quintic(qv, mid), local_quintic(Qv, mid)
+    gauss = np.arange(q.n) + GAUSS_NODES[:, None]
+    qg, Qg = local_quintic(qv, gauss), local_quintic(Qv, gauss)
     return SimpleNamespace(
         V=cfg.u1_value(qv) + cfg.u2.value(Qv),
-        Vm=cfg.u1_value(qm) + cfg.u2.value(Qm),
-        d=-2.0 * qv, dm=-2.0 * qm, rho1=profile.rho1)
+        samples=cfg.u1_value(qg) + cfg.u2.value(Qg),
+        damping=-2.0 * qg, rho1=profile.rho1)
 
 
 def damped_ends(q, cfg, lam, a=INF, b=INF, deriv=False):
@@ -415,7 +386,7 @@ def damped_spectrum(q, cfg, a, b, start, max_newton=16):
     """Eigenvalues and norming constants of the damped equation.
 
     Newton from ``start`` (one value per eigenvalue, close to it) on q's
-    grid and on the doubled grid, combined by fourth-order extrapolation.
+    grid and on the doubled grid, combined by sixth-order extrapolation.
     """
     levels = []
     for qn in (q, Impedance(resample(q.f, 2 * q.n))):
@@ -430,7 +401,7 @@ def damped_spectrum(q, cfg, a, b, start, max_newton=16):
             raise BracketError("damped Newton did not converge")
         levels.append((lam, damped_ends(qn, cfg, lam, a, b)[2]))
     (lam0, norm0), (lam1, norm1) = levels
-    return (16.0 * lam1 - lam0) / 15.0, (16.0 * norm1 - norm0) / 15.0
+    return (64.0 * lam1 - lam0) / 63.0, (64.0 * norm1 - norm0) / 63.0
 
 
 # The sign count that read every node in grid order, from the (n + 1, K)
@@ -530,7 +501,7 @@ def bisect_solve_levels(prob, a, b, N, max_newton=16):
     # least its minimum, and the 1 covers the integrator error.
     co = prob._coefficients()
     m = max(1.0, 1.0 - min(a, b))
-    floor = min(co.V.min(), co.Vm.min()) - m * m - 1.0
+    floor = min(co.V.min(), co.samples.min()) - m * m - 1.0
     gaps = np.maximum(targets[1:] - targets[:-1], 1.0)
     for _ in range(MAX_REPAIR):
         bad_lo = clo > slots

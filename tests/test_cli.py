@@ -5,6 +5,7 @@ inspects the exit code and the files the command wrote.  The SciPy-free
 checks run in a child interpreter; the rest run in process.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -18,11 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liouville
-from liouville import (ConditionU, DegenerateEigenfunctionError, FitError,
-                       Impedance, InversionError, TargetError,
-                       forward_transform)
+from liouville import (INF, ConditionU, DegenerateEigenfunctionError,
+                       FitError, Impedance, ImpedanceProblem, InversionError,
+                       TargetError, forward_transform, solve_spectrum)
 from liouville.cli import (EXIT_FIT, EXIT_INVERSION, EXIT_OK, EXIT_PARSE,
-                           EXIT_SOLVER, EXIT_VERIFY, _load_p, main)
+                           EXIT_SOLVER, EXIT_VERIFY, _load_p, _product_check,
+                           main)
 from liouville.grid import GridFunction, trig_basis
 from liouville.ode import resample_potential
 from liouville.serialize import read_grid_csv, write_grid_csv
@@ -264,6 +266,20 @@ class TestVerify:
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
         assert checks["identity:ab"]["passed"] is True
         assert "identity:b" not in checks
+
+    @pytest.mark.parametrize("a,b", [(INF, INF), (INF, 1.0), (1.0, -0.5)])
+    def test_product_check_fails_on_corrupted_eigenvalues(self, a, b):
+        # The product formula's error falls about 8x per doubling of the
+        # ladder; eigenvalues moved off the spectrum from slot N/2 on keep
+        # it from falling, and the check fails where the solved data pass.
+        prob = ImpedanceProblem(Impedance(GridFunction.from_callable(
+            lambda x: np.sin(2 * np.pi * x), 512)), ConditionU.zero())
+        data = solve_spectrum(prob, a, b, 16)
+        assert _product_check(prob, data)["passed"] is True
+        lam = data.eigenvalues.copy()
+        lam[8:] += 0.5
+        corrupted = dataclasses.replace(data, eigenvalues=lam)
+        assert _product_check(prob, corrupted)["passed"] is False
 
     def test_default_report_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

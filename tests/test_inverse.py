@@ -57,7 +57,7 @@ def benchmark_slope(i, n=2048):
 
 def clear_tables():
     for table in (_galerkin_section, grid._simpson_weights,
-                  spectral._zero_correction, spectral._exact_ladder):
+                  spectral._exact_ladder):
         table.cache_clear()
 
 
@@ -809,7 +809,7 @@ class TestWarmStarts:
             assert np.array_equal(warm.norming, cold.norming)
 
     def test_deep_robin_pair_takes_the_guess(self):
-        # Two deep Robin ends take the correction like every pair, so a
+        # Two deep Robin ends take one level like every pair, so a
         # guess places their Newton starts too, and a fit map starts from
         # the zero ladder.  The states near -144 are 7e-3
         # apart; a guess off by 1e-4 stays inside their count brackets.
@@ -829,21 +829,6 @@ class TestWarmStarts:
                        InversionConfig())
         assert np.array_equal(fmap.zero_ladder,
                               spectral._exact_ladder(-12.0, -12.0, 3)[0])
-
-    @pytest.mark.parametrize("name", ["symmetric-dirichlet", "mixed",
-                                      "slope-exp"])
-    def test_one_correction_per_fit(self, name):
-        # Every solve of a fit shares the grid, the pair and N, so a fit
-        # builds the zero-potential correction once, and a second identical
-        # fit finds it in the cache.
-        make_target, cfg = WARM_CASES[name]
-        target = make_target()
-        spectral._zero_correction.cache_clear()
-        _, report = run_fit(target, cfg)
-        assert report.iterations >= 3
-        assert spectral._zero_correction.cache_info().misses == 1
-        run_fit(target, cfg)
-        assert spectral._zero_correction.cache_info().misses == 1
 
     def test_sweep_budget_on_benchmark_inputs(self, monkeypatch):
         # Over the first six seed-0 inputs of the benchmark's fit workload,

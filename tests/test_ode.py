@@ -14,9 +14,10 @@ from liouville import (INF, ConditionU, GridFunction, Impedance,
                        SchrodingerProblem, build_rho, compute_c0,
                        forward_transform, oscillation_count, shoot_backward,
                        shoot_forward, wronskian)
-from liouville.ode import _block_flips, _build_matrices, _quadratic_steps, _sweep
-from oracles import (damped_coefficients, damped_ends, loop_build_matrices,
-                     loop_sweep, sign_flips)
+from liouville.ode import (_BLOCK, _block_flips, _build_matrices, _sampled,
+                           _sweep)
+from oracles import (damped_coefficients, damped_ends, loop_sweep,
+                     magnus_exponents, sign_flips)
 
 N = 2048
 FREE = SchrodingerProblem(Potential(GridFunction.zeros(N)))
@@ -277,9 +278,9 @@ def coefficient_cases(n=N):
 
 CASES = coefficient_cases()
 FINE_CASES = coefficient_cases(8192)
-# A record's steps hold blocks of steps.shape[1] cells, ode's block rule.
-# In those blocks 16 (the grid minimum) and 1024 fill their blocks exactly,
-# and 17 and 257 leave one real cell in their last block.
+# In blocks of ode's _BLOCK = 16 cells, 16 (the grid minimum) and 1024 fill
+# their blocks exactly, and 17 and 257 leave one real cell in their last
+# block.
 EDGE_CASES = {n: coefficient_cases(n) for n in (16, 17, 257, 1024)}
 MODES = {"endpoint": {}, "deriv": {"deriv": True}, "count": {"count": True},
          "trace": {"trace": True}}
@@ -321,7 +322,7 @@ def assert_sweeps_agree(got, ref, lam):
 
 
 class TestBlockedScan:
-    """The blocked scan against the per-cell loop it replaced."""
+    """The blocked scan against the per-cell Magnus loop of the oracles."""
 
     @pytest.mark.parametrize("K", [1, 65])
     @pytest.mark.parametrize("damping", sorted(CASES))
@@ -407,7 +408,7 @@ class TestBlockedScan:
         # with zeros forced at node 0, the last node and both sides of the
         # first block edge; the pad cells past node n hold noise, which the
         # count must not read.
-        B = EDGE_CASES[n]["undamped"].steps.shape[1]
+        B = _BLOCK
         nb = -(-n // B)
         rng = np.random.default_rng(n)
         zero_share = np.repeat([0.0, 0.2, 0.6, 0.95], 16)
@@ -431,45 +432,86 @@ def cell_order(M: np.ndarray) -> np.ndarray:
     return M.reshape(B, 4, K, nb).transpose(1, 3, 0, 2).reshape(4, nb * B, K)
 
 
+def constant_transfer(c, lam, h):
+    """The exact transfer of y'' = (c - lam) y over h, (M11, M21, M12, M22)."""
+    k = c - lam
+    w = math.sqrt(abs(k))
+    if k > 0.0:
+        C, S, kS = math.cosh(w * h), math.sinh(w * h) / w, w * math.sinh(w * h)
+    elif k < 0.0:
+        C, S, kS = math.cos(w * h), math.sin(w * h) / w, -w * math.sin(w * h)
+    else:
+        C, S, kS = 1.0, h, 0.0
+    return np.array([C, kS, S, C]), w * h
+
+
 class TestQuadraticSteps:
+    """Magnus cells: Omega linear in lam and u = p**2 + q r quadratic, exact
+    for constant V, determinant 1."""
+
+    # Columns from deep below the spectrum to far above it: on these grids
+    # they take both Taylor degrees of the entry tables and cosh and sinh.
+    LAM = (-1e6, -2e5, -250.0, 0.0, 0.3, 91.0, 4e4, 2e5)
+
     @pytest.mark.parametrize("damping", sorted(CASES))
     @pytest.mark.parametrize("reverse", [False, True])
     def test_quadratic_in_lam(self, damping, reverse):
-        # 17 cells leave a padded last block.
+        # The closed-form exponent rows against Omega formed from explicit
+        # commutators of the Gauss samples by the oracle, whose exponential
+        # is then its cell; 17 cells leave a padded last block.
         co = EDGE_CASES[17][damping]
-        n = co.Vm.size
-        flip = slice(None, None, -1 if reverse else 1)
-        A0, A1, A2 = _quadratic_steps(co.V[flip], co.Vm[flip])
-        scanned = co.reflected() if reverse else co
-        for lam in (-2e5, 3.7, 4e4, 2e5):
-            M_ref, N_ref = loop_build_matrices(co, np.array([lam]), True, reverse)
-            # A derivative sweep builds its cells at lam + ih: the real part
-            # is M, the imaginary part h dM/dlam, since M is a polynomial in
-            # lam with real coefficients.
-            h = 2.0 ** -60 * max(1.0, abs(lam))
-            M, none = _build_matrices(scanned, np.array([lam + 1j * h]))
-            assert none is None
-            M, N = cell_order(M.real), cell_order(M.imag / h)
-            for k in range(4):
-                m_ref, n_ref = M_ref[k][:, 0], N_ref[k][:, 0]
-                top_m, top_n = np.abs(m_ref).max(), np.abs(n_ref).max()
-                poly = A0[k] + lam * A1[k] + lam ** 2 * A2[k]
-                assert np.abs(poly - m_ref).max() <= 1e-14 * top_m
-                assert np.abs(A1[k] + 2.0 * lam * A2[k] - n_ref).max() <= 1e-14 * top_n
-                assert np.abs(M[k, :n, 0] - m_ref).max() <= 1e-14 * top_m
-                assert np.abs(N[k, :n, 0] - n_ref).max() <= 1e-14 * top_n
-            # Cells past n fill the last block and must be exactly I and 0.
-            assert M.shape[1] > n
-            assert np.all(M[:, n:, 0].T == [1.0, 0.0, 0.0, 1.0])
-            assert np.all(N[:, n:, 0] == 0.0)
+        co = co.reflected() if reverse else co
+        n = co.samples.shape[1]
+        p0, p1, q0, r0, r1 = co.cells.transpose(0, 2, 1).reshape(5, -1)[:, :n]
+        for lam in (-2e5, 3.7, 4e4):
+            omega = magnus_exponents(co.samples, np.zeros_like(co.samples),
+                                     np.array([lam]), 1.0 / n)[:, 0]
+            top = np.abs(omega).max()
+            for got, want in ((p0 + lam * p1, omega[:, 0, 0]),
+                              (-p0 - lam * p1, omega[:, 1, 1]),
+                              (q0, omega[:, 0, 1]),
+                              (r0 + lam * r1, omega[:, 1, 0])):
+                assert np.abs(got - want.real).max() <= 1e-14 * top
+            u = (p0 + lam * p1) ** 2 + q0 * (r0 + lam * r1)
+            bound = co.bound[0] + abs(lam) * (co.bound[1] + abs(lam) * co.bound[2])
+            assert np.abs(u).max() <= bound
+        assert np.all(co.cells[:, :, -1][:, 1:] == 0.0)
+
+    @pytest.mark.parametrize("n", [16, 17, 257, 2048])
+    @pytest.mark.parametrize("c", [-300.0, 0.0, 2.5])
+    def test_constant_potential_is_exact(self, n, c):
+        # For constant V every cell is the exact transfer of
+        # y'' = (c - lam) y over h, to rounding.  Rows are compared on the
+        # scale of y and of y' / w, w = max(1, sqrt|c - lam|, |c| h): the
+        # samples of V carry the rounding of c, which moves y' by |c| h eps,
+        # and far below the spectrum both on the scale of cosh(w h).
+        lam = np.array(self.LAM + (c, c + 1e-3))
+        M = cell_order(_build_matrices(_sampled(np.full(n + 1, c)), lam)[0])
+        for k, col in enumerate(lam):
+            want, angle = constant_transfer(c, col, 1.0 / n)
+            w = max(1.0, math.sqrt(abs(c - col)), abs(c) / n)
+            scale = max(1.0, want[0]) * np.array([1.0, w, 1.0 / w, 1.0])
+            err = np.abs(M[:, :n, k] - want[:, None]) / scale[:, None]
+            assert err.max() <= 2e-15 * max(1.0, angle), (col, err.max())
+            assert np.all(M[:, n:, k].T == [1.0, 0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("n", [16, 17, 257, 2048])
+    @pytest.mark.parametrize("damping", sorted(CASES))
+    def test_determinant_is_one(self, n, damping):
+        co = coefficient_cases(n)[damping]
+        M = cell_order(_build_matrices(co, np.array(self.LAM))[0])
+        M11, M21, M12, M22 = M
+        size = np.abs(M11 * M22) + np.abs(M12 * M21)
+        assert np.all(np.abs(M11 * M22 - M12 * M21 - 1.0) <= 4e-15 * size)
 
     def test_normal_form_has_zero_damping_samples(self):
-        # Both pictures integrate y'' = (V - lam) y, so a record holds V and
-        # nothing else, and the impedance problem's V is that of the normal
-        # form shifted by c0.
+        # Both pictures integrate y'' = (V - lam) y, so a record holds V, its
+        # Gauss samples and what the cells derive from them, and the
+        # impedance problem's V is that of the normal form shifted by c0.
         imp, sch = CASES["damped"], CASES["undamped"]
         for co in (imp, sch):
-            assert [f.name for f in dataclasses.fields(co)] == ["V", "Vm", "steps"]
+            assert [f.name for f in dataclasses.fields(co)] == [
+                "V", "samples", "cells", "u", "bound", "_tables"]
         c0 = compute_c0(q_two_mode(), ConditionU.exponential(0.5, 1.0))
         np.testing.assert_array_equal(imp.V, sch.V + c0)
 
@@ -482,7 +524,7 @@ class TestSweepMemory:
         # cell, as the sweep once did, reads 1.93, and one scan of all 64
         # complex columns about 2.
         co = CASES["undamped"]
-        assert co.Vm.size == 2048
+        assert co.samples.shape == (3, 2048)
         lam = (np.pi * (np.arange(64) + 1.0)) ** 2
 
         def peak(**mode):

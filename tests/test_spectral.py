@@ -170,28 +170,39 @@ def flow_errors(a, b, slot, t, n, N=8):
 
 
 # (a, b, slot, t) of a flow of p = 0, N = 8, and the errors of
-# ``flow_errors`` measured at n = 512 and 2048.  (inf, inf, 1, 3) reaches
-# sup|p| = 253, (0.5, 1, 2, -2) 256 with a' = -11.8; (inf, 2, 1, 2) ends at
-# b' = -8.37 and (2, 1, 1, 2) at b' = -9.26.
+# ``flow_errors`` measured at n = 256, 512 and 2048.  (inf, inf, 1, 3)
+# reaches sup|p| = 253, (0.5, 1, 2, -2) 256 with a' = -11.8; (inf, 2, 1, 2)
+# ends at b' = -8.37 and (2, 1, 1, 2) at b' = -9.26.  Most errors at 2048
+# cells sit at a rounding floor near 1e-13; nu of (inf, inf, 1, 3) sits at
+# 2.0e-12 there (3.2e-12 at 4096).
 FLOW_CASES = {
-    (INF, INF, 0, 1.0): ([1.8e-10, 1.8e-10, 3.5e-10],
-                         [6.9e-13, 7.1e-13, 1.4e-12]),
-    (INF, INF, 2, -2.0): ([1.7e-8, 2.6e-8, 4.2e-8],
-                          [6.6e-11, 1.0e-10, 1.7e-10]),
-    (INF, INF, 1, 3.0): ([6.2e-8, 7.9e-8, 1.1e-7],
-                         [2.4e-10, 3.1e-10, 4.2e-10]),
-    (INF, 1.0, 0, 1.0): ([6.7e-12, 2.7e-10, 3.8e-11],
-                         [2.4e-14, 1.0e-12, 1.4e-13]),
-    (INF, 0.5, 2, -1.5): ([3.6e-9, 5.7e-9, 4.2e-9],
-                          [1.4e-11, 2.3e-11, 1.6e-11]),
-    (INF, 2.0, 1, 2.0): ([3.8e-8, 7.7e-9, 1.4e-8],
-                         [1.5e-10, 3.0e-11, 5.6e-11]),
-    (1.0, 2.0, 0, 1.0): ([1.0e-11, 2.2e-10, 8.8e-11],
-                         [3.6e-14, 8.7e-13, 3.4e-13]),
-    (0.5, 1.0, 2, -2.0): ([1.3e-7, 1.1e-7, 1.1e-7],
-                          [4.8e-10, 4.4e-10, 4.4e-10]),
-    (2.0, 1.0, 1, 2.0): ([2.5e-7, 7.4e-8, 7.4e-8],
-                         [9.7e-10, 2.9e-10, 2.9e-10]),
+    (INF, INF, 0, 1.0): ([1.3e-12, 3.4e-12, 2.8e-12],
+                         [1.9e-14, 6.7e-14, 8.0e-14],
+                         [1.1e-15, 1.2e-13, 2.3e-13]),
+    (INF, INF, 2, -2.0): ([7.6e-10, 4.6e-9, 7.3e-9],
+                          [1.2e-11, 7.1e-11, 1.1e-10],
+                          [3.1e-15, 2.2e-13, 1.8e-13]),
+    (INF, INF, 1, 3.0): ([4.0e-9, 9.5e-9, 7.3e-9],
+                         [6.2e-11, 1.5e-10, 1.1e-10],
+                         [1.3e-14, 2.0e-12, 2.0e-13]),
+    (INF, 1.0, 0, 1.0): ([7.4e-12, 9.9e-13, 4.7e-13],
+                         [1.1e-13, 4.0e-14, 3.4e-14],
+                         [8.1e-15, 1.1e-13, 1.1e-13]),
+    (INF, 0.5, 2, -1.5): ([1.4e-10, 8.2e-10, 4.8e-10],
+                          [2.3e-12, 1.3e-11, 7.5e-12],
+                          [9.8e-16, 1.2e-13, 1.2e-13]),
+    (INF, 2.0, 1, 2.0): ([3.2e-9, 1.0e-9, 7.5e-10],
+                         [4.8e-11, 1.5e-11, 1.1e-11],
+                         [6.1e-15, 1.1e-13, 1.1e-13]),
+    (1.0, 2.0, 0, 1.0): ([2.6e-13, 1.2e-13, 4.2e-14],
+                         [2.6e-15, 4.1e-14, 3.9e-14],
+                         [1.2e-15, 1.3e-13, 1.3e-13]),
+    (0.5, 1.0, 2, -2.0): ([1.1e-7, 1.1e-7, 7.7e-8],
+                          [1.7e-9, 1.8e-9, 1.2e-9],
+                          [3.6e-13, 4.9e-13, 2.1e-13]),
+    (2.0, 1.0, 1, 2.0): ([1.6e-7, 5.1e-8, 4.0e-8],
+                         [2.5e-9, 7.9e-10, 6.2e-10],
+                         [5.0e-13, 1.3e-13, 1.9e-13]),
 }
 
 # The t of the random flows of each regime, slots 0-2: sup|p| up to 280,
@@ -205,13 +216,15 @@ class TestIsospectralFlow:
 
     @pytest.mark.parametrize("case", list(FLOW_CASES))
     def test_exact_data(self, case):
-        # Within 10x the measured errors, and fourth order: each error above
-        # 1e-12 at 2048 cells is at least 100x below that at 512 (measured
-        # 252-281x).
-        coarse, fine = (flow_errors(*case, n) for n in (512, 2048))
-        for got, measured in zip((coarse, fine), FLOW_CASES[case]):
+        # Within 10x the measured errors, and sixth order: each error above
+        # 1e-12 at 512 cells is at least 40x below that at 256 (measured
+        # 60-67x; fourth order gives 16x).  From 512 to 2048 cells the
+        # errors meet the rounding floor, so that pair carries no order.
+        errors = [flow_errors(*case, n) for n in (256, 512, 2048)]
+        for got, measured in zip(errors, FLOW_CASES[case]):
             assert np.all(got <= 10.0 * np.array(measured)), (got, measured)
-        assert np.all((fine <= 1e-12) | (coarse >= 100.0 * fine))
+        coarse, fine = errors[:2]
+        assert np.all((fine <= 1e-12) | (coarse >= 40.0 * fine))
 
     @pytest.mark.parametrize("pair", list(FLOW_DOMAINS))
     @settings(max_examples=8, deadline=None)
@@ -226,22 +239,24 @@ class TestIsospectralFlow:
 
 
 class TestSolverOptions:
-    def test_extrapolation_sharpens(self):
-        # Two deep Robin ends take one level plus the zero-potential
-        # correction like every pair, which removes the leading integrator
-        # error as the two-level extrapolation did; the reference is a
-        # solve on eight times the cells, and the plain level is the
-        # problem grid's, found by the old root finder.
+    def test_deep_pair_converges_at_sixth_order(self):
+        # Two deep Robin ends take one level of the problem grid like every
+        # pair, the old root finder's level; against a solve on 32 times
+        # the cells, doubling 128 cells divides the error by 61 (sixth
+        # order gives 64), to 1.2e-13 relative at 256 cells.
         def prob(n):
             return SchrodingerProblem(Potential.from_callable(
                 lambda x: 0.3 * sin2pi_potential(x), n))
 
-        ref = compute_eigenvalues(prob(4096), -12.0, -12.0, 10)
-        plain, _ = bisect_level(prob(512), -12.0, -12.0, 10)
-        lam = compute_eigenvalues(prob(512), -12.0, -12.0, 10)
-        e_plain = np.max(np.abs(plain - ref))
-        e_rich = np.max(np.abs(lam - ref))
-        assert e_rich < e_plain / 50.0
+        ref = compute_eigenvalues(prob(8192), -12.0, -12.0, 10)
+        e128, e256 = (np.max(np.abs(compute_eigenvalues(prob(n), -12.0, -12.0,
+                                                        10) - ref))
+                      for n in (128, 256))
+        assert e256 < e128 / 40.0
+        assert e256 < 1e-12 * np.max(np.abs(ref))
+        plain, _ = bisect_level(prob(256), -12.0, -12.0, 10)
+        lam = compute_eigenvalues(prob(256), -12.0, -12.0, 10)
+        assert np.max(np.abs(plain - lam) / np.abs(lam)) < 1e-14
 
     def test_deterministic_across_instances(self):
         d1 = solve_spectrum(SchrodingerProblem(
@@ -599,18 +614,15 @@ class TestRootFinder:
     @pytest.mark.parametrize("picture", ["impedance", "schrodinger"])
     @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES + DEEP_CASES)
     def test_matches_bisection_oracle(self, cfg, a, b, picture, n):
-        # Both pictures take one level plus the zero-potential correction,
-        # so the single level is compared with the oracle's: the same
-        # correction is added to both.  The oracle reads nu forward; a deep
-        # state's is read from the end it grows toward, at the oracle's
-        # eigenvalue.  The deep pairs' value rounds carry each slope and
-        # each secant's older value across the log scales of the sweeps.
+        # Both pictures take one level of the problem grid, as the oracle
+        # does.  The oracle reads nu forward; a deep state's is read from
+        # the end it grows toward, at the oracle's eigenvalue.  The deep
+        # pairs' value rounds carry each slope and each secant's older
+        # value across the log scales of the sweeps.
         prob = in_picture(six_mode_problem(cfg, n), picture)
         data = solve_spectrum(prob, a, b, 64)
         lam, forward = bisect_level(prob, a, b, 64)
         norming = spectral._norming(prob, lam, a, b, forward)
-        dlam, dnorm, _ = spectral._zero_correction(n, a, b, 64)
-        lam, norming = lam + dlam, norming + dnorm
         assert np.max(np.abs(data.eigenvalues - lam) / np.abs(lam)) < 1e-13
         assert np.max(np.abs(data.norming - norming)) < 1e-12
 
@@ -717,10 +729,7 @@ class TestRootFinder:
         # usable step: every secant is 0, which has the wrong sign for any
         # slot, so each root keeps its predicted slope, whose steps leave
         # the bracket or turn slow.  None meets the tolerance: the polish
-        # must stop at its cap and say so.  The correction table is built
-        # first, from the true w: a table built from the flat one raises
-        # the zero problem's own error.
-        spectral._zero_correction(N_GRID, INF, 1.0, 9)
+        # must stop at its cap and say so.
         endpoint_w = spectral._endpoint_w
 
         def flat(prob, lam, a, b, deriv):
@@ -891,9 +900,7 @@ class TestValueRounds:
         assert seen[:3] == [1.0, 0.5 * (1.0 + 3.0), 2.0 - 6.0 / 7.0]
 
     def test_level_makes_no_derivative_sweep(self, monkeypatch):
-        # Every sweep inside ``_level`` is an endpoint or a count sweep, in
-        # a problem's solve and in the zero level of a correction table
-        # alike; n = 320 is a grid no other test builds a table for.
+        # Every sweep inside ``_level`` is an endpoint or a count sweep.
         sweep, level = ode._sweep, spectral._level
         inside, seen = [], []
 
@@ -937,7 +944,6 @@ class TestValueRounds:
         coeffs, a, b, N, n, (endpoint, count) = self.STEEP[name]
         prob = SchrodingerProblem(Potential(GridFunction(
             np.asarray(coeffs) @ trig_basis("cosine", len(coeffs), n))))
-        spectral._zero_correction(n, a, b, N + 1)
         sweep = ode._sweep
         modes = []
 
@@ -969,8 +975,8 @@ class TestValueRounds:
         # derivative rounds, and chord rounds near a root.  Both stop at the
         # same tolerance inside the same brackets, so only the path to each
         # root differs.  Where one raises, so does the other.  The exact
-        # ladder and the zero level of the correction are built first, by
-        # value rounds, so that both solves take one table.  nu is checked
+        # ladder is built first, by value rounds, so that both solves take
+        # one table.  nu is checked
         # against the read at the solved eigenvalues, and against the
         # oracle's where the oracle's own nu agrees with its read within
         # 1e-10.  Measured over 300 scratch draws: lam within 4.1e-15
@@ -1006,7 +1012,6 @@ class TestValueRounds:
             return newton_polish(char, lam, lo, hi, value)
 
         try:
-            spectral._zero_correction(n, a, b, N + 1)
             spectral._exact_ladder(a, b, N + 1)
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(spectral, "_newton_polish", derivative_polish)
@@ -1068,9 +1073,7 @@ class TestStartRule:
             lam, _ = bisect_level(prob, a, b, N)
         except BracketError:
             return
-        want = lam + spectral._zero_correction(n, a, b, N)[0]
-        assert np.all(np.abs(got - want)
-                      <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert np.all(np.abs(got - lam) <= 1e-12 * np.maximum(1.0, np.abs(lam)))
 
 
 class TestNormingConstants:
@@ -1104,7 +1107,7 @@ class TestNormingConstants:
     @pytest.mark.parametrize("cfg,a,b", SPECTRA_CASES)
     def test_matches_on_coarse_grid(self, cfg, a, b):
         # 64 slots on 256 cells: one level read at the solved eigenvalues
-        # less their correction gives the solved constants back.
+        # gives the solved constants back.
         prob = six_mode_problem(cfg, 256)
         data = solve_spectrum(prob, a, b, 64)
         assert np.max(np.abs(norming_constants(prob, data) - data.norming)) \
@@ -1115,8 +1118,7 @@ class TestNormingConstants:
         # nu needs no lam-derivative, so no sweep carries one; the values
         # are those of the derivative sweeps that also give log|dw|.  The
         # pair (-12, -12) reads its lowest state, which decays away from
-        # x = 0, by an endpoint sweep of the reflected coefficients.  The
-        # read takes the correction table the solve built.
+        # x = 0, by an endpoint sweep of the reflected coefficients.
         prob = six_mode_problem("exp", N_GRID)
         data = solve_spectrum(prob, a, b, 32)
         modes = []
@@ -1136,10 +1138,9 @@ class TestNormingConstants:
 
     @pytest.mark.parametrize("a,b", [(INF, INF), (1.0, -0.5), (-20.0, 3.0)])
     def test_stored_reads_use_the_solve_table(self, monkeypatch, a, b):
-        # The solve of N slots builds the correction keyed N + 1, and every
-        # read at its eigenvalues takes that table: a read that built its
-        # own (a zero level of M slots) would take a count sweep and the
-        # sweeps of a Newton polish.
+        # Reads at stored eigenvalues solve nothing: a read that solved a
+        # level, as the zero level of a correction table once did, would
+        # take a count sweep and the sweeps of a Newton polish.
         prob = six_mode_problem("exp", 512)
         data = solve_spectrum(prob, a, b, 12)
         modes = []
@@ -1200,7 +1201,28 @@ ZERO_PAIRS = [(INF, INF), (INF, 1.0), (INF, 0.0), (1.0, -0.5), (INF, -3.0),
 
 
 class TestZeroCorrection:
-    """One grid level plus the zero-potential correction for normal forms."""
+    """Normal forms need no correction: one level of the problem grid
+    solves constant potentials, the zero potential included, to their
+    exact ladders."""
+
+    @pytest.mark.parametrize("a,b", [(INF, INF), (INF, 1.0), (1.0, -0.5),
+                                     (-20.0, 3.0), (-12.0, -12.0)])
+    def test_constant_potentials_at_the_exact_ladder(self, a, b):
+        # V = 0, and V = c0 = 0.5 of the impedance problem of q = 0 with
+        # u = exp:0.5,1.0.  Measured on 256 cells, N = 64: lam within
+        # 1.1e-15 relative; nu within 5.1e-14, and 1.1e-11 at the
+        # symmetric deep pair, whose nu moves by e**12 / 576 times the
+        # error of lam.
+        q = Impedance(GridFunction.zeros(256))
+        lam, norming, _ = spectral._exact_ladder(a, b, 64)
+        for prob in (SchrodingerProblem(Potential(GridFunction.zeros(256))),
+                     ImpedanceProblem(q, ConditionU.exponential(0.5, 1.0))):
+            data = solve_spectrum(prob, a, b, 64)
+            want = lam + prob.c0
+            assert np.max(np.abs(data.eigenvalues - want)
+                          / np.maximum(1.0, np.abs(want))) <= 1e-14
+            assert np.max(np.abs(data.norming - norming)) <= (
+                1e-10 if a == b else 3e-13)
 
     @pytest.mark.parametrize("a,b", ZERO_PAIRS[:4])
     def test_zero_potential_at_closed_form(self, a, b):
@@ -1213,85 +1235,46 @@ class TestZeroCorrection:
 
     @pytest.mark.parametrize("a,b", ZERO_PAIRS[:4])
     def test_coarse_grid_keeps_slots(self, a, b):
-        # 90 slots on 256 cells: RK4 moves the top zero eigenvalues by more
-        # than half a gap.  The 91-slot zero level of the correction, started
-        # from the exact ladder, fails its count proof and takes that up in
-        # the count brackets of ``_solve_levels``; the solve's own level
-        # starts from the discrete ladder that level gives.
+        # 90 slots on 256 cells, up to lam = 8e4: the cells of the zero
+        # potential are exact, so the level starts from its own roots.
         free = SchrodingerProblem(Potential(GridFunction.zeros(256)))
         data = solve_spectrum(free, a, b, 90)
         lam = closed_form_ladder(a, b, 90)[0]
         scale = np.maximum(1.0, np.abs(lam))
         assert np.max(np.abs(data.eigenvalues - lam) / scale) <= 1e-12
 
-    @pytest.mark.parametrize("a,b", ZERO_PAIRS[:-1])
+    @pytest.mark.parametrize("a,b", ZERO_PAIRS)
     def test_discrete_values_match_sweeps(self, a, b):
-        # The zero level of the correction against sweeps over 256 zero
-        # cells, found by the old root finder.  (-3, -2) is left out: its
-        # two lowest eigenfunctions sit at one end each, so log|y(1)| of the
-        # one at x = 0 carries rounding of the growing solution (1e-12
-        # apart).
+        # The exact ladder against the discrete eigenvalues of 256 zero
+        # cells found by the old root finder, and nu and log|dw| read there
+        # by sweeps.  Measured: lam 8.4e-16 relative, nu and log|dw|
+        # 7.3e-14.
         n, N = 256, 64
         exact, exact_norming, exact_log_dw = spectral._exact_ladder(a, b, N)
-        dlam, dnorm, dlog_dw = spectral._zero_correction(n, a, b, N)
         free = SchrodingerProblem(Potential(GridFunction.zeros(n)))
-        lam, norming = bisect_level(free, a, b, N)
+        lam, forward = bisect_level(free, a, b, N)
         _, log_dw = spectral._endpoint_quantities(free, lam, a, b)
+        norming = spectral._norming(free, lam, a, b, forward)
         scale = np.maximum(1.0, np.abs(lam))
-        assert np.max(np.abs(exact - dlam - lam) / scale) <= 1e-13
-        assert np.max(np.abs(exact_norming - dnorm - norming)) <= 1e-13
-        assert np.max(np.abs(exact_log_dw - dlog_dw - log_dw)) <= 1e-13
+        assert np.max(np.abs(exact - lam) / scale) <= 4e-15
+        assert np.max(np.abs(exact_norming - norming)) <= 3e-13
+        assert np.max(np.abs(exact_log_dw - log_dw)) <= 3e-13
 
     @pytest.mark.parametrize("a,b", [(-12.0, -12.0), (3.0, -20.0),
                                      (INF, -50.0), (INF, 1.0), (1.0, -0.5)])
     def test_norming_row_read_at_the_discrete_roots(self, a, b):
-        # The table's nu row is the exact nu less a read at the zero
-        # level's roots, from the derivative sweep that gives log|dw|, not
-        # the nu its polish carried: a slot that converged in its first
-        # round kept the read at its start, up to 2.2e-11 off at
-        # (-12, -12) on 256 cells.
+        # A solve's nu row is the nu its polish carried to each root by
+        # the secant of nu; a read at the roots it returns agrees with it,
+        # and both with the exact nu.  A slot that converges in its first
+        # round carries the read at its start.
         n, N = 256, 8
-        lam, norming, log_dw = spectral._exact_ladder(a, b, N + 1)
+        lam, norming, _ = spectral._exact_ladder(a, b, N)
         free = SchrodingerProblem(Potential(GridFunction.zeros(n)))
-        lam_h, _ = spectral._level(free, a, b, N, lam, log_dw[:N])
-        forward, _ = spectral._endpoint_quantities(free, lam_h, a, b)
-        dlam, dnorm, _ = spectral._zero_correction(n, a, b, N)
-        assert np.array_equal(dlam, lam[:N] - lam_h)
-        assert np.array_equal(
-            dnorm, norming[:N] - spectral._norming(free, lam_h, a, b, forward))
-
-    def test_correction_follows_the_integrator(self, monkeypatch):
-        # Swap RK4's cell for the second-order Taylor cell I + hA + (hA)**2/2
-        # at the midpoint sample, A = [[0, 1], [V - lam, 0]], still quadratic
-        # in lam.  The correction is the zero potential's level on the same
-        # cells, so the zero potential solves to its exact ladder; the deep
-        # states of (-20, 3) and (inf, -50) read backward with that cell's
-        # log R.  Measured: lam 7.2e-16 relative, nu 6.2e-14.  A correction
-        # that keeps RK4's closed form misses by 1.5e-4 to 2.0e-4 relative,
-        # nu by up to 1.9e-2.
-        def taylor_steps(Vn, Vm):
-            h = 1.0 / Vm.size
-            steps = np.zeros((3, 4, Vm.size))
-            steps[0, [0, 3]] = 1.0 + 0.5 * h * h * Vm
-            steps[1, [0, 3]] = -0.5 * h * h
-            steps[0, 1], steps[1, 1], steps[0, 2] = h * Vm, -h, h
-            return steps
-
-        n, N = 1024, 8
-        spectral._zero_correction.cache_clear()
-        try:
-            monkeypatch.setattr(ode, "_quadratic_steps", taylor_steps)
-            for a, b in [(INF, INF), (INF, 1.0), (1.0, -0.5), (-20.0, 3.0),
-                         (INF, -50.0)]:
-                free = SchrodingerProblem(Potential(GridFunction.zeros(n)))
-                data = solve_spectrum(free, a, b, N)
-                lam, norming, _ = spectral._exact_ladder(a, b, N)
-                scale = np.maximum(1.0, np.abs(lam))
-                assert np.max(np.abs(data.eigenvalues - lam) / scale) <= 1e-13
-                assert np.max(np.abs(data.norming - norming)) <= 1e-12
-        finally:
-            monkeypatch.undo()
-            spectral._zero_correction.cache_clear()
+        data = solve_spectrum(free, a, b, N)
+        bound = 1e-10 if a == b else 1e-12
+        assert np.max(np.abs(data.norming - norming_constants(free, data))) \
+            <= bound
+        assert np.max(np.abs(data.norming - norming)) <= bound
 
     def test_pair_rounding_cannot_split_raises(self):
         # At a = b = -38 the two boundary states lie 3.6e-13 apart, 1.6 ulp
@@ -1308,6 +1291,19 @@ class TestZeroCorrection:
                     pv, 1024)), -38.0, -38.0, 4)
         lam = solve_spectrum(free, -37.0, -37.0, 4).eigenvalues
         assert lam[0] < lam[1] < -1368.0
+
+    @pytest.mark.parametrize("n,a", [(128, -36.620000000000005),
+                                     (256, -37.18), (1024, -37.18)])
+    def test_deep_equal_pair_solves_where_the_zero_level_split(self, n, a):
+        # Here ``_exact_ladder`` splits the two boundary states, and the
+        # zero-potential level of the correction, on n cells, did not: it
+        # refused the pair by name.  The level of the zero potential is
+        # now the exact ladder itself.
+        free = SchrodingerProblem(Potential(GridFunction.zeros(n)))
+        lam = solve_spectrum(free, a, a, 4).eigenvalues
+        exact = spectral._exact_ladder(a, a, 4)[0]
+        assert lam[0] < lam[1]
+        assert np.max(np.abs(lam - exact) / np.abs(exact)) < 1e-13
 
     def test_count_bisection_runs_to_the_last_float(self):
         # The two boundary states of 0.3 cos(2 pi x) at a = b = -35 lie
@@ -1353,8 +1349,8 @@ class TestZeroCorrection:
     def test_one_level_where_boundary_states_nearly_coincide(self, a, b):
         # Two deep Robin ends hold two boundary states 7.6e-3 and 43 apart.
         # The closed-form ladders split them branch by branch, so these
-        # pairs take the correction like any other, checked against a
-        # solve on eight times the cells.  The potential is even, so at
+        # pairs take one level like any other, checked against a solve on
+        # eight times the cells.  The potential is even, so at
         # (-12, -12) the two states are the even and odd mixtures of the
         # end states, and nu, about 0, moves by e**12 / 576 times the error
         # of lam.  Measured: lam 5.2e-14 and 5.9e-14 relative; nu 2.2e-10
@@ -1363,9 +1359,6 @@ class TestZeroCorrection:
             return SchrodingerProblem(Potential.from_callable(
                 lambda x: 0.3 * sin2pi_potential(x), n))
 
-        dlam, dnorm, dlog_dw = spectral._zero_correction(2048, a, b, 8)
-        assert np.all(np.isfinite(dlam) & np.isfinite(dnorm)
-                      & np.isfinite(dlog_dw))
         data = solve_spectrum(prob(2048), a, b, 8)
         ref = solve_spectrum(prob(16384), a, b, 8)
         assert np.max(np.abs(data.eigenvalues - ref.eigenvalues)
@@ -1381,35 +1374,34 @@ class TestZeroCorrection:
 
 
 class TestMemoizedLadders:
-    """The zero ladders and corrections depend on (n, a, b, N) alone; each
-    is solved once per process and shared read-only."""
+    """The zero ladders depend on (a, b, N) alone; each is solved once per
+    process, by no sweep, and shared read-only."""
 
     @pytest.mark.parametrize("a,b", [(-12.0, -12.0), (-20.0, 3.0),
                                      (INF, -50.0)])
     def test_equal_to_a_fresh_build(self, a, b):
-        got = spectral._zero_correction(1024, a, b, 8)
         ladder = spectral._exact_ladder(a, b, 8)
-        assert spectral._zero_correction(1024, a, b, 8) is got
+        assert spectral._exact_ladder(a, b, 8) is ladder
         spectral._exact_ladder.cache_clear()
-        fresh = spectral._zero_correction.__wrapped__(1024, a, b, 8)
-        for got_row, want_row in zip(got, fresh):
-            assert np.array_equal(got_row, want_row)
         for got_row, want_row in zip(ladder,
                                      spectral._exact_ladder.__wrapped__(
                                          a, b, 8)):
             assert np.array_equal(got_row, want_row)
 
-    @pytest.mark.parametrize("a,b", [(INF, INF), (1.0, -0.5), (-20.0, 3.0)])
+    @pytest.mark.parametrize("a,b", [(INF, INF), (INF, 1.0), (1.0, -0.5),
+                                     (-20.0, 3.0)])
     def test_repeated_solves_make_the_same_sweeps(self, monkeypatch, a, b):
-        # The first solve on a grid builds the tables; after it, identical
-        # solves of fresh problems make the same sweeps, mode by mode and
-        # width by width.
+        # Identical solves of fresh problems make the same sweeps, mode by
+        # mode and width by width, the first included: it runs with the
+        # zero ladders cleared, on a grid no other solve takes, and builds
+        # no table by sweeps.  The benchmark's self-test asks the same of
+        # its first two ops.
         def solve():
             prob = SchrodingerProblem(Potential.from_callable(
-                lambda x: 0.4 * np.cos(2.0 * np.pi * x), 256))
+                lambda x: 0.4 * np.cos(2.0 * np.pi * x), 320))
             return solve_spectrum(prob, a, b, 2)
 
-        solve()
+        spectral._exact_ladder.cache_clear()
         sweep = ode._sweep
         calls = []
 
@@ -1420,18 +1412,16 @@ class TestMemoizedLadders:
 
         monkeypatch.setattr(ode, "_sweep", spy)
         monkeypatch.setattr(spectral, "_sweep", spy)
-        for _ in range(2):
+        for _ in range(3):
             calls.append([])
             solve()
-        assert calls[0] and calls[0] == calls[1]
+        assert calls[0] and calls[0] == calls[1] == calls[2]
 
     @pytest.mark.parametrize("a,b", [(INF, INF), (INF, 1.0), (1.0, -0.5)])
     def test_read_only(self, a, b):
-        for table in (spectral._zero_correction(256, a, b, 4),
-                      spectral._exact_ladder(a, b, 4)):
-            for row in table:
-                with pytest.raises(ValueError):
-                    row[0] = 0.0
+        for row in spectral._exact_ladder(a, b, 4):
+            with pytest.raises(ValueError):
+                row[0] = 0.0
 
 
 def deep_robin_closed_form(a, b):
@@ -1606,12 +1596,8 @@ class TestBenchmarkInputs:
         # with value rounds and a derivative-round fallback, and take 0 and
         # 217 with value rounds alone: in endpoint sweeps, a derivative
         # sweep costing two, 223 fell to 217.  Each makes one narrow count
-        # sweep.  The three correction tables they
-        # read, built once per process by sweeps of the zero potential, are
-        # built before the spy.
+        # sweep.  No solve reads a table built by sweeps.
         pairs = ((INF, INF), (INF, 1.0), (1.0, -0.5))
-        for a, b in pairs:
-            spectral._zero_correction(2048, a, b, 65)
         sweep = ode._sweep
         modes = []
 
