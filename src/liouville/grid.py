@@ -344,23 +344,27 @@ def _cell_samples(values: np.ndarray, offset=0.5) -> np.ndarray:
 
     ``offset`` may be a sequence, which gives one row of n values each.
     Cell i reads the six nodes from start = clip(i - 2, 0, n - 5) at
-    i + offset - start, so the interior cells share one row of weights and
-    each of the two cells at either end has its own.  Each sum runs in
-    ``local_quintic``'s order, so at the midpoints, where i + offset is
+    t = i - start + offset, so the interior cells share one row of weights
+    and each of the two cells at either end has its own.  The six terms of
+    every cell are formed in one product and summed over all cells at once,
+    in ``local_quintic``'s order: at the midpoints, where i + offset is
     exact, the values are its own bit for bit.
     """
     n = values.size - 1
     offsets = np.asarray(offset, dtype=float)
-    out = np.zeros(offsets.shape + (n,))
-    # Cells first..last - 1, the first node their values read, and t - offset.
-    for first, last, start, t in ((2, n - 2, 0, 2), (0, 1, 0, 0), (1, 2, 0, 1),
-                                  (n - 2, n - 1, n - 5, 3),
-                                  (n - 1, n, n - 5, 4)):
-        w = np.array([_quintic_weights(t + o) for o in offsets.flat]).T
-        for k in range(6):
-            out[..., first:last] += w[k].reshape(offsets.shape + (1,)) \
-                * values[start + k:start + k + last - first]
-    return out
+    # weights[k, o, t] is node k's weight at t + offsets[o], t = 0..4.
+    weights = np.array([[_quintic_weights(t + o) for t in range(5)]
+                        for o in offsets.flat]).transpose(2, 0, 1)
+    start = np.arange(n) - 2
+    start[:2], start[-2:] = 0, n - 5
+    nodes = values[start + np.arange(6)[:, None]]
+    terms = weights[:, :, 2:3] * nodes[:, None]
+    ends = [0, 1, n - 2, n - 1]
+    terms[:, :, ends] = weights[:, :, [0, 1, 3, 4]] * nodes[:, None, ends]
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out += term
+    return out.reshape(offsets.shape + (n,))
 
 
 def resample(f: GridFunction, n: int) -> GridFunction:

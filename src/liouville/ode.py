@@ -28,8 +28,11 @@ x = 0.
 A sweep propagates a batch of lam columns through all cells by a blocked
 scan (Blelloch, "Prefix sums and their applications", 1990).  The n cells
 form blocks of a fixed 16, and the coefficients are stored in that block
-order, so the sum over the powers of lam writes the cell matrices straight
-into the layout the scan reads.  The running products inside every block are
+order.  Each column's cells are the row of its powers of lam times each
+block row's table, one (1 x m)(m x nb) matrix product per column and
+entry, written straight into the layout the scan reads; a product never
+spans two columns, so a column's cells, and its sweep, are the same in
+any batch.  The running products inside every block are
 formed in 15 steps, each vectorized over all blocks and columns.  The
 block totals are then multiplied pairwise, level by level, until one
 product spans 256 cells, or a quarter of the grid where that is less, and
@@ -162,34 +165,48 @@ def _exponents(V1, V2, V3, n: int) -> np.ndarray:
         -h * r_w])
 
 
-def _times(a: np.ndarray, b) -> np.ndarray:
-    """Product of polynomials in lam, coefficients first: a an array, b rows."""
-    out = np.zeros((a.shape[0] + len(b) - 1,) + a.shape[1:])
-    for j, row in enumerate(b):
-        out[j:j + a.shape[0]] += a * row
-    return out
-
-
 def _entry_table(cells: np.ndarray, D: int, u) -> np.ndarray:
     """The entries (M11, M21, M12, M22) of exp(Omega) as polynomials in lam,
     with C and S summed through u**D: shape (B, 4, m, nb), the coefficient
     of lam**j of cell b B + i at [i, :, j, b].  ``u`` holds the rows of u as
-    a polynomial in lam, so m = D (len(u) - 1) + 2."""
+    a polynomial in lam, so m = D (len(u) - 1) + 2.
+
+    The table is formed entry first, (4, m, B, nb), where each row of
+    coefficients is one contiguous pass over all cells, and copied once
+    into the block order at the end.  C and S are summed by Horner's rule
+    in u in the rows of M22 and M12, the rows of M11 and M21 holding the
+    terms of each step, and the entries are then formed in place: besides
+    the table and its copy, only the product S r1 is allocated.
+    """
     p0, p1, q0, r0, r1 = cells
-    # C and S side by side, by Horner's rule in u.
-    CS = np.broadcast_to(_TAYLOR[D][None, :, None, None], (1, 2) + p0.shape)
-    for k in range(D - 1, -1, -1):
-        CS = _times(CS, u)
-        CS[0] += _TAYLOR[k][:, None, None]
-    C, S = CS[:, 0], CS[:, 1]
-    rows = np.zeros((4, C.shape[0] + 1) + p0.shape)
-    rows[[0, 3], :-1] = C
-    Sp = _times(S, (p0, p1))
-    rows[0] += Sp
-    rows[3] -= Sp
-    rows[1] = _times(S, (r0, r1))
-    rows[2, :-1] = S * q0
-    return np.ascontiguousarray(rows.transpose(2, 0, 1, 3))
+    table = np.zeros((4, D * (len(u) - 1) + 2) + p0.shape)
+    M11, M21, M12, M22 = table
+    C, S = M22[:-1], M12[:-1]
+    terms = (M11, M21)[:len(u) - 1]
+    for row, taylor in ((C, _TAYLOR[:, 0]), (S, _TAYLOR[:, 1])):
+        row[0] = taylor[D]
+        for k, size in zip(range(D - 1, -1, -1),
+                           range(1, row.shape[0], len(u) - 1)):
+            for coefficient, term in zip(u[1:], terms):
+                np.multiply(row[:size], coefficient, out=term[:size])
+            row[:size] *= u[0]
+            for j, term in enumerate(terms, 1):
+                row[j:j + size] += term[:size]
+            row[0] += taylor[k]
+    # S p, with p = p0 + lam p1, into M11; then C + S p and C - S p, the
+    # latter through M21.
+    np.multiply(S, p1, out=M21[:-1])
+    np.multiply(S, p0, out=M11[:-1])
+    M11[-1] = 0.0
+    M11[1:] += M21[:-1]
+    np.subtract(M22, M11, out=M21)
+    M11 += M22
+    M22[...] = M21
+    np.multiply(S, r0, out=M21[:-1])
+    M21[-1] = 0.0
+    M21[1:] += S * r1
+    S *= q0
+    return np.ascontiguousarray(table.transpose(2, 0, 1, 3))
 
 
 def _cosh_sinc(u):
@@ -348,39 +365,51 @@ def _build_matrices(co: _Coefficients, lam: np.ndarray):
 
     Cell b B + i of column k sits at [i, column, row, k, b]; the cells that
     fill the last block are exactly I.  Each column takes the degree of its
-    own bound on |u|, so its cells do not depend on its batch: a table's
-    columns are one einsum over the powers of lam, which sums them in the
-    same order for any number of columns, and the others come from
-    ``_cosh_sinc``.  lam may be complex, and the
-    matrices then are.  Returns the pair (M, None): the benchmark's tracer
-    (``perfbench/tracer.py``) unpacks two results to size the build.
+    own bound on |u|, and the columns past the last bound come from
+    ``_cosh_sinc``.  A table's columns are broadcast matrix products written
+    straight into M, each the row of a column's powers of lam times the
+    (m, nb) table of one block row and entry: a (1 x m)(m x nb) product per
+    column, so no kernel call mixes two columns, and a column's cells do
+    not depend on its batch by construction.  One product with the columns
+    as its rows would not do: a BLAS kernel rounds its rows differently by
+    how many it is given.  lam may be complex, and the matrices then are;
+    a complex column takes one real product for each part.  Returns the
+    pair (M, None): the benchmark's tracer (``perfbench/tracer.py``)
+    unpacks two results to size the build.
     """
     _, B, nb = co.cells.shape
+    M = np.empty((B, 4, lam.size, nb), dtype=np.result_type(lam, 1.0))
 
-    def cells(z, D, out=None):
+    def cells(z, D, out):
         if D == 0:
             p0, p1, q0, r0, r1 = co.cells[:, :, None]
             p, r = p0 + z[:, None] * p1, r0 + z[:, None] * r1
             C, S = _cosh_sinc(p * p + q0 * r)
-            return np.stack([C + S * p, S * r, S * q0, C - S * p],
-                            axis=1, out=out)
-        table = co.table(D)
-        return np.einsum("km,bemn->bekn", np.vander(z, table.shape[2], True),
-                         table, optimize=False, out=out)
+            np.stack([C + S * p, S * r, S * q0, C - S * p], axis=1, out=out)
+            return
+        # (K, 1, m) powers times (B, 4, 1, m, nb) tables into the
+        # (B, 4, K, 1, nb) view of M.
+        table = co.table(D)[:, :, None]
+        powers = np.vander(z, table.shape[3], True)[:, None, :]
+        parts = ((powers.real, out.real), (powers.imag, out.imag)) \
+            if np.iscomplexobj(z) else ((powers, out),)
+        for part, dest in parts:
+            np.matmul(part, table, out=dest[:, :, :, None])
 
     # Each column's degree: the first of _DEGREES whose bound holds the
-    # column's bound on |u|.  A class whose columns
-    # are adjacent, as along a ladder, is written in place.
+    # column's bound on |u|.  A class whose columns are adjacent, as along
+    # a ladder, is written in place.
     size = np.abs(lam)
     degree = _DEGREES[np.searchsorted(_DEGREE_BOUNDS, co.bound[0] + size * (
         co.bound[1] + size * co.bound[2]))]
-    M = np.empty((B, 4, lam.size, nb), dtype=np.result_type(lam, 1.0))
     for D in np.unique(degree):
         k = np.flatnonzero(degree == D)
         if k[-1] - k[0] == k.size - 1:
-            cells(lam[k], D, out=M[:, :, k[0]:k[-1] + 1])
+            cells(lam[k], D, M[:, :, k[0]:k[-1] + 1])
         else:
-            M[:, :, k] = cells(lam[k], D)
+            part = np.empty((B, 4, k.size, nb), dtype=M.dtype)
+            cells(lam[k], D, part)
+            M[:, :, k] = part
     return M.reshape(B, 2, 2, lam.size, nb), None
 
 

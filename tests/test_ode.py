@@ -14,6 +14,7 @@ from liouville import (INF, ConditionU, GridFunction, Impedance,
                        SchrodingerProblem, build_rho, compute_c0,
                        forward_transform, oscillation_count, shoot_backward,
                        shoot_forward, wronskian)
+from liouville import ode
 from liouville.ode import (_BLOCK, _block_flips, _build_matrices, _sampled,
                            _sweep)
 from oracles import (damped_coefficients, damped_ends, loop_sweep,
@@ -286,6 +287,21 @@ MODES = {"endpoint": {}, "deriv": {"deriv": True}, "count": {"count": True},
          "trace": {"trace": True}}
 
 
+def class_column(co, D):
+    """A positive lam whose bound on |u| lies inside degree class D of
+    ``ode._DEGREES``, halfway between the class's bounds, with 4 times the
+    last bound as the upper bound of the cosh/sinh class 0; None where the
+    least bound, max|u0|, is past the class."""
+    k = list(ode._DEGREES).index(D)
+    bounds = [0.0] + ode._DEGREE_BOUNDS + [4.0 * ode._DEGREE_BOUNDS[-1]]
+    b0, b1, b2 = co.bound
+    if b0 >= bounds[k + 1]:
+        return None
+    target = 0.5 * (max(b0, bounds[k]) + bounds[k + 1])
+    return 2.0 * (target - b0) / (b1 + math.sqrt(b1 * b1 + 4.0 * b2
+                                                 * (target - b0)))
+
+
 def run_both(co, lam, mode, reverse):
     """The scan and the per-cell loop on the same sweep; an overflow must agree.
 
@@ -353,16 +369,47 @@ class TestBlockedScan:
         # fused rounding differs once the start (1, a) is inexact to
         # multiply: the Newton path of a root then changed with the roots
         # it was batched with.  65 columns cross the chunk edges of a
-        # derivative sweep.
+        # derivative sweep.  Each column's cells are its own (1 x m)(m x nb)
+        # products, which no two columns share: a batched product with the
+        # columns as rows rounded differently at K = 2 than at K = 64.  The
+        # last batch holds every degree class, 3, 4, 8 and cosh/sinh, with
+        # the class 3 columns apart, so one class is written through a copy.
+        # On 16 cells max|u0| is past the bounds of classes 3 and 4.  The
+        # second class 3 column is the first's negative.
         co = coefficient_cases(n)["undamped"]
-        for K in (8, 65):
-            lam = np.linspace(-30.0, 2000.0, K)
+        classes = [D for D in (4, 3, 0, 8, 3) if class_column(co, D)]
+        assert len(classes) == (2 if n == 16 else 5)
+        spanning = np.array([class_column(co, D) for D in classes])
+        spanning[4:] *= -1.0
+        size = np.abs(spanning)
+        degree = ode._DEGREES[np.searchsorted(ode._DEGREE_BOUNDS, co.bound[0]
+                              + size * (co.bound[1] + size * co.bound[2]))]
+        assert list(degree) == classes
+        for lam in [np.linspace(-30.0, 2000.0, K) for K in (2, 8, 65)] \
+                + [spanning]:
             batch = _sweep(co, lam, 1.0, 3.0, **MODES[mode])
             for k in range(lam.size):
                 alone = _sweep(co, lam[k:k + 1], 1.0, 3.0, **MODES[mode])
                 for key, value in alone.items():
                     assert np.array_equal(value[..., 0],
                                           batch[key][..., k]), key
+
+    def test_build_writes_the_cells_in_place(self):
+        # The products write straight into M: a 64-column ladder on 2048
+        # cells, its tables built, allocates M (4194304 B) and 6.1 kB more
+        # at its peak (measured 4200400 B), never a second array of M's
+        # size.
+        co = CASES["undamped"]
+        lam = (np.pi * (np.arange(64) + 1.0)) ** 2
+        _build_matrices(co, lam)
+        tracemalloc.start()
+        try:
+            M, _ = _build_matrices(co, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.shape == (_BLOCK, 2, 2, 64, 128)
+        assert peak < 2 * M.nbytes
 
     @pytest.mark.parametrize("damping", sorted(CASES))
     @pytest.mark.parametrize("reverse", [False, True])
