@@ -242,6 +242,17 @@ def _product_check(prob, data) -> dict:
     return _check("product:refines", worst_ratio, refines)
 
 
+def _admissibility_checks(prefix: str, adm) -> list:
+    """The ``prefix:*`` rows of one ``characterize`` report: ordering, the
+    two tails, and the normalizing tail where the report tested it."""
+    rows = [("ordering", 0.0 if adm.ordering_ok else 1.0, adm.ordering_ok),
+            ("remainder_tail", adm.remainder_growth, adm.remainder_tail_ok),
+            ("norming_tail", adm.norming_growth, adm.norming_tail_ok),
+            ("normalizing_tail", adm.alpha_growth, adm.alpha_tail_ok)]
+    return [_check(f"{prefix}:{name}", margin, ok)
+            for name, margin, ok in rows if ok is not None]
+
+
 def _verify_battery(args) -> list:
     ucfg = _load_u(args.u or "zero")
     q = _load_q(args.q or "zero", args.grid)
@@ -257,17 +268,8 @@ def _verify_battery(args) -> list:
     data = solve_spectrum(prob, a, b, args.N)
     alphas = normalizing_constants(prob, data) \
         if data.regime == "dirichlet" else None
-    adm = characterize(data, normalizing=alphas)
-    checks.append(_check("admissibility:ordering",
-                         0.0 if adm.ordering_ok else 1.0, adm.ordering_ok))
-    checks.append(_check("admissibility:remainder_tail", adm.remainder_growth,
-                         adm.remainder_tail_ok))
-    checks.append(_check("admissibility:norming_tail", adm.norming_growth,
-                         adm.norming_tail_ok))
-    if alphas is not None:
-        checks.append(_check("admissibility:normalizing_tail",
-                             adm.alpha_growth, adm.alpha_tail_ok))
-
+    checks += _admissibility_checks(
+        "admissibility", characterize(data, normalizing=alphas))
     checks.append(_product_check(prob, data))
 
     if data.regime == "mixed":
@@ -286,15 +288,8 @@ def _verify_battery(args) -> list:
     checks.append(_frechet_spot_check(q, ucfg, args.seed))
 
     if args.data:
-        ext = spectral_from_dict(load_json(args.data))
-        ext_adm = characterize(ext)
-        checks.append(_check("file:ordering",
-                             0.0 if ext_adm.ordering_ok else 1.0,
-                             ext_adm.ordering_ok))
-        checks.append(_check("file:remainder_tail", ext_adm.remainder_growth,
-                             ext_adm.remainder_tail_ok))
-        checks.append(_check("file:norming_tail", ext_adm.norming_growth,
-                             ext_adm.norming_tail_ok))
+        checks += _admissibility_checks(
+            "file", characterize(spectral_from_dict(load_json(args.data))))
     return checks
 
 
@@ -419,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     inv = subs.add_parser("invert", help="invert the forward map")
     inv.add_argument("--p", required=True)
     inv.add_argument("--u", default="zero")
-    inv.add_argument("--basis", type=int, default=16,
-                     help="Galerkin dimension of the inversion")
+    _add_checked(inv, "--basis", int, 16, lambda K: 1 <= K <= 64,
+                 "Galerkin dimension of the inversion, 1..64")
     inv.add_argument("--report", default=None,
                      help="write iteration report JSON here")
     _add_common(inv, "tol", "out")

@@ -30,10 +30,11 @@ scan (Blelloch, "Prefix sums and their applications", 1990).  The n cells
 form blocks of a fixed 16, and the coefficients are stored in that block
 order.  Each column's cells are the row of its powers of lam times each
 block row's table, one (1 x m)(m x nb) matrix product per column and
-entry, written straight into the layout the scan reads; a product never
-spans two columns, so a column's cells, and its sweep, are the same in
-any batch.  The running products inside every block are
-formed in 15 steps, each vectorized over all blocks and columns.  The
+entry, complex for the complex columns of a derivative sweep, written
+straight into the layout the scan reads; a product never spans two
+columns, so a column's cells, and its sweep, are the same in any batch.
+The running products inside every block are formed in 15 steps, each
+vectorized over all blocks and columns.  The
 block totals are then multiplied pairwise, level by level, until one
 product spans 256 cells, or a quarter of the grid where that is less, and
 the state is carried across those products in order, one batched matrix
@@ -373,9 +374,9 @@ def _build_matrices(co: _Coefficients, lam: np.ndarray):
     not depend on its batch by construction.  One product with the columns
     as its rows would not do: a BLAS kernel rounds its rows differently by
     how many it is given.  lam may be complex, and the matrices then are;
-    a complex column takes one real product for each part.  Returns the
-    pair (M, None): the benchmark's tracer (``perfbench/tracer.py``)
-    unpacks two results to size the build.
+    a complex column is one complex product with the real table, written
+    into M like a real one.  Returns the pair (M, None): the benchmark's
+    tracer (``perfbench/tracer.py``) unpacks two results to size the build.
     """
     _, B, nb = co.cells.shape
     M = np.empty((B, 4, lam.size, nb), dtype=np.result_type(lam, 1.0))
@@ -391,10 +392,7 @@ def _build_matrices(co: _Coefficients, lam: np.ndarray):
         # (B, 4, K, 1, nb) view of M.
         table = co.table(D)[:, :, None]
         powers = np.vander(z, table.shape[3], True)[:, None, :]
-        parts = ((powers.real, out.real), (powers.imag, out.imag)) \
-            if np.iscomplexobj(z) else ((powers, out),)
-        for part, dest in parts:
-            np.matmul(part, table, out=dest[:, :, :, None])
+        np.matmul(powers, table, out=out[:, :, :, None])
 
     # Each column's degree: the first of _DEGREES whose bound holds the
     # column's bound on |u|.  A class whose columns are adjacent, as along
@@ -436,24 +434,30 @@ def _carry(G: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _complex_step(lam):
+    """The point z = lam + ih of a complex-step derivative, and its
+    h = 2**-60 max(1, |lam|) (see the module docstring)."""
+    h = 2.0 ** -60 * np.maximum(1.0, np.abs(lam))
+    return lam + 1j * h, h
+
+
 def _sweep(co: _Coefficients, lam: np.ndarray, y0, v0, *, deriv=False,
            trace=False, count=False):
     """Advance the batch across all cells; returns endpoint data and extras.
 
     The initial data y0 and v0 at x = 0 are scalars shared by every lam
     column or (K,) arrays, one value per column.  Without ``deriv`` the
-    sweep is the scan ``_scan``.  With ``deriv`` it is that scan at
-    z = lam + ih, h = 2**-60 max(1, |lam|) (see the module docstring): y
-    and v are the real parts of the shot at z, and their lam-derivatives dy
-    and dv the imaginary parts over h.  Such a sweep reads the endpoints
+    sweep is the scan ``_scan``.  With ``deriv`` it is that scan at the
+    point z = lam + ih of ``_complex_step``: y and v are the real parts of
+    the shot at z, and their lam-derivatives dy and dv the imaginary parts
+    over h.  Such a sweep reads the endpoints
     alone, and scans at most ``_COMPLEX_COLUMNS`` columns at a time; a
     column's sweep does not depend on its batch, so the chunks change no
     value.
     """
     if not deriv:
         return _scan(co, lam, y0, v0, trace, count)
-    h = 2.0 ** -60 * np.maximum(1.0, np.abs(lam))
-    z = lam + 1j * h
+    z, h = _complex_step(lam)
     y0, v0 = (np.broadcast_to(np.asarray(c, dtype=float), lam.shape)
               for c in (y0, v0))
     parts = []

@@ -3,10 +3,10 @@
 Spectra are found by Newton steps on the characteristic function, each
 iterate kept inside its bracket.  Every round is one endpoint sweep: a
 step's slope is the zero problem's lam-derivative at the same slot in the
-first round, and the secant through the root's last two evaluations after
-that.  Every ladder is bracketed around its starts, a fit's predicted
-ladder or the zero ladder shifted by the problem's c0, the mean of V,
-and one exact oscillation
+first round, by complex step through its closed form, and the secant
+through the root's last two evaluations after that.  Every ladder is
+bracketed around its starts, a fit's predicted ladder or the zero ladder
+shifted by the problem's c0, the mean of V, and one exact oscillation
 count above the ladder proves the labels once each root lands inside its
 own bracket; otherwise every slot is count-bracketed.  Two states that
 rounding cannot split raise ``BracketError``.  Both pictures are solved as
@@ -38,8 +38,8 @@ from .errors import (
     PoleCollisionError,
 )
 from .grid import SequenceData, _read_only, _simpson_weights
-from .ode import (_count_below, _end, _endpoint_w, _pair, _sweep, _traces,
-                  is_dirichlet)
+from .ode import (_complex_step, _cosh_sinc, _count_below, _end, _endpoint_w,
+                  _pair, _sweep, _traces, is_dirichlet)
 
 __all__ = [
     "SpectralData",
@@ -132,16 +132,19 @@ class SpectralData:
         return SequenceData(dev, alpha=1.0)
 
 
-def _spectrum_floor(prob, a, b):
-    """A lam below the whole spectrum: min V - m**2 - 1.
+def _spectrum_floor(a, b, prob=None):
+    """A lam below the whole spectrum under (a, b): -m**2, or with ``prob``
+    min V - m**2 - 1.
 
     With m = max(1, 1 - min(a, b)) nothing of the zero problem lies below
     -m**2 (see ``_exact_ladder``), and V shifts the spectrum by no less than
     its minimum; the 1 leaves room for the integrator error.
     """
+    floor = -max(1.0, 1.0 - min(a, b)) ** 2
+    if prob is None:
+        return floor
     co = prob._coefficients()
-    m = max(1.0, 1.0 - min(a, b))
-    return min(float(co.V.min()), float(co.samples.min())) - m * m - 1.0
+    return min(float(co.V.min()), float(co.samples.min())) + floor - 1.0
 
 
 def _solve_levels(prob, a, b, N):
@@ -174,7 +177,7 @@ def _solve_levels(prob, a, b, N):
         if not bad_lo.any() and not bad_hi.any():
             break
         if bad_lo.any():
-            lo[bad_lo] = _spectrum_floor(prob, a, b)
+            lo[bad_lo] = _spectrum_floor(a, b, prob)
             clo[bad_lo] = _count_below(prob, lo[bad_lo], a, b)
         if bad_hi.any():
             hi[bad_hi] += gaps[bad_hi]
@@ -412,99 +415,73 @@ def _potential_gradients(prob, lam, a, b, directions, norming=True):
     return dlam.T, dnu.T
 
 
-# The exact transfer of the zero problem y'' = -lam y over [0, 1] is
-# H(lam) I + G(lam) A with A = [[0, 1], [-lam, 0]], H(u) = cos(sqrt u) and
-# G(u) = sin(sqrt u) / sqrt u = sum (-u)**k / (2k + 1)!, entire in u.
-_SINC_SLOPE = [(-1.0) ** k * k / math.factorial(2 * k + 1) for k in range(1, 7)]
-
-
 def _zero_pairing(lam, left, right):
-    """l . T (y0, v0) and its lam-derivative over the exact transfer T of
-    the zero problem: left = (y0, v0), right = l.
+    """l . T (y0, v0) over the exact transfer T of the zero problem, and its
+    lam-derivative: left = (y0, v0), right = l.
 
-    It is H q0 + G q1 with q0 = l . (y0, v0) and q1 = l . (v0, -lam y0)
-    where lam >= -1; its slope takes H' = -G / 2 and G' = (H - G) / (2 lam),
-    G' by its series where |lam| < 0.1.  Below, where H and G grow like
-    e**v, v = sqrt(-lam), and Robin combinations cancel them, it is summed by
-    branch: T has the eigenvectors (1, +-v) of A, with eigenvalues e**(+-v),
-    so l . T (y0, v0) = sum of e**(+-v) (v y0 +- v0) (l_y +- v l_v) / (2v).
+    T = C I + S A with A = [[0, 1], [-lam, 0]] and C, S of
+    ``ode._cosh_sinc`` at u = -lam: cos sqrt(lam) and sin sqrt(lam) /
+    sqrt(lam).  Below lam = -1, where C and S grow like e**v, v =
+    sqrt(-lam), and Robin combinations cancel them, it is summed by branch:
+    T has the eigenvectors (1, +-v) of A, with eigenvalues e**(+-v), so
+    l . T (y0, v0) = sum of e**(+-v) (v y0 +- v0) (l_y +- v l_v) / (2v).
+    Both forms are analytic in lam, so the pairing is taken at the point
+    lam + ih of ``ode._complex_step``, as a derivative sweep takes its
+    shot: the real part is the value and the imaginary part h times the
+    slope, both to rounding.
     """
     lam = np.asarray(lam, dtype=float)
-    w = np.sqrt(lam.astype(complex))
-    H = np.cos(w).real
-    G = np.where(w == 0.0, 1.0, (np.sin(w) / np.where(w == 0.0, 1.0, w)).real)
-    small = np.abs(lam) < 0.1
-    dG = np.where(small, np.polynomial.polynomial.polyval(lam, _SINC_SLOPE),
-                  (H - G) / (2.0 * np.where(small, 1.0, lam)))
+    z, h = _complex_step(lam)
     (y0, v0), (ly, lv) = left, right
-    q0, q1 = ly * y0 + lv * v0, ly * v0 - lam * lv * y0
-    value, slope = H * q0 + G * q1, -0.5 * G * q0 + dG * q1 - G * lv * y0
+    C, S = _cosh_sinc(-z)
+    value = C * (ly * y0 + lv * v0) + S * (ly * v0 - z * lv * y0)
     deep = lam < -1.0
-    if not deep.any():
-        return value, slope
-    v = np.sqrt(-np.where(deep, lam, -1.0))
-    dv = -0.5 / v
-    branches, slopes = 0.0, 0.0
-    for sign in (1.0, -1.0):
-        E = np.exp(sign * v)
-        p, q = v * y0 + sign * v0, ly + sign * v * lv
-        branches = branches + E * p * q
-        slopes = slopes + sign * dv * E * p * q \
-            + E * dv * (y0 * q + sign * lv * p)
-    branches = branches / (2.0 * v)
-    slopes = slopes / (2.0 * v) - branches * dv / v
-    return np.where(deep, branches, value), np.where(deep, slopes, slope)
-
-
-def _zero_quantities(lam, a, b):
-    """nu and log|dw| of the zero problem at lam, as in ``_endpoint_quantities``.
-
-    nu is the read of b at x = 1, or below lam = -1 that of a at x = 0 of
-    the shot from the right data (``_reads_backward``), as ``_norming``
-    reads the problem's.
-    """
-    left, right = _end(a), _end(b)
-    end, _ = _zero_pairing(lam, left.data, right.read)
-    start, _ = _zero_pairing(lam, right.data, left.read)
-    _, dw = _zero_pairing(lam, left.data, right.closing)
-    with np.errstate(divide="ignore"):
-        forward, backward = np.log(np.abs(end)), -np.log(np.abs(start))
-        return (np.where(_reads_backward(lam, forward, backward), backward,
-                         forward), np.log(np.abs(dw)))
+    if deep.any():
+        v = np.sqrt(-np.where(deep, z, -1.0))
+        value = np.where(deep, sum(
+            np.exp(sign * v) * (v * y0 + sign * v0) * (ly + sign * v * lv)
+            for sign in (1.0, -1.0)) / (2.0 * v), value)
+    return value.real, value.imag / h
 
 
 @lru_cache(maxsize=64)
 def _exact_ladder(a, b, N):
-    """Eigenvalues, norming constants and log|dw| of p = 0 under (a, b), by slot.
+    """Eigenvalues and log|dw| of p = 0 under (a, b), by slot.
 
-    Robin ends take a bracketed Newton on the closed-form characteristic
-    function, by the rounds of ``_newton_polish`` with first slopes from
-    its closed-form lam-derivative at the starts.  With a Dirichlet left
-    end, slot k >= 1 lies in ((k pi)**2, ((k + 1) pi)**2), since
-    w cot w = -b has one root in each of those w-intervals.  A Robin left
+    Both rows come from the closed-form characteristic function w and its
+    complex-step slope dw (``_zero_pairing``).  A Dirichlet pair's
+    eigenvalues are (k pi)**2.  Robin ends take a bracketed Newton on w, by
+    the rounds of ``_newton_polish`` with first slopes from dw at the
+    starts.  With a Dirichlet left end, slot k >= 1 lies in
+    ((k pi)**2, ((k + 1) pi)**2), since w cot w = -b has one root in each
+    of those w-intervals.  A Robin left
     end interlaces with that ladder: slot k lies between its slots k - 1
     and k, and so in (((k - 1) pi)**2, ((k + 1) pi)**2).  When ab < t_0,
     the points t_k = ((k + 1/2) pi)**2 separate the slots as well: there
     the characteristic function is (ab - t_k) (-1)**k / sqrt(t_k), whose
     sign places t_k between slots k and k + 1, and no ladder is solved for
     them.
-    Below -m**2 with m = max(1, 1 - min(a, b)) nothing lies: at lam = -v**2,
-    2 v w(lam) = e**v (v + a) (v + b) - e**-v (v - a) (v - b) for Robin
-    ends and e**v (v + b) + e**-v (v - b) for a Dirichlet left end, positive
-    for v >= m.  An end with a or b below -1 holds a state near -a**2 or
+    Below ``_spectrum_floor``, -m**2 with m = max(1, 1 - min(a, b)),
+    nothing lies: at lam = -v**2, 2 v w(lam) = e**v (v + a) (v + b)
+    - e**-v (v - a) (v - b) for Robin ends and e**v (v + b) + e**-v (v - b)
+    for a Dirichlet left end, positive for v >= m.  An end with a or b below -1 holds a state near -a**2 or
     -b**2, where the lowest slots start; the others start from the
     first-order ladder (``boundary_shift``) clipped to their brackets.  Two
     such states whose closed-form starts are the same float (a = b below
-    about -37) raise ``BracketError``: no polish splits them.  A
-    Dirichlet pair is closed form: w = sin(k pi) / (k pi) has
-    dw = cos(k pi) / (2 lam).  The ladder depends on (a, b, N) alone, so it
-    is solved once per process and its arrays are read-only.
+    about -37) raise ``BracketError``: no polish splits them.  The ladder
+    depends on (a, b, N) alone, so it is solved once per process and its
+    arrays are read-only.
     """
     regime = regime_of(a, b)
+    data, closing = _end(a).data, _end(b).closing
+
+    def log_dw(x):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(_zero_pairing(x, data, closing)[1]))
+
     if regime == "dirichlet":
         lam = unperturbed_eigenvalues(regime, N)
-        return _read_only(lam, unperturbed_norming(regime, N),
-                          -np.log(2.0 * lam))
+        return _read_only(lam, log_dw(lam))
     if regime == "mixed":
         edges = (math.pi * np.arange(N + 1)) ** 2
     else:
@@ -512,7 +489,7 @@ def _exact_ladder(a, b, N):
         edges[1:] = ((np.arange(N) + 0.5) * math.pi) ** 2
         if a * b >= edges[1]:
             edges[1:] = _exact_ladder(math.inf, b, N)[0]
-    edges[0] = -max(1.0, 1.0 - min(a, b)) ** 2
+    edges[0] = _spectrum_floor(a, b)
     lo, hi = edges[:-1], edges[1:]
     start = unperturbed_eigenvalues(regime, N) + boundary_shift(regime, a, b)
     deep = [-c * c for c in (a, b) if c < -1.0]
@@ -528,14 +505,11 @@ def _exact_ladder(a, b, N):
         raise BracketError(f"at (a, b) = ({a:g}, {b:g}) the zero problem's two "
                            "boundary states lie closer than rounding can split")
     start[:len(deep)] = deep
-    data, closing = _end(a).data, _end(b).closing
     start = np.clip(start, lo, hi)
-    with np.errstate(divide="ignore"):
-        log_dw = np.log(np.abs(_zero_pairing(start, data, closing)[1]))
     lam, _ = _newton_polish(
         lambda x: (_zero_pairing(x, data, closing)[0], *np.zeros((2, x.size))),
-        start, lo, hi, log_dw)
-    return _read_only(lam, *_zero_quantities(lam, a, b))
+        start, lo, hi, log_dw(start))
+    return _read_only(lam, log_dw(lam))
 
 
 def _reads_backward(lam, forward, backward):
@@ -610,7 +584,7 @@ def _level(prob, a, b, N, starts, log_dw, guess=None):
         return _newton_polish(value, start, lo, hi, log_dw)
 
     hi = 0.5 * (s[:-1] + s[1:])
-    lo = np.concatenate([[_spectrum_floor(prob, a, b)], hi[:-1]])
+    lo = np.concatenate([[_spectrum_floor(a, b, prob)], hi[:-1]])
     lam = None
     if _count_below(prob, hi[-1:], a, b)[0] == N:
         try:
@@ -625,18 +599,19 @@ def _level(prob, a, b, N, starts, log_dw, guess=None):
 def _pipeline(prob, a, b, N, *, _guess=None):
     """Eigenvalues and norming constants by slot, from one grid level.
 
-    ``_level`` starts from the zero problem's ladder (``_exact_ladder``)
-    shifted by c0, the mean of V, since lam_k = lam0_k + int V + l2
-    (Poeschel & Trubowitz, Inverse Spectral Theory, 1987), and from
-    ``_guess``, a prediction of the eigenvalues; each slot predicts its
-    first slope by the zero problem's log|dw| at the same slot, and a slot
-    without a finite prediction starts at its bracket midpoint.
+    ``_level`` starts from the eigenvalues of the zero problem's ladder
+    (``_exact_ladder``) shifted by c0, the mean of V, since lam_k = lam0_k
+    + int V + l2 (Poeschel & Trubowitz, Inverse Spectral Theory, 1987),
+    and from ``_guess``, a prediction of the eigenvalues; each slot
+    predicts its first slope by the ladder's other row, the zero problem's
+    log|dw| at the same slot, and a slot without a finite prediction
+    starts at its bracket midpoint.
     Eigenvalues that do not increase belong to two states that rounding
     cannot split, and raise ``BracketError``.  N < 1 raises ``ValueError``.
     """
     if N < 1:
         raise ValueError("need at least one eigenvalue")
-    exact, _, log_dw = _exact_ladder(a, b, N + 1)
+    exact, log_dw = _exact_ladder(a, b, N + 1)
     lam, forward = _level(prob, a, b, N, exact + prob.c0, log_dw[:N], _guess)
     if not np.all(np.diff(lam) > 0.0):
         raise BracketError(

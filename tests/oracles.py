@@ -26,9 +26,10 @@ from liouville import (BracketError, GridFunction, Impedance, IntegrationError,
                        cumulative_integral, differentiate, forward_transform,
                        frechet_apply, inner_product, integral, resample, sup_norm)
 from liouville.grid import _simpson_weights, local_quintic
-from liouville.ode import _count_below, _endpoint_w
-from liouville.spectral import (_endpoint_quantities, boundary_shift,
-                                regime_of, unperturbed_eigenvalues)
+from liouville.ode import _count_below, _end, _endpoint_w
+from liouville.spectral import (_endpoint_quantities, _reads_backward,
+                                _zero_pairing, boundary_shift, regime_of,
+                                unperturbed_eigenvalues)
 from liouville.transform import LOG_RANGE_LIMIT
 
 INF = math.inf
@@ -147,6 +148,23 @@ def closed_form_ladder(a, b, N):
         read = abs(dy if b == INF else y)
         reads[:, k] = math.log(read), math.log(square / read)
     return roots ** 2, reads[0], reads[1]
+
+
+def zero_norming(lam, a, b):
+    """Norming constants nu of the zero problem under (a, b) at lam.
+
+    nu is log|read of b| at x = 1 of the shot from the left data, or below
+    lam = -1, where the shot from the right data grows more
+    (``_reads_backward``), -log|read of a| at x = 0 of that shot, as
+    ``spectral._norming`` reads a problem's.  Both reads are values of the
+    closed-form transfer of ``spectral._zero_pairing``.
+    """
+    left, right = _end(a), _end(b)
+    with np.errstate(divide="ignore"):
+        forward = np.log(np.abs(_zero_pairing(lam, left.data, right.read)[0]))
+        backward = -np.log(np.abs(_zero_pairing(lam, right.data,
+                                                left.read)[0]))
+    return np.where(_reads_backward(lam, forward, backward), backward, forward)
 
 
 def isospectral_flow(a, b, slot, t, n, N):

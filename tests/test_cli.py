@@ -475,6 +475,18 @@ class TestErrorPaths:
         assert code == EXIT_PARSE
         assert not out.exists()
 
+    @pytest.mark.parametrize("basis", ["0", "65", "10000000"])
+    def test_basis_out_of_range(self, tmp_path, capsys, basis):
+        # The Galerkin dimension is refused at parse time, before any
+        # basis is built: 10**7 modes on 2048 cells would take 305 GiB.
+        out = tmp_path / "q.csv"
+        code = main(["invert", "--p", "fourier:[0.5,0.2]", "--basis", basis,
+                     "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert f"expected Galerkin dimension of the inversion, 1..64, got {basis}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["invert", "fit"])
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
     def test_tolerance_must_be_finite_and_positive(self, tmp_path, command,

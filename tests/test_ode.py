@@ -396,20 +396,24 @@ class TestBlockedScan:
 
     def test_build_writes_the_cells_in_place(self):
         # The products write straight into M: a 64-column ladder on 2048
-        # cells, its tables built, allocates M (4194304 B) and 6.1 kB more
-        # at its peak (measured 4200400 B), never a second array of M's
-        # size.
+        # cells, its tables built, allocates M (4194304 B) and 6.0 kB more
+        # at its peak (measured 4200352 B), never a second array of M's
+        # size.  32 complex columns, as a derivative sweep scans them, fill
+        # an M of the same bytes; each complex product casts its real table
+        # (786432 B for degree 4) and the peak reads 4984880 B.
         co = CASES["undamped"]
         lam = (np.pi * (np.arange(64) + 1.0)) ** 2
-        _build_matrices(co, lam)
-        tracemalloc.start()
-        try:
-            M, _ = _build_matrices(co, lam)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert M.shape == (_BLOCK, 2, 2, 64, 128)
-        assert peak < 2 * M.nbytes
+        for cols in (lam, lam[:32] + 1j * 2.0 ** -60 * lam[:32]):
+            _build_matrices(co, cols)
+            tracemalloc.start()
+            try:
+                M, _ = _build_matrices(co, cols)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert M.shape == (_BLOCK, 2, 2, cols.size, 128)
+            assert M.nbytes == 4194304
+            assert peak < 2 * M.nbytes
 
     @pytest.mark.parametrize("damping", sorted(CASES))
     @pytest.mark.parametrize("reverse", [False, True])

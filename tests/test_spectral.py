@@ -25,7 +25,7 @@ from liouville.grid import integral, trig_basis
 from liouville.spectral import _potential_gradients
 from oracles import bisect_level, closed_form_ladder, \
     damped_spectrum, dirichlet_exact, isospectral_flow, mixed_exact, \
-    newton_polish, oracle_eigenvalues, sin2pi_potential
+    newton_polish, oracle_eigenvalues, sin2pi_potential, zero_norming
 
 N_GRID = 2048
 FREE = SchrodingerProblem(Potential(GridFunction.zeros(N_GRID)))
@@ -1223,7 +1223,8 @@ class TestZeroCorrection:
         # symmetric deep pair, whose nu moves by e**12 / 576 times the
         # error of lam.
         q = Impedance(GridFunction.zeros(256))
-        lam, norming, _ = spectral._exact_ladder(a, b, 64)
+        lam = spectral._exact_ladder(a, b, 64)[0]
+        norming = zero_norming(lam, a, b)
         for prob in (SchrodingerProblem(Potential(GridFunction.zeros(256))),
                      ImpedanceProblem(q, ConditionU.exponential(0.5, 1.0))):
             data = solve_spectrum(prob, a, b, 64)
@@ -1259,7 +1260,8 @@ class TestZeroCorrection:
         # by sweeps.  Measured: lam 8.4e-16 relative, nu and log|dw|
         # 7.3e-14.
         n, N = 256, 64
-        exact, exact_norming, exact_log_dw = spectral._exact_ladder(a, b, N)
+        exact, exact_log_dw = spectral._exact_ladder(a, b, N)
+        exact_norming = zero_norming(exact, a, b)
         free = SchrodingerProblem(Potential(GridFunction.zeros(n)))
         lam, forward = bisect_level(free, a, b, N)
         _, log_dw = spectral._endpoint_quantities(free, lam, a, b)
@@ -1277,7 +1279,8 @@ class TestZeroCorrection:
         # and both with the exact nu.  A slot that converges in its first
         # round carries the read at its start.
         n, N = 256, 8
-        lam, norming, _ = spectral._exact_ladder(a, b, N)
+        lam = spectral._exact_ladder(a, b, N)[0]
+        norming = zero_norming(lam, a, b)
         free = SchrodingerProblem(Potential(GridFunction.zeros(n)))
         data = solve_spectrum(free, a, b, N)
         bound = 1e-10 if a == b else 1e-12
@@ -1328,7 +1331,7 @@ class TestZeroCorrection:
     def test_exact_ladder_is_a_root_ladder(self, a, b):
         # Strictly increasing, one root per slot: the closed-form
         # characteristic function changes sign across each eigenvalue.
-        lam, _, _ = spectral._exact_ladder(a, b, 16)
+        lam = spectral._exact_ladder(a, b, 16)[0]
         assert np.all(np.diff(lam) > 0.0)
         step = 1e-6 * np.maximum(1.0, np.abs(lam))
         ends = (spectral._end(a).data, spectral._end(b).closing)
@@ -1380,6 +1383,47 @@ class TestZeroCorrection:
             ratios = np.exp(sign * nu - log_dw)
             ref_ratios = np.exp(sign * ref_nu - ref_log_dw)
             assert np.max(np.abs(ratios / ref_ratios - 1.0)) < 1e-9
+
+
+class TestZeroPairing:
+    """The zero problem's closed form takes its lam-slope by complex step,
+    checked against two references that share none of its code."""
+
+    @pytest.mark.parametrize("a,b", [(INF, INF), (INF, 1.0), (INF, 0.0),
+                                     (1.0, -0.5), (2.0, 3.0)])
+    def test_slope_is_the_lagrange_identity(self, a, b):
+        # At the roots of pairs without negative eigenvalues, dw is
+        # int y**2 / y'(1) (or -int y**2 / y(1)) of the closed-form shot.
+        # Measured over 32 slots: log|dw| within 1.8e-15.
+        lam, _, log_dw = closed_form_ladder(a, b, 32)
+        slope = spectral._zero_pairing(lam, spectral._end(a).data,
+                                       spectral._end(b).closing)[1]
+        assert np.max(np.abs(np.log(np.abs(slope)) - log_dw)) <= 2e-14
+
+    @pytest.mark.parametrize("a,b", ZERO_PAIRS + [(-20.0, 3.0), (INF, -50.0),
+                                                 (-12.0, -12.0)])
+    def test_slope_is_the_central_difference(self, a, b):
+        # Deep lam, both sides of the branch switch at lam = -1, inside
+        # the Taylor disc of ``ode._cosh_sinc`` (lam = 0 included) and far
+        # up the ladder; the closing row and both norming reads.  Against
+        # the five-point central difference of the value with steps of
+        # 1e-3 max(1, sqrt|lam|), relative to |slope| + |value| / max(1,
+        # |lam|), since some slopes vanish (that of y(1) from (1, -3) at
+        # lam = 0).  Measured: 3.3e-11 at lam = 4e4, 7.1e-12 at -2500,
+        # below 1e-12 elsewhere.
+        lam = np.array([-2500.0, -50.0, -1.0 - 1e-9, -1.0 + 1e-9, 0.0, 0.3,
+                        -0.7, 0.99, 4e4])
+        step = 1e-3 * np.maximum(1.0, np.sqrt(np.abs(lam)))
+        left, right = spectral._end(a), spectral._end(b)
+        for data, row in ((left.data, right.closing), (left.data, right.read),
+                          (right.data, left.read)):
+            value, slope = spectral._zero_pairing(lam, data, row)
+            f = [spectral._zero_pairing(lam + k * step, data, row)[0]
+                 for k in (-2, -1, 1, 2)]
+            central = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * step)
+            scale = np.abs(slope) + np.abs(value) / np.maximum(1.0,
+                                                               np.abs(lam))
+            assert np.all(np.abs(slope - central) <= 3.3e-10 * scale)
 
 
 class TestMemoizedLadders:
